@@ -167,11 +167,7 @@ _TRAINER_PARSERS: Dict[str, Callable[[str], object]] = {
     "tree_sigma": _parse_float,
     "tree_neighbors_train": _parse_int,
     "tree_neighbors_infer": _parse_int,
-    "tree_search_mode": _parse_str,
     "tree_eviction": _parse_str,
-    "tree_leaf_size": _parse_int,
-    "tree_num_random_trees": _parse_int,
-    "tree_checks_budget": _parse_int,
     "seed": _parse_int,
 }
 

@@ -1,17 +1,15 @@
-"""Embedding memory over a kd-tree with kernel-weighted learning-rate blending.
+"""Embedding memory (the paper's "tree") with kernel-weighted rate blending.
 
-The tree stores (embedding, learning rate, recency) triples.  Lookups return
+The memory stores (embedding, learning rate, recency) triples.  Lookups return
 the K nearest stored embeddings; their rates are blended with Gaussian-kernel
 weights into a prior for the query user.  Stored nodes are trainable: callers
-push gradients back through the blend and the tree applies descent steps.
+push gradients back through the blend and the memory applies descent steps.
 
-Search comes in two modes.  Exact mode is a classic kd-tree with median
-splits on the highest-variance dimension and is required to match a linear
-scan point for point.  Approximate mode runs best-bin-first over a small
-forest of randomized trees under a fixed budget of examined points.
+Every search is one exact scan over all stored embeddings, ordered by
+(squared distance, node id).  At the tens of dimensions of user embeddings a
+kd-tree would visit nearly every point anyway (Weber, Schek & Blott, VLDB 1998).
 """
 
-import heapq
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -22,10 +20,6 @@ from .errors import ConfigError, DataError
 DEFAULT_CAPACITY = 10000
 DEFAULT_DELTA = 2.0
 DEFAULT_SIGMA = 1e-5
-DEFAULT_LEAF_SIZE = 8
-DEFAULT_NUM_RANDOM_TREES = 4
-DEFAULT_CHECKS_BUDGET = 64
-TOP_VARIANCE_DIMS = 5
 
 SEARCH_MODES = ("exact", "approximate")
 EVICTION_POLICIES = ("lru", "lfu")
@@ -111,84 +105,12 @@ def blend_gradients(
     return emb_grads, lr_grads
 
 
-class _KdNode:
-    __slots__ = ("dim", "val", "left", "right", "indices")
-
-    def __init__(self, dim=-1, val=0.0, left=None, right=None, indices=None):
-        self.dim = dim
-        self.val = val
-        self.left = left
-        self.right = right
-        self.indices = indices  # leaf payload: positions into the point matrix
-
-
-def _pick_split_dim(points: np.ndarray, rng: Optional[np.random.Generator]) -> int:
-    variances = points.var(axis=0)
-    if rng is None:
-        return int(np.argmax(variances))
-    top = min(TOP_VARIANCE_DIMS, points.shape[1])
-    order = np.argsort(-variances, kind="stable")[:top]
-    return int(rng.choice(order))
-
-
-def _build_kdtree(points: np.ndarray, positions: np.ndarray, leaf_size: int,
-                  rng: Optional[np.random.Generator]) -> _KdNode:
-    if positions.size <= leaf_size:
-        return _KdNode(indices=positions)
-    subset = points[positions]
-    dim = _pick_split_dim(subset, rng)
-    values = subset[:, dim]
-    if values.max() == values.min():
-        # degenerate slab: no split possible along any informative axis here
-        if np.all(subset.max(axis=0) == subset.min(axis=0)):
-            return _KdNode(indices=positions)
-        dim = int(np.argmax(subset.var(axis=0)))
-        values = subset[:, dim]
-        if values.max() == values.min():
-            return _KdNode(indices=positions)
-    mid = positions.size // 2
-    order = np.argsort(values, kind="stable")
-    val = float(values[order[mid]])
-    left_mask = values < val
-    if not left_mask.any() or left_mask.all():
-        # fall back to an index split when the median collides with many ties
-        left_pos = positions[order[:mid]]
-        right_pos = positions[order[mid:]]
-    else:
-        left_pos = positions[left_mask]
-        right_pos = positions[~left_mask]
-    node = _KdNode(dim=dim, val=val)
-    node.left = _build_kdtree(points, left_pos, leaf_size, rng)
-    node.right = _build_kdtree(points, right_pos, leaf_size, rng)
-    return node
-
-
-class _CandidateHeap:
-    """Bounded worst-first heap ordered by (distance^2, node id)."""
-
-    def __init__(self, k: int):
-        self.k = k
-        self._heap: List[Tuple[float, int]] = []  # (-d2, -id)
-
-    def worst(self) -> Tuple[float, int]:
-        d2, nid = self._heap[0]
-        return -d2, -nid
-
-    def full(self) -> bool:
-        return len(self._heap) >= self.k
-
-    def offer(self, d2: float, node_id: int) -> None:
-        if len(self._heap) < self.k:
-            heapq.heappush(self._heap, (-d2, -node_id))
-        elif (d2, node_id) < self.worst():
-            heapq.heapreplace(self._heap, (-d2, -node_id))
-
-    def sorted_items(self) -> List[Tuple[float, int]]:
-        return sorted((-d2, -nid) for d2, nid in self._heap)
-
-
 class TreeMemory:
-    """kd-tree memory of user embeddings and their learned inner rates."""
+    """Memory of user embeddings and their learned inner rates.
+
+    Both search modes run the same exact scan; ``mode`` is only validated,
+    stored and persisted, and ``seed`` selects nothing.
+    """
 
     def __init__(
         self,
@@ -198,9 +120,6 @@ class TreeMemory:
         delta: float = DEFAULT_DELTA,
         sigma: float = DEFAULT_SIGMA,
         eviction: str = "lru",
-        leaf_size: int = DEFAULT_LEAF_SIZE,
-        num_random_trees: int = DEFAULT_NUM_RANDOM_TREES,
-        checks_budget: int = DEFAULT_CHECKS_BUDGET,
         seed: int = 0,
     ):
         if dim < 1:
@@ -212,28 +131,20 @@ class TreeMemory:
         if eviction not in EVICTION_POLICIES:
             raise ConfigError(
                 f"unknown eviction policy {eviction!r}; expected one of {EVICTION_POLICIES}")
-        if leaf_size < 1 or num_random_trees < 1 or checks_budget < 1:
-            raise ConfigError("leaf_size, num_random_trees, checks_budget must be >= 1")
         self.dim = int(dim)
         self.capacity = int(capacity)
         self.mode = mode
         self.delta = float(delta)
         self.sigma = float(sigma)
         self.eviction = eviction
-        self.leaf_size = int(leaf_size)
-        self.num_random_trees = int(num_random_trees)
-        self.checks_budget = int(checks_budget)
-        self.seed = int(seed)
 
         self._nodes: Dict[int, MemoryNode] = {}
         self._next_id = 0
         self._counter = 0
         self._evictions = 0
-        self._rebuilds = 0
         self._dirty = True
         self._index_ids: Optional[np.ndarray] = None
         self._index_points: Optional[np.ndarray] = None
-        self._roots: List[_KdNode] = []
         self.last_search_visited = 0
 
     def __len__(self) -> int:
@@ -280,88 +191,9 @@ class TreeMemory:
 
     def _rebuild(self) -> None:
         ids = np.array(sorted(self._nodes), dtype=np.int64)
-        points = np.stack([self._nodes[i].embedding for i in ids]) if ids.size else np.zeros((0, self.dim))
         self._index_ids = ids
-        self._index_points = points
-        self._roots = []
-        positions = np.arange(ids.size, dtype=np.int64)
-        if ids.size:
-            if self.mode == "exact":
-                self._roots.append(_build_kdtree(points, positions, self.leaf_size, rng=None))
-            else:
-                for t in range(self.num_random_trees):
-                    rng = np.random.default_rng((self.seed, self._rebuilds, t))
-                    self._roots.append(_build_kdtree(points, positions, self.leaf_size, rng=rng))
-        self._rebuilds += 1
+        self._index_points = np.stack([self._nodes[i].embedding for i in ids])
         self._dirty = False
-
-    def _search_exact(self, q: np.ndarray, k: int) -> _CandidateHeap:
-        points = self._index_points
-        ids = self._index_ids
-        heap = _CandidateHeap(k)
-        visited = 0
-
-        def recurse(node: _KdNode) -> None:
-            nonlocal visited
-            if node.indices is not None:
-                block = points[node.indices]
-                d2s = ((block - q) ** 2).sum(axis=1)
-                visited += block.shape[0]
-                for pos, d2 in zip(node.indices, d2s):
-                    heap.offer(float(d2), int(ids[pos]))
-                return
-            gap = q[node.dim] - node.val
-            near, far = (node.left, node.right) if gap < 0.0 else (node.right, node.left)
-            recurse(near)
-            if not heap.full() or gap * gap <= heap.worst()[0]:
-                recurse(far)
-
-        recurse(self._roots[0])
-        self.last_search_visited = visited
-        return heap
-
-    def _search_approximate(self, q: np.ndarray, k: int) -> _CandidateHeap:
-        points = self._index_points
-        ids = self._index_ids
-        heap = _CandidateHeap(k)
-        seen = np.zeros(points.shape[0], dtype=bool)
-        queue: List[Tuple[float, int, _KdNode]] = []
-        order = 0
-        leaf_visits = 0
-        examined = 0
-
-        def push(bound: float, node: _KdNode) -> None:
-            nonlocal order
-            heapq.heappush(queue, (bound, order, node))
-            order += 1
-
-        for root in self._roots:
-            push(0.0, root)
-
-        # the checks budget counts leaf traversals, matching the semantics of
-        # the randomized kd-tree libraries this mode stands in for
-        while queue:
-            bound, _, node = heapq.heappop(queue)
-            if heap.full() and bound > heap.worst()[0]:
-                continue
-            while node.indices is None:
-                gap = q[node.dim] - node.val
-                near, far = (node.left, node.right) if gap < 0.0 else (node.right, node.left)
-                push(gap * gap, far)
-                node = near
-            leaf_visits += 1
-            fresh = [pos for pos in node.indices if not seen[pos]]
-            if fresh:
-                block = points[fresh]
-                d2s = ((block - q) ** 2).sum(axis=1)
-                for pos, d2 in zip(fresh, d2s):
-                    seen[pos] = True
-                    heap.offer(float(d2), int(ids[pos]))
-                examined += len(fresh)
-            if leaf_visits >= self.checks_budget and heap.full():
-                break
-        self.last_search_visited = examined
-        return heap
 
     def search(self, h, k: int, touch: bool = True) -> List[Neighbor]:
         """Return up to ``k`` nearest stored nodes, closest first.
@@ -379,18 +211,17 @@ class TreeMemory:
             raise ConfigError(f"query shape {q.shape} does not match tree dim ({self.dim},)")
         if self._dirty:
             self._rebuild()
-        k = min(k, len(self._nodes))
-        if self.mode == "exact":
-            heap = self._search_exact(q, k)
-        else:
-            heap = self._search_approximate(q, k)
+        ids = self._index_ids
+        d2 = ((self._index_points - q) ** 2).sum(axis=1)
+        self.last_search_visited = len(ids)
         hits = []
-        for d2, node_id in heap.sorted_items():
+        for pos in np.lexsort((ids, d2))[:k]:
+            node_id = int(ids[pos])
             node = self._nodes[node_id]
             if touch:
                 node.recency = self._tick()
                 node.freq += 1
-            hits.append(Neighbor(node_id=node_id, distance=float(np.sqrt(d2)),
+            hits.append(Neighbor(node_id=node_id, distance=float(np.sqrt(d2[pos])),
                                  embedding=node.embedding.copy(), lr=node.lr))
         return hits
 
@@ -421,18 +252,15 @@ class TreeMemory:
 
     def dump(self, path) -> None:
         ids = np.array(sorted(self._nodes), dtype=np.int64)
-        embeddings = (np.stack([self._nodes[i].embedding for i in ids])
-                      if ids.size else np.zeros((0, self.dim)))
         np.savez(
             path,
             ids=ids,
-            embeddings=embeddings,
+            embeddings=np.array([self._nodes[i].embedding for i in ids]).reshape(-1, self.dim),
             lrs=np.array([self._nodes[i].lr for i in ids], dtype=np.float64),
             recency=np.array([self._nodes[i].recency for i in ids], dtype=np.int64),
             freq=np.array([self._nodes[i].freq for i in ids], dtype=np.int64),
             meta=np.array([self.dim, self.capacity, self._next_id, self._counter,
-                           self._evictions, self.leaf_size, self.num_random_trees,
-                           self.checks_budget, self.seed], dtype=np.int64),
+                           self._evictions], dtype=np.int64),
             params=np.array([self.delta, self.sigma], dtype=np.float64),
             mode=np.array([SEARCH_MODES.index(self.mode)], dtype=np.int64),
             eviction=np.array([EVICTION_POLICIES.index(self.eviction)], dtype=np.int64),
@@ -449,17 +277,12 @@ class TreeMemory:
                 delta=float(data["params"][0]),
                 sigma=float(data["params"][1]),
                 eviction=EVICTION_POLICIES[int(data["eviction"][0])],
-                leaf_size=int(meta[5]),
-                num_random_trees=int(meta[6]),
-                checks_budget=int(meta[7]),
-                seed=int(meta[8]),
             )
             for node_id, emb, lr, rec, freq in zip(
                     data["ids"], data["embeddings"], data["lrs"], data["recency"], data["freq"]):
                 tree._nodes[int(node_id)] = MemoryNode(
                     embedding=np.array(emb, dtype=np.float64), lr=float(lr),
                     recency=int(rec), freq=int(freq))
-            tree._next_id = int(meta[2])
-            tree._counter = int(meta[3])
-            tree._evictions = int(meta[4])
+            # meta[:5] is shared by this layout and the older nine-entry one
+            tree._next_id, tree._counter, tree._evictions = (int(v) for v in meta[2:5])
         return tree

@@ -47,7 +47,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
-from .memory_tree import TreeMemory, blend_gradients
+from .memory_tree import EVICTION_POLICIES, TreeMemory, blend_gradients
 from .model import (
     ModelSpec,
     expected_entry_names,
@@ -95,6 +95,9 @@ LR_HEAD_SCALE = 1e-3
 OUTER_LR_DEFAULT = 5e-5
 OUTER_LR_PAML = 5e-6
 CHECKPOINT_VERSION = 1
+# kd-tree search settings that older checkpoints still carry in their config
+RETIRED_TREE_KEYS = ("tree_search_mode", "tree_leaf_size", "tree_num_random_trees",
+                     "tree_checks_budget")
 
 
 # ---------------------------------------------------------------------------
@@ -206,11 +209,7 @@ class TrainerConfig:
     tree_sigma: float = 1e-5
     tree_neighbors_train: int = 20
     tree_neighbors_infer: int = 5
-    tree_search_mode: str = "exact"
     tree_eviction: str = "lru"
-    tree_leaf_size: int = 8
-    tree_num_random_trees: int = 4
-    tree_checks_budget: int = 64
     seed: int = 0
 
     def __post_init__(self):
@@ -249,6 +248,11 @@ class TrainerConfig:
                 raise ConfigError("freeze_alpha must be finite and >= 0")
         if self.tree_neighbors_train < 1 or self.tree_neighbors_infer < 1:
             raise ConfigError("tree neighbor counts must be >= 1")
+        if self.tree_capacity < 1:
+            raise ConfigError("tree_capacity must be >= 1")
+        if self.tree_eviction not in EVICTION_POLICIES:
+            raise ConfigError(f"unknown tree_eviction {self.tree_eviction!r}; "
+                              f"expected one of {EVICTION_POLICIES}")
 
     @property
     def resolved_outer_lr(self) -> float:
@@ -433,14 +437,9 @@ class MetaTrainer:
             self.tree = TreeMemory(
                 dim=self.spec.user_width,
                 capacity=config.tree_capacity,
-                mode=config.tree_search_mode,
                 delta=config.tree_delta,
                 sigma=config.tree_sigma,
                 eviction=config.tree_eviction,
-                leaf_size=config.tree_leaf_size,
-                num_random_trees=config.tree_num_random_trees,
-                checks_budget=config.tree_checks_budget,
-                seed=config.seed,
             )
         self.step_logs: List[StepLog] = []
         self.history: List[dict] = []
@@ -877,7 +876,8 @@ def load_checkpoint(path) -> TrainedModel:
         actual = hashlib.sha256(config_json.encode("utf-8")).hexdigest()
         if actual != stored_digest:
             raise ConfigError("checkpoint config digest does not match its config")
-        config = TrainerConfig(**json.loads(config_json))
+        stored = json.loads(config_json).items()
+        config = TrainerConfig(**{k: v for k, v in stored if k not in RETIRED_TREE_KEYS})
         spec = ModelSpec(
             user_vocab_sizes=tuple(int(v) for v in data["spec_user_vocab_sizes"]),
             item_vocab_sizes=tuple(int(v) for v in data["spec_item_vocab_sizes"]),

@@ -112,6 +112,23 @@ class TestRun:
                      "--set", "trainer.bogus=1"])
         assert code == 1
 
+    @pytest.mark.parametrize("setting", [
+        "trainer.tree_eviction=similarity",
+        "trainer.tree_capacity=0",
+        "trainer.tree_search_mode=exact",
+        "trainer.tree_leaf_size=8",
+        "trainer.tree_num_random_trees=4",
+        "trainer.tree_checks_budget=64",
+    ])
+    def test_bad_tree_setting_is_rejected_before_any_output(self, tmp_path, capsys, setting):
+        config = write_config(tmp_path)
+        out_dir = tmp_path / "out"
+        code = main(["run", config, "--output-dir", str(out_dir),
+                     "--set", "trainer.algorithm=at-paml", "--set", setting])
+        assert code == 1
+        assert setting.split("=")[0].split(".")[1] in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_missing_config_file_is_usage_error(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 1
 

@@ -11,6 +11,8 @@ warm-up storage accounting, and checkpoint round trips.
 """
 
 import copy
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -676,6 +678,22 @@ class TestCheckpoint:
     def test_missing_file_raises_data_error(self, tmp_path):
         with pytest.raises(DataError):
             load_checkpoint(tmp_path / "absent.npz")
+
+    def test_retired_tree_search_keys_are_ignored(self, tmp_path):
+        # checkpoints from the kd-tree memory stored four search settings
+        splits = tiny_splits(n_tasks=10)
+        model = train(splits, tiny_config(epochs=1))
+        path = save_checkpoint(model, tmp_path / "model")
+        with np.load(path, allow_pickle=False) as data:
+            arrays = {name: data[name] for name in data.files}
+        stored = json.loads(str(arrays["config_json"][()]))
+        stored.update(tree_search_mode="approximate", tree_leaf_size=8,
+                      tree_num_random_trees=4, tree_checks_budget=64)
+        text = json.dumps(stored, sort_keys=True)
+        arrays["config_json"] = np.array(text)
+        arrays["config_digest"] = np.array(hashlib.sha256(text.encode("utf-8")).hexdigest())
+        np.savez(path, **arrays)
+        assert load_checkpoint(path).config == model.config
 
 
 class TestTrainerConfig:
