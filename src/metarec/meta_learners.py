@@ -50,6 +50,7 @@ from .errors import ConfigError, DataError, NumericError
 from .memory_tree import EVICTION_POLICIES, TreeMemory, blend_gradients
 from .model import (
     ModelSpec,
+    check_episode,
     expected_entry_names,
     forward,
     grad,
@@ -165,15 +166,17 @@ class LrHead:
         """(alpha(h), d alpha / d psi); the embedding is treated as an input."""
         value, sig, acts, preacts = self._forward(h)
         gz = np.array([self.scale * sig * (1.0 - sig)])
-        grads = {}
+        layout = self.psi.layout
+        flat = np.empty(layout.size)
+        grads = layout.views(flat)
         n = self.n_layers()
         for layer in range(n - 1, -1, -1):
             if layer < n - 1:
                 gz = gz * (preacts[layer] > 0.0).astype(np.float64)
-            grads[f"lr_W{layer}"] = np.outer(gz, acts[layer])
-            grads[f"lr_b{layer}"] = gz.copy()
+            np.outer(gz, acts[layer], out=grads[f"lr_W{layer}"])
+            grads[f"lr_b{layer}"][...] = gz
             gz = self.psi[f"lr_W{layer}"].T @ gz
-        return value, ParamSet({name: grads[name] for name in self.psi.names()})
+        return value, ParamSet.wrap(layout, flat)
 
     def copy(self) -> "LrHead":
         return LrHead(self.input_dim, self.hidden_dims, self.scale, psi=self.psi.copy())
@@ -345,9 +348,10 @@ class _Encoded(NamedTuple):
 def _check_inner_rate(alpha_i) -> None:
     if isinstance(alpha_i, ParamSet):
         alpha_i.check_finite("inner rate vector")
-        for name, arr in alpha_i.items():
-            if np.any(arr < 0.0):
-                raise ConfigError(f"inner rate vector entry '{name}' has negative values")
+        negative = alpha_i.flat < 0.0
+        if negative.any():
+            name = alpha_i.layout.entry_at(int(np.argmax(negative)))
+            raise ConfigError(f"inner rate vector entry '{name}' has negative values")
         return
     value = float(alpha_i)
     if not math.isfinite(value) or value < 0.0:
@@ -391,14 +395,16 @@ def _clip_to_norm(g: ParamSet, max_norm: float) -> Tuple[ParamSet, float]:
 
 
 def _clamp_nonnegative(ps: ParamSet) -> ParamSet:
-    return ParamSet({name: np.maximum(arr, 0.0) for name, arr in ps.items()})
+    return ParamSet.wrap(ps.layout, np.maximum(ps.flat, 0.0))
 
 
-def _encode_episode(splits: DatasetSplits, episode: TaskEpisode) -> _Encoded:
+def _encode_episode(splits: DatasetSplits, episode: TaskEpisode, spec: ModelSpec) -> _Encoded:
+    """Encode one user's support and query sets, each checked against ``spec`` once."""
     user_ids, s_items, s_targets = splits.encode(episode.user, episode.support)
     _, q_items, q_targets = splits.encode(episode.user, episode.query)
-    return _Encoded(episode.user.user_id, user_ids,
-                    (user_ids, s_items, s_targets), (user_ids, q_items, q_targets))
+    support = check_episode(spec, user_ids, s_items, s_targets)
+    return _Encoded(episode.user.user_id, support[0], support,
+                    check_episode(spec, user_ids, q_items, q_targets))
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +428,8 @@ class MetaTrainer:
             decision_dims=config.decision_dims,
             output_kind=config.output_kind,
         )
-        self.train_episodes = [_encode_episode(splits, ep) for ep in splits.train]
-        self.val_episodes = [_encode_episode(splits, ep) for ep in splits.validation]
+        self.train_episodes = [_encode_episode(splits, ep, self.spec) for ep in splits.train]
+        self.val_episodes = [_encode_episode(splits, ep, self.spec) for ep in splits.validation]
         self.theta = init_params(self.spec, (config.seed, 0))
         self.head = None
         if config.uses_lr_head():
@@ -479,7 +485,7 @@ class MetaTrainer:
 
         if isinstance(alpha, ParamSet):
             theta_i = axpy_update(self.theta, g_s, alpha)
-            alpha_logged = float(np.mean(alpha.to_flat()))
+            alpha_logged = float(np.mean(alpha.flat))
             reg_value = 0.0
         else:
             alpha = float(alpha)
@@ -696,12 +702,12 @@ def transfer_train(splits: DatasetSplits, config: TrainerConfig) -> TrainedModel
     kind = spec.loss_kind()
     pooled = []
     for episode in splits.train:
-        encoded = _encode_episode(splits, episode)
+        encoded = _encode_episode(splits, episode, spec)
         s_ids, s_items, s_targets = encoded.support
         _, q_items, q_targets = encoded.query
-        pooled.append((s_ids, np.concatenate([s_items, q_items], axis=0),
-                       np.concatenate([s_targets, q_targets])))
-    val_episodes = [_encode_episode(splits, ep) for ep in splits.validation]
+        pooled.append(check_episode(spec, s_ids, np.concatenate([s_items, q_items], axis=0),
+                                    np.concatenate([s_targets, q_targets])))
+    val_episodes = [_encode_episode(splits, ep, spec) for ep in splits.validation]
 
     theta = init_params(spec, (config.seed, 0))
     beta = config.resolved_outer_lr
@@ -784,7 +790,7 @@ def _evaluate_encoded(theta, spec, config, head, msgd_alpha, tree,
             raise NumericError(f"non-finite predictions for user {ep.user_key!r}")
         query_loss = loss(kind, predictions, q_targets)
         if isinstance(alpha, ParamSet):
-            alpha_logged = float(np.mean(alpha.to_flat()))
+            alpha_logged = float(np.mean(alpha.flat))
         else:
             alpha_logged = float(alpha)
         records.append(EvalRecord(ep.user_key, alpha_logged, predictions,
@@ -799,7 +805,7 @@ def evaluate(model: TrainedModel, episodes: Sequence[TaskEpisode],
     Model parameters, the rate head, and the tree are read but never changed;
     at-paml looks up its inference neighbor count with touch disabled.
     """
-    encoded = [_encode_episode(splits, ep) for ep in episodes]
+    encoded = [_encode_episode(splits, ep, model.spec) for ep in episodes]
     return _evaluate_encoded(model.theta, model.spec, model.config, model.lr_head,
                              model.meta_sgd_alpha, model.tree, encoded)
 

@@ -5,7 +5,16 @@ a regression or 2-way softmax head), so reverse-mode differentiation is
 written out explicitly instead of pulling in an autodiff framework.  The same
 forward/backward code runs on either plain float64 arrays or `_Dual` pairs
 (value, tangent); running it on duals yields the exact directional derivative
-of the gradient, i.e. an exact Hessian-vector product.
+of the gradient, i.e. an exact Hessian-vector product.  Gradients accumulate
+in place into views of one zeroed flat vector (two for the dual pass), which
+the returned ParamSet then wraps without copying.
+
+Inputs are validated at the boundary.  Every call checks the parameter
+layout against the spec (one comparison of layout keys).  An episode made by
+`check_episode` carries the vocabulary sizes it was checked against and
+read-only arrays, so `grad` and `hvp` skip the id-range check for it when the
+spec has the same vocabulary sizes; every other episode, including a plain
+caller tuple, and every `forward` input is checked on each call.
 
 Everything is float64 and deterministic given the seed.
 """
@@ -13,6 +22,7 @@ Everything is float64 and deterministic given the seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Sequence, Tuple, Union
 
 import numpy as np
@@ -23,6 +33,8 @@ from .params import Gradient, ParamSet
 __all__ = [
     "ModelSpec",
     "Episode",
+    "CheckedEpisode",
+    "check_episode",
     "init_params",
     "init_dense_stack",
     "forward",
@@ -93,6 +105,13 @@ class ModelSpec:
     def loss_kind(self) -> str:
         return "mse" if self.output_kind == "rating-regression" else "weighted-nel"
 
+    @cached_property
+    def layout_key(self):
+        """``(names, shapes)`` a parameter layout must have for this spec."""
+        shapes = expected_entry_shapes(self)
+        names = expected_entry_names(self)
+        return names, tuple(shapes[name] for name in names)
+
 
 # ---------------------------------------------------------------------------
 # initialization
@@ -149,6 +168,8 @@ def expected_entry_shapes(spec: ModelSpec):
 
 
 def _check_theta(theta: ParamSet, spec: ModelSpec) -> None:
+    if theta.layout.key == spec.layout_key:
+        return
     if theta.names() != expected_entry_names(spec):
         raise ConfigError(
             f"parameter layout {theta.names()} does not match the model spec "
@@ -183,6 +204,14 @@ class _Dual:
         return _Dual(self.v + other, self.t)
 
     __radd__ = __add__
+
+    def __iadd__(self, other):
+        if isinstance(other, _Dual):
+            self.v += other.v
+            self.t += other.t
+        else:
+            self.v += other
+        return self
 
     def __sub__(self, other):
         if isinstance(other, _Dual):
@@ -219,6 +248,14 @@ class _Dual:
     # structure --------------------------------------------------------------
     def __getitem__(self, idx):
         return _Dual(self.v[idx], self.t[idx])
+
+    def __setitem__(self, idx, value):
+        if isinstance(value, _Dual):
+            self.v[idx] = value.v
+            self.t[idx] = value.t
+        else:
+            self.v[idx] = value
+            self.t[idx] = 0.0
 
     @property
     def T(self):
@@ -258,32 +295,12 @@ def _clamp_min(x, floor):
     return np.maximum(x, floor)
 
 
-def _concat(parts, axis=0):
-    if any(isinstance(p, _Dual) for p in parts):
-        vs = [_value(p) for p in parts]
-        ts = [p.t if isinstance(p, _Dual) else np.zeros_like(_value(p)) for p in parts]
-        return _Dual(np.concatenate(vs, axis=axis), np.concatenate(ts, axis=axis))
-    return np.concatenate(parts, axis=axis)
-
-
-def _tile_rows(vec, n):
-    if isinstance(vec, _Dual):
-        return _Dual(np.tile(vec.v, (n, 1)), np.tile(vec.t, (n, 1)))
-    return np.tile(vec, (n, 1))
-
-
 def _scatter_add(acc, idx, rows):
     if isinstance(acc, _Dual):
         np.add.at(acc.v, idx, _value(rows))
         np.add.at(acc.t, idx, rows.t if isinstance(rows, _Dual) else np.zeros_like(_value(rows)))
     else:
         np.add.at(acc, idx, rows)
-
-
-def _zeros_like_param(p):
-    if isinstance(p, _Dual):
-        return _Dual(np.zeros_like(p.v), np.zeros_like(p.t))
-    return np.zeros_like(p)
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +334,38 @@ def _check_episode(spec: ModelSpec, user_ids, items, targets=None) -> Tuple[np.n
     return user_ids, items
 
 
+class CheckedEpisode(tuple):
+    """``(user_ids, items, targets)`` validated once against ``vocab_sizes``.
+
+    Made only by `check_episode`.  Its arrays are read-only copies, so the
+    check cannot go stale; ``vocab_sizes`` is the ``(user, item)`` vocabulary
+    sizes it was checked against.
+    """
+
+    vocab_sizes: Tuple[Tuple[int, ...], Tuple[int, ...]]
+
+
+def check_episode(spec: ModelSpec, user_ids, items, targets) -> CheckedEpisode:
+    """Validate an episode against ``spec`` and freeze it as a CheckedEpisode."""
+    user_ids, items = _check_episode(spec, user_ids, items, targets)
+    arrays = (user_ids.copy(), items.copy(), np.array(targets, dtype=np.float64))
+    for arr in arrays:
+        arr.flags.writeable = False
+    episode = CheckedEpisode(arrays)
+    episode.vocab_sizes = (spec.user_vocab_sizes, spec.item_vocab_sizes)
+    return episode
+
+
+def _episode_arrays(spec: ModelSpec, episode) -> Episode:
+    """Int64 ids and float64 targets of an episode, checked unless already done."""
+    if (isinstance(episode, CheckedEpisode)
+            and episode.vocab_sizes == (spec.user_vocab_sizes, spec.item_vocab_sizes)):
+        return episode
+    user_ids, items, targets = episode
+    user_ids, items = _check_episode(spec, user_ids, items, targets)
+    return user_ids, items, np.asarray(targets, dtype=np.float64)
+
+
 # ---------------------------------------------------------------------------
 # forward
 
@@ -327,11 +376,19 @@ def _forward_core(theta, spec: ModelSpec, user_ids, items, check_finite=True):
     Returns (output, user_vec, cache) where cache holds per-layer inputs and
     pre-activations for the backward pass.
     """
-    n_items = items.shape[0]
-    user_parts = [theta[f"emb_user_{i}"][user_ids[i]] for i in range(len(spec.user_vocab_sizes))]
-    u = _concat(user_parts, axis=0)
-    item_parts = [theta[f"emb_item_{j}"][items[:, j]] for j in range(len(spec.item_vocab_sizes))]
-    x = _concat([_tile_rows(u, n_items)] + item_parts, axis=1)
+    # fused input rows: the user's embedding rows, then each item's
+    shape = (items.shape[0], spec.fused_width)
+    if isinstance(theta["emb_user_0"], _Dual):
+        x = _Dual(np.empty(shape), np.empty(shape))
+    else:
+        x = np.empty(shape)
+    e = spec.embedding_dim
+    for i in range(len(spec.user_vocab_sizes)):
+        x[:, i * e:(i + 1) * e] = theta[f"emb_user_{i}"][user_ids[i]]
+    for j in range(len(spec.item_vocab_sizes)):
+        col = spec.user_width + j * e
+        x[:, col:col + e] = theta[f"emb_item_{j}"][items[:, j]]
+    u = x[0, :spec.user_width]
 
     acts = [x]  # inputs to each layer
     preacts = []
@@ -429,16 +486,14 @@ def _normalize_batch(batch) -> List[Episode]:
     return list(batch)
 
 
-def _grad_core(theta, spec: ModelSpec, batch: List[Episode], kind: str):
-    """Pooled-mean loss and its gradient; works on plain or dual parameters."""
-    grads = {name: _zeros_like_param(theta[name]) for name in theta}
-    checked = []
-    total_items = 0
-    for user_ids, items, targets in batch:
-        user_ids, items = _check_episode(spec, user_ids, items, targets)
-        targets = np.asarray(targets, dtype=np.float64)
-        checked.append((user_ids, items, targets))
-        total_items += items.shape[0]
+def _grad_core(theta, grads, spec: ModelSpec, batch: List[Episode], kind: str):
+    """Add the pooled-mean loss gradient into ``grads`` and return the loss.
+
+    ``theta`` and ``grads`` map entry names to plain arrays or to duals;
+    ``grads`` starts at zero and is updated in place.
+    """
+    checked = [_episode_arrays(spec, episode) for episode in batch]
+    total_items = sum(items.shape[0] for _, items, _ in checked)
 
     loss_value = 0.0
     n_layers = len(spec.decision_dims)
@@ -468,8 +523,8 @@ def _grad_core(theta, spec: ModelSpec, batch: List[Episode], kind: str):
             if layer < n_layers - 1:
                 ga = ga * (_value(preacts[layer]) > 0.0).astype(np.float64)
             w_l = theta[f"dec_W{layer}"]
-            grads[f"dec_W{layer}"] = grads[f"dec_W{layer}"] + ga.T @ acts[layer]
-            grads[f"dec_b{layer}"] = grads[f"dec_b{layer}"] + ga.sum(axis=0)
+            grads[f"dec_W{layer}"] += ga.T @ acts[layer]
+            grads[f"dec_b{layer}"] += ga.sum(axis=0)
             ga = ga @ w_l
 
         # split the fused-input gradient back into user/item embedding rows
@@ -480,14 +535,16 @@ def _grad_core(theta, spec: ModelSpec, batch: List[Episode], kind: str):
         for j in range(len(spec.item_vocab_sizes)):
             col = spec.user_width + j * e
             _scatter_add(grads[f"emb_item_{j}"], items[:, j], ga[:, col : col + e])
-    return grads, loss_value
+    return loss_value
 
 
 def grad(theta: ParamSet, spec: ModelSpec, batch, kind: str) -> Gradient:
     """Exact reverse-mode gradient of the pooled-mean loss over the batch."""
     _check_theta(theta, spec)
-    grads, loss_value = _grad_core(theta, spec, _normalize_batch(batch), kind)
-    return Gradient(grads, float(loss_value))
+    layout = theta.layout
+    flat = np.zeros(layout.size)
+    loss_value = _grad_core(theta, layout.views(flat), spec, _normalize_batch(batch), kind)
+    return Gradient.wrap(layout, flat, float(loss_value))
 
 
 def hvp(theta: ParamSet, spec: ModelSpec, batch, kind: str, v: ParamSet) -> ParamSet:
@@ -498,12 +555,11 @@ def hvp(theta: ParamSet, spec: ModelSpec, batch, kind: str, v: ParamSet) -> Para
     The Hessian is never materialized.
     """
     _check_theta(theta, spec)
-    if theta.names() != v.names():
-        raise ConfigError("v must share the parameter layout of theta")
+    theta._check_same_layout(v)
+    layout = theta.layout
     dual_theta = {name: _Dual(theta[name], v[name]) for name in theta}
-    grads, _ = _grad_core(dual_theta, spec, _normalize_batch(batch), kind)
-    out = {}
-    for name in theta:
-        g = grads[name]
-        out[name] = g.t if isinstance(g, _Dual) else np.zeros_like(theta[name])
-    return ParamSet(out)
+    values, tangents = np.zeros(layout.size), np.zeros(layout.size)
+    value_views, tangent_views = layout.views(values), layout.views(tangents)
+    grads = {name: _Dual(value_views[name], tangent_views[name]) for name in layout.names}
+    _grad_core(dual_theta, grads, spec, _normalize_batch(batch), kind)
+    return ParamSet.wrap(layout, tangents)

@@ -23,6 +23,7 @@ from metarec.meta_learners import (
     LrHead,
     MetaTrainer,
     TrainerConfig,
+    _clamp_nonnegative,
     adapt_with_gradient,
     compute_alpha,
     evaluate,
@@ -169,6 +170,41 @@ class TestInnerAdapt:
         poisoned = (episode[0], episode[1], np.array([np.nan]))
         with pytest.raises(NumericError):
             inner_adapt(theta, spec, 1e-3, poisoned)
+
+    def test_negative_rate_vector_names_its_entry(self):
+        spec, theta, episode = scalar_model()
+        rates = theta.fill(1e-3)
+        rates["dec_b0"][0] = -1e-3
+        with pytest.raises(ConfigError, match="entry 'dec_b0' has negative values"):
+            inner_adapt(theta, spec, rates, episode)
+
+
+class TestEncodedEpisodes:
+    def test_trainer_episodes_are_read_only(self):
+        trainer = MetaTrainer(tiny_splits(), tiny_config())
+        for ep in trainer.train_episodes + trainer.val_episodes:
+            for part in (ep.support, ep.query):
+                for arr in part:
+                    assert not arr.flags.writeable
+                    with pytest.raises(ValueError):
+                        arr[...] = 0
+
+    def test_plain_tuple_out_of_vocabulary_still_rejected(self):
+        trainer = MetaTrainer(tiny_splits(), tiny_config())
+        user_ids, items, targets = trainer.train_episodes[0].support
+        bad = items.copy()
+        bad[0, 0] = trainer.spec.item_vocab_sizes[0]
+        with pytest.raises(DataError):
+            grad(trainer.theta, trainer.spec, (user_ids, bad, targets), "mse")
+        with pytest.raises(DataError):
+            forward(trainer.theta, trainer.spec, user_ids, bad)
+
+    def test_clamp_keeps_layout_and_zeroes_only_negatives(self):
+        ps = ParamSet({"a": np.array([[-1.0, 2.0]]), "b": np.array([0.5, 0.0, -3.0])})
+        out = _clamp_nonnegative(ps)
+        assert out.layout is ps.layout
+        np.testing.assert_array_equal(out.to_flat(), [0.0, 2.0, 0.5, 0.0, 0.0])
+        np.testing.assert_array_equal(ps.to_flat(), [-1.0, 2.0, 0.5, 0.0, -3.0])
 
 
 class TestComputeAlphaAndRegTerm:
@@ -367,8 +403,10 @@ class TestOuterGradients:
         cfg = tiny_config()
         trainer = MetaTrainer(tiny_splits(), cfg)
         good = trainer.train_episodes[0]
-        bad = trainer.train_episodes[1]
-        bad.support[2][:] = np.nan
+        # encoded episodes are read-only, so poison a plain-tuple replacement
+        ep = trainer.train_episodes[1]
+        bad = ep._replace(support=(ep.support[0], ep.support[1],
+                                   np.full_like(ep.support[2], np.nan)))
         with pytest.warns(UserWarning, match="dropping episode"):
             gradients = trainer.outer_gradients([bad, good])
         assert gradients.n_skipped == 1

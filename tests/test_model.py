@@ -5,6 +5,7 @@ from metarec.errors import ConfigError, DataError, NumericError
 from metarec.params import ParamSet
 from metarec.model import (
     ModelSpec,
+    check_episode,
     forward,
     grad,
     hvp,
@@ -280,3 +281,60 @@ class TestHvp:
         theta = init_params(spec, seed=0)
         with pytest.raises(ConfigError):
             hvp(theta, spec, (np.array([0, 0]), np.array([[0]]), np.array([1.0])), "mse", ParamSet({"x": np.zeros(2)}))
+
+    def test_tangent_with_wrong_shapes_rejected(self):
+        # same names, but dec_b0 would broadcast from (1,) to (5,)
+        spec = tiny_spec()
+        theta = init_params(spec, seed=0)
+        entries = {name: np.ones(theta[name].shape) for name in theta}
+        entries["dec_b0"] = np.ones(1)
+        v = ParamSet(entries)
+        assert v.names() == theta.names()
+        with pytest.raises(ConfigError, match="dec_b0"):
+            hvp(theta, spec, (np.array([0, 0]), np.array([[0]]), np.array([1.0])), "mse", v)
+
+
+class TestEpisodeValidation:
+    def test_plain_tuple_out_of_vocabulary_rejected_on_every_call(self):
+        spec = tiny_spec()
+        theta = init_params(spec, seed=0)
+        bad_item = (np.array([0, 0]), np.array([[0], [4]]), np.array([1.0, 2.0]))
+        bad_user = (np.array([0, 2]), np.array([[0]]), np.array([1.0]))
+        for episode in (bad_item, bad_user):
+            for _ in range(2):
+                with pytest.raises(DataError):
+                    grad(theta, spec, episode, "mse")
+                with pytest.raises(DataError):
+                    grad(theta, spec, [episode], "mse")
+                with pytest.raises(DataError):
+                    hvp(theta, spec, episode, "mse", theta.zeros_like())
+                with pytest.raises(DataError):
+                    forward(theta, spec, episode[0], episode[1])
+
+    def test_checked_episode_is_read_only_and_gives_same_gradient(self):
+        spec = tiny_spec()
+        theta = init_params(spec, seed=2)
+        user, items, targets = random_episode(spec, np.random.default_rng(2))
+        checked = check_episode(spec, user, items, targets)
+        for arr in checked:
+            assert not arr.flags.writeable
+        items[0, 0] = 99  # the checked copy does not see later caller writes
+        assert checked[1][0, 0] != 99
+        plain = (checked[0].copy(), checked[1].copy(), checked[2].copy())
+        np.testing.assert_array_equal(grad(theta, spec, checked, "mse").to_flat(),
+                                      grad(theta, spec, plain, "mse").to_flat())
+
+    def test_check_episode_rejects_out_of_vocabulary(self):
+        spec = tiny_spec()
+        with pytest.raises(DataError):
+            check_episode(spec, np.array([0, 0]), np.array([[4]]), np.array([1.0]))
+
+    def test_mark_only_holds_for_the_same_vocabulary_sizes(self):
+        wide = ModelSpec((3, 2), (9,), 2, (5, 3, 1))
+        spec = tiny_spec()
+        checked = check_episode(wide, np.array([0, 0]), np.array([[8]]), np.array([1.0]))
+        theta = init_params(spec, seed=0)
+        with pytest.raises(DataError):
+            grad(theta, spec, checked, "mse")
+        with pytest.raises(DataError):
+            hvp(theta, spec, checked, "mse", theta.zeros_like())

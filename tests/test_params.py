@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from metarec.errors import ConfigError
+from metarec.errors import ConfigError, NumericError
 from metarec.params import Gradient, ParamSet, axpy_update
 
 
@@ -60,6 +60,69 @@ class TestParamSet:
         b = ParamSet({"x": np.zeros(3)})
         with pytest.raises(ConfigError):
             a.dot(b)
+
+
+class TestFlatLayout:
+    def test_write_through_entry_changes_flat(self):
+        ps = _ps()
+        ps["b"][2] = 42.0
+        assert ps.to_flat()[6 + 2] == 42.0
+        ps["a"] = np.full((2, 3), -1.0)
+        np.testing.assert_array_equal(ps.to_flat()[:6], np.full(6, -1.0))
+
+    def test_results_never_alias_operands(self):
+        a, b = _ps(1), _ps(2)
+        results = [a.add(b), a.sub(b), a.scale(3.0), a.mul(b), a.copy(), a.zeros_like(),
+                   a.fill(1.0), a.from_flat(a.to_flat())]
+        for out in results:
+            for operand in (a, b):
+                for name in a:
+                    assert not np.shares_memory(out[name], operand[name])
+        before = a.to_flat()
+        for out in results:
+            out["a"][...] = 7.0
+        np.testing.assert_array_equal(a.to_flat(), before)
+
+    def test_results_share_the_layout_object(self):
+        a, b = _ps(1), _ps(2)
+        assert a.add(b).layout is a.layout
+        assert a.scale(2.0).layout is a.layout
+        assert a.copy().layout is a.layout
+
+    def test_dot_matches_per_entry_reference_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        shapes = {"w0": (7, 13), "b0": (7,), "w1": (3, 7), "b1": (3,), "s": (1,)}
+        for _ in range(20):
+            a = ParamSet({k: rng.normal(size=s) for k, s in shapes.items()})
+            b = ParamSet({k: rng.normal(size=s) for k, s in shapes.items()})
+            reference = 0.0
+            for name in a:
+                # separate copies, so neither operand is a view of the flat vector
+                reference += float(np.dot(np.array(a[name]).ravel(), np.array(b[name]).ravel()))
+            assert a.dot(b) == reference
+
+    def test_check_finite_names_first_bad_entry(self):
+        ps = ParamSet({"x": np.zeros(2), "y": np.zeros((2, 2)), "z": np.zeros(3)})
+        ps["y"][1, 0] = np.nan
+        ps["z"][0] = np.inf
+        with pytest.raises(NumericError, match="probe entry 'y'"):
+            ps.check_finite("probe")
+        ps.fill(0.0).check_finite("probe")
+
+    @pytest.mark.parametrize("op", ["add", "sub", "mul", "dot"])
+    def test_same_names_other_shape_rejected(self, op):
+        a = ParamSet({"w": np.zeros((2, 3)), "b": np.zeros(2)})
+        b = ParamSet({"w": np.zeros((3, 2)), "b": np.zeros(2)})
+        assert a.size() == b.size()
+        with pytest.raises(ConfigError, match="shape mismatch for 'w'"):
+            getattr(a, op)(b)
+
+    def test_unknown_entry_cannot_be_added(self):
+        ps = _ps()
+        with pytest.raises(ConfigError):
+            ps["c"] = np.zeros(2)
+        with pytest.raises(ConfigError):
+            ps["b"] = np.zeros(5)
 
 
 class TestAxpyUpdate:
