@@ -98,6 +98,10 @@ class ExperimentConfig:
             raise ConfigError("run.seeds must be distinct (each trial owns one directory)")
         if not self.output_dir:
             raise ConfigError("run.output_dir must be a non-empty path")
+        if self.trainer.output_kind != "rating-regression":
+            # no dataset kind yields 0/1 click labels, so nothing could score it
+            raise ConfigError(f"trainer.output_kind {self.trainer.output_kind!r} cannot be "
+                              "run: the pipeline reports rating-regression only")
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +165,6 @@ _TRAINER_PARSERS: Dict[str, Callable[[str], object]] = {
     "grad_clip": _parse_float,
     "psi_update_rule": _parse_str,
     "meta_sgd_init": _parse_float,
-    "freeze_alpha": _parse_opt_float,
     "tree_capacity": _parse_int,
     "tree_delta": _parse_float,
     "tree_sigma": _parse_float,

@@ -3,8 +3,8 @@
 Six algorithms share one episode-level trainer skeleton:
 
   paml        scalar inner rate from a small sigmoid head on the user embedding
-  at-paml     paml plus a kd-tree memory whose kernel-blended stored rates are
-              added to the head output
+  at-paml     paml plus an exact-scan memory whose kernel-blended stored rates
+              are added to the head output
   reg-paml    paml plus a penalty on gradient norm times inner rate in the
               outer objective
   maml-fixed  one shared constant inner rate
@@ -76,8 +76,7 @@ __all__ = [
     "MetaTrainer",
     "inner_adapt",
     "adapt_with_gradient",
-    "compute_alpha",
-    "reg_term",
+    "logged_rate",
     "train",
     "transfer_train",
     "finetune",
@@ -206,7 +205,6 @@ class TrainerConfig:
     grad_clip: float = 10.0
     psi_update_rule: str = "exact"
     meta_sgd_init: float = 1e-5
-    freeze_alpha: Optional[float] = None  # paml only: constant rate, no head
     tree_capacity: int = 10000
     tree_delta: float = 2.0
     tree_sigma: float = 1e-5
@@ -244,11 +242,6 @@ class TrainerConfig:
             raise ConfigError(
                 f"unknown psi_update_rule {self.psi_update_rule!r}; expected one of "
                 f"{PSI_UPDATE_RULES}")
-        if self.freeze_alpha is not None:
-            if self.algorithm != "paml":
-                raise ConfigError("freeze_alpha is only meaningful for paml")
-            if not math.isfinite(self.freeze_alpha) or self.freeze_alpha < 0.0:
-                raise ConfigError("freeze_alpha must be finite and >= 0")
         if self.tree_neighbors_train < 1 or self.tree_neighbors_infer < 1:
             raise ConfigError("tree neighbor counts must be >= 1")
         if self.tree_capacity < 1:
@@ -267,7 +260,7 @@ class TrainerConfig:
         return self.gamma if self.algorithm == "reg-paml" else 0.0
 
     def uses_lr_head(self) -> bool:
-        return self.algorithm in ("paml", "at-paml", "reg-paml") and self.freeze_alpha is None
+        return self.algorithm in ("paml", "at-paml", "reg-paml")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -373,18 +366,41 @@ def inner_adapt(theta: ParamSet, spec: ModelSpec, alpha_i, support) -> ParamSet:
     return adapt_with_gradient(theta, spec, alpha_i, support)[0]
 
 
-def compute_alpha(head: LrHead, h, tree_contribution: Optional[float] = None) -> float:
-    """Head rate alpha'(h), plus the blended tree rate when one is supplied."""
-    value = head.alpha(h)
-    if tree_contribution is not None:
-        value += float(tree_contribution)
-    return value
+def _resolve_rate(config: TrainerConfig, head: Optional[LrHead], msgd_alpha, tree, h,
+                  train: bool = False, warmup: bool = False):
+    """Each user's inner rate, chosen by algorithm here and nowhere else.
+
+    Returns (alpha, dalpha_dpsi, neighbors): a scalar rate or the meta-sgd
+    rate vector, the head gradient, and the tree neighbors that were blended.
+    Training (``train``) differentiates the head, blends
+    ``tree_neighbors_train`` stored rates with touch, and gives at-paml its
+    fixed rate during warm-up.  Evaluation blends ``tree_neighbors_infer``
+    rates without touch and writes no state.
+    """
+    algorithm = config.algorithm
+    if algorithm == "meta-sgd":
+        return msgd_alpha, None, []
+    if algorithm in ("maml-fixed", "transfer"):
+        return config.fixed_inner_lr, None, []
+    if algorithm == "at-paml" and warmup:
+        return config.warmup_inner_lr, None, []
+    if train:
+        alpha, dalpha_dpsi = head.alpha_and_grad(h)
+    else:
+        alpha, dalpha_dpsi = head.alpha(h), None
+    neighbors = []
+    if algorithm == "at-paml" and tree is not None and len(tree) > 0:
+        k = config.tree_neighbors_train if train else config.tree_neighbors_infer
+        alpha_tilde, neighbors = tree.blended_lr(h, k, touch=train)
+        alpha = alpha + alpha_tilde
+    return alpha, dalpha_dpsi, neighbors
 
 
-def reg_term(theta: ParamSet, spec: ModelSpec, alpha_i: float, support) -> float:
-    """Squared 2-norm of the support gradient times |alpha_i|."""
-    g_s = grad(theta, spec, support, spec.loss_kind())
-    return g_s.dot(g_s) * abs(float(alpha_i))
+def logged_rate(alpha) -> float:
+    """The scalar a rate is logged as: itself, or the mean of a rate vector."""
+    if isinstance(alpha, ParamSet):
+        return float(np.mean(alpha.flat))
+    return float(alpha)
 
 
 def _clip_to_norm(g: ParamSet, max_norm: float) -> Tuple[ParamSet, float]:
@@ -396,6 +412,16 @@ def _clip_to_norm(g: ParamSet, max_norm: float) -> Tuple[ParamSet, float]:
 
 def _clamp_nonnegative(ps: ParamSet) -> ParamSet:
     return ParamSet.wrap(ps.layout, np.maximum(ps.flat, 0.0))
+
+
+def _model_spec(splits: DatasetSplits, config: TrainerConfig) -> ModelSpec:
+    return ModelSpec(
+        user_vocab_sizes=splits.user_vocab_sizes(),
+        item_vocab_sizes=splits.item_vocab_sizes(),
+        embedding_dim=config.embedding_dim,
+        decision_dims=config.decision_dims,
+        output_kind=config.output_kind,
+    )
 
 
 def _encode_episode(splits: DatasetSplits, episode: TaskEpisode, spec: ModelSpec) -> _Encoded:
@@ -421,13 +447,7 @@ class MetaTrainer:
             raise DataError("empty train split")
         self.config = config
         self.splits = splits
-        self.spec = ModelSpec(
-            user_vocab_sizes=splits.user_vocab_sizes(),
-            item_vocab_sizes=splits.item_vocab_sizes(),
-            embedding_dim=config.embedding_dim,
-            decision_dims=config.decision_dims,
-            output_kind=config.output_kind,
-        )
+        self.spec = _model_spec(splits, config)
         self.train_episodes = [_encode_episode(splits, ep, self.spec) for ep in splits.train]
         self.val_episodes = [_encode_episode(splits, ep, self.spec) for ep in splits.validation]
         self.theta = init_params(self.spec, (config.seed, 0))
@@ -454,44 +474,12 @@ class MetaTrainer:
 
     def _episode_pass(self, ep: _Encoded, warmup: bool, gamma: float, kind: str):
         cfg = self.config
-        g_s = grad(self.theta, self.spec, ep.support, kind)
-        if not math.isfinite(g_s.loss):
-            raise NumericError("support loss is not finite")
-        g_s.check_finite("support gradient")
-        grad_sq = g_s.dot(g_s)
         h = user_embedding(self.theta, self.spec, ep.user_ids)
-
-        dalpha_dpsi = None
-        store = None
-        neighbors = []
-        if cfg.algorithm == "meta-sgd":
-            alpha = self.msgd_alpha
-        elif cfg.algorithm == "maml-fixed":
-            alpha = cfg.fixed_inner_lr
-        elif cfg.algorithm == "at-paml" and warmup:
-            alpha = cfg.warmup_inner_lr
-            store = (h, alpha)
-        elif cfg.freeze_alpha is not None:
-            alpha = cfg.freeze_alpha
-        else:
-            alpha, dalpha_dpsi = self.head.alpha_and_grad(h)
-            if cfg.algorithm == "at-paml":
-                alpha_tilde = 0.0
-                if len(self.tree) > 0:
-                    alpha_tilde, neighbors = self.tree.blended_lr(
-                        h, cfg.tree_neighbors_train, touch=True)
-                alpha = alpha + alpha_tilde
-                store = (h, alpha)
-
-        if isinstance(alpha, ParamSet):
-            theta_i = axpy_update(self.theta, g_s, alpha)
-            alpha_logged = float(np.mean(alpha.flat))
-            reg_value = 0.0
-        else:
-            alpha = float(alpha)
-            theta_i = axpy_update(self.theta, g_s, alpha)
-            alpha_logged = alpha
-            reg_value = grad_sq * abs(alpha)
+        alpha, dalpha_dpsi, neighbors = _resolve_rate(
+            cfg, self.head, self.msgd_alpha, self.tree, h, train=True, warmup=warmup)
+        store = (h, alpha) if self.tree is not None else None
+        theta_i, g_s = adapt_with_gradient(self.theta, self.spec, alpha, ep.support)
+        grad_sq = g_s.dot(g_s)
 
         g_q = grad(theta_i, self.spec, ep.query, kind)
         if not math.isfinite(g_q.loss):
@@ -499,16 +487,19 @@ class MetaTrainer:
         g_q.check_finite("query gradient")
 
         ep_msgd_grad = None
-        if cfg.algorithm == "meta-sgd":
-            hv = hvp(self.theta, self.spec, ep.support, kind, self.msgd_alpha.mul(g_q))
+        reg_value = 0.0
+        if isinstance(alpha, ParamSet):
+            hv = hvp(self.theta, self.spec, ep.support, kind, alpha.mul(g_q))
             ep_theta_grad = g_q.sub(hv)
             ep_msgd_grad = g_s.mul(g_q).scale(-1.0)
-        elif alpha == 0.0:
-            ep_theta_grad = g_q.copy()
         else:
-            v = g_s.scale(2.0 * gamma * alpha).sub(g_q.scale(alpha))
-            hv = hvp(self.theta, self.spec, ep.support, kind, v)
-            ep_theta_grad = g_q.add(hv)
+            reg_value = grad_sq * abs(alpha)
+            if alpha == 0.0:
+                ep_theta_grad = g_q.copy()
+            else:
+                v = g_s.scale(2.0 * gamma * alpha).sub(g_q.scale(alpha))
+                hv = hvp(self.theta, self.spec, ep.support, kind, v)
+                ep_theta_grad = g_q.add(hv)
 
         upstream = gamma * grad_sq - g_s.dot(g_q)
         ep_psi_grad = None
@@ -523,7 +514,7 @@ class MetaTrainer:
             ep_emb_grads, ep_lr_grads = blend_gradients(
                 h, neighbors, upstream, cfg.tree_delta, cfg.tree_sigma)
 
-        log = EpisodeLog(ep.user_key, alpha_logged, g_s.loss, g_q.loss, reg_value,
+        log = EpisodeLog(ep.user_key, logged_rate(alpha), g_s.loss, g_q.loss, reg_value,
                          grad_sq, float(np.linalg.norm(h)))
         return ep_theta_grad, ep_psi_grad, ep_msgd_grad, ep_emb_grads, ep_lr_grads, store, log
 
@@ -692,13 +683,7 @@ def transfer_train(splits: DatasetSplits, config: TrainerConfig) -> TrainedModel
         raise ConfigError(f"transfer_train got algorithm {config.algorithm!r}")
     if not splits.train:
         raise DataError("empty train split")
-    spec = ModelSpec(
-        user_vocab_sizes=splits.user_vocab_sizes(),
-        item_vocab_sizes=splits.item_vocab_sizes(),
-        embedding_dim=config.embedding_dim,
-        decision_dims=config.decision_dims,
-        output_kind=config.output_kind,
-    )
+    spec = _model_spec(splits, config)
     kind = spec.loss_kind()
     pooled = []
     for episode in splits.train:
@@ -752,28 +737,13 @@ def finetune(model: TrainedModel, support, lr: Optional[float] = None) -> Traine
 # evaluation
 
 
-def _eval_alpha(config: TrainerConfig, head, msgd_alpha, tree, h):
-    """Inner rate used at evaluation time; never writes any state."""
-    algorithm = config.algorithm
-    if algorithm == "meta-sgd":
-        return msgd_alpha
-    if algorithm in ("maml-fixed", "transfer"):
-        return config.fixed_inner_lr
-    if config.freeze_alpha is not None:
-        return config.freeze_alpha
-    value = head.alpha(h)
-    if algorithm == "at-paml" and tree is not None and len(tree) > 0:
-        value += tree.blended_lr(h, config.tree_neighbors_infer, touch=False)[0]
-    return value
-
-
 def inference_alpha(model: TrainedModel, h):
     """Inner rate the model would use for a user embedding at inference time.
 
     Returns a scalar, or the per-parameter rate vector for meta-sgd; never
     touches tree recency state.
     """
-    return _eval_alpha(model.config, model.lr_head, model.meta_sgd_alpha, model.tree, h)
+    return _resolve_rate(model.config, model.lr_head, model.meta_sgd_alpha, model.tree, h)[0]
 
 
 def _evaluate_encoded(theta, spec, config, head, msgd_alpha, tree,
@@ -782,18 +752,14 @@ def _evaluate_encoded(theta, spec, config, head, msgd_alpha, tree,
     records = []
     for ep in episodes:
         h = user_embedding(theta, spec, ep.user_ids)
-        alpha = _eval_alpha(config, head, msgd_alpha, tree, h)
+        alpha = _resolve_rate(config, head, msgd_alpha, tree, h)[0]
         theta_u, _ = adapt_with_gradient(theta, spec, alpha, ep.support)
         q_user_ids, q_items, q_targets = ep.query
         predictions, _ = forward(theta_u, spec, q_user_ids, q_items)
         if not np.all(np.isfinite(predictions)):
             raise NumericError(f"non-finite predictions for user {ep.user_key!r}")
         query_loss = loss(kind, predictions, q_targets)
-        if isinstance(alpha, ParamSet):
-            alpha_logged = float(np.mean(alpha.flat))
-        else:
-            alpha_logged = float(alpha)
-        records.append(EvalRecord(ep.user_key, alpha_logged, predictions,
+        records.append(EvalRecord(ep.user_key, logged_rate(alpha), predictions,
                                   np.asarray(q_targets, dtype=np.float64).copy(), query_loss))
     return records
 
@@ -882,8 +848,13 @@ def load_checkpoint(path) -> TrainedModel:
         actual = hashlib.sha256(config_json.encode("utf-8")).hexdigest()
         if actual != stored_digest:
             raise ConfigError("checkpoint config digest does not match its config")
-        stored = json.loads(config_json).items()
-        config = TrainerConfig(**{k: v for k, v in stored if k not in RETIRED_TREE_KEYS})
+        stored = json.loads(config_json)
+        if stored.pop("freeze_alpha", None) is not None:
+            raise ConfigError("checkpoint pins the paml rate with the retired freeze_alpha "
+                              "and has no rate head; train maml-fixed with fixed_inner_lr "
+                              "for a constant rate")
+        config = TrainerConfig(**{k: v for k, v in stored.items()
+                                  if k not in RETIRED_TREE_KEYS})
         spec = ModelSpec(
             user_vocab_sizes=tuple(int(v) for v in data["spec_user_vocab_sizes"]),
             item_vocab_sizes=tuple(int(v) for v in data["spec_item_vocab_sizes"]),

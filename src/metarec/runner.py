@@ -34,9 +34,9 @@ from .config import ExperimentConfig, experiment_digest, flatten_config
 from .errors import DataError, MetarecError
 from .evaluation import MetricsReport, build_report
 from .memory_tree import TreeMemory
-from .meta_learners import TrainedModel, evaluate, inference_alpha, save_checkpoint, train
+from .meta_learners import (TrainedModel, evaluate, inference_alpha, logged_rate,
+                            save_checkpoint, train)
 from .model import user_embedding
-from .params import ParamSet
 from .tasks import DatasetSplits, load_movielens, preprocess, synthetic_splits
 
 VERSION = "0.1.0"
@@ -172,11 +172,9 @@ def embedding_rows(model: TrainedModel, splits: DatasetSplits,
             h = user_embedding(model.theta, model.spec, user_ids)
             if width is None:
                 width = h.size
-            alpha = inference_alpha(model, h)
-            if isinstance(alpha, ParamSet):
-                alpha = float(np.mean(alpha.to_flat()))
+            alpha = logged_rate(inference_alpha(model, h))
             group = _group_name(bool(splits.is_major[episode.user.user_id]))
-            rows.append((episode.user.user_id, name, group, float(alpha))
+            rows.append((episode.user.user_id, name, group, alpha)
                         + tuple(float(v) for v in h))
     if width is None:
         raise DataError("no episodes in the requested splits")

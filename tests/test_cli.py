@@ -129,6 +129,18 @@ class TestRun:
         assert setting.split("=")[0].split(".")[1] in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_ctr_softmax_is_rejected_before_any_output(self, tmp_path, capsys):
+        # no dataset kind yields 0/1 click labels, so the report could not be scored
+        config = write_config(tmp_path)
+        out_dir = tmp_path / "out"
+        code = main(["run", config, "--output-dir", str(out_dir),
+                     "--set", "trainer.algorithm=maml-fixed",
+                     "--set", "trainer.output_kind=ctr-softmax",
+                     "--set", "trainer.decision_dims=4,2"])
+        assert code == 1
+        assert "output_kind" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_missing_config_file_is_usage_error(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 1
 

@@ -1,6 +1,8 @@
 """Tests for experiment config parsing, validation, and canonical rendering."""
 
 import dataclasses
+import os
+import re
 
 import pytest
 
@@ -19,6 +21,8 @@ from metarec.config import (
 from metarec.errors import ConfigError
 from metarec.meta_learners import TrainerConfig
 from metarec.tasks import PreprocessConfig
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 SYNTH_TEXT = """
 # smoke experiment
@@ -150,6 +154,15 @@ class TestValidation:
         trainer_keys = {k.split(".", 1)[1] for k in SCHEMA if k.startswith("trainer.")}
         field_names = {f.name for f in dataclasses.fields(TrainerConfig)}
         assert trainer_keys == field_names
+
+    def test_readme_documents_exactly_the_trainer_keys(self):
+        with open(README, encoding="utf-8") as fh:
+            text = fh.read()
+        section = text.split("### trainer keys", 1)[1].split("\n### ", 1)[0]
+        documented = set(re.findall(r"`trainer\.(\w+)`", section))
+        parsed = {k.split(".", 1)[1] for k in SCHEMA if k.startswith("trainer.")}
+        field_names = {f.name for f in dataclasses.fields(TrainerConfig)}
+        assert documented == parsed == field_names
 
     def test_schema_covers_every_preprocess_field_except_seed(self):
         dataset_keys = {k.split(".", 1)[1] for k in SCHEMA if k.startswith("dataset.")}

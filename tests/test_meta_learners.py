@@ -6,8 +6,9 @@ when enabled) with respect to theta, the rate-head parameters, the per
 parameter rate vector, and stored tree rates, all jointly.  The user
 embeddings feeding the rate head are held fixed at the base theta, matching
 the trainer's treatment of them as inputs.  Everything else is pinned
-examples and invariants: reduction to the fixed-rate baseline, determinism,
-warm-up storage accounting, and checkpoint round trips.
+examples and invariants: one rate resolver for training and inference,
+reduction to the multitask gradient at rate zero, determinism, warm-up
+storage accounting, and checkpoint round trips.
 """
 
 import copy
@@ -19,18 +20,20 @@ import numpy as np
 import pytest
 
 from metarec.errors import ConfigError, DataError, NumericError
+from metarec.memory_tree import TreeMemory
 from metarec.meta_learners import (
     LrHead,
     MetaTrainer,
+    TrainedModel,
     TrainerConfig,
     _clamp_nonnegative,
+    _resolve_rate,
     adapt_with_gradient,
-    compute_alpha,
     evaluate,
     finetune,
+    inference_alpha,
     inner_adapt,
     load_checkpoint,
-    reg_term,
     save_checkpoint,
     train,
     transfer_train,
@@ -208,32 +211,88 @@ class TestEncodedEpisodes:
 
 
 class TestComputeAlphaAndRegTerm:
+    """Rates come from the one resolver; the reg-paml term is read off EpisodeLog."""
+
     def test_zero_logit_head_rate(self):
         head = LrHead(2, hidden_dims=(2,), scale=1e-3)
         head.psi = head.psi.zeros_like()
-        assert compute_alpha(head, np.zeros(2)) == pytest.approx(5e-4, rel=1e-15)
+        cfg = TrainerConfig(algorithm="paml", lr_scale=1e-3)
+        assert _resolve_rate(cfg, head, None, None, np.zeros(2))[0] == 5e-4
+        trainer = MetaTrainer(tiny_splits(), tiny_config(lr_scale=1e-3))
+        trainer.head.psi = trainer.head.psi.zeros_like()
+        logs = trainer.outer_gradients(trainer.train_episodes[:4]).episode_logs
+        assert [log.alpha for log in logs] == [5e-4] * 4
 
     def test_tree_contribution_is_added(self):
         head = LrHead(2, hidden_dims=(2,), scale=1e-3)
         head.psi = head.psi.zeros_like()
-        value = compute_alpha(head, np.zeros(2), tree_contribution=2e-3)
-        assert value == pytest.approx(2.5e-3, rel=1e-12)
+        cfg = TrainerConfig(algorithm="at-paml", tree_neighbors_train=1,
+                            tree_neighbors_infer=1)
+        tree = TreeMemory(dim=2, capacity=4, delta=cfg.tree_delta, sigma=cfg.tree_sigma)
+        tree.store_node(np.array([0.1, 0.0]), 2e-3)
+        h = np.zeros(2)
+        blended = tree.blended_lr(h, 1, touch=False)[0]
+        s_k = math.exp(-cfg.tree_delta * 0.01)
+        assert blended == pytest.approx(2e-3 * s_k / (s_k + cfg.tree_sigma), rel=1e-12)
+        recency = tree.node(0).recency
+        value = _resolve_rate(cfg, head, None, tree, h)[0]
+        assert value == 5e-4 + blended
+        assert tree.node(0).recency == recency  # evaluation leaves the tree as it was
+        value, _, neighbors = _resolve_rate(cfg, head, None, tree, h, train=True)
+        assert value == 5e-4 + blended
+        assert [nb.node_id for nb in neighbors] == [0]
+        assert tree.node(0).recency > recency  # training touches what it blends
 
     def test_no_tree_contribution_means_head_only(self):
         head = LrHead(2, hidden_dims=(2,), scale=1e-3, seed=4)
         h = np.array([0.3, -0.2])
-        assert compute_alpha(head, h) == head.alpha(h)
+        for algorithm in ("paml", "reg-paml", "at-paml"):
+            cfg = TrainerConfig(algorithm=algorithm)
+            assert _resolve_rate(cfg, head, None, None, h)[0] == head.alpha(h)
+            alpha, dalpha_dpsi, _ = _resolve_rate(cfg, head, None, None, h, train=True)
+            expected, expected_grad = head.alpha_and_grad(h)
+            assert alpha == expected
+            assert np.array_equal(dalpha_dpsi.flat, expected_grad.flat)
 
     def test_reg_term_pinned_values(self):
-        spec, theta, episode = scalar_model()
-        # support gradient is (-2) in one coordinate: squared norm 4
-        assert reg_term(theta, spec, 1e-3, episode) == pytest.approx(4e-3, rel=1e-12)
-        assert reg_term(theta, spec, 0.0, episode) == 0.0
+        trainer = MetaTrainer(tiny_splits(), tiny_config(algorithm="reg-paml", gamma=1e-3))
+        batch = trainer.train_episodes[:5]
+        kind = trainer.spec.loss_kind()
+        logs = trainer.outer_gradients(batch).episode_logs
+        for ep, log in zip(batch, logs):
+            g_s = grad(trainer.theta, trainer.spec, ep.support, kind)
+            assert log.support_grad_sq == g_s.dot(g_s)
+            assert log.support_grad_sq > 0.0
+            assert log.reg_value == log.support_grad_sq * log.alpha
 
     def test_reg_term_zero_gradient(self):
-        spec, theta, episode = scalar_model()
-        flat = (episode[0], episode[1], np.array([0.0]))  # prediction equals target
-        assert reg_term(theta, spec, 1e-3, flat) == 0.0
+        trainer = MetaTrainer(tiny_splits(), tiny_config(algorithm="reg-paml", gamma=1e-3))
+        ep = trainer.train_episodes[0]
+        predictions, _ = forward(trainer.theta, trainer.spec, ep.support[0], ep.support[1])
+        exact = ep._replace(support=(ep.support[0], ep.support[1], predictions))
+        log = trainer.outer_gradients([exact]).episode_logs[0]
+        assert log.support_grad_sq == 0.0
+        assert log.reg_value == 0.0
+
+
+@pytest.mark.parametrize("algorithm", ["paml", "at-paml", "reg-paml", "maml-fixed", "meta-sgd"])
+def test_training_rate_matches_inference_rate(algorithm):
+    """With equal neighbor counts, training logs the rate inference would use."""
+    cfg = tiny_config(algorithm=algorithm, epochs=1, warmup_epochs=1,
+                      tree_neighbors_train=3, tree_neighbors_infer=3)
+    trainer = MetaTrainer(tiny_splits(n_tasks=20), cfg)
+    trainer.train()  # leaves a stepped state, and a filled tree for at-paml
+    if algorithm == "at-paml":
+        assert len(trainer.tree) > 0
+    batch = trainer.train_episodes[:6]
+    logs = trainer.outer_gradients(batch).episode_logs
+    model = TrainedModel(algorithm, trainer.spec, cfg, trainer.theta, trainer.head,
+                         trainer.msgd_alpha, trainer.tree, [], [], None)
+    for ep, log in zip(batch, logs):
+        h = user_embedding(trainer.theta, trainer.spec, ep.user_ids)
+        rate = inference_alpha(model, h)
+        expected = float(np.mean(rate.to_flat())) if isinstance(rate, ParamSet) else rate
+        assert log.alpha == expected
 
 
 def fd_check_trainer(trainer, batch, objective, paramsets, implemented, eps=1e-6):
@@ -380,11 +439,16 @@ class TestOuterGradients:
             assert implemented == pytest.approx(fd, rel=1e-4, abs=1e-12)
 
     def test_zero_rate_reduces_to_multitask_gradient(self):
-        cfg = tiny_config(freeze_alpha=0.0)
+        cfg = tiny_config()
         trainer = MetaTrainer(tiny_splits(), cfg)
+        # a -1e4 output bias underflows the sigmoid: the head gives exactly 0.0
+        last = trainer.head.n_layers() - 1
+        trainer.head.psi[f"lr_b{last}"][...] = -1e4
         batch = trainer.train_episodes[:4]
         kind = trainer.spec.loss_kind()
         gradients = trainer.outer_gradients(batch)
+        assert [log.alpha for log in gradients.episode_logs] == [0.0] * 4
+        assert not gradients.psi_grad.flat.any()
         expected = trainer.theta.zeros_like()
         for ep in batch:
             expected = expected.add(grad(trainer.theta, trainer.spec, ep.query, kind))
@@ -502,15 +566,6 @@ class TestTrain:
         records = evaluate(model, splits.validation, splits)
         reproduced = float(np.mean([r.query_loss for r in records]))
         assert reproduced == pytest.approx(min(values), abs=1e-12)
-
-    def test_frozen_rate_reproduces_fixed_rate_baseline_bitwise(self):
-        splits = tiny_splits(n_tasks=20)
-        shared = dict(epochs=2, outer_lr=1e-3, fixed_inner_lr=1e-5, seed=11)
-        frozen = train(splits, tiny_config(algorithm="paml", freeze_alpha=1e-5, **shared))
-        fixed = train(splits, tiny_config(algorithm="maml-fixed", **shared))
-        assert frozen.history == fixed.history
-        for name in frozen.theta:
-            assert np.array_equal(frozen.theta[name], fixed.theta[name])
 
     def test_at_paml_warmup_stores_every_user(self):
         splits = tiny_splits(n_tasks=30)  # 21 train users
@@ -717,21 +772,31 @@ class TestCheckpoint:
         with pytest.raises(DataError):
             load_checkpoint(tmp_path / "absent.npz")
 
-    def test_retired_tree_search_keys_are_ignored(self, tmp_path):
+    @pytest.mark.parametrize("retired, error", [
         # checkpoints from the kd-tree memory stored four search settings
+        (dict(tree_search_mode="approximate", tree_leaf_size=8,
+              tree_num_random_trees=4, tree_checks_budget=64), None),
+        # checkpoints from before the paml rate could no longer be pinned
+        (dict(freeze_alpha=None), None),
+        (dict(freeze_alpha=1e-5), "maml-fixed"),
+    ], ids=["tree-search-keys", "freeze-alpha-unset", "freeze-alpha-set"])
+    def test_retired_checkpoint_keys(self, tmp_path, retired, error):
         splits = tiny_splits(n_tasks=10)
         model = train(splits, tiny_config(epochs=1))
         path = save_checkpoint(model, tmp_path / "model")
         with np.load(path, allow_pickle=False) as data:
             arrays = {name: data[name] for name in data.files}
         stored = json.loads(str(arrays["config_json"][()]))
-        stored.update(tree_search_mode="approximate", tree_leaf_size=8,
-                      tree_num_random_trees=4, tree_checks_budget=64)
+        stored.update(retired)
         text = json.dumps(stored, sort_keys=True)
         arrays["config_json"] = np.array(text)
         arrays["config_digest"] = np.array(hashlib.sha256(text.encode("utf-8")).hexdigest())
         np.savez(path, **arrays)
-        assert load_checkpoint(path).config == model.config
+        if error is None:
+            assert load_checkpoint(path).config == model.config
+        else:
+            with pytest.raises(ConfigError, match=error):
+                load_checkpoint(path)
 
 
 class TestTrainerConfig:
@@ -756,10 +821,6 @@ class TestTrainerConfig:
             TrainerConfig(warmup_inner_lr=-1e-3)
         with pytest.raises(ConfigError):
             TrainerConfig(outer_lr=-1.0)
-
-    def test_freeze_alpha_restricted_to_paml(self):
-        with pytest.raises(ConfigError):
-            TrainerConfig(algorithm="reg-paml", freeze_alpha=1e-5)
 
     def test_unknown_psi_rule_rejected(self):
         with pytest.raises(ConfigError):
