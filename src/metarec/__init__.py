@@ -35,7 +35,6 @@ from .meta_learners import (
     TrainedModel,
     TrainerConfig,
     evaluate,
-    finetune,
     inference_alpha,
     inner_adapt,
     load_checkpoint,
@@ -102,7 +101,6 @@ __all__ = [
     "classify_major_minor",
     "evaluate",
     "experiment_digest",
-    "finetune",
     "flatten_config",
     "forward",
     "grad",

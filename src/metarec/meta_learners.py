@@ -79,7 +79,6 @@ __all__ = [
     "logged_rate",
     "train",
     "transfer_train",
-    "finetune",
     "evaluate",
     "config_digest",
     "save_checkpoint",
@@ -489,7 +488,7 @@ class MetaTrainer:
         ep_msgd_grad = None
         reg_value = 0.0
         if isinstance(alpha, ParamSet):
-            hv = hvp(self.theta, self.spec, ep.support, kind, alpha.mul(g_q))
+            hv = hvp(self.theta, self.spec, ep.support, kind, alpha.mul(g_q), at=g_s)
             ep_theta_grad = g_q.sub(hv)
             ep_msgd_grad = g_s.mul(g_q).scale(-1.0)
         else:
@@ -498,10 +497,12 @@ class MetaTrainer:
                 ep_theta_grad = g_q.copy()
             else:
                 v = g_s.scale(2.0 * gamma * alpha).sub(g_q.scale(alpha))
-                hv = hvp(self.theta, self.spec, ep.support, kind, v)
+                hv = hvp(self.theta, self.spec, ep.support, kind, v, at=g_s)
                 ep_theta_grad = g_q.add(hv)
 
-        upstream = gamma * grad_sq - g_s.dot(g_q)
+        # d(objective)/d(alpha); only the head gradient and the tree use it
+        if dalpha_dpsi is not None or neighbors:
+            upstream = gamma * grad_sq - g_s.dot(g_q)
         ep_psi_grad = None
         if dalpha_dpsi is not None:
             if cfg.psi_update_rule == "exact":
@@ -724,13 +725,6 @@ def transfer_train(splits: DatasetSplits, config: TrainerConfig) -> TrainedModel
         best_theta = theta.copy()
     return TrainedModel("transfer", spec, config, best_theta, None, None, None,
                         history, [], best_epoch)
-
-
-def finetune(model: TrainedModel, support, lr: Optional[float] = None) -> TrainedModel:
-    """One gradient step on an encoded support episode; returns an adapted copy."""
-    rate = model.config.fixed_inner_lr if lr is None else float(lr)
-    theta_adapted = inner_adapt(model.theta, model.spec, rate, support)
-    return dataclasses.replace(model, theta=theta_adapted)
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,20 @@
 
 The architecture is fixed (per-feature embedding tables, a dense ReLU stack,
 a regression or 2-way softmax head), so reverse-mode differentiation is
-written out explicitly instead of pulling in an autodiff framework.  The same
-forward/backward code runs on either plain float64 arrays or `_Dual` pairs
-(value, tangent); running it on duals yields the exact directional derivative
-of the gradient, i.e. an exact Hessian-vector product.  Gradients accumulate
-in place into views of one zeroed flat vector (two for the dual pass), which
-the returned ParamSet then wraps without copying.
+written out explicitly instead of pulling in an autodiff framework.  `grad`
+runs one forward and one backward pass per episode and keeps what they
+computed on the Gradient it returns, as a tape: the input of every layer,
+the ReLU masks, the upstream gradient of every layer and, for the softmax
+head, its exponentials.  `hvp` takes that tape and pushes a tangent v
+through the same passes without recomputing them (the R-op of Pearlmutter,
+1994), which gives the exact directional derivative of the gradient, i.e.
+an exact Hessian-vector product.  Gradients and products accumulate in
+place into views of one zeroed flat vector, which the returned ParamSet
+then wraps without copying, views included.
 
 Inputs are validated at the boundary.  Every call checks the parameter
-layout against the spec (one comparison of layout keys).  An episode made by
+layout against the spec (one comparison of layout keys); `hvp` given a
+tape relies on the check its `grad` made on the same theta.  An episode made by
 `check_episode` carries the vocabulary sizes it was checked against and
 read-only arrays, so `grad` and `hvp` skip the id-range check for it when the
 spec has the same vocabulary sizes; every other episode, including a plain
@@ -23,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -184,126 +189,6 @@ def _check_theta(theta: ParamSet, spec: ModelSpec) -> None:
 
 
 # ---------------------------------------------------------------------------
-# dual numbers (value + tangent), enough ops for this model family
-
-
-class _Dual:
-    """Pair of arrays propagated through the same code path as plain arrays."""
-
-    __slots__ = ("v", "t")
-    __array_ufunc__ = None  # make numpy defer to our reflected operators
-
-    def __init__(self, v, t):
-        self.v = v
-        self.t = t
-
-    # arithmetic -------------------------------------------------------------
-    def __add__(self, other):
-        if isinstance(other, _Dual):
-            return _Dual(self.v + other.v, self.t + other.t)
-        return _Dual(self.v + other, self.t)
-
-    __radd__ = __add__
-
-    def __iadd__(self, other):
-        if isinstance(other, _Dual):
-            self.v += other.v
-            self.t += other.t
-        else:
-            self.v += other
-        return self
-
-    def __sub__(self, other):
-        if isinstance(other, _Dual):
-            return _Dual(self.v - other.v, self.t - other.t)
-        return _Dual(self.v - other, self.t)
-
-    def __rsub__(self, other):
-        return _Dual(other - self.v, -self.t)
-
-    def __neg__(self):
-        return _Dual(-self.v, -self.t)
-
-    def __mul__(self, other):
-        if isinstance(other, _Dual):
-            return _Dual(self.v * other.v, self.t * other.v + self.v * other.t)
-        return _Dual(self.v * other, self.t * other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, _Dual):
-            inv = 1.0 / other.v
-            return _Dual(self.v * inv, self.t * inv - self.v * other.t * inv * inv)
-        return _Dual(self.v / other, self.t / other)
-
-    def __matmul__(self, other):
-        if isinstance(other, _Dual):
-            return _Dual(self.v @ other.v, self.t @ other.v + self.v @ other.t)
-        return _Dual(self.v @ other, self.t @ other)
-
-    def __rmatmul__(self, other):
-        return _Dual(other @ self.v, other @ self.t)
-
-    # structure --------------------------------------------------------------
-    def __getitem__(self, idx):
-        return _Dual(self.v[idx], self.t[idx])
-
-    def __setitem__(self, idx, value):
-        if isinstance(value, _Dual):
-            self.v[idx] = value.v
-            self.t[idx] = value.t
-        else:
-            self.v[idx] = value
-            self.t[idx] = 0.0
-
-    @property
-    def T(self):
-        return _Dual(self.v.T, self.t.T)
-
-    def sum(self, axis=None, keepdims=False):
-        return _Dual(self.v.sum(axis=axis, keepdims=keepdims), self.t.sum(axis=axis, keepdims=keepdims))
-
-
-def _value(x):
-    return x.v if isinstance(x, _Dual) else x
-
-
-def _relu(x):
-    if isinstance(x, _Dual):
-        return _Dual(np.maximum(x.v, 0.0), np.where(x.v > 0.0, x.t, 0.0))
-    return np.maximum(x, 0.0)
-
-
-def _exp(x):
-    if isinstance(x, _Dual):
-        e = np.exp(x.v)
-        return _Dual(e, x.t * e)
-    return np.exp(x)
-
-
-def _log(x):
-    if isinstance(x, _Dual):
-        return _Dual(np.log(x.v), x.t / x.v)
-    return np.log(x)
-
-
-def _clamp_min(x, floor):
-    if isinstance(x, _Dual):
-        keep = x.v > floor
-        return _Dual(np.maximum(x.v, floor), np.where(keep, x.t, 0.0))
-    return np.maximum(x, floor)
-
-
-def _scatter_add(acc, idx, rows):
-    if isinstance(acc, _Dual):
-        np.add.at(acc.v, idx, _value(rows))
-        np.add.at(acc.t, idx, rows.t if isinstance(rows, _Dual) else np.zeros_like(_value(rows)))
-    else:
-        np.add.at(acc, idx, rows)
-
-
-# ---------------------------------------------------------------------------
 # validation of raw episode inputs
 
 
@@ -370,51 +255,58 @@ def _episode_arrays(spec: ModelSpec, episode) -> Episode:
 # forward
 
 
-def _forward_core(theta, spec: ModelSpec, user_ids, items, check_finite=True):
-    """Shared forward pass; ``theta`` entries may be arrays or duals.
+def _fused_input(entries, spec: ModelSpec, user_ids, items) -> np.ndarray:
+    """Fused input rows: the user's embedding rows, then each item's.
 
-    Returns (output, user_vec, cache) where cache holds per-layer inputs and
-    pre-activations for the backward pass.
+    ``entries`` maps embedding names to tables: the parameters in a forward
+    pass, the tangent in `hvp`'s tangent pass.
     """
-    # fused input rows: the user's embedding rows, then each item's
-    shape = (items.shape[0], spec.fused_width)
-    if isinstance(theta["emb_user_0"], _Dual):
-        x = _Dual(np.empty(shape), np.empty(shape))
-    else:
-        x = np.empty(shape)
+    x = np.empty((items.shape[0], spec.fused_width))
     e = spec.embedding_dim
     for i in range(len(spec.user_vocab_sizes)):
-        x[:, i * e:(i + 1) * e] = theta[f"emb_user_{i}"][user_ids[i]]
+        x[:, i * e:(i + 1) * e] = entries[f"emb_user_{i}"][user_ids[i]]
     for j in range(len(spec.item_vocab_sizes)):
         col = spec.user_width + j * e
-        x[:, col:col + e] = theta[f"emb_item_{j}"][items[:, j]]
+        x[:, col:col + e] = entries[f"emb_item_{j}"][items[:, j]]
+    return x
+
+
+def _forward_core(theta, spec: ModelSpec, user_ids, items):
+    """Shared forward pass.
+
+    Returns (output, user_vec, acts, preacts): ``acts`` holds the input of
+    every decision layer and ``preacts`` its pre-activation.
+    """
+    x = _fused_input(theta, spec, user_ids, items)
     u = x[0, :spec.user_width]
 
-    acts = [x]  # inputs to each layer
+    acts = [x]
     preacts = []
     a = x
     n_layers = len(spec.decision_dims)
-    for layer in range(n_layers):
-        w = theta[f"dec_W{layer}"]
-        b = theta[f"dec_b{layer}"]
-        with np.errstate(invalid="ignore", over="ignore"):
-            z = a @ w.T + b
-        if check_finite and not np.all(np.isfinite(_value(z))):
-            raise NumericError(f"non-finite values in decision layer {layer}")
-        preacts.append(z)
-        if layer < n_layers - 1:
-            a = _relu(z)
-            acts.append(a)
-    return preacts[-1], u, (acts, preacts)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for layer in range(n_layers):
+            z = a @ theta[f"dec_W{layer}"].T + theta[f"dec_b{layer}"]
+            if not np.isfinite(z).all():
+                raise NumericError(f"non-finite values in decision layer {layer}")
+            preacts.append(z)
+            if layer < n_layers - 1:
+                a = np.maximum(z, 0.0)
+                acts.append(a)
+    return preacts[-1], u, acts, preacts
+
+
+def _softmax(z_out):
+    """Stable row softmax as ``(exp(z - rowmax), 1 / rowsum)``; p = e * inv."""
+    e = np.exp(z_out - z_out.max(axis=1, keepdims=True))
+    return e, 1.0 / e.sum(axis=1, keepdims=True)
 
 
 def _predictions_from_output(spec: ModelSpec, z_out):
     if spec.output_kind == "rating-regression":
         return z_out[:, 0]
-    # stable row softmax; the shift is constant so tangents flow correctly
-    shift = _value(z_out).max(axis=1, keepdims=True)
-    e = _exp(z_out - shift)
-    return e / e.sum(axis=1, keepdims=True)
+    e, inv = _softmax(z_out)
+    return e * inv
 
 
 def forward(theta: ParamSet, spec: ModelSpec, user_ids, items):
@@ -425,7 +317,7 @@ def forward(theta: ParamSet, spec: ModelSpec, user_ids, items):
     """
     _check_theta(theta, spec)
     user_ids, items = _check_episode(spec, user_ids, items)
-    z_out, u, _ = _forward_core(theta, spec, user_ids, items)
+    z_out, u, _, _ = _forward_core(theta, spec, user_ids, items)
     return _predictions_from_output(spec, z_out), u.copy()
 
 
@@ -486,80 +378,147 @@ def _normalize_batch(batch) -> List[Episode]:
     return list(batch)
 
 
-def _grad_core(theta, grads, spec: ModelSpec, batch: List[Episode], kind: str):
-    """Add the pooled-mean loss gradient into ``grads`` and return the loss.
+def _scatter_embedding_grads(grads, spec: ModelSpec, user_ids, items, ga) -> None:
+    """Add the fused-input gradient ``ga`` into the user/item embedding rows."""
+    gu = ga[:, :spec.user_width].sum(axis=0)
+    e = spec.embedding_dim
+    for i in range(len(spec.user_vocab_sizes)):
+        grads[f"emb_user_{i}"][user_ids[i]] += gu[i * e:(i + 1) * e]
+    for j in range(len(spec.item_vocab_sizes)):
+        col = spec.user_width + j * e
+        np.add.at(grads[f"emb_item_{j}"], items[:, j], ga[:, col:col + e])
 
-    ``theta`` and ``grads`` map entry names to plain arrays or to duals;
-    ``grads`` starts at zero and is updated in place.
+
+class _Tape:
+    """What `grad` computed at ``(theta, batch)``, kept for `hvp`.
+
+    ``episodes`` holds one ``(user_ids, items, acts, masks, gas, head)``
+    record per episode: the input of every decision layer, the ReLU masks
+    ``z > 0`` of the hidden layers, the upstream gradient of every layer
+    after its mask, and for weighted-nel the softmax's ``(e, inv, coef)``
+    (None for mse).  Everything is held by reference; nothing is copied.
     """
-    checked = [_episode_arrays(spec, episode) for episode in batch]
+
+    __slots__ = ("theta", "spec", "batch", "kind", "total_items", "episodes")
+
+    def __init__(self, theta, spec, batch, kind, total_items):
+        self.theta = theta
+        self.spec = spec
+        self.batch = batch
+        self.kind = kind
+        self.total_items = total_items
+        self.episodes = []
+
+
+def grad(theta: ParamSet, spec: ModelSpec, batch, kind: str) -> Gradient:
+    """Exact reverse-mode gradient of the pooled-mean loss over the batch.
+
+    The returned Gradient carries the forward and backward pass as its
+    ``tape``, for `hvp` at the same point.
+    """
+    _check_theta(theta, spec)
+    checked = [_episode_arrays(spec, episode) for episode in _normalize_batch(batch)]
     total_items = sum(items.shape[0] for _, items, _ in checked)
+    tape = _Tape(theta, spec, batch, kind, total_items)
+    layout = theta.layout
+    flat = np.zeros(layout.size)
+    grads = layout.views(flat)
 
     loss_value = 0.0
     n_layers = len(spec.decision_dims)
     for user_ids, items, targets in checked:
-        z_out, _, (acts, preacts) = _forward_core(theta, spec, user_ids, items)
+        z_out, _, acts, preacts = _forward_core(theta, spec, user_ids, items)
 
         if kind == "mse":
-            pred = z_out[:, 0]
-            r = pred - targets
+            r = z_out[:, 0] - targets
             loss_value = loss_value + (r * r).sum() / total_items
             gz = (r * (2.0 / total_items))[:, None]
+            head = None
         elif kind == "weighted-nel":
-            p = _predictions_from_output(spec, z_out)
-            p_click = _clamp_min(p[:, 1], NEL_CLAMP)
+            e, inv = _softmax(z_out)
+            p = e * inv
             w = np.where(targets == 1.0, NEL_CLICK_WEIGHT, NEL_NOCLICK_WEIGHT)
-            loss_value = loss_value + (-w * targets * _log(p_click)).sum() / total_items
+            p_click = np.maximum(p[:, 1], NEL_CLAMP)
+            loss_value = loss_value + (-w * targets * np.log(p_click)).sum() / total_items
             # d/dz_c of -log p_1 is p_c - [c == 1]; items clamped away from the
             # log keep zero gradient, matching the loss surface actually used
-            active = (_value(p)[:, 1] > NEL_CLAMP).astype(np.float64)
+            active = (p[:, 1] > NEL_CLAMP).astype(np.float64)
             coef = (w * targets * active / total_items)[:, None]
             gz = (p - np.array([0.0, 1.0])) * coef
+            head = (e, inv, coef)
         else:
             raise ConfigError(f"unknown loss kind '{kind}'")
 
+        masks = [z > 0.0 for z in preacts[:-1]]
+        gas = [None] * n_layers
         ga = gz
         for layer in range(n_layers - 1, -1, -1):
             if layer < n_layers - 1:
-                ga = ga * (_value(preacts[layer]) > 0.0).astype(np.float64)
-            w_l = theta[f"dec_W{layer}"]
+                ga = ga * masks[layer]
+            gas[layer] = ga
             grads[f"dec_W{layer}"] += ga.T @ acts[layer]
             grads[f"dec_b{layer}"] += ga.sum(axis=0)
-            ga = ga @ w_l
-
-        # split the fused-input gradient back into user/item embedding rows
-        gu = ga[:, : spec.user_width].sum(axis=0)
-        e = spec.embedding_dim
-        for i in range(len(spec.user_vocab_sizes)):
-            _scatter_add(grads[f"emb_user_{i}"], np.array([user_ids[i]]), gu[i * e : (i + 1) * e][None, :])
-        for j in range(len(spec.item_vocab_sizes)):
-            col = spec.user_width + j * e
-            _scatter_add(grads[f"emb_item_{j}"], items[:, j], ga[:, col : col + e])
-    return loss_value
+            ga = ga @ theta[f"dec_W{layer}"]
+        _scatter_embedding_grads(grads, spec, user_ids, items, ga)
+        tape.episodes.append((user_ids, items, acts, masks, gas, head))
+    return Gradient.wrap(layout, flat, float(loss_value), views=grads, tape=tape)
 
 
-def grad(theta: ParamSet, spec: ModelSpec, batch, kind: str) -> Gradient:
-    """Exact reverse-mode gradient of the pooled-mean loss over the batch."""
-    _check_theta(theta, spec)
-    layout = theta.layout
-    flat = np.zeros(layout.size)
-    loss_value = _grad_core(theta, layout.views(flat), spec, _normalize_batch(batch), kind)
-    return Gradient.wrap(layout, flat, float(loss_value))
-
-
-def hvp(theta: ParamSet, spec: ModelSpec, batch, kind: str, v: ParamSet) -> ParamSet:
+def hvp(theta: ParamSet, spec: ModelSpec, batch, kind: str, v: ParamSet,
+        at: Optional[Gradient] = None) -> ParamSet:
     """Exact Hessian-vector product H(theta) @ v for the pooled batch loss.
 
-    Forward-over-reverse: the reverse-mode gradient code runs on dual numbers
-    seeded with tangent v, and the tangent of the gradient is exactly Hv.
-    The Hessian is never materialized.
+    ``at`` is the Gradient that ``grad(theta, spec, batch, kind)`` returned,
+    for these same ``theta`` and ``batch`` objects; without it, `hvp` runs
+    that `grad` first.  The R-op (Pearlmutter, 1994) then differentiates the
+    recorded passes along v and computes tangents only.  With rows
+    z = a W^T + b and a' = relu(z) in the forward pass, and gradients
+    gW = g^T a, gb = sum(g), g_in = g W in the backward pass (g is the
+    layer's upstream gradient after its ReLU mask, and dg is masked alike):
+
+        dz = da W^T + a dW^T + db,        da' = dz where z > 0,
+        dgW = dg^T a + g^T da,  dgb = sum(dg),  dg_in = dg W + g dW,
+
+    seeded with the tangent of the loss gradient at the output.  The
+    tangent of the gradient is exactly Hv; the Hessian is never formed.
+    Each tangent keeps the operand order of forward-over-reverse dual
+    arithmetic, so its bits equal that formulation's.
     """
-    _check_theta(theta, spec)
     theta._check_same_layout(v)
+    if at is None:
+        at = grad(theta, spec, batch, kind)
+    tape = at.tape if isinstance(at, Gradient) else None
+    if (tape is None or tape.theta is not theta or tape.batch is not batch
+            or tape.spec != spec or tape.kind != kind):
+        raise ConfigError("hvp needs the Gradient that grad returned for this same theta "
+                          "object, batch object, spec and loss kind")
     layout = theta.layout
-    dual_theta = {name: _Dual(theta[name], v[name]) for name in theta}
-    values, tangents = np.zeros(layout.size), np.zeros(layout.size)
-    value_views, tangent_views = layout.views(values), layout.views(tangents)
-    grads = {name: _Dual(value_views[name], tangent_views[name]) for name in layout.names}
-    _grad_core(dual_theta, grads, spec, _normalize_batch(batch), kind)
-    return ParamSet.wrap(layout, tangents)
+    tangents = np.zeros(layout.size)
+    out = layout.views(tangents)
+    n_layers = len(spec.decision_dims)
+    for user_ids, items, acts, masks, gas, head in tape.episodes:
+        acts_t = [_fused_input(v, spec, user_ids, items)]
+        for layer in range(n_layers):
+            w_name, b_name = f"dec_W{layer}", f"dec_b{layer}"
+            z_t = (acts_t[layer] @ theta[w_name].T + acts[layer] @ v[w_name].T) + v[b_name]
+            if layer < n_layers - 1:
+                acts_t.append(np.where(masks[layer], z_t, 0.0))
+
+        if head is None:
+            ga_t = (z_t[:, 0] * (2.0 / tape.total_items))[:, None]
+        else:
+            e, inv, coef = head
+            e_t = z_t * e
+            s_t = e_t.sum(axis=1, keepdims=True)
+            ga_t = (e_t * inv - e * s_t * inv * inv) * coef
+
+        for layer in range(n_layers - 1, -1, -1):
+            w_name = f"dec_W{layer}"
+            if layer < n_layers - 1:
+                ga_t = ga_t * masks[layer]
+            ga = gas[layer]
+            out[w_name] += ga_t.T @ acts[layer] + ga.T @ acts_t[layer]
+            out[f"dec_b{layer}"] += ga_t.sum(axis=0)
+            ga_t = ga_t @ theta[w_name] + ga @ v[w_name]
+        _scatter_embedding_grads(out, spec, user_ids, items, ga_t)
+    return ParamSet.wrap(layout, tangents, views=out)

@@ -10,7 +10,7 @@ vector.  Results own fresh vectors: they never alias their operands.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Tuple, Union
+from typing import Dict, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
@@ -72,15 +72,20 @@ class ParamSet:
         self._views = None
 
     @classmethod
-    def wrap(cls, layout: Layout, flat: np.ndarray) -> "ParamSet":
-        """ParamSet over ``flat`` itself (no copy); the caller hands it over."""
+    def wrap(cls, layout: Layout, flat: np.ndarray,
+             views: Optional[Dict[str, np.ndarray]] = None) -> "ParamSet":
+        """ParamSet over ``flat`` itself (no copy); the caller hands it over.
+
+        ``views``, if given, must be ``layout.views(flat)``, which the caller
+        already built; the ParamSet then need not build it again.
+        """
         if flat.dtype != np.float64 or flat.shape != (layout.size,):
             raise ConfigError(f"flat vector {flat.dtype}{flat.shape} does not fit a layout "
                               f"of size {layout.size}")
         ps = cls.__new__(cls)
         ps._layout = layout
         ps._flat = flat
-        ps._views = None
+        ps._views = views
         return ps
 
     @property
@@ -211,16 +216,23 @@ class ParamSet:
 
 
 class Gradient(ParamSet):
-    """ParamSet-shaped output of a backward pass, tagged with its loss value."""
+    """ParamSet-shaped output of a backward pass, tagged with its loss value.
+
+    ``tape`` is what the pass kept for a Hessian-vector product at the same
+    point (see `model.hvp`), or None.
+    """
 
     def __init__(self, entries: Dict[str, np.ndarray], loss: float):
         super().__init__(entries)
         self.loss = float(loss)
+        self.tape = None
 
     @classmethod
-    def wrap(cls, layout: Layout, flat: np.ndarray, loss: float) -> "Gradient":
-        g = super().wrap(layout, flat)
+    def wrap(cls, layout: Layout, flat: np.ndarray, loss: float,
+             views: Optional[Dict[str, np.ndarray]] = None, tape=None) -> "Gradient":
+        g = super().wrap(layout, flat, views)
         g.loss = float(loss)
+        g.tape = tape
         return g
 
 

@@ -30,7 +30,6 @@ from metarec.meta_learners import (
     _resolve_rate,
     adapt_with_gradient,
     evaluate,
-    finetune,
     inference_alpha,
     inner_adapt,
     load_checkpoint,
@@ -642,10 +641,11 @@ class TestTransfer:
         model = transfer_train(splits, cfg)
         episode = splits.test[0]
         user_ids, items, _ = splits.encode(episode.user, episode.support)
-        predictions, _ = forward(model.theta, model.spec, user_ids, items)
-        adapted = finetune(model, (user_ids, items, predictions))
+        predictions, h = forward(model.theta, model.spec, user_ids, items)
+        adapted = inner_adapt(model.theta, model.spec, inference_alpha(model, h),
+                              (user_ids, items, predictions))
         for name in model.theta:
-            assert np.array_equal(adapted.theta[name], model.theta[name])
+            assert np.array_equal(adapted[name], model.theta[name])
 
     def test_finetune_takes_one_fixed_rate_step(self):
         splits = tiny_splits(n_tasks=10)
@@ -653,11 +653,12 @@ class TestTransfer:
         model = transfer_train(splits, cfg)
         episode = splits.test[0]
         support = splits.encode(episode.user, episode.support)
-        adapted = finetune(model, support)
+        h = user_embedding(model.theta, model.spec, support[0])
+        adapted = inner_adapt(model.theta, model.spec, inference_alpha(model, h), support)
         g = grad(model.theta, model.spec, support, model.spec.loss_kind())
         expected = axpy_update(model.theta, g, 1e-3)
         for name in expected:
-            assert np.array_equal(adapted.theta[name], expected[name])
+            assert np.array_equal(adapted[name], expected[name])
 
 
 class TestEvaluate:

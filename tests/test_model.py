@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -255,6 +257,64 @@ class TestHvp:
         down = grad(theta.from_flat(theta.to_flat() - eps * v.to_flat()), spec, batch, kind)
         approx = (up.to_flat() - down.to_flat()) / (2 * eps)
         np.testing.assert_allclose(exact.to_flat(), approx, rtol=1e-3, atol=1e-6)
+
+    # sha256 of hvp's output bits, recorded with the earlier dual-number
+    # (forward-over-reverse) hvp; the tangent pass must keep its operand
+    # order, since training reports are byte-identical only then
+    PINNED_DIGESTS = {
+        ("mse", 1): "9b4bb90766b6932fcb0ec512922593c3544e5b59c96b363abf43a5aeb3f5b25a",
+        ("mse", 3): "f795a34d23df1d71eaaa5fcd987466da4555dde53653a73b40f577a61fd1045e",
+        ("weighted-nel", 1): "2fb7696a3e759afcd6a338e7ebf7d2d034c25c68d5c7dd7dcf20e117490d04b6",
+        ("weighted-nel", 3): "c7d621c67f6d4670cbf394f7578c7d5b68f529dde41f62f05518233083eee63e",
+    }
+
+    @staticmethod
+    def pinned_case(kind, n_episodes):
+        spec = tiny_spec("rating-regression" if kind == "mse" else "ctr-softmax")
+        rng = np.random.default_rng(41 + n_episodes)
+        theta = init_params(spec, seed=41)
+        batch = [random_episode(spec, rng, n_items=4 + k, kind=kind) for k in range(n_episodes)]
+        if n_episodes == 1:
+            batch = batch[0]
+        v = theta.from_flat(rng.normal(size=theta.size()))
+        return spec, theta, batch, v
+
+    @pytest.mark.parametrize("kind,n_episodes", sorted(PINNED_DIGESTS))
+    def test_output_bits_pinned(self, kind, n_episodes):
+        spec, theta, batch, v = self.pinned_case(kind, n_episodes)
+        out = hvp(theta, spec, batch, kind, v)
+        digest = hashlib.sha256(out.flat.tobytes()).hexdigest()
+        assert digest == self.PINNED_DIGESTS[(kind, n_episodes)]
+
+    @pytest.mark.parametrize("kind,n_episodes", sorted(PINNED_DIGESTS))
+    def test_at_gradient_gives_same_bits(self, kind, n_episodes):
+        spec, theta, batch, v = self.pinned_case(kind, n_episodes)
+        g = grad(theta, spec, batch, kind)
+        with_tape = hvp(theta, spec, batch, kind, v, at=g)
+        assert with_tape.flat.tobytes() == hvp(theta, spec, batch, kind, v).flat.tobytes()
+        # the tape is read, never written: a second product at it is the same
+        assert hvp(theta, spec, batch, kind, v, at=g).flat.tobytes() == with_tape.flat.tobytes()
+
+    def test_at_from_another_point_rejected(self):
+        spec, theta, batch, v = self.pinned_case("mse", 3)
+        g = grad(theta, spec, batch, "mse")
+        other_theta = theta.copy()
+        with pytest.raises(ConfigError, match="same theta"):
+            hvp(other_theta, spec, batch, "mse", v, at=g)
+        with pytest.raises(ConfigError, match="same theta"):
+            hvp(theta, spec, list(batch), "mse", v, at=g)
+        with pytest.raises(ConfigError, match="same theta"):
+            hvp(theta, spec, batch, "mse", v, at=theta.zeros_like())
+
+    def test_result_owns_its_storage(self):
+        spec, theta, batch, v = self.pinned_case("mse", 1)
+        g = grad(theta, spec, batch, "mse")
+        out = hvp(theta, spec, batch, "mse", v, at=g)
+        for result in (g, out):
+            for name in theta:
+                assert np.shares_memory(result[name], result.flat)
+                for operand in (theta, v):
+                    assert not np.shares_memory(result[name], operand[name])
 
     def test_symmetry_of_quadratic_form(self):
         # u . (H v) == v . (H u) for an exact Hessian
