@@ -25,7 +25,7 @@ from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from .errors import ConfigError
 from .meta_learners import TrainerConfig
-from .tasks import PreprocessConfig
+from .tasks import PreprocessConfig, check_split
 
 DATASET_KINDS = ("synthetic", "movielens")
 
@@ -53,6 +53,7 @@ class SyntheticConfig:
             raise ConfigError("n_tasks, support_size, query_size must be >= 1")
         if self.noise_sd < 0.0:
             raise ConfigError("noise_sd must be non-negative")
+        check_split(self.split, self.n_tasks)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -58,6 +58,7 @@ from .model import (
     init_dense_stack,
     init_params,
     loss,
+    predict,
     user_embedding,
 )
 from .params import ParamSet, axpy_update
@@ -748,8 +749,8 @@ def _evaluate_encoded(theta, spec, config, head, msgd_alpha, tree,
         h = user_embedding(theta, spec, ep.user_ids)
         alpha = _resolve_rate(config, head, msgd_alpha, tree, h)[0]
         theta_u, _ = adapt_with_gradient(theta, spec, alpha, ep.support)
-        q_user_ids, q_items, q_targets = ep.query
-        predictions, _ = forward(theta_u, spec, q_user_ids, q_items)
+        q_targets = ep.query[2]
+        predictions = predict(theta_u, spec, ep.query)
         if not np.all(np.isfinite(predictions)):
             raise NumericError(f"non-finite predictions for user {ep.user_key!r}")
         query_loss = loss(kind, predictions, q_targets)

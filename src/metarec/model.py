@@ -43,6 +43,7 @@ __all__ = [
     "init_params",
     "init_dense_stack",
     "forward",
+    "predict",
     "user_embedding",
     "loss",
     "grad",
@@ -319,6 +320,18 @@ def forward(theta: ParamSet, spec: ModelSpec, user_ids, items):
     user_ids, items = _check_episode(spec, user_ids, items)
     z_out, u, _, _ = _forward_core(theta, spec, user_ids, items)
     return _predictions_from_output(spec, z_out), u.copy()
+
+
+def predict(theta: ParamSet, spec: ModelSpec, episode) -> np.ndarray:
+    """Predictions for the items of an episode ``(user_ids, items, targets)``.
+
+    Like `forward` without the embedding, and a `CheckedEpisode` checked
+    against ``spec`` is not checked again.
+    """
+    _check_theta(theta, spec)
+    user_ids, items, _ = _episode_arrays(spec, episode)
+    z_out, _, _, _ = _forward_core(theta, spec, user_ids, items)
+    return _predictions_from_output(spec, z_out)
 
 
 def user_embedding(theta: ParamSet, spec: ModelSpec, user_ids) -> np.ndarray:

@@ -168,7 +168,7 @@ def embedding_rows(model: TrainedModel, splits: DatasetSplits,
     width = None
     for name in subsets:
         for episode in by_name[name]:
-            user_ids, _, _ = splits.encode(episode.user, [])
+            user_ids, _, _ = splits.encode(episode.user, episode.support)
             h = user_embedding(model.theta, model.spec, user_ids)
             if width is None:
                 width = h.size

@@ -1,15 +1,23 @@
-"""Task data model: ingestion, filtering, splits, and synthetic generators.
+"""Task data model: columnar ingestion, filtering, splits, and synthetic generators.
 
-Users become few-shot episodes: a profile plus support/query interaction
-sets.  The pipeline ranks users by activity, keeps the cold-start tail,
-filters out malformed profiles, splits users 7:1:2, and splits each user's
-interactions 80:20.  Feature vocabularies are built over the surviving
-population; major/minor labels follow the top-populous-value rule with
-counts taken from the training split only.
+Users become few-shot episodes: a profile plus support and query sets.  From
+parsing to the model, interactions live in numpy columns, never in one Python
+object per rating.  The loader keeps every usable rating line as one entry of
+four columns (int64 user, item and timestamp, float64 feedback).
+`preprocess` ranks users by activity, keeps the cold-start tail, filters out
+malformed profiles, splits users 7:1:2 and each user's interactions 80:20,
+then gathers each split's interactions into one set of columns whose item
+features are already vocabulary ids.  An episode's support and query sets
+are read-only row ranges of those columns, so encoding an episode is slicing.
+Feature vocabularies are built over the surviving population in ``repr``
+order; major/minor labels follow the top-populous-value rule with counts
+taken from the training split only.
 """
 
+import numbers
 import re
 import warnings
+from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -24,6 +32,7 @@ ZIP_PREFIX_LEN = 1
 RATING_RANGE = (1.0, 5.0)
 MAX_SKIPPED_FRACTION = 0.01
 MAJOR_FEATURE_THRESHOLD = 2  # strictly more than this many head values => major
+INT64_RANGE = (-(2 ** 63), 2 ** 63 - 1)
 
 
 @dataclass(frozen=True)
@@ -32,26 +41,62 @@ class UserProfile:
     features: Tuple
 
 
-@dataclass(frozen=True)
-class Interaction:
-    item_id: object
-    features: Tuple
-    feedback: float
-    timestamp: Optional[int] = None
+@dataclass(frozen=True, eq=False)
+class InteractionColumns:
+    """Interactions as columns, one row per interaction.
+
+    ``item_ids`` holds the raw item ids, ``items`` the (n, n_item_features)
+    item feature vocabulary ids, ``feedback`` the float64 targets and
+    ``timestamps`` the int64 times (0 where the source has none).  Build
+    one with `_read_only_columns`; `rows` views inherit its read-only flags.
+    """
+
+    item_ids: np.ndarray
+    items: np.ndarray
+    feedback: np.ndarray
+    timestamps: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.feedback)
+
+    def rows(self, start: int, stop: int) -> "InteractionColumns":
+        """Rows ``start:stop`` as views of these columns."""
+        return InteractionColumns(self.item_ids[start:stop], self.items[start:stop],
+                                  self.feedback[start:stop], self.timestamps[start:stop])
+
+
+def _read_only_columns(item_ids, items, feedback, timestamps) -> InteractionColumns:
+    for column in (item_ids, items, feedback, timestamps):
+        column.flags.writeable = False
+    return InteractionColumns(item_ids, items, feedback, timestamps)
 
 
 @dataclass(frozen=True)
 class TaskEpisode:
     user: UserProfile
-    support: Tuple[Interaction, ...]
-    query: Tuple[Interaction, ...]
+    support: InteractionColumns
+    query: InteractionColumns
+
+
+@dataclass(frozen=True, eq=False)
+class RatingColumns:
+    """Usable rating lines in file order: int64 ``uid``, ``mid`` and
+    ``timestamp``, float64 ``feedback``."""
+
+    uid: np.ndarray
+    mid: np.ndarray
+    feedback: np.ndarray
+    timestamp: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.uid)
 
 
 @dataclass(frozen=True)
 class RawDataset:
     users: Dict
     movies: Dict          # item_id -> feature tuple
-    ratings: Tuple        # (user_id, item_id, feedback, timestamp)
+    ratings: RatingColumns
     skipped_lines: int
     total_lines: int
 
@@ -74,22 +119,41 @@ class DatasetSplits:
     def item_vocab_sizes(self) -> Tuple[int, ...]:
         return tuple(len(v) for v in self.item_vocabs)
 
-    def encode(self, user: UserProfile, interactions: Sequence[Interaction]):
-        """Map raw feature values to id arrays for the model."""
+    def encode(self, user: UserProfile, part: InteractionColumns):
+        """Model inputs ``(user_ids, items, feedback)`` for one user's interactions."""
         try:
             user_ids = np.array([vocab[value] for vocab, value
                                  in zip(self.user_vocabs, user.features)], dtype=np.int64)
         except KeyError as exc:
             raise DataError(f"user {user.user_id!r} carries unknown feature value {exc}")
-        items = np.empty((len(interactions), len(self.item_vocabs)), dtype=np.int64)
-        targets = np.empty(len(interactions), dtype=np.float64)
-        for row, inter in enumerate(interactions):
-            for col, (vocab, value) in enumerate(zip(self.item_vocabs, inter.features)):
-                if value not in vocab:
-                    raise DataError(f"item {inter.item_id!r} carries unknown feature value {value!r}")
-                items[row, col] = vocab[value]
-            targets[row] = inter.feedback
-        return user_ids, items, targets
+        return user_ids, part.items, part.feedback
+
+
+def _split_counts(n: int, parts: Tuple[int, int, int]) -> Tuple[int, int]:
+    total = sum(parts)
+    first = (parts[0] * n) // total
+    second = ((parts[0] + parts[1]) * n) // total
+    return first, second
+
+
+def check_split(split, n_users: Optional[int] = None) -> None:
+    """Reject a train/validation/test user split that cannot yield both a
+    train and a test user.
+
+    ``split`` must be three non-negative integers with positive train and test
+    shares (a zero validation share is legal).  A positive test share always
+    yields a test user; given ``n_users``, the train count must be positive too.
+    """
+    if (len(split) != 3
+            or not all(isinstance(s, numbers.Integral) and not isinstance(s, bool)
+                       and s >= 0 for s in split)
+            or split[0] == 0 or split[2] == 0):
+        raise ConfigError(f"dataset.split must be three non-negative integers with "
+                          f"positive train and test shares, got {tuple(split)}")
+    if n_users is not None:
+        if _split_counts(n_users, tuple(split))[0] == 0:
+            raise ConfigError(f"dataset.split {tuple(split)} leaves the train split of "
+                              f"{n_users} users empty")
 
 
 @dataclass(frozen=True)
@@ -105,10 +169,13 @@ class PreprocessConfig:
             raise ConfigError("cold_start_fraction must be in (0, 1]")
         if self.min_items < 2:
             raise ConfigError("min_items must be >= 2 so query sets are non-empty")
-        if len(self.split) != 3 or any(s < 0 for s in self.split) or sum(self.split) <= 0:
-            raise ConfigError("split must be three non-negative integers")
+        check_split(self.split)
         if not (0.0 < self.support_ratio < 1.0):
             raise ConfigError("support_ratio must be in (0, 1)")
+
+
+def _in_int64(value: int) -> bool:
+    return INT64_RANGE[0] <= value <= INT64_RANGE[1]
 
 
 def _parse_users(path) -> Tuple[Dict, int, int]:
@@ -134,6 +201,9 @@ def _parse_users(path) -> Tuple[Dict, int, int]:
                 age = int(age_s)
                 occupation = int(occupation_s)
             except ValueError:
+                skipped += 1
+                continue
+            if not _in_int64(uid):
                 skipped += 1
                 continue
             users[uid] = {"gender": gender, "age": age,
@@ -164,12 +234,18 @@ def _parse_movies(path) -> Tuple[Dict, int, int]:
             except ValueError:
                 skipped += 1
                 continue
+            if not _in_int64(mid):
+                skipped += 1
+                continue
             movies[mid] = (genres,)
     return movies, skipped, total
 
 
-def _parse_ratings(path, users, movies) -> Tuple[List, int, int]:
-    ratings: List = []
+def _parse_ratings(path, users, movies) -> Tuple[RatingColumns, int, int]:
+    # user and movie ids already fit int64 (their parsers skip any that do not)
+    uids, mids, stamps, feedback = array("q"), array("q"), array("q"), array("d")
+    low, high = RATING_RANGE
+    stamp_low, stamp_high = INT64_RANGE
     skipped = total = 0
     try:
         handle = open(path, encoding="latin-1")
@@ -188,7 +264,7 @@ def _parse_ratings(path, users, movies) -> Tuple[List, int, int]:
             try:
                 uid = int(parts[0])
                 mid = int(parts[1])
-                feedback = float(parts[2])
+                value = float(parts[2])
                 timestamp = int(parts[3])
             except ValueError:
                 skipped += 1
@@ -196,23 +272,31 @@ def _parse_ratings(path, users, movies) -> Tuple[List, int, int]:
             if uid not in users or mid not in movies:
                 skipped += 1
                 continue
-            if not (RATING_RANGE[0] <= feedback <= RATING_RANGE[1]):
+            if not (low <= value <= high) or not (stamp_low <= timestamp <= stamp_high):
                 skipped += 1
                 continue
-            ratings.append((uid, mid, feedback, timestamp))
-    return ratings, skipped, total
+            uids.append(uid)
+            mids.append(mid)
+            feedback.append(value)
+            stamps.append(timestamp)
+    columns = RatingColumns(uid=np.frombuffer(uids, dtype=np.int64),
+                            mid=np.frombuffer(mids, dtype=np.int64),
+                            feedback=np.frombuffer(feedback, dtype=np.float64),
+                            timestamp=np.frombuffer(stamps, dtype=np.int64))
+    return columns, skipped, total
 
 
 def load_movielens(ratings_path, users_path, movies_path) -> RawDataset:
     """Parse `::`-separated Latin-1 rating/user/movie files.
 
-    Unparseable or dangling lines are skipped and counted; more than 1% of
-    skipped lines in any file aborts the load.
+    Unparseable or dangling lines are skipped and counted, as are ratings
+    outside 1-5 and ids or timestamps outside int64; more than 1% of skipped
+    lines in any file aborts the load.
     """
     users, skipped_u, total_u = _parse_users(users_path)
     movies, skipped_m, total_m = _parse_movies(movies_path)
     ratings, skipped_r, total_r = _parse_ratings(ratings_path, users, movies)
-    if total_r == 0 or not ratings:
+    if total_r == 0 or not len(ratings):
         raise DataError("ratings file holds no usable records")
     for name, skipped, total in (("users", skipped_u, total_u),
                                  ("movies", skipped_m, total_m),
@@ -223,7 +307,7 @@ def load_movielens(ratings_path, users_path, movies_path) -> RawDataset:
     if skipped_u or skipped_m or skipped_r:
         warnings.warn(
             f"skipped lines while loading: users={skipped_u} movies={skipped_m} ratings={skipped_r}")
-    return RawDataset(users=users, movies=movies, ratings=tuple(ratings),
+    return RawDataset(users=users, movies=movies, ratings=ratings,
                       skipped_lines=skipped_u + skipped_m + skipped_r,
                       total_lines=total_u + total_m + total_r)
 
@@ -242,22 +326,6 @@ def _profile_from_raw(uid, rec) -> Optional[UserProfile]:
         return None
     return UserProfile(user_id=uid,
                        features=(gender, age, rec["occupation"], zipcode[:ZIP_PREFIX_LEN]))
-
-
-def _split_counts(n: int, parts: Tuple[int, int, int]) -> Tuple[int, int]:
-    total = sum(parts)
-    first = (parts[0] * n) // total
-    second = ((parts[0] + parts[1]) * n) // total
-    return first, second
-
-
-def _split_interactions(interactions: List[Interaction], ratio: float,
-                        rng: np.random.Generator) -> Tuple[Tuple, Tuple]:
-    order = rng.permutation(len(interactions))
-    shuffled = [interactions[i] for i in order]
-    support_size = int(np.ceil(ratio * len(shuffled)))
-    support_size = min(support_size, len(shuffled) - 1)
-    return tuple(shuffled[:support_size]), tuple(shuffled[support_size:])
 
 
 def classify_major_minor(profiles: Sequence[UserProfile],
@@ -294,24 +362,25 @@ def _build_vocab(values) -> Dict:
 
 def preprocess(raw: RawDataset, config: PreprocessConfig) -> DatasetSplits:
     """Cold-start ranking, validity filters, user splits, episode splits."""
-    counts: Dict = {uid: 0 for uid in raw.users}
-    by_user: Dict = {uid: [] for uid in raw.users}
-    for uid, mid, feedback, timestamp in raw.ratings:
-        counts[uid] += 1
-        by_user[uid].append(Interaction(item_id=mid, features=raw.movies[mid],
-                                        feedback=feedback, timestamp=timestamp))
+    ratings = raw.ratings
+    user_keys = sorted(raw.users)
+    slot = {uid: pos for pos, uid in enumerate(user_keys)}
+    owner = np.searchsorted(np.array(user_keys, dtype=np.int64), ratings.uid)
+    counts = np.bincount(owner, minlength=len(user_keys))
 
-    # stage 1: keep the cold-start tail, the users with the least log data
-    ranked = sorted(raw.users, key=lambda uid: (counts[uid], uid))
+    # stage 1: keep the cold-start tail, the users with the least log data;
+    # slots are in uid order, so a stable sort ranks by (count, uid)
+    ranked = np.argsort(counts, kind="stable")
     keep = ranked[:int(np.floor(config.cold_start_fraction * len(ranked)))]
 
     # stage 2: profile validity and minimum interaction count
     profiles: List[UserProfile] = []
-    for uid in keep:
+    for pos in keep.tolist():
+        uid = user_keys[pos]
         profile = _profile_from_raw(uid, raw.users[uid])
         if profile is None:
             continue
-        if counts[uid] < config.min_items:
+        if counts[pos] < config.min_items:
             continue
         profiles.append(profile)
     if not profiles:
@@ -325,24 +394,55 @@ def preprocess(raw: RawDataset, config: PreprocessConfig) -> DatasetSplits:
     first, second = _split_counts(len(shuffled), config.split)
     groups = (shuffled[:first], shuffled[first:second], shuffled[second:])
 
-    # vocabularies span every surviving user and their items
+    # the ratings of surviving users, in file order
+    surviving = np.zeros(len(user_keys), dtype=bool)
+    surviving[[slot[p.user_id] for p in profiles]] = True
+    kept = np.flatnonzero(surviving[owner])
+    mid, owner = ratings.mid[kept], owner[kept]
+    feedback, timestamp = ratings.feedback[kept], ratings.timestamp[kept]
+
+    # vocabularies span every surviving user and the items they rated; one
+    # lookup array maps each distinct movie to its item feature ids
     user_vocabs = tuple(_build_vocab(p.features[pos] for p in profiles)
                         for pos in range(len(USER_FEATURE_NAMES)))
-    item_values: List = []
-    for profile in profiles:
-        item_values.extend(inter.features for inter in by_user[profile.user_id])
-    item_vocabs = tuple(_build_vocab(values[pos] for values in item_values)
+    movie_ids, movie_of = np.unique(mid, return_inverse=True)
+    movie_ids = movie_ids.tolist()
+    item_vocabs = tuple(_build_vocab(raw.movies[m][pos] for m in movie_ids)
                         for pos in range(len(ITEM_FEATURE_NAMES)))
+    movie_items = np.array([[vocab[value] for vocab, value in zip(item_vocabs, raw.movies[m])]
+                            for m in movie_ids], dtype=np.int64)
 
-    # stage 4: per-user support/query split, in deterministic user order
+    # each user's ratings as one contiguous run, ordered by (timestamp, repr
+    # of the item id) with exact ties in file order: integer ids compare as
+    # strings, so "10" sorts before "9"
+    repr_rank = np.empty(len(movie_ids), dtype=np.int64)
+    repr_rank[sorted(range(len(movie_ids)), key=lambda m: repr(movie_ids[m]))] = \
+        np.arange(len(movie_ids))
+    by_user = np.lexsort((repr_rank[movie_of], timestamp, owner))
+    kept_counts = np.where(surviving, counts, 0)
+    starts = (np.cumsum(kept_counts) - kept_counts).tolist()
+    counts = counts.tolist()
+
+    # stage 4: per-user support/query split, in deterministic user order; each
+    # split's interactions are gathered into one set of columns
     episode_groups: List[Tuple[TaskEpisode, ...]] = []
     for group in groups:
-        episodes = []
+        picks, sizes = [], []
         for profile in group:
-            interactions = sorted(by_user[profile.user_id],
-                                  key=lambda r: (r.timestamp or 0, repr(r.item_id)))
-            support, query = _split_interactions(interactions, config.support_ratio, rng)
-            episodes.append(TaskEpisode(user=profile, support=support, query=query))
+            pos = slot[profile.user_id]
+            n = counts[pos]
+            picks.append(by_user[starts[pos]:starts[pos] + n][rng.permutation(n)])
+            sizes.append((n, min(int(np.ceil(config.support_ratio * n)), n - 1)))
+        rows = np.concatenate(picks) if picks else np.zeros(0, dtype=np.int64)
+        columns = _read_only_columns(mid[rows], movie_items[movie_of[rows]],
+                                     feedback[rows], timestamp[rows])
+        episodes = []
+        offset = 0
+        for profile, (n, support_size) in zip(group, sizes):
+            episodes.append(TaskEpisode(user=profile,
+                                        support=columns.rows(offset, offset + support_size),
+                                        query=columns.rows(offset + support_size, offset + n)))
+            offset += n
         episode_groups.append(tuple(episodes))
 
     train_ids = {ep.user.user_id for ep in episode_groups[0]}
@@ -363,7 +463,10 @@ def synth_two_group(p1: float, p2: float, x1: float, x2: float, n_tasks: int,
 
     Each task belongs to group 1 with probability p1; its targets scatter
     around the group preference x_g with Gaussian noise.  The single user
-    feature is the group id, so embeddings can separate the groups.
+    feature is the group id, so embeddings can separate the groups.  Every
+    task's interactions are one row range of shared columns: item ids count
+    from 0 within a task, the one item feature value has id 0, and
+    timestamps are 0.
     """
     if not (p1 > 0.0 and p2 >= 0.0 and abs(p1 + p2 - 1.0) < 1e-12):
         raise ConfigError("group probabilities must be non-negative and sum to 1")
@@ -372,18 +475,23 @@ def synth_two_group(p1: float, p2: float, x1: float, x2: float, n_tasks: int,
     if n_tasks < 1 or support_size < 1 or query_size < 1:
         raise ConfigError("n_tasks, support_size, query_size must be >= 1")
     rng = np.random.default_rng(seed)
-    episodes = []
+    size = support_size + query_size
+    groups = []
+    normals = np.empty((n_tasks, size))
     for task in range(n_tasks):
-        group = 1 if rng.uniform() < p1 else 2
-        center = x1 if group == 1 else x2
-        targets = center + noise_sd * rng.standard_normal(support_size + query_size)
-        user = UserProfile(user_id=task, features=(group,))
-        interactions = tuple(
-            Interaction(item_id=j, features=(SYNTH_ITEM_FEATURE_VALUE,), feedback=float(t))
-            for j, t in enumerate(targets))
-        episodes.append(TaskEpisode(user=user,
-                                    support=interactions[:support_size],
-                                    query=interactions[support_size:]))
+        groups.append(1 if rng.uniform() < p1 else 2)
+        normals[task] = rng.standard_normal(size)
+    centers = np.array([x1 if group == 1 else x2 for group in groups], dtype=np.float64)
+    targets = centers[:, None] + noise_sd * normals
+    columns = _read_only_columns(np.tile(np.arange(size, dtype=np.int64), n_tasks),
+                                 np.zeros((n_tasks * size, 1), dtype=np.int64),
+                                 targets.reshape(-1), np.zeros(n_tasks * size, dtype=np.int64))
+    episodes = []
+    for task, group in enumerate(groups):
+        start = task * size
+        episodes.append(TaskEpisode(user=UserProfile(user_id=task, features=(group,)),
+                                    support=columns.rows(start, start + support_size),
+                                    query=columns.rows(start + support_size, start + size)))
     return episodes
 
 
@@ -392,6 +500,7 @@ def synthetic_splits(p1: float, p2: float, x1: float, x2: float, n_tasks: int,
                      query_size: int = 5,
                      split: Tuple[int, int, int] = (7, 1, 2)) -> DatasetSplits:
     """Package two-group episodes as train/validation/test splits."""
+    check_split(split, n_tasks)
     episodes = synth_two_group(p1, p2, x1, x2, n_tasks, noise_sd, seed,
                                support_size, query_size)
     rng = np.random.default_rng((seed, 1))

@@ -141,6 +141,39 @@ class TestRun:
         assert "output_kind" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("settings", [
+        ("dataset.split=-1,5,5",),
+        ("dataset.split=7,3,0",),
+        ("dataset.split=1,1",),
+        ("dataset.split=0,1,1",),
+        ("dataset.n_tasks=1",),
+        ("dataset.n_tasks=3", "dataset.split=1,5,1"),
+    ])
+    def test_bad_user_split_is_rejected_before_any_output(self, tmp_path, capsys, settings):
+        config = write_config(tmp_path)
+        out_dir = tmp_path / "out"
+        args = ["run", config, "--output-dir", str(out_dir)]
+        for setting in settings:
+            args += ["--set", setting]
+        assert main(args) == 1
+        assert "dataset.split" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_bad_user_split_is_rejected_for_movielens(self, tmp_path, capsys):
+        text = """
+dataset.kind = movielens
+dataset.ratings = missing.dat
+dataset.users = missing.dat
+dataset.movies = missing.dat
+dataset.split = 7,3,0
+run.trials = 1
+"""
+        config = write_config(tmp_path, text)
+        out_dir = tmp_path / "out"
+        assert main(["run", config, "--output-dir", str(out_dir)]) == 1
+        assert "dataset.split" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_missing_config_file_is_usage_error(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 1
 

@@ -27,6 +27,7 @@ from metarec.meta_learners import (
     TrainedModel,
     TrainerConfig,
     _clamp_nonnegative,
+    _evaluate_encoded,
     _resolve_rate,
     adapt_with_gradient,
     evaluate,
@@ -37,7 +38,9 @@ from metarec.meta_learners import (
     train,
     transfer_train,
 )
-from metarec.model import ModelSpec, forward, grad, init_params, loss, user_embedding
+from metarec import model as model_module
+from metarec.model import (ModelSpec, forward, grad, init_params, loss, predict,
+                           user_embedding)
 from metarec.params import ParamSet, axpy_update
 from metarec.tasks import synthetic_splits
 
@@ -200,6 +203,22 @@ class TestEncodedEpisodes:
             grad(trainer.theta, trainer.spec, (user_ids, bad, targets), "mse")
         with pytest.raises(DataError):
             forward(trainer.theta, trainer.spec, user_ids, bad)
+        with pytest.raises(DataError):
+            predict(trainer.theta, trainer.spec, (user_ids, bad, targets))
+
+    def test_evaluation_does_not_check_encoded_episodes_again(self, monkeypatch):
+        trainer = MetaTrainer(tiny_splits(), tiny_config())
+        checks = []
+        original = model_module._check_episode
+        monkeypatch.setattr(model_module, "_check_episode",
+                            lambda *args: checks.append(args) or original(*args))
+        records = _evaluate_encoded(trainer.theta, trainer.spec, trainer.config, trainer.head,
+                                    None, None, trainer.val_episodes)
+        assert len(records) == len(trainer.val_episodes) > 0
+        assert checks == []
+        for ep in trainer.val_episodes:
+            expected, _ = forward(trainer.theta, trainer.spec, ep.query[0], ep.query[1])
+            assert np.array_equal(predict(trainer.theta, trainer.spec, ep.query), expected)
 
     def test_clamp_keeps_layout_and_zeroes_only_negatives(self):
         ps = ParamSet({"a": np.array([[-1.0, 2.0]]), "b": np.array([0.5, 0.0, -3.0])})

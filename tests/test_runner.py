@@ -203,7 +203,7 @@ class TestEmittedArtifacts:
         _, rows = read_tsv(os.path.join(result.directory, "embeddings.tsv"))
         by_key = {(r[0], r[1]): float(r[3]) for r in rows}
         episode = splits.test[0]
-        user_ids, _, _ = splits.encode(episode.user, [])
+        user_ids, _, _ = splits.encode(episode.user, episode.support)
         h = user_embedding(model.theta, model.spec, user_ids)
         expected = float(inference_alpha(model, h))
         assert by_key[(str(episode.user.user_id), "test")] == pytest.approx(expected,

@@ -4,6 +4,7 @@ Small corpora are written into tmp_path in the `::` format so every pipeline
 stage can be exercised against hand-countable expectations.
 """
 
+import hashlib
 import os
 
 import numpy as np
@@ -15,6 +16,7 @@ from metarec.tasks import (
     DatasetSplits,
     PreprocessConfig,
     UserProfile,
+    check_split,
     classify_major_minor,
     load_movielens,
     preprocess,
@@ -34,6 +36,15 @@ def corpus_paths(tmp_path, users, movies, ratings):
     write(mp, movies)
     write(rp, ratings)
     return str(rp), str(up), str(mp)
+
+
+def assert_same_episodes(a, b):
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        assert x.user == y.user
+        for part_x, part_y in ((x.support, y.support), (x.query, y.query)):
+            for column in ("item_ids", "items", "feedback", "timestamps"):
+                assert np.array_equal(getattr(part_x, column), getattr(part_y, column))
 
 
 def simple_corpus(tmp_path, n_users=12, items_per_user=6, n_movies=8):
@@ -60,7 +71,12 @@ class TestLoader:
         raw = load_movielens(*paths)
         assert raw.users[1] == {"gender": "F", "age": 1, "occupation": 10, "zipcode": "48067"}
         assert raw.movies[1] == ("Animation|Comedy",)
-        assert raw.ratings[0] == (1, 1, 5.0, 978300760)
+        assert raw.ratings.uid.tolist() == [1, 1]
+        assert raw.ratings.mid.tolist() == [1, 1]
+        assert raw.ratings.feedback.tolist() == [5.0, 4.0]
+        assert raw.ratings.timestamp.tolist() == [978300760, 978300761]
+        assert [raw.ratings.uid.dtype, raw.ratings.mid.dtype, raw.ratings.feedback.dtype,
+                raw.ratings.timestamp.dtype] == [np.int64, np.int64, np.float64, np.int64]
 
     def test_empty_ratings_file_rejected(self, tmp_path):
         paths = corpus_paths(
@@ -126,6 +142,20 @@ class TestLoader:
             ratings=ratings,
         )
         with pytest.warns(UserWarning):
+            raw = load_movielens(*paths)
+        assert len(raw.ratings) == 300
+
+    def test_values_outside_int64_skipped(self, tmp_path):
+        big = 2 ** 63
+        ratings = [f"1::1::3::{978300000 + i}" for i in range(300)]
+        ratings += [f"1::1::3::{big}", f"{big}::1::3::978300000", f"1::{big}::3::978300000"]
+        paths = corpus_paths(
+            tmp_path,
+            users=[f"{u}::F::25::10::48067" for u in list(range(1, 200)) + [big]],
+            movies=[f"{m}::Feature {m} (1995)::Drama" for m in list(range(1, 200)) + [big]],
+            ratings=ratings,
+        )
+        with pytest.warns(UserWarning, match="users=1 movies=1 ratings=3"):
             raw = load_movielens(*paths)
         assert len(raw.ratings) == 300
 
@@ -210,16 +240,19 @@ class TestPreprocess:
         raw = load_movielens(*simple_corpus(tmp_path))
         splits = preprocess(raw, PreprocessConfig(seed=2, cold_start_fraction=1.0))
         for ep in splits.all_episodes():
-            support_keys = {(i.item_id, i.timestamp) for i in ep.support}
-            query_keys = {(i.item_id, i.timestamp) for i in ep.query}
+            support_keys = set(zip(ep.support.item_ids.tolist(), ep.support.timestamps.tolist()))
+            query_keys = set(zip(ep.query.item_ids.tolist(), ep.query.timestamps.tolist()))
             assert not (support_keys & query_keys)
-            assert ep.support and ep.query
+            assert len(ep.support) and len(ep.query)
 
     def test_same_seed_reproduces_splits_exactly(self, tmp_path):
         paths = simple_corpus(tmp_path)
         a = preprocess(load_movielens(*paths), PreprocessConfig(seed=9))
         b = preprocess(load_movielens(*paths), PreprocessConfig(seed=9))
-        assert a == b
+        for name in ("train", "validation", "test"):
+            assert_same_episodes(getattr(a, name), getattr(b, name))
+        assert (a.user_vocabs, a.item_vocabs, a.is_major) == (b.user_vocabs, b.item_vocabs,
+                                                              b.is_major)
 
     def test_different_seeds_shuffle_users(self, tmp_path):
         paths = simple_corpus(tmp_path, n_users=20)
@@ -242,9 +275,29 @@ class TestPreprocess:
         user_ids, items, targets = splits.encode(ep.user, ep.support)
         assert user_ids.shape == (4,)
         assert items.shape == (len(ep.support), 1)
-        assert np.all(targets == [i.feedback for i in ep.support])
+        assert np.all(targets == ep.support.feedback)
         for pos, vocab in enumerate(splits.user_vocabs):
             assert user_ids[pos] == vocab[ep.user.features[pos]]
+        for row, item_id in enumerate(ep.support.item_ids.tolist()):
+            assert items[row, 0] == splits.item_vocabs[0][raw.movies[item_id][0]]
+        # each rating keeps its own feedback and timestamp through the split
+        lines = {(u, m, t): f for u, m, f, t in zip(
+            raw.ratings.uid.tolist(), raw.ratings.mid.tolist(),
+            raw.ratings.feedback.tolist(), raw.ratings.timestamp.tolist())}
+        for item_id, stamp, value in zip(ep.support.item_ids.tolist(),
+                                         ep.support.timestamps.tolist(), targets.tolist()):
+            assert lines[(ep.user.user_id, item_id, stamp)] == value
+
+    def test_episode_columns_are_read_only_views_of_their_split(self, tmp_path):
+        raw = load_movielens(*simple_corpus(tmp_path))
+        splits = preprocess(raw, PreprocessConfig(seed=0, cold_start_fraction=1.0))
+        for group in (splits.train, splits.validation, splits.test):
+            base = group[0].support.feedback.base
+            for ep in group:
+                for part in (ep.support, ep.query):
+                    assert part.feedback.base is base
+                    for column in (part.item_ids, part.items, part.feedback, part.timestamps):
+                        assert not column.flags.writeable
 
     def test_min_items_below_two_rejected(self):
         with pytest.raises(ConfigError):
@@ -313,8 +366,8 @@ class TestSynthTwoGroup:
         episodes = synth_two_group(0.6, 0.4, -1.5, 2.5, n_tasks=100, noise_sd=0.0, seed=1)
         for ep in episodes:
             center = -1.5 if ep.user.features[0] == 1 else 2.5
-            for inter in ep.support + ep.query:
-                assert inter.feedback == center
+            assert np.all(ep.support.feedback == center)
+            assert np.all(ep.query.feedback == center)
 
     def test_support_query_sizes(self):
         episodes = synth_two_group(0.8, 0.2, 0.0, 1.0, n_tasks=10, noise_sd=0.1, seed=2,
@@ -341,7 +394,63 @@ class TestSynthTwoGroup:
     def test_deterministic_given_seed(self):
         a = synth_two_group(0.8, 0.2, 0.0, 1.0, n_tasks=20, noise_sd=0.2, seed=11)
         b = synth_two_group(0.8, 0.2, 0.0, 1.0, n_tasks=20, noise_sd=0.2, seed=11)
-        assert a == b
+        assert_same_episodes(a, b)
+
+    def test_targets_follow_one_draw_per_task(self):
+        # one uniform, then one standard normal vector per task, in task order
+        rng = np.random.default_rng(6)
+        episodes = synth_two_group(0.7, 0.3, -1.0, 2.0, n_tasks=30, noise_sd=0.5, seed=6,
+                                   support_size=3, query_size=2)
+        for ep in episodes:
+            group = 1 if rng.uniform() < 0.7 else 2
+            targets = (-1.0 if group == 1 else 2.0) + 0.5 * rng.standard_normal(5)
+            assert ep.user.features == (group,)
+            assert np.array_equal(np.concatenate([ep.support.feedback, ep.query.feedback]),
+                                  targets)
+            assert ep.support.item_ids.tolist() == [0, 1, 2]
+            assert ep.query.item_ids.tolist() == [3, 4]
+
+
+class TestSplitShares:
+    @pytest.mark.parametrize("split", [(-1, 5, 5), (7, 3, 0), (0, 1, 1), (1, 1), (7, 1, 2, 1),
+                                       (0.7, 0.1, 0.2), (True, 1, 1)])
+    def test_bad_split_rejected(self, split):
+        with pytest.raises(ConfigError, match="dataset.split"):
+            check_split(split)
+        with pytest.raises(ConfigError, match="dataset.split"):
+            PreprocessConfig(split=split)
+        with pytest.raises(ConfigError, match="dataset.split"):
+            synthetic_splits(0.8, 0.2, 0.0, 1.0, n_tasks=40, noise_sd=0.1, seed=0, split=split)
+
+    def test_zero_validation_share_is_legal(self):
+        check_split((4, 0, 1))
+        splits = synthetic_splits(0.8, 0.2, 0.0, 1.0, n_tasks=10, noise_sd=0.1, seed=0,
+                                  split=(4, 0, 1))
+        assert (len(splits.train), len(splits.validation), len(splits.test)) == (8, 0, 2)
+
+    @pytest.mark.parametrize("n_tasks,split", [(1, (7, 1, 2)), (3, (1, 5, 1)), (4, (1, 1, 3))])
+    def test_too_few_tasks_for_a_train_user_rejected(self, n_tasks, split):
+        # a positive test share always yields a test user; train can round to 0
+        with pytest.raises(ConfigError, match="empty"):
+            check_split(split, n_tasks)
+        with pytest.raises(ConfigError, match="empty"):
+            synthetic_splits(0.8, 0.2, 0.0, 1.0, n_tasks=n_tasks, noise_sd=0.1, seed=0,
+                             split=split)
+
+    @pytest.mark.parametrize("split", [(7, 1, 2), (1, 0, 1), (1, 5, 1), (9, 0, 1)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_user_sets_never_overlap(self, tmp_path, split, seed):
+        synth = synthetic_splits(0.8, 0.2, 0.0, 1.0, n_tasks=50, noise_sd=0.1, seed=seed,
+                                 split=split)
+        raw = load_movielens(*simple_corpus(tmp_path, n_users=30))
+        corpus = preprocess(raw, PreprocessConfig(seed=seed, cold_start_fraction=1.0,
+                                                  split=split))
+        for splits in (synth, corpus):
+            groups = [[ep.user.user_id for ep in group]
+                      for group in (splits.train, splits.validation, splits.test)]
+            users = [uid for group in groups for uid in group]
+            assert len(users) == len(set(users))
+            assert groups[0] and groups[2]
 
 
 class TestGeneratedCorpus:
@@ -370,6 +479,65 @@ class TestGeneratedCorpus:
         tail = [flag for uid, flag in splits.is_major.items() if uid > 160]
         assert np.mean(head) > 0.6
         assert np.mean(tail) < 0.4
+
+
+def split_digest(splits):
+    """sha256 over every encoded episode in split order, the vocabularies and labels."""
+    digest = hashlib.sha256()
+    for name in ("train", "validation", "test"):
+        digest.update(name.encode("utf-8"))
+        for ep in getattr(splits, name):
+            digest.update(repr(ep.user.user_id).encode("utf-8"))
+            for part in (ep.support, ep.query):
+                for arr in splits.encode(ep.user, part):
+                    arr = np.ascontiguousarray(arr)
+                    digest.update(repr((arr.dtype.str, arr.shape)).encode("utf-8"))
+                    digest.update(arr.tobytes())
+    for value in (splits.user_vocabs, splits.item_vocabs, splits.is_major):
+        digest.update(repr(value).encode("utf-8"))
+    return digest.hexdigest()
+
+
+def tie_corpus(tmp_path):
+    """Movies 9 and 10 rated at one timestamp by every user, some twice.
+
+    Integer ids order as strings ("10" < "9") and exact ties keep file order,
+    so each user's sorted ratings differ from both numeric and reversed order.
+    """
+    users = [f"{u}::{'F' if u % 3 else 'M'}::{20 + u}::{u % 4}::{30000 + u}"
+             for u in range(1, 11)]
+    movies = [f"{m}::Feature {m} (1990)::Genre{m % 5}" for m in range(1, 13)]
+    ratings = []
+    for u in range(1, 11):
+        stamp = 978300000 + (u % 3)
+        ratings.append(f"{u}::9::{u % 5 + 1}::{stamp}")
+        ratings.append(f"{u}::10::{(u + 2) % 5 + 1}::{stamp}")
+        ratings.append(f"{u}::9::{(u + 3) % 5 + 1}::{stamp}")
+        ratings.append(f"{u}::{u % 8 + 1}::{(u + 1) % 5 + 1}::{stamp - 1}")
+        ratings.append(f"{u}::11::{(u + 4) % 5 + 1}::{stamp}")
+        ratings.append(f"{u}::2::3::{stamp + 5}")
+    return corpus_paths(tmp_path, users, movies, ratings)
+
+
+class TestSplitDigests:
+    """Encoded splits pinned bit for bit; the digests were recorded before the
+    pipeline moved to numpy columns and must never change."""
+
+    def test_synthetic_splits(self):
+        splits = synthetic_splits(0.8, 0.2, 0.0, 1.0, 100, 0.1, seed=3)
+        assert split_digest(splits) == "bff4cb3f1a22a90fed6b1e4339e2abf09a54035a47ef0e1830ed656353e43e65"
+
+    def test_generated_corpus(self, tmp_path):
+        paths = generate_corpus(tmp_path / "corpus", n_users=60, n_movies=40, seed=5)
+        raw = load_movielens(paths["ratings"], paths["users"], paths["movies"])
+        splits = preprocess(raw, PreprocessConfig(seed=0))
+        assert split_digest(splits) == "7eccd7fbde9817ff12f24b71fb781a63e58a1a5939c962b852a7ad64c8f52ec4"
+
+    def test_repr_order_and_file_order_ties(self, tmp_path):
+        raw = load_movielens(*tie_corpus(tmp_path))
+        splits = preprocess(raw, PreprocessConfig(seed=4, cold_start_fraction=1.0,
+                                                  support_ratio=0.5))
+        assert split_digest(splits) == "3655915616228b151b31a1fdf6912be2058e3de1185d5bd46d7a3805ab43f726"
 
 
 ML_DIR = os.environ.get("MOVIELENS_1M_DIR")
