@@ -1,17 +1,20 @@
 """Embedding memory (the paper's "tree") with kernel-weighted rate blending.
 
-The memory stores (embedding, learning rate, recency) triples.  Lookups return
-the K nearest stored embeddings; their rates are blended with Gaussian-kernel
-weights into a prior for the query user.  Stored nodes are trainable: callers
-push gradients back through the blend and the memory applies descent steps.
+Lookups return the K nearest stored user embeddings, and their learned rates
+are blended with Gaussian-kernel weights into a prior for the query user.
+Stored nodes are trainable: callers push gradients back through the blend.
 
-Every search is one exact scan over all stored embeddings, ordered by
-(squared distance, node id).  At the tens of dimensions of user embeddings a
-kd-tree would visit nearly every point anyway (Weber, Schek & Blott, VLDB 1998).
+Nodes are rows of numpy columns (ids, embeddings n x dim, rates, recency,
+freq) plus a node-id -> row map.  A store writes one row (an evicting store
+reuses the victim's), an update rewrites rows in place, and the columns grow
+geometrically up to capacity.  A search is one exact scan ordered by (squared
+distance, node id): at the tens of dimensions of user embeddings a kd-tree
+would visit nearly every point anyway (Weber, Schek & Blott, VLDB 1998).  No
+index is ever rebuilt, so ``_dirty`` stays False; it remains because the
+benchmark's tracer counts each search that finds it set as a rebuild.
 """
 
-from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -23,23 +26,43 @@ DEFAULT_SIGMA = 1e-5
 
 SEARCH_MODES = ("exact", "approximate")
 EVICTION_POLICIES = ("lru", "lfu")
+# (attribute, file key, dtype) of every per-node column, in dump order
+_COLUMNS = (("_ids", "ids", np.int64), ("_emb", "embeddings", np.float64),
+            ("_lr", "lrs", np.float64), ("_recency", "recency", np.int64),
+            ("_freq", "freq", np.int64))
 
 
 class Neighbor(NamedTuple):
-    """One search hit: stored node id, Euclidean distance, and node payload."""
+    """One search hit: stored node id, Euclidean distance, node payload, and
+    the Gaussian kernel between the query and the node at the tree's delta."""
 
     node_id: int
     distance: float
     embedding: np.ndarray
     lr: float
+    similarity: float
 
 
-@dataclass
-class MemoryNode:
-    embedding: np.ndarray
-    lr: float
-    recency: int
-    freq: int = 0
+def _node_field(attr: str, read):
+    return property(lambda view: read(getattr(view._tree, attr)[view._tree._rows[view.node_id]]))
+
+
+class NodeView:
+    """Live view of one stored node; assigning ``lr`` writes the tree."""
+
+    __slots__ = ("_tree", "node_id")
+
+    def __init__(self, tree: "TreeMemory", node_id: int):
+        self._tree, self.node_id = tree, node_id
+
+    embedding = _node_field("_emb", np.copy)
+    recency = _node_field("_recency", int)
+    freq = _node_field("_freq", int)
+    lr = _node_field("_lr", float)
+
+    @lr.setter
+    def lr(self, value: float) -> None:
+        self._tree._lr[self._tree._rows[self.node_id]] = value
 
 
 def kernel_similarity(h_i, h_k, delta: float = DEFAULT_DELTA) -> float:
@@ -67,42 +90,27 @@ def blend_lr(neighbors: Sequence[Tuple[float, float]], sigma: float = DEFAULT_SI
     return float(np.dot(sims, lrs) / denom)
 
 
-def blend_gradients(
-    h,
-    neighbors: Sequence[Neighbor],
-    upstream: float,
-    delta: float = DEFAULT_DELTA,
-    sigma: float = DEFAULT_SIGMA,
-) -> Tuple[Dict[int, np.ndarray], Dict[int, float]]:
-    """Gradients of ``upstream * alpha_tilde`` w.r.t. stored nodes.
+def blend_gradients(h, neighbors: Sequence[Neighbor], upstream: float,
+                    delta: float = DEFAULT_DELTA,
+                    sigma: float = DEFAULT_SIGMA) -> Tuple[np.ndarray, np.ndarray]:
+    """Gradients of ``upstream * alpha_tilde`` w.r.t. the neighbors' nodes.
 
     alpha_tilde = sum_k w_k lr_k with w_k = s_k / (S + sigma) and
-    s_k = exp(-delta ||h - h_k||^2).  Returns per-node embedding gradients and
-    per-node lr gradients, keyed by node id.  The query embedding is treated
-    as a constant.
+    s_k = exp(-delta ||h - h_k||^2), where s_k is the similarity the search
+    for ``h`` found, so ``delta`` must be the searched tree's.  Returns the
+    embedding gradients (one row per neighbor) and the lr gradients, in
+    neighbor order.  The query embedding is treated as a constant.
     """
     if len(neighbors) == 0:
         raise ConfigError("blend_gradients needs at least one neighbor")
     h = np.asarray(h, dtype=np.float64)
-    sims = np.array([kernel_similarity(h, nb.embedding, delta) for nb in neighbors])
+    sims = np.array([nb.similarity for nb in neighbors])
     lrs = np.array([nb.lr for nb in neighbors], dtype=np.float64)
     denom = sims.sum() + sigma
     alpha_tilde = float(np.dot(sims, lrs) / denom)
-
-    emb_grads: Dict[int, np.ndarray] = {}
-    lr_grads: Dict[int, float] = {}
-    for nb, s_k, lr_k in zip(neighbors, sims, lrs):
-        dalpha_ds = (lr_k - alpha_tilde) / denom
-        ds_dh = -2.0 * delta * s_k * (np.asarray(nb.embedding, dtype=np.float64) - h)
-        grad = upstream * dalpha_ds * ds_dh
-        weight = s_k / denom
-        if nb.node_id in emb_grads:
-            emb_grads[nb.node_id] = emb_grads[nb.node_id] + grad
-            lr_grads[nb.node_id] += upstream * weight
-        else:
-            emb_grads[nb.node_id] = grad
-            lr_grads[nb.node_id] = upstream * weight
-    return emb_grads, lr_grads
+    dalpha_ds = (lrs - alpha_tilde) / denom
+    ds_dh = (-2.0 * delta * sims)[:, None] * (np.array([nb.embedding for nb in neighbors]) - h)
+    return (upstream * dalpha_ds)[:, None] * ds_dh, upstream * (sims / denom)
 
 
 class TreeMemory:
@@ -112,16 +120,9 @@ class TreeMemory:
     stored and persisted, and ``seed`` selects nothing.
     """
 
-    def __init__(
-        self,
-        dim: int,
-        capacity: int = DEFAULT_CAPACITY,
-        mode: str = "exact",
-        delta: float = DEFAULT_DELTA,
-        sigma: float = DEFAULT_SIGMA,
-        eviction: str = "lru",
-        seed: int = 0,
-    ):
+    def __init__(self, dim: int, capacity: int = DEFAULT_CAPACITY, mode: str = "exact",
+                 delta: float = DEFAULT_DELTA, sigma: float = DEFAULT_SIGMA,
+                 eviction: str = "lru", seed: int = 0):
         if dim < 1:
             raise ConfigError("embedding dimension must be >= 1")
         if capacity < 1:
@@ -138,41 +139,54 @@ class TreeMemory:
         self.sigma = float(sigma)
         self.eviction = eviction
 
-        self._nodes: Dict[int, MemoryNode] = {}
+        for attr, _, dtype in _COLUMNS:
+            setattr(self, attr, np.empty((0, self.dim) if attr == "_emb" else 0, dtype=dtype))
+        self._n = 0
+        self._rows: Dict[int, int] = {}
         self._next_id = 0
         self._counter = 0
         self._evictions = 0
-        self._dirty = True
-        self._index_ids: Optional[np.ndarray] = None
-        self._index_points: Optional[np.ndarray] = None
+        self._dirty = False
         self.last_search_visited = 0
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return self._n
 
     @property
     def evictions(self) -> int:
         return self._evictions
 
-    def node(self, node_id: int) -> MemoryNode:
-        if node_id not in self._nodes:
+    def node(self, node_id: int) -> NodeView:
+        if node_id not in self._rows:
             raise ConfigError(f"unknown memory node id {node_id}")
-        return self._nodes[node_id]
+        return NodeView(self, node_id)
 
     def node_ids(self) -> List[int]:
-        return sorted(self._nodes)
+        return sorted(self._ids[: self._n].tolist())
 
-    def _tick(self) -> int:
-        self._counter += 1
-        return self._counter
-
-    def _evict_one(self) -> None:
+    def _free_row(self) -> int:
+        """The row past the last node, growing the columns geometrically up to
+        capacity; once full, the row of the node evicted to make room."""
+        n = self._n
+        if n < self.capacity:
+            if n == len(self._ids):
+                size = min(self.capacity, max(16, 2 * n))
+                for attr, _, _ in _COLUMNS:
+                    old = getattr(self, attr)
+                    spare = np.empty((size - n,) + old.shape[1:], dtype=old.dtype)
+                    setattr(self, attr, np.concatenate([old, spare]))
+            self._n += 1
+            return n
+        recency = self._recency[:n]
         if self.eviction == "lru":
-            victim = min(self._nodes, key=lambda i: (self._nodes[i].recency, i))
-        else:
-            victim = min(self._nodes, key=lambda i: (self._nodes[i].freq, self._nodes[i].recency, i))
-        del self._nodes[victim]
+            row = int(np.argmin(recency))
+        else:  # ticks are unique, so (freq, recency) decides
+            freq = self._freq[:n]
+            least = np.flatnonzero(freq == freq.min())
+            row = int(least[np.argmin(recency[least])])
+        del self._rows[int(self._ids[row])]
         self._evictions += 1
+        return row
 
     def store_node(self, h, lr: float) -> int:
         h = np.asarray(h, dtype=np.float64)
@@ -180,20 +194,17 @@ class TreeMemory:
             raise ConfigError(f"embedding shape {h.shape} does not match tree dim ({self.dim},)")
         if not np.all(np.isfinite(h)) or not np.isfinite(lr):
             raise DataError("non-finite embedding or learning rate offered to the memory tree")
-        if len(self._nodes) >= self.capacity:
-            self._evict_one()
+        row = self._free_row()
         node_id = self._next_id
         self._next_id += 1
-        clamped = float(min(max(lr, 0.0), 1.0))
-        self._nodes[node_id] = MemoryNode(embedding=h.copy(), lr=clamped, recency=self._tick())
-        self._dirty = True
+        self._rows[node_id] = row
+        self._ids[row] = node_id
+        self._emb[row] = h
+        self._lr[row] = min(max(lr, 0.0), 1.0)
+        self._counter += 1
+        self._recency[row] = self._counter
+        self._freq[row] = 0
         return node_id
-
-    def _rebuild(self) -> None:
-        ids = np.array(sorted(self._nodes), dtype=np.int64)
-        self._index_ids = ids
-        self._index_points = np.stack([self._nodes[i].embedding for i in ids])
-        self._dirty = False
 
     def search(self, h, k: int, touch: bool = True) -> List[Neighbor]:
         """Return up to ``k`` nearest stored nodes, closest first.
@@ -204,61 +215,59 @@ class TreeMemory:
         """
         if k < 1:
             raise ConfigError("k must be >= 1")
-        if not self._nodes:
+        n = self._n
+        if n == 0:
             raise DataError("search on an empty memory tree (warm-up must store nodes first)")
         q = np.asarray(h, dtype=np.float64)
         if q.shape != (self.dim,):
             raise ConfigError(f"query shape {q.shape} does not match tree dim ({self.dim},)")
-        if self._dirty:
-            self._rebuild()
-        ids = self._index_ids
-        d2 = ((self._index_points - q) ** 2).sum(axis=1)
-        self.last_search_visited = len(ids)
-        hits = []
-        for pos in np.lexsort((ids, d2))[:k]:
-            node_id = int(ids[pos])
-            node = self._nodes[node_id]
-            if touch:
-                node.recency = self._tick()
-                node.freq += 1
-            hits.append(Neighbor(node_id=node_id, distance=float(np.sqrt(d2[pos])),
-                                 embedding=node.embedding.copy(), lr=node.lr))
-        return hits
+        ids = self._ids[:n]
+        diff = self._emb[:n] - q
+        d2 = np.square(diff, out=diff).sum(axis=1)  # the bits of ((emb - q) ** 2).sum(axis=1)
+        self.last_search_visited = n
+        # rows up to the k-th distance, ties included, then ordered by (d2, id);
+        # ~(d2 > kth) keeps NaN rows, which the sort puts last
+        rows = np.flatnonzero(~(d2 > np.partition(d2, k - 1)[k - 1])) if k < n else np.arange(n)
+        rows = rows[np.lexsort((ids[rows], d2[rows]))[:k]]
+        if touch:
+            self._recency[rows] = np.arange(self._counter + 1, self._counter + len(rows) + 1)
+            self._counter += len(rows)
+            self._freq[rows] += 1
+        emb = self._emb[rows]
+        diff = (q - emb).reshape(len(rows), 1, self.dim)
+        # each (1 x dim) @ (dim x 1) product is the BLAS dot np.dot runs, so the
+        # kernel matches kernel_similarity bit for bit; a row sum would not
+        sims = np.exp(-self.delta * (diff @ diff.reshape(len(rows), self.dim, 1)).ravel())
+        return list(map(Neighbor, ids[rows].tolist(), np.sqrt(d2[rows]).tolist(), emb,
+                        self._lr[rows].tolist(), sims.tolist()))
 
-    def update_nodes(self, emb_grads: Dict[int, np.ndarray], lr_grads: Dict[int, float],
-                     beta: float) -> None:
-        """Apply one descent step to the touched nodes and invalidate the index."""
-        for node_id in set(emb_grads) | set(lr_grads):
-            if node_id not in self._nodes:
-                raise ConfigError(f"gradient supplied for unknown memory node id {node_id}")
-        for node_id, grad in emb_grads.items():
-            grad = np.asarray(grad, dtype=np.float64)
-            node = self._nodes[node_id]
-            if grad.shape != node.embedding.shape:
-                raise ConfigError(f"embedding gradient shape {grad.shape} does not match node")
-            node.embedding = node.embedding - beta * grad
-        for node_id, grad in lr_grads.items():
-            node = self._nodes[node_id]
-            node.lr = float(min(max(node.lr - beta * float(grad), 0.0), 1.0))
-        if emb_grads or lr_grads:
-            self._dirty = True
+    def update_nodes(self, node_ids, emb_grads, lr_grads, beta: float) -> None:
+        """One descent step on distinct nodes: row j of ``emb_grads`` and entry
+        j of ``lr_grads`` belong to ``node_ids[j]``; rates stay in [0, 1]."""
+        unknown = [i for i in node_ids if i not in self._rows]
+        if unknown:
+            raise ConfigError(f"gradient supplied for unknown memory node id {unknown[0]}")
+        rows = [self._rows[i] for i in node_ids]
+        if len(set(rows)) != len(rows):
+            raise ConfigError("gradient supplied twice for one memory node")
+        emb_grads = np.asarray(emb_grads, dtype=np.float64)
+        lr_grads = np.asarray(lr_grads, dtype=np.float64)
+        if emb_grads.shape != (len(rows), self.dim) or lr_grads.shape != (len(rows),):
+            raise ConfigError(f"gradient shapes {emb_grads.shape} and {lr_grads.shape} do not "
+                              f"match {len(rows)} nodes of dim {self.dim}")
+        self._emb[rows] = self._emb[rows] - beta * emb_grads
+        self._lr[rows] = np.clip(self._lr[rows] - beta * lr_grads, 0.0, 1.0)
 
     def blended_lr(self, h, k: int, touch: bool = True) -> Tuple[float, List[Neighbor]]:
         """Search then blend: returns (alpha_tilde, neighbors)."""
         neighbors = self.search(h, k, touch=touch)
-        q = np.asarray(h, dtype=np.float64)
-        pairs = [(kernel_similarity(q, nb.embedding, self.delta), nb.lr) for nb in neighbors]
-        return blend_lr(pairs, self.sigma), neighbors
+        return blend_lr([(nb.similarity, nb.lr) for nb in neighbors], self.sigma), neighbors
 
     def dump(self, path) -> None:
-        ids = np.array(sorted(self._nodes), dtype=np.int64)
+        order = np.argsort(self._ids[: self._n])
         np.savez(
             path,
-            ids=ids,
-            embeddings=np.array([self._nodes[i].embedding for i in ids]).reshape(-1, self.dim),
-            lrs=np.array([self._nodes[i].lr for i in ids], dtype=np.float64),
-            recency=np.array([self._nodes[i].recency for i in ids], dtype=np.int64),
-            freq=np.array([self._nodes[i].freq for i in ids], dtype=np.int64),
+            **{key: getattr(self, attr)[order] for attr, key, _ in _COLUMNS},
             meta=np.array([self.dim, self.capacity, self._next_id, self._counter,
                            self._evictions], dtype=np.int64),
             params=np.array([self.delta, self.sigma], dtype=np.float64),
@@ -268,21 +277,29 @@ class TreeMemory:
 
     @classmethod
     def load(cls, path) -> "TreeMemory":
+        """Rebuild a dumped memory; a malformed node table is a DataError."""
         with np.load(path) as data:
             meta = data["meta"]
-            tree = cls(
-                dim=int(meta[0]),
-                capacity=int(meta[1]),
-                mode=SEARCH_MODES[int(data["mode"][0])],
-                delta=float(data["params"][0]),
-                sigma=float(data["params"][1]),
-                eviction=EVICTION_POLICIES[int(data["eviction"][0])],
-            )
-            for node_id, emb, lr, rec, freq in zip(
-                    data["ids"], data["embeddings"], data["lrs"], data["recency"], data["freq"]):
-                tree._nodes[int(node_id)] = MemoryNode(
-                    embedding=np.array(emb, dtype=np.float64), lr=float(lr),
-                    recency=int(rec), freq=int(freq))
+            tree = cls(dim=int(meta[0]), capacity=int(meta[1]),
+                       mode=SEARCH_MODES[int(data["mode"][0])],
+                       delta=float(data["params"][0]), sigma=float(data["params"][1]),
+                       eviction=EVICTION_POLICIES[int(data["eviction"][0])])
+            columns = {attr: np.array(data[key], dtype=dtype) for attr, key, dtype in _COLUMNS}
             # meta[:5] is shared by this layout and the older nine-entry one
             tree._next_id, tree._counter, tree._evictions = (int(v) for v in meta[2:5])
+        ids = columns["_ids"]
+        n = len(ids)
+        lengths = {key: len(columns[attr]) for attr, key, _ in _COLUMNS}
+        if len(set(lengths.values())) != 1:
+            raise DataError(f"tree dump {path}: column lengths disagree: {lengths}")
+        if columns["_emb"].shape != (n, tree.dim):
+            raise DataError(f"tree dump {path}: embeddings are not ({n}, {tree.dim})")
+        if len(np.unique(ids)) != n:
+            raise DataError(f"tree dump {path}: node ids repeat")
+        if n and ids.max() >= tree._next_id:
+            raise DataError(f"tree dump {path}: node id {ids.max()} >= next id {tree._next_id}")
+        for attr, value in columns.items():
+            setattr(tree, attr, value)
+        tree._n = n
+        tree._rows = dict(zip(ids.tolist(), range(n)))
         return tree

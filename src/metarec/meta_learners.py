@@ -42,7 +42,7 @@ import json
 import math
 import os
 import warnings
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,7 +52,7 @@ from .model import (
     ModelSpec,
     check_episode,
     expected_entry_names,
-    forward,
+    forward,  # unused here; kept importable for callers that wrap meta_learners.forward
     grad,
     hvp,
     init_dense_stack,
@@ -294,8 +294,9 @@ class GradientPass:
     theta_grad: ParamSet
     psi_grad: Optional[ParamSet]
     msgd_grad: Optional[ParamSet]
-    tree_emb_grads: Dict[int, np.ndarray]
-    tree_lr_grads: Dict[int, float]
+    tree_node_ids: np.ndarray  # distinct tree nodes; the two arrays below align with it
+    tree_emb_grads: np.ndarray
+    tree_lr_grads: np.ndarray
     pending_stores: List[Tuple[np.ndarray, float]]
     episode_logs: Tuple[EpisodeLog, ...]
     total_loss: float
@@ -433,6 +434,22 @@ def _encode_episode(splits: DatasetSplits, episode: TaskEpisode, spec: ModelSpec
                     check_episode(spec, user_ids, q_items, q_targets))
 
 
+def _sum_tree_gradients(parts) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-node sums of the episodes' (node ids, embedding grads, lr grads).
+
+    ``np.add.at`` adds each node's terms onto zeros in episode order.
+    """
+    if not parts:
+        return np.empty(0, dtype=np.int64), np.empty((0, 0)), np.empty(0)
+    ids = np.concatenate([p[0] for p in parts])
+    node_ids, inverse = np.unique(ids, return_inverse=True)
+    emb_sum = np.zeros((len(node_ids), parts[0][1].shape[1]))
+    np.add.at(emb_sum, inverse, np.concatenate([p[1] for p in parts]))
+    lr_sum = np.zeros(len(node_ids))
+    np.add.at(lr_sum, inverse, np.concatenate([p[2] for p in parts]))
+    return node_ids, emb_sum, lr_sum
+
+
 # ---------------------------------------------------------------------------
 # the trainer
 
@@ -510,15 +527,14 @@ class MetaTrainer:
                 ep_psi_grad = dalpha_dpsi.scale(upstream)
             else:
                 ep_psi_grad = dalpha_dpsi.scale(-g_q.loss)
-        ep_emb_grads: Dict[int, np.ndarray] = {}
-        ep_lr_grads: Dict[int, float] = {}
+        ep_tree = None
         if neighbors:
-            ep_emb_grads, ep_lr_grads = blend_gradients(
+            ep_tree = ([nb.node_id for nb in neighbors],) + blend_gradients(
                 h, neighbors, upstream, cfg.tree_delta, cfg.tree_sigma)
 
         log = EpisodeLog(ep.user_key, logged_rate(alpha), g_s.loss, g_q.loss, reg_value,
                          grad_sq, float(np.linalg.norm(h)))
-        return ep_theta_grad, ep_psi_grad, ep_msgd_grad, ep_emb_grads, ep_lr_grads, store, log
+        return ep_theta_grad, ep_psi_grad, ep_msgd_grad, ep_tree, store, log
 
     def outer_gradients(self, batch: Sequence[_Encoded], warmup: bool = False) -> GradientPass:
         """Exact outer gradients of the batch objective at the current state.
@@ -531,8 +547,7 @@ class MetaTrainer:
         theta_grad = self.theta.zeros_like()
         psi_grad = self.head.psi.zeros_like() if self.head is not None else None
         msgd_grad = self.msgd_alpha.zeros_like() if self.msgd_alpha is not None else None
-        emb_grads: Dict[int, np.ndarray] = {}
-        lr_grads: Dict[int, float] = {}
+        tree_parts: List[tuple] = []
         pending: List[Tuple[np.ndarray, float]] = []
         logs: List[EpisodeLog] = []
         total_loss = 0.0
@@ -544,23 +559,21 @@ class MetaTrainer:
                 warnings.warn(f"dropping episode for user {ep.user_key!r}: {exc}")
                 skipped += 1
                 continue
-            ep_theta, ep_psi, ep_msgd, ep_emb, ep_lr, store, log = parts
+            ep_theta, ep_psi, ep_msgd, ep_tree, store, log = parts
             theta_grad = theta_grad.add(ep_theta)
             if ep_psi is not None:
                 psi_grad = psi_grad.add(ep_psi)
             if ep_msgd is not None:
                 msgd_grad = msgd_grad.add(ep_msgd)
-            for node_id, g in ep_emb.items():
-                emb_grads[node_id] = emb_grads[node_id] + g if node_id in emb_grads else g
-            for node_id, g in ep_lr.items():
-                lr_grads[node_id] = lr_grads.get(node_id, 0.0) + g
+            if ep_tree is not None:
+                tree_parts.append(ep_tree)
             if store is not None:
                 pending.append(store)
             logs.append(log)
             total_loss += log.query_loss + gamma * log.reg_value
         if not logs:
             raise NumericError("every episode in the batch failed with a numeric error")
-        return GradientPass(theta_grad, psi_grad, msgd_grad, emb_grads, lr_grads,
+        return GradientPass(theta_grad, psi_grad, msgd_grad, *_sum_tree_gradients(tree_parts),
                             pending, tuple(logs), total_loss, skipped)
 
     # -- updates ---------------------------------------------------------------
@@ -601,8 +614,9 @@ class MetaTrainer:
         if new_msgd is not None:
             self.msgd_alpha = new_msgd
         if self.tree is not None:
-            if gradients.tree_emb_grads or gradients.tree_lr_grads:
-                self.tree.update_nodes(gradients.tree_emb_grads, gradients.tree_lr_grads, beta)
+            if len(gradients.tree_node_ids):
+                self.tree.update_nodes(gradients.tree_node_ids, gradients.tree_emb_grads,
+                                       gradients.tree_lr_grads, beta)
             for h, lr in gradients.pending_stores:
                 self.tree.store_node(h, lr)
         return StepLog(epoch, step, gradients.total_loss, theta_norm, psi_norm,
@@ -673,9 +687,9 @@ def train(splits: DatasetSplits, config: TrainerConfig) -> TrainedModel:
 def _pooled_loss(theta: ParamSet, spec: ModelSpec, pooled, kind: str) -> float:
     total_items = sum(items.shape[0] for _, items, _ in pooled)
     total = 0.0
-    for user_ids, items, targets in pooled:
-        predictions, _ = forward(theta, spec, user_ids, items)
-        total += loss(kind, predictions, targets) * items.shape[0]
+    for episode in pooled:
+        _, items, targets = episode
+        total += loss(kind, predict(theta, spec, episode), targets) * items.shape[0]
     return total / total_items
 
 

@@ -2,9 +2,11 @@
 
 import os
 
+import numpy as np
 import pytest
 
 from metarec.cli import main
+from metarec.memory_tree import TreeMemory
 
 CONFIG_TEXT = """
 dataset.kind = synthetic
@@ -221,6 +223,19 @@ class TestArtifactCommands:
 
     def test_inspect_tree_missing_artifact_is_data_error(self, tmp_path, capsys):
         assert main(["inspect-tree", str(tmp_path / "none.npz")]) == 2
+
+    def test_inspect_tree_malformed_dump_is_data_error(self, tmp_path, capsys):
+        tree = TreeMemory(dim=2)
+        for i in range(5):
+            tree.store_node([float(i), 0.0], 1e-3)
+        path = str(tmp_path / "memory.tree.npz")
+        tree.dump(path)
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files}
+        arrays["lrs"] = arrays["lrs"][:4]
+        np.savez(path, **arrays)
+        assert main(["inspect-tree", path]) == 2
+        assert "lengths disagree" in capsys.readouterr().err
 
     def test_inspect_tree_without_sidecar_is_data_error(self, tmp_path, capsys):
         _, checkpoint = self.run_tiny(tmp_path, capsys, algorithm="paml", epochs="1")

@@ -10,6 +10,7 @@ import pytest
 
 from metarec.errors import ConfigError, DataError
 from metarec.memory_tree import (
+    EVICTION_POLICIES,
     SEARCH_MODES,
     TreeMemory,
     blend_gradients,
@@ -159,7 +160,7 @@ class TestExactSearch:
         assert [(h.node_id, h.distance) for h in got] == expected
 
         grad = rng.normal(size=4)
-        tree.update_nodes({ids[0]: grad}, {}, beta=0.1)
+        tree.update_nodes([ids[0]], [grad], [0.0], beta=0.1)
         points[0] = points[0] - 0.1 * grad
         expected = brute_force_ids(points, ids, query, 7)
         got = tree.search(query, k=7, touch=False)
@@ -172,6 +173,13 @@ class TestExactSearch:
         after = tree.node(ids[0]).recency
         assert after > before
         assert tree.node(ids[0]).freq == 1
+
+    def test_hits_do_not_alias_storage(self):
+        tree, ids = fill_tree([[0.0, 1.0], [5.0, 5.0]])
+        for hit in tree.search([0.0, 0.0], k=2, touch=False):
+            hit.embedding[:] = 99.0
+        assert np.array_equal(tree.node(ids[0]).embedding, [0.0, 1.0])
+        assert np.array_equal(tree.node(ids[1]).embedding, [5.0, 5.0])
 
     def test_untouched_search_leaves_state_alone(self):
         tree, ids = fill_tree([[0.0], [5.0]])
@@ -301,7 +309,7 @@ class TestBlendGradients:
         alpha = blend_lr([(s, nb.lr) for s, nb in zip(sims, neighbors)], sigma=1e-5)
         upstream = 6.0 * alpha  # d/d_alpha of 3 alpha^2
         emb_grads, lr_grads = blend_gradients(self.query, neighbors, upstream)
-        target = neighbors[0].node_id
+        target = neighbors[0].node_id  # row 0 of emb_grads
         pos = self.ids.index(target)
         eps = 1e-6
         for j in range(4):
@@ -311,7 +319,7 @@ class TestBlendGradients:
             bumped_dn[j] -= eps
             fd = (self.loss_given(emb_override={target: bumped_up})
                   - self.loss_given(emb_override={target: bumped_dn})) / (2 * eps)
-            assert emb_grads[target][j] == pytest.approx(fd, rel=1e-4, abs=1e-10)
+            assert emb_grads[0][j] == pytest.approx(fd, rel=1e-4, abs=1e-10)
 
     def test_lr_gradient_matches_finite_differences(self):
         neighbors = self.tree.search(self.query, k=4, touch=False)
@@ -320,44 +328,56 @@ class TestBlendGradients:
         upstream = 6.0 * alpha
         _, lr_grads = blend_gradients(self.query, neighbors, upstream)
         eps = 1e-7
-        for nb in neighbors:
+        for row, nb in enumerate(neighbors):
             base = self.tree.node(nb.node_id).lr
             fd = (self.loss_given(lr_override={nb.node_id: base + eps})
                   - self.loss_given(lr_override={nb.node_id: base - eps})) / (2 * eps)
-            assert lr_grads[nb.node_id] == pytest.approx(fd, rel=1e-4, abs=1e-12)
+            assert lr_grads[row] == pytest.approx(fd, rel=1e-4, abs=1e-12)
 
 
 class TestUpdateNodes:
     def test_zero_gradients_change_nothing(self):
         tree, ids = fill_tree([[0.0, 1.0], [2.0, 3.0]])
         before = {i: tree.node(i).embedding.copy() for i in ids}
-        tree.update_nodes({i: np.zeros(2) for i in ids}, {i: 0.0 for i in ids}, beta=0.5)
+        tree.update_nodes(ids, np.zeros((2, 2)), np.zeros(2), beta=0.5)
         for i in ids:
             assert np.array_equal(tree.node(i).embedding, before[i])
 
     def test_zero_step_changes_nothing(self):
         tree, ids = fill_tree([[0.0, 1.0], [2.0, 3.0]])
         before = {i: tree.node(i).embedding.copy() for i in ids}
-        tree.update_nodes({ids[0]: np.ones(2)}, {ids[0]: 5.0}, beta=0.0)
+        tree.update_nodes([ids[0]], [np.ones(2)], [5.0], beta=0.0)
         assert np.array_equal(tree.node(ids[0]).embedding, before[ids[0]])
 
     def test_descent_step_applied_exactly(self):
         tree, ids = fill_tree([[1.0, -1.0]])
-        tree.update_nodes({ids[0]: np.array([2.0, 4.0])}, {ids[0]: 0.001}, beta=0.25)
+        tree.update_nodes([ids[0]], [np.array([2.0, 4.0])], [0.001], beta=0.25)
         assert np.array_equal(tree.node(ids[0]).embedding, np.array([0.5, -2.0]))
         assert tree.node(ids[0]).lr == pytest.approx(1e-3 - 0.25 * 0.001)
 
     def test_lr_stays_clamped(self):
         tree, ids = fill_tree([[0.0]])
-        tree.update_nodes({}, {ids[0]: 100.0}, beta=1.0)
+        tree.update_nodes([ids[0]], [[0.0]], [100.0], beta=1.0)
         assert tree.node(ids[0]).lr == 0.0
-        tree.update_nodes({}, {ids[0]: -100.0}, beta=1.0)
+        tree.update_nodes([ids[0]], [[0.0]], [-100.0], beta=1.0)
         assert tree.node(ids[0]).lr == 1.0
 
     def test_unknown_node_rejected(self):
         tree, _ = fill_tree([[0.0]])
         with pytest.raises(ConfigError):
-            tree.update_nodes({999: np.zeros(1)}, {}, beta=0.1)
+            tree.update_nodes([999], [np.zeros(1)], [0.0], beta=0.1)
+
+    def test_repeated_node_rejected(self):
+        tree, ids = fill_tree([[0.0]])
+        with pytest.raises(ConfigError, match="twice"):
+            tree.update_nodes([ids[0], ids[0]], np.ones((2, 1)), np.zeros(2), beta=0.1)
+
+    def test_gradient_shapes_must_match_the_nodes(self):
+        tree, ids = fill_tree([[0.0, 1.0], [2.0, 3.0]])
+        with pytest.raises(ConfigError, match="shapes"):
+            tree.update_nodes(ids, np.ones((2, 3)), np.zeros(2), beta=0.1)
+        with pytest.raises(ConfigError, match="shapes"):
+            tree.update_nodes(ids, np.ones((2, 2)), np.zeros(1), beta=0.1)
 
 
 class TestBlendedLrHelper:
@@ -434,3 +454,149 @@ class TestDumpLoad:
         b = clone.search(query, k=5, touch=False)
         assert [(h.node_id, h.distance) for h in a] == [(h.node_id, h.distance) for h in b]
         assert clone.store_node([0.0, 0.0, 0.0], 1e-3) == len(ids)
+
+
+def rewrite_dump(tree, path, **changes):
+    """Dump ``tree`` to ``path`` with some of its arrays replaced."""
+    tree.dump(path)
+    with np.load(path) as data:
+        arrays = {key: data[key] for key in data.files}
+    arrays.update(changes)
+    np.savez(path, **arrays)
+
+
+class TestLoadRejectsMalformedDumps:
+    def setup_method(self):
+        rng = np.random.default_rng(8)
+        self.tree, self.ids = fill_tree(rng.normal(size=(5, 3)))
+
+    def test_truncated_column(self, tmp_path):
+        path = tmp_path / "memory.npz"
+        rewrite_dump(self.tree, path, lrs=np.full(4, 1e-3))
+        with pytest.raises(DataError, match="lengths disagree"):
+            TreeMemory.load(path)
+
+    def test_repeated_ids(self, tmp_path):
+        path = tmp_path / "memory.npz"
+        rewrite_dump(self.tree, path, ids=np.array([0, 1, 2, 2, 4], dtype=np.int64))
+        with pytest.raises(DataError, match="repeat"):
+            TreeMemory.load(path)
+
+    def test_embeddings_of_the_wrong_width(self, tmp_path):
+        path = tmp_path / "memory.npz"
+        rewrite_dump(self.tree, path, embeddings=np.zeros((5, 4)))
+        with pytest.raises(DataError, match="embeddings"):
+            TreeMemory.load(path)
+
+    def test_id_at_or_past_the_next_id(self, tmp_path):
+        path = tmp_path / "memory.npz"
+        rewrite_dump(self.tree, path, ids=np.array([0, 1, 2, 3, 5], dtype=np.int64))
+        with pytest.raises(DataError, match="next id"):
+            TreeMemory.load(path)
+
+
+class ReferenceMemory:
+    """Dict-of-nodes memory: the plain per-node model the columns must match.
+
+    Each node is [embedding, lr, recency, freq]; eviction is a ``min`` over
+    (recency, id) or (freq, recency, id), search a full lexsort by
+    (squared distance, id), and each touch takes the next tick.
+    """
+
+    def __init__(self, capacity, eviction, delta):
+        self.capacity, self.eviction, self.delta = capacity, eviction, delta
+        self.nodes = {}
+        self.next_id = self.counter = self.evictions = 0
+
+    def store(self, h, lr):
+        if len(self.nodes) >= self.capacity:
+            if self.eviction == "lru":
+                victim = min(self.nodes, key=lambda i: (self.nodes[i][2], i))
+            else:
+                victim = min(self.nodes, key=lambda i: (self.nodes[i][3], self.nodes[i][2], i))
+            del self.nodes[victim]
+            self.evictions += 1
+        self.counter += 1
+        self.nodes[self.next_id] = [np.array(h, dtype=np.float64), min(max(lr, 0.0), 1.0),
+                                    self.counter, 0]
+        self.next_id += 1
+        return self.next_id - 1
+
+    def search(self, q, k, touch):
+        ids = sorted(self.nodes)
+        d2 = ((np.stack([self.nodes[i][0] for i in ids]) - q) ** 2).sum(axis=1)
+        hits = []
+        for pos in np.lexsort((ids, d2))[:k]:
+            node = self.nodes[ids[pos]]
+            if touch:
+                self.counter += 1
+                node[2] = self.counter
+                node[3] += 1
+            hits.append((ids[pos], float(np.sqrt(d2[pos])), node[0].copy(), node[1],
+                         kernel_similarity(q, node[0], self.delta)))
+        return hits
+
+    def update(self, emb_grads, lr_grads, beta):
+        for node_id, g in emb_grads.items():
+            self.nodes[node_id][0] = self.nodes[node_id][0] - beta * g
+        for node_id, g in lr_grads.items():
+            node = self.nodes[node_id]
+            node[1] = min(max(node[1] - beta * g, 0.0), 1.0)
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def assert_same_memory(tree, ref):
+    assert tree.node_ids() == sorted(ref.nodes)
+    assert (len(tree), tree.evictions) == (len(ref.nodes), ref.evictions)
+    for node_id, (emb, lr, recency, freq) in ref.nodes.items():
+        node = tree.node(node_id)
+        assert bits(node.embedding) == bits(emb)
+        assert bits(node.lr) == bits(lr)
+        assert (node.recency, node.freq) == (recency, freq)
+
+
+class TestDifferentialAgainstReference:
+    """One long random sequence drives the memory and the reference model."""
+
+    @pytest.mark.parametrize("eviction", EVICTION_POLICIES)
+    def test_every_operation_matches_bit_for_bit(self, tmp_path, eviction):
+        rng = np.random.default_rng(31)
+        dim, capacity = 3, 12
+
+        def point():
+            # half the points sit on a small grid, so distances tie often
+            if rng.random() < 0.5:
+                return rng.integers(0, 3, size=dim).astype(np.float64)
+            return rng.normal(size=dim)
+
+        tree = TreeMemory(dim=dim, capacity=capacity, eviction=eviction)
+        ref = ReferenceMemory(capacity, eviction, tree.delta)
+        for step in range(600):
+            op = rng.random()
+            if op < 0.35 or not ref.nodes:
+                lr = float(rng.uniform(-0.2, 1.2))  # clamped to [0, 1] on store
+                h = point()
+                assert tree.store_node(h, lr) == ref.store(h, lr)
+            elif op < 0.8:
+                q, k, touch = point(), int(rng.integers(1, 16)), bool(rng.random() < 0.7)
+                got = tree.search(q, k, touch=touch)
+                expected = ref.search(q, k, touch)
+                assert [(nb.node_id, bits(nb.distance), bits(nb.embedding), bits(nb.lr),
+                         bits(nb.similarity)) for nb in got] == [
+                    (i, bits(d), bits(e), bits(lr), bits(s)) for i, d, e, lr, s in expected]
+            elif op < 0.97:
+                ids = sorted(rng.choice(sorted(ref.nodes), size=min(4, len(ref.nodes)),
+                                        replace=False).tolist())
+                emb_grads = rng.normal(size=(len(ids), dim))
+                lr_grads = rng.normal(size=len(ids)) * 2.0
+                tree.update_nodes(ids, emb_grads, lr_grads, beta=0.3)
+                ref.update(dict(zip(ids, emb_grads)), dict(zip(ids, lr_grads)), 0.3)
+            else:
+                path = tmp_path / f"memory-{step}.npz"
+                tree.dump(path)
+                tree = TreeMemory.load(path)
+            assert_same_memory(tree, ref)
+        assert ref.evictions > 0

@@ -28,6 +28,7 @@ from metarec.meta_learners import (
     TrainerConfig,
     _clamp_nonnegative,
     _evaluate_encoded,
+    _pooled_loss,
     _resolve_rate,
     adapt_with_gradient,
     evaluate,
@@ -219,6 +220,19 @@ class TestEncodedEpisodes:
         for ep in trainer.val_episodes:
             expected, _ = forward(trainer.theta, trainer.spec, ep.query[0], ep.query[1])
             assert np.array_equal(predict(trainer.theta, trainer.spec, ep.query), expected)
+
+    def test_pooled_loss_does_not_check_encoded_episodes_again(self, monkeypatch):
+        trainer = MetaTrainer(tiny_splits(), tiny_config())
+        pooled = [ep.support for ep in trainer.train_episodes]
+        expected = sum(loss("mse", forward(trainer.theta, trainer.spec, ids, items)[0], targets)
+                       * items.shape[0] for ids, items, targets in pooled)
+        expected /= sum(items.shape[0] for _, items, _ in pooled)
+        checks = []
+        original = model_module._check_episode
+        monkeypatch.setattr(model_module, "_check_episode",
+                            lambda *args: checks.append(args) or original(*args))
+        assert _pooled_loss(trainer.theta, trainer.spec, pooled, "mse") == expected
+        assert checks == []
 
     def test_clamp_keeps_layout_and_zeroes_only_negatives(self):
         ps = ParamSet({"a": np.array([[-1.0, 2.0]]), "b": np.array([0.5, 0.0, -3.0])})
@@ -443,8 +457,9 @@ class TestOuterGradients:
         assert rel < 1e-4
 
         # stored rates get exact gradients too
-        assert gradients.tree_lr_grads
-        for node_id, implemented in gradients.tree_lr_grads.items():
+        assert len(gradients.tree_node_ids)
+        for node_id, implemented in zip(gradients.tree_node_ids.tolist(),
+                                        gradients.tree_lr_grads):
             node = trainer.tree.node(node_id)
             keep = node.lr
             eps = 1e-6

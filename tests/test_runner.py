@@ -1,5 +1,6 @@
 """Tests for the experiment pipeline: artifacts, determinism, failure modes."""
 
+import hashlib
 import json
 import os
 
@@ -258,3 +259,52 @@ class TestLoadTree:
         result = run_trial(config, 0, 0)  # paml checkpoint has no sidecar
         with pytest.raises(DataError, match="cannot read tree dump"):
             load_tree(result.checkpoint_path)
+
+
+class TestPinnedAtPamlOutputs:
+    """at-paml outputs pinned byte for byte, tree nodes included.
+
+    The tree holds fewer nodes than training stores, so eviction, touched
+    search, node updates and the checkpointed tree all reach the digests.
+    The digests were recorded before the memory moved to numpy columns and
+    must not change with how the memory is stored.
+    """
+
+    FILES = ("report.tsv", "per_user.tsv", "history.tsv", "tree_nodes.tsv")
+    DIGESTS = {
+        "lru": {
+            "report.tsv": "3676ee25bec6e94eb6d6c674c20158f96d8f3a74192240edf2c31a12caf20569",
+            "per_user.tsv": "b022149c2ab11f8b00f65494c5db1b7c5b034c4840cff2293c474b225289b07b",
+            "history.tsv": "0457ebfdbbb07d399033f26027e62f80af4dbee1ab15818278e20d92c1edea9a",
+            "tree_nodes.tsv": "746f5f60e7d0edfe511ef2af431464b81a1301138b85f0bede06329c73e0b074",
+        },
+        "lfu": {
+            "report.tsv": "8f0fb91eab84502f984da94629df93f91e49a161c44a3c33f100ed70824923dd",
+            "per_user.tsv": "d250270190566b30286443e075ec4a80e2252dbf8f6e90ec246313f9ce2f6bc7",
+            "history.tsv": "8795870f5087a28a9ceee0e52e9f0f433b0a22c6e5f1c664118ffe93dff9b54c",
+            "tree_nodes.tsv": "6167695fcb026e15b5d05eb41eba589bf921e14b1aeb1c3d6f31316125f89b23",
+        },
+    }
+
+    @pytest.mark.parametrize("eviction", ["lru", "lfu"])
+    def test_digests(self, tmp_path, eviction):
+        config = make_config(tmp_path, **{
+            "emit.tree": "true",
+            "dataset.n_tasks": "60",
+            "trainer.algorithm": "at-paml",
+            "trainer.epochs": "3",
+            "trainer.outer_lr": "0.02",
+            "trainer.lr_scale": "0.1",
+            "trainer.tree_capacity": "20",
+            "trainer.tree_neighbors_train": "8",
+            "trainer.tree_neighbors_infer": "3",
+            "trainer.tree_eviction": eviction,
+        })
+        result = run_trial(config, 0, 0)
+        tree = load_tree(result.checkpoint_path)
+        assert len(tree) == 20 and tree.evictions > 0
+        got = {}
+        for name in self.FILES:
+            with open(os.path.join(result.directory, name), "rb") as fh:
+                got[name] = hashlib.sha256(fh.read()).hexdigest()
+        assert got == self.DIGESTS[eviction]
