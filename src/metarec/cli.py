@@ -15,7 +15,7 @@ from .config import load_experiment_config
 from .datagen import generate_corpus
 from .errors import ConfigError, DataError, MetarecError, NumericError
 from .lemma_oracle import (CONVENTIONS, TwoGroupSpec, alpha2_equalizing,
-                           bound_check, verify_lemmas)
+                           bound_check, lemma2_condition, verify_lemmas)
 from .meta_learners import load_checkpoint
 from .runner import (SUBSET_NAMES, build_splits, load_tree, run_experiment,
                      version_string, write_embeddings)
@@ -86,6 +86,8 @@ def _cmd_lemmas(args) -> None:
     print(_kv("group_losses_adaptive", tuple(report.group_losses_adaptive)))
     print(_kv("lemma1_holds", report.lemma1_holds))
     print(_kv("lemma2_holds", report.lemma2_holds))
+    if args.convention == "descent" and args.p1 >= args.p2:
+        print(_kv("lemma2_condition", lemma2_condition(args.alpha1, alpha2)))
 
     grads = [2.0 * (report.theta_star - x) for x in (spec.x1, spec.x2)]
     bound = bound_check(

@@ -21,6 +21,7 @@ run manifest records, and ``experiment_digest`` hashes that mapping.
 import dataclasses
 import hashlib
 import json
+import math
 from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from .errors import ConfigError
@@ -51,8 +52,8 @@ class SyntheticConfig:
             raise ConfigError("group 1 must be the major group (p1 >= p2)")
         if self.n_tasks < 1 or self.support_size < 1 or self.query_size < 1:
             raise ConfigError("n_tasks, support_size, query_size must be >= 1")
-        if self.noise_sd < 0.0:
-            raise ConfigError("noise_sd must be non-negative")
+        if not (math.isfinite(self.noise_sd) and self.noise_sd >= 0.0):
+            raise ConfigError(f"noise_sd must be finite and non-negative, got {self.noise_sd}")
         check_split(self.split, self.n_tasks)
 
 

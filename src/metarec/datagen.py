@@ -8,6 +8,7 @@ therefore matters far more for tail users, which is the regime the adaptive
 learners are meant to exploit.
 """
 
+import math
 import os
 from typing import Dict
 
@@ -54,6 +55,8 @@ def generate_corpus(
         raise ConfigError("major_fraction must be in (0, 1)")
     if min_items < 2 or max_items < min_items:
         raise ConfigError("item counts must satisfy 2 <= min_items <= max_items")
+    if not (math.isfinite(noise_sd) and noise_sd >= 0.0):
+        raise ConfigError(f"noise_sd must be finite and non-negative, got {noise_sd}")
     rng = np.random.default_rng(seed)
     os.makedirs(out_dir, exist_ok=True)
 

@@ -31,6 +31,7 @@ __all__ = [
     "adapted_group_losses",
     "minimize_adapted_loss",
     "verify_lemmas",
+    "lemma2_condition",
     "LemmaReport",
     "bound_check",
     "BoundReport",
@@ -236,6 +237,13 @@ def verify_lemmas(spec: TwoGroupSpec, convention: str = "descent", tol: float = 
         lemma1_holds=bool(lemma1),
         lemma2_holds=bool(lemma2),
     )
+
+
+def lemma2_condition(alpha1: float, alpha2: float) -> bool:
+    """Lemma 2's exact condition ``|1-2*alpha2| <= |1-2*alpha1|``; it is
+    equivalent to ``verify_lemmas(...).lemma2_holds`` under the descent
+    convention with p1 >= p2."""
+    return abs(1.0 - 2.0 * alpha2) <= abs(1.0 - 2.0 * alpha1)
 
 
 # ---------------------------------------------------------------------------

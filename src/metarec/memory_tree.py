@@ -113,6 +113,15 @@ def blend_gradients(h, neighbors: Sequence[Neighbor], upstream: float,
     return (upstream * dalpha_ds)[:, None] * ds_dh, upstream * (sims / denom)
 
 
+def _stored_name(path, data, key: str, names: Tuple[str, ...]) -> str:
+    """The name a dump stores as an index into ``names``; any other code is a DataError."""
+    codes = data[key]
+    if len(codes) < 1 or not 0 <= int(codes[0]) < len(names):
+        raise DataError(f"tree dump {path}: {key} code {codes.tolist()} is not one of "
+                        f"0..{len(names) - 1} {names}")
+    return names[int(codes[0])]
+
+
 class TreeMemory:
     """Memory of user embeddings and their learned inner rates.
 
@@ -279,11 +288,14 @@ class TreeMemory:
     def load(cls, path) -> "TreeMemory":
         """Rebuild a dumped memory; a malformed node table is a DataError."""
         with np.load(path) as data:
-            meta = data["meta"]
+            meta, params = data["meta"], data["params"]
+            if len(meta) < 5 or len(params) < 2:
+                raise DataError(f"tree dump {path}: meta holds {len(meta)} entries and "
+                                f"params {len(params)}, expected at least 5 and 2")
             tree = cls(dim=int(meta[0]), capacity=int(meta[1]),
-                       mode=SEARCH_MODES[int(data["mode"][0])],
-                       delta=float(data["params"][0]), sigma=float(data["params"][1]),
-                       eviction=EVICTION_POLICIES[int(data["eviction"][0])])
+                       mode=_stored_name(path, data, "mode", SEARCH_MODES),
+                       delta=float(params[0]), sigma=float(params[1]),
+                       eviction=_stored_name(path, data, "eviction", EVICTION_POLICIES))
             columns = {attr: np.array(data[key], dtype=dtype) for attr, key, dtype in _COLUMNS}
             # meta[:5] is shared by this layout and the older nine-entry one
             tree._next_id, tree._counter, tree._evictions = (int(v) for v in meta[2:5])

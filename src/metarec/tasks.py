@@ -3,7 +3,9 @@
 Users become few-shot episodes: a profile plus support and query sets.  From
 parsing to the model, interactions live in numpy columns, never in one Python
 object per rating.  The loader keeps every usable rating line as one entry of
-four columns (int64 user, item and timestamp, float64 feedback).
+four columns (int64 user, item and timestamp, float64 feedback); it scans
+``ratings.dat`` as bytes, decoding well-formed lines as arrays and sending
+only the others through the per-line text rules.
 `preprocess` ranks users by activity, keeps the cold-start tail, filters out
 malformed profiles, splits users 7:1:2 and each user's interactions 80:20,
 then gathers each split's interactions into one set of columns whose item
@@ -19,7 +21,7 @@ import re
 import warnings
 from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -33,6 +35,21 @@ RATING_RANGE = (1.0, 5.0)
 MAX_SKIPPED_FRACTION = 0.01
 MAJOR_FEATURE_THRESHOLD = 2  # strictly more than this many head values => major
 INT64_RANGE = (-(2 ** 63), 2 ** 63 - 1)
+# ratings.dat is read in blocks of this many bytes (about 1,400 MovieLens
+# lines), so every temporary of the scan stays near 100 KB
+RATINGS_BLOCK_BYTES = 1 << 15
+STRICT_INT_DIGITS = 18       # below 10**18, so it fits int64
+STRICT_RATING_DIGITS = 15    # below 10**15 < 2**53, so exact as a float64
+# the seven gaps between a strict line's break, six colons and end are
+# field, "::", field, "::", rating, "::", field, each a field's length + 1:
+# (least gap, most gap - least gap)
+_STRICT_GAPS = (np.array([[2], [1], [2], [1], [2], [1], [2]]),
+                np.array([[STRICT_INT_DIGITS - 1], [0], [STRICT_INT_DIGITS - 1], [0],
+                          [STRICT_RATING_DIGITS], [0], [STRICT_INT_DIGITS - 1]], dtype=np.uint64))
+# known ids spanning fewer values than this are looked up in a bool table
+ID_TABLE_SPAN = 1 << 17
+_POW10 = 10 ** np.arange(STRICT_INT_DIGITS + 1, dtype=np.int64)
+_POW10_F = _POW10.astype(np.float64)   # exact: every power up to 10**22 is
 
 
 @dataclass(frozen=True)
@@ -241,48 +258,188 @@ def _parse_movies(path) -> Tuple[Dict, int, int]:
     return movies, skipped, total
 
 
+def _parse_rating_line(line: str) -> Optional[Tuple[int, int, float, int]]:
+    """One line's ``(uid, mid, rating, timestamp)`` under the text rules, or
+    None when the line is skipped for its own text.
+
+    Membership and the rating range are checked by the caller.  An id outside
+    int64 is skipped here: it cannot name a known user or movie.
+    """
+    parts = line.split("::")
+    if len(parts) != 4:
+        return None
+    try:
+        fields = int(parts[0]), int(parts[1]), float(parts[2]), int(parts[3])
+    except ValueError:
+        return None
+    if not (_in_int64(fields[0]) and _in_int64(fields[1]) and _in_int64(fields[3])):
+        return None
+    return fields
+
+
+def _line_blocks(handle):
+    r"""The bytes of ``handle`` as blocks of whole lines.
+
+    Every block starts with a line break (``\r`` or ``\n``): the first with
+    an added one, each later block with the last break of the block before.
+    Only empty lines come of that, and empty lines are not counted.
+    """
+    pieces = [b"\n"]
+    while True:
+        chunk = handle.read(RATINGS_BLOCK_BYTES)
+        if not chunk:
+            break
+        cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r"))
+        if cut < 0:
+            pieces.append(chunk)
+            continue
+        pieces.append(chunk[:cut + 1])
+        yield b"".join(pieces)
+        pieces = [chunk[cut:]]
+    if len(pieces) > 1 or len(pieces[0]) > 1:
+        yield b"".join(pieces)
+
+
+def _digits_value(windows: np.ndarray, hi: np.ndarray, length: np.ndarray,
+                  width: int) -> np.ndarray:
+    """int64 value of the ``length`` (at most ``width``) digits before each
+    byte ``hi``.
+
+    Row ``r`` of ``windows`` holds the digit values of the 18 bytes before
+    byte ``r``; the bytes before a field weigh multiples of 10**length and
+    drop out of the remainder.
+    """
+    window = windows[hi, STRICT_INT_DIGITS - width:]
+    return (window @ _POW10[width - 1::-1]) % _POW10[length]
+
+
+def _strict_lines(data: np.ndarray, is_break: np.ndarray, starts: np.ndarray,
+                  ends: np.ndarray):
+    """The lines (indices into ``starts``) that are strict, and their columns.
+
+    A strict line is ``D{1,18}::D{1,18}::R::D{1,18}`` with ``D`` an ASCII
+    digit and ``R`` at most 15 digits with at most one interior ``.``.  Its
+    ids and timestamp are exact int64s, and its rating is ``N / 10.0**k``
+    for the rating's digits ``N`` (< 2**53) and ``k`` fraction digits: a
+    correctly rounded division of two exact floats, so the same float64 as
+    ``float(text)``.
+    """
+    colons = np.flatnonzero(data == ord(":"))
+    first = np.searchsorted(colons, starts)
+    count = np.searchsorted(colons, ends) - first
+    six = count == 6
+    lines = np.flatnonzero(six)
+    # per line: the break before it, its six colons and its end; a field
+    # ends at bounds[1::2] and spans the gap before that, less one
+    bounds = np.vstack((starts[lines] - 1, colons[np.repeat(six, count)].reshape(-1, 6).T,
+                        ends[lines]))
+    gaps = bounds[1:] - bounds[:-1]
+    ok = ((gaps - _STRICT_GAPS[0]).view(np.uint64) <= _STRICT_GAPS[1]).all(axis=0)
+    hi, length = bounds[1::2], gaps[::2] - 1
+    # the one byte of a strict line that is neither a digit nor a colon (":"
+    # is "0" + 10; bytes below "0" wrap high) is an optional rating dot
+    frac = np.zeros(len(lines), dtype=np.int64)   # digits after the dot
+    other = np.flatnonzero((data - np.uint8(ord("0")) > 10) & ~is_break)
+    if len(other):
+        owner = np.searchsorted(starts, other, side="right") - 1
+        n_other = np.bincount(owner, minlength=len(starts))[lines]
+        dot = np.zeros(len(starts), dtype=np.int64)
+        dot[owner] = other
+        dot = dot[lines]
+        ok &= (n_other == 0) | ((n_other == 1) & (data[dot] == ord("."))
+                                & (dot > bounds[4] + 1) & (dot < hi[2] - 1))
+        np.subtract(hi[2] - 1, dot, out=frac, where=n_other == 1)
+    ok &= length[2] - (frac > 0) <= STRICT_RATING_DIGITS
+    if not ok.all():
+        lines, hi, length, frac = lines[ok], hi[:, ok], length[:, ok], frac[ok]
+    if not len(lines):
+        return lines, None
+    padded = np.zeros(len(data) + STRICT_INT_DIGITS, dtype=np.uint8)
+    digits = np.subtract(data, ord("0"), out=padded[STRICT_INT_DIGITS:])
+    digits *= digits <= 9
+    windows = np.lib.stride_tricks.as_strided(
+        padded, shape=(len(data) + 1, STRICT_INT_DIGITS), strides=(1, 1), writeable=False)
+    uid, mid, rating, stamp = (_digits_value(windows, *field) for field
+                               in zip(hi, length, length.max(axis=1)))
+    if frac.any():
+        # the dot was read as a 0 digit: drop it
+        rating = np.where(frac > 0, rating // _POW10[frac + 1] * _POW10[frac]
+                          + rating % _POW10[frac], rating)
+    return lines, (uid, mid, rating / _POW10_F[frac], stamp)
+
+
+def _decode_block(block: bytes):
+    r"""Columns ``(uid, mid, rating, timestamp)`` for every non-blank line of
+    a `_line_blocks` block, and a mask of the lines whose own text parsed.
+
+    Strict lines decode as arrays; every other line goes through
+    `_parse_rating_line`.  Lines break at ``\r`` and at ``\n``: where text
+    mode reads ``\r\n`` as one break this sees an extra empty line, and
+    empty lines are not lines.
+    """
+    data = np.frombuffer(block, dtype=np.uint8)
+    is_break = (data == ord("\n")) | (data == ord("\r"))
+    breaks = np.flatnonzero(is_break)
+    starts, ends = breaks + 1, np.append(breaks[1:], len(data))
+    nonblank = ends > starts
+    starts, ends = starts[nonblank], ends[nonblank]
+    n = len(starts)
+    lines, strict = _strict_lines(data, is_break, starts, ends)
+    parsed = np.ones(n, dtype=bool)
+    if strict is not None and len(lines) == n:
+        return strict, parsed
+    columns = (np.zeros(n, np.int64), np.zeros(n, np.int64),
+               np.zeros(n, np.float64), np.zeros(n, np.int64))
+    if strict is not None:
+        for column, values in zip(columns, strict):
+            column[lines] = values
+    loose = np.ones(n, dtype=bool)
+    loose[lines] = False
+    for i in np.flatnonzero(loose).tolist():
+        fields = _parse_rating_line(block[starts[i]:ends[i]].decode("latin-1"))
+        if fields is None:
+            parsed[i] = False
+        else:
+            for column, value in zip(columns, fields):
+                column[i] = value
+    return columns, parsed
+
+
+def _id_test(ids) -> Callable[[np.ndarray], np.ndarray]:
+    """A test of which int64 values are among ``ids``: one table lookup when
+    the ids span fewer than ``ID_TABLE_SPAN`` values, else ``np.isin``."""
+    ids = np.fromiter(ids, dtype=np.int64, count=len(ids))
+    if not len(ids) or int(ids.max()) - int(ids.min()) >= ID_TABLE_SPAN:
+        return lambda values: np.isin(values, ids)
+    low = ids.min()
+    table = np.zeros(int(ids.max() - low) + 2, dtype=bool)   # the last entry stays False
+    table[ids - low] = True
+    # an unsigned offset past the span (a value below low wraps) reads that last entry
+    return lambda values: table[np.minimum((values - low).view(np.uint64), len(table) - 1)]
+
+
 def _parse_ratings(path, users, movies) -> Tuple[RatingColumns, int, int]:
     # user and movie ids already fit int64 (their parsers skip any that do not)
-    uids, mids, stamps, feedback = array("q"), array("q"), array("q"), array("d")
+    known_user, known_movie = _id_test(users), _id_test(movies)
+    out = (array("q"), array("q"), array("d"), array("q"))
     low, high = RATING_RANGE
-    stamp_low, stamp_high = INT64_RANGE
     skipped = total = 0
     try:
-        handle = open(path, encoding="latin-1")
+        handle = open(path, "rb")
     except OSError as exc:
         raise DataError(f"cannot open ratings file: {exc}")
     with handle:
-        for line in handle:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            total += 1
-            parts = line.split("::")
-            if len(parts) != 4:
-                skipped += 1
-                continue
-            try:
-                uid = int(parts[0])
-                mid = int(parts[1])
-                value = float(parts[2])
-                timestamp = int(parts[3])
-            except ValueError:
-                skipped += 1
-                continue
-            if uid not in users or mid not in movies:
-                skipped += 1
-                continue
-            if not (low <= value <= high) or not (stamp_low <= timestamp <= stamp_high):
-                skipped += 1
-                continue
-            uids.append(uid)
-            mids.append(mid)
-            feedback.append(value)
-            stamps.append(timestamp)
-    columns = RatingColumns(uid=np.frombuffer(uids, dtype=np.int64),
-                            mid=np.frombuffer(mids, dtype=np.int64),
-                            feedback=np.frombuffer(feedback, dtype=np.float64),
-                            timestamp=np.frombuffer(stamps, dtype=np.int64))
+        for block in _line_blocks(handle):
+            columns, keep = _decode_block(block)
+            uid, mid, value, _ = columns
+            keep &= known_user(uid) & known_movie(mid) & (value >= low) & (value <= high)
+            kept = int(np.count_nonzero(keep))
+            for column, values in zip(out, columns):
+                column.frombytes(memoryview(values if kept == len(keep) else values[keep]).cast("B"))
+            total += len(keep)
+            skipped += len(keep) - kept
+    columns = RatingColumns(*(np.frombuffer(column, dtype=dtype) for column, dtype
+                              in zip(out, (np.int64, np.int64, np.float64, np.int64))))
     return columns, skipped, total
 
 

@@ -72,6 +72,21 @@ class TestLemmas:
         assert main(["lemmas", "--p1", "1.2"]) == 1
         assert "sum to 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rates", [[], ["--alpha2", "0.25"],
+                                       ["--alpha1", "0.3", "--alpha2", "0.05"],
+                                       ["--alpha2", "0.95"]])
+    def test_lemma2_condition_matches_the_numeric_verdict(self, capsys, rates):
+        assert main(["lemmas", *rates]) == 0
+        values = parse_kv(capsys.readouterr().out)
+        alpha1, alpha2 = float(values["alpha1"]), float(values["alpha2"])
+        expected = abs(1 - 2 * alpha2) <= abs(1 - 2 * alpha1)
+        assert values["lemma2_condition"] == ("true" if expected else "false")
+        assert values["lemma2_condition"] == values["lemma2_holds"]
+
+    def test_lemma2_condition_is_printed_only_where_it_applies(self, capsys):
+        assert main(["lemmas", "--convention", "expansion"]) == 0
+        assert "lemma2_condition" not in parse_kv(capsys.readouterr().out)
+
     def test_explicit_alpha2_is_respected(self, capsys):
         assert main(["lemmas", "--alpha2", "0.25"]) == 0
         values = parse_kv(capsys.readouterr().out)
@@ -237,6 +252,19 @@ class TestArtifactCommands:
         assert main(["inspect-tree", path]) == 2
         assert "lengths disagree" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["eviction", "mode"])
+    def test_inspect_tree_unknown_stored_code_is_data_error(self, tmp_path, capsys, key):
+        tree = TreeMemory(dim=2)
+        tree.store_node([0.0, 0.0], 1e-3)
+        path = str(tmp_path / "memory.tree.npz")
+        tree.dump(path)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        arrays[key] = np.array([7], dtype=np.int64)
+        np.savez(path, **arrays)
+        assert main(["inspect-tree", path]) == 2
+        assert f"{key} code [7]" in capsys.readouterr().err
+
     def test_inspect_tree_without_sidecar_is_data_error(self, tmp_path, capsys):
         _, checkpoint = self.run_tiny(tmp_path, capsys, algorithm="paml", epochs="1")
         assert main(["inspect-tree", checkpoint]) == 2
@@ -288,3 +316,11 @@ run.trials = 1
         assert code == 0
         values = parse_kv(capsys.readouterr().out)
         assert os.path.exists(values["report"])
+
+    @pytest.mark.parametrize("noise_sd", ["nan", "inf", "-1"])
+    def test_make_data_bad_noise_sd_is_config_error(self, tmp_path, capsys, noise_sd):
+        corpus = tmp_path / "corpus"
+        code = main(["make-data", str(corpus), "--noise-sd", noise_sd])
+        assert code == 1
+        assert "noise_sd must be finite and non-negative" in capsys.readouterr().err
+        assert not corpus.exists()

@@ -124,6 +124,11 @@ class TestValidation:
         with pytest.raises(ConfigError, match="sum to 1"):
             synth_config(**{"dataset.p1": "0.8", "dataset.p2": "0.3"})
 
+    @pytest.mark.parametrize("noise_sd", ["nan", "inf", "-0.5"])
+    def test_synthetic_noise_sd_must_be_finite_and_non_negative(self, noise_sd):
+        with pytest.raises(ConfigError, match="noise_sd must be finite"):
+            synth_config(**{"dataset.noise_sd": noise_sd})
+
     def test_trainer_validation_happens_at_build_time(self):
         with pytest.raises(ConfigError, match="algorithm"):
             synth_config(**{"trainer.algorithm": "gpt"})

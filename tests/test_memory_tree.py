@@ -494,6 +494,26 @@ class TestLoadRejectsMalformedDumps:
         with pytest.raises(DataError, match="next id"):
             TreeMemory.load(path)
 
+    @pytest.mark.parametrize("key, code", [("eviction", 7), ("mode", 5),
+                                           ("eviction", -1), ("mode", -1)])
+    def test_stored_code_out_of_range(self, tmp_path, key, code):
+        path = tmp_path / "memory.npz"
+        rewrite_dump(self.tree, path, **{key: np.array([code], dtype=np.int64)})
+        with pytest.raises(DataError, match=f"{key} code"):
+            TreeMemory.load(path)
+
+    def test_short_meta(self, tmp_path):
+        path = tmp_path / "memory.npz"
+        rewrite_dump(self.tree, path, meta=np.array([3, 20, 5, 5], dtype=np.int64))
+        with pytest.raises(DataError, match="meta holds 4 entries"):
+            TreeMemory.load(path)
+
+    def test_short_params(self, tmp_path):
+        path = tmp_path / "memory.npz"
+        rewrite_dump(self.tree, path, params=np.array([2.0]))
+        with pytest.raises(DataError, match="params 1"):
+            TreeMemory.load(path)
+
 
 class ReferenceMemory:
     """Dict-of-nodes memory: the plain per-node model the columns must match.

@@ -6,13 +6,17 @@ stage can be exercised against hand-countable expectations.
 
 import hashlib
 import os
+from array import array
 
 import numpy as np
 import pytest
 
+from metarec import tasks
 from metarec.datagen import generate_corpus
 from metarec.errors import ConfigError, DataError
 from metarec.tasks import (
+    INT64_RANGE,
+    RATING_RANGE,
     DatasetSplits,
     PreprocessConfig,
     UserProfile,
@@ -479,6 +483,171 @@ class TestGeneratedCorpus:
         tail = [flag for uid, flag in splits.is_major.items() if uid > 160]
         assert np.mean(head) > 0.6
         assert np.mean(tail) < 0.4
+
+
+def line_loop_ratings(path, users, movies):
+    """The per-line text-mode ratings parser that the byte scan replaced,
+    kept as the reference the scan must match."""
+    uids, mids, stamps, feedback = array("q"), array("q"), array("q"), array("d")
+    low, high = RATING_RANGE
+    stamp_low, stamp_high = INT64_RANGE
+    skipped = total = 0
+    with open(path, encoding="latin-1") as handle:
+        for line in handle:
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            total += 1
+            parts = line.split("::")
+            if len(parts) != 4:
+                skipped += 1
+                continue
+            try:
+                uid = int(parts[0])
+                mid = int(parts[1])
+                value = float(parts[2])
+                timestamp = int(parts[3])
+            except ValueError:
+                skipped += 1
+                continue
+            if uid not in users or mid not in movies:
+                skipped += 1
+                continue
+            if not (low <= value <= high) or not (stamp_low <= timestamp <= stamp_high):
+                skipped += 1
+                continue
+            uids.append(uid)
+            mids.append(mid)
+            feedback.append(value)
+            stamps.append(timestamp)
+    return ((np.frombuffer(uids, dtype=np.int64), np.frombuffer(mids, dtype=np.int64),
+             np.frombuffer(feedback, dtype=np.float64), np.frombuffer(stamps, dtype=np.int64)),
+            skipped, total)
+
+
+# known (users, movies): ids within a short span, and ids that also hold
+# values far apart, so both ways of testing membership run
+DENSE_IDS = ({u: None for u in range(0, 40)}, {m: None for m in range(1, 30)})
+SPARSE_IDS = ({u: None for u in list(range(0, 40)) + [10 ** 17, 2 ** 62]},
+              {m: None for m in list(range(1, 30)) + [123456789012345678]})
+# lines the strict scan must hand to the per-line rules, each a kind of irregularity
+IRREGULAR_LINES = [
+    " 1::2::3::978300000", "1::2::3::978300000 ", "1 ::2::3::978300000", "1::2:: 4::978300000",
+    "\t1::2::3::978300000", "+1::2::3::978300000", "1::+2::4.5::978300000",
+    "1::2::+4::978300000", "1_0::2::3::978300000", "1::2::4_5::978300000",
+    "1::2::nan::978300000", "1::2::inf::978300000", "1::2::1e0::978300000",
+    "1::2::4.::978300000", "1::2::.5::978300000", "1::2::4..5::978300000",
+    "1::2::4.5.0::978300000", "\xe9::2::3::978300000", "1::2::3::97830\xb20",
+    "1::2::3::978300000\xa0", "1234567890123456789::2::3::978300000",
+    "0000000000000000001::2::3::978300000", "1::2::3::1234567890123456789",
+    "1::2::3::9223372036854775808", "1::2::3::-978300000", "1::2::3::-9223372036854775808",
+    "1::2::3::-9223372036854775809", "-1::2::3::978300000", "-5::2::3::978300000",
+    "1::-3::3::978300000", "9223372036854775808::2::3::4",
+    "1::-9223372036854775809::3::4", "1::2::3.000000000000000::978300000",
+    "1::2::2.4475771046563414::978300000", "1::2::2.7164870596402359::978300000",
+    "1::2::5.00000000000000001::978300000", "1::2::3", "1::2::3::4::5", ":::", "1:::2::3::4",
+    "1::2:::3::4", "1::2::3:::4", "::2::3::4", "1::::3::4", "1::2::::4", "1::2::3::",
+    "1:2::3::4", "1::2::3:4", "garbage", "1;2;3;4", "\x00",
+]
+STRICT_RATINGS = ["1", "3", "5", "4.5", "4.50", "0.99999", "5.000001", "1.0", "007",
+                  "4.999999999999999", "2.00000000000001", "0", "6", "10"]
+
+
+def mixed_ratings_file(path, seed, ids, n_lines=400):
+    r"""Seeded ratings.dat bytes mixing strict lines (known and unknown ids,
+    leading zeros, 18-digit fields) with every irregular kind, blank lines,
+    and \n, \r\n and lone \r breaks, ending with or without a break."""
+    rng = np.random.default_rng(seed)
+    users, movies = list(ids[0]), list(ids[1])
+    lines = []
+    for i in range(n_lines):
+        kind = rng.integers(0, 10)
+        if kind < 6:
+            uid = users[rng.integers(len(users))] if rng.uniform() < 0.9 else rng.integers(40, 99)
+            mid = movies[rng.integers(len(movies))] if rng.uniform() < 0.9 else 99
+            uid_s = "0" * int(rng.integers(0, 3)) + str(uid)
+            if kind == 5:
+                fraction = "".join(str(d) for d in rng.integers(0, 10, int(rng.integers(1, 15))))
+                rating = f"{rng.integers(0, 6)}.{fraction}"
+            else:
+                rating = STRICT_RATINGS[rng.integers(len(STRICT_RATINGS))]
+            stamp = int(rng.integers(0, 10 ** int(rng.integers(1, 19))))
+            lines.append(f"{uid_s}::{mid}::{rating}::{stamp}")
+        elif kind < 8:
+            lines.append(IRREGULAR_LINES[i % len(IRREGULAR_LINES)])
+        elif kind == 8:
+            lines.append("")
+        else:
+            lines.append(f"{users[rng.integers(len(users))]}::{movies[rng.integers(len(movies))]}"
+                         f"::{rng.integers(1, 6)}::{10 ** 17 + i}")
+    breaks = ["\n", "\r\n", "\r"]
+    text = "".join(line + breaks[rng.integers(3)] for line in lines)
+    if seed % 2:
+        text = text.rstrip("\r\n")
+    with open(path, "wb") as fh:
+        fh.write(text.encode("latin-1"))
+    return str(path)
+
+
+@pytest.mark.parametrize("ids", [DENSE_IDS, SPARSE_IDS], ids=["dense-ids", "sparse-ids"])
+class TestRatingsScanMatchesLineLoop:
+    """The byte scan gives the line loop's columns (same bytes, dtypes and
+    file order), skip count and line count on files that mix strict lines
+    with every irregular kind."""
+
+    def assert_same_parse(self, path, ids):
+        expected_columns, expected_skipped, expected_total = line_loop_ratings(path, *ids)
+        columns, skipped, total = tasks._parse_ratings(path, *ids)
+        got = (columns.uid, columns.mid, columns.feedback, columns.timestamp)
+        for a, b in zip(got, expected_columns):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert (skipped, total) == (expected_skipped, expected_total)
+        return total
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("block_bytes", [1, 7, 64, tasks.RATINGS_BLOCK_BYTES])
+    def test_mixed_files(self, tmp_path, monkeypatch, ids, seed, block_bytes):
+        # small blocks split lines, and \r\n pairs, at every offset
+        monkeypatch.setattr(tasks, "RATINGS_BLOCK_BYTES", block_bytes)
+        path = mixed_ratings_file(tmp_path / "ratings.dat", seed, ids)
+        assert self.assert_same_parse(path, ids) > 300
+
+    def test_every_irregular_line_alone(self, tmp_path, ids):
+        for i, line in enumerate(IRREGULAR_LINES):
+            path = tmp_path / f"r{i}.dat"
+            path.write_bytes(f"1::2::3::4\r\n{line}\n".encode("latin-1"))
+            assert self.assert_same_parse(str(path), ids) == 2
+
+    @pytest.mark.parametrize("text", [b"", b"\n", b"\r\n\r\r\n\n", b"1::2::3::4",
+                                      b"1::2::3::4\r", b"\r1::2::3::4\r\r\n"])
+    def test_blank_lines_and_final_breaks(self, tmp_path, ids, text):
+        path = tmp_path / "ratings.dat"
+        path.write_bytes(text)
+        self.assert_same_parse(str(path), ids)
+
+    def test_only_irregular_lines_reach_the_line_rules(self, tmp_path, monkeypatch, ids):
+        strict = ["1::2::3::4", "000000000000000001::2::1.23456789012345::4",
+                  "1::999999999999999999::123456789012345::999999999999999999",
+                  "1::2::0.5::4", "1::2::4.50::4"]
+        seen = []
+        line_rules = tasks._parse_rating_line
+        monkeypatch.setattr(tasks, "_parse_rating_line",
+                            lambda line: seen.append(line) or line_rules(line))
+        path = tmp_path / "ratings.dat"
+        path.write_bytes("\n".join(strict + IRREGULAR_LINES).encode("latin-1"))
+        self.assert_same_parse(str(path), ids)
+        assert seen == IRREGULAR_LINES
+
+    def test_decimal_ratings_decode_to_float_of_their_text(self, tmp_path, ids):
+        rng = np.random.default_rng(11)
+        lines = []
+        for _ in range(2000):
+            whole = int(rng.integers(1, 5))
+            fraction = "".join(str(d) for d in rng.integers(0, 10, int(rng.integers(1, 17))))
+            lines.append(f"1::1::{whole}.{fraction}::978300000")
+        path = tmp_path / "ratings.dat"
+        path.write_text("\n".join(lines), encoding="latin-1")
+        assert self.assert_same_parse(str(path), ids) == 2000
 
 
 def split_digest(splits):
