@@ -14,6 +14,7 @@ index is ever rebuilt, so ``_dirty`` stays False; it remains because the
 benchmark's tracer counts each search that finds it set as a rebuild.
 """
 
+import math
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -122,6 +123,16 @@ def _stored_name(path, data, key: str, names: Tuple[str, ...]) -> str:
     return names[int(codes[0])]
 
 
+def check_kernel_params(delta: float, sigma: float, prefix: str = "") -> None:
+    """Reject a kernel width ``delta`` that is not finite and >= 0, or a blend
+    damping ``sigma`` that is not finite and > 0, which could zero the blend's
+    denominator."""
+    if not (math.isfinite(delta) and delta >= 0.0):
+        raise ConfigError(f"{prefix}delta must be finite and >= 0, got {delta!r}")
+    if not (math.isfinite(sigma) and sigma > 0.0):
+        raise ConfigError(f"{prefix}sigma must be finite and > 0, got {sigma!r}")
+
+
 class TreeMemory:
     """Memory of user embeddings and their learned inner rates.
 
@@ -141,6 +152,7 @@ class TreeMemory:
         if eviction not in EVICTION_POLICIES:
             raise ConfigError(
                 f"unknown eviction policy {eviction!r}; expected one of {EVICTION_POLICIES}")
+        check_kernel_params(float(delta), float(sigma))
         self.dim = int(dim)
         self.capacity = int(capacity)
         self.mode = mode
@@ -292,10 +304,13 @@ class TreeMemory:
             if len(meta) < 5 or len(params) < 2:
                 raise DataError(f"tree dump {path}: meta holds {len(meta)} entries and "
                                 f"params {len(params)}, expected at least 5 and 2")
-            tree = cls(dim=int(meta[0]), capacity=int(meta[1]),
-                       mode=_stored_name(path, data, "mode", SEARCH_MODES),
-                       delta=float(params[0]), sigma=float(params[1]),
-                       eviction=_stored_name(path, data, "eviction", EVICTION_POLICIES))
+            try:
+                tree = cls(dim=int(meta[0]), capacity=int(meta[1]),
+                           mode=_stored_name(path, data, "mode", SEARCH_MODES),
+                           delta=float(params[0]), sigma=float(params[1]),
+                           eviction=_stored_name(path, data, "eviction", EVICTION_POLICIES))
+            except ConfigError as exc:
+                raise DataError(f"tree dump {path}: {exc}") from None
             columns = {attr: np.array(data[key], dtype=dtype) for attr, key, dtype in _COLUMNS}
             # meta[:5] is shared by this layout and the older nine-entry one
             tree._next_id, tree._counter, tree._evictions = (int(v) for v in meta[2:5])
@@ -308,6 +323,8 @@ class TreeMemory:
             raise DataError(f"tree dump {path}: embeddings are not ({n}, {tree.dim})")
         if len(np.unique(ids)) != n:
             raise DataError(f"tree dump {path}: node ids repeat")
+        if n > tree.capacity:
+            raise DataError(f"tree dump {path}: {n} nodes exceed capacity {tree.capacity}")
         if n and ids.max() >= tree._next_id:
             raise DataError(f"tree dump {path}: node id {ids.max()} >= next id {tree._next_id}")
         for attr, value in columns.items():

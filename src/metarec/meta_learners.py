@@ -47,10 +47,10 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
-from .memory_tree import EVICTION_POLICIES, TreeMemory, blend_gradients
+from .memory_tree import EVICTION_POLICIES, TreeMemory, blend_gradients, check_kernel_params
 from .model import (
     ModelSpec,
-    check_episode,
+    check_episodes,
     expected_entry_names,
     forward,  # unused here; kept importable for callers that wrap meta_learners.forward
     grad,
@@ -61,7 +61,7 @@ from .model import (
     predict,
     user_embedding,
 )
-from .params import ParamSet, axpy_update
+from .params import ParamSet, axpy_update, dense_views
 from .tasks import DatasetSplits, TaskEpisode
 
 __all__ = [
@@ -133,6 +133,7 @@ class LrHead:
         if psi.names() != expected:
             raise ConfigError(f"rate-head layout {psi.names()} does not match {expected}")
         self.psi = psi
+        self._layers = psi.layout.dense_layers()
 
     def n_layers(self) -> int:
         return len(self.hidden_dims) + 1
@@ -142,12 +143,13 @@ class LrHead:
         if h.shape != (self.input_dim,):
             raise ConfigError(f"embedding shape {h.shape} does not match head input "
                               f"({self.input_dim},)")
+        weights = dense_views(self.psi.flat, self._layers)
         acts = [h]
         preacts = []
         a = h
         n = self.n_layers()
-        for layer in range(n):
-            z = self.psi[f"lr_W{layer}"] @ a + self.psi[f"lr_b{layer}"]
+        for layer, (w, b) in enumerate(weights):
+            z = w @ a + b
             preacts.append(z)
             if layer < n - 1:
                 a = np.maximum(z, 0.0)
@@ -155,7 +157,7 @@ class LrHead:
         logit = float(preacts[-1][0])
         with np.errstate(over="ignore"):
             sig = float(1.0 / (1.0 + np.exp(-logit)))
-        return self.scale * sig, sig, acts, preacts
+        return self.scale * sig, sig, acts, preacts, weights
 
     def alpha(self, h) -> float:
         """Inner learning rate for one user embedding."""
@@ -163,19 +165,19 @@ class LrHead:
 
     def alpha_and_grad(self, h) -> Tuple[float, ParamSet]:
         """(alpha(h), d alpha / d psi); the embedding is treated as an input."""
-        value, sig, acts, preacts = self._forward(h)
+        value, sig, acts, preacts, weights = self._forward(h)
         gz = np.array([self.scale * sig * (1.0 - sig)])
-        layout = self.psi.layout
-        flat = np.empty(layout.size)
-        grads = layout.views(flat)
+        flat = np.empty(self.psi.layout.size)
+        grads = dense_views(flat, self._layers)
         n = self.n_layers()
         for layer in range(n - 1, -1, -1):
             if layer < n - 1:
-                gz = gz * (preacts[layer] > 0.0).astype(np.float64)
-            np.outer(gz, acts[layer], out=grads[f"lr_W{layer}"])
-            grads[f"lr_b{layer}"][...] = gz
-            gz = self.psi[f"lr_W{layer}"].T @ gz
-        return value, ParamSet.wrap(layout, flat)
+                gz = gz * (preacts[layer] > 0.0)
+            g_w, g_b = grads[layer]
+            np.multiply(gz[:, None], acts[layer], out=g_w)
+            g_b[...] = gz
+            gz = weights[layer][0].T @ gz
+        return value, ParamSet.wrap(self.psi.layout, flat)
 
     def copy(self) -> "LrHead":
         return LrHead(self.input_dim, self.hidden_dims, self.scale, psi=self.psi.copy())
@@ -246,6 +248,7 @@ class TrainerConfig:
             raise ConfigError("tree neighbor counts must be >= 1")
         if self.tree_capacity < 1:
             raise ConfigError("tree_capacity must be >= 1")
+        check_kernel_params(self.tree_delta, self.tree_sigma, "tree_")
         if self.tree_eviction not in EVICTION_POLICIES:
             raise ConfigError(f"unknown tree_eviction {self.tree_eviction!r}; "
                               f"expected one of {EVICTION_POLICIES}")
@@ -425,13 +428,19 @@ def _model_spec(splits: DatasetSplits, config: TrainerConfig) -> ModelSpec:
     )
 
 
-def _encode_episode(splits: DatasetSplits, episode: TaskEpisode, spec: ModelSpec) -> _Encoded:
-    """Encode one user's support and query sets, each checked against ``spec`` once."""
-    user_ids, s_items, s_targets = splits.encode(episode.user, episode.support)
-    _, q_items, q_targets = splits.encode(episode.user, episode.query)
-    support = check_episode(spec, user_ids, s_items, s_targets)
-    return _Encoded(episode.user.user_id, support[0], support,
-                    check_episode(spec, user_ids, q_items, q_targets))
+def _encode_split(splits: DatasetSplits, episodes: Sequence[TaskEpisode],
+                  spec: ModelSpec) -> List[_Encoded]:
+    """Encode a split's support and query sets, checked against ``spec`` together once."""
+    def parts():
+        for episode in episodes:
+            user_ids, s_items, s_targets = splits.encode(episode.user, episode.support)
+            _, q_items, q_targets = splits.encode(episode.user, episode.query)
+            yield user_ids, s_items, s_targets
+            yield user_ids, q_items, q_targets
+
+    checked = check_episodes(spec, parts())
+    return [_Encoded(episode.user.user_id, support[0], support, query)
+            for episode, support, query in zip(episodes, checked[0::2], checked[1::2])]
 
 
 def _sum_tree_gradients(parts) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -465,8 +474,8 @@ class MetaTrainer:
         self.config = config
         self.splits = splits
         self.spec = _model_spec(splits, config)
-        self.train_episodes = [_encode_episode(splits, ep, self.spec) for ep in splits.train]
-        self.val_episodes = [_encode_episode(splits, ep, self.spec) for ep in splits.validation]
+        self.train_episodes = _encode_split(splits, splits.train, self.spec)
+        self.val_episodes = _encode_split(splits, splits.validation, self.spec)
         self.theta = init_params(self.spec, (config.seed, 0))
         self.head = None
         if config.uses_lr_head():
@@ -703,12 +712,12 @@ def transfer_train(splits: DatasetSplits, config: TrainerConfig) -> TrainedModel
     kind = spec.loss_kind()
     pooled = []
     for episode in splits.train:
-        encoded = _encode_episode(splits, episode, spec)
-        s_ids, s_items, s_targets = encoded.support
-        _, q_items, q_targets = encoded.query
-        pooled.append(check_episode(spec, s_ids, np.concatenate([s_items, q_items], axis=0),
-                                    np.concatenate([s_targets, q_targets])))
-    val_episodes = [_encode_episode(splits, ep, spec) for ep in splits.validation]
+        user_ids, s_items, s_targets = splits.encode(episode.user, episode.support)
+        _, q_items, q_targets = splits.encode(episode.user, episode.query)
+        pooled.append((user_ids, np.concatenate([s_items, q_items], axis=0),
+                       np.concatenate([s_targets, q_targets])))
+    pooled = check_episodes(spec, pooled)
+    val_episodes = _encode_split(splits, splits.validation, spec)
 
     theta = init_params(spec, (config.seed, 0))
     beta = config.resolved_outer_lr
@@ -780,7 +789,7 @@ def evaluate(model: TrainedModel, episodes: Sequence[TaskEpisode],
     Model parameters, the rate head, and the tree are read but never changed;
     at-paml looks up its inference neighbor count with touch disabled.
     """
-    encoded = [_encode_episode(splits, ep, model.spec) for ep in episodes]
+    encoded = _encode_split(splits, episodes, model.spec)
     return _evaluate_encoded(model.theta, model.spec, model.config, model.lr_head,
                              model.meta_sgd_alpha, model.tree, encoded)
 

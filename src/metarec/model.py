@@ -2,24 +2,40 @@
 
 The architecture is fixed (per-feature embedding tables, a dense ReLU stack,
 a regression or 2-way softmax head), so reverse-mode differentiation is
-written out explicitly instead of pulling in an autodiff framework.  `grad`
-runs one forward and one backward pass per episode and keeps what they
-computed on the Gradient it returns, as a tape: the input of every layer,
-the ReLU masks, the upstream gradient of every layer and, for the softmax
-head, its exponentials.  `hvp` takes that tape and pushes a tangent v
-through the same passes without recomputing them (the R-op of Pearlmutter,
-1994), which gives the exact directional derivative of the gradient, i.e.
-an exact Hessian-vector product.  Gradients and products accumulate in
-place into views of one zeroed flat vector, which the returned ParamSet
-then wraps without copying, views included.
+written out explicitly instead of pulling in an autodiff framework.
 
-Inputs are validated at the boundary.  Every call checks the parameter
-layout against the spec (one comparison of layout keys); `hvp` given a
-tape relies on the check its `grad` made on the same theta.  An episode made by
-`check_episode` carries the vocabulary sizes it was checked against and
-read-only arrays, so `grad` and `hvp` skip the id-range check for it when the
-spec has the same vocabulary sizes; every other episode, including a plain
-caller tuple, and every `forward` input is checked on each call.
+Parameters are addressed by flat offset.  A spec's layout puts every
+embedding table first, one row of ``embedding_dim`` values per id, then each
+dense layer's weight and bias.  `ModelSpec.plan` derives from the layout,
+once per spec, the row each table starts at, the flat position of every
+embedding value, and the slice and shape of each layer; a weight is read as
+``flat[slice].reshape(shape)``, a bias as ``flat[slice]``.
+
+Episodes are checked once per split.  `check_episodes` copies a split's ids
+and targets into one set of read-only columns, range-checks every id there
+with one array comparison per side (user, item), and returns one
+`CheckedEpisode` per episode, a row view of those columns.  `check_episode`
+is that routine on a one-episode split.  `grad`, `hvp` and `predict` send
+any other episode, a plain tuple included, through it before use; `forward`
+and `user_embedding` check their ids on every call.  No index is stored per
+episode: each pass looks the checked ids' flat positions up in the plan.
+
+`grad` runs one forward and one backward pass per episode.  The fused input
+is two gathers from the flat vector, each layer's gradient adds into a view
+of one zeroed flat vector, and the input gradient goes back to the embedding
+values as one add at the user positions (distinct within an episode) and one
+``np.add.at`` at the item positions, which adds repeated items in row order.
+The Gradient it returns carries those passes as a tape: the episode's flat
+positions, the input of every layer, the ReLU masks, the upstream gradient
+of every layer and, for the softmax head, its exponentials.  `hvp` takes that
+tape and pushes a tangent v through the same passes without recomputing them
+(the R-op of Pearlmutter, 1994), which gives the exact directional
+derivative of the gradient, i.e. an exact Hessian-vector product.  Episodes
+run one at a time: stacking them into one matmul would change the bits.
+
+Every call checks the parameter layout against the spec (one comparison of
+layout keys); `hvp` given a tape relies on the check its `grad` made on the
+same theta.
 
 Everything is float64 and deterministic given the seed.
 """
@@ -28,18 +44,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
-from .params import Gradient, ParamSet
+from .params import Gradient, Layout, ParamSet, dense_views
 
 __all__ = [
     "ModelSpec",
     "Episode",
     "CheckedEpisode",
     "check_episode",
+    "check_episodes",
     "init_params",
     "init_dense_stack",
     "forward",
@@ -63,6 +80,27 @@ EMBEDDING_INIT_RANGE = 0.05
 # One training example group: ids of one user's categorical features, an
 # (n_items, n_item_features) id matrix, and one target per item.
 Episode = Tuple[Sequence[int], np.ndarray, np.ndarray]
+
+
+class FlatPlan(NamedTuple):
+    """Where a spec's parameters sit in the flat vector.
+
+    The embedding tables fill the front of the vector, one row of
+    ``embedding_dim`` values per id; ``positions`` holds the flat position of
+    every value there, one row per embedding row, and
+    ``user_rows``/``item_rows`` the row each table starts at, so id ``i`` of
+    user table ``t`` reads ``positions[user_rows[t] + i]``.  ``layers``
+    holds one ``(weight slice, weight shape, bias slice)`` per dense layer.
+    """
+
+    vocab_sizes: Tuple[Tuple[int, ...], Tuple[int, ...]]
+    user_vocab: np.ndarray
+    item_vocab: np.ndarray
+    user_rows: np.ndarray
+    item_rows: np.ndarray
+    positions: np.ndarray
+    user_width: int
+    layers: Tuple[Tuple[slice, Tuple[int, int], slice], ...]
 
 
 @dataclass(frozen=True)
@@ -117,6 +155,24 @@ class ModelSpec:
         shapes = expected_entry_shapes(self)
         names = expected_entry_names(self)
         return names, tuple(shapes[name] for name in names)
+
+    @cached_property
+    def plan(self) -> FlatPlan:
+        """Flat offsets of this spec's tables and layers, read off ``layout_key``."""
+        layout = Layout(*self.layout_key)
+        n_user = len(self.user_vocab_sizes)
+        n_tables = n_user + len(self.item_vocab_sizes)
+        table_rows = np.array([sl.start for sl in layout.slices[:n_tables]],
+                              dtype=np.int64) // self.embedding_dim
+        arrays = (np.array(self.user_vocab_sizes, dtype=np.int64),
+                  np.array(self.item_vocab_sizes, dtype=np.int64),
+                  table_rows[:n_user], table_rows[n_user:],
+                  np.arange(layout.slices[n_tables].start, dtype=np.int64).reshape(
+                      -1, self.embedding_dim))
+        for arr in arrays:
+            arr.flags.writeable = False
+        return FlatPlan((self.user_vocab_sizes, self.item_vocab_sizes), *arrays,
+                        self.user_width, layout.dense_layers(n_tables))
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +246,15 @@ def _check_theta(theta: ParamSet, spec: ModelSpec) -> None:
 
 
 # ---------------------------------------------------------------------------
-# validation of raw episode inputs
+# checking episodes, one split at a time
 
 
-def _check_episode(spec: ModelSpec, user_ids, items, targets=None) -> Tuple[np.ndarray, np.ndarray]:
+def _check_episode(spec: ModelSpec, user_ids, items, targets=None):
+    """Int64 ids and float64 targets of one episode, their shapes checked.
+
+    Id ranges are left to `check_episodes`, which checks a whole split at
+    once.  Without ``targets`` (a `forward` input) the targets read as zeros.
+    """
     user_ids = np.asarray(user_ids, dtype=np.int64)
     if user_ids.shape != (len(spec.user_vocab_sizes),):
         raise DataError(
@@ -206,95 +267,126 @@ def _check_episode(spec: ModelSpec, user_ids, items, targets=None) -> Tuple[np.n
         )
     if items.shape[0] == 0:
         raise DataError("episode has no items")
-    for i, vocab in enumerate(spec.user_vocab_sizes):
-        if user_ids[i] < 0 or user_ids[i] >= vocab:
-            raise DataError(f"user feature {i} id {user_ids[i]} outside vocabulary [0, {vocab})")
-    for j, vocab in enumerate(spec.item_vocab_sizes):
-        col = items[:, j]
-        if col.min() < 0 or col.max() >= vocab:
-            raise DataError(f"item feature {j} has ids outside vocabulary [0, {vocab})")
-    if targets is not None:
-        targets = np.asarray(targets, dtype=np.float64)
-        if targets.shape != (items.shape[0],):
-            raise DataError(f"targets shape {targets.shape} does not match {items.shape[0]} items")
-    return user_ids, items
+    if targets is None:
+        return user_ids, items, np.zeros(items.shape[0])
+    targets = np.asarray(targets, dtype=np.float64)
+    if targets.shape != (items.shape[0],):
+        raise DataError(f"targets shape {targets.shape} does not match {items.shape[0]} items")
+    return user_ids, items, targets
+
+
+def _check_ids(ids: np.ndarray, vocab: np.ndarray, side: str) -> None:
+    """Reject ids outside their vocabulary; the last axis runs over features."""
+    bad = (ids < 0) | (ids >= vocab)
+    if np.logical_or.reduce(bad, None):
+        position = tuple(np.argwhere(bad)[0])
+        feature = position[-1]
+        raise DataError(f"{side} feature {feature} id {ids[position]} outside vocabulary "
+                        f"[0, {vocab[feature]})")
 
 
 class CheckedEpisode(tuple):
-    """``(user_ids, items, targets)`` validated once against ``vocab_sizes``.
+    """``(user_ids, items, targets)`` checked once against ``vocab_sizes``.
 
-    Made only by `check_episode`.  Its arrays are read-only copies, so the
-    check cannot go stale; ``vocab_sizes`` is the ``(user, item)`` vocabulary
-    sizes it was checked against.
+    Made only by `check_episodes`.  Its arrays are read-only row views of the
+    copy that routine made of the split, so the check cannot go stale;
+    ``vocab_sizes`` is the ``(user, item)`` vocabulary sizes it was checked
+    against.
     """
 
     vocab_sizes: Tuple[Tuple[int, ...], Tuple[int, ...]]
 
 
-def check_episode(spec: ModelSpec, user_ids, items, targets) -> CheckedEpisode:
-    """Validate an episode against ``spec`` and freeze it as a CheckedEpisode."""
-    user_ids, items = _check_episode(spec, user_ids, items, targets)
-    arrays = (user_ids.copy(), items.copy(), np.array(targets, dtype=np.float64))
-    for arr in arrays:
+def check_episodes(spec: ModelSpec, episodes) -> List[CheckedEpisode]:
+    """Check a split's ``(user_ids, items, targets)`` episodes once, together.
+
+    The ids and targets are copied into one set of read-only columns for the
+    split and every id is range-checked there; each returned CheckedEpisode
+    is a view of its rows.
+    """
+    users, item_blocks, target_blocks = [], [], []
+    for episode in episodes:
+        user_ids, ep_items, ep_targets = _check_episode(spec, *episode)
+        users.append(user_ids)
+        item_blocks.append(ep_items)
+        target_blocks.append(ep_targets)
+    if not users:
+        return []
+    plan = spec.plan
+    stops = np.cumsum([len(ep_items) for ep_items in item_blocks]).tolist()
+    users = np.array(users)
+    items = np.concatenate(item_blocks)
+    targets = np.concatenate(target_blocks)
+    _check_ids(users, plan.user_vocab, "user")
+    _check_ids(items, plan.item_vocab, "item")
+    for arr in (users, items, targets):
         arr.flags.writeable = False
-    episode = CheckedEpisode(arrays)
-    episode.vocab_sizes = (spec.user_vocab_sizes, spec.item_vocab_sizes)
-    return episode
+    checked = []
+    for row, (start, stop) in enumerate(zip([0] + stops[:-1], stops)):
+        episode = CheckedEpisode((users[row], items[start:stop], targets[start:stop]))
+        episode.vocab_sizes = plan.vocab_sizes
+        checked.append(episode)
+    return checked
 
 
-def _episode_arrays(spec: ModelSpec, episode) -> Episode:
-    """Int64 ids and float64 targets of an episode, checked unless already done."""
-    if (isinstance(episode, CheckedEpisode)
-            and episode.vocab_sizes == (spec.user_vocab_sizes, spec.item_vocab_sizes)):
+def check_episode(spec: ModelSpec, user_ids, items, targets) -> CheckedEpisode:
+    """Check one episode against ``spec``: `check_episodes` on a one-episode split."""
+    return check_episodes(spec, [(user_ids, items, targets)])[0]
+
+
+def _checked(spec: ModelSpec, episode) -> CheckedEpisode:
+    """The episode itself if it was checked against ``spec``'s vocabulary
+    sizes, else a checked copy."""
+    sizes = spec.plan.vocab_sizes
+    if isinstance(episode, CheckedEpisode) and (episode.vocab_sizes is sizes
+                                                or episode.vocab_sizes == sizes):
         return episode
-    user_ids, items, targets = episode
-    user_ids, items = _check_episode(spec, user_ids, items, targets)
-    return user_ids, items, np.asarray(targets, dtype=np.float64)
+    return check_episode(spec, *episode)
+
+
+def _user_index(user_ids: np.ndarray, plan: FlatPlan) -> np.ndarray:
+    """The (user_width,) flat positions of checked user ids' embedding values."""
+    return plan.positions[user_ids + plan.user_rows].reshape(-1)
+
+
+def _indices(episode: CheckedEpisode, plan: FlatPlan):
+    """Flat positions of a checked episode's embedding values: the user's
+    (user_width,) and the items' (n_items, n_item_features * embedding_dim)."""
+    user_ids, items, _ = episode
+    item_index = plan.positions[items + plan.item_rows].reshape(items.shape[0], -1)
+    return _user_index(user_ids, plan), item_index
 
 
 # ---------------------------------------------------------------------------
 # forward
 
 
-def _fused_input(entries, spec: ModelSpec, user_ids, items) -> np.ndarray:
-    """Fused input rows: the user's embedding rows, then each item's.
+def _forward_core(flat, weights, plan: FlatPlan, user_index, item_index):
+    """Shared forward pass over ``weights``, the `dense_views` of ``flat``.
 
-    ``entries`` maps embedding names to tables: the parameters in a forward
-    pass, the tangent in `hvp`'s tangent pass.
+    Returns (output, acts, preacts): ``acts`` holds the input of every
+    decision layer, the fused embedding rows first, and ``preacts`` every
+    layer's pre-activation.
     """
-    x = np.empty((items.shape[0], spec.fused_width))
-    e = spec.embedding_dim
-    for i in range(len(spec.user_vocab_sizes)):
-        x[:, i * e:(i + 1) * e] = entries[f"emb_user_{i}"][user_ids[i]]
-    for j in range(len(spec.item_vocab_sizes)):
-        col = spec.user_width + j * e
-        x[:, col:col + e] = entries[f"emb_item_{j}"][items[:, j]]
-    return x
-
-
-def _forward_core(theta, spec: ModelSpec, user_ids, items):
-    """Shared forward pass.
-
-    Returns (output, user_vec, acts, preacts): ``acts`` holds the input of
-    every decision layer and ``preacts`` its pre-activation.
-    """
-    x = _fused_input(theta, spec, user_ids, items)
-    u = x[0, :spec.user_width]
+    uw = plan.user_width
+    x = np.empty((item_index.shape[0], uw + item_index.shape[1]))
+    x[:, :uw] = flat[user_index]
+    x[:, uw:] = flat[item_index]
 
     acts = [x]
     preacts = []
     a = x
-    n_layers = len(spec.decision_dims)
+    last = len(weights) - 1
     with np.errstate(invalid="ignore", over="ignore"):
-        for layer in range(n_layers):
-            z = a @ theta[f"dec_W{layer}"].T + theta[f"dec_b{layer}"]
-            if not np.isfinite(z).all():
+        for layer, (w, b) in enumerate(weights):
+            z = a @ w.T + b
+            if not np.logical_and.reduce(np.isfinite(z), None):
                 raise NumericError(f"non-finite values in decision layer {layer}")
             preacts.append(z)
-            if layer < n_layers - 1:
+            if layer < last:
                 a = np.maximum(z, 0.0)
                 acts.append(a)
-    return preacts[-1], u, acts, preacts
+    return preacts[-1], acts, preacts
 
 
 def _softmax(z_out):
@@ -310,6 +402,12 @@ def _predictions_from_output(spec: ModelSpec, z_out):
     return e * inv
 
 
+def _episode_forward(theta: ParamSet, spec: ModelSpec, episode: CheckedEpisode):
+    plan = spec.plan
+    flat = theta.flat
+    return _forward_core(flat, dense_views(flat, plan.layers), plan, *_indices(episode, plan))
+
+
 def forward(theta: ParamSet, spec: ModelSpec, user_ids, items):
     """Predictions plus the user embedding vector h (decision input side).
 
@@ -317,20 +415,18 @@ def forward(theta: ParamSet, spec: ModelSpec, user_ids, items):
     per-item 2-way probability rows.
     """
     _check_theta(theta, spec)
-    user_ids, items = _check_episode(spec, user_ids, items)
-    z_out, u, _, _ = _forward_core(theta, spec, user_ids, items)
-    return _predictions_from_output(spec, z_out), u.copy()
+    z_out, acts, _ = _episode_forward(theta, spec, check_episode(spec, user_ids, items, None))
+    return _predictions_from_output(spec, z_out), acts[0][0, :spec.user_width].copy()
 
 
 def predict(theta: ParamSet, spec: ModelSpec, episode) -> np.ndarray:
     """Predictions for the items of an episode ``(user_ids, items, targets)``.
 
     Like `forward` without the embedding, and a `CheckedEpisode` checked
-    against ``spec`` is not checked again.
+    for ``spec`` is not checked again.
     """
     _check_theta(theta, spec)
-    user_ids, items, _ = _episode_arrays(spec, episode)
-    z_out, _, _, _ = _forward_core(theta, spec, user_ids, items)
+    z_out, _, _ = _episode_forward(theta, spec, _checked(spec, episode))
     return _predictions_from_output(spec, z_out)
 
 
@@ -340,12 +436,10 @@ def user_embedding(theta: ParamSet, spec: ModelSpec, user_ids) -> np.ndarray:
     user_ids = np.asarray(user_ids, dtype=np.int64)
     if user_ids.shape != (len(spec.user_vocab_sizes),):
         raise DataError(f"expected {len(spec.user_vocab_sizes)} user feature ids")
-    parts = []
-    for i, vocab in enumerate(spec.user_vocab_sizes):
-        if user_ids[i] < 0 or user_ids[i] >= vocab:
-            raise DataError(f"user feature {i} id {user_ids[i]} outside vocabulary [0, {vocab})")
-        parts.append(theta[f"emb_user_{i}"][user_ids[i]])
-    return np.concatenate(parts)
+    for feature, (value, vocab) in enumerate(zip(user_ids.tolist(), spec.user_vocab_sizes)):
+        if not 0 <= value < vocab:
+            raise DataError(f"user feature {feature} id {value} outside vocabulary [0, {vocab})")
+    return theta.flat[_user_index(user_ids, spec.plan)]
 
 
 # ---------------------------------------------------------------------------
@@ -391,35 +485,27 @@ def _normalize_batch(batch) -> List[Episode]:
     return list(batch)
 
 
-def _scatter_embedding_grads(grads, spec: ModelSpec, user_ids, items, ga) -> None:
-    """Add the fused-input gradient ``ga`` into the user/item embedding rows."""
-    gu = ga[:, :spec.user_width].sum(axis=0)
-    e = spec.embedding_dim
-    for i in range(len(spec.user_vocab_sizes)):
-        grads[f"emb_user_{i}"][user_ids[i]] += gu[i * e:(i + 1) * e]
-    for j in range(len(spec.item_vocab_sizes)):
-        col = spec.user_width + j * e
-        np.add.at(grads[f"emb_item_{j}"], items[:, j], ga[:, col:col + e])
-
-
 class _Tape:
     """What `grad` computed at ``(theta, batch)``, kept for `hvp`.
 
-    ``episodes`` holds one ``(user_ids, items, acts, masks, gas, head)``
-    record per episode: the input of every decision layer, the ReLU masks
-    ``z > 0`` of the hidden layers, the upstream gradient of every layer
-    after its mask, and for weighted-nel the softmax's ``(e, inv, coef)``
-    (None for mse).  Everything is held by reference; nothing is copied.
+    ``weights`` holds theta's `dense_views`.  ``episodes`` holds one
+    ``(user_index, item_index, acts, masks, gas, head)`` record per episode:
+    the flat positions of its embedding values, the input of every decision
+    layer, the ReLU masks ``z > 0`` of the hidden layers, the upstream
+    gradient of every layer after its mask, and for weighted-nel the
+    softmax's ``(e, inv, coef)`` (None for mse).  Everything is held by
+    reference; nothing is copied.
     """
 
-    __slots__ = ("theta", "spec", "batch", "kind", "total_items", "episodes")
+    __slots__ = ("theta", "spec", "batch", "kind", "total_items", "weights", "episodes")
 
-    def __init__(self, theta, spec, batch, kind, total_items):
+    def __init__(self, theta, spec, batch, kind, total_items, weights):
         self.theta = theta
         self.spec = spec
         self.batch = batch
         self.kind = kind
         self.total_items = total_items
+        self.weights = weights
         self.episodes = []
 
 
@@ -430,21 +516,25 @@ def grad(theta: ParamSet, spec: ModelSpec, batch, kind: str) -> Gradient:
     ``tape``, for `hvp` at the same point.
     """
     _check_theta(theta, spec)
-    checked = [_episode_arrays(spec, episode) for episode in _normalize_batch(batch)]
-    total_items = sum(items.shape[0] for _, items, _ in checked)
-    tape = _Tape(theta, spec, batch, kind, total_items)
-    layout = theta.layout
-    flat = np.zeros(layout.size)
-    grads = layout.views(flat)
+    checked = [_checked(spec, episode) for episode in _normalize_batch(batch)]
+    total_items = sum(episode[1].shape[0] for episode in checked)
+    plan = spec.plan
+    uw = plan.user_width
+    weights = dense_views(theta.flat, plan.layers)
+    tape = _Tape(theta, spec, batch, kind, total_items, weights)
+    flat = np.zeros(theta.layout.size)
+    grads = dense_views(flat, plan.layers)
 
     loss_value = 0.0
-    n_layers = len(spec.decision_dims)
-    for user_ids, items, targets in checked:
-        z_out, _, acts, preacts = _forward_core(theta, spec, user_ids, items)
+    n_layers = len(weights)
+    for episode in checked:
+        targets = episode[2]
+        user_index, item_index = _indices(episode, plan)
+        z_out, acts, preacts = _forward_core(theta.flat, weights, plan, user_index, item_index)
 
         if kind == "mse":
             r = z_out[:, 0] - targets
-            loss_value = loss_value + (r * r).sum() / total_items
+            loss_value = loss_value + np.add.reduce(r * r, None) / total_items
             gz = (r * (2.0 / total_items))[:, None]
             head = None
         elif kind == "weighted-nel":
@@ -469,12 +559,16 @@ def grad(theta: ParamSet, spec: ModelSpec, batch, kind: str) -> Gradient:
             if layer < n_layers - 1:
                 ga = ga * masks[layer]
             gas[layer] = ga
-            grads[f"dec_W{layer}"] += ga.T @ acts[layer]
-            grads[f"dec_b{layer}"] += ga.sum(axis=0)
-            ga = ga @ theta[f"dec_W{layer}"]
-        _scatter_embedding_grads(grads, spec, user_ids, items, ga)
-        tape.episodes.append((user_ids, items, acts, masks, gas, head))
-    return Gradient.wrap(layout, flat, float(loss_value), views=grads, tape=tape)
+            g_w, g_b = grads[layer]
+            g_w += ga.T @ acts[layer]
+            g_b += np.add.reduce(ga, 0)
+            ga = ga @ weights[layer][0]
+        # the user positions are distinct, and add.at adds item rows in order;
+        # raveled, it takes numpy's one-dimensional fast path in that order
+        flat[user_index] += np.add.reduce(ga[:, :uw], 0)
+        np.add.at(flat, item_index.ravel(), ga[:, uw:].ravel())
+        tape.episodes.append((user_index, item_index, acts, masks, gas, head))
+    return Gradient.wrap(theta.layout, flat, float(loss_value), tape=tape)
 
 
 def hvp(theta: ParamSet, spec: ModelSpec, batch, kind: str, v: ParamSet,
@@ -505,15 +599,22 @@ def hvp(theta: ParamSet, spec: ModelSpec, batch, kind: str, v: ParamSet,
             or tape.spec != spec or tape.kind != kind):
         raise ConfigError("hvp needs the Gradient that grad returned for this same theta "
                           "object, batch object, spec and loss kind")
-    layout = theta.layout
-    tangents = np.zeros(layout.size)
-    out = layout.views(tangents)
-    n_layers = len(spec.decision_dims)
-    for user_ids, items, acts, masks, gas, head in tape.episodes:
-        acts_t = [_fused_input(v, spec, user_ids, items)]
+    plan = spec.plan
+    uw = plan.user_width
+    weights = tape.weights
+    v_flat = v.flat
+    v_weights = dense_views(v_flat, plan.layers)
+    tangents = np.zeros(theta.layout.size)
+    out = dense_views(tangents, plan.layers)
+    n_layers = len(weights)
+    for user_index, item_index, acts, masks, gas, head in tape.episodes:
+        x_t = np.empty(acts[0].shape)
+        x_t[:, :uw] = v_flat[user_index]
+        x_t[:, uw:] = v_flat[item_index]
+        acts_t = [x_t]
         for layer in range(n_layers):
-            w_name, b_name = f"dec_W{layer}", f"dec_b{layer}"
-            z_t = (acts_t[layer] @ theta[w_name].T + acts[layer] @ v[w_name].T) + v[b_name]
+            v_w, v_b = v_weights[layer]
+            z_t = (acts_t[layer] @ weights[layer][0].T + acts[layer] @ v_w.T) + v_b
             if layer < n_layers - 1:
                 acts_t.append(np.where(masks[layer], z_t, 0.0))
 
@@ -526,12 +627,13 @@ def hvp(theta: ParamSet, spec: ModelSpec, batch, kind: str, v: ParamSet,
             ga_t = (e_t * inv - e * s_t * inv * inv) * coef
 
         for layer in range(n_layers - 1, -1, -1):
-            w_name = f"dec_W{layer}"
             if layer < n_layers - 1:
                 ga_t = ga_t * masks[layer]
             ga = gas[layer]
-            out[w_name] += ga_t.T @ acts[layer] + ga.T @ acts_t[layer]
-            out[f"dec_b{layer}"] += ga_t.sum(axis=0)
-            ga_t = ga_t @ theta[w_name] + ga @ v[w_name]
-        _scatter_embedding_grads(out, spec, user_ids, items, ga_t)
-    return ParamSet.wrap(layout, tangents, views=out)
+            g_w, g_b = out[layer]
+            g_w += ga_t.T @ acts[layer] + ga.T @ acts_t[layer]
+            g_b += np.add.reduce(ga_t, 0)
+            ga_t = ga_t @ weights[layer][0] + ga @ v_weights[layer][0]
+        tangents[user_index] += np.add.reduce(ga_t[:, :uw], 0)
+        np.add.at(tangents, item_index.ravel(), ga_t[:, uw:].ravel())
+    return ParamSet.wrap(theta.layout, tangents)

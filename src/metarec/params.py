@@ -1,22 +1,28 @@
 """Named float64 parameter collections and the descent update primitive.
 
-A ``ParamSet`` stores all of its values in one contiguous float64 vector.
-Its entries are reshaped views of that vector, laid out in insertion order by
-an immutable ``Layout`` (names, shapes, slices, size).  Arithmetic runs as
-one numpy call on the whole vector, and every result shares the layout
-object of its left operand, so building it copies nothing beyond the new
-vector.  Results own fresh vectors: they never alias their operands.
+A ``ParamSet`` stores all of its values in one contiguous float64 vector,
+laid out entry by entry in insertion order by an immutable ``Layout``
+(names, shapes, slices, size).  Arithmetic runs as one numpy call on the
+whole vector, and every result shares the layout object of its left
+operand, so building it copies nothing beyond the new vector.  Results own
+fresh vectors: they never alias their operands.
+
+The training path reads values by flat offset: the model and the rate head
+slice ``flat`` at the offsets their layout fixes (see ``ModelSpec.plan``).
+Reading an entry by name builds the ParamSet's name -> reshaped view dict
+(`Layout.views`) on first use and keeps it; that is for callers outside
+the hot path, such as checkpoints and tests.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Tuple, Union
 
 import numpy as np
 
 from .errors import ConfigError, NumericError
 
-__all__ = ["Layout", "ParamSet", "Gradient", "axpy_update"]
+__all__ = ["Layout", "ParamSet", "Gradient", "axpy_update", "dense_views"]
 
 
 class Layout:
@@ -45,6 +51,12 @@ class Layout:
         return {name: flat[sl].reshape(shape)
                 for name, sl, shape in zip(self.names, self.slices, self.shapes)}
 
+    def dense_layers(self, start: int = 0):
+        """``(weight slice, weight shape, bias slice)`` of each (weight, bias)
+        entry pair from entry ``start`` on."""
+        return tuple((self.slices[k], self.shapes[k], self.slices[k + 1])
+                     for k in range(start, len(self.names), 2))
+
     def entry_at(self, index: int) -> str:
         """Name of the entry holding flat position ``index``."""
         for name, sl in zip(self.names, self.slices):
@@ -72,20 +84,15 @@ class ParamSet:
         self._views = None
 
     @classmethod
-    def wrap(cls, layout: Layout, flat: np.ndarray,
-             views: Optional[Dict[str, np.ndarray]] = None) -> "ParamSet":
-        """ParamSet over ``flat`` itself (no copy); the caller hands it over.
-
-        ``views``, if given, must be ``layout.views(flat)``, which the caller
-        already built; the ParamSet then need not build it again.
-        """
+    def wrap(cls, layout: Layout, flat: np.ndarray) -> "ParamSet":
+        """ParamSet over ``flat`` itself (no copy); the caller hands it over."""
         if flat.dtype != np.float64 or flat.shape != (layout.size,):
             raise ConfigError(f"flat vector {flat.dtype}{flat.shape} does not fit a layout "
                               f"of size {layout.size}")
         ps = cls.__new__(cls)
         ps._layout = layout
         ps._flat = flat
-        ps._views = views
+        ps._views = None
         return ps
 
     @property
@@ -96,6 +103,13 @@ class ParamSet:
     def flat(self) -> np.ndarray:
         """The backing vector itself (not a copy); ``to_flat`` returns a copy."""
         return self._flat
+
+    def __getstate__(self):
+        # a copy or an unpickled ParamSet rebuilds its views over its own
+        # vector; copied views would be detached from it
+        state = self.__dict__.copy()
+        state["_views"] = None
+        return state
 
     def _entries(self) -> Dict[str, np.ndarray]:
         views = self._views
@@ -228,12 +242,16 @@ class Gradient(ParamSet):
         self.tape = None
 
     @classmethod
-    def wrap(cls, layout: Layout, flat: np.ndarray, loss: float,
-             views: Optional[Dict[str, np.ndarray]] = None, tape=None) -> "Gradient":
-        g = super().wrap(layout, flat, views)
+    def wrap(cls, layout: Layout, flat: np.ndarray, loss: float, tape=None) -> "Gradient":
+        g = super().wrap(layout, flat)
         g.loss = float(loss)
         g.tape = tape
         return g
+
+
+def dense_views(flat: np.ndarray, layers) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """``(weight, bias)`` views of ``flat``, one pair per `Layout.dense_layers` entry."""
+    return [(flat[w_slice].reshape(w_shape), flat[b_slice]) for w_slice, w_shape, b_slice in layers]
 
 
 def axpy_update(theta: ParamSet, g: ParamSet, step: Union[float, ParamSet]) -> ParamSet:

@@ -265,6 +265,22 @@ class TestArtifactCommands:
         assert main(["inspect-tree", path]) == 2
         assert f"{key} code [7]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("meta", np.array([2, 0, 1, 1, 0], dtype=np.int64), "capacity must be >= 1"),
+        ("params", np.array([np.nan, 1e-5]), "delta must be finite")])
+    def test_inspect_tree_stored_settings_out_of_range_are_data_errors(
+            self, tmp_path, capsys, key, value, message):
+        tree = TreeMemory(dim=2)
+        tree.store_node([0.0, 0.0], 1e-3)
+        path = str(tmp_path / "memory.tree.npz")
+        tree.dump(path)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        arrays[key] = value
+        np.savez(path, **arrays)
+        assert main(["inspect-tree", path]) == 2
+        assert message in capsys.readouterr().err
+
     def test_inspect_tree_without_sidecar_is_data_error(self, tmp_path, capsys):
         _, checkpoint = self.run_tiny(tmp_path, capsys, algorithm="paml", epochs="1")
         assert main(["inspect-tree", checkpoint]) == 2

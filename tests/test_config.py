@@ -129,6 +129,16 @@ class TestValidation:
         with pytest.raises(ConfigError, match="noise_sd must be finite"):
             synth_config(**{"dataset.noise_sd": noise_sd})
 
+    @pytest.mark.parametrize("key, value", [
+        ("tree_delta", "nan"), ("tree_delta", "inf"), ("tree_delta", "-1"),
+        ("tree_sigma", "nan"), ("tree_sigma", "inf"), ("tree_sigma", "0"), ("tree_sigma", "-1")])
+    def test_tree_kernel_params_out_of_range_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            synth_config(**{"trainer.algorithm": "at-paml", f"trainer.{key}": value})
+
+    def test_zero_tree_delta_accepted(self):
+        assert synth_config(**{"trainer.tree_delta": "0"}).trainer.tree_delta == 0.0
+
     def test_trainer_validation_happens_at_build_time(self):
         with pytest.raises(ConfigError, match="algorithm"):
             synth_config(**{"trainer.algorithm": "gpt"})

@@ -514,6 +514,42 @@ class TestLoadRejectsMalformedDumps:
         with pytest.raises(DataError, match="params 1"):
             TreeMemory.load(path)
 
+    def test_zero_capacity(self, tmp_path):
+        path = tmp_path / "memory.npz"
+        rewrite_dump(self.tree, path, meta=np.array([3, 0, 5, 5, 0], dtype=np.int64))
+        with pytest.raises(DataError, match="capacity must be >= 1"):
+            TreeMemory.load(path)
+
+    def test_more_nodes_than_capacity(self, tmp_path):
+        path = tmp_path / "memory.npz"
+        rewrite_dump(self.tree, path, meta=np.array([3, 4, 5, 5, 0], dtype=np.int64))
+        with pytest.raises(DataError, match="5 nodes"):
+            TreeMemory.load(path)
+
+    @pytest.mark.parametrize("params, name", [([np.nan, 1e-5], "delta"), ([-1.0, 1e-5], "delta"),
+                                              ([2.0, np.inf], "sigma"), ([2.0, 0.0], "sigma")])
+    def test_kernel_params_out_of_range(self, tmp_path, params, name):
+        path = tmp_path / "memory.npz"
+        rewrite_dump(self.tree, path, params=np.array(params))
+        with pytest.raises(DataError, match=f"{name} must be finite"):
+            TreeMemory.load(path)
+
+
+class TestKernelParams:
+    @pytest.mark.parametrize("delta", [np.nan, np.inf, -1.0])
+    def test_delta_must_be_finite_and_non_negative(self, delta):
+        with pytest.raises(ConfigError, match="delta must be finite and >= 0"):
+            TreeMemory(dim=2, delta=delta)
+
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, 0.0, -1.0])
+    def test_sigma_must_be_finite_and_positive(self, sigma):
+        with pytest.raises(ConfigError, match="sigma must be finite and > 0"):
+            TreeMemory(dim=2, sigma=sigma)
+
+    def test_zero_delta_is_accepted(self):
+        tree, _ = fill_tree([[0.0, 0.0], [3.0, 4.0]], delta=0.0)
+        assert [nb.similarity for nb in tree.search([0.0, 0.0], 2, touch=False)] == [1.0, 1.0]
+
 
 class ReferenceMemory:
     """Dict-of-nodes memory: the plain per-node model the columns must match.

@@ -42,7 +42,7 @@ from metarec.meta_learners import (
 from metarec import model as model_module
 from metarec.model import (ModelSpec, forward, grad, init_params, loss, predict,
                            user_embedding)
-from metarec.params import ParamSet, axpy_update
+from metarec.params import Layout, ParamSet, axpy_update
 from metarec.tasks import synthetic_splits
 
 
@@ -860,3 +860,24 @@ class TestTrainerConfig:
     def test_unknown_psi_rule_rejected(self):
         with pytest.raises(ConfigError):
             TrainerConfig(psi_update_rule="momentum")
+
+
+class TestNoNamedViewsOnTheHotPath:
+    """A steady-state outer step reads every ParamSet by flat offset: it never
+    builds the name -> view dict of a Layout."""
+
+    @pytest.mark.parametrize("algorithm", ["paml", "at-paml"])
+    def test_outer_step_builds_no_layout_views(self, monkeypatch, algorithm):
+        trainer = MetaTrainer(tiny_splits(n_tasks=40), tiny_config(algorithm=algorithm))
+        batch = trainer.train_episodes[:8]
+        trainer.outer_step(batch, warmup=algorithm == "at-paml")
+        trainer.outer_step(batch)
+        assert algorithm == "paml" or len(trainer.tree) > 0
+        calls = []
+        original = Layout.views
+        monkeypatch.setattr(Layout, "views",
+                            lambda self, flat: calls.append(self) or original(self, flat))
+        log = trainer.outer_step(batch)
+        trainer._validation_loss()
+        assert len(log.episode_logs) == len(batch)
+        assert calls == []

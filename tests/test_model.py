@@ -13,6 +13,7 @@ from metarec.model import (
     hvp,
     init_params,
     loss,
+    predict,
     user_embedding,
 )
 
@@ -398,3 +399,62 @@ class TestEpisodeValidation:
             grad(theta, spec, checked, "mse")
         with pytest.raises(DataError):
             hvp(theta, spec, checked, "mse", theta.zeros_like())
+
+
+class TestKernelDigests:
+    """Output bits of grad, hvp, predict and user_embedding, pinned.
+
+    The spec has two user and two item features, the batch repeats item ids
+    within an episode and holds a one-row episode, so every gather and
+    scatter of the embedding tables reaches the digests.  Checked episodes
+    and plain tuples must give the same bits.  The digests were recorded
+    before the kernel addressed parameters by flat offset.
+    """
+
+    DIGESTS = {
+        "mse": "84b2b8895bf95eb6332f8f0c19f2e6c1476c4ae55c7fe67f864963036e1dc7a6",
+        "weighted-nel": "25131b4c7af7c75ecb635edaf8164a53c9fe1dbf28d9ee0861487fbb641e4ba6",
+    }
+
+    @staticmethod
+    def case(kind):
+        output = "rating-regression" if kind == "mse" else "ctr-softmax"
+        spec = ModelSpec((3, 4), (5, 3), embedding_dim=3,
+                         decision_dims=(6, 4, 1 if kind == "mse" else 2), output_kind=output)
+        rng = np.random.default_rng(17)
+        theta = init_params(spec, seed=17)
+        v = theta.from_flat(rng.normal(size=theta.size()))
+        users_items = (
+            ((1, 2), [[2, 1], [2, 1], [0, 2], [2, 0], [4, 1]]),
+            ((2, 0), [[3, 2]]),
+            ((0, 3), [[1, 0], [1, 0], [1, 2]]),
+        )
+        episodes = []
+        for user, items in users_items:
+            if kind == "mse":
+                targets = rng.normal(size=len(items))
+            else:
+                targets = (rng.uniform(size=len(items)) < 0.6).astype(np.float64)
+            episodes.append((np.array(user), np.array(items), targets))
+        return spec, theta, v, episodes
+
+    @staticmethod
+    def outputs(spec, theta, v, kind, episodes):
+        parts = []
+        for batch in (episodes, episodes[1], episodes[0]):
+            g = grad(theta, spec, batch, kind)
+            parts += [g.flat, np.float64(g.loss), hvp(theta, spec, batch, kind, v, at=g).flat]
+        for episode in episodes:
+            parts += [predict(theta, spec, episode), user_embedding(theta, spec, episode[0])]
+        digest = hashlib.sha256()
+        for part in parts:
+            digest.update(np.ascontiguousarray(part, dtype=np.float64).tobytes())
+        return digest.hexdigest()
+
+    @pytest.mark.parametrize("kind", sorted(DIGESTS))
+    @pytest.mark.parametrize("checked", [False, True])
+    def test_digests(self, kind, checked):
+        spec, theta, v, episodes = self.case(kind)
+        if checked:
+            episodes = [check_episode(spec, *episode) for episode in episodes]
+        assert self.outputs(spec, theta, v, kind, episodes) == self.DIGESTS[kind]

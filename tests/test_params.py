@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -69,6 +72,16 @@ class TestFlatLayout:
         assert ps.to_flat()[6 + 2] == 42.0
         ps["a"] = np.full((2, 3), -1.0)
         np.testing.assert_array_equal(ps.to_flat()[:6], np.full(6, -1.0))
+
+    @pytest.mark.parametrize("duplicate",
+                             [copy.deepcopy, lambda ps: pickle.loads(pickle.dumps(ps))])
+    def test_copies_write_through_to_their_own_flat(self, duplicate):
+        ps = _ps()
+        ps["b"]  # builds the name -> view dict that a copy must not carry over
+        twin = duplicate(ps)
+        twin["b"][2] = 42.0
+        assert twin.to_flat()[6 + 2] == 42.0
+        assert ps.to_flat()[6 + 2] != 42.0
 
     def test_results_never_alias_operands(self):
         a, b = _ps(1), _ps(2)
