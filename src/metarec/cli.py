@@ -108,7 +108,6 @@ def _cmd_inspect_tree(args) -> None:
     print(_kv("nodes", len(tree)))
     print(_kv("capacity", tree.capacity))
     print(_kv("dim", tree.dim))
-    print(_kv("mode", tree.mode))
     print(_kv("eviction", tree.eviction))
     print(_kv("delta", tree.delta))
     print(_kv("sigma", tree.sigma))
@@ -234,6 +233,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         args.handler(args)
     except SystemExit as exc:  # argparse --help
         code = exc.code

@@ -98,6 +98,8 @@ class ExperimentConfig:
                 f"run.seeds lists {len(self.seeds)} seeds but run.trials is {self.trials}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("run.seeds must be distinct (each trial owns one directory)")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"run.seeds must be >= 0, got {self.seeds}")
         if not self.output_dir:
             raise ConfigError("run.output_dir must be a non-empty path")
         if self.trainer.output_kind != "rating-regression":

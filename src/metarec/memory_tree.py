@@ -15,7 +15,7 @@ benchmark's tracer counts each search that finds it set as a rebuild.
 """
 
 import math
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -25,7 +25,6 @@ DEFAULT_CAPACITY = 10000
 DEFAULT_DELTA = 2.0
 DEFAULT_SIGMA = 1e-5
 
-SEARCH_MODES = ("exact", "approximate")
 EVICTION_POLICIES = ("lru", "lfu")
 # (attribute, file key, dtype) of every per-node column, in dump order
 _COLUMNS = (("_ids", "ids", np.int64), ("_emb", "embeddings", np.float64),
@@ -33,15 +32,16 @@ _COLUMNS = (("_ids", "ids", np.int64), ("_emb", "embeddings", np.float64),
             ("_freq", "freq", np.int64))
 
 
-class Neighbor(NamedTuple):
-    """One search hit: stored node id, Euclidean distance, node payload, and
-    the Gaussian kernel between the query and the node at the tree's delta."""
+class Neighbors(NamedTuple):
+    """One search's hits, closest first, as aligned arrays: node ids, Euclidean
+    distances, a copy of the node embeddings (one row each), rates, and the
+    Gaussian kernel between the query and each node at the tree's delta."""
 
-    node_id: int
-    distance: float
-    embedding: np.ndarray
-    lr: float
-    similarity: float
+    ids: np.ndarray
+    distances: np.ndarray
+    embeddings: np.ndarray
+    lrs: np.ndarray
+    similarities: np.ndarray
 
 
 def _node_field(attr: str, read):
@@ -76,22 +76,22 @@ def kernel_similarity(h_i, h_k, delta: float = DEFAULT_DELTA) -> float:
     return float(np.exp(-delta * np.dot(diff, diff)))
 
 
-def blend_lr(neighbors: Sequence[Tuple[float, float]], sigma: float = DEFAULT_SIGMA) -> float:
+def blend_lr(sims, lrs, sigma: float = DEFAULT_SIGMA) -> float:
     """Kernel-weighted average of neighbor learning rates.
 
-    ``neighbors`` holds (similarity, lr) pairs.  Weights are s_k / (sum_j s_j
-    + sigma), so they sum to strictly less than one and the blend shrinks
-    toward zero.
+    ``sims`` and ``lrs`` align, one entry per neighbor.  Weights are
+    s_k / (sum_j s_j + sigma), so they sum to strictly less than one and the
+    blend shrinks toward zero.
     """
-    if len(neighbors) == 0:
-        raise ConfigError("blend_lr needs at least one neighbor")
-    sims = np.array([s for s, _ in neighbors], dtype=np.float64)
-    lrs = np.array([lr for _, lr in neighbors], dtype=np.float64)
+    sims = np.asarray(sims, dtype=np.float64)
+    lrs = np.asarray(lrs, dtype=np.float64)
+    if len(sims) == 0 or sims.shape != lrs.shape:
+        raise ConfigError(f"blend_lr needs aligned non-empty arrays, got {sims.shape} and {lrs.shape}")
     denom = sims.sum() + sigma
     return float(np.dot(sims, lrs) / denom)
 
 
-def blend_gradients(h, neighbors: Sequence[Neighbor], upstream: float,
+def blend_gradients(h, neighbors: Neighbors, upstream: float,
                     delta: float = DEFAULT_DELTA,
                     sigma: float = DEFAULT_SIGMA) -> Tuple[np.ndarray, np.ndarray]:
     """Gradients of ``upstream * alpha_tilde`` w.r.t. the neighbors' nodes.
@@ -102,25 +102,15 @@ def blend_gradients(h, neighbors: Sequence[Neighbor], upstream: float,
     embedding gradients (one row per neighbor) and the lr gradients, in
     neighbor order.  The query embedding is treated as a constant.
     """
-    if len(neighbors) == 0:
+    if len(neighbors.ids) == 0:
         raise ConfigError("blend_gradients needs at least one neighbor")
     h = np.asarray(h, dtype=np.float64)
-    sims = np.array([nb.similarity for nb in neighbors])
-    lrs = np.array([nb.lr for nb in neighbors], dtype=np.float64)
+    sims, lrs = neighbors.similarities, neighbors.lrs
     denom = sims.sum() + sigma
     alpha_tilde = float(np.dot(sims, lrs) / denom)
     dalpha_ds = (lrs - alpha_tilde) / denom
-    ds_dh = (-2.0 * delta * sims)[:, None] * (np.array([nb.embedding for nb in neighbors]) - h)
+    ds_dh = (-2.0 * delta * sims)[:, None] * (neighbors.embeddings - h)
     return (upstream * dalpha_ds)[:, None] * ds_dh, upstream * (sims / denom)
-
-
-def _stored_name(path, data, key: str, names: Tuple[str, ...]) -> str:
-    """The name a dump stores as an index into ``names``; any other code is a DataError."""
-    codes = data[key]
-    if len(codes) < 1 or not 0 <= int(codes[0]) < len(names):
-        raise DataError(f"tree dump {path}: {key} code {codes.tolist()} is not one of "
-                        f"0..{len(names) - 1} {names}")
-    return names[int(codes[0])]
 
 
 def check_kernel_params(delta: float, sigma: float, prefix: str = "") -> None:
@@ -134,28 +124,21 @@ def check_kernel_params(delta: float, sigma: float, prefix: str = "") -> None:
 
 
 class TreeMemory:
-    """Memory of user embeddings and their learned inner rates.
+    """Memory of user embeddings and their learned inner rates."""
 
-    Both search modes run the same exact scan; ``mode`` is only validated,
-    stored and persisted, and ``seed`` selects nothing.
-    """
-
-    def __init__(self, dim: int, capacity: int = DEFAULT_CAPACITY, mode: str = "exact",
+    def __init__(self, dim: int, capacity: int = DEFAULT_CAPACITY,
                  delta: float = DEFAULT_DELTA, sigma: float = DEFAULT_SIGMA,
-                 eviction: str = "lru", seed: int = 0):
+                 eviction: str = "lru"):
         if dim < 1:
             raise ConfigError("embedding dimension must be >= 1")
         if capacity < 1:
             raise ConfigError("capacity must be >= 1")
-        if mode not in SEARCH_MODES:
-            raise ConfigError(f"unknown search mode {mode!r}; expected one of {SEARCH_MODES}")
         if eviction not in EVICTION_POLICIES:
             raise ConfigError(
                 f"unknown eviction policy {eviction!r}; expected one of {EVICTION_POLICIES}")
         check_kernel_params(float(delta), float(sigma))
         self.dim = int(dim)
         self.capacity = int(capacity)
-        self.mode = mode
         self.delta = float(delta)
         self.sigma = float(sigma)
         self.eviction = eviction
@@ -227,7 +210,7 @@ class TreeMemory:
         self._freq[row] = 0
         return node_id
 
-    def search(self, h, k: int, touch: bool = True) -> List[Neighbor]:
+    def search(self, h, k: int, touch: bool = True) -> Neighbors:
         """Return up to ``k`` nearest stored nodes, closest first.
 
         ``touch`` controls whether returned nodes have their recency bumped;
@@ -259,8 +242,7 @@ class TreeMemory:
         # each (1 x dim) @ (dim x 1) product is the BLAS dot np.dot runs, so the
         # kernel matches kernel_similarity bit for bit; a row sum would not
         sims = np.exp(-self.delta * (diff @ diff.reshape(len(rows), self.dim, 1)).ravel())
-        return list(map(Neighbor, ids[rows].tolist(), np.sqrt(d2[rows]).tolist(), emb,
-                        self._lr[rows].tolist(), sims.tolist()))
+        return Neighbors(ids[rows], np.sqrt(d2[rows]), emb, self._lr[rows], sims)
 
     def update_nodes(self, node_ids, emb_grads, lr_grads, beta: float) -> None:
         """One descent step on distinct nodes: row j of ``emb_grads`` and entry
@@ -279,10 +261,10 @@ class TreeMemory:
         self._emb[rows] = self._emb[rows] - beta * emb_grads
         self._lr[rows] = np.clip(self._lr[rows] - beta * lr_grads, 0.0, 1.0)
 
-    def blended_lr(self, h, k: int, touch: bool = True) -> Tuple[float, List[Neighbor]]:
+    def blended_lr(self, h, k: int, touch: bool = True) -> Tuple[float, Neighbors]:
         """Search then blend: returns (alpha_tilde, neighbors)."""
         neighbors = self.search(h, k, touch=touch)
-        return blend_lr([(nb.similarity, nb.lr) for nb in neighbors], self.sigma), neighbors
+        return blend_lr(neighbors.similarities, neighbors.lrs, self.sigma), neighbors
 
     def dump(self, path) -> None:
         order = np.argsort(self._ids[: self._n])
@@ -292,23 +274,27 @@ class TreeMemory:
             meta=np.array([self.dim, self.capacity, self._next_id, self._counter,
                            self._evictions], dtype=np.int64),
             params=np.array([self.delta, self.sigma], dtype=np.float64),
-            mode=np.array([SEARCH_MODES.index(self.mode)], dtype=np.int64),
             eviction=np.array([EVICTION_POLICIES.index(self.eviction)], dtype=np.int64),
         )
 
     @classmethod
     def load(cls, path) -> "TreeMemory":
-        """Rebuild a dumped memory; a malformed node table is a DataError."""
+        """Rebuild a dumped memory; a malformed node table is a DataError.
+
+        Older dumps also hold a search ``mode`` code, which is ignored.
+        """
         with np.load(path) as data:
-            meta, params = data["meta"], data["params"]
+            meta, params, codes = data["meta"], data["params"], data["eviction"]
             if len(meta) < 5 or len(params) < 2:
                 raise DataError(f"tree dump {path}: meta holds {len(meta)} entries and "
                                 f"params {len(params)}, expected at least 5 and 2")
+            if len(codes) < 1 or not 0 <= int(codes[0]) < len(EVICTION_POLICIES):
+                raise DataError(f"tree dump {path}: eviction code {codes.tolist()} is not one "
+                                f"of 0..{len(EVICTION_POLICIES) - 1} {EVICTION_POLICIES}")
             try:
                 tree = cls(dim=int(meta[0]), capacity=int(meta[1]),
-                           mode=_stored_name(path, data, "mode", SEARCH_MODES),
                            delta=float(params[0]), sigma=float(params[1]),
-                           eviction=_stored_name(path, data, "eviction", EVICTION_POLICIES))
+                           eviction=EVICTION_POLICIES[int(codes[0])])
             except ConfigError as exc:
                 raise DataError(f"tree dump {path}: {exc}") from None
             columns = {attr: np.array(data[key], dtype=dtype) for attr, key, dtype in _COLUMNS}

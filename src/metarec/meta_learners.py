@@ -1,6 +1,6 @@
 """Meta-learning trainers with embedding-conditioned inner learning rates.
 
-Six algorithms share one episode-level trainer skeleton:
+One trainer, ``MetaTrainer``, runs all six algorithms:
 
   paml        scalar inner rate from a small sigmoid head on the user embedding
   at-paml     paml plus an exact-scan memory whose kernel-blended stored rates
@@ -28,6 +28,10 @@ and dJ/da = sum_i -(g_s_i * g_q_i) elementwise.  The user embedding h_i that
 feeds the rate head and the tree is treated as an input: no gradient flows
 from alpha_i back into the embedding tables, which keeps the update the exact
 gradient of J as written above and makes it checkable by finite differences.
+
+Transfer instead trains on pooled support+query episodes: its theta gradient
+is their pooled supervised gradient, with no inner step, and its steps log no
+episodes.
 
 Updates are plain gradient descent with per-group 2-norm clipping.  All
 computation is float64 and deterministic given the config seed.
@@ -79,7 +83,6 @@ __all__ = [
     "adapt_with_gradient",
     "logged_rate",
     "train",
-    "transfer_train",
     "evaluate",
     "config_digest",
     "save_checkpoint",
@@ -95,6 +98,10 @@ LR_HEAD_SCALE = 1e-3
 OUTER_LR_DEFAULT = 5e-5
 OUTER_LR_PAML = 5e-6
 CHECKPOINT_VERSION = 1
+# integer TrainerConfig fields and the least value each accepts
+_INT_FLOORS = (("epochs", 0), ("warmup_epochs", 0), ("seed", 0), ("batch_size", 1),
+               ("embedding_dim", 1), ("tree_capacity", 1), ("tree_neighbors_train", 1),
+               ("tree_neighbors_infer", 1))
 # kd-tree search settings that older checkpoints still carry in their config
 RETIRED_TREE_KEYS = ("tree_search_mode", "tree_leaf_size", "tree_num_random_trees",
                      "tree_checks_budget")
@@ -220,12 +227,9 @@ class TrainerConfig:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}")
         self.decision_dims = tuple(int(d) for d in self.decision_dims)
         self.lr_hidden_dims = tuple(int(d) for d in self.lr_hidden_dims)
-        if self.epochs < 0:
-            raise ConfigError("epochs must be >= 0")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.warmup_epochs < 0:
-            raise ConfigError("warmup_epochs must be >= 0")
+        for name, floor in _INT_FLOORS:
+            if getattr(self, name) < floor:
+                raise ConfigError(f"{name} must be >= {floor}, got {getattr(self, name)}")
         if self.outer_lr is not None and (not math.isfinite(self.outer_lr) or self.outer_lr < 0):
             raise ConfigError("outer_lr must be finite and >= 0")
         for name in ("fixed_inner_lr", "warmup_inner_lr", "meta_sgd_init", "lr_scale", "grad_clip"):
@@ -234,20 +238,17 @@ class TrainerConfig:
                 raise ConfigError(f"{name} must be finite and positive")
         if not math.isfinite(self.gamma) or self.gamma < 0.0:
             raise ConfigError("gamma must be finite and >= 0")
-        if self.embedding_dim < 1:
-            raise ConfigError("embedding_dim must be >= 1")
         if not self.decision_dims:
             raise ConfigError("decision_dims must not be empty")
+        for name in ("decision_dims", "lr_hidden_dims"):
+            if min(getattr(self, name), default=1) < 1:
+                raise ConfigError(f"{name} widths must be >= 1, got {getattr(self, name)}")
         if self.output_kind not in ("rating-regression", "ctr-softmax"):
             raise ConfigError(f"unknown output_kind {self.output_kind!r}")
         if self.psi_update_rule not in PSI_UPDATE_RULES:
             raise ConfigError(
                 f"unknown psi_update_rule {self.psi_update_rule!r}; expected one of "
                 f"{PSI_UPDATE_RULES}")
-        if self.tree_neighbors_train < 1 or self.tree_neighbors_infer < 1:
-            raise ConfigError("tree neighbor counts must be >= 1")
-        if self.tree_capacity < 1:
-            raise ConfigError("tree_capacity must be >= 1")
         check_kernel_params(self.tree_delta, self.tree_sigma, "tree_")
         if self.tree_eviction not in EVICTION_POLICIES:
             raise ConfigError(f"unknown tree_eviction {self.tree_eviction!r}; "
@@ -351,8 +352,10 @@ def _check_inner_rate(alpha_i) -> None:
             raise ConfigError(f"inner rate vector entry '{name}' has negative values")
         return
     value = float(alpha_i)
-    if not math.isfinite(value) or value < 0.0:
-        raise ConfigError(f"inner rate must be finite and >= 0, got {alpha_i!r}")
+    if not math.isfinite(value):
+        raise NumericError(f"inner rate must be finite, got {alpha_i!r}")
+    if value < 0.0:
+        raise ConfigError(f"inner rate must be >= 0, got {alpha_i!r}")
 
 
 def adapt_with_gradient(theta: ParamSet, spec: ModelSpec, alpha_i, support):
@@ -375,7 +378,7 @@ def _resolve_rate(config: TrainerConfig, head: Optional[LrHead], msgd_alpha, tre
     """Each user's inner rate, chosen by algorithm here and nowhere else.
 
     Returns (alpha, dalpha_dpsi, neighbors): a scalar rate or the meta-sgd
-    rate vector, the head gradient, and the tree neighbors that were blended.
+    rate vector, the head gradient, and the blended tree ``Neighbors`` or None.
     Training (``train``) differentiates the head, blends
     ``tree_neighbors_train`` stored rates with touch, and gives at-paml its
     fixed rate during warm-up.  Evaluation blends ``tree_neighbors_infer``
@@ -383,16 +386,16 @@ def _resolve_rate(config: TrainerConfig, head: Optional[LrHead], msgd_alpha, tre
     """
     algorithm = config.algorithm
     if algorithm == "meta-sgd":
-        return msgd_alpha, None, []
+        return msgd_alpha, None, None
     if algorithm in ("maml-fixed", "transfer"):
-        return config.fixed_inner_lr, None, []
+        return config.fixed_inner_lr, None, None
     if algorithm == "at-paml" and warmup:
-        return config.warmup_inner_lr, None, []
+        return config.warmup_inner_lr, None, None
     if train:
         alpha, dalpha_dpsi = head.alpha_and_grad(h)
     else:
         alpha, dalpha_dpsi = head.alpha(h), None
-    neighbors = []
+    neighbors = None
     if algorithm == "at-paml" and tree is not None and len(tree) > 0:
         k = config.tree_neighbors_train if train else config.tree_neighbors_infer
         alpha_tilde, neighbors = tree.blended_lr(h, k, touch=train)
@@ -429,18 +432,37 @@ def _model_spec(splits: DatasetSplits, config: TrainerConfig) -> ModelSpec:
 
 
 def _encode_split(splits: DatasetSplits, episodes: Sequence[TaskEpisode],
-                  spec: ModelSpec) -> List[_Encoded]:
-    """Encode a split's support and query sets, checked against ``spec`` together once."""
+                  spec: ModelSpec, pooled: bool = False) -> list:
+    """Encode a split's support and query sets, checked against ``spec`` together once.
+
+    ``pooled`` returns one checked episode of each user's support and query
+    rows together, as transfer trains on, in place of ``_Encoded`` pairs.
+    """
     def parts():
         for episode in episodes:
             user_ids, s_items, s_targets = splits.encode(episode.user, episode.support)
             _, q_items, q_targets = splits.encode(episode.user, episode.query)
-            yield user_ids, s_items, s_targets
-            yield user_ids, q_items, q_targets
+            if pooled:
+                yield (user_ids, np.concatenate([s_items, q_items], axis=0),
+                       np.concatenate([s_targets, q_targets]))
+            else:
+                yield user_ids, s_items, s_targets
+                yield user_ids, q_items, q_targets
 
     checked = check_episodes(spec, parts())
+    if pooled:
+        return checked
     return [_Encoded(episode.user.user_id, support[0], support, query)
             for episode, support, query in zip(episodes, checked[0::2], checked[1::2])]
+
+
+def _pooled_loss(theta: ParamSet, spec: ModelSpec, pooled, kind: str) -> float:
+    total_items = sum(items.shape[0] for _, items, _ in pooled)
+    total = 0.0
+    for episode in pooled:
+        _, items, targets = episode
+        total += loss(kind, predict(theta, spec, episode), targets) * items.shape[0]
+    return total / total_items
 
 
 def _sum_tree_gradients(parts) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -464,17 +486,16 @@ def _sum_tree_gradients(parts) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 class MetaTrainer:
-    """Episode-batched trainer for all gradient meta-learning algorithms."""
+    """Episode-batched trainer for all six algorithms; transfer's episodes are pooled."""
 
     def __init__(self, splits: DatasetSplits, config: TrainerConfig):
-        if config.algorithm == "transfer":
-            raise ConfigError("transfer is trained by transfer_train, not MetaTrainer")
         if not splits.train:
             raise DataError("empty train split")
         self.config = config
         self.splits = splits
         self.spec = _model_spec(splits, config)
-        self.train_episodes = _encode_split(splits, splits.train, self.spec)
+        self.train_episodes = _encode_split(splits, splits.train, self.spec,
+                                            pooled=config.algorithm == "transfer")
         self.val_episodes = _encode_split(splits, splits.validation, self.spec)
         self.theta = init_params(self.spec, (config.seed, 0))
         self.head = None
@@ -528,7 +549,7 @@ class MetaTrainer:
                 ep_theta_grad = g_q.add(hv)
 
         # d(objective)/d(alpha); only the head gradient and the tree use it
-        if dalpha_dpsi is not None or neighbors:
+        if dalpha_dpsi is not None or neighbors is not None:
             upstream = gamma * grad_sq - g_s.dot(g_q)
         ep_psi_grad = None
         if dalpha_dpsi is not None:
@@ -537,8 +558,8 @@ class MetaTrainer:
             else:
                 ep_psi_grad = dalpha_dpsi.scale(-g_q.loss)
         ep_tree = None
-        if neighbors:
-            ep_tree = ([nb.node_id for nb in neighbors],) + blend_gradients(
+        if neighbors is not None:
+            ep_tree = (neighbors.ids,) + blend_gradients(
                 h, neighbors, upstream, cfg.tree_delta, cfg.tree_sigma)
 
         log = EpisodeLog(ep.user_key, logged_rate(alpha), g_s.loss, g_q.loss, reg_value,
@@ -550,9 +571,14 @@ class MetaTrainer:
 
         Episodes whose losses or gradients go non-finite are dropped with a
         warning; the pass fails only when nothing in the batch survives.
+        Transfer's pass is the pooled gradient of its batch and drops nothing.
         """
         gamma = self.config.effective_gamma()
         kind = self.spec.loss_kind()
+        if self.config.algorithm == "transfer":
+            g = grad(self.theta, self.spec, batch, kind)
+            g.check_finite("pooled gradient")
+            return GradientPass(g, None, None, *_sum_tree_gradients([]), [], (), g.loss, 0)
         theta_grad = self.theta.zeros_like()
         psi_grad = self.head.psi.zeros_like() if self.head is not None else None
         msgd_grad = self.msgd_alpha.zeros_like() if self.msgd_alpha is not None else None
@@ -667,6 +693,9 @@ class MetaTrainer:
                     break
                 self.step_logs.append(log)
                 train_loss += log.total_loss
+            if cfg.algorithm == "transfer":
+                train_loss = _pooled_loss(self.theta, self.spec, self.train_episodes,
+                                          self.spec.loss_kind())
             val_loss = self._validation_loss()
             self.history.append({"epoch": epoch, "warmup": bool(warmup),
                                  "aborted": bool(aborted), "train_loss": float(train_loss),
@@ -684,71 +713,7 @@ class MetaTrainer:
 
 def train(splits: DatasetSplits, config: TrainerConfig) -> TrainedModel:
     """Train the configured algorithm on the train split."""
-    if config.algorithm == "transfer":
-        return transfer_train(splits, config)
     return MetaTrainer(splits, config).train()
-
-
-# ---------------------------------------------------------------------------
-# transfer baseline
-
-
-def _pooled_loss(theta: ParamSet, spec: ModelSpec, pooled, kind: str) -> float:
-    total_items = sum(items.shape[0] for _, items, _ in pooled)
-    total = 0.0
-    for episode in pooled:
-        _, items, targets = episode
-        total += loss(kind, predict(theta, spec, episode), targets) * items.shape[0]
-    return total / total_items
-
-
-def transfer_train(splits: DatasetSplits, config: TrainerConfig) -> TrainedModel:
-    """Pooled supervised training over every train interaction of every user."""
-    if config.algorithm != "transfer":
-        raise ConfigError(f"transfer_train got algorithm {config.algorithm!r}")
-    if not splits.train:
-        raise DataError("empty train split")
-    spec = _model_spec(splits, config)
-    kind = spec.loss_kind()
-    pooled = []
-    for episode in splits.train:
-        user_ids, s_items, s_targets = splits.encode(episode.user, episode.support)
-        _, q_items, q_targets = splits.encode(episode.user, episode.query)
-        pooled.append((user_ids, np.concatenate([s_items, q_items], axis=0),
-                       np.concatenate([s_targets, q_targets])))
-    pooled = check_episodes(spec, pooled)
-    val_episodes = _encode_split(splits, splits.validation, spec)
-
-    theta = init_params(spec, (config.seed, 0))
-    beta = config.resolved_outer_lr
-    history: List[dict] = []
-    best_metric = math.inf
-    best_epoch = None
-    best_theta = None
-    for epoch in range(config.epochs):
-        order = np.random.default_rng((config.seed, 2, epoch)).permutation(len(pooled))
-        for start in range(0, len(order), config.batch_size):
-            batch = [pooled[i] for i in order[start:start + config.batch_size]]
-            g = grad(theta, spec, batch, kind)
-            g.check_finite("pooled gradient")
-            clipped, _ = _clip_to_norm(g, config.grad_clip)
-            theta = axpy_update(theta, clipped, beta)
-            theta.check_finite("updated pooled theta")
-        train_loss = _pooled_loss(theta, spec, pooled, kind)
-        val_loss = None
-        if val_episodes:
-            records = _evaluate_encoded(theta, spec, config, None, None, None, val_episodes)
-            val_loss = float(np.mean([r.query_loss for r in records]))
-        history.append({"epoch": epoch, "warmup": False, "aborted": False,
-                        "train_loss": float(train_loss), "val_loss": val_loss})
-        if val_loss is not None and val_loss < best_metric:
-            best_metric = val_loss
-            best_epoch = epoch
-            best_theta = theta.copy()
-    if best_theta is None:
-        best_theta = theta.copy()
-    return TrainedModel("transfer", spec, config, best_theta, None, None, None,
-                        history, [], best_epoch)
 
 
 # ---------------------------------------------------------------------------

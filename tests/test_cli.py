@@ -146,6 +146,26 @@ class TestRun:
         assert setting.split("=")[0].split(".")[1] in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("settings, message", [
+        (("run.seeds=-1",), "run.seeds must be >= 0"),
+        (("run.trials=2", "run.seeds=3,-2"), "run.seeds must be >= 0"),
+        (("trainer.seed=-1",), "seed must be >= 0"),
+        (("trainer.decision_dims=0,1",), "decision_dims widths must be >= 1"),
+        (("trainer.lr_hidden_dims=4,0",), "lr_hidden_dims widths must be >= 1"),
+    ], ids=["run-seed", "second-run-seed", "trainer-seed", "decision-width", "rate-width"])
+    def test_bad_seed_or_width_is_rejected_before_any_output(self, tmp_path, capsys,
+                                                             settings, message):
+        config = write_config(tmp_path)
+        out_dir = tmp_path / "out"
+        args = ["run", config, "--output-dir", str(out_dir)]
+        for setting in settings:
+            args += ["--set", setting]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+        assert not out_dir.exists()
+
     def test_ctr_softmax_is_rejected_before_any_output(self, tmp_path, capsys):
         # no dataset kind yields 0/1 click labels, so the report could not be scored
         config = write_config(tmp_path)
@@ -217,6 +237,16 @@ run.trials = 1
         assert code == 3
         assert "[stage: evaluate trial 0]" in capsys.readouterr().err
 
+    def test_diverging_paml_rate_is_exit_three(self, tmp_path, capsys):
+        # the huge outer step makes the head's rate nan: a numeric failure,
+        # not a configuration problem
+        config = write_config(tmp_path)
+        code = main(["run", config, "--output-dir", str(tmp_path / "out"),
+                     "--set", "trainer.epochs=2", "--set", "trainer.embedding_dim=8",
+                     "--set", "trainer.outer_lr=1e300"])
+        assert code == 3
+        assert "inner rate must be finite, got nan" in capsys.readouterr().err
+
 
 class TestArtifactCommands:
     def run_tiny(self, tmp_path, capsys, algorithm="at-paml", epochs="2"):
@@ -234,7 +264,7 @@ class TestArtifactCommands:
         assert main(["inspect-tree", checkpoint, "--top", "2"]) == 0
         values = parse_kv(capsys.readouterr().out)
         assert int(values["nodes"]) > 0
-        assert values["mode"] == "exact"
+        assert "mode" not in values  # the exact scan is the only search
 
     def test_inspect_tree_missing_artifact_is_data_error(self, tmp_path, capsys):
         assert main(["inspect-tree", str(tmp_path / "none.npz")]) == 2
@@ -252,7 +282,7 @@ class TestArtifactCommands:
         assert main(["inspect-tree", path]) == 2
         assert "lengths disagree" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["eviction", "mode"])
+    @pytest.mark.parametrize("key", ["eviction"])
     def test_inspect_tree_unknown_stored_code_is_data_error(self, tmp_path, capsys, key):
         tree = TreeMemory(dim=2)
         tree.store_node([0.0, 0.0], 1e-3)
@@ -340,3 +370,22 @@ run.trials = 1
         assert code == 1
         assert "noise_sd must be finite and non-negative" in capsys.readouterr().err
         assert not corpus.exists()
+
+    def test_make_data_negative_seed_is_config_error(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        assert main(["make-data", str(corpus), "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert "seed must be >= 0" in captured.err
+        assert captured.out == ""
+        assert not corpus.exists()
+
+    def test_dump_embeddings_negative_seed_is_config_error(self, tmp_path, capsys):
+        # rejected while parsing, ahead of the missing checkpoint's exit 2
+        config = write_config(tmp_path)
+        out = tmp_path / "emb.tsv"
+        assert main(["dump-embeddings", str(tmp_path / "none.npz"), config,
+                     "--output", str(out), "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert "seed must be >= 0" in captured.err
+        assert captured.out == ""
+        assert not out.exists()

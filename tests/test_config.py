@@ -136,6 +136,13 @@ class TestValidation:
         with pytest.raises(ConfigError, match=f"{key} must be finite"):
             synth_config(**{"trainer.algorithm": "at-paml", f"trainer.{key}": value})
 
+    @pytest.mark.parametrize("key, value", [
+        ("decision_dims", "0,1"), ("decision_dims", "4,-1,1"),
+        ("lr_hidden_dims", "0"), ("lr_hidden_dims", "4,0")])
+    def test_layer_widths_below_one_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key} widths must be >= 1"):
+            synth_config(**{f"trainer.{key}": value})
+
     def test_zero_tree_delta_accepted(self):
         assert synth_config(**{"trainer.tree_delta": "0"}).trainer.tree_delta == 0.0
 
@@ -160,6 +167,22 @@ class TestValidation:
         del raw["run.seeds"]
         config = build_experiment_config(raw)
         assert config.trials == 3 and config.seeds == (0, 1, 2)
+
+    @pytest.mark.parametrize("extra, message", [
+        ({"run.seeds": "-1", "run.trials": "1"}, "run.seeds must be >= 0"),
+        ({"run.seeds": "0,-3"}, "run.seeds must be >= 0"),
+        ({"trainer.seed": "-1"}, "seed must be >= 0")],
+        ids=["run-seed", "second-run-seed", "trainer-seed"])
+    def test_negative_seeds_rejected(self, extra, message):
+        with pytest.raises(ConfigError, match=message):
+            synth_config(**extra)
+
+    def test_negative_trainer_seed_rejected_before_deriving_run_seeds(self):
+        raw = parse_config_text(SYNTH_TEXT)
+        del raw["run.seeds"]
+        raw["trainer.seed"] = "-2"
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            build_experiment_config(raw)
 
     def test_duplicate_seeds_rejected(self):
         with pytest.raises(ConfigError, match="distinct"):

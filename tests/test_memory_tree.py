@@ -11,7 +11,6 @@ import pytest
 from metarec.errors import ConfigError, DataError
 from metarec.memory_tree import (
     EVICTION_POLICIES,
-    SEARCH_MODES,
     TreeMemory,
     blend_gradients,
     blend_lr,
@@ -23,6 +22,11 @@ def brute_force_ids(points, ids, query, k):
     d2 = ((np.asarray(points) - np.asarray(query)) ** 2).sum(axis=1)
     order = sorted(range(len(ids)), key=lambda i: (d2[i], ids[i]))
     return [(ids[i], float(np.sqrt(d2[i]))) for i in order[:k]]
+
+
+def pairs(hits):
+    """(node id, distance) per hit, in hit order."""
+    return list(zip(hits.ids.tolist(), hits.distances.tolist()))
 
 
 def fill_tree(points, **kwargs):
@@ -106,9 +110,9 @@ class TestExactSearch:
     def test_line_of_three_points(self):
         tree, ids = fill_tree([[1.0], [2.0], [3.0]])
         hits = tree.search([0.0], k=2)
-        assert [h.node_id for h in hits] == [ids[0], ids[1]]
-        assert hits[0].distance == pytest.approx(1.0)
-        assert hits[1].distance == pytest.approx(2.0)
+        assert hits.ids.tolist() == [ids[0], ids[1]]
+        assert hits.distances[0] == pytest.approx(1.0)
+        assert hits.distances[1] == pytest.approx(2.0)
 
     def test_empty_tree_search_is_an_error(self):
         tree = TreeMemory(dim=1)
@@ -118,33 +122,29 @@ class TestExactSearch:
     def test_k_larger_than_count_returns_all(self):
         tree, ids = fill_tree([[0.0], [1.0]])
         hits = tree.search([0.0], k=10)
-        assert len(hits) == 2
+        assert all(len(column) == 2 for column in hits)
 
-    @pytest.mark.parametrize("mode", SEARCH_MODES)
-    def test_matches_brute_force_across_shapes(self, mode):
+    def test_matches_brute_force_across_shapes(self):
         rng = np.random.default_rng(21)
         for _ in range(60):
             n = int(rng.integers(2, 300))
             d = int(rng.integers(2, 33))
             k = int(rng.integers(1, 21))
             points = rng.normal(size=(n, d))
-            tree, ids = fill_tree(points, mode=mode)
+            tree, ids = fill_tree(points)
             query = rng.normal(size=d)
             expected = brute_force_ids(points, ids, query, min(k, n))
-            hits = tree.search(query, k=k, touch=False)
-            assert [(h.node_id, h.distance) for h in hits] == expected
+            assert pairs(tree.search(query, k=k, touch=False)) == expected
 
-    @pytest.mark.parametrize("mode", SEARCH_MODES)
-    def test_matches_brute_force_with_heavy_ties(self, mode):
+    def test_matches_brute_force_with_heavy_ties(self):
         # many duplicated coordinates force tie-breaking through node ids
         rng = np.random.default_rng(5)
         points = rng.integers(0, 3, size=(80, 3)).astype(float)
-        tree, ids = fill_tree(points, mode=mode)
+        tree, ids = fill_tree(points)
         for _ in range(20):
             query = rng.integers(0, 3, size=3).astype(float)
             expected = brute_force_ids(points, ids, query, 10)
-            hits = tree.search(query, k=10, touch=False)
-            assert [(h.node_id, h.distance) for h in hits] == expected
+            assert pairs(tree.search(query, k=10, touch=False)) == expected
 
     def test_consistent_after_every_kind_of_mutation(self):
         rng = np.random.default_rng(33)
@@ -156,15 +156,13 @@ class TestExactSearch:
         ids.append(tree.store_node(extra, 2e-3))
         points.append(extra)
         expected = brute_force_ids(points, ids, query, 7)
-        got = tree.search(query, k=7, touch=False)
-        assert [(h.node_id, h.distance) for h in got] == expected
+        assert pairs(tree.search(query, k=7, touch=False)) == expected
 
         grad = rng.normal(size=4)
         tree.update_nodes([ids[0]], [grad], [0.0], beta=0.1)
         points[0] = points[0] - 0.1 * grad
         expected = brute_force_ids(points, ids, query, 7)
-        got = tree.search(query, k=7, touch=False)
-        assert [(h.node_id, h.distance) for h in got] == expected
+        assert pairs(tree.search(query, k=7, touch=False)) == expected
 
     def test_touch_bumps_recency_and_frequency(self):
         tree, ids = fill_tree([[0.0], [5.0]])
@@ -176,10 +174,13 @@ class TestExactSearch:
 
     def test_hits_do_not_alias_storage(self):
         tree, ids = fill_tree([[0.0, 1.0], [5.0, 5.0]])
-        for hit in tree.search([0.0, 0.0], k=2, touch=False):
-            hit.embedding[:] = 99.0
+        hits = tree.search([0.0, 0.0], k=2, touch=False)
+        for column in hits:
+            column[...] = 99
         assert np.array_equal(tree.node(ids[0]).embedding, [0.0, 1.0])
         assert np.array_equal(tree.node(ids[1]).embedding, [5.0, 5.0])
+        assert [tree.node(i).lr for i in ids] == [1e-3, 1e-3]
+        assert tree.search([0.0, 0.0], k=2, touch=False).ids.tolist() == ids
 
     def test_untouched_search_leaves_state_alone(self):
         tree, ids = fill_tree([[0.0], [5.0]])
@@ -188,41 +189,6 @@ class TestExactSearch:
         tree.search([0.1], k=2, touch=False)
         assert [tree.node(i).recency for i in ids] == rec
         assert [tree.node(i).freq for i in ids] == freq
-
-
-class TestApproximateSearch:
-    def test_recall_meets_floor_on_reference_setup(self):
-        rng = np.random.default_rng(42)
-        points = rng.normal(size=(500, 8))
-        tree, ids = fill_tree(points, mode="approximate", seed=1)
-        for k in (5, 20):
-            found = total = 0
-            for _ in range(100):
-                query = rng.normal(size=8)
-                true_ids = {nid for nid, _ in brute_force_ids(points, ids, query, k)}
-                got = {h.node_id for h in tree.search(query, k=k, touch=False)}
-                found += len(true_ids & got)
-                total += k
-            assert found / total >= 0.9
-
-    def test_results_sorted_and_unique(self):
-        rng = np.random.default_rng(17)
-        points = rng.normal(size=(300, 6))
-        tree, _ = fill_tree(points, mode="approximate", seed=3)
-        hits = tree.search(rng.normal(size=6), k=10, touch=False)
-        dists = [h.distance for h in hits]
-        assert dists == sorted(dists)
-        assert len({h.node_id for h in hits}) == len(hits)
-
-    def test_deterministic_given_seed(self):
-        rng = np.random.default_rng(19)
-        points = rng.normal(size=(200, 5))
-        query = rng.normal(size=5)
-        a, _ = fill_tree(points, mode="approximate", seed=7)
-        b, _ = fill_tree(points, mode="approximate", seed=7)
-        ha = a.search(query, k=8, touch=False)
-        hb = b.search(query, k=8, touch=False)
-        assert [(h.node_id, h.distance) for h in ha] == [(h.node_id, h.distance) for h in hb]
 
 
 class TestKernel:
@@ -248,17 +214,17 @@ class TestKernel:
 
 class TestBlend:
     def test_single_neighbor_shrinks_toward_zero(self):
-        assert blend_lr([(1.0, 2e-3)], sigma=1e-5) == pytest.approx(2e-3 / (1 + 1e-5), rel=1e-12)
+        assert blend_lr([1.0], [2e-3], sigma=1e-5) == pytest.approx(2e-3 / (1 + 1e-5), rel=1e-12)
 
     def test_two_equal_similarity_neighbors(self):
-        got = blend_lr([(1.0, 1e-3), (1.0, 3e-3)], sigma=1e-5)
+        got = blend_lr([1.0, 1.0], [1e-3, 3e-3], sigma=1e-5)
         assert got == pytest.approx(4e-3 / (2 + 1e-5), rel=1e-12)
         assert got == pytest.approx(1.99999e-3, abs=1e-8)
 
     def test_equal_rates_stay_strictly_below_common_value(self):
         sims = [0.9, 0.5, 0.1]
         c = 7e-4
-        got = blend_lr([(s, c) for s in sims], sigma=1e-5)
+        got = blend_lr(sims, [c] * len(sims), sigma=1e-5)
         assert got < c
         assert got == pytest.approx(c * sum(sims) / (sum(sims) + 1e-5), rel=1e-12)
 
@@ -269,12 +235,16 @@ class TestBlend:
             sims = rng.uniform(1e-6, 1.0, size=n)
             lrs = rng.uniform(0.0, 1.0, size=n)
             lrs[int(rng.integers(0, n))] = lrs.max() + 1e-3
-            got = blend_lr(list(zip(sims, lrs)), sigma=1e-5)
+            got = blend_lr(sims, lrs, sigma=1e-5)
             assert 0.0 <= got < lrs.max()
 
     def test_empty_neighbor_list_rejected(self):
         with pytest.raises(ConfigError):
-            blend_lr([], sigma=1e-5)
+            blend_lr([], [], sigma=1e-5)
+
+    def test_misaligned_arrays_rejected(self):
+        with pytest.raises(ConfigError, match="aligned"):
+            blend_lr([1.0, 0.5], [1e-3], sigma=1e-5)
 
 
 class TestBlendGradients:
@@ -285,7 +255,7 @@ class TestBlendGradients:
         for i, node_id in enumerate(self.ids):
             self.tree.node(node_id).lr = 1e-3 * (i + 1)
         self.query = rng.normal(size=4)
-        self.neighbor_ids = [nb.node_id for nb in self.tree.search(self.query, k=4, touch=False)]
+        self.neighbor_ids = self.tree.search(self.query, k=4, touch=False).ids.tolist()
 
     def loss_given(self, emb_override=None, lr_override=None):
         # scalar loss 3 * alpha_tilde^2 over the searched neighbor set
@@ -300,16 +270,16 @@ class TestBlendGradients:
                 lr = lr_override[node_id]
             sims.append(kernel_similarity(self.query, emb, 2.0))
             lrs.append(lr)
-        alpha = blend_lr(list(zip(sims, lrs)), sigma=1e-5)
+        alpha = blend_lr(sims, lrs, sigma=1e-5)
         return 3.0 * alpha ** 2
 
     def test_embedding_gradient_matches_finite_differences(self):
         neighbors = self.tree.search(self.query, k=4, touch=False)
-        sims = [kernel_similarity(self.query, nb.embedding, 2.0) for nb in neighbors]
-        alpha = blend_lr([(s, nb.lr) for s, nb in zip(sims, neighbors)], sigma=1e-5)
+        sims = [kernel_similarity(self.query, emb, 2.0) for emb in neighbors.embeddings]
+        alpha = blend_lr(sims, neighbors.lrs, sigma=1e-5)
         upstream = 6.0 * alpha  # d/d_alpha of 3 alpha^2
         emb_grads, lr_grads = blend_gradients(self.query, neighbors, upstream)
-        target = neighbors[0].node_id  # row 0 of emb_grads
+        target = int(neighbors.ids[0])  # row 0 of emb_grads
         pos = self.ids.index(target)
         eps = 1e-6
         for j in range(4):
@@ -323,15 +293,15 @@ class TestBlendGradients:
 
     def test_lr_gradient_matches_finite_differences(self):
         neighbors = self.tree.search(self.query, k=4, touch=False)
-        sims = [kernel_similarity(self.query, nb.embedding, 2.0) for nb in neighbors]
-        alpha = blend_lr([(s, nb.lr) for s, nb in zip(sims, neighbors)], sigma=1e-5)
+        sims = [kernel_similarity(self.query, emb, 2.0) for emb in neighbors.embeddings]
+        alpha = blend_lr(sims, neighbors.lrs, sigma=1e-5)
         upstream = 6.0 * alpha
         _, lr_grads = blend_gradients(self.query, neighbors, upstream)
         eps = 1e-7
-        for row, nb in enumerate(neighbors):
-            base = self.tree.node(nb.node_id).lr
-            fd = (self.loss_given(lr_override={nb.node_id: base + eps})
-                  - self.loss_given(lr_override={nb.node_id: base - eps})) / (2 * eps)
+        for row, node_id in enumerate(neighbors.ids.tolist()):
+            base = self.tree.node(node_id).lr
+            fd = (self.loss_given(lr_override={node_id: base + eps})
+                  - self.loss_given(lr_override={node_id: base - eps})) / (2 * eps)
             assert lr_grads[row] == pytest.approx(fd, rel=1e-4, abs=1e-12)
 
 
@@ -387,9 +357,8 @@ class TestBlendedLrHelper:
         tree, _ = fill_tree(points)
         query = rng.normal(size=3)
         alpha, neighbors = tree.blended_lr(query, k=5, touch=False)
-        sims = [kernel_similarity(query, nb.embedding, tree.delta) for nb in neighbors]
-        assert alpha == pytest.approx(
-            blend_lr(list(zip(sims, [nb.lr for nb in neighbors])), tree.sigma), rel=1e-12)
+        sims = [kernel_similarity(query, emb, tree.delta) for emb in neighbors.embeddings]
+        assert alpha == pytest.approx(blend_lr(sims, neighbors.lrs, tree.sigma), rel=1e-12)
 
 
 class TestDumpLoad:
@@ -409,9 +378,8 @@ class TestDumpLoad:
             assert clone.node(i).recency == tree.node(i).recency
             assert clone.node(i).freq == tree.node(i).freq
         query = rng.normal(size=3)
-        a = tree.search(query, k=6, touch=False)
-        b = clone.search(query, k=6, touch=False)
-        assert [(h.node_id, h.distance) for h in a] == [(h.node_id, h.distance) for h in b]
+        assert pairs(tree.search(query, k=6, touch=False)) == pairs(
+            clone.search(query, k=6, touch=False))
 
     def test_loaded_tree_continues_id_sequence(self, tmp_path):
         tree, ids = fill_tree([[0.0], [1.0]])
@@ -426,7 +394,7 @@ class TestDumpLoad:
         # budget and seed to meta; the first five entries are unchanged
         rng = np.random.default_rng(6)
         points = rng.normal(size=(12, 3))
-        tree, ids = fill_tree(points, capacity=20, mode="approximate")
+        tree, ids = fill_tree(points, capacity=20)
         tree.search(rng.normal(size=3), k=3)
         path = tmp_path / "old.npz"
         np.savez(
@@ -438,22 +406,31 @@ class TestDumpLoad:
             freq=np.array([tree.node(i).freq for i in ids], dtype=np.int64),
             meta=np.array([3, 20, len(ids), tree._counter, 0, 8, 4, 64, 1], dtype=np.int64),
             params=np.array([tree.delta, tree.sigma]),
-            mode=np.array([SEARCH_MODES.index("approximate")], dtype=np.int64),
+            mode=np.array([1], dtype=np.int64),  # the retired "approximate" search
             eviction=np.array([0], dtype=np.int64),
         )
         clone = TreeMemory.load(path)
 
         assert clone.node_ids() == ids
-        assert (clone.capacity, clone.mode) == (20, "approximate")
+        assert clone.capacity == 20
         for i in ids:
             assert np.array_equal(clone.node(i).embedding, tree.node(i).embedding)
             assert (clone.node(i).recency, clone.node(i).freq) == (
                 tree.node(i).recency, tree.node(i).freq)
         query = rng.normal(size=3)
-        a = tree.search(query, k=5, touch=False)
-        b = clone.search(query, k=5, touch=False)
-        assert [(h.node_id, h.distance) for h in a] == [(h.node_id, h.distance) for h in b]
+        assert pairs(tree.search(query, k=5, touch=False)) == pairs(
+            clone.search(query, k=5, touch=False))
         assert clone.store_node([0.0, 0.0, 0.0], 1e-3) == len(ids)
+
+    @pytest.mark.parametrize("code", [1, 5, -1])
+    def test_stored_mode_code_is_ignored(self, tmp_path, code):
+        # dumps from before the search modes were retired hold a mode code
+        tree, ids = fill_tree([[0.0, 1.0], [2.0, 3.0]])
+        path = tmp_path / "old.npz"
+        rewrite_dump(tree, path, mode=np.array([code], dtype=np.int64))
+        clone = TreeMemory.load(path)
+        assert clone.node_ids() == ids
+        assert pairs(clone.search([0.0, 0.0], k=2)) == pairs(tree.search([0.0, 0.0], k=2))
 
 
 def rewrite_dump(tree, path, **changes):
@@ -494,8 +471,7 @@ class TestLoadRejectsMalformedDumps:
         with pytest.raises(DataError, match="next id"):
             TreeMemory.load(path)
 
-    @pytest.mark.parametrize("key, code", [("eviction", 7), ("mode", 5),
-                                           ("eviction", -1), ("mode", -1)])
+    @pytest.mark.parametrize("key, code", [("eviction", 7), ("eviction", -1)])
     def test_stored_code_out_of_range(self, tmp_path, key, code):
         path = tmp_path / "memory.npz"
         rewrite_dump(self.tree, path, **{key: np.array([code], dtype=np.int64)})
@@ -548,7 +524,7 @@ class TestKernelParams:
 
     def test_zero_delta_is_accepted(self):
         tree, _ = fill_tree([[0.0, 0.0], [3.0, 4.0]], delta=0.0)
-        assert [nb.similarity for nb in tree.search([0.0, 0.0], 2, touch=False)] == [1.0, 1.0]
+        assert tree.search([0.0, 0.0], 2, touch=False).similarities.tolist() == [1.0, 1.0]
 
 
 class ReferenceMemory:
@@ -640,8 +616,7 @@ class TestDifferentialAgainstReference:
                 q, k, touch = point(), int(rng.integers(1, 16)), bool(rng.random() < 0.7)
                 got = tree.search(q, k, touch=touch)
                 expected = ref.search(q, k, touch)
-                assert [(nb.node_id, bits(nb.distance), bits(nb.embedding), bits(nb.lr),
-                         bits(nb.similarity)) for nb in got] == [
+                assert list(zip(got.ids.tolist(), *(map(bits, column) for column in got[1:]))) == [
                     (i, bits(d), bits(e), bits(lr), bits(s)) for i, d, e, lr, s in expected]
             elif op < 0.97:
                 ids = sorted(rng.choice(sorted(ref.nodes), size=min(4, len(ref.nodes)),

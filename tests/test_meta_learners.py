@@ -37,8 +37,8 @@ from metarec.meta_learners import (
     load_checkpoint,
     save_checkpoint,
     train,
-    transfer_train,
 )
+from metarec import meta_learners
 from metarec import model as model_module
 from metarec.model import (ModelSpec, forward, grad, init_params, loss, predict,
                            user_embedding)
@@ -171,6 +171,13 @@ class TestInnerAdapt:
         with pytest.raises(ConfigError):
             inner_adapt(theta, spec, -1e-3, episode)
 
+    @pytest.mark.parametrize("rate", [np.nan, np.inf])
+    def test_non_finite_rate_is_a_numeric_error(self, rate):
+        # a diverging run, not a bad setting: the trainer drops the episode
+        spec, theta, episode = scalar_model()
+        with pytest.raises(NumericError, match="inner rate must be finite"):
+            inner_adapt(theta, spec, rate, episode)
+
     def test_non_finite_gradient_aborts(self):
         spec, theta, episode = scalar_model()
         poisoned = (episode[0], episode[1], np.array([np.nan]))
@@ -272,7 +279,7 @@ class TestComputeAlphaAndRegTerm:
         assert tree.node(0).recency == recency  # evaluation leaves the tree as it was
         value, _, neighbors = _resolve_rate(cfg, head, None, tree, h, train=True)
         assert value == 5e-4 + blended
-        assert [nb.node_id for nb in neighbors] == [0]
+        assert neighbors.ids.tolist() == [0]
         assert tree.node(0).recency > recency  # training touches what it blends
 
     def test_no_tree_contribution_means_head_only(self):
@@ -281,7 +288,8 @@ class TestComputeAlphaAndRegTerm:
         for algorithm in ("paml", "reg-paml", "at-paml"):
             cfg = TrainerConfig(algorithm=algorithm)
             assert _resolve_rate(cfg, head, None, None, h)[0] == head.alpha(h)
-            alpha, dalpha_dpsi, _ = _resolve_rate(cfg, head, None, None, h, train=True)
+            alpha, dalpha_dpsi, neighbors = _resolve_rate(cfg, head, None, None, h, train=True)
+            assert neighbors is None
             expected, expected_grad = head.alpha_and_grad(h)
             assert alpha == expected
             assert np.array_equal(dalpha_dpsi.flat, expected_grad.flat)
@@ -645,7 +653,7 @@ class TestTransfer:
         splits = tiny_splits(n_tasks=2)  # one train episode
         assert len(splits.train) == 1
         cfg = tiny_config(algorithm="transfer", epochs=3, outer_lr=1e-2, batch_size=4)
-        model = transfer_train(splits, cfg)
+        model = train(splits, cfg)
 
         episode = splits.train[0]
         user_ids, s_items, s_targets = splits.encode(episode.user, episode.support)
@@ -657,14 +665,13 @@ class TestTransfer:
         for _ in range(3):
             g = grad(theta, spec, pooled, spec.loss_kind())
             theta = axpy_update(theta, g, 1e-2)
-        final = train(splits, cfg)  # dispatches to transfer_train
         for name in theta:
-            assert np.array_equal(final.theta[name], theta[name])
+            assert np.array_equal(model.theta[name], theta[name])
 
     def test_pooled_loss_decreases(self):
         splits = tiny_splits(n_tasks=30)
         cfg = tiny_config(algorithm="transfer", epochs=5, outer_lr=1e-2)
-        model = transfer_train(splits, cfg)
+        model = train(splits, cfg)
         losses = [record["train_loss"] for record in model.history]
         violations = sum(1 for a, b in zip(losses, losses[1:]) if b >= a)
         assert violations <= 1
@@ -672,7 +679,7 @@ class TestTransfer:
     def test_finetune_zero_gradient_keeps_model(self):
         splits = tiny_splits(n_tasks=10)
         cfg = tiny_config(algorithm="transfer", epochs=1)
-        model = transfer_train(splits, cfg)
+        model = train(splits, cfg)
         episode = splits.test[0]
         user_ids, items, _ = splits.encode(episode.user, episode.support)
         predictions, h = forward(model.theta, model.spec, user_ids, items)
@@ -684,7 +691,7 @@ class TestTransfer:
     def test_finetune_takes_one_fixed_rate_step(self):
         splits = tiny_splits(n_tasks=10)
         cfg = tiny_config(algorithm="transfer", epochs=1, fixed_inner_lr=1e-3)
-        model = transfer_train(splits, cfg)
+        model = train(splits, cfg)
         episode = splits.test[0]
         support = splits.encode(episode.user, episode.support)
         h = user_embedding(model.theta, model.spec, support[0])
@@ -693,6 +700,37 @@ class TestTransfer:
         expected = axpy_update(model.theta, g, 1e-3)
         for name in expected:
             assert np.array_equal(adapted[name], expected[name])
+
+
+    def test_steps_are_pooled_batches_without_episode_logs(self):
+        splits = tiny_splits(n_tasks=30)  # 21 train users: 6 steps of 4
+        trainer = MetaTrainer(splits, tiny_config(algorithm="transfer", epochs=2,
+                                                  batch_size=4))
+        assert [len(targets) for _, _, targets in trainer.train_episodes] == [
+            len(ep.support) + len(ep.query) for ep in splits.train]
+        model = trainer.train()
+        assert [(log.epoch, log.step) for log in model.step_logs] == [
+            (epoch, step) for epoch in range(2) for step in range(6)]
+        assert all(log.episode_logs == () and log.n_skipped == 0 for log in model.step_logs)
+
+    def test_numeric_error_aborts_only_that_epoch(self, monkeypatch):
+        splits = tiny_splits(n_tasks=30)
+        cfg = tiny_config(algorithm="transfer", epochs=2, outer_lr=1e-2, batch_size=4)
+        calls = []
+        original = meta_learners.grad
+
+        def grad_failing_once(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:  # the pooled gradient of epoch 0, step 1
+                raise NumericError("injected")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(meta_learners, "grad", grad_failing_once)
+        with pytest.warns(UserWarning, match="epoch 0 aborted at step 1"):
+            model = train(splits, cfg)
+        assert [row["aborted"] for row in model.history] == [True, False]
+        assert len(model.step_logs) == 1 + 6
+        assert np.all(np.isfinite(model.theta.flat))
 
 
 class TestEvaluate:
@@ -784,7 +822,7 @@ class TestCheckpoint:
         probe = np.zeros(model.spec.user_width)
         original = model.tree.search(probe, k=3, touch=False)
         restored = loaded.tree.search(probe, k=3, touch=False)
-        assert [n.node_id for n in original] == [n.node_id for n in restored]
+        assert original.ids.tolist() == restored.ids.tolist()
         # the loaded model evaluates identically
         a = evaluate(model, splits.test, splits)
         b = evaluate(loaded, splits.test, splits)
