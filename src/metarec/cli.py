@@ -235,6 +235,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+        if getattr(args, "top", 0) < 0:
+            raise ConfigError(f"--top must be >= 0, got {args.top}")
         args.handler(args)
     except SystemExit as exc:  # argparse --help
         code = exc.code

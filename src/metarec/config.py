@@ -52,6 +52,8 @@ class SyntheticConfig:
             raise ConfigError("group 1 must be the major group (p1 >= p2)")
         if self.n_tasks < 1 or self.support_size < 1 or self.query_size < 1:
             raise ConfigError("n_tasks, support_size, query_size must be >= 1")
+        if not (math.isfinite(self.x1) and math.isfinite(self.x2)):
+            raise ConfigError(f"x1 and x2 must be finite, got {self.x1} and {self.x2}")
         if not (math.isfinite(self.noise_sd) and self.noise_sd >= 0.0):
             raise ConfigError(f"noise_sd must be finite and non-negative, got {self.noise_sd}")
         check_split(self.split, self.n_tasks)
@@ -102,10 +104,6 @@ class ExperimentConfig:
             raise ConfigError(f"run.seeds must be >= 0, got {self.seeds}")
         if not self.output_dir:
             raise ConfigError("run.output_dir must be a non-empty path")
-        if self.trainer.output_kind != "rating-regression":
-            # no dataset kind yields 0/1 click labels, so nothing could score it
-            raise ConfigError(f"trainer.output_kind {self.trainer.output_kind!r} cannot be "
-                              "run: the pipeline reports rating-regression only")
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +161,6 @@ _TRAINER_PARSERS: Dict[str, Callable[[str], object]] = {
     "warmup_inner_lr": _parse_float,
     "embedding_dim": _parse_int,
     "decision_dims": _parse_int_tuple,
-    "output_kind": _parse_str,
     "lr_hidden_dims": _parse_int_tuple,
     "lr_scale": _parse_float,
     "grad_clip": _parse_float,

@@ -56,6 +56,8 @@ class TwoGroupSpec:
             raise ConfigError("group probabilities must be positive")
         if abs(self.p1 + self.p2 - 1.0) > 1e-12:
             raise ConfigError("group probabilities must sum to 1")
+        if not np.all(np.isfinite((self.x1, self.x2) + self.rates())):
+            raise ConfigError("x1, x2, alpha1 and alpha2 must be finite")
 
     def rates(self):
         a2 = self.alpha1 if self.alpha2 is None else self.alpha2
@@ -216,6 +218,8 @@ def verify_lemmas(spec: TwoGroupSpec, convention: str = "descent", tol: float = 
     1 exactly when r <= 1, and the minor group's ratio r / (p1 + p2*r)^2 is
     then at most 1 as well.
     """
+    if not 0.0 <= tol < np.inf:
+        raise ConfigError(f"tol must be finite and >= 0, got {tol}")
     theta_f, l_star = minimize_adapted_loss(spec, fixed=True, convention=convention)
     theta_a, l_star_prime = minimize_adapted_loss(spec, fixed=False, convention=convention)
     fixed_groups = adapted_group_losses(theta_f, spec, fixed=True, convention=convention)

@@ -208,7 +208,6 @@ class TrainerConfig:
     warmup_inner_lr: float = 5e-4
     embedding_dim: int = 32
     decision_dims: Tuple[int, ...] = (320, 192, 1)
-    output_kind: str = "rating-regression"
     lr_hidden_dims: Tuple[int, ...] = (64, 32)
     lr_scale: float = LR_HEAD_SCALE
     grad_clip: float = 10.0
@@ -238,13 +237,12 @@ class TrainerConfig:
                 raise ConfigError(f"{name} must be finite and positive")
         if not math.isfinite(self.gamma) or self.gamma < 0.0:
             raise ConfigError("gamma must be finite and >= 0")
-        if not self.decision_dims:
-            raise ConfigError("decision_dims must not be empty")
+        if not self.decision_dims or self.decision_dims[-1] != 1:
+            raise ConfigError("decision_dims must end in the 1-wide rating output, "
+                              f"got {self.decision_dims}")
         for name in ("decision_dims", "lr_hidden_dims"):
             if min(getattr(self, name), default=1) < 1:
                 raise ConfigError(f"{name} widths must be >= 1, got {getattr(self, name)}")
-        if self.output_kind not in ("rating-regression", "ctr-softmax"):
-            raise ConfigError(f"unknown output_kind {self.output_kind!r}")
         if self.psi_update_rule not in PSI_UPDATE_RULES:
             raise ConfigError(
                 f"unknown psi_update_rule {self.psi_update_rule!r}; expected one of "
@@ -361,7 +359,7 @@ def _check_inner_rate(alpha_i) -> None:
 def adapt_with_gradient(theta: ParamSet, spec: ModelSpec, alpha_i, support):
     """One inner step on the support loss; returns (theta_i, support gradient)."""
     _check_inner_rate(alpha_i)
-    g_s = grad(theta, spec, support, spec.loss_kind())
+    g_s = grad(theta, spec, support)
     if not math.isfinite(g_s.loss):
         raise NumericError("support loss is not finite")
     g_s.check_finite("support gradient")
@@ -427,7 +425,6 @@ def _model_spec(splits: DatasetSplits, config: TrainerConfig) -> ModelSpec:
         item_vocab_sizes=splits.item_vocab_sizes(),
         embedding_dim=config.embedding_dim,
         decision_dims=config.decision_dims,
-        output_kind=config.output_kind,
     )
 
 
@@ -456,12 +453,12 @@ def _encode_split(splits: DatasetSplits, episodes: Sequence[TaskEpisode],
             for episode, support, query in zip(episodes, checked[0::2], checked[1::2])]
 
 
-def _pooled_loss(theta: ParamSet, spec: ModelSpec, pooled, kind: str) -> float:
+def _pooled_loss(theta: ParamSet, spec: ModelSpec, pooled) -> float:
     total_items = sum(items.shape[0] for _, items, _ in pooled)
     total = 0.0
     for episode in pooled:
         _, items, targets = episode
-        total += loss(kind, predict(theta, spec, episode), targets) * items.shape[0]
+        total += loss(predict(theta, spec, episode), targets) * items.shape[0]
     return total / total_items
 
 
@@ -519,7 +516,7 @@ class MetaTrainer:
 
     # -- gradients -----------------------------------------------------------
 
-    def _episode_pass(self, ep: _Encoded, warmup: bool, gamma: float, kind: str):
+    def _episode_pass(self, ep: _Encoded, warmup: bool, gamma: float):
         cfg = self.config
         h = user_embedding(self.theta, self.spec, ep.user_ids)
         alpha, dalpha_dpsi, neighbors = _resolve_rate(
@@ -528,7 +525,7 @@ class MetaTrainer:
         theta_i, g_s = adapt_with_gradient(self.theta, self.spec, alpha, ep.support)
         grad_sq = g_s.dot(g_s)
 
-        g_q = grad(theta_i, self.spec, ep.query, kind)
+        g_q = grad(theta_i, self.spec, ep.query)
         if not math.isfinite(g_q.loss):
             raise NumericError("query loss is not finite")
         g_q.check_finite("query gradient")
@@ -536,7 +533,7 @@ class MetaTrainer:
         ep_msgd_grad = None
         reg_value = 0.0
         if isinstance(alpha, ParamSet):
-            hv = hvp(self.theta, self.spec, ep.support, kind, alpha.mul(g_q), at=g_s)
+            hv = hvp(self.theta, self.spec, ep.support, alpha.mul(g_q), at=g_s)
             ep_theta_grad = g_q.sub(hv)
             ep_msgd_grad = g_s.mul(g_q).scale(-1.0)
         else:
@@ -545,7 +542,7 @@ class MetaTrainer:
                 ep_theta_grad = g_q.copy()
             else:
                 v = g_s.scale(2.0 * gamma * alpha).sub(g_q.scale(alpha))
-                hv = hvp(self.theta, self.spec, ep.support, kind, v, at=g_s)
+                hv = hvp(self.theta, self.spec, ep.support, v, at=g_s)
                 ep_theta_grad = g_q.add(hv)
 
         # d(objective)/d(alpha); only the head gradient and the tree use it
@@ -574,9 +571,8 @@ class MetaTrainer:
         Transfer's pass is the pooled gradient of its batch and drops nothing.
         """
         gamma = self.config.effective_gamma()
-        kind = self.spec.loss_kind()
         if self.config.algorithm == "transfer":
-            g = grad(self.theta, self.spec, batch, kind)
+            g = grad(self.theta, self.spec, batch)
             g.check_finite("pooled gradient")
             return GradientPass(g, None, None, *_sum_tree_gradients([]), [], (), g.loss, 0)
         theta_grad = self.theta.zeros_like()
@@ -589,7 +585,7 @@ class MetaTrainer:
         skipped = 0
         for ep in batch:
             try:
-                parts = self._episode_pass(ep, warmup, gamma, kind)
+                parts = self._episode_pass(ep, warmup, gamma)
             except NumericError as exc:
                 warnings.warn(f"dropping episode for user {ep.user_key!r}: {exc}")
                 skipped += 1
@@ -694,8 +690,7 @@ class MetaTrainer:
                 self.step_logs.append(log)
                 train_loss += log.total_loss
             if cfg.algorithm == "transfer":
-                train_loss = _pooled_loss(self.theta, self.spec, self.train_episodes,
-                                          self.spec.loss_kind())
+                train_loss = _pooled_loss(self.theta, self.spec, self.train_episodes)
             val_loss = self._validation_loss()
             self.history.append({"epoch": epoch, "warmup": bool(warmup),
                                  "aborted": bool(aborted), "train_loss": float(train_loss),
@@ -731,7 +726,6 @@ def inference_alpha(model: TrainedModel, h):
 
 def _evaluate_encoded(theta, spec, config, head, msgd_alpha, tree,
                       episodes: Sequence[_Encoded]) -> List[EvalRecord]:
-    kind = spec.loss_kind()
     records = []
     for ep in episodes:
         h = user_embedding(theta, spec, ep.user_ids)
@@ -741,7 +735,7 @@ def _evaluate_encoded(theta, spec, config, head, msgd_alpha, tree,
         predictions = predict(theta_u, spec, ep.query)
         if not np.all(np.isfinite(predictions)):
             raise NumericError(f"non-finite predictions for user {ep.user_key!r}")
-        query_loss = loss(kind, predictions, q_targets)
+        query_loss = loss(predictions, q_targets)
         records.append(EvalRecord(ep.user_key, logged_rate(alpha), predictions,
                                   np.asarray(q_targets, dtype=np.float64).copy(), query_loss))
     return records
@@ -800,7 +794,6 @@ def save_checkpoint(model: TrainedModel, path) -> str:
         "spec_item_vocab_sizes": np.array(model.spec.item_vocab_sizes, dtype=np.int64),
         "spec_embedding_dim": np.array([model.spec.embedding_dim], dtype=np.int64),
         "spec_decision_dims": np.array(model.spec.decision_dims, dtype=np.int64),
-        "spec_output_kind": np.array(model.spec.output_kind),
     }
     for name, arr in model.theta.items():
         arrays["theta." + name] = arr
@@ -836,6 +829,10 @@ def load_checkpoint(path) -> TrainedModel:
             raise ConfigError("checkpoint pins the paml rate with the retired freeze_alpha "
                               "and has no rate head; train maml-fixed with fixed_inner_lr "
                               "for a constant rate")
+        output_kind = stored.pop("output_kind", "rating-regression")
+        if output_kind != "rating-regression":
+            raise ConfigError(f"checkpoint was trained with output_kind {output_kind!r}; "
+                              "the model is rating-regression only")
         config = TrainerConfig(**{k: v for k, v in stored.items()
                                   if k not in RETIRED_TREE_KEYS})
         spec = ModelSpec(
@@ -843,7 +840,6 @@ def load_checkpoint(path) -> TrainedModel:
             item_vocab_sizes=tuple(int(v) for v in data["spec_item_vocab_sizes"]),
             embedding_dim=int(data["spec_embedding_dim"][0]),
             decision_dims=tuple(int(v) for v in data["spec_decision_dims"]),
-            output_kind=str(data["spec_output_kind"][()]),
         )
         theta = ParamSet({name: data["theta." + name] for name in expected_entry_names(spec)})
         head = None

@@ -1,8 +1,9 @@
 """Differentiable model core: embeddings + ReLU MLP, exact grad and HVP.
 
 The architecture is fixed (per-feature embedding tables, a dense ReLU stack,
-a regression or 2-way softmax head), so reverse-mode differentiation is
-written out explicitly instead of pulling in an autodiff framework.
+one linear rating output trained on mean squared error), so reverse-mode
+differentiation is written out explicitly instead of pulling in an autodiff
+framework.
 
 Parameters are addressed by flat offset.  A spec's layout puts every
 embedding table first, one row of ``embedding_dim`` values per id, then each
@@ -26,12 +27,12 @@ of one zeroed flat vector, and the input gradient goes back to the embedding
 values as one add at the user positions (distinct within an episode) and one
 ``np.add.at`` at the item positions, which adds repeated items in row order.
 The Gradient it returns carries those passes as a tape: the episode's flat
-positions, the input of every layer, the ReLU masks, the upstream gradient
-of every layer and, for the softmax head, its exponentials.  `hvp` takes that
-tape and pushes a tangent v through the same passes without recomputing them
-(the R-op of Pearlmutter, 1994), which gives the exact directional
-derivative of the gradient, i.e. an exact Hessian-vector product.  Episodes
-run one at a time: stacking them into one matmul would change the bits.
+positions, the input of every layer, the ReLU masks and the upstream
+gradient of every layer.  `hvp` takes that tape and pushes a tangent v
+through the same passes without recomputing them (the R-op of Pearlmutter,
+1994), which gives the exact directional derivative of the gradient, i.e. an
+exact Hessian-vector product.  Episodes run one at a time: stacking them
+into one matmul would change the bits.
 
 Every call checks the parameter layout against the spec (one comparison of
 layout keys); `hvp` given a tape relies on the check its `grad` made on the
@@ -65,16 +66,8 @@ __all__ = [
     "loss",
     "grad",
     "hvp",
-    "LOSS_KINDS",
-    "NEL_CLAMP",
-    "NEL_CLICK_WEIGHT",
-    "NEL_NOCLICK_WEIGHT",
 ]
 
-LOSS_KINDS = ("mse", "weighted-nel")
-NEL_CLAMP = 1e-12
-NEL_CLICK_WEIGHT = 0.9
-NEL_NOCLICK_WEIGHT = 0.1
 EMBEDDING_INIT_RANGE = 0.05
 
 # One training example group: ids of one user's categorical features, an
@@ -108,15 +101,14 @@ class ModelSpec:
     """Shape of the prediction model.
 
     ``decision_dims`` lists dense layer output widths from first to last; the
-    last entry is the output dimension (1 for rating regression, 2 for the
-    click softmax).  ReLU is applied after every layer except the last.
+    last entry is the 1-wide rating output.  ReLU is applied after every
+    layer except the last.
     """
 
     user_vocab_sizes: Tuple[int, ...]
     item_vocab_sizes: Tuple[int, ...]
     embedding_dim: int = 32
     decision_dims: Tuple[int, ...] = (320, 192, 1)
-    output_kind: str = "rating-regression"
 
     def __post_init__(self):
         if not self.user_vocab_sizes:
@@ -129,14 +121,8 @@ class ModelSpec:
             raise ConfigError("embedding_dim must be positive")
         if not self.decision_dims:
             raise ConfigError("decision_dims must not be empty")
-        if self.output_kind == "rating-regression":
-            if self.decision_dims[-1] != 1:
-                raise ConfigError("rating-regression needs a 1-wide output layer")
-        elif self.output_kind == "ctr-softmax":
-            if self.decision_dims[-1] != 2:
-                raise ConfigError("ctr-softmax needs a 2-wide output layer")
-        else:
-            raise ConfigError(f"unknown output_kind '{self.output_kind}'")
+        if self.decision_dims[-1] != 1:
+            raise ConfigError("the rating output layer must be 1 wide")
 
     @property
     def user_width(self) -> int:
@@ -145,9 +131,6 @@ class ModelSpec:
     @property
     def fused_width(self) -> int:
         return (len(self.user_vocab_sizes) + len(self.item_vocab_sizes)) * self.embedding_dim
-
-    def loss_kind(self) -> str:
-        return "mse" if self.output_kind == "rating-regression" else "weighted-nel"
 
     @cached_property
     def layout_key(self):
@@ -389,19 +372,6 @@ def _forward_core(flat, weights, plan: FlatPlan, user_index, item_index):
     return preacts[-1], acts, preacts
 
 
-def _softmax(z_out):
-    """Stable row softmax as ``(exp(z - rowmax), 1 / rowsum)``; p = e * inv."""
-    e = np.exp(z_out - z_out.max(axis=1, keepdims=True))
-    return e, 1.0 / e.sum(axis=1, keepdims=True)
-
-
-def _predictions_from_output(spec: ModelSpec, z_out):
-    if spec.output_kind == "rating-regression":
-        return z_out[:, 0]
-    e, inv = _softmax(z_out)
-    return e * inv
-
-
 def _episode_forward(theta: ParamSet, spec: ModelSpec, episode: CheckedEpisode):
     plan = spec.plan
     flat = theta.flat
@@ -409,14 +379,11 @@ def _episode_forward(theta: ParamSet, spec: ModelSpec, episode: CheckedEpisode):
 
 
 def forward(theta: ParamSet, spec: ModelSpec, user_ids, items):
-    """Predictions plus the user embedding vector h (decision input side).
-
-    Rating regression returns one unbounded real per item; ctr-softmax returns
-    per-item 2-way probability rows.
-    """
+    """Predictions, one unbounded rating per item, plus the user embedding
+    vector h (decision input side)."""
     _check_theta(theta, spec)
     z_out, acts, _ = _episode_forward(theta, spec, check_episode(spec, user_ids, items, None))
-    return _predictions_from_output(spec, z_out), acts[0][0, :spec.user_width].copy()
+    return z_out[:, 0], acts[0][0, :spec.user_width].copy()
 
 
 def predict(theta: ParamSet, spec: ModelSpec, episode) -> np.ndarray:
@@ -427,7 +394,7 @@ def predict(theta: ParamSet, spec: ModelSpec, episode) -> np.ndarray:
     """
     _check_theta(theta, spec)
     z_out, _, _ = _episode_forward(theta, spec, _checked(spec, episode))
-    return _predictions_from_output(spec, z_out)
+    return z_out[:, 0]
 
 
 def user_embedding(theta: ParamSet, spec: ModelSpec, user_ids) -> np.ndarray:
@@ -443,34 +410,19 @@ def user_embedding(theta: ParamSet, spec: ModelSpec, user_ids) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# losses
+# loss
 
 
-def loss(kind: str, predictions: np.ndarray, targets: np.ndarray) -> float:
-    """Batch loss: plain MSE or the click-weighted negative entropy loss.
-
-    weighted-nel: mean over items of -w_j * y_j * log(p_click_j) with
-    w = 0.9 for clicked and 0.1 for non-clicked items; y is the 0/1 click
-    label, so non-clicked items contribute exactly zero.
-    """
+def loss(predictions: np.ndarray, targets: np.ndarray) -> float:
+    """Mean squared error of a batch of rating predictions."""
     predictions = np.asarray(predictions, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if predictions.shape[0] == 0:
         raise DataError("loss of an empty batch is undefined")
-    if kind == "mse":
-        if predictions.shape != targets.shape:
-            raise DataError("predictions/targets shape mismatch")
-        r = predictions - targets
-        return float(np.mean(r * r))
-    if kind == "weighted-nel":
-        if predictions.ndim != 2 or predictions.shape[1] != 2:
-            raise DataError("weighted-nel expects (n_items, 2) probability rows")
-        if targets.shape != (predictions.shape[0],):
-            raise DataError("predictions/targets shape mismatch")
-        w = np.where(targets == 1.0, NEL_CLICK_WEIGHT, NEL_NOCLICK_WEIGHT)
-        p_click = np.maximum(predictions[:, 1], NEL_CLAMP)
-        return float(np.mean(-w * targets * np.log(p_click)))
-    raise ConfigError(f"unknown loss kind '{kind}'")
+    if predictions.shape != targets.shape:
+        raise DataError("predictions/targets shape mismatch")
+    r = predictions - targets
+    return float(np.mean(r * r))
 
 
 # ---------------------------------------------------------------------------
@@ -489,28 +441,26 @@ class _Tape:
     """What `grad` computed at ``(theta, batch)``, kept for `hvp`.
 
     ``weights`` holds theta's `dense_views`.  ``episodes`` holds one
-    ``(user_index, item_index, acts, masks, gas, head)`` record per episode:
-    the flat positions of its embedding values, the input of every decision
-    layer, the ReLU masks ``z > 0`` of the hidden layers, the upstream
-    gradient of every layer after its mask, and for weighted-nel the
-    softmax's ``(e, inv, coef)`` (None for mse).  Everything is held by
+    ``(user_index, item_index, acts, masks, gas)`` record per episode: the
+    flat positions of its embedding values, the input of every decision
+    layer, the ReLU masks ``z > 0`` of the hidden layers, and the upstream
+    gradient of every layer after its mask.  Everything is held by
     reference; nothing is copied.
     """
 
-    __slots__ = ("theta", "spec", "batch", "kind", "total_items", "weights", "episodes")
+    __slots__ = ("theta", "spec", "batch", "total_items", "weights", "episodes")
 
-    def __init__(self, theta, spec, batch, kind, total_items, weights):
+    def __init__(self, theta, spec, batch, total_items, weights):
         self.theta = theta
         self.spec = spec
         self.batch = batch
-        self.kind = kind
         self.total_items = total_items
         self.weights = weights
         self.episodes = []
 
 
-def grad(theta: ParamSet, spec: ModelSpec, batch, kind: str) -> Gradient:
-    """Exact reverse-mode gradient of the pooled-mean loss over the batch.
+def grad(theta: ParamSet, spec: ModelSpec, batch) -> Gradient:
+    """Exact reverse-mode gradient of the pooled mean squared error over the batch.
 
     The returned Gradient carries the forward and backward pass as its
     ``tape``, for `hvp` at the same point.
@@ -521,7 +471,7 @@ def grad(theta: ParamSet, spec: ModelSpec, batch, kind: str) -> Gradient:
     plan = spec.plan
     uw = plan.user_width
     weights = dense_views(theta.flat, plan.layers)
-    tape = _Tape(theta, spec, batch, kind, total_items, weights)
+    tape = _Tape(theta, spec, batch, total_items, weights)
     flat = np.zeros(theta.layout.size)
     grads = dense_views(flat, plan.layers)
 
@@ -532,25 +482,9 @@ def grad(theta: ParamSet, spec: ModelSpec, batch, kind: str) -> Gradient:
         user_index, item_index = _indices(episode, plan)
         z_out, acts, preacts = _forward_core(theta.flat, weights, plan, user_index, item_index)
 
-        if kind == "mse":
-            r = z_out[:, 0] - targets
-            loss_value = loss_value + np.add.reduce(r * r, None) / total_items
-            gz = (r * (2.0 / total_items))[:, None]
-            head = None
-        elif kind == "weighted-nel":
-            e, inv = _softmax(z_out)
-            p = e * inv
-            w = np.where(targets == 1.0, NEL_CLICK_WEIGHT, NEL_NOCLICK_WEIGHT)
-            p_click = np.maximum(p[:, 1], NEL_CLAMP)
-            loss_value = loss_value + (-w * targets * np.log(p_click)).sum() / total_items
-            # d/dz_c of -log p_1 is p_c - [c == 1]; items clamped away from the
-            # log keep zero gradient, matching the loss surface actually used
-            active = (p[:, 1] > NEL_CLAMP).astype(np.float64)
-            coef = (w * targets * active / total_items)[:, None]
-            gz = (p - np.array([0.0, 1.0])) * coef
-            head = (e, inv, coef)
-        else:
-            raise ConfigError(f"unknown loss kind '{kind}'")
+        r = z_out[:, 0] - targets
+        loss_value = loss_value + np.add.reduce(r * r, None) / total_items
+        gz = (r * (2.0 / total_items))[:, None]
 
         masks = [z > 0.0 for z in preacts[:-1]]
         gas = [None] * n_layers
@@ -567,15 +501,15 @@ def grad(theta: ParamSet, spec: ModelSpec, batch, kind: str) -> Gradient:
         # raveled, it takes numpy's one-dimensional fast path in that order
         flat[user_index] += np.add.reduce(ga[:, :uw], 0)
         np.add.at(flat, item_index.ravel(), ga[:, uw:].ravel())
-        tape.episodes.append((user_index, item_index, acts, masks, gas, head))
+        tape.episodes.append((user_index, item_index, acts, masks, gas))
     return Gradient.wrap(theta.layout, flat, float(loss_value), tape=tape)
 
 
-def hvp(theta: ParamSet, spec: ModelSpec, batch, kind: str, v: ParamSet,
+def hvp(theta: ParamSet, spec: ModelSpec, batch, v: ParamSet,
         at: Optional[Gradient] = None) -> ParamSet:
-    """Exact Hessian-vector product H(theta) @ v for the pooled batch loss.
+    """Exact Hessian-vector product H(theta) @ v for the pooled mean squared error.
 
-    ``at`` is the Gradient that ``grad(theta, spec, batch, kind)`` returned,
+    ``at`` is the Gradient that ``grad(theta, spec, batch)`` returned,
     for these same ``theta`` and ``batch`` objects; without it, `hvp` runs
     that `grad` first.  The R-op (Pearlmutter, 1994) then differentiates the
     recorded passes along v and computes tangents only.  With rows
@@ -586,19 +520,18 @@ def hvp(theta: ParamSet, spec: ModelSpec, batch, kind: str, v: ParamSet,
         dz = da W^T + a dW^T + db,        da' = dz where z > 0,
         dgW = dg^T a + g^T da,  dgb = sum(dg),  dg_in = dg W + g dW,
 
-    seeded with the tangent of the loss gradient at the output.  The
-    tangent of the gradient is exactly Hv; the Hessian is never formed.
-    Each tangent keeps the operand order of forward-over-reverse dual
-    arithmetic, so its bits equal that formulation's.
+    seeded with dz_out * 2 / n_items, the tangent of the mse gradient at the
+    output.  The tangent of the gradient is exactly Hv; the Hessian is never
+    formed.  Each tangent keeps the operand order of forward-over-reverse
+    dual arithmetic, so its bits equal that formulation's.
     """
     theta._check_same_layout(v)
     if at is None:
-        at = grad(theta, spec, batch, kind)
+        at = grad(theta, spec, batch)
     tape = at.tape if isinstance(at, Gradient) else None
-    if (tape is None or tape.theta is not theta or tape.batch is not batch
-            or tape.spec != spec or tape.kind != kind):
+    if tape is None or tape.theta is not theta or tape.batch is not batch or tape.spec != spec:
         raise ConfigError("hvp needs the Gradient that grad returned for this same theta "
-                          "object, batch object, spec and loss kind")
+                          "object, batch object and spec")
     plan = spec.plan
     uw = plan.user_width
     weights = tape.weights
@@ -607,7 +540,7 @@ def hvp(theta: ParamSet, spec: ModelSpec, batch, kind: str, v: ParamSet,
     tangents = np.zeros(theta.layout.size)
     out = dense_views(tangents, plan.layers)
     n_layers = len(weights)
-    for user_index, item_index, acts, masks, gas, head in tape.episodes:
+    for user_index, item_index, acts, masks, gas in tape.episodes:
         x_t = np.empty(acts[0].shape)
         x_t[:, :uw] = v_flat[user_index]
         x_t[:, uw:] = v_flat[item_index]
@@ -618,14 +551,7 @@ def hvp(theta: ParamSet, spec: ModelSpec, batch, kind: str, v: ParamSet,
             if layer < n_layers - 1:
                 acts_t.append(np.where(masks[layer], z_t, 0.0))
 
-        if head is None:
-            ga_t = (z_t[:, 0] * (2.0 / tape.total_items))[:, None]
-        else:
-            e, inv, coef = head
-            e_t = z_t * e
-            s_t = e_t.sum(axis=1, keepdims=True)
-            ga_t = (e_t * inv - e * s_t * inv * inv) * coef
-
+        ga_t = (z_t[:, 0] * (2.0 / tape.total_items))[:, None]
         for layer in range(n_layers - 1, -1, -1):
             if layer < n_layers - 1:
                 ga_t = ga_t * masks[layer]

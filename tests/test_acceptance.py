@@ -145,7 +145,6 @@ def test_criterion_2_meta_gradient_exactness():
         splits = synthetic_splits(0.7, 0.3, 0.0, 1.0, 12, 0.1, seed=draw)
         trainer = MetaTrainer(splits, cfg)
         batch = trainer.train_episodes[:3]
-        kind = trainer.spec.loss_kind()
         frozen = [user_embedding(trainer.theta, trainer.spec, ep.user_ids)
                   for ep in batch]
         gamma = cfg.effective_gamma()
@@ -155,12 +154,12 @@ def test_criterion_2_meta_gradient_exactness():
                           cfg.lr_scale, psi=psi)
             value = 0.0
             for ep, h in zip(batch, frozen):
-                g_s = grad(theta, trainer.spec, ep.support, kind)
+                g_s = grad(theta, trainer.spec, ep.support)
                 alpha = head.alpha(h)
                 theta_i = axpy_update(theta, g_s, alpha)
                 predictions, _ = forward(theta_i, trainer.spec,
                                          ep.query[0], ep.query[1])
-                value += loss(kind, predictions, ep.query[2])
+                value += loss(predictions, ep.query[2])
                 if gamma:
                     value += gamma * g_s.dot(g_s) * abs(alpha)
             return value

@@ -72,6 +72,20 @@ class TestLemmas:
         assert main(["lemmas", "--p1", "1.2"]) == 1
         assert "sum to 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--x1", "nan"), "must be finite"),
+        (("--x2", "inf"), "must be finite"),
+        (("--alpha1", "inf"), "must be finite"),
+        (("--alpha2", "nan"), "must be finite"),
+        (("--tol", "nan"), "tol must be finite"),
+        (("--tol", "-1"), "tol must be finite"),
+    ])
+    def test_non_finite_input_prints_no_verdict(self, capsys, flags, message):
+        assert main(["lemmas", *flags]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("rates", [[], ["--alpha2", "0.25"],
                                        ["--alpha1", "0.3", "--alpha2", "0.05"],
                                        ["--alpha2", "0.95"]])
@@ -151,8 +165,12 @@ class TestRun:
         (("run.trials=2", "run.seeds=3,-2"), "run.seeds must be >= 0"),
         (("trainer.seed=-1",), "seed must be >= 0"),
         (("trainer.decision_dims=0,1",), "decision_dims widths must be >= 1"),
+        (("trainer.decision_dims=4,2",), "decision_dims must end in"),
         (("trainer.lr_hidden_dims=4,0",), "lr_hidden_dims widths must be >= 1"),
-    ], ids=["run-seed", "second-run-seed", "trainer-seed", "decision-width", "rate-width"])
+        (("dataset.x1=nan",), "x1 and x2 must be finite"),
+        (("dataset.x2=inf",), "x1 and x2 must be finite"),
+    ], ids=["run-seed", "second-run-seed", "trainer-seed", "decision-width", "output-width",
+            "rate-width", "x1-nan", "x2-inf"])
     def test_bad_seed_or_width_is_rejected_before_any_output(self, tmp_path, capsys,
                                                              settings, message):
         config = write_config(tmp_path)
@@ -265,6 +283,13 @@ class TestArtifactCommands:
         values = parse_kv(capsys.readouterr().out)
         assert int(values["nodes"]) > 0
         assert "mode" not in values  # the exact scan is the only search
+
+    def test_inspect_tree_negative_top_is_usage_error(self, tmp_path, capsys):
+        _, checkpoint = self.run_tiny(tmp_path, capsys)
+        assert main(["inspect-tree", checkpoint, "--top", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert "--top must be >= 0" in captured.err
+        assert captured.out == ""
 
     def test_inspect_tree_missing_artifact_is_data_error(self, tmp_path, capsys):
         assert main(["inspect-tree", str(tmp_path / "none.npz")]) == 2

@@ -143,6 +143,21 @@ class TestValidation:
         with pytest.raises(ConfigError, match=f"{key} widths must be >= 1"):
             synth_config(**{f"trainer.{key}": value})
 
+    @pytest.mark.parametrize("value", ["4,2", "2", "8,4,0"])
+    def test_output_width_other_than_one_rejected(self, value):
+        with pytest.raises(ConfigError, match="decision_dims must end in the 1-wide"):
+            synth_config(**{"trainer.decision_dims": value})
+
+    @pytest.mark.parametrize("key", ["dataset.x1", "dataset.x2"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_synthetic_preferences_must_be_finite(self, key, value):
+        with pytest.raises(ConfigError, match="x1 and x2 must be finite"):
+            synth_config(**{key: value})
+
+    def test_retired_output_kind_is_an_unknown_key(self):
+        with pytest.raises(ConfigError, match="unknown config key 'trainer.output_kind'"):
+            parse_config_text(SYNTH_TEXT + "trainer.output_kind = rating-regression\n")
+
     def test_zero_tree_delta_accepted(self):
         assert synth_config(**{"trainer.tree_delta": "0"}).trainer.tree_delta == 0.0
 

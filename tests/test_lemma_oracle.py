@@ -42,6 +42,14 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             TwoGroupSpec(p1=1.0, p2=0.0, x1=0.0, x2=1.0, alpha1=0.1)
 
+    @pytest.mark.parametrize("field", ["x1", "x2", "alpha1", "alpha2"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_preferences_and_rates_rejected(self, field, value):
+        values = dict(p1=0.7, p2=0.3, x1=0.0, x2=1.0, alpha1=0.1, alpha2=0.2)
+        values[field] = value
+        with pytest.raises(ConfigError, match="must be finite"):
+            TwoGroupSpec(**values)
+
     def test_rates_default_to_shared_alpha1(self):
         spec = TwoGroupSpec(p1=0.6, p2=0.4, x1=0.0, x2=1.0, alpha1=0.2)
         assert spec.rates() == (0.2, 0.2)
@@ -144,6 +152,12 @@ class TestVerifyLemmas:
         report = verify_lemmas(spec)
         assert report.lemma1_holds
         assert report.lemma2_holds
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-10])
+    def test_tolerance_must_be_finite_and_non_negative(self, tol):
+        spec = TwoGroupSpec(p1=0.7, p2=0.3, x1=0.0, x2=1.0, alpha1=0.1)
+        with pytest.raises(ConfigError, match="tol must be finite"):
+            verify_lemmas(spec, tol=tol)
 
     def test_symmetric_groups_hold_with_equality(self):
         a2 = alpha2_equalizing(0.1, 0.5, 0.5)

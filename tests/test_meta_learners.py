@@ -208,7 +208,7 @@ class TestEncodedEpisodes:
         bad = items.copy()
         bad[0, 0] = trainer.spec.item_vocab_sizes[0]
         with pytest.raises(DataError):
-            grad(trainer.theta, trainer.spec, (user_ids, bad, targets), "mse")
+            grad(trainer.theta, trainer.spec, (user_ids, bad, targets))
         with pytest.raises(DataError):
             forward(trainer.theta, trainer.spec, user_ids, bad)
         with pytest.raises(DataError):
@@ -231,14 +231,14 @@ class TestEncodedEpisodes:
     def test_pooled_loss_does_not_check_encoded_episodes_again(self, monkeypatch):
         trainer = MetaTrainer(tiny_splits(), tiny_config())
         pooled = [ep.support for ep in trainer.train_episodes]
-        expected = sum(loss("mse", forward(trainer.theta, trainer.spec, ids, items)[0], targets)
+        expected = sum(loss(forward(trainer.theta, trainer.spec, ids, items)[0], targets)
                        * items.shape[0] for ids, items, targets in pooled)
         expected /= sum(items.shape[0] for _, items, _ in pooled)
         checks = []
         original = model_module._check_episode
         monkeypatch.setattr(model_module, "_check_episode",
                             lambda *args: checks.append(args) or original(*args))
-        assert _pooled_loss(trainer.theta, trainer.spec, pooled, "mse") == expected
+        assert _pooled_loss(trainer.theta, trainer.spec, pooled) == expected
         assert checks == []
 
     def test_clamp_keeps_layout_and_zeroes_only_negatives(self):
@@ -297,10 +297,9 @@ class TestComputeAlphaAndRegTerm:
     def test_reg_term_pinned_values(self):
         trainer = MetaTrainer(tiny_splits(), tiny_config(algorithm="reg-paml", gamma=1e-3))
         batch = trainer.train_episodes[:5]
-        kind = trainer.spec.loss_kind()
         logs = trainer.outer_gradients(batch).episode_logs
         for ep, log in zip(batch, logs):
-            g_s = grad(trainer.theta, trainer.spec, ep.support, kind)
+            g_s = grad(trainer.theta, trainer.spec, ep.support)
             assert log.support_grad_sq == g_s.dot(g_s)
             assert log.support_grad_sq > 0.0
             assert log.reg_value == log.support_grad_sq * log.alpha
@@ -348,7 +347,6 @@ class TestOuterGradients:
             cfg = tiny_config(seed=seed)
             trainer = MetaTrainer(tiny_splits(seed=seed), cfg)
             batch = trainer.train_episodes[:3]
-            kind = trainer.spec.loss_kind()
             frozen = [user_embedding(trainer.theta, trainer.spec, ep.user_ids)
                       for ep in batch]
 
@@ -357,10 +355,10 @@ class TestOuterGradients:
                               cfg.lr_scale, psi=psi)
                 value = 0.0
                 for ep, h in zip(batch, frozen):
-                    g_s = grad(theta, trainer.spec, ep.support, kind)
+                    g_s = grad(theta, trainer.spec, ep.support)
                     theta_i = axpy_update(theta, g_s, head.alpha(h))
                     predictions, _ = forward(theta_i, trainer.spec, ep.query[0], ep.query[1])
-                    value += loss(kind, predictions, ep.query[2])
+                    value += loss(predictions, ep.query[2])
                 return value
 
             gradients = trainer.outer_gradients(batch)
@@ -373,18 +371,17 @@ class TestOuterGradients:
         cfg = tiny_config(algorithm="reg-paml", gamma=1e-3)
         trainer = MetaTrainer(tiny_splits(), cfg)
         batch = trainer.train_episodes[:3]
-        kind = trainer.spec.loss_kind()
         frozen = [user_embedding(trainer.theta, trainer.spec, ep.user_ids) for ep in batch]
 
         def objective(theta, psi):
             head = LrHead(trainer.spec.user_width, cfg.lr_hidden_dims, cfg.lr_scale, psi=psi)
             value = 0.0
             for ep, h in zip(batch, frozen):
-                g_s = grad(theta, trainer.spec, ep.support, kind)
+                g_s = grad(theta, trainer.spec, ep.support)
                 alpha = head.alpha(h)
                 theta_i = axpy_update(theta, g_s, alpha)
                 predictions, _ = forward(theta_i, trainer.spec, ep.query[0], ep.query[1])
-                value += loss(kind, predictions, ep.query[2])
+                value += loss(predictions, ep.query[2])
                 value += cfg.gamma * g_s.dot(g_s) * abs(alpha)
             return value
 
@@ -398,15 +395,14 @@ class TestOuterGradients:
         cfg = tiny_config(algorithm="maml-fixed", fixed_inner_lr=1e-3)
         trainer = MetaTrainer(tiny_splits(), cfg)
         batch = trainer.train_episodes[:3]
-        kind = trainer.spec.loss_kind()
 
         def objective(theta):
             value = 0.0
             for ep in batch:
-                g_s = grad(theta, trainer.spec, ep.support, kind)
+                g_s = grad(theta, trainer.spec, ep.support)
                 theta_i = axpy_update(theta, g_s, cfg.fixed_inner_lr)
                 predictions, _ = forward(theta_i, trainer.spec, ep.query[0], ep.query[1])
-                value += loss(kind, predictions, ep.query[2])
+                value += loss(predictions, ep.query[2])
             return value
 
         gradients = trainer.outer_gradients(batch)
@@ -419,15 +415,14 @@ class TestOuterGradients:
         cfg = tiny_config(algorithm="meta-sgd", meta_sgd_init=1e-3)
         trainer = MetaTrainer(tiny_splits(), cfg)
         batch = trainer.train_episodes[:3]
-        kind = trainer.spec.loss_kind()
 
         def objective(theta, rates):
             value = 0.0
             for ep in batch:
-                g_s = grad(theta, trainer.spec, ep.support, kind)
+                g_s = grad(theta, trainer.spec, ep.support)
                 theta_i = axpy_update(theta, g_s, rates)
                 predictions, _ = forward(theta_i, trainer.spec, ep.query[0], ep.query[1])
-                value += loss(kind, predictions, ep.query[2])
+                value += loss(predictions, ep.query[2])
             return value
 
         gradients = trainer.outer_gradients(batch)
@@ -444,18 +439,17 @@ class TestOuterGradients:
             trainer.tree.store_node(rng.normal(size=trainer.spec.user_width) * 0.05,
                                     rng.uniform(0.0, 1e-3))
         batch = trainer.train_episodes[:3]
-        kind = trainer.spec.loss_kind()
         frozen = [user_embedding(trainer.theta, trainer.spec, ep.user_ids) for ep in batch]
 
         def objective(theta, psi):
             head = LrHead(trainer.spec.user_width, cfg.lr_hidden_dims, cfg.lr_scale, psi=psi)
             value = 0.0
             for ep, h in zip(batch, frozen):
-                g_s = grad(theta, trainer.spec, ep.support, kind)
+                g_s = grad(theta, trainer.spec, ep.support)
                 blended, _ = trainer.tree.blended_lr(h, cfg.tree_neighbors_train, touch=False)
                 theta_i = axpy_update(theta, g_s, head.alpha(h) + blended)
                 predictions, _ = forward(theta_i, trainer.spec, ep.query[0], ep.query[1])
-                value += loss(kind, predictions, ep.query[2])
+                value += loss(predictions, ep.query[2])
             return value
 
         gradients = trainer.outer_gradients(batch)
@@ -486,13 +480,12 @@ class TestOuterGradients:
         last = trainer.head.n_layers() - 1
         trainer.head.psi[f"lr_b{last}"][...] = -1e4
         batch = trainer.train_episodes[:4]
-        kind = trainer.spec.loss_kind()
         gradients = trainer.outer_gradients(batch)
         assert [log.alpha for log in gradients.episode_logs] == [0.0] * 4
         assert not gradients.psi_grad.flat.any()
         expected = trainer.theta.zeros_like()
         for ep in batch:
-            expected = expected.add(grad(trainer.theta, trainer.spec, ep.query, kind))
+            expected = expected.add(grad(trainer.theta, trainer.spec, ep.query))
         for name in expected:
             assert np.array_equal(gradients.theta_grad[name], expected[name])
 
@@ -546,14 +539,13 @@ class TestOuterStep:
         cfg = tiny_config(psi_update_rule="ascent", outer_lr=1e-2)
         trainer = MetaTrainer(tiny_splits(), cfg)
         batch = trainer.train_episodes[:3]
-        kind = trainer.spec.loss_kind()
         expected = trainer.head.psi.zeros_like()
         for ep in batch:
-            g_s = grad(trainer.theta, trainer.spec, ep.support, kind)
+            g_s = grad(trainer.theta, trainer.spec, ep.support)
             h = user_embedding(trainer.theta, trainer.spec, ep.user_ids)
             alpha, dalpha = trainer.head.alpha_and_grad(h)
             theta_i = axpy_update(trainer.theta, g_s, alpha)
-            g_q = grad(theta_i, trainer.spec, ep.query, kind)
+            g_q = grad(theta_i, trainer.spec, ep.query)
             expected = expected.add(dalpha.scale(g_q.loss))
         psi_before = trainer.head.psi.copy()
         trainer.outer_step(batch)
@@ -663,7 +655,7 @@ class TestTransfer:
         spec = model.spec
         theta = init_params(spec, (cfg.seed, 0))
         for _ in range(3):
-            g = grad(theta, spec, pooled, spec.loss_kind())
+            g = grad(theta, spec, pooled)
             theta = axpy_update(theta, g, 1e-2)
         for name in theta:
             assert np.array_equal(model.theta[name], theta[name])
@@ -696,7 +688,7 @@ class TestTransfer:
         support = splits.encode(episode.user, episode.support)
         h = user_embedding(model.theta, model.spec, support[0])
         adapted = inner_adapt(model.theta, model.spec, inference_alpha(model, h), support)
-        g = grad(model.theta, model.spec, support, model.spec.loss_kind())
+        g = grad(model.theta, model.spec, support)
         expected = axpy_update(model.theta, g, 1e-3)
         for name in expected:
             assert np.array_equal(adapted[name], expected[name])
@@ -757,8 +749,7 @@ class TestEvaluate:
         record = evaluate(model, [episode], splits)[0]
         support = splits.encode(episode.user, episode.support)
         theta_u = axpy_update(model.theta,
-                              grad(model.theta, model.spec, support,
-                                   model.spec.loss_kind()),
+                              grad(model.theta, model.spec, support),
                               model.meta_sgd_alpha)
         user_ids, q_items, _ = splits.encode(episode.user, episode.query)
         predictions, _ = forward(theta_u, model.spec, user_ids, q_items)
@@ -852,13 +843,20 @@ class TestCheckpoint:
         # checkpoints from before the paml rate could no longer be pinned
         (dict(freeze_alpha=None), None),
         (dict(freeze_alpha=1e-5), "maml-fixed"),
-    ], ids=["tree-search-keys", "freeze-alpha-unset", "freeze-alpha-set"])
+        # checkpoints from before the model was rating-only
+        (dict(output_kind="rating-regression"), None),
+        (dict(output_kind="ctr-softmax"), "rating-regression only"),
+    ], ids=["tree-search-keys", "freeze-alpha-unset", "freeze-alpha-set",
+            "output-kind-rating", "output-kind-ctr"])
     def test_retired_checkpoint_keys(self, tmp_path, retired, error):
         splits = tiny_splits(n_tasks=10)
         model = train(splits, tiny_config(epochs=1))
         path = save_checkpoint(model, tmp_path / "model")
         with np.load(path, allow_pickle=False) as data:
             arrays = {name: data[name] for name in data.files}
+        assert "spec_output_kind" not in arrays
+        # every older checkpoint also stored the spec's output kind as an array
+        arrays["spec_output_kind"] = np.array(retired.get("output_kind", "rating-regression"))
         stored = json.loads(str(arrays["config_json"][()]))
         stored.update(retired)
         text = json.dumps(stored, sort_keys=True)
@@ -866,7 +864,12 @@ class TestCheckpoint:
         arrays["config_digest"] = np.array(hashlib.sha256(text.encode("utf-8")).hexdigest())
         np.savez(path, **arrays)
         if error is None:
-            assert load_checkpoint(path).config == model.config
+            loaded = load_checkpoint(path)
+            assert loaded.config == model.config and loaded.spec == model.spec
+            for x, y in zip(evaluate(model, splits.test, splits),
+                            evaluate(loaded, splits.test, splits)):
+                assert x.query_loss == y.query_loss
+                assert np.array_equal(x.predictions, y.predictions)
         else:
             with pytest.raises(ConfigError, match=error):
                 load_checkpoint(path)
