@@ -74,6 +74,14 @@ def _cmd_lemmas(args) -> None:
     spec = TwoGroupSpec(p1=args.p1, p2=args.p2, x1=args.x1, x2=args.x2,
                         alpha1=args.alpha1, alpha2=alpha2)
     report = verify_lemmas(spec, convention=args.convention, tol=args.tol)
+    grads = [2.0 * (report.theta_star - x) for x in (spec.x1, spec.x2)]
+    # both raise on inputs that overflow, so no verdict prints for them
+    bound = bound_check(
+        losses=list(report.group_losses_fixed),
+        grads=grads,
+        alphas=[spec.alpha1, alpha2],
+        embeddings=[[spec.x1], [spec.x2]],
+    )
     print(_kv("convention", args.convention))
     print(_kv("alpha1", args.alpha1))
     print(_kv("alpha2", alpha2))
@@ -88,14 +96,6 @@ def _cmd_lemmas(args) -> None:
     print(_kv("lemma2_holds", report.lemma2_holds))
     if args.convention == "descent" and args.p1 >= args.p2:
         print(_kv("lemma2_condition", lemma2_condition(args.alpha1, alpha2)))
-
-    grads = [2.0 * (report.theta_star - x) for x in (spec.x1, spec.x2)]
-    bound = bound_check(
-        losses=list(report.group_losses_fixed),
-        grads=grads,
-        alphas=[spec.alpha1, alpha2],
-        embeddings=[[spec.x1], [spec.x2]],
-    )
     print(_kv("bound_lhs", bound.lhs))
     print(_kv("bound_first_order_rhs", bound.first_order_rhs))
     print(_kv("bound_embedding_term", bound.embedding_term))

@@ -64,6 +64,14 @@ class TwoGroupSpec:
         return float(self.alpha1), float(a2)
 
 
+def _require_finite(what: str, values: dict) -> None:
+    """Reject inputs whose ``what`` overflowed: a verdict drawn from inf or
+    NaN would be meaningless (NaN compares as a pass)."""
+    bad = [name for name, value in values.items() if not np.all(np.isfinite(value))]
+    if bad:
+        raise ConfigError(f"{what} overflowed at these inputs: {', '.join(bad)} not finite")
+
+
 def _residual_factor(alpha: float, convention: str) -> float:
     if convention == "descent":
         return 1.0 - 2.0 * alpha
@@ -212,6 +220,8 @@ def verify_lemmas(spec: TwoGroupSpec, convention: str = "descent", tol: float = 
     increase total loss, and the minor group's adapted loss does not increase
     either.  All quantities come from numeric minimization.
 
+    Inputs whose losses overflow are a ConfigError.
+
     Under the descent convention with p1 >= p2, lemma2 is equivalent to
     |1 - 2*alpha2| <= |1 - 2*alpha1|: with r = (1-2*alpha2)^2 / (1-2*alpha1)^2
     the adaptive/fixed total-loss ratio is r / (p1 + p2*r), which is at most
@@ -220,10 +230,15 @@ def verify_lemmas(spec: TwoGroupSpec, convention: str = "descent", tol: float = 
     """
     if not 0.0 <= tol < np.inf:
         raise ConfigError(f"tol must be finite and >= 0, got {tol}")
-    theta_f, l_star = minimize_adapted_loss(spec, fixed=True, convention=convention)
-    theta_a, l_star_prime = minimize_adapted_loss(spec, fixed=False, convention=convention)
-    fixed_groups = adapted_group_losses(theta_f, spec, fixed=True, convention=convention)
-    adaptive_groups = adapted_group_losses(theta_a, spec, fixed=False, convention=convention)
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta_f, l_star = minimize_adapted_loss(spec, fixed=True, convention=convention)
+        theta_a, l_star_prime = minimize_adapted_loss(spec, fixed=False, convention=convention)
+        fixed_groups = adapted_group_losses(theta_f, spec, fixed=True, convention=convention)
+        adaptive_groups = adapted_group_losses(theta_a, spec, fixed=False, convention=convention)
+    _require_finite("the adapted losses", {
+        "theta_star": theta_f, "theta_star_prime": theta_a, "L_star": l_star,
+        "L_star_prime": l_star_prime, "group_losses_fixed": fixed_groups,
+        "group_losses_adaptive": adaptive_groups})
 
     major_first = spec.p1 >= spec.p2
     if major_first:
@@ -266,8 +281,9 @@ class BoundReport:
 def _grad_sq_norm(g) -> float:
     arr = np.asarray(g, dtype=np.float64)
     if arr.ndim == 0:
-        # caller passed the gradient norm directly
-        return float(arr) ** 2
+        # caller passed the gradient norm directly; x * x overflows to inf, x ** 2 raises
+        norm = float(arr)
+        return norm * norm
     return float(np.dot(arr.ravel(), arr.ravel()))
 
 
@@ -285,7 +301,8 @@ def bound_check(
     ``grads`` entries may be gradient vectors or plain gradient norms
     (scalars).  ``holds_first_order`` checks, for every pair,
     | s_i - s_j | <= s_i + s_j with s_i = ||grad_i||^2 |alpha_i|, which is the
-    triangle inequality and must always come back true.
+    triangle inequality and must always come back true.  Inputs that make
+    any bound term overflow are a ConfigError.
     """
     losses = np.asarray(losses, dtype=np.float64)
     n = losses.size
@@ -294,17 +311,21 @@ def bound_check(
     if not (len(grads) == n == len(alphas) == len(embeddings)):
         raise ConfigError("losses, grads, alphas, embeddings must have equal length")
 
-    s = np.array([_grad_sq_norm(g) * abs(a) for g, a in zip(grads, alphas)])
-    lhs = 0.0
-    pairwise_ok = True
-    for i in range(n):
-        for j in range(i + 1, n):
-            lhs += abs(losses[i] - losses[j])
-            if abs(s[i] - s[j]) > s[i] + s[j] + 1e-12:
-                pairwise_ok = False
-    h_max = max(float(np.linalg.norm(np.asarray(h, dtype=np.float64))) for h in embeddings)
-    emb_term = float(n * (n - 1) * h_max)
-    first_order = float((n - 1) * s.sum()) + emb_term
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = np.array([_grad_sq_norm(g) * abs(a) for g, a in zip(grads, alphas)])
+        lhs = 0.0
+        pairwise_ok = True
+        for i in range(n):
+            for j in range(i + 1, n):
+                lhs += abs(losses[i] - losses[j])
+                if abs(s[i] - s[j]) > s[i] + s[j] + 1e-12:
+                    pairwise_ok = False
+        h_max = max(float(np.linalg.norm(np.asarray(h, dtype=np.float64))) for h in embeddings)
+        emb_term = float(n * (n - 1) * h_max)
+        first_order = float((n - 1) * s.sum()) + emb_term
+    _require_finite("the loss-gap bound", {
+        "bound_lhs": lhs, "bound_first_order_rhs": first_order,
+        "bound_embedding_term": emb_term})
     return BoundReport(
         lhs=float(lhs),
         first_order_rhs=first_order,

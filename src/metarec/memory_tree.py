@@ -5,13 +5,22 @@ are blended with Gaussian-kernel weights into a prior for the query user.
 Stored nodes are trainable: callers push gradients back through the blend.
 
 Nodes are rows of numpy columns (ids, embeddings n x dim, rates, recency,
-freq) plus a node-id -> row map.  A store writes one row (an evicting store
-reuses the victim's), an update rewrites rows in place, and the columns grow
-geometrically up to capacity.  A search is one exact scan ordered by (squared
-distance, node id): at the tens of dimensions of user embeddings a kd-tree
-would visit nearly every point anyway (Weber, Schek & Blott, VLDB 1998).  No
-index is ever rebuilt, so ``_dirty`` stays False; it remains because the
-benchmark's tracer counts each search that finds it set as a rebuild.
+freq) plus a node-id -> row map, and a derived column of squared embedding
+norms that is kept in step with the embeddings but never dumped.  A store
+writes one row (an evicting store reuses the victim's), an update rewrites
+rows in place, and the columns grow geometrically up to capacity.
+
+A search returns the k nearest nodes ordered by (squared distance, node id),
+exactly.  At the tens of dimensions of user embeddings a kd-tree would visit
+nearly every point anyway (Weber, Schek & Blott, VLDB 1998), so every row is
+read, but cheaply: one matrix-vector product gives each row's norm expansion
+||e||^2 - 2 e.q, and only the rows within a proven rounding margin,
+16 (dim + 4) 2^-53 (max ||e||^2 + q.q), of the k-th smallest expansion get
+their exact distance ((e - q)^2).sum(), so the hits are bit-identical to a
+full scan.  Non-finite or near-overflow values, and k >= n, make every row a
+candidate.  No index is ever rebuilt, so ``_dirty`` stays False; it remains
+because the benchmark's tracer counts each search that finds it set as a
+rebuild.
 """
 
 import math
@@ -30,6 +39,10 @@ EVICTION_POLICIES = ("lru", "lfu")
 _COLUMNS = (("_ids", "ids", np.int64), ("_emb", "embeddings", np.float64),
             ("_lr", "lrs", np.float64), ("_recency", "recency", np.int64),
             ("_freq", "freq", np.int64))
+# search's prefilter runs only below this scale, where no step can overflow
+_SCALE_LIMIT = 2.0 ** 1020
+# added to the scale so the margin also covers products that underflow
+_UNDERFLOW_FLOOR = 2.0 ** -1021
 
 
 class Neighbors(NamedTuple):
@@ -113,6 +126,10 @@ def blend_gradients(h, neighbors: Neighbors, upstream: float,
     return (upstream * dalpha_ds)[:, None] * ds_dh, upstream * (sims / denom)
 
 
+def _squared_norms(emb: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", emb, emb)
+
+
 def check_kernel_params(delta: float, sigma: float, prefix: str = "") -> None:
     """Reject a kernel width ``delta`` that is not finite and >= 0, or a blend
     damping ``sigma`` that is not finite and > 0, which could zero the blend's
@@ -145,6 +162,9 @@ class TreeMemory:
 
         for attr, _, dtype in _COLUMNS:
             setattr(self, attr, np.empty((0, self.dim) if attr == "_emb" else 0, dtype=dtype))
+        self._sq = np.empty(0, dtype=np.float64)  # squared norms, derived so never dumped
+        # 2 c u of the prefilter's cut, c = 8 (dim + 4) and u = 2^-53; see _candidates
+        self._margin = 16.0 * (self.dim + 4) * 2.0 ** -53
         self._n = 0
         self._rows: Dict[int, int] = {}
         self._next_id = 0
@@ -175,7 +195,7 @@ class TreeMemory:
         if n < self.capacity:
             if n == len(self._ids):
                 size = min(self.capacity, max(16, 2 * n))
-                for attr, _, _ in _COLUMNS:
+                for attr in [attr for attr, _, _ in _COLUMNS] + ["_sq"]:
                     old = getattr(self, attr)
                     spare = np.empty((size - n,) + old.shape[1:], dtype=old.dtype)
                     setattr(self, attr, np.concatenate([old, spare]))
@@ -204,6 +224,7 @@ class TreeMemory:
         self._rows[node_id] = row
         self._ids[row] = node_id
         self._emb[row] = h
+        self._sq[row] = np.dot(h, h)
         self._lr[row] = min(max(lr, 0.0), 1.0)
         self._counter += 1
         self._recency[row] = self._counter
@@ -225,24 +246,57 @@ class TreeMemory:
         q = np.asarray(h, dtype=np.float64)
         if q.shape != (self.dim,):
             raise ConfigError(f"query shape {q.shape} does not match tree dim ({self.dim},)")
-        ids = self._ids[:n]
-        diff = self._emb[:n] - q
-        d2 = np.square(diff, out=diff).sum(axis=1)  # the bits of ((emb - q) ** 2).sum(axis=1)
+        rows = self._candidates(q, k)
         self.last_search_visited = n
-        # rows up to the k-th distance, ties included, then ordered by (d2, id);
-        # ~(d2 > kth) keeps NaN rows, which the sort puts last
-        rows = np.flatnonzero(~(d2 > np.partition(d2, k - 1)[k - 1])) if k < n else np.arange(n)
-        rows = rows[np.lexsort((ids[rows], d2[rows]))[:k]]
+        diff = self._emb.take(rows, axis=0)
+        diff -= q
+        d2 = np.square(diff).sum(axis=1)  # the bits of ((emb - q) ** 2).sum(axis=1)
+        # the first k candidates by (d2, id), a total order that puts NaN last;
+        # there are rarely more than k + 2 candidates, so no partition first
+        order = np.lexsort((self._ids[rows], d2))[:k]
+        rows, d2, diff = rows[order], d2[order], diff[order]
+        m = len(rows)
         if touch:
-            self._recency[rows] = np.arange(self._counter + 1, self._counter + len(rows) + 1)
-            self._counter += len(rows)
+            self._recency[rows] = np.arange(self._counter + 1, self._counter + m + 1)
+            self._counter += m
             self._freq[rows] += 1
-        emb = self._emb[rows]
-        diff = (q - emb).reshape(len(rows), 1, self.dim)
-        # each (1 x dim) @ (dim x 1) product is the BLAS dot np.dot runs, so the
-        # kernel matches kernel_similarity bit for bit; a row sum would not
-        sims = np.exp(-self.delta * (diff @ diff.reshape(len(rows), self.dim, 1)).ravel())
-        return Neighbors(ids[rows], np.sqrt(d2[rows]), emb, self._lr[rows], sims)
+        # each (1 x dim) @ (dim x 1) product is the BLAS dot np.dot runs, and
+        # e - q is exactly -(q - e), so the kernel matches kernel_similarity(q, e)
+        # bit for bit; a row sum would not
+        dots = diff.reshape(m, 1, self.dim) @ diff.reshape(m, self.dim, 1)
+        sims = np.exp(-self.delta * dots.ravel())
+        return Neighbors(self._ids[rows], np.sqrt(d2), self._emb.take(rows, axis=0),
+                         self._lr[rows], sims)
+
+    def _candidates(self, q: np.ndarray, k: int) -> np.ndarray:
+        """Ascending rows that include every row whose exact squared distance
+        r = ((e - q)^2).sum() is at most the k-th smallest, ties included.
+
+        With a = ||e||^2 - 2 e.q from the norm column and one matrix-vector
+        product, A the k-th smallest a, s = max ||e||^2 + q.q and u = 2^-53,
+        the cut is a <= A + 2B with B = c u s and c = 8 (dim + 4).  Proof: let
+        D = ||e - q||^2 be the true distance and d = dim.  In any summation
+        order, r and a + ||q||^2 each lie within E = gamma_{d+2} (||e|| +
+        ||q||)^2 <= 2 gamma_{d+2} s of D, where gamma_m = m u / (1 - m u)
+        (Higham, Accuracy and Stability of Numerical Algorithms, 2002, 3.1).
+        The k rows with a <= A have r <= A + ||q||^2 + 2E, so the k-th smallest
+        r, R, is at most that too; a row with r <= R then has a + ||q||^2 <=
+        r + 2E <= A + ||q||^2 + 4E.  So the cut needs 4E <= 8 (d + 2) u s (1 +
+        O(d u)), and 2B = 16 (d + 4) u s leaves more than the few u s that
+        rounding s, B and the cut itself can lose.  The scale carries a floor
+        of 2^-1021, so 2B >= 16 (d + 4) 2^-1074 also covers the absolute
+        error, at most 2^-1075 per product, of products that underflow.
+
+        Below a scale of 2^1020 no step overflows.  A larger, infinite or NaN
+        scale (a non-finite embedding or query), or k >= n, returns all rows.
+        """
+        n = self._n
+        sq = self._sq[:n]
+        if k < n and (scale := sq.max() + np.dot(q, q) + _UNDERFLOW_FLOOR) <= _SCALE_LIMIT:
+            a = self._emb[:n] @ (-2.0 * q)
+            a += sq
+            return (a <= np.partition(a, k - 1)[k - 1] + self._margin * scale).nonzero()[0]
+        return np.arange(n)
 
     def update_nodes(self, node_ids, emb_grads, lr_grads, beta: float) -> None:
         """One descent step on distinct nodes: row j of ``emb_grads`` and entry
@@ -259,6 +313,7 @@ class TreeMemory:
             raise ConfigError(f"gradient shapes {emb_grads.shape} and {lr_grads.shape} do not "
                               f"match {len(rows)} nodes of dim {self.dim}")
         self._emb[rows] = self._emb[rows] - beta * emb_grads
+        self._sq[rows] = _squared_norms(self._emb[rows])
         self._lr[rows] = np.clip(self._lr[rows] - beta * lr_grads, 0.0, 1.0)
 
     def blended_lr(self, h, k: int, touch: bool = True) -> Tuple[float, Neighbors]:
@@ -315,6 +370,7 @@ class TreeMemory:
             raise DataError(f"tree dump {path}: node id {ids.max()} >= next id {tree._next_id}")
         for attr, value in columns.items():
             setattr(tree, attr, value)
+        tree._sq = _squared_norms(tree._emb)
         tree._n = n
         tree._rows = dict(zip(ids.tolist(), range(n)))
         return tree

@@ -86,6 +86,19 @@ class TestLemmas:
         assert message in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--alpha1", "1e200"), "adapted losses overflowed"),
+        (("--x2", "1e200"), "adapted losses overflowed"),
+        (("--x2", "1e154"), "loss-gap bound overflowed"),
+    ])
+    def test_inputs_that_overflow_print_no_verdict(self, capsys, flags, message):
+        # finite flags whose losses or bound terms overflow; the bound is now
+        # computed before the first line prints
+        assert main(["lemmas", *flags]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err and "not finite" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("rates", [[], ["--alpha2", "0.25"],
                                        ["--alpha1", "0.3", "--alpha2", "0.05"],
                                        ["--alpha2", "0.95"]])

@@ -207,6 +207,16 @@ class TestVerifyLemmas:
         assert report.L_star >= 0.0
         assert report.L_star_prime >= 0.0
 
+    @pytest.mark.parametrize("field, value", [("alpha1", 1e200), ("x2", 1e200)])
+    def test_losses_that_overflow_are_rejected(self, recwarn, field, value):
+        # the squared residuals overflow to inf, and inf - inf would feed NaN
+        # verdicts that compare as passes
+        fields = dict(p1=0.7, p2=0.3, x1=0.0, x2=1.0, alpha1=0.1)
+        fields[field] = value
+        with pytest.raises(ConfigError, match="adapted losses overflowed.*L_star"):
+            verify_lemmas(TwoGroupSpec(**fields))
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
 
 class TestBoundCheck:
     def test_equal_losses_give_zero_lhs(self):
@@ -261,6 +271,17 @@ class TestBoundCheck:
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ConfigError):
             bound_check([1.0, 2.0], [1.0], [0.1, 0.2], [[1.0], [2.0]])
+
+    @pytest.mark.parametrize("kwargs, term", [
+        # a scalar gradient norm whose square overflows: x ** 2 used to raise
+        (dict(losses=[0.0, 1.0], grads=[1e200, 1.0]), "bound_first_order_rhs"),
+        (dict(losses=[0.0, np.inf], grads=[1.0, 1.0]), "bound_lhs"),
+        (dict(losses=[-1e308, 1e308], grads=[1.0, 1.0]), "bound_lhs"),
+    ])
+    def test_terms_that_overflow_are_rejected(self, recwarn, kwargs, term):
+        with pytest.raises(ConfigError, match=f"bound overflowed.*{term}"):
+            bound_check(alphas=[0.1, 0.1], embeddings=[[0.0], [1.0]], **kwargs)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_triangle_inequality_on_random_batches(self):
         rng = np.random.default_rng(13)

@@ -580,6 +580,11 @@ def bits(values):
     return np.asarray(values, dtype=np.float64).tobytes()
 
 
+def assert_same_hits(got, expected):
+    assert list(zip(got.ids.tolist(), *(map(bits, column) for column in got[1:]))) == [
+        (i, bits(d), bits(e), bits(lr), bits(s)) for i, d, e, lr, s in expected]
+
+
 def assert_same_memory(tree, ref):
     assert tree.node_ids() == sorted(ref.nodes)
     assert (len(tree), tree.evictions) == (len(ref.nodes), ref.evictions)
@@ -614,10 +619,7 @@ class TestDifferentialAgainstReference:
                 assert tree.store_node(h, lr) == ref.store(h, lr)
             elif op < 0.8:
                 q, k, touch = point(), int(rng.integers(1, 16)), bool(rng.random() < 0.7)
-                got = tree.search(q, k, touch=touch)
-                expected = ref.search(q, k, touch)
-                assert list(zip(got.ids.tolist(), *(map(bits, column) for column in got[1:]))) == [
-                    (i, bits(d), bits(e), bits(lr), bits(s)) for i, d, e, lr, s in expected]
+                assert_same_hits(tree.search(q, k, touch=touch), ref.search(q, k, touch))
             elif op < 0.97:
                 ids = sorted(rng.choice(sorted(ref.nodes), size=min(4, len(ref.nodes)),
                                         replace=False).tolist())
@@ -631,3 +633,92 @@ class TestDifferentialAgainstReference:
                 tree = TreeMemory.load(path)
             assert_same_memory(tree, ref)
         assert ref.evictions > 0
+
+    def test_wide_offset_cluster_and_non_finite_rows(self, tmp_path, monkeypatch):
+        """The benchmark's tree width, 64, with points at a common offset of
+        about 1e3 where the norm expansion behind search's prefilter keeps few
+        of its digits: some points sit 1e-6 apart, some 1e-3, some 1, and
+        some are exact copies.  Then update_nodes drives one node to inf and
+        one to NaN, and a NaN query comes in.  Every search must match the
+        plain full scan bit for bit, the finite searches must run the
+        prefilter and prune, and the non-finite ones must read every row.
+        """
+        rng = np.random.default_rng(64)
+        dim, capacity = 64, 150
+        center = 1e3 + rng.normal(size=dim)
+        offered = []
+
+        def point():
+            if offered and rng.random() < 0.15:
+                return offered[int(rng.integers(len(offered)))].copy()
+            h = center + rng.normal(size=dim) * rng.choice([1e-6, 1e-3, 1.0])
+            offered.append(h)
+            return h
+
+        calls = []
+        candidates = TreeMemory._candidates
+
+        def spy(tree, q, k):
+            rows = candidates(tree, q, k)
+            calls.append((len(tree), k, rows))
+            return rows
+
+        monkeypatch.setattr(TreeMemory, "_candidates", spy)
+        tree = TreeMemory(dim=dim, capacity=capacity)
+        ref = ReferenceMemory(capacity, "lru", tree.delta)
+
+        def search(q):
+            k, touch = int(rng.integers(1, 30)), bool(rng.random() < 0.7)
+            assert_same_hits(tree.search(q, k, touch=touch), ref.search(q, k, touch))
+
+        def update(ids, emb_grads):
+            lr_grads = rng.normal(size=len(ids))
+            tree.update_nodes(ids, emb_grads, lr_grads, beta=0.3)
+            ref.update(dict(zip(ids, emb_grads)), dict(zip(ids, lr_grads)), 0.3)
+
+        for step in range(700):
+            op = rng.random()
+            if op < 0.45 or len(ref.nodes) < 3:
+                lr = float(rng.uniform(0.0, 1.0))
+                h = point()
+                assert tree.store_node(h, lr) == ref.store(h, lr)
+            elif op < 0.9:
+                search(point())
+            elif op < 0.98:
+                ids = sorted(rng.choice(sorted(ref.nodes), size=3, replace=False).tolist())
+                update(ids, rng.normal(size=(3, dim)) * rng.choice([1e-6, 1e-3]))
+            else:
+                path = tmp_path / f"memory-{step}.npz"
+                tree.dump(path)
+                tree = TreeMemory.load(path)
+            assert_same_memory(tree, ref)
+        assert ref.evictions > 0
+        pruned = [(n, k, rows) for n, k, rows in calls if k < n]
+        assert pruned and all(np.all(np.diff(rows) > 0) for _, _, rows in pruned)
+        assert any(len(rows) < n for n, _, rows in pruned)
+        assert any(len(rows) > k for n, k, rows in pruned)  # a margin that kept near rows
+
+        # the prefilter would drop a non-finite row (or, for a NaN query, every
+        # row), so getting every row back means the all-rows path ran
+        def search_all_rows(queries):
+            del calls[:]
+            for q in queries:
+                search(q)
+            assert len(calls) == len(queries)
+            assert all(np.array_equal(rows, np.arange(n)) for n, _, rows in calls)
+
+        nan_query = center.copy()
+        nan_query[5] = np.nan
+        search_all_rows([nan_query] * 5)
+        assert_same_memory(tree, ref)
+
+        inf_node, nan_node = sorted(ref.nodes)[:2]
+        update([inf_node], np.full((1, dim), -np.inf))
+        search_all_rows([point() for _ in range(20)])
+        grad = np.zeros((1, dim))
+        grad[0, 7] = np.nan
+        update([nan_node], grad)
+        search_all_rows([point() for _ in range(20)] + [nan_query] * 3)
+        assert_same_memory(tree, ref)
+        assert not np.all(np.isfinite(tree.node(inf_node).embedding))
+        assert np.isnan(tree.node(nan_node).embedding[7])

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from metarec.config import build_experiment_config
+from metarec.datagen import generate_corpus
 from metarec.errors import DataError
 from metarec.meta_learners import load_checkpoint
 from metarec.model import user_embedding
@@ -303,8 +304,58 @@ class TestPinnedAtPamlOutputs:
         result = run_trial(config, 0, 0)
         tree = load_tree(result.checkpoint_path)
         assert len(tree) == 20 and tree.evictions > 0
-        got = {}
-        for name in self.FILES:
-            with open(os.path.join(result.directory, name), "rb") as fh:
-                got[name] = hashlib.sha256(fh.read()).hexdigest()
-        assert got == self.DIGESTS[eviction]
+        assert sha256_files(result.directory, self.FILES) == self.DIGESTS[eviction]
+
+
+def sha256_files(directory, names):
+    got = {}
+    for name in names:
+        with open(os.path.join(directory, name), "rb") as fh:
+            got[name] = hashlib.sha256(fh.read()).hexdigest()
+    return got
+
+
+class TestPinnedWideAtPamlOutputs:
+    """at-paml on a generated corpus, pinned byte for byte at the tree width of
+    the benchmark's corpus workload: 4 user features x embedding_dim 16 = 64.
+
+    The tree holds fewer nodes than training stores, so eviction and
+    20-neighbor touched searches over a full 64-wide tree reach the digests.
+    The digests were recorded before tree search gained its norm-expansion
+    prefilter and must not change with how the search finds its neighbors.
+    """
+
+    DIGESTS = {
+        "report.tsv": "5c3ed89a9d404f49bb51ce47108410b8c22f64a1a8a92418c0638560dbecb4d2",
+        "per_user.tsv": "447575476fdb6750791677c4b8cdb1c10c3b447e755dfa7ea180d7cbfc859bea",
+        "history.tsv": "3965a53457922cf0ba1f27d117d49c1ad5f3d9664dc1b55e5682f96a15df0d13",
+        "tree_nodes.tsv": "25495f374bd77fd26803f257f50aab9e7c972cefa8482ba8d6678822be15cbfa",
+    }
+
+    def test_digests(self, tmp_path):
+        paths = generate_corpus(str(tmp_path / "corpus"), n_users=80, n_movies=40,
+                                seed=0, minor_taste_scale=2.5, min_items=15,
+                                max_items=25)
+        config = build_experiment_config({
+            "dataset.kind": "movielens",
+            "dataset.ratings": paths["ratings"],
+            "dataset.users": paths["users"],
+            "dataset.movies": paths["movies"],
+            "emit.tree": "true",
+            "trainer.algorithm": "at-paml",
+            "trainer.epochs": "3",
+            "trainer.batch_size": "16",
+            "trainer.embedding_dim": "16",
+            "trainer.decision_dims": "64,32,1",
+            "trainer.lr_hidden_dims": "32,16",
+            "trainer.outer_lr": "0.05",
+            "trainer.lr_scale": "0.1",
+            "trainer.tree_capacity": "60",
+            "run.trials": "1",
+            "run.seeds": "0",
+            "run.output_dir": str(tmp_path / "out"),
+        })
+        result = run_trial(config, 0, 0)
+        tree = load_tree(result.checkpoint_path)
+        assert (tree.dim, len(tree)) == (64, 60) and tree.evictions > 0
+        assert sha256_files(result.directory, TestPinnedAtPamlOutputs.FILES) == self.DIGESTS
