@@ -163,6 +163,36 @@ class TestLoader:
             raw = load_movielens(*paths)
         assert len(raw.ratings) == 300
 
+    def test_header_file_skip_rules(self, tmp_path):
+        big = 2 ** 63
+        users = [f"{u}::F::25::10::48067" for u in range(10, 610)]
+        users[3:3] = ["", "1::M::30::3::12345", "1::F::25::10", "1::F::25::10::48067::x",
+                      "x::F::25::10::48067", "2::F::a::10::48067", "3::F::25::b::48067",
+                      f"{big}::F::25::10::48067", "", "1::F::40::7::99999", ""]
+        movies = [f"{m}::Feature {m} (1995)::Drama" for m in range(10, 410)]
+        movies[5:5] = ["1::Old (1990)::Comedy", "", "2::Drama", "3::A::B (1995)::Drama",
+                       "x::Feature (1995)::Drama", f"{big}::Feature (1995)::Drama",
+                       "1::New (1995)::Horror|War", ""]
+        paths = corpus_paths(tmp_path, users, movies, ratings=["1::1::5::978300000"])
+        # wrong field count (2 + 2), a non-integer uid, age, occupation or
+        # movie id (3 + 1) and an id of 2**63 (1 + 1); blank lines not counted
+        with pytest.warns(UserWarning, match="users=6 movies=4 ratings=0"):
+            raw = load_movielens(*paths)
+        assert raw.skipped_lines == 10
+        assert raw.total_lines == 608 + 406 + 1
+        assert sorted(raw.users) == [1] + list(range(10, 610))
+        assert sorted(raw.movies) == [1] + list(range(10, 410))
+        # a repeated id keeps its later line
+        assert raw.users[1] == {"gender": "F", "age": 40, "occupation": 7, "zipcode": "99999"}
+        assert raw.movies[1] == ("Horror|War",)
+
+    @pytest.mark.parametrize("missing", ["users", "movies"])
+    def test_missing_header_file_names_its_kind(self, tmp_path, missing):
+        paths = dict(zip(("ratings", "users", "movies"), simple_corpus(tmp_path)))
+        paths[missing] = str(tmp_path / "nope.dat")
+        with pytest.raises(DataError, match=f"cannot open {missing} file"):
+            load_movielens(paths["ratings"], paths["users"], paths["movies"])
+
 
 class TestPreprocess:
     def test_cold_start_keeps_least_active_users(self, tmp_path):
