@@ -22,6 +22,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import typing
 from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from .errors import ConfigError
@@ -150,47 +151,27 @@ def _parse_opt_float(text: str) -> Optional[float]:
     return _parse_float(text)
 
 
-_TRAINER_PARSERS: Dict[str, Callable[[str], object]] = {
-    "algorithm": _parse_str,
-    "outer_lr": _parse_opt_float,
-    "fixed_inner_lr": _parse_float,
-    "epochs": _parse_int,
-    "batch_size": _parse_int,
-    "gamma": _parse_float,
-    "warmup_epochs": _parse_int,
-    "warmup_inner_lr": _parse_float,
-    "embedding_dim": _parse_int,
-    "decision_dims": _parse_int_tuple,
-    "lr_hidden_dims": _parse_int_tuple,
-    "lr_scale": _parse_float,
-    "grad_clip": _parse_float,
-    "psi_update_rule": _parse_str,
-    "meta_sgd_init": _parse_float,
-    "tree_capacity": _parse_int,
-    "tree_delta": _parse_float,
-    "tree_sigma": _parse_float,
-    "tree_neighbors_train": _parse_int,
-    "tree_neighbors_infer": _parse_int,
-    "tree_eviction": _parse_str,
-    "seed": _parse_int,
+_PARSER_BY_TYPE: Dict[object, Callable[[str], object]] = {
+    str: _parse_str,
+    int: _parse_int,
+    float: _parse_float,
+    Optional[float]: _parse_opt_float,
+    Tuple[int, ...]: _parse_int_tuple,
 }
 
-_SYNTHETIC_PARSERS: Dict[str, Callable[[str], object]] = {
-    "p1": _parse_float,
-    "p2": _parse_float,
-    "x1": _parse_float,
-    "x2": _parse_float,
-    "n_tasks": _parse_int,
-    "noise_sd": _parse_float,
-    "support_size": _parse_int,
-    "query_size": _parse_int,
-}
 
-_PREPROCESS_PARSERS: Dict[str, Callable[[str], object]] = {
-    "cold_start_fraction": _parse_float,
-    "min_items": _parse_int,
-    "support_ratio": _parse_float,
-}
+def _field_parsers(cls, skip: Sequence[str] = ("split",)) -> Dict[str, Callable[[str], object]]:
+    """The parser of each field of the config dataclass ``cls``, by the field's
+    type; ``split`` is keyed once, as ``dataset.split``."""
+    types = typing.get_type_hints(cls)
+    return {field.name: _PARSER_BY_TYPE[types[field.name]]
+            for field in dataclasses.fields(cls) if field.name not in skip}
+
+
+_TRAINER_PARSERS = _field_parsers(TrainerConfig)
+_SYNTHETIC_PARSERS = _field_parsers(SyntheticConfig)
+# a movielens trial takes its preprocessing seed from the run's seeds
+_PREPROCESS_PARSERS = _field_parsers(PreprocessConfig, skip=("split", "seed"))
 
 _RUN_PARSERS: Dict[str, Callable[[str], object]] = {
     "output_dir": _parse_str,

@@ -199,8 +199,7 @@ def _sd_over_trials(values: Sequence[float]) -> float:
     return float(np.std(np.asarray(values, dtype=np.float64), ddof=1))
 
 
-def build_report(per_user_by_trial: Sequence[Mapping], is_major: Mapping,
-                 n_trials: Optional[int] = None) -> MetricsReport:
+def build_report(per_user_by_trial: Sequence[Mapping], is_major: Mapping) -> MetricsReport:
     """Aggregate per-user metric values over trials with sub-population stats.
 
     ``per_user_by_trial`` holds one user -> value mapping per trial.
@@ -208,10 +207,8 @@ def build_report(per_user_by_trial: Sequence[Mapping], is_major: Mapping,
     cover every user appearing in any trial.
     """
     trials = [dict(t) for t in per_user_by_trial]
-    if n_trials is None:
-        n_trials = len(trials)
-    if n_trials != len(trials) or n_trials == 0:
-        raise ConfigError("n_trials must match the number of per-trial mappings")
+    if not trials:
+        raise ConfigError("build_report needs at least one per-trial mapping")
     for t in trials:
         missing = [u for u in t if u not in is_major]
         if missing:
@@ -243,7 +240,7 @@ def build_report(per_user_by_trial: Sequence[Mapping], is_major: Mapping,
             warnings.warn(f"p-value omitted: {exc}")
 
     return MetricsReport(
-        n_trials=n_trials,
+        n_trials=len(trials),
         mean=float(np.mean(trial_means)),
         sd=_sd_over_trials(trial_means),
         major_mean=major_mean,

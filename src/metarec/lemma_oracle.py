@@ -9,13 +9,15 @@ gradient step with rate alpha_g turns the residual (theta - x_g) into
 The closed-form results this module cross-checks were derived with the
 opposite step sign, which yields (1 + 2*alpha_g) residual factors instead, so
 every numeric routine takes a ``convention`` argument: "descent" (the trainer
-convention, default) or "expansion" (matching the derivation's algebra).
+convention, default) or "expansion" (matching the derivation's algebra); any
+other value is rejected with a ConfigError.
 Closed forms are validated against the numeric minimizer rather than trusted
 symbolically.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -72,14 +74,6 @@ def _require_finite(what: str, values: dict) -> None:
         raise ConfigError(f"{what} overflowed at these inputs: {', '.join(bad)} not finite")
 
 
-def _residual_factor(alpha: float, convention: str) -> float:
-    if convention == "descent":
-        return 1.0 - 2.0 * alpha
-    if convention == "expansion":
-        return 1.0 + 2.0 * alpha
-    raise ConfigError(f"unknown convention '{convention}' (use one of {CONVENTIONS})")
-
-
 # ---------------------------------------------------------------------------
 # closed forms
 
@@ -121,22 +115,10 @@ def alpha2_equalizing(alpha1: float, p1: float, p2: float) -> float:
 # numeric simulation
 
 
-def _simulated_loss(theta: float, spec: TwoGroupSpec, fixed: bool, convention: str) -> float:
-    """Population adapted loss at theta, simulating one true inner step."""
-    a1, a2 = spec.rates()
-    if fixed:
-        a2 = a1
-    total = 0.0
-    for p, x, a in ((spec.p1, spec.x1, a1), (spec.p2, spec.x2, a2)):
-        # task loss (theta - x)^2 has gradient 2 (theta - x)
-        g = 2.0 * (theta - x)
-        adapted = theta - a * g if convention == "descent" else theta + a * g
-        total += p * (adapted - x) ** 2
-    return total
-
-
 def adapted_group_losses(theta: float, spec: TwoGroupSpec, fixed: bool, convention: str):
     """Per-group squared residuals after the inner step, at meta-parameter theta."""
+    if convention not in CONVENTIONS:
+        raise ConfigError(f"unknown convention '{convention}' (use one of {CONVENTIONS})")
     a1, a2 = spec.rates()
     if fixed:
         a2 = a1
@@ -155,13 +137,13 @@ def minimize_adapted_loss(spec: TwoGroupSpec, fixed: bool, convention: str = "de
     quadratic so one three-point parabola fit after bracketing is exact to
     machine precision.
     """
-    _residual_factor(0.0, convention)  # validates the convention string
     span = abs(spec.x2 - spec.x1) + 1.0
     lo = min(spec.x1, spec.x2) - 2.0 * span
     hi = max(spec.x1, spec.x2) + 2.0 * span
 
     def f(t):
-        return _simulated_loss(t, spec, fixed, convention)
+        l1, l2 = adapted_group_losses(t, spec, fixed, convention)
+        return spec.p1 * l1 + spec.p2 * l2
 
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
@@ -320,7 +302,9 @@ def bound_check(
                 lhs += abs(losses[i] - losses[j])
                 if abs(s[i] - s[j]) > s[i] + s[j] + 1e-12:
                     pairwise_ok = False
-        h_max = max(float(np.linalg.norm(np.asarray(h, dtype=np.float64))) for h in embeddings)
+        # hypot scales before squaring, so no finite embedding overflows its length
+        h_max = max(math.hypot(*np.asarray(h, dtype=np.float64).ravel().tolist())
+                    for h in embeddings)
         emb_term = float(n * (n - 1) * h_max)
         first_order = float((n - 1) * s.sum()) + emb_term
     _require_finite("the loss-gap bound", {

@@ -51,7 +51,8 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
-from .memory_tree import EVICTION_POLICIES, TreeMemory, blend_gradients, check_kernel_params
+from .memory_tree import (DEFAULT_CAPACITY, DEFAULT_DELTA, DEFAULT_SIGMA, EVICTION_POLICIES,
+                          TreeMemory, blend_gradients, check_kernel_params)
 from .model import (
     ModelSpec,
     check_episodes,
@@ -87,6 +88,7 @@ __all__ = [
     "config_digest",
     "save_checkpoint",
     "load_checkpoint",
+    "tree_sidecar",
 ]
 
 ALGORITHMS = ("paml", "at-paml", "reg-paml", "maml-fixed", "meta-sgd", "transfer")
@@ -109,6 +111,10 @@ RETIRED_TREE_KEYS = ("tree_search_mode", "tree_leaf_size", "tree_num_random_tree
 
 # ---------------------------------------------------------------------------
 # learning-rate head
+
+
+def _head_entry_names(hidden_dims) -> Tuple[str, ...]:
+    return tuple(f"lr_{kind}{layer}" for layer in range(len(hidden_dims) + 1) for kind in "Wb")
 
 
 class LrHead:
@@ -134,9 +140,7 @@ class LrHead:
         if psi is None:
             rng = np.random.default_rng(seed)
             psi = ParamSet(init_dense_stack(rng, self.input_dim, dims, "lr"))
-        expected = tuple(
-            name for layer in range(len(dims)) for name in (f"lr_W{layer}", f"lr_b{layer}")
-        )
+        expected = _head_entry_names(hidden_dims)
         if psi.names() != expected:
             raise ConfigError(f"rate-head layout {psi.names()} does not match {expected}")
         self.psi = psi
@@ -213,9 +217,9 @@ class TrainerConfig:
     grad_clip: float = 10.0
     psi_update_rule: str = "exact"
     meta_sgd_init: float = 1e-5
-    tree_capacity: int = 10000
-    tree_delta: float = 2.0
-    tree_sigma: float = 1e-5
+    tree_capacity: int = DEFAULT_CAPACITY
+    tree_delta: float = DEFAULT_DELTA
+    tree_sigma: float = DEFAULT_SIGMA
     tree_neighbors_train: int = 20
     tree_neighbors_infer: int = 5
     tree_eviction: str = "lru"
@@ -771,7 +775,8 @@ def _normalize_checkpoint_path(path) -> str:
     return path if path.endswith(".npz") else path + ".npz"
 
 
-def _tree_sidecar(path: str) -> str:
+def tree_sidecar(path: str) -> str:
+    """Where the tree of the checkpoint at ``path`` (ending in .npz) is dumped."""
     return path[: -len(".npz")] + ".tree.npz"
 
 
@@ -805,7 +810,7 @@ def save_checkpoint(model: TrainedModel, path) -> str:
             arrays["msgd." + name] = arr
     np.savez(path, **arrays)
     if model.tree is not None:
-        model.tree.dump(_tree_sidecar(path))
+        model.tree.dump(tree_sidecar(path))
     return path
 
 
@@ -844,10 +849,8 @@ def load_checkpoint(path) -> TrainedModel:
         theta = ParamSet({name: data["theta." + name] for name in expected_entry_names(spec)})
         head = None
         if any(key.startswith("psi.") for key in data.files):
-            dims = config.lr_hidden_dims + (1,)
-            names = [name for layer in range(len(dims))
-                     for name in (f"lr_W{layer}", f"lr_b{layer}")]
-            psi = ParamSet({name: data["psi." + name] for name in names})
+            psi = ParamSet({name: data["psi." + name]
+                            for name in _head_entry_names(config.lr_hidden_dims)})
             head = LrHead(spec.user_width, config.lr_hidden_dims, config.lr_scale, psi=psi)
         msgd = None
         if any(key.startswith("msgd.") for key in data.files):
@@ -855,7 +858,7 @@ def load_checkpoint(path) -> TrainedModel:
         history = json.loads(str(data["history_json"][()]))
         best_epoch = int(data["best_epoch"][0])
     tree = None
-    sidecar = _tree_sidecar(path)
+    sidecar = tree_sidecar(path)
     if os.path.exists(sidecar):
         tree = TreeMemory.load(sidecar)
     return TrainedModel(config.algorithm, spec, config, theta, head, msgd, tree,

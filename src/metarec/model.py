@@ -136,8 +136,7 @@ class ModelSpec:
     def layout_key(self):
         """``(names, shapes)`` a parameter layout must have for this spec."""
         shapes = expected_entry_shapes(self)
-        names = expected_entry_names(self)
-        return names, tuple(shapes[name] for name in names)
+        return tuple(shapes), tuple(shapes.values())
 
     @cached_property
     def plan(self) -> FlatPlan:
@@ -191,11 +190,7 @@ def init_params(spec: ModelSpec, seed: int) -> ParamSet:
 
 
 def expected_entry_names(spec: ModelSpec) -> Tuple[str, ...]:
-    names = [f"emb_user_{i}" for i in range(len(spec.user_vocab_sizes))]
-    names += [f"emb_item_{j}" for j in range(len(spec.item_vocab_sizes))]
-    for layer in range(len(spec.decision_dims)):
-        names += [f"dec_W{layer}", f"dec_b{layer}"]
-    return tuple(names)
+    return tuple(expected_entry_shapes(spec))
 
 
 def expected_entry_shapes(spec: ModelSpec):

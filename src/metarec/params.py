@@ -149,9 +149,6 @@ class ParamSet:
     def items(self):
         return self._entries().items()
 
-    def shapes(self) -> Dict[str, Tuple[int, ...]]:
-        return dict(zip(self._layout.names, self._layout.shapes))
-
     def __repr__(self) -> str:
         dims = ", ".join(f"{k}{list(s)}" for k, s in zip(self._layout.names, self._layout.shapes))
         return f"ParamSet({dims})"

@@ -32,10 +32,10 @@ import numpy as np
 
 from .config import ExperimentConfig, experiment_digest, flatten_config
 from .errors import DataError, MetarecError
-from .evaluation import MetricsReport, build_report
+from .evaluation import build_report
 from .memory_tree import TreeMemory
 from .meta_learners import (TrainedModel, evaluate, inference_alpha, logged_rate,
-                            save_checkpoint, train)
+                            save_checkpoint, train, tree_sidecar)
 from .model import user_embedding
 from .tasks import DatasetSplits, load_movielens, preprocess, synthetic_splits
 
@@ -143,13 +143,16 @@ def _group_name(flag: bool) -> str:
     return "major" if flag else "minor"
 
 
-def _report_rows(metrics: Dict[str, MetricsReport]) -> List[Tuple]:
+def _write_report(path, mse_by_trial: Sequence[Dict], alpha_by_trial: Sequence[Dict],
+                  is_major: Dict) -> None:
+    """``report.tsv``: the ``alpha`` and ``query_mse`` rows, each aggregated
+    over the per-trial user -> value mappings."""
     rows = []
-    for name in sorted(metrics):
-        rep = metrics[name]
+    for name, by_trial in (("alpha", alpha_by_trial), ("query_mse", mse_by_trial)):
+        rep = build_report(by_trial, is_major)
         rows.append((name, rep.n_trials, rep.mean, rep.sd, rep.major_mean,
                      rep.major_sd, rep.minor_mean, rep.minor_sd, rep.p_value))
-    return rows
+    write_tsv(path, REPORT_HEADER, rows)
 
 
 def embedding_rows(model: TrainedModel, splits: DatasetSplits,
@@ -240,8 +243,7 @@ def run_trial(config: ExperimentConfig, index: int, seed: int) -> TrialResult:
         per_user_mse: Dict = {}
         per_user_alpha: Dict = {}
         for rec in records:
-            residual = rec.predictions - rec.targets
-            per_user_mse[rec.user_key] = float(np.mean(residual * residual))
+            per_user_mse[rec.user_key] = rec.query_loss
             per_user_alpha[rec.user_key] = float(rec.alpha)
 
         checkpoint_path = save_checkpoint(model, os.path.join(trial_dir, "checkpoint.npz"))
@@ -257,12 +259,8 @@ def run_trial(config: ExperimentConfig, index: int, seed: int) -> TrialResult:
         write_tsv(os.path.join(trial_dir, "history.tsv"),
                   ("epoch", "warmup", "aborted", "train_loss", "val_loss"), history_rows)
 
-        metrics = {
-            "query_mse": build_report([per_user_mse], splits.is_major),
-            "alpha": build_report([per_user_alpha], splits.is_major),
-        }
-        write_tsv(os.path.join(trial_dir, "report.tsv"), REPORT_HEADER,
-                  _report_rows(metrics))
+        _write_report(os.path.join(trial_dir, "report.tsv"), [per_user_mse],
+                      [per_user_alpha], splits.is_major)
 
         if config.emit_embeddings:
             write_embeddings(os.path.join(trial_dir, "embeddings.tsv"),
@@ -316,12 +314,8 @@ def _write_aggregate_report(output_dir: str, results: Sequence[TrialResult]) -> 
         mse_by_trial.append({prefix + str(u): v for u, v in res.per_user_mse.items()})
         alpha_by_trial.append({prefix + str(u): v for u, v in res.per_user_alpha.items()})
         labels.update({prefix + str(u): res.is_major[u] for u in res.per_user_mse})
-    metrics = {
-        "query_mse": build_report(mse_by_trial, labels),
-        "alpha": build_report(alpha_by_trial, labels),
-    }
     path = os.path.join(output_dir, "report.tsv")
-    write_tsv(path, REPORT_HEADER, _report_rows(metrics))
+    _write_report(path, mse_by_trial, alpha_by_trial, labels)
     return path
 
 
@@ -403,10 +397,8 @@ def load_tree(path) -> TreeMemory:
     path = str(path)
     if not path.endswith(".npz"):
         path = path + ".npz"
-    if not path.endswith(".tree.npz"):
-        sidecar = path[: -len(".npz")] + ".tree.npz"
-        if os.path.exists(sidecar):
-            path = sidecar
+    if not path.endswith(".tree.npz") and os.path.exists(tree_sidecar(path)):
+        path = tree_sidecar(path)
     if not os.path.exists(path):
         raise DataError(f"no tree dump at {path}")
     try:

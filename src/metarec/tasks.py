@@ -195,67 +195,43 @@ def _in_int64(value: int) -> bool:
     return INT64_RANGE[0] <= value <= INT64_RANGE[1]
 
 
-def _parse_users(path) -> Tuple[Dict, int, int]:
-    users: Dict = {}
+def _parse_header_file(path, kind: str, n_fields: int,
+                       int_fields: Tuple[int, ...]) -> Tuple[Dict, int, int]:
+    """``(records, skipped, total)`` of a ``::``-separated Latin-1 ``kind``
+    file: each usable line's fields keyed by its id, field 0.
+
+    Blank lines are not counted.  A line is skipped when its field count is
+    not ``n_fields``, when one of ``int_fields`` is not an integer, or when
+    its id is outside int64, in that order; a repeated id keeps its later
+    line.
+    """
+    records: Dict = {}
     skipped = total = 0
     try:
         handle = open(path, encoding="latin-1")
     except OSError as exc:
-        raise DataError(f"cannot open users file: {exc}")
+        raise DataError(f"cannot open {kind} file: {exc}")
     with handle:
         for line in handle:
             line = line.rstrip("\n")
             if not line:
                 continue
             total += 1
-            parts = line.split("::")
-            if len(parts) != 5:
+            fields = line.split("::")
+            if len(fields) != n_fields:
                 skipped += 1
                 continue
-            uid_s, gender, age_s, occupation_s, zipcode = parts
             try:
-                uid = int(uid_s)
-                age = int(age_s)
-                occupation = int(occupation_s)
+                for i in int_fields:
+                    fields[i] = int(fields[i])
             except ValueError:
                 skipped += 1
                 continue
-            if not _in_int64(uid):
+            if not _in_int64(fields[0]):
                 skipped += 1
                 continue
-            users[uid] = {"gender": gender, "age": age,
-                          "occupation": occupation, "zipcode": zipcode}
-    return users, skipped, total
-
-
-def _parse_movies(path) -> Tuple[Dict, int, int]:
-    movies: Dict = {}
-    skipped = total = 0
-    try:
-        handle = open(path, encoding="latin-1")
-    except OSError as exc:
-        raise DataError(f"cannot open movies file: {exc}")
-    with handle:
-        for line in handle:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            total += 1
-            parts = line.split("::")
-            if len(parts) != 3:
-                skipped += 1
-                continue
-            mid_s, _title, genres = parts
-            try:
-                mid = int(mid_s)
-            except ValueError:
-                skipped += 1
-                continue
-            if not _in_int64(mid):
-                skipped += 1
-                continue
-            movies[mid] = (genres,)
-    return movies, skipped, total
+            records[fields[0]] = fields
+    return records, skipped, total
 
 
 def _parse_rating_line(line: str) -> Optional[Tuple[int, int, float, int]]:
@@ -450,8 +426,11 @@ def load_movielens(ratings_path, users_path, movies_path) -> RawDataset:
     outside 1-5 and ids or timestamps outside int64; more than 1% of skipped
     lines in any file aborts the load.
     """
-    users, skipped_u, total_u = _parse_users(users_path)
-    movies, skipped_m, total_m = _parse_movies(movies_path)
+    users, skipped_u, total_u = _parse_header_file(users_path, "users", 5, (0, 2, 3))
+    users = {uid: {"gender": gender, "age": age, "occupation": occupation, "zipcode": zipcode}
+             for uid, (_, gender, age, occupation, zipcode) in users.items()}
+    movies, skipped_m, total_m = _parse_header_file(movies_path, "movies", 3, (0,))
+    movies = {mid: (genres,) for mid, (_, _title, genres) in movies.items()}
     ratings, skipped_r, total_r = _parse_ratings(ratings_path, users, movies)
     if total_r == 0 or not len(ratings):
         raise DataError("ratings file holds no usable records")

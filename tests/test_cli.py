@@ -99,6 +99,12 @@ class TestLemmas:
         assert message in captured.err and "not finite" in captured.err
         assert captured.out == ""
 
+    def test_preferences_near_the_float_limit_print_the_bound(self, capsys):
+        assert main(["lemmas", "--x1", "1e300", "--x2", "1e300"]) == 0
+        values = parse_kv(capsys.readouterr().out)
+        assert values["bound_embedding_term"] == "2e+300"
+        assert values["bound_holds_full"] == "true"
+
     @pytest.mark.parametrize("rates", [[], ["--alpha2", "0.25"],
                                        ["--alpha1", "0.3", "--alpha2", "0.05"],
                                        ["--alpha2", "0.95"]])

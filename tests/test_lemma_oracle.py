@@ -144,6 +144,11 @@ class TestMinimizer:
         with pytest.raises(ConfigError):
             minimize_adapted_loss(spec, fixed=True, convention="midpoint")
 
+    def test_group_losses_reject_unknown_convention(self):
+        spec = TwoGroupSpec(p1=0.7, p2=0.3, x1=0.0, x2=1.0, alpha1=0.1)
+        with pytest.raises(ConfigError, match="unknown convention 'bogus'"):
+            adapted_group_losses(0.3, spec, fixed=True, convention="bogus")
+
 
 class TestVerifyLemmas:
     def test_worked_example_both_lemmas_hold(self):
@@ -282,6 +287,13 @@ class TestBoundCheck:
         with pytest.raises(ConfigError, match=f"bound overflowed.*{term}"):
             bound_check(alphas=[0.1, 0.1], embeddings=[[0.0], [1.0]], **kwargs)
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_embeddings_near_the_float_limit_keep_their_length(self):
+        # squaring 1e300 overflows; the true embedding term is 2 * 1e300
+        report = bound_check(losses=[0.0, 0.0], grads=[0.0, 0.0], alphas=[0.1, 0.1],
+                             embeddings=[[1e300], [-1e300, 0.0]])
+        assert report.embedding_term == 2e300
+        assert report.first_order_rhs == 2e300
 
     def test_triangle_inequality_on_random_batches(self):
         rng = np.random.default_rng(13)
