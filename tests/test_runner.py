@@ -359,3 +359,67 @@ class TestPinnedWideAtPamlOutputs:
         tree = load_tree(result.checkpoint_path)
         assert (tree.dim, len(tree)) == (64, 60) and tree.evictions > 0
         assert sha256_files(result.directory, TestPinnedAtPamlOutputs.FILES) == self.DIGESTS
+
+
+class TestPinnedSyntheticOutputs:
+    """One small synthetic trial per algorithm, pinned byte for byte.
+
+    The trainer is the criterion-4 one of the benchmark's synth-sweep
+    workload with 2 epochs, so at-paml trains one epoch past its warm-up,
+    and every episode has 5 support and 5 query rows.  These are literal
+    digests of float64 outputs that pass through matmul and dot: they hold
+    on the BLAS kernel that recorded them (OpenBLAS on an AVX-512 host) and
+    may differ under another kernel (ROADMAP item 13).  They were recorded
+    while every episode still ran through the model one at a time, and must
+    not change with how episodes are stacked.
+    """
+
+    FILES = ("report.tsv", "per_user.tsv", "history.tsv")
+    DIGESTS = {
+        "paml": ("01ab381de5718f1d09949239a447802a6d07c406eb3439521a1633543fadec29",
+                 "81bd1dfe18534569988786d1158816e602f911b7bbf575d4376548b5d13dbdd4",
+                 "08aae9a0ebc62c67cb69c499de539b0aa11811f7dc1f8ba06f30751196130177"),
+        "at-paml": ("f025d3fc64e2196ad79c4b00fccbb5d4febdf9633d7fe919d133a0146d9f62f9",
+                    "6a30437d8c4b78b4203e4d553c97db3500019d43147e961debb560df63e643a3",
+                    "efbb67a6ce9f0e5b3ce83aace1432b3d56dc045d6833fee3d778a2984cf8a269"),
+        "reg-paml": ("3405b6dd1eb49ca939c9287313f73c7688103f68e8811c9c8ea1f69789b5fc3b",
+                     "753928de1a8841cf44ceec371d193af99d9a0c55ea4f11bd7bd4974cf7dd2a95",
+                     "8bd258032d69d3acdc896ed9094b58c7ce54375a336444f3c40e3090154c61cf"),
+        "maml-fixed": ("67c74be7adc57f1d2f556cb77a0885e94af99859837af2a9b1fa9b73b87e3a4f",
+                       "c2ad201d8b18ec0b64c42820333ffca9c2360f767cdd9a2380cd4eeb6497fb4d",
+                       "1f1818b775c3bdad93a672fb2e8045d8865034918bf25bf4dad9acb5e6b33053"),
+        "meta-sgd": ("e6b6cf3a181749621c4dcf69e1c0aa6fd856b7d435bcc2afcfc763a59bb7eee4",
+                     "d947c00553c18f2ee2e06cb37d516087bdb4a51860e40550a4d85ec33a994e64",
+                     "41a7e1d0bd7664921486dba1f030d42d5669e23b844bb0c18610fcf3c550d7e3"),
+        "transfer": ("2490d8f0c8ef2712fb4c1c03aa4b7e343ce3b6cd2a29ab890c636c7dd85c01e7",
+                     "1490dfea2507d65157233f79a3a8b622cf4e3c1a15847fedd4d07bc4922b70dc",
+                     "9a96788b0fdb15c1b1f89254384692b639079fe4018250e79f0286609413eb3a"),
+    }
+
+    @pytest.mark.filterwarnings("ignore:p-value omitted")
+    @pytest.mark.parametrize("algorithm", sorted(DIGESTS))
+    def test_digests(self, tmp_path, algorithm):
+        config = build_experiment_config({
+            "dataset.kind": "synthetic",
+            "dataset.p1": "0.8",
+            "dataset.p2": "0.2",
+            "dataset.x1": "0",
+            "dataset.x2": "1",
+            "dataset.n_tasks": "200",
+            "dataset.noise_sd": "0.1",
+            "trainer.algorithm": algorithm,
+            "trainer.epochs": "2",
+            "trainer.batch_size": "32",
+            "trainer.embedding_dim": "4",
+            "trainer.decision_dims": "8,1",
+            "trainer.lr_hidden_dims": "8,4",
+            "trainer.outer_lr": "0.02",
+            "trainer.lr_scale": "0.1",
+            "trainer.fixed_inner_lr": "0.001",
+            "run.trials": "1",
+            "run.seeds": "0",
+            "run.output_dir": str(tmp_path / "out"),
+        })
+        result = run_trial(config, 0, 0)
+        expected = dict(zip(self.FILES, self.DIGESTS[algorithm]))
+        assert sha256_files(result.directory, self.FILES) == expected
