@@ -27,7 +27,17 @@ per-parameter rate vector a gives dJ/dtheta = sum_i g_q_i - H_i @ (a * g_q_i)
 and dJ/da = sum_i -(g_s_i * g_q_i) elementwise.  The user embedding h_i that
 feeds the rate head and the tree is treated as an input: no gradient flows
 from alpha_i back into the embedding tables, which keeps the update the exact
-gradient of J as written above and makes it checkable by finite differences.
+gradient of J with h_i held at the pre-step theta and makes it checkable by
+finite differences.
+
+A batch runs in shape groups: the episodes with equal support and query row
+counts, in first-appearance order.  The rate head runs once over the batch
+and the tree is searched once per episode in batch order; then each group's
+support gradient, inner step, query gradient and Hessian-vector product run
+as one stack (see `model`), which gives every episode the bits of a pass of
+its own.  Drops, warnings, logs and the sums over episodes stay in batch
+order.  Evaluation stacks its users the same way, at most ``batch_size`` to
+a stack.
 
 Transfer instead trains on pooled support+query episodes: its theta gradient
 is their pooled supervised gradient, with no inner step, and its steps log no
@@ -59,14 +69,18 @@ from .model import (
     expected_entry_names,
     forward,  # unused here; kept importable for callers that wrap meta_learners.forward
     grad,
+    grad_stack,
     hvp,
     init_dense_stack,
     init_params,
     loss,
-    predict,
+    predict_many,
+    predict_stack,
+    shape_groups,
+    stack_episodes,
     user_embedding,
 )
-from .params import ParamSet, axpy_update, dense_views
+from .params import ParamSet, axpy_update, dense_views, nonfinite_rows, row_dots
 from .tasks import DatasetSplits, TaskEpisode
 
 __all__ = [
@@ -150,45 +164,57 @@ class LrHead:
         return len(self.hidden_dims) + 1
 
     def _forward(self, h):
+        """The head over a (B, input_dim) stack of embeddings, each row a
+        (d, 1) column: every layer is one W @ (B, d, 1) matmul, which numpy
+        runs as the matrix-vector product of a lone embedding, row by row."""
         h = np.asarray(h, dtype=np.float64)
-        if h.shape != (self.input_dim,):
-            raise ConfigError(f"embedding shape {h.shape} does not match head input "
-                              f"({self.input_dim},)")
+        if h.ndim != 2 or h.shape[1] != self.input_dim:
+            raise ConfigError(f"embedding stack shape {h.shape} does not match head input "
+                              f"(B, {self.input_dim})")
         weights = dense_views(self.psi.flat, self._layers)
-        acts = [h]
+        a = h[:, :, None]
+        acts = [a]
         preacts = []
-        a = h
         n = self.n_layers()
         for layer, (w, b) in enumerate(weights):
-            z = w @ a + b
+            z = w @ a + b[:, None]
             preacts.append(z)
             if layer < n - 1:
                 a = np.maximum(z, 0.0)
                 acts.append(a)
-        logit = float(preacts[-1][0])
         with np.errstate(over="ignore"):
-            sig = float(1.0 / (1.0 + np.exp(-logit)))
+            sig = 1.0 / (1.0 + np.exp(-preacts[-1][:, 0, 0]))
         return self.scale * sig, sig, acts, preacts, weights
 
-    def alpha(self, h) -> float:
-        """Inner learning rate for one user embedding."""
-        return self._forward(h)[0]
+    def alphas(self, h) -> List[float]:
+        """Inner learning rate for each row of a stack of user embeddings."""
+        return self._forward(h)[0].tolist()
 
-    def alpha_and_grad(self, h) -> Tuple[float, ParamSet]:
-        """(alpha(h), d alpha / d psi); the embedding is treated as an input."""
-        value, sig, acts, preacts, weights = self._forward(h)
-        gz = np.array([self.scale * sig * (1.0 - sig)])
-        flat = np.empty(self.psi.layout.size)
+    def alphas_and_grads(self, h) -> Tuple[List[float], np.ndarray]:
+        """alphas(h) and d alpha / d psi, one row per embedding; the
+        embeddings are treated as inputs."""
+        values, sig, acts, preacts, weights = self._forward(h)
+        gz = (self.scale * sig * (1.0 - sig))[:, None, None]
+        flat = np.empty((len(sig), self.psi.layout.size))
         grads = dense_views(flat, self._layers)
         n = self.n_layers()
         for layer in range(n - 1, -1, -1):
             if layer < n - 1:
                 gz = gz * (preacts[layer] > 0.0)
             g_w, g_b = grads[layer]
-            np.multiply(gz[:, None], acts[layer], out=g_w)
-            g_b[...] = gz
+            np.multiply(gz, np.swapaxes(acts[layer], 1, 2), out=g_w)
+            g_b[...] = np.swapaxes(gz, 1, 2)
             gz = weights[layer][0].T @ gz
-        return value, ParamSet.wrap(self.psi.layout, flat)
+        return values.tolist(), flat
+
+    def alpha(self, h) -> float:
+        """Inner learning rate for one user embedding: a stack of one."""
+        return self.alphas(np.asarray(h)[None])[0]
+
+    def alpha_and_grad(self, h) -> Tuple[float, ParamSet]:
+        """(alpha(h), d alpha / d psi) for one user embedding: a stack of one."""
+        values, grads = self.alphas_and_grads(np.asarray(h)[None])
+        return values[0], ParamSet.wrap(self.psi.layout, grads[0])
 
     def copy(self) -> "LrHead":
         return LrHead(self.input_dim, self.hidden_dims, self.scale, psi=self.psi.copy())
@@ -375,33 +401,48 @@ def inner_adapt(theta: ParamSet, spec: ModelSpec, alpha_i, support) -> ParamSet:
     return adapt_with_gradient(theta, spec, alpha_i, support)[0]
 
 
-def _resolve_rate(config: TrainerConfig, head: Optional[LrHead], msgd_alpha, tree, h,
-                  train: bool = False, warmup: bool = False):
+def _resolve_rates(config: TrainerConfig, head: Optional[LrHead], msgd_alpha, tree, h,
+                   train: bool = False, warmup: bool = False) -> list:
     """Each user's inner rate, chosen by algorithm here and nowhere else.
 
-    Returns (alpha, dalpha_dpsi, neighbors): a scalar rate or the meta-sgd
-    rate vector, the head gradient, and the blended tree ``Neighbors`` or None.
-    Training (``train``) differentiates the head, blends
-    ``tree_neighbors_train`` stored rates with touch, and gives at-paml its
-    fixed rate during warm-up.  Evaluation blends ``tree_neighbors_infer``
-    rates without touch and writes no state.
+    ``h`` holds one user embedding per row.  Returns one (alpha,
+    dalpha_dpsi, neighbors) per row: a scalar rate or the meta-sgd rate
+    vector, the head gradient (a flat row) or None, and the blended tree
+    ``Neighbors`` or None.  The head runs once over every row; at-paml then
+    searches the tree once per row, in row order.  Training (``train``)
+    differentiates the head, blends ``tree_neighbors_train`` stored rates
+    with touch, and gives at-paml its fixed rate during warm-up.  Evaluation
+    blends ``tree_neighbors_infer`` rates without touch and writes no state.
     """
     algorithm = config.algorithm
+    n_users = len(h)
     if algorithm == "meta-sgd":
-        return msgd_alpha, None, None
+        return [(msgd_alpha, None, None)] * n_users
     if algorithm in ("maml-fixed", "transfer"):
-        return config.fixed_inner_lr, None, None
+        return [(config.fixed_inner_lr, None, None)] * n_users
     if algorithm == "at-paml" and warmup:
-        return config.warmup_inner_lr, None, None
+        return [(config.warmup_inner_lr, None, None)] * n_users
     if train:
-        alpha, dalpha_dpsi = head.alpha_and_grad(h)
+        alphas, dalphas = head.alphas_and_grads(h)
     else:
-        alpha, dalpha_dpsi = head.alpha(h), None
-    neighbors = None
-    if algorithm == "at-paml" and tree is not None and len(tree) > 0:
-        k = config.tree_neighbors_train if train else config.tree_neighbors_infer
-        alpha_tilde, neighbors = tree.blended_lr(h, k, touch=train)
-        alpha = alpha + alpha_tilde
+        alphas, dalphas = head.alphas(h), [None] * n_users
+    if not (algorithm == "at-paml" and tree is not None and len(tree) > 0):
+        return [(alpha, dalpha, None) for alpha, dalpha in zip(alphas, dalphas)]
+    k = config.tree_neighbors_train if train else config.tree_neighbors_infer
+    rates = []
+    for h_i, alpha, dalpha in zip(h, alphas, dalphas):
+        alpha_tilde, neighbors = tree.blended_lr(h_i, k, touch=train)
+        rates.append((alpha + alpha_tilde, dalpha, neighbors))
+    return rates
+
+
+def _resolve_rate(config: TrainerConfig, head: Optional[LrHead], msgd_alpha, tree, h,
+                  train: bool = False, warmup: bool = False):
+    """`_resolve_rates` for one user embedding, with the head gradient as a ParamSet."""
+    alpha, dalpha_dpsi, neighbors = _resolve_rates(config, head, msgd_alpha, tree,
+                                                   np.asarray(h)[None], train, warmup)[0]
+    if dalpha_dpsi is not None:
+        dalpha_dpsi = ParamSet.wrap(head.psi.layout, dalpha_dpsi)
     return alpha, dalpha_dpsi, neighbors
 
 
@@ -457,13 +498,52 @@ def _encode_split(splits: DatasetSplits, episodes: Sequence[TaskEpisode],
             for episode, support, query in zip(episodes, checked[0::2], checked[1::2])]
 
 
-def _pooled_loss(theta: ParamSet, spec: ModelSpec, pooled) -> float:
+def _pooled_loss(theta: ParamSet, spec: ModelSpec, pooled, batch_size: int) -> float:
+    """Item-weighted mean loss over ``pooled``, summed episode by episode in
+    order; the predictions come from stacks of at most ``batch_size``."""
     total_items = sum(items.shape[0] for _, items, _ in pooled)
     total = 0.0
-    for episode in pooled:
-        _, items, targets = episode
-        total += loss(predict(theta, spec, episode), targets) * items.shape[0]
+    for (_, items, targets), predictions in zip(pooled, predict_many(theta, spec, pooled,
+                                                                     batch_size)):
+        total += loss(predictions, targets) * items.shape[0]
     return total / total_items
+
+
+def _adapt_stage(flat, spec: ModelSpec, layout, episodes, positions, results: dict, name: str):
+    """`grad_stack` over equal-shape ``episodes``, which sit at ``positions``.
+
+    An episode whose forward pass, ``name`` loss or ``name`` gradient goes
+    non-finite gets the error a one-episode pass would raise in
+    ``results``, keyed by its position.  Returns the StackGradient and one
+    (index into ``episodes``, row of its ``rows``) pair per episode that
+    passed.
+    """
+    g = grad_stack(flat, spec, stack_episodes(spec, episodes))
+    for index, exc in g.failed.items():
+        results[positions[index]] = exc
+    nonfinite = nonfinite_rows(layout, g.rows, f"{name} gradient")
+    passed = []
+    for row, index in enumerate(g.kept):
+        if not math.isfinite(g.losses[row]):
+            results[positions[index]] = NumericError(f"{name} loss is not finite")
+        elif row in nonfinite:
+            results[positions[index]] = nonfinite[row]
+        else:
+            passed.append((index, row))
+    return g, passed
+
+
+def _inner_step(flat: np.ndarray, rows: np.ndarray, alphas, out=None) -> np.ndarray:
+    """theta - alpha_i * g_i for each row g_i, as `axpy_update` computes it,
+    written into ``out`` (which may be ``rows``) or a new stack."""
+    step = alphas[0].flat if isinstance(alphas[0], ParamSet) else np.array(alphas)[:, None]
+    out = np.multiply(rows, step, out=out)
+    return np.subtract(flat, out, out=out)
+
+
+def _rows(stack: np.ndarray, rows: List[int]) -> np.ndarray:
+    """``stack[rows]`` for increasing ``rows``; the stack itself when they are all of it."""
+    return stack if len(rows) == len(stack) else stack[rows]
 
 
 def _sum_tree_gradients(parts) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -520,52 +600,112 @@ class MetaTrainer:
 
     # -- gradients -----------------------------------------------------------
 
-    def _episode_pass(self, ep: _Encoded, warmup: bool, gamma: float):
-        cfg = self.config
-        h = user_embedding(self.theta, self.spec, ep.user_ids)
-        alpha, dalpha_dpsi, neighbors = _resolve_rate(
-            cfg, self.head, self.msgd_alpha, self.tree, h, train=True, warmup=warmup)
-        store = (h, alpha) if self.tree is not None else None
-        theta_i, g_s = adapt_with_gradient(self.theta, self.spec, alpha, ep.support)
-        grad_sq = g_s.dot(g_s)
+    def _batch_pass(self, batch: Sequence[_Encoded], warmup: bool, gamma: float):
+        """Per episode of ``batch``, in batch order: its outer-gradient terms,
+        or the error that drops it.
 
-        g_q = grad(theta_i, self.spec, ep.query)
-        if not math.isfinite(g_q.loss):
-            raise NumericError("query loss is not finite")
-        g_q.check_finite("query gradient")
+        The rates come first, the head once over the batch and the tree once
+        per episode in batch order.  Episodes with equal support and query
+        row counts then form a shape group, in first-appearance order, whose
+        support grad, inner step, query grad and hvp each run as one stack;
+        an episode that fails a check leaves its group before the next
+        stage.  Each result is yielded once every earlier episode's is out,
+        so only the terms of episodes that wait on an earlier group are held.
+        """
+        cfg, spec, theta = self.config, self.spec, self.theta
+        if not batch:
+            return
+        h = user_embedding(theta, spec, np.array([ep.user_ids for ep in batch]))
+        rates = _resolve_rates(cfg, self.head, self.msgd_alpha, self.tree, h,
+                               train=True, warmup=warmup)
+        results = {}
+        alive = []
+        for i, (alpha, _, _) in enumerate(rates):
+            try:
+                _check_inner_rate(alpha)
+                alive.append(i)
+            except (NumericError, ConfigError) as exc:
+                results[i] = exc
+        done = 0
+        shapes = [(len(batch[i].support[2]), len(batch[i].query[2])) for i in alive]
+        for group in shape_groups(shapes):
+            self._group_pass(batch, [alive[g] for g in group], rates, h, gamma, results)
+            while done in results:
+                yield results.pop(done)
+                done += 1
+        while done < len(batch):
+            yield results.pop(done)
+            done += 1
 
-        ep_msgd_grad = None
-        reg_value = 0.0
-        if isinstance(alpha, ParamSet):
-            hv = hvp(self.theta, self.spec, ep.support, alpha.mul(g_q), at=g_s)
-            ep_theta_grad = g_q.sub(hv)
-            ep_msgd_grad = g_s.mul(g_q).scale(-1.0)
+    def _group_pass(self, batch, group, rates, h, gamma, results: dict) -> None:
+        """One shape group's stages, then each surviving episode's terms."""
+        cfg, spec, theta = self.config, self.spec, self.theta
+        s, passed = _adapt_stage(theta.flat, spec, theta.layout,
+                                 [batch[i].support for i in group], group, results, "support")
+        if not passed:
+            return
+        group = [group[index] for index, _ in passed]
+        s_rows = [row for _, row in passed]
+        alphas = [rates[i][0] for i in group]
+        q, passed = _adapt_stage(_inner_step(theta.flat, _rows(s.rows, s_rows), alphas), spec,
+                                 theta.layout, [batch[i].query for i in group], group, results,
+                                 "query")
+        if not passed:
+            return
+        group = [group[index] for index, _ in passed]
+        alphas = [alphas[index] for index, _ in passed]
+        s_rows = [s_rows[index] for index, _ in passed]
+        q_rows = [row for _, row in passed]
+        g_s, g_q, q_losses = _rows(s.rows, s_rows), _rows(q.rows, q_rows), _rows(q.losses, q_rows)
+        del q  # its tape holds the inner-step stack
+
+        def support_hvp(ks, v):
+            return hvp(theta, spec, [batch[group[k]].support for k in ks], v,
+                       at=s.take([s_rows[k] for k in ks]))
+
+        grad_sq = row_dots(theta.layout, g_s, g_s)
+        s_dot_q = row_dots(theta.layout, g_s, g_q)
+        msgd_rows = None
+        if isinstance(alphas[0], ParamSet):
+            theta_rows = g_q - support_hvp(range(len(group)), alphas[0].flat * g_q)
+            msgd_rows = (g_s * g_q) * -1.0
         else:
-            reg_value = grad_sq * abs(alpha)
-            if alpha == 0.0:
-                ep_theta_grad = g_q.copy()
-            else:
-                v = g_s.scale(2.0 * gamma * alpha).sub(g_q.scale(alpha))
-                hv = hvp(self.theta, self.spec, ep.support, v, at=g_s)
-                ep_theta_grad = g_q.add(hv)
-
-        # d(objective)/d(alpha); only the head gradient and the tree use it
-        if dalpha_dpsi is not None or neighbors is not None:
-            upstream = gamma * grad_sq - g_s.dot(g_q)
-        ep_psi_grad = None
-        if dalpha_dpsi is not None:
-            if cfg.psi_update_rule == "exact":
-                ep_psi_grad = dalpha_dpsi.scale(upstream)
-            else:
-                ep_psi_grad = dalpha_dpsi.scale(-g_q.loss)
-        ep_tree = None
-        if neighbors is not None:
-            ep_tree = (neighbors.ids,) + blend_gradients(
-                h, neighbors, upstream, cfg.tree_delta, cfg.tree_sigma)
-
-        log = EpisodeLog(ep.user_key, logged_rate(alpha), g_s.loss, g_q.loss, reg_value,
-                         grad_sq, float(np.linalg.norm(h)))
-        return ep_theta_grad, ep_psi_grad, ep_msgd_grad, ep_tree, store, log
+            theta_rows = g_q
+            moving = [k for k, alpha in enumerate(alphas) if alpha != 0.0]
+            if moving:
+                a = np.array([alphas[k] for k in moving])[:, None]
+                v = _rows(g_s, moving) * (2.0 * gamma * a)
+                v -= _rows(g_q, moving) * a
+                hv = support_hvp(moving, v)
+                hv += _rows(g_q, moving)
+                if len(moving) == len(group):
+                    theta_rows = hv
+                else:
+                    theta_rows = g_q.copy()
+                    theta_rows[moving] = hv
+        for k, i in enumerate(group):
+            alpha, dalpha_dpsi, neighbors = rates[i]
+            sq = float(grad_sq[k])
+            reg_value = 0.0 if msgd_rows is not None else sq * abs(alpha)
+            # d(objective)/d(alpha); only the head gradient and the tree use it
+            if dalpha_dpsi is not None or neighbors is not None:
+                upstream = gamma * sq - float(s_dot_q[k])
+            ep_psi = None
+            if dalpha_dpsi is not None:
+                if cfg.psi_update_rule == "exact":
+                    ep_psi = dalpha_dpsi * upstream
+                else:
+                    ep_psi = dalpha_dpsi * -float(q_losses[k])
+            ep_tree = None
+            if neighbors is not None:
+                ep_tree = (neighbors.ids,) + blend_gradients(
+                    h[i], neighbors, upstream, cfg.tree_delta, cfg.tree_sigma)
+            store = (h[i], alpha) if self.tree is not None else None
+            log = EpisodeLog(batch[i].user_key, logged_rate(alpha),
+                             float(s.losses[s_rows[k]]), float(q_losses[k]), reg_value, sq,
+                             float(np.linalg.norm(h[i])))
+            results[i] = (theta_rows[k], ep_psi, None if msgd_rows is None else msgd_rows[k],
+                          ep_tree, store, log)
 
     def outer_gradients(self, batch: Sequence[_Encoded], warmup: bool = False) -> GradientPass:
         """Exact outer gradients of the batch objective at the current state.
@@ -579,27 +719,27 @@ class MetaTrainer:
             g = grad(self.theta, self.spec, batch)
             g.check_finite("pooled gradient")
             return GradientPass(g, None, None, *_sum_tree_gradients([]), [], (), g.loss, 0)
-        theta_grad = self.theta.zeros_like()
-        psi_grad = self.head.psi.zeros_like() if self.head is not None else None
-        msgd_grad = self.msgd_alpha.zeros_like() if self.msgd_alpha is not None else None
+        theta_grad = np.zeros(self.theta.layout.size)
+        psi_grad = np.zeros(self.head.psi.layout.size) if self.head is not None else None
+        msgd_grad = np.zeros(self.theta.layout.size) if self.msgd_alpha is not None else None
         tree_parts: List[tuple] = []
         pending: List[Tuple[np.ndarray, float]] = []
         logs: List[EpisodeLog] = []
         total_loss = 0.0
         skipped = 0
-        for ep in batch:
-            try:
-                parts = self._episode_pass(ep, warmup, gamma)
-            except NumericError as exc:
-                warnings.warn(f"dropping episode for user {ep.user_key!r}: {exc}")
+        for ep, parts in zip(batch, self._batch_pass(batch, warmup, gamma)):
+            if isinstance(parts, Exception):
+                if not isinstance(parts, NumericError):
+                    raise parts
+                warnings.warn(f"dropping episode for user {ep.user_key!r}: {parts}")
                 skipped += 1
                 continue
             ep_theta, ep_psi, ep_msgd, ep_tree, store, log = parts
-            theta_grad = theta_grad.add(ep_theta)
+            theta_grad += ep_theta
             if ep_psi is not None:
-                psi_grad = psi_grad.add(ep_psi)
+                psi_grad += ep_psi
             if ep_msgd is not None:
-                msgd_grad = msgd_grad.add(ep_msgd)
+                msgd_grad += ep_msgd
             if ep_tree is not None:
                 tree_parts.append(ep_tree)
             if store is not None:
@@ -608,8 +748,11 @@ class MetaTrainer:
             total_loss += log.query_loss + gamma * log.reg_value
         if not logs:
             raise NumericError("every episode in the batch failed with a numeric error")
-        return GradientPass(theta_grad, psi_grad, msgd_grad, *_sum_tree_gradients(tree_parts),
-                            pending, tuple(logs), total_loss, skipped)
+        return GradientPass(
+            ParamSet.wrap(self.theta.layout, theta_grad),
+            None if psi_grad is None else ParamSet.wrap(self.head.psi.layout, psi_grad),
+            None if msgd_grad is None else ParamSet.wrap(self.theta.layout, msgd_grad),
+            *_sum_tree_gradients(tree_parts), pending, tuple(logs), total_loss, skipped)
 
     # -- updates ---------------------------------------------------------------
 
@@ -694,7 +837,8 @@ class MetaTrainer:
                 self.step_logs.append(log)
                 train_loss += log.total_loss
             if cfg.algorithm == "transfer":
-                train_loss = _pooled_loss(self.theta, self.spec, self.train_episodes)
+                train_loss = _pooled_loss(self.theta, self.spec, self.train_episodes,
+                                          cfg.batch_size)
             val_loss = self._validation_loss()
             self.history.append({"epoch": epoch, "warmup": bool(warmup),
                                  "aborted": bool(aborted), "train_loss": float(train_loss),
@@ -730,19 +874,47 @@ def inference_alpha(model: TrainedModel, h):
 
 def _evaluate_encoded(theta, spec, config, head, msgd_alpha, tree,
                       episodes: Sequence[_Encoded]) -> List[EvalRecord]:
-    records = []
-    for ep in episodes:
-        h = user_embedding(theta, spec, ep.user_ids)
-        alpha = _resolve_rate(config, head, msgd_alpha, tree, h)[0]
-        theta_u, _ = adapt_with_gradient(theta, spec, alpha, ep.support)
-        q_targets = ep.query[2]
-        predictions = predict(theta_u, spec, ep.query)
-        if not np.all(np.isfinite(predictions)):
-            raise NumericError(f"non-finite predictions for user {ep.user_key!r}")
-        query_loss = loss(predictions, q_targets)
-        records.append(EvalRecord(ep.user_key, logged_rate(alpha), predictions,
-                                  np.asarray(q_targets, dtype=np.float64).copy(), query_loss))
-    return records
+    """Adapt each user on its support set and score its query set, in order.
+
+    Users with equal support and query row counts run as stacks of at most
+    ``batch_size``; a failing user raises the error that scoring the users
+    one at a time would have raised first.
+    """
+    if not episodes:
+        return []
+    h = user_embedding(theta, spec, np.array([ep.user_ids for ep in episodes]))
+    alphas = [rate[0] for rate in _resolve_rates(config, head, msgd_alpha, tree, h)]
+    errors = {}
+    alive = []
+    for i, alpha in enumerate(alphas):
+        try:
+            _check_inner_rate(alpha)
+            alive.append(i)
+        except (NumericError, ConfigError) as exc:
+            errors[i] = exc
+    predictions = [None] * len(episodes)
+    shapes = [(len(episodes[i].support[2]), len(episodes[i].query[2])) for i in alive]
+    for group in shape_groups(shapes, config.batch_size):
+        group = [alive[g] for g in group]
+        s, passed = _adapt_stage(theta.flat, spec, theta.layout,
+                                 [episodes[i].support for i in group], group, errors, "support")
+        if not passed:
+            continue
+        group = [group[index] for index, _ in passed]
+        g_s = _rows(s.rows, [row for _, row in passed])
+        thetas = _inner_step(theta.flat, g_s, [alphas[i] for i in group], out=g_s)
+        rows, failed = predict_stack(thetas, spec,
+                                     stack_episodes(spec, [episodes[i].query for i in group]))
+        for index, i in enumerate(group):
+            if index in failed:
+                errors[i] = failed[index]
+            else:
+                predictions[i] = rows[index].copy()
+    if errors:
+        raise errors[min(errors)]
+    return [EvalRecord(ep.user_key, logged_rate(alpha), p, np.array(ep.query[2], dtype=np.float64),
+                       loss(p, ep.query[2]))
+            for ep, alpha, p in zip(episodes, alphas, predictions)]
 
 
 def evaluate(model: TrainedModel, episodes: Sequence[TaskEpisode],

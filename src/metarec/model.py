@@ -21,22 +21,41 @@ any other episode, a plain tuple included, through it before use; `forward`
 and `user_embedding` check their ids on every call.  No index is stored per
 episode: each pass looks the checked ids' flat positions up in the plan.
 
-`grad` runs one forward and one backward pass per episode.  The fused input
-is two gathers from the flat vector, each layer's gradient adds into a view
-of one zeroed flat vector, and the input gradient goes back to the embedding
-values as one add at the user positions (distinct within an episode) and one
-``np.add.at`` at the item positions, which adds repeated items in row order.
-The Gradient it returns carries those passes as a tape: the episode's flat
-positions, the input of every layer, the ReLU masks and the upstream
-gradient of every layer.  `hvp` takes that tape and pushes a tangent v
-through the same passes without recomputing them (the R-op of Pearlmutter,
-1994), which gives the exact directional derivative of the gradient, i.e. an
-exact Hessian-vector product.  Episodes run one at a time: stacking them
-into one matmul would change the bits.
+Every pass runs on a stack.  Episodes with equal item counts form a shape
+group (`shape_groups`, in first-appearance order), and `stack_episodes`
+lays a group out with a leading axis, one slice per episode.  Each dense
+layer is then one ``(B, n, in) @ (in, out)`` matmul, or ``(B, n, in) @
+(B, in, out)`` when every slice has its own parameters (the adapted theta_i
+of an inner step).  numpy's matmul loops over the leading axis and makes,
+for each slice, the same BLAS call a lone episode's 2-D matmul makes, and
+reductions run over the row axis of each slice in the same order; so every
+slice gets the bits of a one-episode pass, and a lone episode is a stack of
+one.  Ragged episodes are never padded to share a stack: zero rows change
+the BLAS call's shape and, with it, how the sums round.  One stack of 2-D
+rows would too (a single ``(B n, in)`` matmul blocks its sums differently).
 
-Every call checks the parameter layout against the spec (one comparison of
-layout keys); `hvp` given a tape relies on the check its `grad` made on the
-same theta.
+`grad_stack` runs a forward and a backward pass over a stack and returns one
+gradient row per episode, each normalized by its own item count: the fused
+input is two gathers from the flat vector (or from each slice's row), each
+layer's gradient adds into a view of one zeroed row, and the input gradient
+goes back to the embedding values as one add at the user positions
+(distinct within an episode) and one ``np.add.at`` at the item positions,
+which adds repeated items in row order.  A slice whose forward pass goes
+non-finite leaves the stack before the backward pass, with the error a
+one-episode pass would raise.  `grad` pools a batch: it runs each shape
+group as a stack and adds every episode's terms onto one vector in episode
+order, as a pass over the episodes one at a time would.  The passes are
+kept as a tape: the flat positions, the input of every layer, the ReLU
+masks and the upstream gradient of every layer.  `hvp` takes that tape and
+pushes a tangent v through the same passes without recomputing them (the
+R-op of Pearlmutter, 1994), which gives the exact directional derivative of
+the gradient, i.e. an exact Hessian-vector product; given `grad_stack`'s
+StackGradient it pushes one tangent row per slice.
+
+Every call that takes a ParamSet checks its layout against the spec (one
+comparison of layout keys); `hvp` given a tape relies on the check its
+`grad` made on the same theta, and `grad_stack` and `predict_stack`, which
+take flat vectors, on their caller's.
 
 Everything is float64 and deterministic given the seed.
 """
@@ -45,7 +64,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -56,15 +75,22 @@ __all__ = [
     "ModelSpec",
     "Episode",
     "CheckedEpisode",
+    "EpisodeStack",
+    "StackGradient",
     "check_episode",
     "check_episodes",
+    "shape_groups",
+    "stack_episodes",
     "init_params",
     "init_dense_stack",
     "forward",
     "predict",
+    "predict_many",
+    "predict_stack",
     "user_embedding",
     "loss",
     "grad",
+    "grad_stack",
     "hvp",
 ]
 
@@ -323,62 +349,145 @@ def _checked(spec: ModelSpec, episode) -> CheckedEpisode:
 
 
 def _user_index(user_ids: np.ndarray, plan: FlatPlan) -> np.ndarray:
-    """The (user_width,) flat positions of checked user ids' embedding values."""
-    return plan.positions[user_ids + plan.user_rows].reshape(-1)
+    """Flat positions of checked user ids' embedding values: (user_width,)
+    for one user's ids, one such row per user for a stack of them."""
+    return plan.positions[user_ids + plan.user_rows].reshape(user_ids.shape[:-1] + (-1,))
 
 
-def _indices(episode: CheckedEpisode, plan: FlatPlan):
-    """Flat positions of a checked episode's embedding values: the user's
-    (user_width,) and the items' (n_items, n_item_features * embedding_dim)."""
-    user_ids, items, _ = episode
-    item_index = plan.positions[items + plan.item_rows].reshape(items.shape[0], -1)
-    return _user_index(user_ids, plan), item_index
+def shape_groups(keys, limit: Optional[int] = None) -> List[List[int]]:
+    """Positions of equal ``keys``, one list per distinct key.
+
+    Groups come in the order their keys first appear, positions in order
+    within each; with ``limit`` a group is cut into runs of at most that
+    many.
+    """
+    groups = {}
+    for position, key in enumerate(keys):
+        groups.setdefault(key, []).append(position)
+    if limit is None:
+        return list(groups.values())
+    return [group[start:start + limit] for group in groups.values()
+            for start in range(0, len(group), limit)]
+
+
+class EpisodeStack(NamedTuple):
+    """Episodes of one shape stacked along a leading axis, one slice each.
+
+    ``user_index`` (B, user_width) and ``item_index`` (B, n_items,
+    n_item_features * embedding_dim) hold the flat positions of each slice's
+    embedding values, ``targets`` (B, n_items) its targets.
+    """
+
+    user_index: np.ndarray
+    item_index: np.ndarray
+    targets: np.ndarray
+
+    def take(self, rows) -> "EpisodeStack":
+        return EpisodeStack(self.user_index[rows], self.item_index[rows], self.targets[rows])
+
+
+def stack_episodes(spec: ModelSpec, episodes) -> EpisodeStack:
+    """Stack episodes with equal item counts, checking any not checked for ``spec``."""
+    plan = spec.plan
+    checked = [_checked(spec, episode) for episode in episodes]
+    items = np.array([episode[1] for episode in checked])
+    return EpisodeStack(
+        _user_index(np.array([episode[0] for episode in checked]), plan),
+        plan.positions[items + plan.item_rows].reshape(items.shape[:-1] + (-1,)),
+        np.array([episode[2] for episode in checked]))
+
+
+def _gather(flat: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``flat[index]`` from one shared vector, or row by row from a (B, size)
+    stack of them, where ``index`` has one leading slice per row."""
+    if flat.ndim == 1:
+        return flat[index]
+    rows = np.arange(flat.shape[0]).reshape((-1,) + (1,) * (index.ndim - 1))
+    return flat[rows, index]
 
 
 # ---------------------------------------------------------------------------
 # forward
 
 
-def _forward_core(flat, weights, plan: FlatPlan, user_index, item_index):
-    """Shared forward pass over ``weights``, the `dense_views` of ``flat``.
+def _forward_stack(flat, weights, plan: FlatPlan, stack: EpisodeStack):
+    """Forward pass of every slice of ``stack`` at once.
 
-    Returns (output, acts, preacts): ``acts`` holds the input of every
-    decision layer, the fused embedding rows first, and ``preacts`` every
-    layer's pre-activation.
+    ``flat`` is one parameter vector shared by every slice or a (B, size)
+    stack with one row per slice, and ``weights`` its `dense_views`.
+    Returns (output, acts, preacts, failed): ``acts`` holds the input of
+    every decision layer, the fused embedding rows first, ``preacts`` every
+    layer's pre-activation, and ``failed`` maps the position of each slice
+    whose pre-activations went non-finite to the error naming the first
+    layer where they did.
     """
     uw = plan.user_width
-    x = np.empty((item_index.shape[0], uw + item_index.shape[1]))
-    x[:, :uw] = flat[user_index]
-    x[:, uw:] = flat[item_index]
+    n_stack, n_items, item_width = stack.item_index.shape
+    x = np.empty((n_stack, n_items, uw + item_width))
+    x[:, :, :uw] = _gather(flat, stack.user_index)[:, None, :]
+    x[:, :, uw:] = _gather(flat, stack.item_index)
 
     acts = [x]
     preacts = []
+    failed = {}
     a = x
     last = len(weights) - 1
     with np.errstate(invalid="ignore", over="ignore"):
         for layer, (w, b) in enumerate(weights):
-            z = a @ w.T + b
-            if not np.logical_and.reduce(np.isfinite(z), None):
-                raise NumericError(f"non-finite values in decision layer {layer}")
+            z = a @ w.swapaxes(-1, -2) + b
+            finite = np.isfinite(z)
+            if not np.logical_and.reduce(finite, None):
+                for position in np.flatnonzero(~finite.all(axis=(1, 2))).tolist():
+                    failed.setdefault(position, NumericError(
+                        f"non-finite values in decision layer {layer}"))
             preacts.append(z)
             if layer < last:
                 a = np.maximum(z, 0.0)
                 acts.append(a)
-    return preacts[-1], acts, preacts
-
-
-def _episode_forward(theta: ParamSet, spec: ModelSpec, episode: CheckedEpisode):
-    plan = spec.plan
-    flat = theta.flat
-    return _forward_core(flat, dense_views(flat, plan.layers), plan, *_indices(episode, plan))
+    return preacts[-1], acts, preacts, failed
 
 
 def forward(theta: ParamSet, spec: ModelSpec, user_ids, items):
     """Predictions, one unbounded rating per item, plus the user embedding
     vector h (decision input side)."""
     _check_theta(theta, spec)
-    z_out, acts, _ = _episode_forward(theta, spec, check_episode(spec, user_ids, items, None))
-    return z_out[:, 0], acts[0][0, :spec.user_width].copy()
+    stack = stack_episodes(spec, [check_episode(spec, user_ids, items, None)])
+    z_out, acts, _, failed = _forward_stack(theta.flat, dense_views(theta.flat, spec.plan.layers),
+                                            spec.plan, stack)
+    if failed:
+        raise failed[0]
+    return z_out[0, :, 0], acts[0][0, 0, :spec.user_width].copy()
+
+
+def predict_stack(flat: np.ndarray, spec: ModelSpec, stack: EpisodeStack):
+    """Predictions (B, n_items) for every slice of ``stack``, at one shared
+    parameter vector or at one row of a (B, size) stack per slice, plus the
+    ``failed`` map of `_forward_stack` (those slices' rows are not finite)."""
+    z_out, _, _, failed = _forward_stack(flat, dense_views(flat, spec.plan.layers), spec.plan,
+                                         stack)
+    return z_out[:, :, 0], failed
+
+
+def predict_many(theta: ParamSet, spec: ModelSpec, episodes, limit: int) -> List[np.ndarray]:
+    """`predict` for each episode, in order, through stacks of at most ``limit``
+    episodes with equal item counts.
+
+    A non-finite forward pass raises the error of the first such episode.
+    """
+    _check_theta(theta, spec)
+    checked = [_checked(spec, episode) for episode in episodes]
+    predictions = [None] * len(checked)
+    errors = {}
+    for group in shape_groups([episode[1].shape[0] for episode in checked], limit):
+        rows, failed = predict_stack(theta.flat, spec,
+                                     stack_episodes(spec, [checked[i] for i in group]))
+        for position, exc in failed.items():
+            errors[group[position]] = exc
+        for position, i in enumerate(group):
+            predictions[i] = rows[position]
+    if errors:
+        raise errors[min(errors)]
+    return predictions
 
 
 def predict(theta: ParamSet, spec: ModelSpec, episode) -> np.ndarray:
@@ -387,20 +496,18 @@ def predict(theta: ParamSet, spec: ModelSpec, episode) -> np.ndarray:
     Like `forward` without the embedding, and a `CheckedEpisode` checked
     for ``spec`` is not checked again.
     """
-    _check_theta(theta, spec)
-    z_out, _, _ = _episode_forward(theta, spec, _checked(spec, episode))
-    return z_out[:, 0]
+    return predict_many(theta, spec, [episode], 1)[0]
 
 
 def user_embedding(theta: ParamSet, spec: ModelSpec, user_ids) -> np.ndarray:
-    """Concatenated user-feature embedding rows for one user."""
+    """Concatenated user-feature embedding rows for one user, or one such row
+    per user for a (B, n_user_features) stack of ids."""
     _check_theta(theta, spec)
     user_ids = np.asarray(user_ids, dtype=np.int64)
-    if user_ids.shape != (len(spec.user_vocab_sizes),):
-        raise DataError(f"expected {len(spec.user_vocab_sizes)} user feature ids")
-    for feature, (value, vocab) in enumerate(zip(user_ids.tolist(), spec.user_vocab_sizes)):
-        if not 0 <= value < vocab:
-            raise DataError(f"user feature {feature} id {value} outside vocabulary [0, {vocab})")
+    n_features = len(spec.user_vocab_sizes)
+    if user_ids.ndim not in (1, 2) or user_ids.shape[-1] != n_features:
+        raise DataError(f"expected {n_features} user feature ids, got shape {user_ids.shape}")
+    _check_ids(user_ids, spec.plan.user_vocab, "user")
     return theta.flat[_user_index(user_ids, spec.plan)]
 
 
@@ -424,6 +531,182 @@ def loss(predictions: np.ndarray, targets: np.ndarray) -> float:
 # gradients
 
 
+class _StackTape(NamedTuple):
+    """What one stacked forward and backward pass computed, kept for the R-op.
+
+    ``flat`` and ``weights`` are the parameters the pass ran at (shared, or
+    one row per slice) and their `dense_views`; ``acts`` holds the input of
+    every decision layer, ``masks`` the ReLU masks ``z > 0`` of the hidden
+    layers, and ``gas`` the upstream gradient of every layer after its mask,
+    each with one leading slice per episode of ``stack``.  ``total_items``
+    is the item count the loss is averaged over.  Everything is held by
+    reference; nothing is copied.
+    """
+
+    flat: np.ndarray
+    weights: list
+    stack: EpisodeStack
+    acts: list
+    masks: list
+    gas: list
+    total_items: int
+
+    def take(self, rows) -> "_StackTape":
+        """The tape of the slices at ``rows`` alone."""
+        flat, weights = self.flat, self.weights
+        if flat.ndim == 2:
+            flat = flat[rows]
+            weights = [(w[rows], b[rows]) for w, b in weights]
+        return _StackTape(flat, weights, self.stack.take(rows),
+                          [a[rows] for a in self.acts], [m[rows] for m in self.masks],
+                          [g[rows] for g in self.gas], self.total_items)
+
+
+class StackGradient(NamedTuple):
+    """Per-slice gradients of an `EpisodeStack`, each the `grad` of its episode alone.
+
+    ``failed`` maps the position of each slice whose forward pass went
+    non-finite to its error; ``kept`` lists the other positions in order,
+    and ``rows`` (one gradient per kept slice), ``losses`` and ``tape``
+    hold only those.
+    """
+
+    kept: List[int]
+    failed: dict
+    rows: np.ndarray
+    losses: np.ndarray
+    tape: _StackTape
+
+    def take(self, rows: List[int]) -> "StackGradient":
+        """The kept slices at ``rows`` (indices into ``rows``) alone."""
+        if len(rows) == len(self.kept):
+            return self
+        return StackGradient([self.kept[r] for r in rows], {}, self.rows[rows],
+                             self.losses[rows], self.tape.take(rows))
+
+
+def _grad_pass(flat, plan: FlatPlan, stack: EpisodeStack, total_items: int):
+    """Forward and backward pass of every slice of ``stack`` at once.
+
+    A slice whose forward pass goes non-finite leaves the stack before the
+    backward pass.  Returns (kept, failed, out, losses, user_values,
+    item_values, tape): one row of ``out`` per kept slice holds the gradient
+    of its decision layers and zeros at the embedding values, whose
+    gradient terms come back unscattered, as each kept slice's per-feature
+    user sum (B, user_width) and its per-item rows (B, n_items, item_width).
+    """
+    weights = dense_views(flat, plan.layers)
+    z_out, acts, preacts, failed = _forward_stack(flat, weights, plan, stack)
+    kept = list(range(len(stack.targets)))
+    if failed:
+        kept = [position for position in kept if position not in failed]
+        stack = stack.take(kept)
+        acts = [a[kept] for a in acts]
+        preacts = [z[kept] for z in preacts]
+        if flat.ndim == 2:
+            flat = flat[kept]
+            weights = dense_views(flat, plan.layers)
+    uw = plan.user_width
+    r = preacts[-1][:, :, 0] - stack.targets
+    losses = np.add.reduce(r * r, 1) / total_items
+    gz = (r * (2.0 / total_items))[:, :, None]
+
+    out = np.zeros((len(kept), flat.shape[-1]))
+    grads = dense_views(out, plan.layers)
+    masks = [z > 0.0 for z in preacts[:-1]]
+    n_layers = len(weights)
+    gas = [None] * n_layers
+    ga = gz
+    for layer in range(n_layers - 1, -1, -1):
+        if layer < n_layers - 1:
+            ga = ga * masks[layer]
+        gas[layer] = ga
+        g_w, g_b = grads[layer]
+        g_w += ga.swapaxes(-1, -2) @ acts[layer]
+        g_b += np.add.reduce(ga, 1, keepdims=True)
+        ga = ga @ weights[layer][0]
+    tape = _StackTape(flat, weights, stack, acts, masks, gas, total_items)
+    return kept, failed, out, losses, np.add.reduce(ga[:, :, :uw], 1), ga[:, :, uw:], tape
+
+
+def _hvp_pass(tape: _StackTape, v: np.ndarray, plan: FlatPlan):
+    """The R-op of ``tape``'s passes along ``v`` (shared, or one row per slice).
+
+    Returns (out, user_values, item_values) laid out as `_grad_pass`
+    returns the gradient; the equations are in `hvp`.
+    """
+    uw = plan.user_width
+    weights, stack, acts, masks, gas = tape.weights, tape.stack, tape.acts, tape.masks, tape.gas
+    v_weights = dense_views(v, plan.layers)
+    x_t = np.empty(acts[0].shape)
+    x_t[:, :, :uw] = _gather(v, stack.user_index)[:, None, :]
+    x_t[:, :, uw:] = _gather(v, stack.item_index)
+    acts_t = [x_t]
+    n_layers = len(weights)
+    for layer in range(n_layers):
+        v_w, v_b = v_weights[layer]
+        z_t = (acts_t[layer] @ weights[layer][0].swapaxes(-1, -2)
+               + acts[layer] @ v_w.swapaxes(-1, -2)) + v_b
+        if layer < n_layers - 1:
+            acts_t.append(np.where(masks[layer], z_t, 0.0))
+
+    ga_t = (z_t[:, :, 0] * (2.0 / tape.total_items))[:, :, None]
+    out = np.zeros((len(stack.targets), v.shape[-1]))
+    grads = dense_views(out, plan.layers)
+    for layer in range(n_layers - 1, -1, -1):
+        if layer < n_layers - 1:
+            ga_t = ga_t * masks[layer]
+        ga = gas[layer]
+        g_w, g_b = grads[layer]
+        g_w += ga_t.swapaxes(-1, -2) @ acts[layer] + ga.swapaxes(-1, -2) @ acts_t[layer]
+        g_b += np.add.reduce(ga_t, 1, keepdims=True)
+        ga_t = ga_t @ weights[layer][0] + ga @ v_weights[layer][0]
+    return out, np.add.reduce(ga_t[:, :, :uw], 1), ga_t[:, :, uw:]
+
+
+def _scatter_rows(out, stack: EpisodeStack, user_values, item_values) -> np.ndarray:
+    """Add each slice's embedding terms into its own row of ``out``.
+
+    The user positions are distinct within a slice, and ``np.add.at`` adds
+    item rows in order; raveled, it takes numpy's one-dimensional fast path
+    in that order, so every row gets the bits of a one-episode pass.
+    """
+    n_rows, size = out.shape
+    rows = np.arange(n_rows)
+    out[rows[:, None], stack.user_index] += user_values
+    np.add.at(out.reshape(-1), (stack.item_index + (rows * size)[:, None, None]).ravel(),
+              item_values.ravel())
+    return out
+
+
+def _pool(size: int, dense_start: int, parts) -> np.ndarray:
+    """One vector from per-episode ``(out row, user positions, user values,
+    item positions, item values)`` terms, added in episode order.
+
+    Every value lands on the running sum in the order a one-at-a-time pass
+    over the episodes would add it, so pooling keeps its bits.
+    """
+    flat = np.zeros(size)
+    dense = flat[dense_start:]
+    for row, *_ in parts:
+        dense += row[dense_start:]
+    np.add.at(flat, np.concatenate([np.concatenate((p[1], p[3].ravel())) for p in parts]),
+              np.concatenate([np.concatenate((p[2], p[4].ravel())) for p in parts]))
+    return flat
+
+
+def grad_stack(flat: np.ndarray, spec: ModelSpec, stack: EpisodeStack) -> StackGradient:
+    """`grad` of each slice's episode alone, every slice at once.
+
+    ``flat`` is one parameter vector for every slice or a (B, size) stack
+    with one row per slice; the caller has checked its layout.
+    """
+    kept, failed, out, losses, user_values, item_values, tape = _grad_pass(
+        flat, spec.plan, stack, stack.targets.shape[1])
+    return StackGradient(kept, failed, _scatter_rows(out, tape.stack, user_values, item_values),
+                         losses, tape)
+
+
 def _normalize_batch(batch) -> List[Episode]:
     if isinstance(batch, tuple) and len(batch) == 3 and not isinstance(batch[0], tuple):
         batch = [batch]
@@ -432,81 +715,64 @@ def _normalize_batch(batch) -> List[Episode]:
     return list(batch)
 
 
-class _Tape:
-    """What `grad` computed at ``(theta, batch)``, kept for `hvp`.
+class _Tape(NamedTuple):
+    """What `grad` computed at ``(theta, batch)``, kept for `hvp`: one
+    ``(positions, _StackTape)`` pair per shape group of the batch."""
 
-    ``weights`` holds theta's `dense_views`.  ``episodes`` holds one
-    ``(user_index, item_index, acts, masks, gas)`` record per episode: the
-    flat positions of its embedding values, the input of every decision
-    layer, the ReLU masks ``z > 0`` of the hidden layers, and the upstream
-    gradient of every layer after its mask.  Everything is held by
-    reference; nothing is copied.
-    """
-
-    __slots__ = ("theta", "spec", "batch", "total_items", "weights", "episodes")
-
-    def __init__(self, theta, spec, batch, total_items, weights):
-        self.theta = theta
-        self.spec = spec
-        self.batch = batch
-        self.total_items = total_items
-        self.weights = weights
-        self.episodes = []
+    theta: ParamSet
+    spec: ModelSpec
+    batch: object
+    groups: list
 
 
 def grad(theta: ParamSet, spec: ModelSpec, batch) -> Gradient:
     """Exact reverse-mode gradient of the pooled mean squared error over the batch.
 
-    The returned Gradient carries the forward and backward pass as its
-    ``tape``, for `hvp` at the same point.
+    Episodes with equal item counts run as one stack; every value is then
+    added in episode order.  The returned Gradient carries the passes as
+    its ``tape``, for `hvp` at the same point.
     """
     _check_theta(theta, spec)
     checked = [_checked(spec, episode) for episode in _normalize_batch(batch)]
     total_items = sum(episode[1].shape[0] for episode in checked)
     plan = spec.plan
-    uw = plan.user_width
-    weights = dense_views(theta.flat, plan.layers)
-    tape = _Tape(theta, spec, batch, total_items, weights)
-    flat = np.zeros(theta.layout.size)
-    grads = dense_views(flat, plan.layers)
-
+    parts = [None] * len(checked)
+    losses = [None] * len(checked)
+    groups = []
+    errors = {}
+    for group in shape_groups([episode[1].shape[0] for episode in checked]):
+        _, failed, out, group_losses, user_values, item_values, tape = _grad_pass(
+            theta.flat, plan, stack_episodes(spec, [checked[i] for i in group]), total_items)
+        for position, exc in failed.items():
+            errors[group[position]] = exc
+        if failed:
+            continue
+        groups.append((group, tape))
+        for position, i in enumerate(group):
+            parts[i] = (out[position], tape.stack.user_index[position], user_values[position],
+                        tape.stack.item_index[position], item_values[position])
+            losses[i] = group_losses[position]
+    if errors:
+        raise errors[min(errors)]
     loss_value = 0.0
-    n_layers = len(weights)
-    for episode in checked:
-        targets = episode[2]
-        user_index, item_index = _indices(episode, plan)
-        z_out, acts, preacts = _forward_core(theta.flat, weights, plan, user_index, item_index)
-
-        r = z_out[:, 0] - targets
-        loss_value = loss_value + np.add.reduce(r * r, None) / total_items
-        gz = (r * (2.0 / total_items))[:, None]
-
-        masks = [z > 0.0 for z in preacts[:-1]]
-        gas = [None] * n_layers
-        ga = gz
-        for layer in range(n_layers - 1, -1, -1):
-            if layer < n_layers - 1:
-                ga = ga * masks[layer]
-            gas[layer] = ga
-            g_w, g_b = grads[layer]
-            g_w += ga.T @ acts[layer]
-            g_b += np.add.reduce(ga, 0)
-            ga = ga @ weights[layer][0]
-        # the user positions are distinct, and add.at adds item rows in order;
-        # raveled, it takes numpy's one-dimensional fast path in that order
-        flat[user_index] += np.add.reduce(ga[:, :uw], 0)
-        np.add.at(flat, item_index.ravel(), ga[:, uw:].ravel())
-        tape.episodes.append((user_index, item_index, acts, masks, gas))
-    return Gradient.wrap(theta.layout, flat, float(loss_value), tape=tape)
+    for value in losses:
+        loss_value = loss_value + value
+    return Gradient.wrap(theta.layout, _pool(theta.layout.size, plan.layers[0][0].start, parts),
+                         float(loss_value), tape=_Tape(theta, spec, batch, groups))
 
 
-def hvp(theta: ParamSet, spec: ModelSpec, batch, v: ParamSet,
-        at: Optional[Gradient] = None) -> ParamSet:
+def hvp(theta: ParamSet, spec: ModelSpec, batch, v,
+        at: Union[Gradient, StackGradient, None] = None):
     """Exact Hessian-vector product H(theta) @ v for the pooled mean squared error.
 
     ``at`` is the Gradient that ``grad(theta, spec, batch)`` returned,
     for these same ``theta`` and ``batch`` objects; without it, `hvp` runs
-    that `grad` first.  The R-op (Pearlmutter, 1994) then differentiates the
+    that `grad` first.  Or ``at`` is a StackGradient that `grad_stack`
+    returned at ``theta.flat`` for the episodes in ``batch``, one per kept
+    slice; then ``v`` is a (B, size) array with one row per slice, and the
+    result is too, each row the product for its episode alone.
+
+    The R-op (Pearlmutter, 1994) differentiates the
     recorded passes along v and computes tangents only.  With rows
     z = a W^T + b and a' = relu(z) in the forward pass, and gradients
     gW = g^T a, gb = sum(g), g_in = g W in the backward pass (g is the
@@ -520,41 +786,27 @@ def hvp(theta: ParamSet, spec: ModelSpec, batch, v: ParamSet,
     formed.  Each tangent keeps the operand order of forward-over-reverse
     dual arithmetic, so its bits equal that formulation's.
     """
+    plan = spec.plan
+    if isinstance(at, StackGradient):
+        if (at.tape.flat is not theta.flat or len(_normalize_batch(batch)) != len(at.rows)
+                or np.shape(v) != at.rows.shape):
+            raise ConfigError("a stacked hvp needs the StackGradient of grad_stack at this "
+                              "theta, one episode and one row of v per kept slice")
+        out, user_values, item_values = _hvp_pass(at.tape, v, plan)
+        return _scatter_rows(out, at.tape.stack, user_values, item_values)
     theta._check_same_layout(v)
     if at is None:
         at = grad(theta, spec, batch)
     tape = at.tape if isinstance(at, Gradient) else None
-    if tape is None or tape.theta is not theta or tape.batch is not batch or tape.spec != spec:
+    if (not isinstance(tape, _Tape) or tape.theta is not theta or tape.batch is not batch
+            or tape.spec != spec):
         raise ConfigError("hvp needs the Gradient that grad returned for this same theta "
                           "object, batch object and spec")
-    plan = spec.plan
-    uw = plan.user_width
-    weights = tape.weights
-    v_flat = v.flat
-    v_weights = dense_views(v_flat, plan.layers)
-    tangents = np.zeros(theta.layout.size)
-    out = dense_views(tangents, plan.layers)
-    n_layers = len(weights)
-    for user_index, item_index, acts, masks, gas in tape.episodes:
-        x_t = np.empty(acts[0].shape)
-        x_t[:, :uw] = v_flat[user_index]
-        x_t[:, uw:] = v_flat[item_index]
-        acts_t = [x_t]
-        for layer in range(n_layers):
-            v_w, v_b = v_weights[layer]
-            z_t = (acts_t[layer] @ weights[layer][0].T + acts[layer] @ v_w.T) + v_b
-            if layer < n_layers - 1:
-                acts_t.append(np.where(masks[layer], z_t, 0.0))
-
-        ga_t = (z_t[:, 0] * (2.0 / tape.total_items))[:, None]
-        for layer in range(n_layers - 1, -1, -1):
-            if layer < n_layers - 1:
-                ga_t = ga_t * masks[layer]
-            ga = gas[layer]
-            g_w, g_b = out[layer]
-            g_w += ga_t.T @ acts[layer] + ga.T @ acts_t[layer]
-            g_b += np.add.reduce(ga_t, 0)
-            ga_t = ga_t @ weights[layer][0] + ga @ v_weights[layer][0]
-        tangents[user_index] += np.add.reduce(ga_t[:, :uw], 0)
-        np.add.at(tangents, item_index.ravel(), ga_t[:, uw:].ravel())
-    return ParamSet.wrap(theta.layout, tangents)
+    parts = [None] * sum(len(group) for group, _ in tape.groups)
+    for group, stack_tape in tape.groups:
+        out, user_values, item_values = _hvp_pass(stack_tape, v.flat, plan)
+        for position, i in enumerate(group):
+            parts[i] = (out[position], stack_tape.stack.user_index[position],
+                        user_values[position], stack_tape.stack.item_index[position],
+                        item_values[position])
+    return ParamSet.wrap(theta.layout, _pool(theta.layout.size, plan.layers[0][0].start, parts))

@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import ConfigError, NumericError
 
-__all__ = ["Layout", "ParamSet", "Gradient", "axpy_update", "dense_views"]
+__all__ = ["Layout", "ParamSet", "Gradient", "axpy_update", "dense_views", "row_dots",
+           "nonfinite_rows"]
 
 
 class Layout:
@@ -182,14 +183,8 @@ class ParamSet:
         return ParamSet.wrap(self._layout, self._flat * other._flat)
 
     def dot(self, other: "ParamSet") -> float:
-        # per-entry partial sums in entry order; one dot over the whole
-        # vector would round differently
         self._check_same_layout(other)
-        a, b = self._flat, other._flat
-        total = 0.0
-        for sl in self._layout.slices:
-            total += float(np.dot(a[sl], b[sl]))
-        return total
+        return float(row_dots(self._layout, self._flat[None], other._flat[None])[0])
 
     def norm(self) -> float:
         return float(np.sqrt(self.dot(self)))
@@ -220,10 +215,9 @@ class ParamSet:
         return ParamSet.wrap(self._layout, flat)
 
     def check_finite(self, context: str = "ParamSet") -> None:
-        finite = np.isfinite(self._flat)
-        if not finite.all():
-            name = self._layout.entry_at(int(np.argmin(finite)))
-            raise NumericError(f"non-finite values in {context} entry '{name}'")
+        errors = nonfinite_rows(self._layout, self._flat[None], context)
+        if errors:
+            raise errors[0]
 
 
 class Gradient(ParamSet):
@@ -247,8 +241,41 @@ class Gradient(ParamSet):
 
 
 def dense_views(flat: np.ndarray, layers) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """``(weight, bias)`` views of ``flat``, one pair per `Layout.dense_layers` entry."""
-    return [(flat[w_slice].reshape(w_shape), flat[b_slice]) for w_slice, w_shape, b_slice in layers]
+    """``(weight, bias)`` views of ``flat``, one pair per `Layout.dense_layers` entry.
+
+    A (B, size) stack of flat vectors gives (B, out, in) weights and
+    (B, 1, out) biases, one slice per row; writes go through to the stack.
+    """
+    if flat.ndim == 1:
+        return [(flat[w_slice].reshape(w_shape), flat[b_slice])
+                for w_slice, w_shape, b_slice in layers]
+    n = flat.shape[0]
+    return [(flat[:, w_slice].reshape(n, *w_shape), flat[:, None, b_slice])
+            for w_slice, w_shape, b_slice in layers]
+
+
+def row_dots(layout: Layout, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`ParamSet.dot` of each row pair of two (B, size) stacks.
+
+    Per-entry partial sums in entry order, as one (1, n) @ (n, 1) matmul per
+    entry and row, which numpy hands to the same BLAS dot a 1-D ``np.dot``
+    uses; one dot over the whole vector would round differently.
+    """
+    total = np.zeros(a.shape[0])
+    for sl in layout.slices:
+        total += (a[:, None, sl] @ b[:, sl, None])[:, 0, 0]
+    return total
+
+
+def nonfinite_rows(layout: Layout, rows: np.ndarray, context: str) -> Dict[int, NumericError]:
+    """The error `ParamSet.check_finite` raises, for each row of a (B, size)
+    stack that holds a non-finite value, keyed by row."""
+    finite = np.isfinite(rows)
+    if np.logical_and.reduce(finite, None):
+        return {}
+    return {row: NumericError(f"non-finite values in {context} entry "
+                              f"'{layout.entry_at(int(np.argmin(finite[row])))}'")
+            for row in np.flatnonzero(~finite.all(axis=1)).tolist()}
 
 
 def axpy_update(theta: ParamSet, g: ParamSet, step: Union[float, ParamSet]) -> ParamSet:

@@ -238,7 +238,7 @@ class TestEncodedEpisodes:
         original = model_module._check_episode
         monkeypatch.setattr(model_module, "_check_episode",
                             lambda *args: checks.append(args) or original(*args))
-        assert _pooled_loss(trainer.theta, trainer.spec, pooled) == expected
+        assert _pooled_loss(trainer.theta, trainer.spec, pooled, 3) == expected
         assert checks == []
 
     def test_clamp_keeps_layout_and_zeroes_only_negatives(self):
