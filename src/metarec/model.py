@@ -578,7 +578,7 @@ class StackGradient(NamedTuple):
     tape: _StackTape
 
     def take(self, rows: List[int]) -> "StackGradient":
-        """The kept slices at ``rows`` (indices into ``rows``) alone."""
+        """This gradient narrowed to the kept slices at the given indices of ``rows``."""
         if len(rows) == len(self.kept):
             return self
         return StackGradient([self.kept[r] for r in rows], {}, self.rows[rows],
@@ -596,7 +596,7 @@ def _grad_pass(flat, plan: FlatPlan, stack: EpisodeStack, total_items: int):
     user sum (B, user_width) and its per-item rows (B, n_items, item_width).
     """
     weights = dense_views(flat, plan.layers)
-    z_out, acts, preacts, failed = _forward_stack(flat, weights, plan, stack)
+    _, acts, preacts, failed = _forward_stack(flat, weights, plan, stack)
     kept = list(range(len(stack.targets)))
     if failed:
         kept = [position for position in kept if position not in failed]
