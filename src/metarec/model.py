@@ -552,12 +552,9 @@ class _StackTape(NamedTuple):
     total_items: int
 
     def take(self, rows) -> "_StackTape":
-        """The tape of the slices at ``rows`` alone."""
-        flat, weights = self.flat, self.weights
-        if flat.ndim == 2:
-            flat = flat[rows]
-            weights = [(w[rows], b[rows]) for w, b in weights]
-        return _StackTape(flat, weights, self.stack.take(rows),
+        """The tape of the slices at ``rows`` alone, for a pass at one shared
+        parameter vector (the only kind `hvp` differentiates)."""
+        return _StackTape(self.flat, self.weights, self.stack.take(rows),
                           [a[rows] for a in self.acts], [m[rows] for m in self.masks],
                           [g[rows] for g in self.gas], self.total_items)
 

@@ -20,7 +20,8 @@ from metarec.errors import NumericError
 from metarec.memory_tree import blend_gradients
 from metarec.meta_learners import (MetaTrainer, TrainerConfig, _evaluate_encoded, _resolve_rate,
                                    _sum_tree_gradients, adapt_with_gradient, logged_rate)
-from metarec.model import check_episode, grad, hvp, loss, predict, user_embedding
+from metarec.model import (check_episode, grad, grad_stack, hvp, loss, predict, stack_episodes,
+                           user_embedding)
 from metarec.params import ParamSet
 from metarec.tasks import synthetic_splits
 
@@ -193,3 +194,26 @@ def test_evaluation_matches_one_episode_reference(algorithm, kind):
             repr(r.query_loss)) for r in _evaluate_encoded(*args)]
     assert got == reference_records(trainer, episodes)
     assert tree_state(trainer.tree) == before
+
+
+def test_a_non_finite_slice_leaves_the_stack_before_the_backward_pass():
+    """One row of a per-slice parameter stack has an infinite first-layer
+    bias: that slice fails with the one-episode error and no numpy warning,
+    and the others keep the bits of their own passes."""
+    trainer = trained("paml")
+    spec, theta = trainer.spec, trainer.theta
+    episodes = [ep.query for ep in trainer.train_episodes[:4]]
+    flats = np.stack([theta.flat + 1e-3 * k for k in range(4)])
+    flats[2, spec.plan.layers[0][2]] = np.inf
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = grad_stack(flats, spec, stack_episodes(spec, episodes))
+    assert caught == []
+    assert got.kept == [0, 1, 3] and list(got.failed) == [2]
+    with pytest.raises(NumericError) as expected:
+        grad(theta.from_flat(flats[2]), spec, episodes[2])
+    assert str(got.failed[2]) == str(expected.value) == "non-finite values in decision layer 0"
+    for row, k in enumerate(got.kept):
+        alone = grad(theta.from_flat(flats[k]), spec, episodes[k])
+        assert got.rows[row].tobytes() == alone.flat.tobytes()
+        assert repr(float(got.losses[row])) == repr(alone.loss)
