@@ -533,6 +533,23 @@ def _adapt_stage(flat, spec: ModelSpec, layout, episodes, positions, results: di
     return g, passed
 
 
+def _shape_groups(episodes: Sequence[_Encoded], alphas, errors: dict,
+                  limit: Optional[int] = None) -> List[List[int]]:
+    """Positions of the episodes whose rate passes `_check_inner_rate`, in
+    shape groups: equal support and query row counts, first-appearance
+    order, at most ``limit`` to a group.  The others get the error a
+    one-episode pass would raise in ``errors``."""
+    alive = []
+    for i, alpha in enumerate(alphas):
+        try:
+            _check_inner_rate(alpha)
+            alive.append(i)
+        except (NumericError, ConfigError) as exc:
+            errors[i] = exc
+    shapes = [(len(episodes[i].support[2]), len(episodes[i].query[2])) for i in alive]
+    return [[alive[g] for g in group] for group in shape_groups(shapes, limit)]
+
+
 def _inner_step(flat: np.ndarray, rows: np.ndarray, alphas, out=None) -> np.ndarray:
     """theta - alpha_i * g_i for each row g_i, as `axpy_update` computes it,
     written into ``out`` (which may be ``rows``) or a new stack."""
@@ -619,17 +636,9 @@ class MetaTrainer:
         rates = _resolve_rates(cfg, self.head, self.msgd_alpha, self.tree, h,
                                train=True, warmup=warmup)
         results = {}
-        alive = []
-        for i, (alpha, _, _) in enumerate(rates):
-            try:
-                _check_inner_rate(alpha)
-                alive.append(i)
-            except (NumericError, ConfigError) as exc:
-                results[i] = exc
         done = 0
-        shapes = [(len(batch[i].support[2]), len(batch[i].query[2])) for i in alive]
-        for group in shape_groups(shapes):
-            self._group_pass(batch, [alive[g] for g in group], rates, h, gamma, results)
+        for group in _shape_groups(batch, [rate[0] for rate in rates], results):
+            self._group_pass(batch, group, rates, h, gamma, results)
             while done in results:
                 yield results.pop(done)
                 done += 1
@@ -885,17 +894,8 @@ def _evaluate_encoded(theta, spec, config, head, msgd_alpha, tree,
     h = user_embedding(theta, spec, np.array([ep.user_ids for ep in episodes]))
     alphas = [rate[0] for rate in _resolve_rates(config, head, msgd_alpha, tree, h)]
     errors = {}
-    alive = []
-    for i, alpha in enumerate(alphas):
-        try:
-            _check_inner_rate(alpha)
-            alive.append(i)
-        except (NumericError, ConfigError) as exc:
-            errors[i] = exc
     predictions = [None] * len(episodes)
-    shapes = [(len(episodes[i].support[2]), len(episodes[i].query[2])) for i in alive]
-    for group in shape_groups(shapes, config.batch_size):
-        group = [alive[g] for g in group]
+    for group in _shape_groups(episodes, alphas, errors, config.batch_size):
         s, passed = _adapt_stage(theta.flat, spec, theta.layout,
                                  [episodes[i].support for i in group], group, errors, "support")
         if not passed:

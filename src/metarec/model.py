@@ -451,12 +451,9 @@ def forward(theta: ParamSet, spec: ModelSpec, user_ids, items):
     """Predictions, one unbounded rating per item, plus the user embedding
     vector h (decision input side)."""
     _check_theta(theta, spec)
-    stack = stack_episodes(spec, [check_episode(spec, user_ids, items, None)])
-    z_out, acts, _, failed = _forward_stack(theta.flat, dense_views(theta.flat, spec.plan.layers),
-                                            spec.plan, stack)
-    if failed:
-        raise failed[0]
-    return z_out[0, :, 0], acts[0][0, 0, :spec.user_width].copy()
+    episode = check_episode(spec, user_ids, items, None)
+    return (predict_many(theta, spec, [episode], 1)[0],
+            theta.flat[_user_index(episode[0], spec.plan)])
 
 
 def predict_stack(flat: np.ndarray, spec: ModelSpec, stack: EpisodeStack):
@@ -676,19 +673,26 @@ def _scatter_rows(out, stack: EpisodeStack, user_values, item_values) -> np.ndar
     return out
 
 
-def _pool(size: int, dense_start: int, parts) -> np.ndarray:
-    """One vector from per-episode ``(out row, user positions, user values,
-    item positions, item values)`` terms, added in episode order.
+def _pool(plan: FlatPlan, size: int, groups) -> np.ndarray:
+    """One vector from the unscattered terms of shape groups, added in episode order.
 
-    Every value lands on the running sum in the order a one-at-a-time pass
-    over the episodes would add it, so pooling keeps its bits.
+    ``groups`` holds one ``(positions, stack, out, user_values,
+    item_values)`` per group, ``positions`` saying where each slice's
+    episode sits in the pooled batch.  Every value lands on the running sum
+    in the order a one-at-a-time pass over the episodes would add it, so
+    pooling keeps its bits.
     """
+    terms = [None] * sum(len(group[0]) for group in groups)
+    for positions, stack, out, user_values, item_values in groups:
+        for k, i in enumerate(positions):
+            terms[i] = (out[k], np.concatenate((stack.user_index[k], stack.item_index[k].ravel())),
+                        np.concatenate((user_values[k], item_values[k].ravel())))
     flat = np.zeros(size)
+    dense_start = plan.layers[0][0].start
     dense = flat[dense_start:]
-    for row, *_ in parts:
+    for row, _, _ in terms:
         dense += row[dense_start:]
-    np.add.at(flat, np.concatenate([np.concatenate((p[1], p[3].ravel())) for p in parts]),
-              np.concatenate([np.concatenate((p[2], p[4].ravel())) for p in parts]))
+    np.add.at(flat, np.concatenate([t[1] for t in terms]), np.concatenate([t[2] for t in terms]))
     return flat
 
 
@@ -733,9 +737,8 @@ def grad(theta: ParamSet, spec: ModelSpec, batch) -> Gradient:
     checked = [_checked(spec, episode) for episode in _normalize_batch(batch)]
     total_items = sum(episode[1].shape[0] for episode in checked)
     plan = spec.plan
-    parts = [None] * len(checked)
     losses = [None] * len(checked)
-    groups = []
+    groups, tapes = [], []
     errors = {}
     for group in shape_groups([episode[1].shape[0] for episode in checked]):
         _, failed, out, group_losses, user_values, item_values, tape = _grad_pass(
@@ -744,18 +747,17 @@ def grad(theta: ParamSet, spec: ModelSpec, batch) -> Gradient:
             errors[group[position]] = exc
         if failed:
             continue
-        groups.append((group, tape))
+        groups.append((group, tape.stack, out, user_values, item_values))
+        tapes.append((group, tape))
         for position, i in enumerate(group):
-            parts[i] = (out[position], tape.stack.user_index[position], user_values[position],
-                        tape.stack.item_index[position], item_values[position])
             losses[i] = group_losses[position]
     if errors:
         raise errors[min(errors)]
     loss_value = 0.0
     for value in losses:
         loss_value = loss_value + value
-    return Gradient.wrap(theta.layout, _pool(theta.layout.size, plan.layers[0][0].start, parts),
-                         float(loss_value), tape=_Tape(theta, spec, batch, groups))
+    return Gradient.wrap(theta.layout, _pool(plan, theta.layout.size, groups), float(loss_value),
+                         tape=_Tape(theta, spec, batch, tapes))
 
 
 def hvp(theta: ParamSet, spec: ModelSpec, batch, v,
@@ -799,11 +801,6 @@ def hvp(theta: ParamSet, spec: ModelSpec, batch, v,
             or tape.spec != spec):
         raise ConfigError("hvp needs the Gradient that grad returned for this same theta "
                           "object, batch object and spec")
-    parts = [None] * sum(len(group) for group, _ in tape.groups)
-    for group, stack_tape in tape.groups:
-        out, user_values, item_values = _hvp_pass(stack_tape, v.flat, plan)
-        for position, i in enumerate(group):
-            parts[i] = (out[position], stack_tape.stack.user_index[position],
-                        user_values[position], stack_tape.stack.item_index[position],
-                        item_values[position])
-    return ParamSet.wrap(theta.layout, _pool(theta.layout.size, plan.layers[0][0].start, parts))
+    groups = [(group, stack_tape.stack) + _hvp_pass(stack_tape, v.flat, plan)
+              for group, stack_tape in tape.groups]
+    return ParamSet.wrap(theta.layout, _pool(plan, theta.layout.size, groups))
