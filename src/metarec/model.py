@@ -771,11 +771,11 @@ def hvp(theta: ParamSet, spec: ModelSpec, batch, v,
     slice; then ``v`` is a (B, size) array with one row per slice, and the
     result is too, each row the product for its episode alone.
 
-    The R-op (Pearlmutter, 1994) differentiates the
-    recorded passes along v and computes tangents only.  With rows
-    z = a W^T + b and a' = relu(z) in the forward pass, and gradients
-    gW = g^T a, gb = sum(g), g_in = g W in the backward pass (g is the
-    layer's upstream gradient after its ReLU mask, and dg is masked alike):
+    The R-op (Pearlmutter, 1994) differentiates the recorded passes along
+    v and computes tangents only.  With rows z = a W^T + b and
+    a' = relu(z) in the forward pass, and gradients gW = g^T a,
+    gb = sum(g), g_in = g W in the backward pass (g is the layer's upstream
+    gradient after its ReLU mask, and dg is masked alike):
 
         dz = da W^T + a dW^T + db,        da' = dz where z > 0,
         dgW = dg^T a + g^T da,  dgb = sum(dg),  dg_in = dg W + g dW,
