@@ -35,7 +35,11 @@ counts, in first-appearance order.  The rate head runs once over the batch
 and the tree is searched once per episode in batch order; then each group's
 support gradient, inner step, query gradient and Hessian-vector product run
 as one stack (see `model`), which gives every episode the bits of a pass of
-its own.  Drops, warnings, logs and the sums over episodes stay in batch
+its own.  An episode that fails a stage stays in its stack: every slice is
+its own BLAS call, so it changes no other episode's bits.  After the group's
+passes each episode gets the first error a one-episode pass would raise
+(support forward pass, loss, gradient, then the same for the query), or
+its terms.  Drops, warnings, logs and the sums over episodes stay in batch
 order.  Evaluation stacks its users the same way, at most ``batch_size`` to
 a stack.
 
@@ -176,13 +180,14 @@ class LrHead:
         acts = [a]
         preacts = []
         n = self.n_layers()
-        for layer, (w, b) in enumerate(weights):
-            z = w @ a + b[:, None]
-            preacts.append(z)
-            if layer < n - 1:
-                a = np.maximum(z, 0.0)
-                acts.append(a)
-        with np.errstate(over="ignore"):
+        # a rate that goes non-finite is rejected by `_check_inner_rate`
+        with np.errstate(invalid="ignore", over="ignore"):
+            for layer, (w, b) in enumerate(weights):
+                z = w @ a + b[:, None]
+                preacts.append(z)
+                if layer < n - 1:
+                    a = np.maximum(z, 0.0)
+                    acts.append(a)
             sig = 1.0 / (1.0 + np.exp(-preacts[-1][:, 0, 0]))
         return self.scale * sig, sig, acts, preacts, weights
 
@@ -509,45 +514,37 @@ def _pooled_loss(theta: ParamSet, spec: ModelSpec, pooled, batch_size: int) -> f
     return total / total_items
 
 
-def _adapt_stage(flat, spec: ModelSpec, layout, episodes, positions, results: dict, name: str):
+def _adapt_stage(flat, spec: ModelSpec, layout, episodes, positions, errors: dict, name: str):
     """`grad_stack` over equal-shape ``episodes``, which sit at ``positions``.
 
     An episode whose forward pass, ``name`` loss or ``name`` gradient goes
-    non-finite gets the error a one-episode pass would raise in
-    ``results``, keyed by its position.  Returns the StackGradient and one
-    (index into ``episodes``, row of its ``rows``) pair per episode that
-    passed.
+    non-finite gets the first of those errors, the one a one-episode pass
+    would raise, in ``errors``, keyed by its position, unless an earlier
+    stage put one there.  Returns the StackGradient of every episode.
     """
     g = grad_stack(flat, spec, stack_episodes(spec, episodes))
-    for index, exc in g.failed.items():
-        results[positions[index]] = exc
-    nonfinite = nonfinite_rows(layout, g.rows, f"{name} gradient")
-    passed = []
-    for row, index in enumerate(g.kept):
-        if not math.isfinite(g.losses[row]):
-            results[positions[index]] = NumericError(f"{name} loss is not finite")
-        elif row in nonfinite:
-            results[positions[index]] = nonfinite[row]
-        else:
-            passed.append((index, row))
-    return g, passed
+    # each update overrides the last: the gradient, the loss, the forward pass
+    stage_errors = nonfinite_rows(layout, g.rows, f"{name} gradient")
+    stage_errors.update((index, NumericError(f"{name} loss is not finite"))
+                        for index in np.flatnonzero(~np.isfinite(g.losses)).tolist())
+    stage_errors.update(g.failed)
+    for index, exc in stage_errors.items():
+        errors.setdefault(positions[index], exc)
+    return g
 
 
 def _shape_groups(episodes: Sequence[_Encoded], alphas, errors: dict,
                   limit: Optional[int] = None) -> List[List[int]]:
-    """Positions of the episodes whose rate passes `_check_inner_rate`, in
-    shape groups: equal support and query row counts, first-appearance
-    order, at most ``limit`` to a group.  The others get the error a
-    one-episode pass would raise in ``errors``."""
-    alive = []
+    """Positions of the episodes in shape groups: equal support and query
+    row counts, first-appearance order, at most ``limit`` to a group.  An
+    episode whose rate fails `_check_inner_rate` gets the error a
+    one-episode pass would raise in ``errors`` and stays in its group."""
     for i, alpha in enumerate(alphas):
         try:
             _check_inner_rate(alpha)
-            alive.append(i)
         except (NumericError, ConfigError) as exc:
             errors[i] = exc
-    shapes = [(len(episodes[i].support[2]), len(episodes[i].query[2])) for i in alive]
-    return [[alive[g] for g in group] for group in shape_groups(shapes, limit)]
+    return shape_groups([(len(ep.support[2]), len(ep.query[2])) for ep in episodes], limit)
 
 
 def _inner_step(flat: np.ndarray, rows: np.ndarray, alphas, out=None) -> np.ndarray:
@@ -556,11 +553,6 @@ def _inner_step(flat: np.ndarray, rows: np.ndarray, alphas, out=None) -> np.ndar
     step = alphas[0].flat if isinstance(alphas[0], ParamSet) else np.array(alphas)[:, None]
     out = np.multiply(rows, step, out=out)
     return np.subtract(flat, out, out=out)
-
-
-def _rows(stack: np.ndarray, rows: List[int]) -> np.ndarray:
-    """``stack[rows]`` for increasing ``rows``; the stack itself when they are all of it."""
-    return stack if len(rows) == len(stack) else stack[rows]
 
 
 def _sum_tree_gradients(parts) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -617,82 +609,39 @@ class MetaTrainer:
 
     # -- gradients -----------------------------------------------------------
 
-    def _batch_pass(self, batch: Sequence[_Encoded], warmup: bool, gamma: float):
-        """Per episode of ``batch``, in batch order: its outer-gradient terms,
-        or the error that drops it.
-
-        The rates come first, the head once over the batch and the tree once
-        per episode in batch order.  Episodes with equal support and query
-        row counts then form a shape group, in first-appearance order, whose
-        support grad, inner step, query grad and hvp each run as one stack;
-        an episode that fails a check leaves its group before the next
-        stage.  Each result is yielded once every earlier episode's is out,
-        so only the terms of episodes that wait on an earlier group are held.
-        """
-        cfg, spec, theta = self.config, self.spec, self.theta
-        if not batch:
-            return
-        h = user_embedding(theta, spec, np.array([ep.user_ids for ep in batch]))
-        rates = _resolve_rates(cfg, self.head, self.msgd_alpha, self.tree, h,
-                               train=True, warmup=warmup)
-        results = {}
-        done = 0
-        for group in _shape_groups(batch, [rate[0] for rate in rates], results):
-            self._group_pass(batch, group, rates, h, gamma, results)
-            while done in results:
-                yield results.pop(done)
-                done += 1
-        while done < len(batch):
-            yield results.pop(done)
-            done += 1
-
     def _group_pass(self, batch, group, rates, h, gamma, results: dict) -> None:
-        """One shape group's stages, then each surviving episode's terms."""
+        """One shape group's stages over every episode in it, failing ones
+        included, with numpy's overflow and invalid warnings off; then the
+        terms of each episode that no stage failed."""
         cfg, spec, theta = self.config, self.spec, self.theta
-        s, passed = _adapt_stage(theta.flat, spec, theta.layout,
-                                 [batch[i].support for i in group], group, results, "support")
-        if not passed:
-            return
-        group = [group[index] for index, _ in passed]
-        s_rows = [row for _, row in passed]
+        support = [batch[i].support for i in group]
         alphas = [rates[i][0] for i in group]
-        q, passed = _adapt_stage(_inner_step(theta.flat, _rows(s.rows, s_rows), alphas), spec,
-                                 theta.layout, [batch[i].query for i in group], group, results,
-                                 "query")
-        if not passed:
-            return
-        group = [group[index] for index, _ in passed]
-        alphas = [alphas[index] for index, _ in passed]
-        s_rows = [s_rows[index] for index, _ in passed]
-        q_rows = [row for _, row in passed]
-        g_s, g_q, q_losses = _rows(s.rows, s_rows), _rows(q.rows, q_rows), _rows(q.losses, q_rows)
-        del q  # its tape holds the inner-step stack
-
-        def support_hvp(ks, v):
-            return hvp(theta, spec, [batch[group[k]].support for k in ks], v,
-                       at=s.take([s_rows[k] for k in ks]))
-
-        grad_sq = row_dots(theta.layout, g_s, g_s)
-        s_dot_q = row_dots(theta.layout, g_s, g_q)
-        msgd_rows = None
-        if isinstance(alphas[0], ParamSet):
-            theta_rows = g_q - support_hvp(range(len(group)), alphas[0].flat * g_q)
-            msgd_rows = (g_s * g_q) * -1.0
-        else:
-            theta_rows = g_q
-            moving = [k for k, alpha in enumerate(alphas) if alpha != 0.0]
-            if moving:
-                a = np.array([alphas[k] for k in moving])[:, None]
-                v = _rows(g_s, moving) * (2.0 * gamma * a)
-                v -= _rows(g_q, moving) * a
-                hv = support_hvp(moving, v)
-                hv += _rows(g_q, moving)
-                if len(moving) == len(group):
-                    theta_rows = hv
-                else:
-                    theta_rows = g_q.copy()
-                    theta_rows[moving] = hv
+        with np.errstate(invalid="ignore", over="ignore"):
+            s = _adapt_stage(theta.flat, spec, theta.layout, support, group, results, "support")
+            q = _adapt_stage(_inner_step(theta.flat, s.rows, alphas), spec, theta.layout,
+                             [batch[i].query for i in group], group, results, "query")
+            g_s, g_q, q_losses = s.rows, q.rows, q.losses
+            del q  # its tape holds the inner-step stack
+            grad_sq = row_dots(theta.layout, g_s, g_s)
+            s_dot_q = row_dots(theta.layout, g_s, g_q)
+            msgd_rows = None
+            if isinstance(alphas[0], ParamSet):
+                theta_rows = g_q - hvp(theta, spec, support, alphas[0].flat * g_q, at=s)
+                msgd_rows = (g_s * g_q) * -1.0
+            else:
+                # v = 2 gamma alpha g_s - alpha g_q, added as (-alpha g_q) + ...,
+                # which rounds alike.  Leaving the term out at gamma = 0 changes
+                # only the sign of zeros in v and H v, and theta_grad, a sum
+                # from +0, keeps no such sign.
+                a = np.array(alphas)[:, None]
+                v = g_q * -a
+                if gamma != 0.0:
+                    v += g_s * (2.0 * gamma * a)
+                theta_rows = hvp(theta, spec, support, v, at=s)
+                theta_rows += g_q
         for k, i in enumerate(group):
+            if i in results:
+                continue
             alpha, dalpha_dpsi, neighbors = rates[i]
             sq = float(grad_sq[k])
             reg_value = 0.0 if msgd_rows is not None else sq * abs(alpha)
@@ -710,9 +659,8 @@ class MetaTrainer:
                 ep_tree = (neighbors.ids,) + blend_gradients(
                     h[i], neighbors, upstream, cfg.tree_delta, cfg.tree_sigma)
             store = (h[i], alpha) if self.tree is not None else None
-            log = EpisodeLog(batch[i].user_key, logged_rate(alpha),
-                             float(s.losses[s_rows[k]]), float(q_losses[k]), reg_value, sq,
-                             float(np.linalg.norm(h[i])))
+            log = EpisodeLog(batch[i].user_key, logged_rate(alpha), float(s.losses[k]),
+                             float(q_losses[k]), reg_value, sq, float(np.linalg.norm(h[i])))
             results[i] = (theta_rows[k], ep_psi, None if msgd_rows is None else msgd_rows[k],
                           ep_tree, store, log)
 
@@ -736,7 +684,15 @@ class MetaTrainer:
         logs: List[EpisodeLog] = []
         total_loss = 0.0
         skipped = 0
-        for ep, parts in zip(batch, self._batch_pass(batch, warmup, gamma)):
+        results = {}
+        if batch:
+            h = user_embedding(self.theta, self.spec, np.array([ep.user_ids for ep in batch]))
+            rates = _resolve_rates(self.config, self.head, self.msgd_alpha, self.tree, h,
+                                   train=True, warmup=warmup)
+            for group in _shape_groups(batch, [rate[0] for rate in rates], results):
+                self._group_pass(batch, group, rates, h, gamma, results)
+        for i, ep in enumerate(batch):
+            parts = results[i]
             if isinstance(parts, Exception):
                 if not isinstance(parts, NumericError):
                     raise parts
@@ -886,8 +842,8 @@ def _evaluate_encoded(theta, spec, config, head, msgd_alpha, tree,
     """Adapt each user on its support set and score its query set, in order.
 
     Users with equal support and query row counts run as stacks of at most
-    ``batch_size``; a failing user raises the error that scoring the users
-    one at a time would have raised first.
+    ``batch_size``.  A failing user stays in its stack, and the call raises
+    the error that scoring the users one at a time would have raised first.
     """
     if not episodes:
         return []
@@ -896,19 +852,17 @@ def _evaluate_encoded(theta, spec, config, head, msgd_alpha, tree,
     errors = {}
     predictions = [None] * len(episodes)
     for group in _shape_groups(episodes, alphas, errors, config.batch_size):
-        s, passed = _adapt_stage(theta.flat, spec, theta.layout,
-                                 [episodes[i].support for i in group], group, errors, "support")
-        if not passed:
-            continue
-        group = [group[index] for index, _ in passed]
-        g_s = _rows(s.rows, [row for _, row in passed])
-        thetas = _inner_step(theta.flat, g_s, [alphas[i] for i in group], out=g_s)
-        rows, failed = predict_stack(thetas, spec,
-                                     stack_episodes(spec, [episodes[i].query for i in group]))
+        with np.errstate(invalid="ignore", over="ignore"):
+            g_s = _adapt_stage(theta.flat, spec, theta.layout,
+                               [episodes[i].support for i in group], group, errors,
+                               "support").rows
+            thetas = _inner_step(theta.flat, g_s, [alphas[i] for i in group], out=g_s)
+            rows, failed = predict_stack(thetas, spec,
+                                         stack_episodes(spec, [episodes[i].query for i in group]))
         for index, i in enumerate(group):
             if index in failed:
-                errors[i] = failed[index]
-            else:
+                errors.setdefault(i, failed[index])
+            elif i not in errors:
                 predictions[i] = rows[index].copy()
     if errors:
         raise errors[min(errors)]

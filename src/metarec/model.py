@@ -41,10 +41,11 @@ layer's gradient adds into a view of one zeroed row, and the input gradient
 goes back to the embedding values as one add at the user positions
 (distinct within an episode) and one ``np.add.at`` at the item positions,
 which adds repeated items in row order.  A slice whose forward pass goes
-non-finite leaves the stack before the backward pass, with the error a
-one-episode pass would raise.  `grad` pools a batch: it runs each shape
-group as a stack and adds every episode's terms onto one vector in episode
-order, as a pass over the episodes one at a time would.  The passes are
+non-finite stays in its stack, without a numpy warning, and is reported
+with the error a one-episode pass would raise; each slice is its own BLAS
+call, so no other slice's bits change.  `grad` pools a batch: it runs each
+shape group as a stack and adds every episode's terms onto one vector in
+episode order, as a pass over the episodes one at a time would.  The passes are
 kept as a tape: the flat positions, the input of every layer, the ReLU
 masks and the upstream gradient of every layer.  `hvp` takes that tape and
 pushes a tangent v through the same passes without recomputing them (the
@@ -382,9 +383,6 @@ class EpisodeStack(NamedTuple):
     item_index: np.ndarray
     targets: np.ndarray
 
-    def take(self, rows) -> "EpisodeStack":
-        return EpisodeStack(self.user_index[rows], self.item_index[rows], self.targets[rows])
-
 
 def stack_episodes(spec: ModelSpec, episodes) -> EpisodeStack:
     """Stack episodes with equal item counts, checking any not checked for ``spec``."""
@@ -548,79 +546,57 @@ class _StackTape(NamedTuple):
     gas: list
     total_items: int
 
-    def take(self, rows) -> "_StackTape":
-        """The tape of the slices at ``rows`` alone, for a pass at one shared
-        parameter vector (the only kind `hvp` differentiates)."""
-        return _StackTape(self.flat, self.weights, self.stack.take(rows),
-                          [a[rows] for a in self.acts], [m[rows] for m in self.masks],
-                          [g[rows] for g in self.gas], self.total_items)
-
 
 class StackGradient(NamedTuple):
     """Per-slice gradients of an `EpisodeStack`, each the `grad` of its episode alone.
 
-    ``failed`` maps the position of each slice whose forward pass went
-    non-finite to its error; ``kept`` lists the other positions in order,
-    and ``rows`` (one gradient per kept slice), ``losses`` and ``tape``
-    hold only those.
+    ``rows`` (one gradient per slice), ``losses`` and ``tape`` cover every
+    slice.  ``failed`` maps the position of each slice whose forward pass
+    went non-finite to its error; such a slice stays in the stack, and its
+    row and loss are whatever the pass computed.
     """
 
-    kept: List[int]
     failed: dict
     rows: np.ndarray
     losses: np.ndarray
     tape: _StackTape
 
-    def take(self, rows: List[int]) -> "StackGradient":
-        """This gradient narrowed to the kept slices at the given indices of ``rows``."""
-        if len(rows) == len(self.kept):
-            return self
-        return StackGradient([self.kept[r] for r in rows], {}, self.rows[rows],
-                             self.losses[rows], self.tape.take(rows))
-
 
 def _grad_pass(flat, plan: FlatPlan, stack: EpisodeStack, total_items: int):
     """Forward and backward pass of every slice of ``stack`` at once.
 
-    A slice whose forward pass goes non-finite leaves the stack before the
-    backward pass.  Returns (kept, failed, out, losses, user_values,
-    item_values, tape): one row of ``out`` per kept slice holds the gradient
-    of its decision layers and zeros at the embedding values, whose
-    gradient terms come back unscattered, as each kept slice's per-feature
-    user sum (B, user_width) and its per-item rows (B, n_items, item_width).
+    A slice whose forward pass goes non-finite stays in the stack: the
+    backward pass runs with numpy's overflow and invalid warnings off, and
+    since every slice is its own BLAS call, its values touch no other
+    slice.  Returns (failed, out, losses, user_values, item_values, tape):
+    one row of ``out`` per slice holds the gradient of its decision layers
+    and zeros at the embedding values, whose gradient terms come back
+    unscattered, as each slice's per-feature user sum (B, user_width) and
+    its per-item rows (B, n_items, item_width).
     """
     weights = dense_views(flat, plan.layers)
     _, acts, preacts, failed = _forward_stack(flat, weights, plan, stack)
-    kept = list(range(len(stack.targets)))
-    if failed:
-        kept = [position for position in kept if position not in failed]
-        stack = stack.take(kept)
-        acts = [a[kept] for a in acts]
-        preacts = [z[kept] for z in preacts]
-        if flat.ndim == 2:
-            flat = flat[kept]
-            weights = dense_views(flat, plan.layers)
     uw = plan.user_width
-    r = preacts[-1][:, :, 0] - stack.targets
-    losses = np.add.reduce(r * r, 1) / total_items
-    gz = (r * (2.0 / total_items))[:, :, None]
-
-    out = np.zeros((len(kept), flat.shape[-1]))
-    grads = dense_views(out, plan.layers)
-    masks = [z > 0.0 for z in preacts[:-1]]
     n_layers = len(weights)
     gas = [None] * n_layers
-    ga = gz
-    for layer in range(n_layers - 1, -1, -1):
-        if layer < n_layers - 1:
-            ga = ga * masks[layer]
-        gas[layer] = ga
-        g_w, g_b = grads[layer]
-        g_w += ga.swapaxes(-1, -2) @ acts[layer]
-        g_b += np.add.reduce(ga, 1, keepdims=True)
-        ga = ga @ weights[layer][0]
+    out = np.zeros((len(stack.targets), flat.shape[-1]))
+    grads = dense_views(out, plan.layers)
+    masks = [z > 0.0 for z in preacts[:-1]]
+    with np.errstate(invalid="ignore", over="ignore"):
+        r = preacts[-1][:, :, 0] - stack.targets
+        losses = np.add.reduce(r * r, 1) / total_items
+        ga = (r * (2.0 / total_items))[:, :, None]
+        for layer in range(n_layers - 1, -1, -1):
+            if layer < n_layers - 1:
+                ga = ga * masks[layer]
+            gas[layer] = ga
+            g_w, g_b = grads[layer]
+            g_w += ga.swapaxes(-1, -2) @ acts[layer]
+            g_b += np.add.reduce(ga, 1, keepdims=True)
+            ga = ga @ weights[layer][0]
+        user_values = np.add.reduce(ga[:, :, :uw], 1)
     tape = _StackTape(flat, weights, stack, acts, masks, gas, total_items)
-    return kept, failed, out, losses, np.add.reduce(ga[:, :, :uw], 1), ga[:, :, uw:], tape
+    return failed, out, losses, user_values, ga[:, :, uw:], tape
 
 
 def _hvp_pass(tape: _StackTape, v: np.ndarray, plan: FlatPlan):
@@ -700,12 +676,15 @@ def grad_stack(flat: np.ndarray, spec: ModelSpec, stack: EpisodeStack) -> StackG
     """`grad` of each slice's episode alone, every slice at once.
 
     ``flat`` is one parameter vector for every slice or a (B, size) stack
-    with one row per slice; the caller has checked its layout.
+    with one row per slice; the caller has checked its layout.  Every slice
+    keeps its row, loss and tape, a failed one included, and none raises a
+    numpy warning.
     """
-    kept, failed, out, losses, user_values, item_values, tape = _grad_pass(
+    failed, out, losses, user_values, item_values, tape = _grad_pass(
         flat, spec.plan, stack, stack.targets.shape[1])
-    return StackGradient(kept, failed, _scatter_rows(out, tape.stack, user_values, item_values),
-                         losses, tape)
+    with np.errstate(invalid="ignore", over="ignore"):
+        rows = _scatter_rows(out, stack, user_values, item_values)
+    return StackGradient(failed, rows, losses, tape)
 
 
 def _normalize_batch(batch) -> List[Episode]:
@@ -741,12 +720,10 @@ def grad(theta: ParamSet, spec: ModelSpec, batch) -> Gradient:
     groups, tapes = [], []
     errors = {}
     for group in shape_groups([episode[1].shape[0] for episode in checked]):
-        _, failed, out, group_losses, user_values, item_values, tape = _grad_pass(
+        failed, out, group_losses, user_values, item_values, tape = _grad_pass(
             theta.flat, plan, stack_episodes(spec, [checked[i] for i in group]), total_items)
         for position, exc in failed.items():
             errors[group[position]] = exc
-        if failed:
-            continue
         groups.append((group, tape.stack, out, user_values, item_values))
         tapes.append((group, tape))
         for position, i in enumerate(group):
@@ -767,7 +744,7 @@ def hvp(theta: ParamSet, spec: ModelSpec, batch, v,
     ``at`` is the Gradient that ``grad(theta, spec, batch)`` returned,
     for these same ``theta`` and ``batch`` objects; without it, `hvp` runs
     that `grad` first.  Or ``at`` is a StackGradient that `grad_stack`
-    returned at ``theta.flat`` for the episodes in ``batch``, one per kept
+    returned at ``theta.flat`` for the episodes in ``batch``, one per
     slice; then ``v`` is a (B, size) array with one row per slice, and the
     result is too, each row the product for its episode alone.
 
@@ -790,7 +767,7 @@ def hvp(theta: ParamSet, spec: ModelSpec, batch, v,
         if (at.tape.flat is not theta.flat or len(_normalize_batch(batch)) != len(at.rows)
                 or np.shape(v) != at.rows.shape):
             raise ConfigError("a stacked hvp needs the StackGradient of grad_stack at this "
-                              "theta, one episode and one row of v per kept slice")
+                              "theta, one episode and one row of v per slice")
         out, user_values, item_values = _hvp_pass(at.tape, v, plan)
         return _scatter_rows(out, at.tape.stack, user_values, item_values)
     theta._check_same_layout(v)

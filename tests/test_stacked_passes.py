@@ -26,6 +26,13 @@ from metarec.params import ParamSet
 from metarec.tasks import synthetic_splits
 
 ALGORITHMS = ("paml", "at-paml", "reg-paml", "maml-fixed", "meta-sgd")
+HEAD_ALGORITHMS = ("paml", "at-paml", "reg-paml")
+# (kind, algorithm) pairs; only a rate head can be made to give exact zeros
+CASES = [(kind, algorithm)
+         for kind in ("equal", "mixed", "poisoned", "query-overflow", "all-failed", "zero-rate")
+         for algorithm in (HEAD_ALGORITHMS if kind == "zero-rate" else ALGORITHMS)]
+# episodes each kind's batch drops
+DROPPED = {"poisoned": 2, "query-overflow": 1, "all-failed": 2}
 
 
 def trained(algorithm):
@@ -60,7 +67,11 @@ def reshaped(trainer, ep, n_support=None, n_query=None, support_target=None,
 
 
 def batches(trainer):
-    """All one shape; one group of three plus singletons; NaN targets inside a group."""
+    """All one shape; one group of three plus singletons; NaN targets inside a
+    group; a support target so large that the support pass stays finite and
+    the query forward pass overflows; a group of two where one episode fails
+    at the support stage and the other at the query stage; and the mixed
+    batch again, for `zero_rates`."""
     eps = trainer.train_episodes
     equal = list(eps[:6])
     mixed = [eps[0], reshaped(trainer, eps[1], n_support=3), eps[2],
@@ -68,7 +79,31 @@ def batches(trainer):
     poisoned = [eps[0], reshaped(trainer, eps[1], support_target=np.nan), eps[2],
                 reshaped(trainer, eps[3], query_target=np.nan), eps[4],
                 reshaped(trainer, eps[5], n_support=3)]
-    return {"equal": equal, "mixed": mixed, "poisoned": poisoned}
+    query_overflow = [eps[0], reshaped(trainer, eps[1], support_target=1e150), eps[2], eps[3]]
+    all_failed = [eps[0], reshaped(trainer, eps[1], n_support=3, support_target=np.nan), eps[2],
+                  reshaped(trainer, eps[3], n_support=3, query_target=np.nan)]
+    return {"equal": equal, "mixed": mixed, "poisoned": poisoned,
+            "query-overflow": query_overflow, "all-failed": all_failed, "zero-rate": mixed}
+
+
+def zero_rates(trainer):
+    """Make every inner rate exactly 0.0: the head's last bias drives its
+    sigmoid to underflow, and the tree's stored rates blend to zero."""
+    psi = trainer.head.psi
+    flat = psi.flat.copy()
+    flat[psi.layout.slices[-1]] = -1e4
+    trainer.head.psi = psi.from_flat(flat)
+    if trainer.tree is not None:
+        for node_id in trainer.tree.node_ids():
+            trainer.tree.node(node_id).lr = 0.0
+
+
+def case(kind, algorithm):
+    """The trainer and batch of one (kind, algorithm) case."""
+    trainer = trained(algorithm)
+    if kind == "zero-rate":
+        zero_rates(trainer)
+    return trainer, batches(trainer)[kind]
 
 
 def reference_outer_gradients(trainer, batch, tree):
@@ -130,11 +165,9 @@ def tree_state(tree):
             for i in tree.node_ids()]
 
 
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
-@pytest.mark.parametrize("kind", ["equal", "mixed", "poisoned"])
-def test_outer_gradients_match_one_episode_reference(algorithm, kind):
-    trainer = trained(algorithm)
-    batch = batches(trainer)[kind]
+@pytest.mark.parametrize("kind, algorithm", CASES)
+def test_outer_gradients_match_one_episode_reference(kind, algorithm):
+    trainer, batch = case(kind, algorithm)
     tree = copy.deepcopy(trainer.tree)
     expected = reference_outer_gradients(trainer, batch, tree)
     with warnings.catch_warnings(record=True) as caught:
@@ -142,7 +175,9 @@ def test_outer_gradients_match_one_episode_reference(algorithm, kind):
         got = trainer.outer_gradients(batch)
     assert [w.category for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert [str(w.message) for w in caught] == expected["messages"]
-    assert got.n_skipped == len(expected["messages"]) == (2 if kind == "poisoned" else 0)
+    assert got.n_skipped == len(expected["messages"]) == DROPPED.get(kind, 0)
+    if kind == "zero-rate":
+        assert {log.alpha for log in got.episode_logs} == {0.0}
     assert bits(got.theta_grad) == bits(expected["theta"])
     assert bits(got.psi_grad) == bits(expected["psi"])
     assert bits(got.msgd_grad) == bits(expected["msgd"])
@@ -172,15 +207,16 @@ def reference_records(trainer, episodes):
     return records
 
 
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
-@pytest.mark.parametrize("kind", ["equal", "mixed", "poisoned"])
-def test_evaluation_matches_one_episode_reference(algorithm, kind):
-    trainer = trained(algorithm)
-    episodes = batches(trainer)[kind]
+@pytest.mark.parametrize("kind, algorithm", CASES)
+def test_evaluation_matches_one_episode_reference(kind, algorithm):
+    trainer, episodes = case(kind, algorithm)
     args = (trainer.theta, trainer.spec, trainer.config, trainer.head, trainer.msgd_alpha,
             trainer.tree, episodes)
     before = tree_state(trainer.tree)
-    if kind == "poisoned":
+    first_error = {"poisoned": "support loss is not finite",
+                   "query-overflow": "non-finite values in decision layer 1",
+                   "all-failed": "support loss is not finite"}
+    if kind in first_error:
         with pytest.raises(NumericError) as expected:
             reference_records(trainer, episodes)
         with warnings.catch_warnings(record=True) as caught:
@@ -188,7 +224,7 @@ def test_evaluation_matches_one_episode_reference(algorithm, kind):
             with pytest.raises(NumericError) as got:
                 _evaluate_encoded(*args)
         assert caught == []
-        assert str(got.value) == str(expected.value) == "support loss is not finite"
+        assert str(got.value) == str(expected.value) == first_error[kind]
         return
     got = [(r.user_key, repr(r.alpha), r.predictions.tobytes(), r.targets.tobytes(),
             repr(r.query_loss)) for r in _evaluate_encoded(*args)]
@@ -196,10 +232,10 @@ def test_evaluation_matches_one_episode_reference(algorithm, kind):
     assert tree_state(trainer.tree) == before
 
 
-def test_a_non_finite_slice_leaves_the_stack_before_the_backward_pass():
+def test_a_non_finite_slice_fails_alone_and_silently():
     """One row of a per-slice parameter stack has an infinite first-layer
-    bias: that slice fails with the one-episode error and no numpy warning,
-    and the others keep the bits of their own passes."""
+    bias: that slice stays in the stack and fails with the one-episode error
+    and no numpy warning, and the others keep the bits of their own passes."""
     trainer = trained("paml")
     spec, theta = trainer.spec, trainer.theta
     episodes = [ep.query for ep in trainer.train_episodes[:4]]
@@ -209,11 +245,11 @@ def test_a_non_finite_slice_leaves_the_stack_before_the_backward_pass():
         warnings.simplefilter("always")
         got = grad_stack(flats, spec, stack_episodes(spec, episodes))
     assert caught == []
-    assert got.kept == [0, 1, 3] and list(got.failed) == [2]
+    assert len(got.rows) == len(got.losses) == 4 and list(got.failed) == [2]
     with pytest.raises(NumericError) as expected:
         grad(theta.from_flat(flats[2]), spec, episodes[2])
     assert str(got.failed[2]) == str(expected.value) == "non-finite values in decision layer 0"
-    for row, k in enumerate(got.kept):
+    for k in (0, 1, 3):
         alone = grad(theta.from_flat(flats[k]), spec, episodes[k])
-        assert got.rows[row].tobytes() == alone.flat.tobytes()
-        assert repr(float(got.losses[row])) == repr(alone.loss)
+        assert got.rows[k].tobytes() == alone.flat.tobytes()
+        assert repr(float(got.losses[k])) == repr(alone.loss)
