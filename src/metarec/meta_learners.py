@@ -22,13 +22,13 @@ with gamma = 0 for every algorithm except reg-paml.  Its exact derivatives are
     dJ/dpsi   = sum_i (gamma*||g_s_i||^2 - g_s_i . g_q_i) * dalpha_i/dpsi
 
 where g_q_i is the query gradient at theta_i and H_i the support Hessian at
-theta, realized as one Hessian-vector product per episode.  For meta-sgd the
-per-parameter rate vector a gives dJ/dtheta = sum_i g_q_i - H_i @ (a * g_q_i)
-and dJ/da = sum_i -(g_s_i * g_q_i) elementwise.  The user embedding h_i that
-feeds the rate head and the tree is treated as an input: no gradient flows
-from alpha_i back into the embedding tables, which keeps the update the exact
-gradient of J with h_i held at the pre-step theta and makes it checkable by
-finite differences.
+theta, realized as one Hessian-vector product per episode.  All five episodic
+algorithms share its direction: meta-sgd's per-parameter rate vector a takes
+alpha_i's place, and dJ/da = sum_i -(g_s_i * g_q_i) elementwise.  The user
+embedding h_i that feeds the rate head and the tree is an input: no gradient
+flows from alpha_i back into the embedding tables, which keeps the update the
+exact gradient of J with h_i held at the pre-step theta and makes it
+checkable by finite differences.
 
 A batch runs in shape groups: the episodes with equal support and query row
 counts, in first-appearance order.  The rate head runs once over the batch
@@ -70,7 +70,8 @@ from .memory_tree import (DEFAULT_CAPACITY, DEFAULT_DELTA, DEFAULT_SIGMA, EVICTI
 from .model import (
     ModelSpec,
     check_episodes,
-    expected_entry_names,
+    dense_stack_shapes,
+    expected_entry_shapes,
     forward,  # unused here; kept importable for callers that wrap meta_learners.forward
     grad,
     grad_stack,
@@ -89,7 +90,6 @@ from .tasks import DatasetSplits, TaskEpisode
 
 __all__ = [
     "ALGORITHMS",
-    "PSI_UPDATE_RULES",
     "LrHead",
     "TrainerConfig",
     "TrainedModel",
@@ -110,10 +110,6 @@ __all__ = [
 ]
 
 ALGORITHMS = ("paml", "at-paml", "reg-paml", "maml-fixed", "meta-sgd", "transfer")
-# "exact" backpropagates the outer objective through alpha into the head;
-# "ascent" adds +beta * sum_i L_query_i * dalpha_i/dpsi instead (a sign-flipped,
-# loss-scaled variant kept only for comparison; it is not the gradient of J).
-PSI_UPDATE_RULES = ("exact", "ascent")
 LR_HEAD_SCALE = 1e-3
 OUTER_LR_DEFAULT = 5e-5
 OUTER_LR_PAML = 5e-6
@@ -131,8 +127,8 @@ RETIRED_TREE_KEYS = ("tree_search_mode", "tree_leaf_size", "tree_num_random_tree
 # learning-rate head
 
 
-def _head_entry_names(hidden_dims) -> Tuple[str, ...]:
-    return tuple(f"lr_{kind}{layer}" for layer in range(len(hidden_dims) + 1) for kind in "Wb")
+def _head_entry_shapes(input_dim: int, hidden_dims) -> dict:
+    return dense_stack_shapes(input_dim, tuple(hidden_dims) + (1,), "lr")
 
 
 class LrHead:
@@ -158,7 +154,7 @@ class LrHead:
         if psi is None:
             rng = np.random.default_rng(seed)
             psi = ParamSet(init_dense_stack(rng, self.input_dim, dims, "lr"))
-        expected = _head_entry_names(hidden_dims)
+        expected = tuple(_head_entry_shapes(self.input_dim, hidden_dims))
         if psi.names() != expected:
             raise ConfigError(f"rate-head layout {psi.names()} does not match {expected}")
         self.psi = psi
@@ -246,7 +242,6 @@ class TrainerConfig:
     lr_hidden_dims: Tuple[int, ...] = (64, 32)
     lr_scale: float = LR_HEAD_SCALE
     grad_clip: float = 10.0
-    psi_update_rule: str = "exact"
     meta_sgd_init: float = 1e-5
     tree_capacity: int = DEFAULT_CAPACITY
     tree_delta: float = DEFAULT_DELTA
@@ -278,10 +273,6 @@ class TrainerConfig:
         for name in ("decision_dims", "lr_hidden_dims"):
             if min(getattr(self, name), default=1) < 1:
                 raise ConfigError(f"{name} widths must be >= 1, got {getattr(self, name)}")
-        if self.psi_update_rule not in PSI_UPDATE_RULES:
-            raise ConfigError(
-                f"unknown psi_update_rule {self.psi_update_rule!r}; expected one of "
-                f"{PSI_UPDATE_RULES}")
         check_kernel_params(self.tree_delta, self.tree_sigma, "tree_")
         if self.tree_eviction not in EVICTION_POLICIES:
             raise ConfigError(f"unknown tree_eviction {self.tree_eviction!r}; "
@@ -538,8 +529,13 @@ def _shape_groups(episodes: Sequence[_Encoded], alphas, errors: dict,
     """Positions of the episodes in shape groups: equal support and query
     row counts, first-appearance order, at most ``limit`` to a group.  An
     episode whose rate fails `_check_inner_rate` gets the error a
-    one-episode pass would raise in ``errors`` and stays in its group."""
+    one-episode pass would raise in ``errors`` and stays in its group.  A
+    rate shared with the episode before it (meta-sgd's, a fixed rate) is checked once."""
     for i, alpha in enumerate(alphas):
+        if i > 0 and alpha is alphas[i - 1]:
+            if i - 1 in errors:
+                errors[i] = errors[i - 1]
+            continue
         try:
             _check_inner_rate(alpha)
         except (NumericError, ConfigError) as exc:
@@ -547,10 +543,14 @@ def _shape_groups(episodes: Sequence[_Encoded], alphas, errors: dict,
     return shape_groups([(len(ep.support[2]), len(ep.query[2])) for ep in episodes], limit)
 
 
-def _inner_step(flat: np.ndarray, rows: np.ndarray, alphas, out=None) -> np.ndarray:
-    """theta - alpha_i * g_i for each row g_i, as `axpy_update` computes it,
+def _steps(alphas) -> np.ndarray:
+    """A shape group's rates: a (B, 1) column of scalars, or meta-sgd's shared vector."""
+    return alphas[0].flat if isinstance(alphas[0], ParamSet) else np.array(alphas)[:, None]
+
+
+def _inner_step(flat: np.ndarray, rows: np.ndarray, step: np.ndarray, out=None) -> np.ndarray:
+    """theta - step * g_i for each row g_i, as `axpy_update` computes it,
     written into ``out`` (which may be ``rows``) or a new stack."""
-    step = alphas[0].flat if isinstance(alphas[0], ParamSet) else np.array(alphas)[:, None]
     out = np.multiply(rows, step, out=out)
     return np.subtract(flat, out, out=out)
 
@@ -615,45 +615,32 @@ class MetaTrainer:
         terms of each episode that no stage failed."""
         cfg, spec, theta = self.config, self.spec, self.theta
         support = [batch[i].support for i in group]
-        alphas = [rates[i][0] for i in group]
+        a = _steps([rates[i][0] for i in group])
         with np.errstate(invalid="ignore", over="ignore"):
             s = _adapt_stage(theta.flat, spec, theta.layout, support, group, results, "support")
-            q = _adapt_stage(_inner_step(theta.flat, s.rows, alphas), spec, theta.layout,
+            q = _adapt_stage(_inner_step(theta.flat, s.rows, a), spec, theta.layout,
                              [batch[i].query for i in group], group, results, "query")
             g_s, g_q, q_losses = s.rows, q.rows, q.losses
             del q  # its tape holds the inner-step stack
             grad_sq = row_dots(theta.layout, g_s, g_s)
             s_dot_q = row_dots(theta.layout, g_s, g_q)
-            msgd_rows = None
-            if isinstance(alphas[0], ParamSet):
-                theta_rows = g_q - hvp(theta, spec, support, alphas[0].flat * g_q, at=s)
-                msgd_rows = (g_s * g_q) * -1.0
-            else:
-                # v = 2 gamma alpha g_s - alpha g_q, added as (-alpha g_q) + ...,
-                # which rounds alike.  Leaving the term out at gamma = 0 changes
-                # only the sign of zeros in v and H v, and theta_grad, a sum
-                # from +0, keeps no such sign.
-                a = np.array(alphas)[:, None]
-                v = g_q * -a
-                if gamma != 0.0:
-                    v += g_s * (2.0 * gamma * a)
-                theta_rows = hvp(theta, spec, support, v, at=s)
-                theta_rows += g_q
+            # v = 2 gamma a g_s - a g_q, added as (-a g_q) + ..., rounds alike,
+            # and H(-x) = -H(x) exactly.  At gamma = 0 only zeros in v and H v
+            # can change sign, which theta_grad, a sum from +0, does not keep.
+            v = g_q * -a
+            if gamma != 0.0:
+                v += g_s * (2.0 * gamma * a)
+            theta_rows = hvp(theta, spec, support, v, at=s)
+            theta_rows += g_q
+            msgd_rows = None if self.msgd_alpha is None else (g_s * g_q) * -1.0
         for k, i in enumerate(group):
             if i in results:
                 continue
             alpha, dalpha_dpsi, neighbors = rates[i]
             sq = float(grad_sq[k])
             reg_value = 0.0 if msgd_rows is not None else sq * abs(alpha)
-            # d(objective)/d(alpha); only the head gradient and the tree use it
-            if dalpha_dpsi is not None or neighbors is not None:
-                upstream = gamma * sq - float(s_dot_q[k])
-            ep_psi = None
-            if dalpha_dpsi is not None:
-                if cfg.psi_update_rule == "exact":
-                    ep_psi = dalpha_dpsi * upstream
-                else:
-                    ep_psi = dalpha_dpsi * -float(q_losses[k])
+            upstream = gamma * sq - float(s_dot_q[k])  # d(objective)/d(alpha)
+            ep_psi = None if dalpha_dpsi is None else dalpha_dpsi * upstream
             ep_tree = None
             if neighbors is not None:
                 ep_tree = (neighbors.ids,) + blend_gradients(
@@ -856,7 +843,7 @@ def _evaluate_encoded(theta, spec, config, head, msgd_alpha, tree,
             g_s = _adapt_stage(theta.flat, spec, theta.layout,
                                [episodes[i].support for i in group], group, errors,
                                "support").rows
-            thetas = _inner_step(theta.flat, g_s, [alphas[i] for i in group], out=g_s)
+            thetas = _inner_step(theta.flat, g_s, _steps([alphas[i] for i in group]), out=g_s)
             rows, failed = predict_stack(thetas, spec,
                                          stack_episodes(spec, [episodes[i].query for i in group]))
         for index, i in enumerate(group):
@@ -940,6 +927,20 @@ def save_checkpoint(model: TrainedModel, path) -> str:
     return path
 
 
+def _stored_params(data, prefix: str, shapes: dict) -> ParamSet:
+    """The checkpoint's ``prefix`` entries, each checked against ``shapes``."""
+    entries = {}
+    for name, shape in shapes.items():
+        key = prefix + name
+        if key not in data.files:
+            raise DataError(f"checkpoint has no entry '{key}'")
+        entries[name] = data[key]
+        if entries[name].shape != shape:
+            raise DataError(f"checkpoint entry '{key}' has shape {entries[name].shape}, "
+                            f"expected {shape}")
+    return ParamSet(entries)
+
+
 def load_checkpoint(path) -> TrainedModel:
     """Rebuild a TrainedModel from save_checkpoint output (step logs excluded)."""
     path = _normalize_checkpoint_path(path)
@@ -964,6 +965,9 @@ def load_checkpoint(path) -> TrainedModel:
         if output_kind != "rating-regression":
             raise ConfigError(f"checkpoint was trained with output_kind {output_kind!r}; "
                               "the model is rating-regression only")
+        if (psi_rule := stored.pop("psi_update_rule", "exact")) != "exact":
+            raise ConfigError(f"checkpoint was trained with psi_update_rule {psi_rule!r}; "
+                              "the rate head trains on the exact outer gradient only")
         config = TrainerConfig(**{k: v for k, v in stored.items()
                                   if k not in RETIRED_TREE_KEYS})
         spec = ModelSpec(
@@ -972,15 +976,16 @@ def load_checkpoint(path) -> TrainedModel:
             embedding_dim=int(data["spec_embedding_dim"][0]),
             decision_dims=tuple(int(v) for v in data["spec_decision_dims"]),
         )
-        theta = ParamSet({name: data["theta." + name] for name in expected_entry_names(spec)})
+        shapes = expected_entry_shapes(spec)
+        theta = _stored_params(data, "theta.", shapes)
         head = None
         if any(key.startswith("psi.") for key in data.files):
-            psi = ParamSet({name: data["psi." + name]
-                            for name in _head_entry_names(config.lr_hidden_dims)})
+            psi = _stored_params(data, "psi.",
+                                 _head_entry_shapes(spec.user_width, config.lr_hidden_dims))
             head = LrHead(spec.user_width, config.lr_hidden_dims, config.lr_scale, psi=psi)
         msgd = None
         if any(key.startswith("msgd.") for key in data.files):
-            msgd = ParamSet({name: data["msgd." + name] for name in expected_entry_names(spec)})
+            msgd = _stored_params(data, "msgd.", shapes)
         history = json.loads(str(data["history_json"][()]))
         best_epoch = int(data["best_epoch"][0])
     tree = None

@@ -188,15 +188,23 @@ class ModelSpec:
 # initialization
 
 
+def dense_stack_shapes(in_dim: int, dims: Sequence[int], prefix: str) -> dict:
+    """Entry name -> shape of a dense stack, in the order `init_dense_stack` draws them."""
+    shapes = {}
+    for layer, width in enumerate(dims):
+        shapes[f"{prefix}_W{layer}"] = (width, in_dim)
+        shapes[f"{prefix}_b{layer}"] = (width,)
+        in_dim = width
+    return shapes
+
+
 def init_dense_stack(rng: np.random.Generator, in_dim: int, dims: Sequence[int], prefix: str):
     """Uniform +/- 1/sqrt(fan_in) weights and biases for a dense stack."""
     entries = {}
-    fan_in = in_dim
-    for layer, width in enumerate(dims):
-        bound = 1.0 / np.sqrt(fan_in)
-        entries[f"{prefix}_W{layer}"] = rng.uniform(-bound, bound, size=(width, fan_in))
-        entries[f"{prefix}_b{layer}"] = rng.uniform(-bound, bound, size=(width,))
-        fan_in = width
+    for name, shape in dense_stack_shapes(in_dim, dims, prefix).items():
+        if len(shape) == 2:  # a weight; its layer's bias follows with the same bound
+            bound = 1.0 / np.sqrt(shape[1])
+        entries[name] = rng.uniform(-bound, bound, size=shape)
     return entries
 
 
@@ -226,11 +234,7 @@ def expected_entry_shapes(spec: ModelSpec):
         shapes[f"emb_user_{i}"] = (vocab, spec.embedding_dim)
     for j, vocab in enumerate(spec.item_vocab_sizes):
         shapes[f"emb_item_{j}"] = (vocab, spec.embedding_dim)
-    fan_in = spec.fused_width
-    for layer, width in enumerate(spec.decision_dims):
-        shapes[f"dec_W{layer}"] = (width, fan_in)
-        shapes[f"dec_b{layer}"] = (width,)
-        fan_in = width
+    shapes.update(dense_stack_shapes(spec.fused_width, spec.decision_dims, "dec"))
     return shapes
 
 

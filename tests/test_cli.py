@@ -215,6 +215,15 @@ class TestRun:
         assert "output_kind" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_retired_psi_update_rule_is_rejected_before_any_output(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        out_dir = tmp_path / "out"
+        code = main(["run", config, "--output-dir", str(out_dir),
+                     "--set", "trainer.psi_update_rule=ascent"])
+        assert code == 1
+        assert "unknown config key 'trainer.psi_update_rule'" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("settings", [
         ("dataset.split=-1,5,5",),
         ("dataset.split=7,3,0",),
@@ -372,6 +381,17 @@ class TestArtifactCommands:
             lines = fh.read().splitlines()
         assert len(lines) == int(values["rows"]) + 1
         assert lines[0].startswith("user_key\tsubset\tgroup\talpha")
+
+    def test_dump_embeddings_mis_shaped_rate_entry_is_data_error(self, tmp_path, capsys):
+        config, checkpoint = self.run_tiny(tmp_path, capsys, algorithm="paml", epochs="1")
+        with np.load(checkpoint) as data:
+            arrays = {k: data[k] for k in data.files}
+        arrays["psi.lr_W0"] = arrays["psi.lr_W0"].T
+        np.savez(checkpoint, **arrays)
+        out = tmp_path / "emb.tsv"
+        assert main(["dump-embeddings", checkpoint, config, "--output", str(out)]) == 2
+        assert "checkpoint entry 'psi.lr_W0' has shape" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_dump_embeddings_missing_checkpoint_is_data_error(self, tmp_path, capsys):
         config = write_config(tmp_path)

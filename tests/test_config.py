@@ -154,9 +154,12 @@ class TestValidation:
         with pytest.raises(ConfigError, match="x1 and x2 must be finite"):
             synth_config(**{key: value})
 
-    def test_retired_output_kind_is_an_unknown_key(self):
-        with pytest.raises(ConfigError, match="unknown config key 'trainer.output_kind'"):
-            parse_config_text(SYNTH_TEXT + "trainer.output_kind = rating-regression\n")
+    @pytest.mark.parametrize("key, value", [("trainer.output_kind", "rating-regression"),
+                                            ("trainer.psi_update_rule", "exact")],
+                             ids=["trainer.output_kind", "trainer.psi_update_rule"])
+    def test_retired_trainer_key_is_an_unknown_key(self, key, value):
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            parse_config_text(SYNTH_TEXT + f"{key} = {value}\n")
 
     def test_zero_tree_delta_accepted(self):
         assert synth_config(**{"trainer.tree_delta": "0"}).trainer.tree_delta == 0.0

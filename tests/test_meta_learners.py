@@ -192,6 +192,37 @@ class TestInnerAdapt:
             inner_adapt(theta, spec, rates, episode)
 
 
+class TestSharedRateChecks:
+    """A rate that every episode shares is checked once per batch."""
+
+    @pytest.mark.parametrize("algorithm, shared", [("meta-sgd", True), ("maml-fixed", True),
+                                                   ("paml", False)])
+    def test_checks_per_batch(self, monkeypatch, algorithm, shared):
+        trainer = MetaTrainer(tiny_splits(), tiny_config(algorithm=algorithm))
+        calls = []
+        check = meta_learners._check_inner_rate
+        monkeypatch.setattr(meta_learners, "_check_inner_rate",
+                            lambda alpha: calls.append(alpha) or check(alpha))
+        batch = trainer.train_episodes[:4]
+        trainer.outer_gradients(batch)
+        assert len(calls) == (1 if shared else len(batch))
+        calls.clear()
+        trainer._validation_loss()
+        assert len(calls) == (1 if shared else len(trainer.val_episodes))
+
+    def test_a_failing_shared_rate_fails_every_episode(self):
+        trainer = MetaTrainer(tiny_splits(), tiny_config(algorithm="meta-sgd"))
+        batch = trainer.train_episodes[:4]
+        trainer.msgd_alpha["dec_b0"][0] = np.nan
+        with pytest.warns(UserWarning, match="dropping episode") as caught:
+            with pytest.raises(NumericError, match="every episode in the batch failed"):
+                trainer.outer_gradients(batch)
+        assert len([w for w in caught if "dropping episode" in str(w.message)]) == len(batch)
+        trainer.msgd_alpha["dec_b0"][0] = -1e-3
+        with pytest.raises(ConfigError, match="entry 'dec_b0' has negative values"):
+            trainer.outer_gradients(batch)
+
+
 class TestEncodedEpisodes:
     def test_trainer_episodes_are_read_only(self):
         trainer = MetaTrainer(tiny_splits(), tiny_config())
@@ -535,24 +566,6 @@ class TestOuterStep:
         moved = trainer.theta.sub(theta_before).norm()
         assert moved <= 1e-6 * (1.0 + 1e-9)
 
-    def test_ascent_psi_rule_adds_loss_scaled_gradient(self):
-        cfg = tiny_config(psi_update_rule="ascent", outer_lr=1e-2)
-        trainer = MetaTrainer(tiny_splits(), cfg)
-        batch = trainer.train_episodes[:3]
-        expected = trainer.head.psi.zeros_like()
-        for ep in batch:
-            g_s = grad(trainer.theta, trainer.spec, ep.support)
-            h = user_embedding(trainer.theta, trainer.spec, ep.user_ids)
-            alpha, dalpha = trainer.head.alpha_and_grad(h)
-            theta_i = axpy_update(trainer.theta, g_s, alpha)
-            g_q = grad(theta_i, trainer.spec, ep.query)
-            expected = expected.add(dalpha.scale(g_q.loss))
-        psi_before = trainer.head.psi.copy()
-        trainer.outer_step(batch)
-        got = trainer.head.psi.sub(psi_before)
-        reference = expected.scale(cfg.outer_lr)
-        assert relative_error(got.to_flat(), reference.to_flat()) < 1e-9
-
     def test_non_finite_update_raises_with_diagnostics(self):
         cfg = tiny_config()
         trainer = MetaTrainer(tiny_splits(), cfg)
@@ -832,6 +845,24 @@ class TestCheckpoint:
         with pytest.raises(ConfigError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("algorithm, key", [
+        ("paml", "psi.lr_W0"), ("meta-sgd", "msgd.dec_W0"), ("paml", "theta.dec_b0"),
+        ("paml", "psi.lr_b1")])
+    def test_mis_shaped_or_missing_entry_is_a_data_error(self, tmp_path, algorithm, key):
+        model = train(tiny_splits(n_tasks=10), tiny_config(algorithm=algorithm, epochs=1))
+        path = save_checkpoint(model, tmp_path / "model")
+        with np.load(path, allow_pickle=False) as data:
+            arrays = {name: data[name] for name in data.files}
+        if key == "psi.lr_b1":
+            del arrays[key]
+            message = f"checkpoint has no entry '{key}'"
+        else:
+            arrays[key] = arrays[key][..., :-1]
+            message = f"checkpoint entry '{key}' has shape"
+        np.savez(path, **arrays)
+        with pytest.raises(DataError, match=message):
+            load_checkpoint(path)
+
     def test_missing_file_raises_data_error(self, tmp_path):
         with pytest.raises(DataError):
             load_checkpoint(tmp_path / "absent.npz")
@@ -846,8 +877,11 @@ class TestCheckpoint:
         # checkpoints from before the model was rating-only
         (dict(output_kind="rating-regression"), None),
         (dict(output_kind="ctr-softmax"), "rating-regression only"),
+        # checkpoints from before the rate head trained on the exact gradient only
+        (dict(psi_update_rule="exact"), None),
+        (dict(psi_update_rule="ascent"), "exact outer gradient only"),
     ], ids=["tree-search-keys", "freeze-alpha-unset", "freeze-alpha-set",
-            "output-kind-rating", "output-kind-ctr"])
+            "output-kind-rating", "output-kind-ctr", "psi-rule-exact", "psi-rule-ascent"])
     def test_retired_checkpoint_keys(self, tmp_path, retired, error):
         splits = tiny_splits(n_tasks=10)
         model = train(splits, tiny_config(epochs=1))
@@ -897,10 +931,6 @@ class TestTrainerConfig:
             TrainerConfig(warmup_inner_lr=-1e-3)
         with pytest.raises(ConfigError):
             TrainerConfig(outer_lr=-1.0)
-
-    def test_unknown_psi_rule_rejected(self):
-        with pytest.raises(ConfigError):
-            TrainerConfig(psi_update_rule="momentum")
 
 
 class TestNoNamedViewsOnTheHotPath:

@@ -27,10 +27,12 @@ from metarec.tasks import synthetic_splits
 
 ALGORITHMS = ("paml", "at-paml", "reg-paml", "maml-fixed", "meta-sgd")
 HEAD_ALGORITHMS = ("paml", "at-paml", "reg-paml")
-# (kind, algorithm) pairs; only a rate head can be made to give exact zeros
+# (kind, algorithm) pairs; a rate head or the meta-sgd vector can be made to
+# give exact zeros, a fixed rate cannot
 CASES = [(kind, algorithm)
          for kind in ("equal", "mixed", "poisoned", "query-overflow", "all-failed", "zero-rate")
-         for algorithm in (HEAD_ALGORITHMS if kind == "zero-rate" else ALGORITHMS)]
+         for algorithm in (HEAD_ALGORITHMS + ("meta-sgd",) if kind == "zero-rate"
+                           else ALGORITHMS)]
 # episodes each kind's batch drops
 DROPPED = {"poisoned": 2, "query-overflow": 1, "all-failed": 2}
 
@@ -88,7 +90,13 @@ def batches(trainer):
 
 def zero_rates(trainer):
     """Make every inner rate exactly 0.0: the head's last bias drives its
-    sigmoid to underflow, and the tree's stored rates blend to zero."""
+    sigmoid to underflow, and the tree's stored rates blend to zero.  For
+    meta-sgd, make every other entry of the rate vector exactly 0.0."""
+    if trainer.msgd_alpha is not None:
+        flat = trainer.msgd_alpha.flat.copy()
+        flat[::2] = 0.0
+        trainer.msgd_alpha = trainer.msgd_alpha.from_flat(flat)
+        return
     psi = trainer.head.psi
     flat = psi.flat.copy()
     flat[psi.layout.slices[-1]] = -1e4
@@ -176,7 +184,7 @@ def test_outer_gradients_match_one_episode_reference(kind, algorithm):
     assert [w.category for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert [str(w.message) for w in caught] == expected["messages"]
     assert got.n_skipped == len(expected["messages"]) == DROPPED.get(kind, 0)
-    if kind == "zero-rate":
+    if kind == "zero-rate" and algorithm != "meta-sgd":
         assert {log.alpha for log in got.episode_logs} == {0.0}
     assert bits(got.theta_grad) == bits(expected["theta"])
     assert bits(got.psi_grad) == bits(expected["psi"])
