@@ -18,9 +18,14 @@ read, but cheaply: one matrix-vector product gives each row's norm expansion
 16 (dim + 4) 2^-53 (max ||e||^2 + q.q), of the k-th smallest expansion get
 their exact distance ((e - q)^2).sum(), so the hits are bit-identical to a
 full scan.  Non-finite or near-overflow values, and k >= n, make every row a
-candidate.  No index is ever rebuilt, so ``_dirty`` stays False; it remains
-because the benchmark's tracer counts each search that finds it set as a
-rebuild.
+candidate.  A search with ``touch`` marks its hits used, closest first: each
+gets the next recency tick and one more use in its frequency, which the lru
+and lfu evictions read.  ``touch(node_ids)`` does the same for hits found
+earlier, so a caller can search once for users who share an embedding and
+still touch once per user; hits never depend on recency or frequency.
+
+No index is ever rebuilt, so ``_dirty`` stays False; it remains because the
+benchmark's tracer counts each search that finds it set as a rebuild.
 """
 
 import math
@@ -256,17 +261,30 @@ class TreeMemory:
         order = np.lexsort((self._ids[rows], d2))[:k]
         rows, d2, diff = rows[order], d2[order], diff[order]
         m = len(rows)
+        ids = self._ids[rows]
         if touch:
-            self._recency[rows] = np.arange(self._counter + 1, self._counter + m + 1)
-            self._counter += m
-            self._freq[rows] += 1
+            self.touch(ids)
         # each (1 x dim) @ (dim x 1) product is the BLAS dot np.dot runs, and
         # e - q is exactly -(q - e), so the kernel matches kernel_similarity(q, e)
         # bit for bit; a row sum would not
         dots = diff.reshape(m, 1, self.dim) @ diff.reshape(m, self.dim, 1)
         sims = np.exp(-self.delta * dots.ravel())
-        return Neighbors(self._ids[rows], np.sqrt(d2), self._emb.take(rows, axis=0),
-                         self._lr[rows], sims)
+        return Neighbors(ids, np.sqrt(d2), self._emb.take(rows, axis=0), self._lr[rows], sims)
+
+    def touch(self, node_ids) -> None:
+        """Mark distinct nodes used, in order: each gets the next recency tick
+        and one more use in its frequency, as a search with touch does for
+        its hits, closest first."""
+        try:
+            rows = [self._rows[i] for i in np.asarray(node_ids, dtype=np.int64).tolist()]
+        except KeyError as exc:
+            raise ConfigError(f"touch of unknown memory node id {exc.args[0]}") from None
+        if len(set(rows)) != len(rows):
+            raise ConfigError("touch names one memory node twice")
+        m = len(rows)
+        self._recency[rows] = np.arange(self._counter + 1, self._counter + m + 1)
+        self._counter += m
+        self._freq[rows] += 1
 
     def _candidates(self, q: np.ndarray, k: int) -> np.ndarray:
         """Ascending rows that include every row whose exact squared distance

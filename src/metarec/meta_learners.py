@@ -31,17 +31,19 @@ exact gradient of J with h_i held at the pre-step theta and makes it
 checkable by finite differences.
 
 A batch runs in shape groups: the episodes with equal support and query row
-counts, in first-appearance order.  The rate head runs once over the batch
-and the tree is searched once per episode in batch order; then each group's
-support gradient, inner step, query gradient and Hessian-vector product run
-as one stack (see `model`), which gives every episode the bits of a pass of
-its own.  An episode that fails a stage stays in its stack: every slice is
-its own BLAS call, so it changes no other episode's bits.  After the group's
-passes each episode gets the first error a one-episode pass would raise
-(support forward pass, loss, gradient, then the same for the query), or
-its terms.  Drops, warnings, logs and the sums over episodes stay in batch
-order.  Evaluation stacks its users the same way, at most ``batch_size`` to
-a stack.
+counts, in first-appearance order.  A rate depends on the user embedding
+only, so the rate head runs once over the batch's distinct embeddings and
+the tree is searched once per distinct embedding, with each episode's hits
+touched in batch order; then each group's support gradient, inner step,
+query gradient and Hessian-vector product run as one stack (see `model`),
+which gives every episode the bits of a pass of its own.  An episode that
+fails a stage stays in its stack: every slice is its own BLAS call, so it
+changes no other episode's bits.  After the group's passes each episode gets
+the first error a one-episode pass would raise (support forward pass, loss,
+gradient, then the same for the query), or its terms.  Drops, warnings,
+logs and the sums over episodes stay in batch order.  Evaluation stacks its
+users the same way, at most ``batch_size`` to a stack, and scores each
+stack's query MSEs in one row-wise mean.
 
 Transfer instead trains on pooled support+query episodes: its theta gradient
 is their pooled supervised gradient, with no inner step, and its steps log no
@@ -101,6 +103,7 @@ __all__ = [
     "inner_adapt",
     "adapt_with_gradient",
     "logged_rate",
+    "logged_rates",
     "train",
     "evaluate",
     "config_digest",
@@ -404,11 +407,13 @@ def _resolve_rates(config: TrainerConfig, head: Optional[LrHead], msgd_alpha, tr
     ``h`` holds one user embedding per row.  Returns one (alpha,
     dalpha_dpsi, neighbors) per row: a scalar rate or the meta-sgd rate
     vector, the head gradient (a flat row) or None, and the blended tree
-    ``Neighbors`` or None.  The head runs once over every row; at-paml then
-    searches the tree once per row, in row order.  Training (``train``)
-    differentiates the head, blends ``tree_neighbors_train`` stored rates
-    with touch, and gives at-paml its fixed rate during warm-up.  Evaluation
-    blends ``tree_neighbors_infer`` rates without touch and writes no state.
+    ``Neighbors`` or None.  A rate depends on the embedding only, so the
+    head runs once over the distinct rows and at-paml searches the tree
+    once per distinct row; rows with equal bytes share one rate object.
+    Training (``train``) differentiates the head, blends
+    ``tree_neighbors_train`` stored rates and then touches each row's hits
+    in row order, and gives at-paml its fixed rate during warm-up.
+    Evaluation blends ``tree_neighbors_infer`` rates and writes no state.
     """
     algorithm = config.algorithm
     n_users = len(h)
@@ -418,18 +423,25 @@ def _resolve_rates(config: TrainerConfig, head: Optional[LrHead], msgd_alpha, tr
         return [(config.fixed_inner_lr, None, None)] * n_users
     if algorithm == "at-paml" and warmup:
         return [(config.warmup_inner_lr, None, None)] * n_users
+    h = np.ascontiguousarray(h, dtype=np.float64)
+    # rows keyed by their bytes, so -0.0 and 0.0, or two NaN payloads, stay apart
+    keys = h.view(np.dtype((np.void, h.itemsize * h.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    distinct, inverse = h[first], inverse.tolist()
     if train:
-        alphas, dalphas = head.alphas_and_grads(h)
+        alphas, dalphas = head.alphas_and_grads(distinct)
     else:
-        alphas, dalphas = head.alphas(h), [None] * n_users
-    if not (algorithm == "at-paml" and tree is not None and len(tree) > 0):
-        return [(alpha, dalpha, None) for alpha, dalpha in zip(alphas, dalphas)]
-    k = config.tree_neighbors_train if train else config.tree_neighbors_infer
-    rates = []
-    for h_i, alpha, dalpha in zip(h, alphas, dalphas):
-        alpha_tilde, neighbors = tree.blended_lr(h_i, k, touch=train)
-        rates.append((alpha + alpha_tilde, dalpha, neighbors))
-    return rates
+        alphas, dalphas = head.alphas(distinct), [None] * len(first)
+    found = [None] * len(first)
+    if algorithm == "at-paml" and tree is not None and len(tree) > 0:
+        k = config.tree_neighbors_train if train else config.tree_neighbors_infer
+        for j, h_j in enumerate(distinct):
+            alpha_tilde, found[j] = tree.blended_lr(h_j, k, touch=False)
+            alphas[j] = alphas[j] + alpha_tilde
+        if train:
+            for j in inverse:
+                tree.touch(found[j].ids)
+    return [(alphas[j], dalphas[j], found[j]) for j in inverse]
 
 
 def _resolve_rate(config: TrainerConfig, head: Optional[LrHead], msgd_alpha, tree, h,
@@ -447,6 +459,20 @@ def logged_rate(alpha) -> float:
     if isinstance(alpha, ParamSet):
         return float(np.mean(alpha.flat))
     return float(alpha)
+
+
+def _per_distinct(fn, values) -> list:
+    """``fn(value)`` for each value, called once per distinct object."""
+    results = {}
+    for value in values:
+        if id(value) not in results:
+            results[id(value)] = fn(value)
+    return [results[id(value)] for value in values]
+
+
+def logged_rates(alphas) -> List[float]:
+    """`logged_rate` of each rate, computed once per distinct rate object."""
+    return _per_distinct(logged_rate, alphas)
 
 
 def _clip_to_norm(g: ParamSet, max_norm: float) -> Tuple[ParamSet, float]:
@@ -524,21 +550,25 @@ def _adapt_stage(flat, spec: ModelSpec, layout, episodes, positions, errors: dic
     return g
 
 
+def _rate_error(alpha) -> Optional[Exception]:
+    """The error `_check_inner_rate` raises for ``alpha``, or None."""
+    try:
+        _check_inner_rate(alpha)
+    except (NumericError, ConfigError) as exc:
+        return exc
+    return None
+
+
 def _shape_groups(episodes: Sequence[_Encoded], alphas, errors: dict,
                   limit: Optional[int] = None) -> List[List[int]]:
     """Positions of the episodes in shape groups: equal support and query
     row counts, first-appearance order, at most ``limit`` to a group.  An
     episode whose rate fails `_check_inner_rate` gets the error a
-    one-episode pass would raise in ``errors`` and stays in its group.  A
-    rate shared with the episode before it (meta-sgd's, a fixed rate) is checked once."""
-    for i, alpha in enumerate(alphas):
-        if i > 0 and alpha is alphas[i - 1]:
-            if i - 1 in errors:
-                errors[i] = errors[i - 1]
-            continue
-        try:
-            _check_inner_rate(alpha)
-        except (NumericError, ConfigError) as exc:
+    one-episode pass would raise in ``errors`` and stays in its group.
+    Each distinct rate object (one per user profile, meta-sgd's vector, a
+    fixed rate) is checked once."""
+    for i, exc in enumerate(_per_distinct(_rate_error, alphas)):
+        if exc is not None:
             errors[i] = exc
     return shape_groups([(len(ep.support[2]), len(ep.query[2])) for ep in episodes], limit)
 
@@ -609,7 +639,7 @@ class MetaTrainer:
 
     # -- gradients -----------------------------------------------------------
 
-    def _group_pass(self, batch, group, rates, h, gamma, results: dict) -> None:
+    def _group_pass(self, batch, group, rates, logged, h, gamma, results: dict) -> None:
         """One shape group's stages over every episode in it, failing ones
         included, with numpy's overflow and invalid warnings off; then the
         terms of each episode that no stage failed."""
@@ -646,7 +676,7 @@ class MetaTrainer:
                 ep_tree = (neighbors.ids,) + blend_gradients(
                     h[i], neighbors, upstream, cfg.tree_delta, cfg.tree_sigma)
             store = (h[i], alpha) if self.tree is not None else None
-            log = EpisodeLog(batch[i].user_key, logged_rate(alpha), float(s.losses[k]),
+            log = EpisodeLog(batch[i].user_key, logged[i], float(s.losses[k]),
                              float(q_losses[k]), reg_value, sq, float(np.linalg.norm(h[i])))
             results[i] = (theta_rows[k], ep_psi, None if msgd_rows is None else msgd_rows[k],
                           ep_tree, store, log)
@@ -676,8 +706,10 @@ class MetaTrainer:
             h = user_embedding(self.theta, self.spec, np.array([ep.user_ids for ep in batch]))
             rates = _resolve_rates(self.config, self.head, self.msgd_alpha, self.tree, h,
                                    train=True, warmup=warmup)
-            for group in _shape_groups(batch, [rate[0] for rate in rates], results):
-                self._group_pass(batch, group, rates, h, gamma, results)
+            alphas = [rate[0] for rate in rates]
+            logged = logged_rates(alphas)
+            for group in _shape_groups(batch, alphas, results):
+                self._group_pass(batch, group, rates, logged, h, gamma, results)
         for i, ep in enumerate(batch):
             parts = results[i]
             if isinstance(parts, Exception):
@@ -815,13 +847,20 @@ def train(splits: DatasetSplits, config: TrainerConfig) -> TrainedModel:
 # evaluation
 
 
-def inference_alpha(model: TrainedModel, h):
-    """Inner rate the model would use for a user embedding at inference time.
+def inference_alphas(model: TrainedModel, h) -> list:
+    """Inner rate the model would use for each row of a stack of user
+    embeddings at inference time.
 
-    Returns a scalar, or the per-parameter rate vector for meta-sgd; never
+    Each is a scalar, or the per-parameter rate vector for meta-sgd; never
     touches tree recency state.
     """
-    return _resolve_rate(model.config, model.lr_head, model.meta_sgd_alpha, model.tree, h)[0]
+    return [rate[0] for rate in _resolve_rates(model.config, model.lr_head,
+                                               model.meta_sgd_alpha, model.tree, h)]
+
+
+def inference_alpha(model: TrainedModel, h):
+    """`inference_alphas` for one user embedding."""
+    return inference_alphas(model, np.asarray(h)[None])[0]
 
 
 def _evaluate_encoded(theta, spec, config, head, msgd_alpha, tree,
@@ -831,31 +870,38 @@ def _evaluate_encoded(theta, spec, config, head, msgd_alpha, tree,
     Users with equal support and query row counts run as stacks of at most
     ``batch_size``.  A failing user stays in its stack, and the call raises
     the error that scoring the users one at a time would have raised first.
+    Otherwise each stack's query MSEs come from one row-wise mean, which
+    gives every row the bits of `loss` on it, and each record holds row
+    views of its stack's predictions and targets.
     """
     if not episodes:
         return []
     h = user_embedding(theta, spec, np.array([ep.user_ids for ep in episodes]))
     alphas = [rate[0] for rate in _resolve_rates(config, head, msgd_alpha, tree, h)]
     errors = {}
-    predictions = [None] * len(episodes)
+    stacks = []
     for group in _shape_groups(episodes, alphas, errors, config.batch_size):
+        query = stack_episodes(spec, [episodes[i].query for i in group])
         with np.errstate(invalid="ignore", over="ignore"):
             g_s = _adapt_stage(theta.flat, spec, theta.layout,
                                [episodes[i].support for i in group], group, errors,
                                "support").rows
             thetas = _inner_step(theta.flat, g_s, _steps([alphas[i] for i in group]), out=g_s)
-            rows, failed = predict_stack(thetas, spec,
-                                         stack_episodes(spec, [episodes[i].query for i in group]))
-        for index, i in enumerate(group):
-            if index in failed:
-                errors.setdefault(i, failed[index])
-            elif i not in errors:
-                predictions[i] = rows[index].copy()
+            rows, failed = predict_stack(thetas, spec, query)
+        for index, exc in failed.items():
+            errors.setdefault(group[index], exc)
+        stacks.append((group, rows, query.targets))
     if errors:
         raise errors[min(errors)]
-    return [EvalRecord(ep.user_key, logged_rate(alpha), p, np.array(ep.query[2], dtype=np.float64),
-                       loss(p, ep.query[2]))
-            for ep, alpha, p in zip(episodes, alphas, predictions)]
+    logged = logged_rates(alphas)
+    records = [None] * len(episodes)
+    for group, rows, targets in stacks:
+        r = rows - targets
+        mses = np.mean(r * r, axis=1).tolist()
+        for index, i in enumerate(group):
+            records[i] = EvalRecord(episodes[i].user_key, logged[i], rows[index], targets[index],
+                                    mses[index])
+    return records
 
 
 def evaluate(model: TrainedModel, episodes: Sequence[TaskEpisode],
@@ -992,5 +1038,8 @@ def load_checkpoint(path) -> TrainedModel:
     sidecar = tree_sidecar(path)
     if os.path.exists(sidecar):
         tree = TreeMemory.load(sidecar)
+        if tree.dim != spec.user_width:
+            raise DataError(f"tree sidecar {sidecar} holds {tree.dim}-wide embeddings; "
+                            f"the checkpoint's users are {spec.user_width} wide")
     return TrainedModel(config.algorithm, spec, config, theta, head, msgd, tree,
                         history, [], None if best_epoch < 0 else best_epoch)

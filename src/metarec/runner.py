@@ -34,7 +34,7 @@ from .config import ExperimentConfig, experiment_digest, flatten_config
 from .errors import DataError, MetarecError
 from .evaluation import build_report
 from .memory_tree import TreeMemory
-from .meta_learners import (TrainedModel, evaluate, inference_alpha, logged_rate,
+from .meta_learners import (TrainedModel, evaluate, inference_alphas, logged_rates,
                             save_checkpoint, train, tree_sidecar)
 from .model import user_embedding
 from .tasks import DatasetSplits, load_movielens, preprocess, synthetic_splits
@@ -170,15 +170,16 @@ def embedding_rows(model: TrainedModel, splits: DatasetSplits,
     rows: List[Tuple] = []
     width = None
     for name in subsets:
-        for episode in by_name[name]:
-            user_ids, _, _ = splits.encode(episode.user, episode.support)
-            h = user_embedding(model.theta, model.spec, user_ids)
-            if width is None:
-                width = h.size
-            alpha = logged_rate(inference_alpha(model, h))
+        episodes = by_name[name]
+        if not episodes:
+            continue
+        h = user_embedding(model.theta, model.spec,
+                           np.array([splits.encode(ep.user, ep.support)[0] for ep in episodes]))
+        width = h.shape[1]
+        alphas = logged_rates(inference_alphas(model, h))
+        for episode, alpha, h_i in zip(episodes, alphas, h.tolist()):
             group = _group_name(bool(splits.is_major[episode.user.user_id]))
-            rows.append((episode.user.user_id, name, group, alpha)
-                        + tuple(float(v) for v in h))
+            rows.append((episode.user.user_id, name, group, alpha) + tuple(h_i))
     if width is None:
         raise DataError("no episodes in the requested splits")
     header = ["user_key", "subset", "group", "alpha"] + [f"h{i}" for i in range(width)]

@@ -393,6 +393,17 @@ class TestArtifactCommands:
         assert "checkpoint entry 'psi.lr_W0' has shape" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_dump_embeddings_sidecar_of_another_width_is_data_error(self, tmp_path, capsys):
+        config, checkpoint = self.run_tiny(tmp_path, capsys)
+        sidecar = checkpoint[: -len(".npz")] + ".tree.npz"
+        wide = TreeMemory(dim=3)  # the tiny run's users are 2 wide
+        wide.store_node([0.0, 0.0, 0.0], 1e-3)
+        wide.dump(sidecar)
+        out = tmp_path / "emb.tsv"
+        assert main(["dump-embeddings", checkpoint, config, "--output", str(out)]) == 2
+        assert f"tree sidecar {sidecar} holds 3-wide" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_dump_embeddings_missing_checkpoint_is_data_error(self, tmp_path, capsys):
         config = write_config(tmp_path)
         code = main(["dump-embeddings", str(tmp_path / "none.npz"), config,

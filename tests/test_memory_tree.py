@@ -106,6 +106,44 @@ class TestEviction:
         assert tree.evictions == 80
 
 
+class TestTouch:
+    def state(self, tree):
+        return {i: (tree.node(i).recency, tree.node(i).freq) for i in tree.node_ids()}
+
+    def test_ticks_follow_the_given_order(self):
+        tree, ids = fill_tree([[0.0], [1.0], [2.0], [3.0]])  # recency 1..4
+        tree.touch([ids[2], ids[0]])
+        assert self.state(tree) == {ids[0]: (6, 1), ids[1]: (2, 0), ids[2]: (5, 1),
+                                    ids[3]: (4, 0)}
+        tree.touch(np.array([ids[0]]))
+        assert self.state(tree)[ids[0]] == (7, 2)
+        tree.touch([])
+        assert self.state(tree)[ids[0]] == (7, 2)
+        assert tree.store_node([4.0], 1e-3) == 4 and tree.node(4).recency == 8
+
+    def test_a_touching_search_is_a_search_then_a_touch(self):
+        rng = np.random.default_rng(3)
+        points = rng.normal(size=(30, 3))
+        searched, _ = fill_tree(points)
+        touched, _ = fill_tree(points)
+        for query in rng.normal(size=(5, 3)):
+            hits = searched.search(query, k=4)
+            plain = touched.search(query, k=4, touch=False)
+            assert pairs(plain) == pairs(hits)
+            touched.touch(plain.ids)
+            assert self.state(touched) == self.state(searched)
+
+    def test_unknown_or_repeated_id_is_rejected_before_any_write(self):
+        tree, ids = fill_tree([[0.0], [1.0]])
+        before = self.state(tree)
+        with pytest.raises(ConfigError, match="unknown memory node id 7"):
+            tree.touch([ids[0], 7])
+        with pytest.raises(ConfigError, match="one memory node twice"):
+            tree.touch([ids[1], ids[1]])
+        assert self.state(tree) == before
+        assert tree.store_node([2.0], 1e-3) == 2 and tree.node(2).recency == 3
+
+
 class TestExactSearch:
     def test_line_of_three_points(self):
         tree, ids = fill_tree([[1.0], [2.0], [3.0]])

@@ -37,6 +37,7 @@ from metarec.meta_learners import (
     load_checkpoint,
     save_checkpoint,
     train,
+    tree_sidecar,
 )
 from metarec import meta_learners
 from metarec import model as model_module
@@ -203,12 +204,20 @@ class TestSharedRateChecks:
         check = meta_learners._check_inner_rate
         monkeypatch.setattr(meta_learners, "_check_inner_rate",
                             lambda alpha: calls.append(alpha) or check(alpha))
+
+        def n_rates(episodes):
+            """Distinct rate objects: one per distinct user embedding for a head."""
+            h = user_embedding(trainer.theta, trainer.spec,
+                               np.array([ep.user_ids for ep in episodes]))
+            return 1 if shared else len({row.tobytes() for row in h})
+
         batch = trainer.train_episodes[:4]
+        assert n_rates(batch) < len(batch)  # users share profiles
         trainer.outer_gradients(batch)
-        assert len(calls) == (1 if shared else len(batch))
+        assert len(calls) == n_rates(batch)
         calls.clear()
         trainer._validation_loss()
-        assert len(calls) == (1 if shared else len(trainer.val_episodes))
+        assert len(calls) == n_rates(trainer.val_episodes)
 
     def test_a_failing_shared_rate_fails_every_episode(self):
         trainer = MetaTrainer(tiny_splits(), tiny_config(algorithm="meta-sgd"))
@@ -832,6 +841,17 @@ class TestCheckpoint:
         b = evaluate(loaded, splits.test, splits)
         for x, y in zip(a, b):
             assert x.query_loss == y.query_loss
+
+    def test_sidecar_of_another_width_is_a_data_error(self, tmp_path):
+        model = train(tiny_splits(n_tasks=20), tiny_config(algorithm="at-paml", epochs=2))
+        path = save_checkpoint(model, tmp_path / "model")
+        wide = TreeMemory(dim=model.spec.user_width + 1)
+        wide.store_node(np.zeros(model.spec.user_width + 1), 1e-3)
+        sidecar = tree_sidecar(path)
+        wide.dump(sidecar)
+        with pytest.raises(DataError, match=f"tree sidecar {sidecar} holds "
+                                            f"{model.spec.user_width + 1}-wide"):
+            load_checkpoint(path)
 
     def test_tampered_config_is_rejected(self, tmp_path):
         splits = tiny_splits(n_tasks=10)

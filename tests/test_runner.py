@@ -12,7 +12,7 @@ from metarec.datagen import generate_corpus
 from metarec.errors import DataError
 from metarec.meta_learners import load_checkpoint
 from metarec.model import user_embedding
-from metarec.meta_learners import inference_alpha
+from metarec.meta_learners import inference_alpha, logged_rate
 from metarec.runner import (
     build_splits,
     load_tree,
@@ -210,6 +210,38 @@ class TestEmittedArtifacts:
         expected = float(inference_alpha(model, h))
         assert by_key[(str(episode.user.user_id), "test")] == pytest.approx(expected,
                                                                             rel=1e-12)
+
+    @pytest.mark.parametrize("algorithm", ["at-paml", "meta-sgd"])
+    def test_embedding_dump_matches_the_per_user_path(self, tmp_path, algorithm):
+        """One embedding and rate call per subset writes the bytes that one
+        call per user writes."""
+        paths = generate_corpus(str(tmp_path / "corpus"), n_users=80, n_movies=25, seed=2,
+                                min_items=4, max_items=8)
+        config = make_config(tmp_path, **{
+            "dataset.kind": "movielens", "dataset.ratings": paths["ratings"],
+            "dataset.users": paths["users"], "dataset.movies": paths["movies"],
+            "dataset.min_items": "3", "emit.embeddings": "true",
+            "trainer.algorithm": algorithm, "trainer.epochs": "2",
+            "trainer.tree_neighbors_train": "3", "trainer.tree_neighbors_infer": "2"})
+        result = run_trial(config, 0, 0)
+        model = load_checkpoint(result.checkpoint_path)
+        splits = build_splits(config, 0)
+        rows = []
+        for name in ("train", "validation", "test"):
+            for episode in getattr(splits, name):
+                user_ids, _, _ = splits.encode(episode.user, episode.support)
+                h = user_embedding(model.theta, model.spec, user_ids)
+                group = "major" if splits.is_major[episode.user.user_id] else "minor"
+                rows.append((episode.user.user_id, name, group,
+                             logged_rate(inference_alpha(model, h)))
+                            + tuple(float(v) for v in h))
+        assert len({row[4:] for row in rows}) < len(rows)  # profiles repeat
+        reference = str(tmp_path / "reference.tsv")
+        write_tsv(reference, ["user_key", "subset", "group", "alpha"]
+                  + [f"h{i}" for i in range(model.spec.user_width)], rows)
+        with open(reference, "rb") as ref, \
+                open(os.path.join(result.directory, "embeddings.tsv"), "rb") as got:
+            assert got.read() == ref.read()
 
     def test_lr_distribution_counts_every_test_user(self, tmp_path):
         config = make_config(tmp_path, **{"emit.lr_distribution": "true"})
