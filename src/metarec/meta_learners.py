@@ -30,23 +30,35 @@ flows from alpha_i back into the embedding tables, which keeps the update the
 exact gradient of J with h_i held at the pre-step theta and makes it
 checkable by finite differences.
 
+Each split is encoded once (`_encode_split`): every distinct user profile's
+feature ids are looked up once, and each episode's support rows, then its
+query rows, are copied into one set of read-only columns, with each
+episode's first row and row counts kept as arrays.  An ``_Encoded`` record
+is built only when someone indexes the split; a training batch is a `take`
+of the split, positions into the same columns, and any other list of
+records is encoded into a small split first.
+
 A batch runs in shape groups: the episodes with equal support and query row
-counts, in first-appearance order.  A rate depends on the user embedding
-only, so the rate head runs once over the batch's distinct embeddings and
-the tree is searched once per distinct embedding, with each episode's hits
-touched in batch order; then each group's support gradient, inner step,
-query gradient and Hessian-vector product run as one stack (see `model`),
+counts, in first-appearance order, read off the row-count arrays.  A rate
+depends on the user embedding only, so the rate head runs once over the
+batch's distinct embeddings and the tree is searched once per distinct
+embedding, with each episode's hits touched in batch order; then each
+group's support gradient, inner step, query gradient and Hessian-vector
+product run as one stack (see `model`) gathered from the columns by index,
 which gives every episode the bits of a pass of its own.  An episode that
 fails a stage stays in its stack: every slice is its own BLAS call, so it
 changes no other episode's bits.  After the group's passes each episode gets
 the first error a one-episode pass would raise (support forward pass, loss,
-gradient, then the same for the query), or its terms.  Drops, warnings,
-logs and the sums over episodes stay in batch order.  Evaluation stacks its
-users the same way, at most ``batch_size`` to a stack, and scores each
-stack's query MSEs in one row-wise mean.
+gradient, then the same for the query), or its terms; the group's losses,
+squared support-gradient norms, support-query dots and embedding norms
+become Python lists once.  Drops, warnings, logs and the sums over episodes
+stay in batch order.  Evaluation stacks its users the same way, at most
+``batch_size`` to a stack (``trainer.batch_size`` caps evaluation stacks),
+and scores each stack's query MSEs in one row-wise mean.
 
-Transfer instead trains on pooled support+query episodes: its theta gradient
-is their pooled supervised gradient, with no inner step, and its steps log no
+Transfer instead trains on pooled episodes, each user's support and query
+rows as one row range of the same columns: its theta gradient is their
+pooled supervised gradient, with no inner step, and its steps log no
 episodes.
 
 Updates are plain gradient descent with per-group 2-norm clipping.  All
@@ -62,7 +74,8 @@ import json
 import math
 import os
 import warnings
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from collections.abc import Sequence
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -70,6 +83,7 @@ from .errors import ConfigError, DataError, NumericError
 from .memory_tree import (DEFAULT_CAPACITY, DEFAULT_DELTA, DEFAULT_SIGMA, EVICTION_POLICIES,
                           TreeMemory, blend_gradients, check_kernel_params)
 from .model import (
+    CheckedSplit,
     ModelSpec,
     check_episodes,
     dense_stack_shapes,
@@ -80,12 +94,12 @@ from .model import (
     hvp,
     init_dense_stack,
     init_params,
-    loss,
-    predict_many,
     predict_stack,
+    predict_stacks,
     shape_groups,
     stack_episodes,
     user_embedding,
+    _split_of,
 )
 from .params import ParamSet, axpy_update, dense_views, nonfinite_rows, row_dots
 from .tasks import DatasetSplits, TaskEpisode
@@ -106,6 +120,7 @@ __all__ = [
     "logged_rates",
     "train",
     "evaluate",
+    "encode_user_ids",
     "config_digest",
     "save_checkpoint",
     "load_checkpoint",
@@ -360,10 +375,58 @@ class EvalRecord:
 
 
 class _Encoded(NamedTuple):
+    """One user's episode, checked: ``user_ids`` are its support's user ids."""
+
     user_key: object
     user_ids: np.ndarray
     support: tuple
     query: tuple
+
+
+class _EncodedSplit(Sequence):
+    """A split's episodes on one set of checked columns.
+
+    ``support`` and ``query`` are `CheckedSplit`s with one entry per
+    episode, ``keys`` the user keys.  Each episode's support rows come right
+    before its query rows, so `pooled` is one row range per episode.
+    Indexing builds an `_Encoded` record on demand, and `take` selects
+    episodes without copying rows.
+    """
+
+    __slots__ = ("keys", "support", "query")
+
+    def __init__(self, keys, support: CheckedSplit, query: CheckedSplit):
+        self.keys, self.support, self.query = keys, support, query
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        support = self.support[index]
+        return _Encoded(self.keys[index], support[0], support, self.query[index])
+
+    def __add__(self, other) -> list:
+        return list(self) + list(other)
+
+    def take(self, positions) -> "_EncodedSplit":
+        """The episodes at ``positions``, in that order."""
+        support, query = self.support, self.query
+        index = np.asarray(positions)
+        users = support.users[index]
+        return _EncodedSplit(
+            [self.keys[i] for i in positions],
+            CheckedSplit(support.vocab_sizes, users, support.items, support.targets,
+                         support.starts[index], support.lengths[index]),
+            CheckedSplit(support.vocab_sizes, users, support.items, support.targets,
+                         query.starts[index], query.lengths[index]))
+
+    def pooled(self) -> CheckedSplit:
+        """Each episode's support and query rows as one episode, as transfer trains on."""
+        support = self.support
+        return CheckedSplit(support.vocab_sizes, support.users, support.items, support.targets,
+                            support.starts, support.lengths + self.query.lengths)
 
 
 # ---------------------------------------------------------------------------
@@ -495,40 +558,81 @@ def _model_spec(splits: DatasetSplits, config: TrainerConfig) -> ModelSpec:
     )
 
 
-def _encode_split(splits: DatasetSplits, episodes: Sequence[TaskEpisode],
-                  spec: ModelSpec, pooled: bool = False) -> list:
-    """Encode a split's support and query sets, checked against ``spec`` together once.
+def _paired(keys: list, parts: CheckedSplit) -> _EncodedSplit:
+    """The split of ``parts`` checked as support, query, support, query, ..."""
+    return _EncodedSplit(keys, parts.take(slice(0, None, 2)), parts.take(slice(1, None, 2)))
 
-    ``pooled`` returns one checked episode of each user's support and query
-    rows together, as transfer trains on, in place of ``_Encoded`` pairs.
+
+def _user_ids_lookup(splits: DatasetSplits):
+    """A function from an episode to its user's feature ids that calls
+    `DatasetSplits.encode` once per distinct profile; the episodes of one
+    profile share one array."""
+    found = {}
+
+    def user_ids(episode: TaskEpisode) -> np.ndarray:
+        ids = found.get(episode.user.features)
+        if ids is None:
+            ids = found[episode.user.features] = splits.encode(episode.user, episode.support)[0]
+        return ids
+
+    return user_ids
+
+
+def encode_user_ids(splits: DatasetSplits, episodes: Sequence[TaskEpisode]) -> np.ndarray:
+    """Each episode's user feature ids, one row per episode, looked up once
+    per distinct profile."""
+    user_ids = _user_ids_lookup(splits)
+    return np.array([user_ids(episode) for episode in episodes])
+
+
+def _encode_split(splits: DatasetSplits, episodes: Sequence[TaskEpisode],
+                  spec: ModelSpec) -> _EncodedSplit:
+    """A split's support and query sets, checked against ``spec`` together once.
+
+    Each user's feature ids are looked up once per distinct profile, and its
+    support rows then its query rows are copied into the split's columns.
     """
+    user_ids = _user_ids_lookup(splits)
+
     def parts():
         for episode in episodes:
-            user_ids, s_items, s_targets = splits.encode(episode.user, episode.support)
-            _, q_items, q_targets = splits.encode(episode.user, episode.query)
-            if pooled:
-                yield (user_ids, np.concatenate([s_items, q_items], axis=0),
-                       np.concatenate([s_targets, q_targets]))
-            else:
-                yield user_ids, s_items, s_targets
-                yield user_ids, q_items, q_targets
+            ids = user_ids(episode)
+            yield ids, episode.support.items, episode.support.feedback
+            yield ids, episode.query.items, episode.query.feedback
 
-    checked = check_episodes(spec, parts())
-    if pooled:
-        return checked
-    return [_Encoded(episode.user.user_id, support[0], support, query)
-            for episode, support, query in zip(episodes, checked[0::2], checked[1::2])]
+    return _paired([episode.user.user_id for episode in episodes], check_episodes(spec, parts()))
+
+
+def _as_encoded(spec: ModelSpec, episodes) -> _EncodedSplit:
+    """``episodes`` itself if it is a split checked against ``spec``'s
+    vocabulary sizes, else a split of its ``_Encoded`` records."""
+    if (isinstance(episodes, _EncodedSplit)
+            and episodes.support.vocab_sizes == spec.plan.vocab_sizes):
+        return episodes
+    episodes = list(episodes)
+    return _paired([episode.user_key for episode in episodes],
+                   check_episodes(spec, [part for episode in episodes
+                                         for part in (episode.support, episode.query)]))
+
+
+def _row_mses(rows: np.ndarray, targets: np.ndarray) -> List[float]:
+    """The mean squared error of each row, with the bits of `loss` on it."""
+    r = rows - targets
+    return np.mean(r * r, axis=1).tolist()
 
 
 def _pooled_loss(theta: ParamSet, spec: ModelSpec, pooled, batch_size: int) -> float:
     """Item-weighted mean loss over ``pooled``, summed episode by episode in
     order; the predictions come from stacks of at most ``batch_size``."""
-    total_items = sum(items.shape[0] for _, items, _ in pooled)
+    split = _split_of(spec, pooled)
+    mses = {}
+    for group, rows, targets in predict_stacks(theta, spec, split, batch_size):
+        mses.update(zip(group, _row_mses(rows, targets)))
+    lengths = split.lengths.tolist()
     total = 0.0
-    for (_, items, targets), predictions in zip(pooled, predict_many(theta, spec, pooled,
-                                                                     batch_size)):
-        total += loss(predictions, targets) * items.shape[0]
-    return total / total_items
+    for i, n_items in enumerate(lengths):
+        total += mses[i] * n_items
+    return total / sum(lengths)
 
 
 def _adapt_stage(flat, spec: ModelSpec, layout, episodes, positions, errors: dict, name: str):
@@ -559,7 +663,7 @@ def _rate_error(alpha) -> Optional[Exception]:
     return None
 
 
-def _shape_groups(episodes: Sequence[_Encoded], alphas, errors: dict,
+def _shape_groups(episodes: _EncodedSplit, alphas, errors: dict,
                   limit: Optional[int] = None) -> List[List[int]]:
     """Positions of the episodes in shape groups: equal support and query
     row counts, first-appearance order, at most ``limit`` to a group.  An
@@ -570,7 +674,8 @@ def _shape_groups(episodes: Sequence[_Encoded], alphas, errors: dict,
     for i, exc in enumerate(_per_distinct(_rate_error, alphas)):
         if exc is not None:
             errors[i] = exc
-    return shape_groups([(len(ep.support[2]), len(ep.query[2])) for ep in episodes], limit)
+    return shape_groups(zip(episodes.support.lengths.tolist(), episodes.query.lengths.tolist()),
+                        limit)
 
 
 def _steps(alphas) -> np.ndarray:
@@ -614,8 +719,9 @@ class MetaTrainer:
         self.config = config
         self.splits = splits
         self.spec = _model_spec(splits, config)
-        self.train_episodes = _encode_split(splits, splits.train, self.spec,
-                                            pooled=config.algorithm == "transfer")
+        self.train_episodes = _encode_split(splits, splits.train, self.spec)
+        if config.algorithm == "transfer":
+            self.train_episodes = self.train_episodes.pooled()
         self.val_episodes = _encode_split(splits, splits.validation, self.spec)
         self.theta = init_params(self.spec, (config.seed, 0))
         self.head = None
@@ -639,54 +745,63 @@ class MetaTrainer:
 
     # -- gradients -----------------------------------------------------------
 
-    def _group_pass(self, batch, group, rates, logged, h, gamma, results: dict) -> None:
+    def _group_pass(self, batch: _EncodedSplit, group, rates, logged, h, gamma,
+                    results: dict) -> None:
         """One shape group's stages over every episode in it, failing ones
         included, with numpy's overflow and invalid warnings off; then the
         terms of each episode that no stage failed."""
         cfg, spec, theta = self.config, self.spec, self.theta
-        support = [batch[i].support for i in group]
+        episodes = batch.take(group)
         a = _steps([rates[i][0] for i in group])
         with np.errstate(invalid="ignore", over="ignore"):
-            s = _adapt_stage(theta.flat, spec, theta.layout, support, group, results, "support")
+            s = _adapt_stage(theta.flat, spec, theta.layout, episodes.support, group, results,
+                             "support")
             q = _adapt_stage(_inner_step(theta.flat, s.rows, a), spec, theta.layout,
-                             [batch[i].query for i in group], group, results, "query")
-            g_s, g_q, q_losses = s.rows, q.rows, q.losses
+                             episodes.query, group, results, "query")
+            g_s, g_q, q_losses = s.rows, q.rows, q.losses.tolist()
             del q  # its tape holds the inner-step stack
-            grad_sq = row_dots(theta.layout, g_s, g_s)
-            s_dot_q = row_dots(theta.layout, g_s, g_q)
+            grad_sq = row_dots(theta.layout, g_s, g_s).tolist()
+            s_dot_q = row_dots(theta.layout, g_s, g_q).tolist()
             # v = 2 gamma a g_s - a g_q, added as (-a g_q) + ..., rounds alike,
             # and H(-x) = -H(x) exactly.  At gamma = 0 only zeros in v and H v
             # can change sign, which theta_grad, a sum from +0, does not keep.
             v = g_q * -a
             if gamma != 0.0:
                 v += g_s * (2.0 * gamma * a)
-            theta_rows = hvp(theta, spec, support, v, at=s)
+            theta_rows = hvp(theta, spec, episodes.support, v, at=s)
             theta_rows += g_q
             msgd_rows = None if self.msgd_alpha is None else (g_s * g_q) * -1.0
+            h_group = h[group]
+            # each row's norm as np.linalg.norm takes it: the root of one BLAS dot
+            norms = np.sqrt((h_group[:, None, :] @ h_group[:, :, None])[:, 0, 0]).tolist()
+        s_losses = s.losses.tolist()
         for k, i in enumerate(group):
             if i in results:
                 continue
             alpha, dalpha_dpsi, neighbors = rates[i]
-            sq = float(grad_sq[k])
+            sq = grad_sq[k]
             reg_value = 0.0 if msgd_rows is not None else sq * abs(alpha)
-            upstream = gamma * sq - float(s_dot_q[k])  # d(objective)/d(alpha)
+            upstream = gamma * sq - s_dot_q[k]  # d(objective)/d(alpha)
             ep_psi = None if dalpha_dpsi is None else dalpha_dpsi * upstream
             ep_tree = None
             if neighbors is not None:
                 ep_tree = (neighbors.ids,) + blend_gradients(
                     h[i], neighbors, upstream, cfg.tree_delta, cfg.tree_sigma)
             store = (h[i], alpha) if self.tree is not None else None
-            log = EpisodeLog(batch[i].user_key, logged[i], float(s.losses[k]),
-                             float(q_losses[k]), reg_value, sq, float(np.linalg.norm(h[i])))
+            log = EpisodeLog(episodes.keys[k], logged[i], s_losses[k], q_losses[k], reg_value,
+                             sq, norms[k])
             results[i] = (theta_rows[k], ep_psi, None if msgd_rows is None else msgd_rows[k],
                           ep_tree, store, log)
 
     def outer_gradients(self, batch: Sequence[_Encoded], warmup: bool = False) -> GradientPass:
         """Exact outer gradients of the batch objective at the current state.
 
-        Episodes whose losses or gradients go non-finite are dropped with a
-        warning; the pass fails only when nothing in the batch survives.
-        Transfer's pass is the pooled gradient of its batch and drops nothing.
+        ``batch`` is a split of the trainer's episodes (a `take` of them) or
+        any list of ``_Encoded`` records, which is encoded into a split
+        first; transfer's is pooled episodes.  Episodes whose losses or
+        gradients go non-finite are dropped with a warning; the pass fails
+        only when nothing in the batch survives.  Transfer's pass is the
+        pooled gradient of its batch and drops nothing.
         """
         gamma = self.config.effective_gamma()
         if self.config.algorithm == "transfer":
@@ -702,20 +817,21 @@ class MetaTrainer:
         total_loss = 0.0
         skipped = 0
         results = {}
+        batch = _as_encoded(self.spec, batch)
         if batch:
-            h = user_embedding(self.theta, self.spec, np.array([ep.user_ids for ep in batch]))
+            h = user_embedding(self.theta, self.spec, batch.support.users)
             rates = _resolve_rates(self.config, self.head, self.msgd_alpha, self.tree, h,
                                    train=True, warmup=warmup)
             alphas = [rate[0] for rate in rates]
             logged = logged_rates(alphas)
             for group in _shape_groups(batch, alphas, results):
                 self._group_pass(batch, group, rates, logged, h, gamma, results)
-        for i, ep in enumerate(batch):
+        for i, user_key in enumerate(batch.keys):
             parts = results[i]
             if isinstance(parts, Exception):
                 if not isinstance(parts, NumericError):
                     raise parts
-                warnings.warn(f"dropping episode for user {ep.user_key!r}: {parts}")
+                warnings.warn(f"dropping episode for user {user_key!r}: {parts}")
                 skipped += 1
                 continue
             ep_theta, ep_psi, ep_msgd, ep_tree, store, log = parts
@@ -811,7 +927,7 @@ class MetaTrainer:
             train_loss = 0.0
             aborted = False
             for step, start in enumerate(range(0, len(order), cfg.batch_size)):
-                batch = [self.train_episodes[i] for i in order[start:start + cfg.batch_size]]
+                batch = self.train_episodes.take(order[start:start + cfg.batch_size])
                 try:
                     log = self.outer_step(batch, warmup=warmup, epoch=epoch, step=step)
                 except NumericError as exc:
@@ -867,24 +983,27 @@ def _evaluate_encoded(theta, spec, config, head, msgd_alpha, tree,
                       episodes: Sequence[_Encoded]) -> List[EvalRecord]:
     """Adapt each user on its support set and score its query set, in order.
 
-    Users with equal support and query row counts run as stacks of at most
-    ``batch_size``.  A failing user stays in its stack, and the call raises
-    the error that scoring the users one at a time would have raised first.
-    Otherwise each stack's query MSEs come from one row-wise mean, which
-    gives every row the bits of `loss` on it, and each record holds row
-    views of its stack's predictions and targets.
+    ``episodes`` is an encoded split or a list of ``_Encoded`` records,
+    which is encoded into a split first.  Users with equal support and
+    query row counts run as stacks of at most ``batch_size``.  A failing
+    user stays in its stack, and the call raises the error that scoring the
+    users one at a time would have raised first.  Otherwise each stack's
+    query MSEs come from one row-wise mean, which gives every row the bits
+    of `loss` on it, and each record holds row views of its stack's
+    predictions and targets.
     """
     if not episodes:
         return []
-    h = user_embedding(theta, spec, np.array([ep.user_ids for ep in episodes]))
+    episodes = _as_encoded(spec, episodes)
+    h = user_embedding(theta, spec, episodes.support.users)
     alphas = [rate[0] for rate in _resolve_rates(config, head, msgd_alpha, tree, h)]
     errors = {}
     stacks = []
     for group in _shape_groups(episodes, alphas, errors, config.batch_size):
-        query = stack_episodes(spec, [episodes[i].query for i in group])
+        part = episodes.take(group)
+        query = stack_episodes(spec, part.query)
         with np.errstate(invalid="ignore", over="ignore"):
-            g_s = _adapt_stage(theta.flat, spec, theta.layout,
-                               [episodes[i].support for i in group], group, errors,
+            g_s = _adapt_stage(theta.flat, spec, theta.layout, part.support, group, errors,
                                "support").rows
             thetas = _inner_step(theta.flat, g_s, _steps([alphas[i] for i in group]), out=g_s)
             rows, failed = predict_stack(thetas, spec, query)
@@ -896,10 +1015,9 @@ def _evaluate_encoded(theta, spec, config, head, msgd_alpha, tree,
     logged = logged_rates(alphas)
     records = [None] * len(episodes)
     for group, rows, targets in stacks:
-        r = rows - targets
-        mses = np.mean(r * r, axis=1).tolist()
+        mses = _row_mses(rows, targets)
         for index, i in enumerate(group):
-            records[i] = EvalRecord(episodes[i].user_key, logged[i], rows[index], targets[index],
+            records[i] = EvalRecord(episodes.keys[i], logged[i], rows[index], targets[index],
                                     mses[index])
     return records
 

@@ -13,26 +13,34 @@ embedding value, and the slice and shape of each layer; a weight is read as
 ``flat[slice].reshape(shape)``, a bias as ``flat[slice]``.
 
 Episodes are checked once per split.  `check_episodes` copies a split's ids
-and targets into one set of read-only columns, range-checks every id there
-with one array comparison per side (user, item), and returns one
-`CheckedEpisode` per episode, a row view of those columns.  `check_episode`
-is that routine on a one-episode split.  `grad`, `hvp` and `predict` send
-any other episode, a plain tuple included, through it before use; `forward`
-and `user_embedding` check their ids on every call.  No index is stored per
-episode: each pass looks the checked ids' flat positions up in the plan.
+and targets into one set of read-only columns, checks the shapes of every
+episode there at once (only a split with a bad episode is checked one
+episode at a time, so the error is the first bad episode's) and
+range-checks every id with one array comparison per side (user, item),
+each distinct user ids object once; it returns a
+`CheckedSplit`, which keeps each episode's first row and row count as
+arrays and builds an episode's `CheckedEpisode`, a row view of the
+columns, only when the split is indexed.  `check_episode` is that routine
+on a one-episode split.  `grad`, `hvp` and `predict` take a split as it is
+and encode any other list of episodes, a plain tuple included, into a small
+split first; `forward` and `user_embedding` check their ids on every call.
+No index is stored per episode: each pass looks the checked ids' flat
+positions up in the plan.
 
 Every pass runs on a stack.  Episodes with equal item counts form a shape
-group (`shape_groups`, in first-appearance order), and `stack_episodes`
-lays a group out with a leading axis, one slice per episode.  Each dense
-layer is then one ``(B, n, in) @ (in, out)`` matmul, or ``(B, n, in) @
-(B, in, out)`` when every slice has its own parameters (the adapted theta_i
-of an inner step).  numpy's matmul loops over the leading axis and makes,
-for each slice, the same BLAS call a lone episode's 2-D matmul makes, and
-reductions run over the row axis of each slice in the same order; so every
-slice gets the bits of a one-episode pass, and a lone episode is a stack of
-one.  Ragged episodes are never padded to share a stack: zero rows change
-the BLAS call's shape and, with it, how the sums round.  One stack of 2-D
-rows would too (a single ``(B n, in)`` matmul blocks its sums differently).
+group (`shape_groups`, in first-appearance order), and `CheckedSplit.stack`
+gathers a group's ids and targets from the columns by index, with a leading
+axis, one slice per episode (`stack_episodes` does so for any episodes).
+Each dense layer is then one ``(B, n, in) @ (in, out)`` matmul, or ``(B, n,
+in) @ (B, in, out)`` when every slice has its own parameters (the adapted
+theta_i of an inner step).  numpy's matmul loops over the leading axis and
+makes, for each slice, the same BLAS call a lone episode's 2-D matmul makes,
+and reductions run over the row axis of each slice in the same order; so
+every slice gets the bits of a one-episode pass, and a lone episode is a
+stack of one.  Ragged episodes are never padded to share a stack: zero rows
+change the BLAS call's shape and, with it, how the sums round.  One stack
+of 2-D rows would too (a single ``(B n, in)`` matmul blocks its sums
+differently).
 
 `grad_stack` runs a forward and a backward pass over a stack and returns one
 gradient row per episode, each normalized by its own item count: the fused
@@ -63,9 +71,10 @@ Everything is float64 and deterministic given the seed.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -76,6 +85,7 @@ __all__ = [
     "ModelSpec",
     "Episode",
     "CheckedEpisode",
+    "CheckedSplit",
     "EpisodeStack",
     "StackGradient",
     "check_episode",
@@ -86,7 +96,7 @@ __all__ = [
     "init_dense_stack",
     "forward",
     "predict",
-    "predict_many",
+    "predict_stacks",
     "predict_stack",
     "user_embedding",
     "loss",
@@ -295,47 +305,128 @@ def _check_ids(ids: np.ndarray, vocab: np.ndarray, side: str) -> None:
 
 
 class CheckedEpisode(tuple):
-    """``(user_ids, items, targets)`` checked once against ``vocab_sizes``.
+    """``(user_ids, items, targets)`` of one episode of a `CheckedSplit`.
 
-    Made only by `check_episodes`.  Its arrays are read-only row views of the
-    copy that routine made of the split, so the check cannot go stale;
-    ``vocab_sizes`` is the ``(user, item)`` vocabulary sizes it was checked
-    against.
+    Made only by indexing a split.  Its arrays are read-only views of the
+    split's columns, so the check cannot go stale.
     """
 
-    vocab_sizes: Tuple[Tuple[int, ...], Tuple[int, ...]]
 
+class CheckedSplit(Sequence):
+    """Episodes checked once against ``vocab_sizes``, as read-only columns.
 
-def check_episodes(spec: ModelSpec, episodes) -> List[CheckedEpisode]:
-    """Check a split's ``(user_ids, items, targets)`` episodes once, together.
-
-    The ids and targets are copied into one set of read-only columns for the
-    split and every id is range-checked there; each returned CheckedEpisode
-    is a view of its rows.
+    ``users`` holds one row of user feature ids per episode, ``items`` and
+    ``targets`` every episode's rows, and episode ``i`` is rows
+    ``starts[i]:starts[i] + lengths[i]``.  Several splits may share the
+    columns and differ in their row ranges.  Indexing builds the episode's
+    `CheckedEpisode` on demand; `take` selects episodes without copying rows,
+    and `stack` gathers an equal-length split's rows into an `EpisodeStack`.
     """
-    users, item_blocks, target_blocks = [], [], []
-    for episode in episodes:
-        user_ids, ep_items, ep_targets = _check_episode(spec, *episode)
-        users.append(user_ids)
-        item_blocks.append(ep_items)
-        target_blocks.append(ep_targets)
-    if not users:
-        return []
-    plan = spec.plan
-    stops = np.cumsum([len(ep_items) for ep_items in item_blocks]).tolist()
+
+    __slots__ = ("vocab_sizes", "users", "items", "targets", "starts", "lengths")
+
+    def __init__(self, vocab_sizes, users, items, targets, starts, lengths):
+        self.vocab_sizes = vocab_sizes
+        self.users, self.items, self.targets = users, items, targets
+        self.starts, self.lengths = starts, lengths
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        index = range(len(self))[index]
+        start = int(self.starts[index])
+        stop = start + int(self.lengths[index])
+        user_ids = self.users[index]
+        user_ids.flags.writeable = False
+        return CheckedEpisode((user_ids, self.items[start:stop], self.targets[start:stop]))
+
+    def take(self, positions) -> "CheckedSplit":
+        """The episodes at ``positions``, in that order, on the same columns."""
+        return CheckedSplit(self.vocab_sizes, self.users[positions], self.items, self.targets,
+                            self.starts[positions], self.lengths[positions])
+
+    def stack(self, plan: FlatPlan) -> "EpisodeStack":
+        """Every episode, all of one item count, stacked along a leading axis."""
+        lengths = self.lengths.tolist()
+        n_items = lengths[0]
+        if lengths.count(n_items) != len(lengths):
+            raise DataError("a stack needs episodes with equal item counts")
+        rows = self.starts[:, None] + np.arange(n_items)
+        items = self.items[rows]
+        return EpisodeStack(
+            _user_index(self.users, plan),
+            plan.positions[items + plan.item_rows].reshape(items.shape[:-1] + (-1,)),
+            self.targets[rows])
+
+
+def _columns(spec: ModelSpec, parts) -> Optional[Tuple[CheckedSplit, np.ndarray]]:
+    """The split of ``(user_ids, items, targets)`` parts and its distinct
+    user id rows, no id range-checked yet; or None when a part's shapes or
+    dtypes are not those `_check_episode` returns.  Shapes are checked over
+    all parts at once."""
+    user_list, item_blocks, target_blocks = zip(*parts)
+    rows, users, user_rows = {}, [], []
+    for user_ids in user_list:
+        row = rows.get(id(user_ids))
+        if row is None:
+            row = rows[id(user_ids)] = len(users)
+            users.append(user_ids)
+        user_rows.append(row)
     users = np.array(users)
     items = np.concatenate(item_blocks)
     targets = np.concatenate(target_blocks)
+    lengths = list(map(len, item_blocks))
+    if (users.dtype != np.int64 or users.shape[1:] != (len(spec.user_vocab_sizes),)
+            or items.dtype != np.int64 or items.shape[1:] != (len(spec.item_vocab_sizes),)
+            or targets.dtype != np.float64 or targets.ndim != 1 or not all(lengths)
+            or list(map(len, target_blocks)) != lengths):
+        return None
+    lengths = np.array(lengths, dtype=np.int64)
+    return CheckedSplit(spec.plan.vocab_sizes, users[user_rows], items, targets,
+                        np.cumsum(lengths) - lengths, lengths), users
+
+
+def check_episodes(spec: ModelSpec, episodes) -> CheckedSplit:
+    """Check a split's ``(user_ids, items, targets)`` episodes once, together.
+
+    The ids and targets are copied into one set of read-only columns, their
+    shapes are checked there, and every id is range-checked, each distinct
+    user ids object once.  Only a split whose shapes are off (or whose
+    dtypes need converting) is checked episode by episode with
+    `_check_episode`, so the error is the first bad episode's; a
+    `DataError` raised while ``episodes`` is iterated comes after the
+    errors of the episodes before it.
+    """
+    plan = spec.plan
+    parts = []
+    try:
+        for episode in episodes:
+            parts.append(episode)
+    except DataError:
+        for part in parts:
+            _check_episode(spec, *part)
+        raise
+    if not parts:
+        return CheckedSplit(plan.vocab_sizes,
+                            np.empty((0, len(spec.user_vocab_sizes)), dtype=np.int64),
+                            np.empty((0, len(spec.item_vocab_sizes)), dtype=np.int64),
+                            np.empty(0), np.empty(0, dtype=np.int64),
+                            np.empty(0, dtype=np.int64))
+    try:
+        checked = _columns(spec, parts)
+    except (TypeError, ValueError):
+        checked = None
+    if checked is None:
+        checked = _columns(spec, [_check_episode(spec, *part) for part in parts])
+    split, users = checked
     _check_ids(users, plan.user_vocab, "user")
-    _check_ids(items, plan.item_vocab, "item")
-    for arr in (users, items, targets):
-        arr.flags.writeable = False
-    checked = []
-    for row, (start, stop) in enumerate(zip([0] + stops[:-1], stops)):
-        episode = CheckedEpisode((users[row], items[start:stop], targets[start:stop]))
-        episode.vocab_sizes = plan.vocab_sizes
-        checked.append(episode)
-    return checked
+    _check_ids(split.items, plan.item_vocab, "item")
+    for column in (split.users, split.items, split.targets):
+        column.flags.writeable = False
+    return split
 
 
 def check_episode(spec: ModelSpec, user_ids, items, targets) -> CheckedEpisode:
@@ -343,14 +434,12 @@ def check_episode(spec: ModelSpec, user_ids, items, targets) -> CheckedEpisode:
     return check_episodes(spec, [(user_ids, items, targets)])[0]
 
 
-def _checked(spec: ModelSpec, episode) -> CheckedEpisode:
-    """The episode itself if it was checked against ``spec``'s vocabulary
-    sizes, else a checked copy."""
-    sizes = spec.plan.vocab_sizes
-    if isinstance(episode, CheckedEpisode) and (episode.vocab_sizes is sizes
-                                                or episode.vocab_sizes == sizes):
-        return episode
-    return check_episode(spec, *episode)
+def _split_of(spec: ModelSpec, episodes) -> CheckedSplit:
+    """``episodes`` itself if it is a split checked against ``spec``'s
+    vocabulary sizes, else the split `check_episodes` makes of them."""
+    if isinstance(episodes, CheckedSplit) and episodes.vocab_sizes == spec.plan.vocab_sizes:
+        return episodes
+    return check_episodes(spec, episodes)
 
 
 def _user_index(user_ids: np.ndarray, plan: FlatPlan) -> np.ndarray:
@@ -390,13 +479,7 @@ class EpisodeStack(NamedTuple):
 
 def stack_episodes(spec: ModelSpec, episodes) -> EpisodeStack:
     """Stack episodes with equal item counts, checking any not checked for ``spec``."""
-    plan = spec.plan
-    checked = [_checked(spec, episode) for episode in episodes]
-    items = np.array([episode[1] for episode in checked])
-    return EpisodeStack(
-        _user_index(np.array([episode[0] for episode in checked]), plan),
-        plan.positions[items + plan.item_rows].reshape(items.shape[:-1] + (-1,)),
-        np.array([episode[2] for episode in checked]))
+    return _split_of(spec, episodes).stack(spec.plan)
 
 
 def _gather(flat: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -453,9 +536,9 @@ def forward(theta: ParamSet, spec: ModelSpec, user_ids, items):
     """Predictions, one unbounded rating per item, plus the user embedding
     vector h (decision input side)."""
     _check_theta(theta, spec)
-    episode = check_episode(spec, user_ids, items, None)
-    return (predict_many(theta, spec, [episode], 1)[0],
-            theta.flat[_user_index(episode[0], spec.plan)])
+    split = check_episodes(spec, [(user_ids, items, None)])
+    return (predict_stacks(theta, spec, split, 1)[0][1][0],
+            theta.flat[_user_index(split.users[0], spec.plan)])
 
 
 def predict_stack(flat: np.ndarray, spec: ModelSpec, stack: EpisodeStack):
@@ -467,35 +550,36 @@ def predict_stack(flat: np.ndarray, spec: ModelSpec, stack: EpisodeStack):
     return z_out[:, :, 0], failed
 
 
-def predict_many(theta: ParamSet, spec: ModelSpec, episodes, limit: int) -> List[np.ndarray]:
-    """`predict` for each episode, in order, through stacks of at most ``limit``
-    episodes with equal item counts.
+def predict_stacks(theta: ParamSet, spec: ModelSpec, episodes, limit: int) -> list:
+    """`predict` for every episode through stacks of at most ``limit``
+    episodes with equal item counts: one ``(positions, predictions,
+    targets)`` per stack, its rows in the order of ``positions``.
 
-    A non-finite forward pass raises the error of the first such episode.
+    ``episodes`` is a `CheckedSplit` checked for ``spec`` or any episodes,
+    encoded into a split first.  A non-finite forward pass raises the error
+    of the first such episode.
     """
     _check_theta(theta, spec)
-    checked = [_checked(spec, episode) for episode in episodes]
-    predictions = [None] * len(checked)
+    split = _split_of(spec, episodes)
+    stacks = []
     errors = {}
-    for group in shape_groups([episode[1].shape[0] for episode in checked], limit):
-        rows, failed = predict_stack(theta.flat, spec,
-                                     stack_episodes(spec, [checked[i] for i in group]))
+    for group in shape_groups(split.lengths.tolist(), limit):
+        stack = split.take(group).stack(spec.plan)
+        rows, failed = predict_stack(theta.flat, spec, stack)
         for position, exc in failed.items():
             errors[group[position]] = exc
-        for position, i in enumerate(group):
-            predictions[i] = rows[position]
+        stacks.append((group, rows, stack.targets))
     if errors:
         raise errors[min(errors)]
-    return predictions
+    return stacks
 
 
 def predict(theta: ParamSet, spec: ModelSpec, episode) -> np.ndarray:
     """Predictions for the items of an episode ``(user_ids, items, targets)``.
 
-    Like `forward` without the embedding, and a `CheckedEpisode` checked
-    for ``spec`` is not checked again.
+    Like `forward` without the embedding.
     """
-    return predict_many(theta, spec, [episode], 1)[0]
+    return predict_stacks(theta, spec, [episode], 1)[0][1][0]
 
 
 def user_embedding(theta: ParamSet, spec: ModelSpec, user_ids) -> np.ndarray:
@@ -691,12 +775,15 @@ def grad_stack(flat: np.ndarray, spec: ModelSpec, stack: EpisodeStack) -> StackG
     return StackGradient(failed, rows, losses, tape)
 
 
-def _normalize_batch(batch) -> List[Episode]:
+def _normalize_batch(batch):
+    """A batch as a sequence of episodes: a lone episode becomes a list of one."""
     if isinstance(batch, tuple) and len(batch) == 3 and not isinstance(batch[0], tuple):
         batch = [batch]
-    if not batch:
+    elif not isinstance(batch, CheckedSplit):
+        batch = list(batch)
+    if not len(batch):
         raise DataError("empty episode batch")
-    return list(batch)
+    return batch
 
 
 class _Tape(NamedTuple):
@@ -717,15 +804,16 @@ def grad(theta: ParamSet, spec: ModelSpec, batch) -> Gradient:
     its ``tape``, for `hvp` at the same point.
     """
     _check_theta(theta, spec)
-    checked = [_checked(spec, episode) for episode in _normalize_batch(batch)]
-    total_items = sum(episode[1].shape[0] for episode in checked)
+    split = _split_of(spec, _normalize_batch(batch))
+    lengths = split.lengths.tolist()
+    total_items = sum(lengths)
     plan = spec.plan
-    losses = [None] * len(checked)
+    losses = [None] * len(split)
     groups, tapes = [], []
     errors = {}
-    for group in shape_groups([episode[1].shape[0] for episode in checked]):
+    for group in shape_groups(lengths):
         failed, out, group_losses, user_values, item_values, tape = _grad_pass(
-            theta.flat, plan, stack_episodes(spec, [checked[i] for i in group]), total_items)
+            theta.flat, plan, split.take(group).stack(plan), total_items)
         for position, exc in failed.items():
             errors[group[position]] = exc
         groups.append((group, tape.stack, out, user_values, item_values))

@@ -34,8 +34,8 @@ from .config import ExperimentConfig, experiment_digest, flatten_config
 from .errors import DataError, MetarecError
 from .evaluation import build_report
 from .memory_tree import TreeMemory
-from .meta_learners import (TrainedModel, evaluate, inference_alphas, logged_rates,
-                            save_checkpoint, train, tree_sidecar)
+from .meta_learners import (TrainedModel, encode_user_ids, evaluate, inference_alphas,
+                            logged_rates, save_checkpoint, train, tree_sidecar)
 from .model import user_embedding
 from .tasks import DatasetSplits, load_movielens, preprocess, synthetic_splits
 
@@ -173,8 +173,7 @@ def embedding_rows(model: TrainedModel, splits: DatasetSplits,
         episodes = by_name[name]
         if not episodes:
             continue
-        h = user_embedding(model.theta, model.spec,
-                           np.array([splits.encode(ep.user, ep.support)[0] for ep in episodes]))
+        h = user_embedding(model.theta, model.spec, encode_user_ids(splits, episodes))
         width = h.shape[1]
         alphas = logged_rates(inference_alphas(model, h))
         for episode, alpha, h_i in zip(episodes, alphas, h.tolist()):

@@ -1,0 +1,212 @@
+"""Splits encoded once into columns, and shape groups gathered by index.
+
+`_encode_split` looks each user profile up once and copies every episode's
+support rows, then its query rows, into one set of read-only columns.
+Records are built only when a split is indexed, and every stack is gathered
+from the columns by index arithmetic.  The references here rebuild what the
+encoder replaced, one episode at a time from `DatasetSplits.encode`: the
+error of the first bad episode, and stacks laid out with ``np.array`` over
+each episode's own arrays.
+"""
+
+import dataclasses
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from metarec import model as model_module
+from metarec.datagen import generate_corpus
+from metarec.meta_learners import (MetaTrainer, TrainerConfig, _encode_split, _model_spec,
+                                   evaluate)
+from metarec.model import shape_groups
+from metarec.runner import embedding_rows
+from metarec.tasks import (DatasetSplits, InteractionColumns, PreprocessConfig, load_movielens,
+                           preprocess, synthetic_splits)
+
+CONFIG = dict(epochs=1, batch_size=4, embedding_dim=2, decision_dims=(3, 1),
+              lr_hidden_dims=(3, 2), seed=5)
+
+
+def synthetic():
+    return synthetic_splits(0.7, 0.3, 0.0, 1.0, 40, 0.1, seed=4)
+
+
+@pytest.fixture(scope="module")
+def corpus_splits(tmp_path_factory):
+    """A generated corpus: ragged support and query sizes, many profiles."""
+    root = tmp_path_factory.mktemp("corpus")
+    paths = generate_corpus(str(root), n_users=60, n_movies=30, seed=3, min_items=4,
+                            max_items=12)
+    raw = load_movielens(paths["ratings"], paths["users"], paths["movies"])
+    return preprocess(raw, PreprocessConfig(seed=0, min_items=3))
+
+
+def spec_of(splits):
+    return _model_spec(splits, TrainerConfig(**CONFIG))
+
+
+# ---------------------------------------------------------------------------
+# errors
+
+
+def with_part(part, items=None, feedback=None):
+    return InteractionColumns(part.item_ids, part.items if items is None else items,
+                              part.feedback if feedback is None else feedback, part.timestamps)
+
+
+def faulty(episode, fault):
+    """``episode`` with one fault put into it."""
+    support, query = episode.support, episode.query
+    if fault == "unknown-user-feature":
+        return dataclasses.replace(episode, user=dataclasses.replace(episode.user,
+                                                                     features=(7,)))
+    if fault == "item-width":
+        support = with_part(support, items=np.zeros((len(support), 2), dtype=np.int64))
+    elif fault == "empty-support":
+        support = support.rows(0, 0)
+    elif fault == "empty-query":
+        query = query.rows(0, 0)
+    elif fault == "target-length":
+        query = with_part(query, feedback=query.feedback[:-1])
+    elif fault == "item-out-of-vocabulary":
+        items = query.items.copy()
+        items[-1, 0] = 1  # the synthetic item feature has one value
+        query = with_part(query, items=items)
+    return dataclasses.replace(episode, support=support, query=query)
+
+
+def per_episode_error(splits, spec, episodes):
+    """The error of the per-episode path: every part's user lookup and shape
+    check in split order, then the id ranges of the whole split."""
+    try:
+        parts = [model_module._check_episode(spec, *splits.encode(episode.user, part))
+                 for episode in episodes for part in (episode.support, episode.query)]
+        model_module._check_ids(np.array([part[0] for part in parts]), spec.plan.user_vocab,
+                                "user")
+        model_module._check_ids(np.concatenate([part[1] for part in parts]),
+                                spec.plan.item_vocab, "item")
+    except Exception as exc:  # noqa: BLE001 - the reference's error, whatever it is
+        return exc
+    return None
+
+
+FAULTS = ("unknown-user-feature", "item-width", "empty-support", "empty-query",
+          "target-length", "item-out-of-vocabulary")
+
+
+@pytest.mark.parametrize("faults", [
+    *[{position: fault} for fault in FAULTS for position in (0, 5, 13)],
+    {2: "item-out-of-vocabulary", 6: "item-width"},
+    {1: "empty-query", 3: "unknown-user-feature"},
+    {3: "unknown-user-feature", 6: "target-length"},
+], ids=lambda faults: "+".join(f"{fault}@{position}" for position, fault in faults.items()))
+def test_encoder_raises_the_first_bad_episodes_error(faults):
+    splits = synthetic()
+    spec = spec_of(splits)
+    episodes = [faulty(episode, faults[i]) if i in faults else episode
+                for i, episode in enumerate(splits.train)]
+    expected = per_episode_error(splits, spec, episodes)
+    assert expected is not None
+    with pytest.raises(type(expected)) as got:
+        _encode_split(splits, episodes, spec)
+    assert str(got.value) == str(expected)
+
+
+# ---------------------------------------------------------------------------
+# stacks gathered by index
+
+
+def array_stack(spec, episodes):
+    """The stack `stack_episodes` built from the episodes' own arrays."""
+    plan = spec.plan
+    users = np.array([episode[0] for episode in episodes])
+    items = np.array([episode[1] for episode in episodes])
+    return (plan.positions[users + plan.user_rows].reshape(len(episodes), -1),
+            plan.positions[items + plan.item_rows].reshape(items.shape[:-1] + (-1,)),
+            np.array([episode[2] for episode in episodes]))
+
+
+def encoded_parts(splits, episode):
+    """Support, query and pooled ``(user_ids, items, targets)`` from `DatasetSplits.encode`."""
+    support = splits.encode(episode.user, episode.support)
+    query = splits.encode(episode.user, episode.query)
+    pooled = (support[0], np.concatenate([support[1], query[1]]),
+              np.concatenate([support[2], query[2]]))
+    return support, query, pooled
+
+
+@pytest.mark.parametrize("source", ["corpus", "synthetic"])
+def test_index_stacks_equal_array_stacks(source, corpus_splits):
+    splits = corpus_splits if source == "corpus" else synthetic()
+    spec = spec_of(splits)
+    encoded = _encode_split(splits, splits.train, spec)
+    pooled = encoded.pooled()
+    reference = [encoded_parts(splits, episode) for episode in splits.train]
+    shapes = list(zip(encoded.support.lengths.tolist(), encoded.query.lengths.tolist()))
+    assert (len(set(shapes)) > 1) == (source == "corpus")  # only the corpus is ragged
+    for group in shape_groups(shapes, 5):
+        part = encoded.take(group)
+        for k, split in enumerate((part.support, part.query, pooled.take(group))):
+            got = split.stack(spec.plan)
+            expected = array_stack(spec, [reference[i][k] for i in group])
+            for got_field, expected_field in zip(got, expected):
+                assert got_field.dtype == expected_field.dtype
+                assert got_field.shape == expected_field.shape
+                assert np.array_equal(got_field, expected_field)
+
+
+# ---------------------------------------------------------------------------
+# records built on demand, and one lookup per profile
+
+
+@pytest.mark.parametrize("algorithm", ["paml", "transfer"])
+def test_records_built_on_demand_are_read_only(algorithm):
+    trainer = MetaTrainer(synthetic(), TrainerConfig(algorithm=algorithm, **CONFIG))
+    split = trainer.train_episodes
+    records = list(split) + list(split.take(np.array([3, 0, 3])))
+    if algorithm == "transfer":  # one pooled episode per user
+        arrays = [arr for record in records for arr in record]
+        assert [len(record[2]) for record in split] == [
+            len(ep.support) + len(ep.query) for ep in trainer.splits.train]
+    else:
+        arrays = [arr for record in records for arr in (record.user_ids,) + record.support
+                  + record.query]
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[...] = 0
+
+
+def encode_calls(monkeypatch):
+    """The user profile of every `DatasetSplits.encode` call, in order."""
+    calls = []
+    original = DatasetSplits.encode
+
+    def counting(self, user, part):
+        calls.append(user.features)
+        return original(self, user, part)
+
+    monkeypatch.setattr(DatasetSplits, "encode", counting)
+    return calls
+
+
+def profiles(episodes):
+    """One count per distinct profile among ``episodes``."""
+    return Counter({episode.user.features for episode in episodes})
+
+
+@pytest.mark.parametrize("source", ["corpus", "synthetic"])
+def test_each_profile_is_looked_up_once_per_split(source, corpus_splits, monkeypatch):
+    splits = corpus_splits if source == "corpus" else synthetic()
+    calls = encode_calls(monkeypatch)
+    trainer = MetaTrainer(splits, TrainerConfig(**CONFIG))
+    assert Counter(calls) == profiles(splits.train) + profiles(splits.validation)
+    assert len(calls) < len(splits.train) + len(splits.validation)
+    calls.clear()
+    model = trainer.train()
+    evaluate(model, splits.test, splits)
+    assert Counter(calls) == profiles(splits.test)
+    calls.clear()
+    embedding_rows(model, splits, ("train", "test"))
+    assert Counter(calls) == profiles(splits.train) + profiles(splits.test)
