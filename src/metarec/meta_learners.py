@@ -30,36 +30,24 @@ flows from alpha_i back into the embedding tables, which keeps the update the
 exact gradient of J with h_i held at the pre-step theta and makes it
 checkable by finite differences.
 
-Each split is encoded once (`_encode_split`): every distinct user profile's
-feature ids are looked up once, and each episode's support rows, then its
-query rows, are copied into one set of read-only columns, with each
-episode's first row and row counts kept as arrays.  An ``_Encoded`` record
-is built only when someone indexes the split; a training batch is a `take`
-of the split, positions into the same columns, and any other list of
-records is encoded into a small split first.
+Each split is encoded once (`_encode_split`), with one feature-id lookup
+per distinct user profile: a `SplitView`'s own columns are checked and
+wrapped, no row copied, and any other episodes are copied into new columns,
+each episode's support rows right before its query rows.  An ``_Encoded``
+record is built only when the split is indexed, and a training batch is a
+`take` of the split.
 
-A batch runs in shape groups: the episodes with equal support and query row
-counts, in first-appearance order, read off the row-count arrays.  A rate
-depends on the user embedding only, so the rate head runs once over the
-batch's distinct embeddings and the tree is searched once per distinct
-embedding, with each episode's hits touched in batch order; then each
-group's support gradient, inner step, query gradient and Hessian-vector
-product run as one stack (see `model`) gathered from the columns by index,
-which gives every episode the bits of a pass of its own.  An episode that
-fails a stage stays in its stack: every slice is its own BLAS call, so it
-changes no other episode's bits.  After the group's passes each episode gets
-the first error a one-episode pass would raise (support forward pass, loss,
-gradient, then the same for the query), or its terms; the group's losses,
-squared support-gradient norms, support-query dots and embedding norms
-become Python lists once.  Drops, warnings, logs and the sums over episodes
-stay in batch order.  Evaluation stacks its users the same way, at most
-``batch_size`` to a stack (``trainer.batch_size`` caps evaluation stacks),
-and scores each stack's query MSEs in one row-wise mean.
-
-Transfer instead trains on pooled episodes, each user's support and query
-rows as one row range of the same columns: its theta gradient is their
-pooled supervised gradient, with no inner step, and its steps log no
-episodes.
+A batch runs in shape groups, the episodes with equal support and query row
+counts in first-appearance order.  The rate head runs once over the batch's
+distinct embeddings, and the tree is searched once per distinct embedding;
+then each group's support gradient, inner step, query gradient and
+Hessian-vector product run as one stack (see `model`), which gives every
+episode the bits of a pass of its own.  A failing episode stays in its
+stack and gets the first error a one-episode pass would raise.  Drops,
+warnings, logs and sums stay in batch order.  Evaluation stacks its users
+the same way, at most ``batch_size`` to a stack.  Transfer instead trains on
+pooled episodes, each user's support and query rows as one row range: its
+theta gradient is their pooled supervised gradient, with no inner step.
 
 Updates are plain gradient descent with per-group 2-norm clipping.  All
 computation is float64 and deterministic given the config seed.
@@ -69,6 +57,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -99,10 +88,12 @@ from .model import (
     shape_groups,
     stack_episodes,
     user_embedding,
+    _check_ids,
     _split_of,
+    _well_formed,
 )
 from .params import ParamSet, axpy_update, dense_views, nonfinite_rows, row_dots
-from .tasks import DatasetSplits, TaskEpisode
+from .tasks import DatasetSplits, SplitView, TaskEpisode, UserProfile
 
 __all__ = [
     "ALGORITHMS",
@@ -120,7 +111,6 @@ __all__ = [
     "logged_rates",
     "train",
     "evaluate",
-    "encode_user_ids",
     "config_digest",
     "save_checkpoint",
     "load_checkpoint",
@@ -384,14 +374,11 @@ class _Encoded(NamedTuple):
 
 
 class _EncodedSplit(Sequence):
-    """A split's episodes on one set of checked columns.
-
-    ``support`` and ``query`` are `CheckedSplit`s with one entry per
-    episode, ``keys`` the user keys.  Each episode's support rows come right
-    before its query rows, so `pooled` is one row range per episode.
-    Indexing builds an `_Encoded` record on demand, and `take` selects
-    episodes without copying rows.
-    """
+    """A split's episodes on one set of checked columns: ``keys`` the user
+    keys, ``support`` and ``query`` `CheckedSplit`s with one entry per
+    episode, each support right before its query, so `pooled` is one row
+    range per episode.  Indexing builds an `_Encoded` record on demand, and
+    `take` selects episodes without copying rows."""
 
     __slots__ = ("keys", "support", "query")
 
@@ -412,15 +399,9 @@ class _EncodedSplit(Sequence):
 
     def take(self, positions) -> "_EncodedSplit":
         """The episodes at ``positions``, in that order."""
-        support, query = self.support, self.query
         index = np.asarray(positions)
-        users = support.users[index]
-        return _EncodedSplit(
-            [self.keys[i] for i in positions],
-            CheckedSplit(support.vocab_sizes, users, support.items, support.targets,
-                         support.starts[index], support.lengths[index]),
-            CheckedSplit(support.vocab_sizes, users, support.items, support.targets,
-                         query.starts[index], query.lengths[index]))
+        return _EncodedSplit([self.keys[i] for i in index.tolist()], self.support.take(index),
+                             self.query.take(index))
 
     def pooled(self) -> CheckedSplit:
         """Each episode's support and query rows as one episode, as transfer trains on."""
@@ -563,44 +544,57 @@ def _paired(keys: list, parts: CheckedSplit) -> _EncodedSplit:
     return _EncodedSplit(keys, parts.take(slice(0, None, 2)), parts.take(slice(1, None, 2)))
 
 
-def _user_ids_lookup(splits: DatasetSplits):
-    """A function from an episode to its user's feature ids that calls
-    `DatasetSplits.encode` once per distinct profile; the episodes of one
-    profile share one array."""
-    found = {}
-
-    def user_ids(episode: TaskEpisode) -> np.ndarray:
-        ids = found.get(episode.user.features)
-        if ids is None:
-            ids = found[episode.user.features] = splits.encode(episode.user, episode.support)[0]
-        return ids
-
-    return user_ids
-
-
-def encode_user_ids(splits: DatasetSplits, episodes: Sequence[TaskEpisode]) -> np.ndarray:
-    """Each episode's user feature ids, one row per episode, looked up once
-    per distinct profile."""
-    user_ids = _user_ids_lookup(splits)
-    return np.array([user_ids(episode) for episode in episodes])
+def _encode_view(splits: DatasetSplits, view: SplitView, spec: ModelSpec) -> _EncodedSplit:
+    """``view`` checked against ``spec`` over its own rows, each distinct profile
+    encoded once, and wrapped on its columns, no row copied; failing a check raises."""
+    used, first, rows = np.unique(view.profile_rows, return_index=True, return_inverse=True)
+    ids = []
+    for profile, i in zip(used.tolist(), first.tolist()):
+        start, stop = int(view.starts[i]), int(view.starts[i] + view.support_lengths[i])
+        ids.append(splits.encode(UserProfile(view.user_ids[i], view.profiles[profile]),
+                                 view.columns.rows(start, stop))[0])
+    ids = np.array(ids)
+    items, targets, plan = view.columns.items, view.columns.feedback, spec.plan
+    lengths = view.support_lengths + view.query_lengths
+    if (not _well_formed(spec, ids, items, targets) or len(targets) != len(items)
+            or items.flags.writeable or targets.flags.writeable or view.starts.min() < 0
+            or min(view.support_lengths.min(), view.query_lengths.min()) < 1):
+        raise DataError("malformed split view")
+    _check_ids(ids, plan.user_vocab, "user")
+    offsets = np.cumsum(lengths) - lengths
+    _check_ids(items[np.repeat(view.starts - offsets, lengths) + np.arange(lengths.sum())],
+               plan.item_vocab, "item")
+    users = ids[rows]
+    users.flags.writeable = False
+    checked = functools.partial(CheckedSplit, plan.vocab_sizes, users, items, targets)
+    return _EncodedSplit(view.user_ids, checked(view.starts, view.support_lengths),
+                         checked(view.starts + view.support_lengths, view.query_lengths))
 
 
 def _encode_split(splits: DatasetSplits, episodes: Sequence[TaskEpisode],
                   spec: ModelSpec) -> _EncodedSplit:
     """A split's support and query sets, checked against ``spec`` together once.
 
-    Each user's feature ids are looked up once per distinct profile, and its
-    support rows then its query rows are copied into the split's columns.
+    A `SplitView` that passes every check is wrapped as it is.  Any other
+    episodes, or a view that fails a check, have their support rows then
+    their query rows copied into new columns and checked there, so the
+    error raised is the first bad episode's.
     """
-    user_ids = _user_ids_lookup(splits)
+    if isinstance(episodes, SplitView):
+        try:
+            return _encode_view(splits, episodes, spec)
+        except (DataError, IndexError, TypeError, ValueError):
+            pass
+    found = {}
 
-    def parts():
-        for episode in episodes:
-            ids = user_ids(episode)
-            yield ids, episode.support.items, episode.support.feedback
-            yield ids, episode.query.items, episode.query.feedback
+    def user_ids(episode: TaskEpisode) -> np.ndarray:
+        if episode.user.features not in found:
+            found[episode.user.features] = splits.encode(episode.user, episode.support)[0]
+        return found[episode.user.features]
 
-    return _paired([episode.user.user_id for episode in episodes], check_episodes(spec, parts()))
+    parts = ((user_ids(episode), part.items, part.feedback) for episode in episodes
+             for part in (episode.support, episode.query))
+    return _paired([episode.user.user_id for episode in episodes], check_episodes(spec, parts))
 
 
 def _as_encoded(spec: ModelSpec, episodes) -> _EncodedSplit:
@@ -983,14 +977,12 @@ def _evaluate_encoded(theta, spec, config, head, msgd_alpha, tree,
                       episodes: Sequence[_Encoded]) -> List[EvalRecord]:
     """Adapt each user on its support set and score its query set, in order.
 
-    ``episodes`` is an encoded split or a list of ``_Encoded`` records,
-    which is encoded into a split first.  Users with equal support and
-    query row counts run as stacks of at most ``batch_size``.  A failing
-    user stays in its stack, and the call raises the error that scoring the
-    users one at a time would have raised first.  Otherwise each stack's
-    query MSEs come from one row-wise mean, which gives every row the bits
-    of `loss` on it, and each record holds row views of its stack's
-    predictions and targets.
+    ``episodes`` is an encoded split or a list of ``_Encoded`` records.
+    Users with equal support and query row counts run as stacks of at most
+    ``batch_size``; the call raises the error that scoring the users one at
+    a time would have raised first.  Each stack's query MSEs come from one
+    row-wise mean, with the bits of `loss` on each row, and each record
+    holds row views of its stack's predictions and targets.
     """
     if not episodes:
         return []

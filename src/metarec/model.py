@@ -5,27 +5,16 @@ one linear rating output trained on mean squared error), so reverse-mode
 differentiation is written out explicitly instead of pulling in an autodiff
 framework.
 
-Parameters are addressed by flat offset.  A spec's layout puts every
-embedding table first, one row of ``embedding_dim`` values per id, then each
-dense layer's weight and bias.  `ModelSpec.plan` derives from the layout,
-once per spec, the row each table starts at, the flat position of every
-embedding value, and the slice and shape of each layer; a weight is read as
-``flat[slice].reshape(shape)``, a bias as ``flat[slice]``.
+Parameters are addressed by flat offset: every embedding table first, one
+row of ``embedding_dim`` values per id, then each dense layer's weight and
+bias.  `ModelSpec.plan` derives where each of them sits once per spec.
 
-Episodes are checked once per split.  `check_episodes` copies a split's ids
-and targets into one set of read-only columns, checks the shapes of every
-episode there at once (only a split with a bad episode is checked one
-episode at a time, so the error is the first bad episode's) and
-range-checks every id with one array comparison per side (user, item),
-each distinct user ids object once; it returns a
-`CheckedSplit`, which keeps each episode's first row and row count as
-arrays and builds an episode's `CheckedEpisode`, a row view of the
-columns, only when the split is indexed.  `check_episode` is that routine
-on a one-episode split.  `grad`, `hvp` and `predict` take a split as it is
-and encode any other list of episodes, a plain tuple included, into a small
-split first; `forward` and `user_embedding` check their ids on every call.
-No index is stored per episode: each pass looks the checked ids' flat
-positions up in the plan.
+Episodes are checked once per split, into a `CheckedSplit` of read-only
+columns: `check_episodes` copies any episodes into new columns, and a
+caller whose rows already sit in read-only columns wraps them as they are.
+`grad`, `hvp` and `predict` take a split as it is and check any other
+episodes into a small split first; `forward` and `user_embedding` check
+their ids on every call.
 
 Every pass runs on a stack.  Episodes with equal item counts form a shape
 group (`shape_groups`, in first-appearance order), and `CheckedSplit.stack`
@@ -43,23 +32,17 @@ of 2-D rows would too (a single ``(B n, in)`` matmul blocks its sums
 differently).
 
 `grad_stack` runs a forward and a backward pass over a stack and returns one
-gradient row per episode, each normalized by its own item count: the fused
-input is two gathers from the flat vector (or from each slice's row), each
-layer's gradient adds into a view of one zeroed row, and the input gradient
-goes back to the embedding values as one add at the user positions
-(distinct within an episode) and one ``np.add.at`` at the item positions,
-which adds repeated items in row order.  A slice whose forward pass goes
-non-finite stays in its stack, without a numpy warning, and is reported
-with the error a one-episode pass would raise; each slice is its own BLAS
-call, so no other slice's bits change.  `grad` pools a batch: it runs each
-shape group as a stack and adds every episode's terms onto one vector in
-episode order, as a pass over the episodes one at a time would.  The passes are
-kept as a tape: the flat positions, the input of every layer, the ReLU
-masks and the upstream gradient of every layer.  `hvp` takes that tape and
-pushes a tangent v through the same passes without recomputing them (the
-R-op of Pearlmutter, 1994), which gives the exact directional derivative of
-the gradient, i.e. an exact Hessian-vector product; given `grad_stack`'s
-StackGradient it pushes one tangent row per slice.
+gradient row per episode, each normalized by its own item count; the input
+gradient goes back to the embedding values as one add at the user positions
+and one ``np.add.at`` at the item positions, which adds repeated items in
+row order.  A slice whose forward pass goes non-finite stays in its stack,
+without a numpy warning, and is reported with the error a one-episode pass
+would raise.  `grad` pools a batch: it runs each shape group as a stack and
+adds every episode's terms onto one vector in episode order, as a pass over
+the episodes one at a time would.  The passes are kept as a tape, and `hvp`
+pushes a tangent v through them without recomputing them (the R-op of
+Pearlmutter, 1994), which gives an exact Hessian-vector product; given
+`grad_stack`'s StackGradient it pushes one tangent row per slice.
 
 Every call that takes a ParamSet checks its layout against the spec (one
 comparison of layout keys); `hvp` given a tape relies on the check its
@@ -362,43 +345,38 @@ class CheckedSplit(Sequence):
             self.targets[rows])
 
 
-def _columns(spec: ModelSpec, parts) -> Optional[Tuple[CheckedSplit, np.ndarray]]:
-    """The split of ``(user_ids, items, targets)`` parts and its distinct
-    user id rows, no id range-checked yet; or None when a part's shapes or
-    dtypes are not those `_check_episode` returns.  Shapes are checked over
-    all parts at once."""
+def _well_formed(spec: ModelSpec, users, items, targets) -> bool:
+    """Whether id rows and targets have the dtypes and widths `_check_episode` gives."""
+    return (users.dtype == np.int64 and users.shape[1:] == (len(spec.user_vocab_sizes),)
+            and items.dtype == np.int64 and items.shape[1:] == (len(spec.item_vocab_sizes),)
+            and targets.dtype == np.float64 and targets.ndim == 1)
+
+
+def _columns(spec: ModelSpec, parts) -> Optional[CheckedSplit]:
+    """The split of ``(user_ids, items, targets)`` parts, no id range-checked
+    yet; or None when a part's shapes or dtypes are not those
+    `_check_episode` returns.  Shapes are checked over all parts at once."""
     user_list, item_blocks, target_blocks = zip(*parts)
-    rows, users, user_rows = {}, [], []
-    for user_ids in user_list:
-        row = rows.get(id(user_ids))
-        if row is None:
-            row = rows[id(user_ids)] = len(users)
-            users.append(user_ids)
-        user_rows.append(row)
-    users = np.array(users)
-    items = np.concatenate(item_blocks)
-    targets = np.concatenate(target_blocks)
+    users, items, targets = (np.array(user_list), np.concatenate(item_blocks),
+                             np.concatenate(target_blocks))
     lengths = list(map(len, item_blocks))
-    if (users.dtype != np.int64 or users.shape[1:] != (len(spec.user_vocab_sizes),)
-            or items.dtype != np.int64 or items.shape[1:] != (len(spec.item_vocab_sizes),)
-            or targets.dtype != np.float64 or targets.ndim != 1 or not all(lengths)
+    if (not _well_formed(spec, users, items, targets) or not all(lengths)
             or list(map(len, target_blocks)) != lengths):
         return None
     lengths = np.array(lengths, dtype=np.int64)
-    return CheckedSplit(spec.plan.vocab_sizes, users[user_rows], items, targets,
-                        np.cumsum(lengths) - lengths, lengths), users
+    return CheckedSplit(spec.plan.vocab_sizes, users, items, targets,
+                        np.cumsum(lengths) - lengths, lengths)
 
 
 def check_episodes(spec: ModelSpec, episodes) -> CheckedSplit:
     """Check a split's ``(user_ids, items, targets)`` episodes once, together.
 
     The ids and targets are copied into one set of read-only columns, their
-    shapes are checked there, and every id is range-checked, each distinct
-    user ids object once.  Only a split whose shapes are off (or whose
-    dtypes need converting) is checked episode by episode with
-    `_check_episode`, so the error is the first bad episode's; a
-    `DataError` raised while ``episodes`` is iterated comes after the
-    errors of the episodes before it.
+    shapes are checked there, and every id is range-checked.  Only a split
+    whose shapes are off (or whose dtypes need converting) is checked
+    episode by episode with `_check_episode`, so the error is the first bad
+    episode's; a `DataError` raised while ``episodes`` is iterated comes
+    after the errors of the episodes before it.
     """
     plan = spec.plan
     parts = []
@@ -416,13 +394,12 @@ def check_episodes(spec: ModelSpec, episodes) -> CheckedSplit:
                             np.empty(0), np.empty(0, dtype=np.int64),
                             np.empty(0, dtype=np.int64))
     try:
-        checked = _columns(spec, parts)
+        split = _columns(spec, parts)
     except (TypeError, ValueError):
-        checked = None
-    if checked is None:
-        checked = _columns(spec, [_check_episode(spec, *part) for part in parts])
-    split, users = checked
-    _check_ids(users, plan.user_vocab, "user")
+        split = None
+    if split is None:
+        split = _columns(spec, [_check_episode(spec, *part) for part in parts])
+    _check_ids(split.users, plan.user_vocab, "user")
     _check_ids(split.items, plan.item_vocab, "item")
     for column in (split.users, split.items, split.targets):
         column.flags.writeable = False
@@ -740,23 +717,28 @@ def _scatter_rows(out, stack: EpisodeStack, user_values, item_values) -> np.ndar
 def _pool(plan: FlatPlan, size: int, groups) -> np.ndarray:
     """One vector from the unscattered terms of shape groups, added in episode order.
 
-    ``groups`` holds one ``(positions, stack, out, user_values,
-    item_values)`` per group, ``positions`` saying where each slice's
-    episode sits in the pooled batch.  Every value lands on the running sum
-    in the order a one-at-a-time pass over the episodes would add it, so
-    pooling keeps its bits.
+    ``groups`` holds one ``(positions, stack, out, user_values, item_values)``
+    per group, ``positions`` saying where each slice's episode sits in the
+    batch.  The dense rows, laid out in episode order, are summed down the
+    rows, and one ``np.add.at`` adds each episode's user then item terms in
+    episode order, as a one-at-a-time pass would, so pooling keeps its bits.
     """
-    terms = [None] * sum(len(group[0]) for group in groups)
+    widths = np.zeros(sum(len(group[0]) for group in groups), dtype=np.int64)
+    for positions, stack, *_ in groups:
+        widths[positions] = stack.user_index.shape[1] + stack.item_index[0].size
+    offsets = np.cumsum(widths) - widths
+    start = plan.layers[0][0].start
+    dense = np.empty((len(widths), size - start))
+    index, values = np.empty(widths.sum(), dtype=np.int64), np.empty(widths.sum())
     for positions, stack, out, user_values, item_values in groups:
-        for k, i in enumerate(positions):
-            terms[i] = (out[k], np.concatenate((stack.user_index[k], stack.item_index[k].ravel())),
-                        np.concatenate((user_values[k], item_values[k].ravel())))
+        n = len(positions)
+        dense[positions] = out[:, start:]
+        at = offsets[positions][:, None] + np.arange(widths[positions[0]])
+        index[at] = np.concatenate((stack.user_index, stack.item_index.reshape(n, -1)), axis=1)
+        values[at] = np.concatenate((user_values, item_values.reshape(n, -1)), axis=1)
     flat = np.zeros(size)
-    dense_start = plan.layers[0][0].start
-    dense = flat[dense_start:]
-    for row, _, _ in terms:
-        dense += row[dense_start:]
-    np.add.at(flat, np.concatenate([t[1] for t in terms]), np.concatenate([t[2] for t in terms]))
+    flat[start:] += np.add.accumulate(dense)[-1]
+    np.add.at(flat, index, values)
     return flat
 
 

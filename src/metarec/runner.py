@@ -34,8 +34,8 @@ from .config import ExperimentConfig, experiment_digest, flatten_config
 from .errors import DataError, MetarecError
 from .evaluation import build_report
 from .memory_tree import TreeMemory
-from .meta_learners import (TrainedModel, encode_user_ids, evaluate, inference_alphas,
-                            logged_rates, save_checkpoint, train, tree_sidecar)
+from .meta_learners import (TrainedModel, evaluate, inference_alphas, logged_rates,
+                            save_checkpoint, train, tree_sidecar, _encode_split)
 from .model import user_embedding
 from .tasks import DatasetSplits, load_movielens, preprocess, synthetic_splits
 
@@ -173,12 +173,12 @@ def embedding_rows(model: TrainedModel, splits: DatasetSplits,
         episodes = by_name[name]
         if not episodes:
             continue
-        h = user_embedding(model.theta, model.spec, encode_user_ids(splits, episodes))
+        encoded = _encode_split(splits, episodes, model.spec)
+        h = user_embedding(model.theta, model.spec, encoded.support.users)
         width = h.shape[1]
         alphas = logged_rates(inference_alphas(model, h))
-        for episode, alpha, h_i in zip(episodes, alphas, h.tolist()):
-            group = _group_name(bool(splits.is_major[episode.user.user_id]))
-            rows.append((episode.user.user_id, name, group, alpha) + tuple(h_i))
+        for key, alpha, h_i in zip(encoded.keys, alphas, h.tolist()):
+            rows.append((key, name, _group_name(bool(splits.is_major[key])), alpha) + tuple(h_i))
     if width is None:
         raise DataError("no episodes in the requested splits")
     header = ["user_key", "subset", "group", "alpha"] + [f"h{i}" for i in range(width)]
@@ -235,7 +235,7 @@ def run_trial(config: ExperimentConfig, index: int, seed: int) -> TrialResult:
         model = train(splits, trainer_config)
 
     with _stage(f"evaluate trial {index}"):
-        records = evaluate(model, list(splits.test), splits)
+        records = evaluate(model, splits.test, splits)
         if not records:
             raise DataError("test split is empty; nothing to evaluate")
 

@@ -9,8 +9,8 @@ only the others through the per-line text rules.
 `preprocess` ranks users by activity, keeps the cold-start tail, filters out
 malformed profiles, splits users 7:1:2 and each user's interactions 80:20,
 then gathers each split's interactions into one set of columns whose item
-features are already vocabulary ids.  An episode's support and query sets
-are read-only row ranges of those columns, so encoding an episode is slicing.
+features are already vocabulary ids.  A split is a `SplitView` of those
+columns: its episodes' support and query sets are read-only row ranges.
 Feature vocabularies are built over the surviving population in ``repr``
 order; major/minor labels follow the top-populous-value rule with counts
 taken from the training split only.
@@ -21,7 +21,8 @@ import re
 import warnings
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from collections.abc import Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
@@ -95,6 +96,47 @@ class TaskEpisode:
     query: InteractionColumns
 
 
+class SplitView(Sequence):
+    """A split's episodes as row ranges of one set of read-only columns.
+
+    Episode ``i`` is user ``user_ids[i]`` (a list of plain Python keys) with
+    the profile features ``profiles[profile_rows[i]]``; its support set is
+    rows ``starts[i]:starts[i] + support_lengths[i]`` of ``columns`` and its
+    query set the ``query_lengths[i]`` rows right after.  Several views may
+    share the columns.  Indexing builds the episode's `TaskEpisode` on
+    demand, and `take` selects episodes without copying rows.
+    """
+
+    __slots__ = ("columns", "starts", "support_lengths", "query_lengths", "user_ids",
+                 "profiles", "profile_rows")
+
+    def __init__(self, columns: InteractionColumns, starts, support_lengths, query_lengths,
+                 user_ids: list, profiles: Tuple[Tuple, ...], profile_rows):
+        self.columns, self.user_ids, self.profiles = columns, user_ids, profiles
+        self.starts, self.support_lengths = starts, support_lengths
+        self.query_lengths, self.profile_rows = query_lengths, profile_rows
+
+    def __len__(self) -> int:
+        return len(self.user_ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self.take(range(len(self))[index])
+        index = range(len(self))[index]
+        start = int(self.starts[index])
+        middle = start + int(self.support_lengths[index])
+        user = UserProfile(self.user_ids[index], self.profiles[self.profile_rows[index]])
+        return TaskEpisode(user, self.columns.rows(start, middle),
+                           self.columns.rows(middle, middle + int(self.query_lengths[index])))
+
+    def take(self, positions) -> "SplitView":
+        """The episodes at ``positions``, in that order, on the same columns."""
+        index = np.asarray(positions, dtype=np.int64)
+        return SplitView(self.columns, self.starts[index], self.support_lengths[index],
+                         self.query_lengths[index], [self.user_ids[i] for i in index.tolist()],
+                         self.profiles, self.profile_rows[index])
+
+
 @dataclass(frozen=True, eq=False)
 class RatingColumns:
     """Usable rating lines in file order: int64 ``uid``, ``mid`` and
@@ -120,15 +162,12 @@ class RawDataset:
 
 @dataclass(frozen=True)
 class DatasetSplits:
-    train: Tuple[TaskEpisode, ...]
-    validation: Tuple[TaskEpisode, ...]
-    test: Tuple[TaskEpisode, ...]
+    train: Sequence[TaskEpisode]
+    validation: Sequence[TaskEpisode]
+    test: Sequence[TaskEpisode]
     user_vocabs: Tuple[Dict, ...]
     item_vocabs: Tuple[Dict, ...]
     is_major: Dict
-
-    def all_episodes(self) -> Tuple[TaskEpisode, ...]:
-        return self.train + self.validation + self.test
 
     def user_vocab_sizes(self) -> Tuple[int, ...]:
         return tuple(len(v) for v in self.user_vocabs)
@@ -561,7 +600,9 @@ def preprocess(raw: RawDataset, config: PreprocessConfig) -> DatasetSplits:
 
     # stage 4: per-user support/query split, in deterministic user order; each
     # split's interactions are gathered into one set of columns
-    episode_groups: List[Tuple[TaskEpisode, ...]] = []
+    distinct = tuple(dict.fromkeys(profile.features for profile in profiles))
+    profile_rows = {features: row for row, features in enumerate(distinct)}
+    views = []
     for group in groups:
         picks, sizes = [], []
         for profile in group:
@@ -572,37 +613,32 @@ def preprocess(raw: RawDataset, config: PreprocessConfig) -> DatasetSplits:
         rows = np.concatenate(picks) if picks else np.zeros(0, dtype=np.int64)
         columns = _read_only_columns(mid[rows], movie_items[movie_of[rows]],
                                      feedback[rows], timestamp[rows])
-        episodes = []
-        offset = 0
-        for profile, (n, support_size) in zip(group, sizes):
-            episodes.append(TaskEpisode(user=profile,
-                                        support=columns.rows(offset, offset + support_size),
-                                        query=columns.rows(offset + support_size, offset + n)))
-            offset += n
-        episode_groups.append(tuple(episodes))
+        n, support = np.array(sizes, dtype=np.int64).reshape(-1, 2).T
+        views.append(SplitView(columns, np.cumsum(n) - n, support, n - support,
+                               [profile.user_id for profile in group], distinct,
+                               np.array([profile_rows[p.features] for p in group],
+                                        dtype=np.int64)))
 
-    train_ids = {ep.user.user_id for ep in episode_groups[0]}
+    train_ids = {profile.user_id for profile in groups[0]}
     labels = classify_major_minor(profiles, train_ids, user_vocabs)
-    return DatasetSplits(train=episode_groups[0], validation=episode_groups[1],
-                         test=episode_groups[2], user_vocabs=user_vocabs,
-                         item_vocabs=item_vocabs, is_major=labels)
+    return DatasetSplits(*views, user_vocabs=user_vocabs, item_vocabs=item_vocabs,
+                         is_major=labels)
 
 
-SYNTH_GROUP_FEATURE = ("group",)
 SYNTH_ITEM_FEATURE_VALUE = "scalar"
 
 
 def synth_two_group(p1: float, p2: float, x1: float, x2: float, n_tasks: int,
                     noise_sd: float, seed: int, support_size: int = 5,
-                    query_size: int = 5) -> List[TaskEpisode]:
+                    query_size: int = 5) -> SplitView:
     """Scalar-regression episodes drawn from two latent groups.
 
     Each task belongs to group 1 with probability p1; its targets scatter
     around the group preference x_g with Gaussian noise.  The single user
-    feature is the group id, so embeddings can separate the groups.  Every
-    task's interactions are one row range of shared columns: item ids count
-    from 0 within a task, the one item feature value has id 0, and
-    timestamps are 0.
+    feature is the group id, so embeddings can separate the groups; user
+    keys are the task numbers.  Every task's interactions are one row range
+    of shared columns: item ids count from 0 within a task, the one item
+    feature value has id 0, and timestamps are 0.
     """
     if not (p1 > 0.0 and p2 >= 0.0 and abs(p1 + p2 - 1.0) < 1e-12):
         raise ConfigError("group probabilities must be non-negative and sum to 1")
@@ -612,43 +648,33 @@ def synth_two_group(p1: float, p2: float, x1: float, x2: float, n_tasks: int,
         raise ConfigError("n_tasks, support_size, query_size must be >= 1")
     rng = np.random.default_rng(seed)
     size = support_size + query_size
-    groups = []
+    major = np.empty(n_tasks, dtype=bool)
     normals = np.empty((n_tasks, size))
     for task in range(n_tasks):
-        groups.append(1 if rng.uniform() < p1 else 2)
+        major[task] = rng.uniform() < p1
         normals[task] = rng.standard_normal(size)
-    centers = np.array([x1 if group == 1 else x2 for group in groups], dtype=np.float64)
-    targets = centers[:, None] + noise_sd * normals
+    targets = np.where(major, x1, x2).astype(np.float64)[:, None] + noise_sd * normals
     columns = _read_only_columns(np.tile(np.arange(size, dtype=np.int64), n_tasks),
                                  np.zeros((n_tasks * size, 1), dtype=np.int64),
                                  targets.reshape(-1), np.zeros(n_tasks * size, dtype=np.int64))
-    episodes = []
-    for task, group in enumerate(groups):
-        start = task * size
-        episodes.append(TaskEpisode(user=UserProfile(user_id=task, features=(group,)),
-                                    support=columns.rows(start, start + support_size),
-                                    query=columns.rows(start + support_size, start + size)))
-    return episodes
+    return SplitView(columns, np.arange(n_tasks, dtype=np.int64) * size,
+                     np.full(n_tasks, support_size, dtype=np.int64),
+                     np.full(n_tasks, query_size, dtype=np.int64), list(range(n_tasks)),
+                     ((1,), (2,)), (~major).astype(np.int64))
 
 
 def synthetic_splits(p1: float, p2: float, x1: float, x2: float, n_tasks: int,
                      noise_sd: float, seed: int, support_size: int = 5,
                      query_size: int = 5,
                      split: Tuple[int, int, int] = (7, 1, 2)) -> DatasetSplits:
-    """Package two-group episodes as train/validation/test splits."""
+    """Package two-group episodes as train/validation/test splits, each a
+    `take` of one `SplitView`; group 1 is the major group."""
     check_split(split, n_tasks)
     episodes = synth_two_group(p1, p2, x1, x2, n_tasks, noise_sd, seed,
                                support_size, query_size)
-    rng = np.random.default_rng((seed, 1))
-    order = rng.permutation(len(episodes))
-    shuffled = [episodes[i] for i in order]
-    first, second = _split_counts(len(shuffled), split)
-    labels = {ep.user.user_id: ep.user.features[0] == 1 for ep in episodes}
-    return DatasetSplits(
-        train=tuple(shuffled[:first]),
-        validation=tuple(shuffled[first:second]),
-        test=tuple(shuffled[second:]),
-        user_vocabs=({1: 0, 2: 1},),
-        item_vocabs=({SYNTH_ITEM_FEATURE_VALUE: 0},),
-        is_major=labels,
-    )
+    order = np.random.default_rng((seed, 1)).permutation(n_tasks)
+    parts = np.split(order, _split_counts(n_tasks, split))
+    return DatasetSplits(*map(episodes.take, parts), user_vocabs=({1: 0, 2: 1},),
+                         item_vocabs=({SYNTH_ITEM_FEATURE_VALUE: 0},),
+                         is_major=dict(zip(episodes.user_ids,
+                                           (episodes.profile_rows == 0).tolist())))

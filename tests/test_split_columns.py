@@ -1,12 +1,13 @@
 """Splits encoded once into columns, and shape groups gathered by index.
 
-`_encode_split` looks each user profile up once and copies every episode's
-support rows, then its query rows, into one set of read-only columns.
-Records are built only when a split is indexed, and every stack is gathered
-from the columns by index arithmetic.  The references here rebuild what the
-encoder replaced, one episode at a time from `DatasetSplits.encode`: the
-error of the first bad episode, and stacks laid out with ``np.array`` over
-each episode's own arrays.
+`_encode_split` looks each user profile up once.  A `SplitView` is checked
+and wrapped on its own columns; any other episodes have every support set,
+then its query set, copied into one set of read-only columns.  Records are
+built only when a split is indexed, and every stack is gathered from the
+columns by index arithmetic.  The references here rebuild what the encoder
+replaced, one episode at a time from `DatasetSplits.encode`: the error of
+the first bad episode, and stacks laid out with ``np.array`` over each
+episode's own arrays.
 """
 
 import dataclasses
@@ -21,8 +22,8 @@ from metarec.meta_learners import (MetaTrainer, TrainerConfig, _encode_split, _m
                                    evaluate)
 from metarec.model import shape_groups
 from metarec.runner import embedding_rows
-from metarec.tasks import (DatasetSplits, InteractionColumns, PreprocessConfig, load_movielens,
-                           preprocess, synthetic_splits)
+from metarec.tasks import (DatasetSplits, InteractionColumns, PreprocessConfig, SplitView,
+                           TaskEpisode, load_movielens, preprocess, synthetic_splits)
 
 CONFIG = dict(epochs=1, batch_size=4, embedding_dim=2, decision_dims=(3, 1),
               lr_hidden_dims=(3, 2), seed=5)
@@ -210,3 +211,90 @@ def test_each_profile_is_looked_up_once_per_split(source, corpus_splits, monkeyp
     calls.clear()
     embedding_rows(model, splits, ("train", "test"))
     assert Counter(calls) == profiles(splits.train) + profiles(splits.test)
+
+
+# ---------------------------------------------------------------------------
+# split views wrapped without copying
+
+
+def episode_rows(split):
+    """Each episode's ``(user_ids, items, targets)`` read off a `CheckedSplit`."""
+    return [(split.users[i], split.items[start:start + n], split.targets[start:start + n])
+            for i, (start, n) in enumerate(zip(split.starts.tolist(), split.lengths.tolist()))]
+
+
+@pytest.mark.parametrize("source", ["corpus", "synthetic"])
+def test_view_encodes_as_its_episodes_do(source, corpus_splits):
+    splits = corpus_splits if source == "corpus" else synthetic()
+    spec = spec_of(splits)
+    for view in (splits.train, splits.validation, splits.test):
+        assert isinstance(view, SplitView)
+        got, expected = _encode_split(splits, view, spec), _encode_split(splits, list(view), spec)
+        assert got.keys == expected.keys
+        assert all(type(key) is int for key in got.keys)
+        for part in ("support", "query"):
+            got_part, expected_part = getattr(got, part), getattr(expected, part)
+            assert np.array_equal(got_part.users, expected_part.users)
+            assert np.array_equal(got_part.lengths, expected_part.lengths)
+            for got_rows, expected_rows in zip(episode_rows(got_part),
+                                               episode_rows(expected_part)):
+                for got_field, expected_field in zip(got_rows, expected_rows):
+                    assert got_field.dtype == expected_field.dtype
+                    assert np.array_equal(got_field, expected_field)
+            if source == "corpus":  # a corpus split's columns hold its own rows, in order
+                for field in ("items", "targets", "starts"):
+                    assert np.array_equal(getattr(got_part, field),
+                                          getattr(expected_part, field))
+            assert np.shares_memory(got_part.items, view.columns.items)
+            assert np.shares_memory(got_part.targets, view.columns.feedback)
+            for column in (got_part.users, got_part.items, got_part.targets):
+                assert not column.flags.writeable
+
+
+def test_view_slices_and_takes_select_its_episodes():
+    view = synthetic().train
+    episodes = list(view)
+    for got, expected in ((view[2:9:3], episodes[2:9:3]),
+                          (view.take([4, 0, 4]), [episodes[4], episodes[0], episodes[4]])):
+        assert isinstance(got, SplitView)
+        assert [episode.user for episode in got] == [episode.user for episode in expected]
+        for a, b in zip(got, expected):
+            assert np.array_equal(a.support.feedback, b.support.feedback)
+            assert np.array_equal(a.query.feedback, b.query.feedback)
+
+
+@pytest.mark.parametrize("fault", ["unknown-profile", "negative-start"])
+def test_a_view_that_fails_a_check_raises_its_first_bad_episodes_error(fault):
+    splits = synthetic()
+    spec = spec_of(splits)
+    view = splits.train
+    profiles, starts = view.profiles, view.starts
+    if fault == "unknown-profile":
+        profiles = ((1,), (7,))
+    else:  # episode 0 starts 5 rows before the columns' first row
+        starts = starts - starts[0] - 5
+    bad = SplitView(view.columns, starts, view.support_lengths, view.query_lengths,
+                    view.user_ids, profiles, view.profile_rows)
+    expected = per_episode_error(splits, spec, list(bad))
+    assert expected is not None
+    with pytest.raises(type(expected)) as got:
+        _encode_split(splits, bad, spec)
+    assert str(got.value) == str(expected)
+
+
+@pytest.mark.parametrize("algorithm", ["paml", "at-paml", "transfer"])
+def test_training_and_evaluating_a_view_builds_no_episode(algorithm, monkeypatch):
+    built = []
+    original = TaskEpisode.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(TaskEpisode, "__init__", counting)
+    splits = synthetic()
+    model = MetaTrainer(splits, TrainerConfig(algorithm=algorithm, **CONFIG)).train()
+    assert len(evaluate(model, splits.test, splits)) == len(splits.test)
+    assert built == []
+    splits.test[0]
+    assert len(built) == 1  # the count sees an episode built by indexing

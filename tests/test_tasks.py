@@ -42,6 +42,10 @@ def corpus_paths(tmp_path, users, movies, ratings):
     return str(rp), str(up), str(mp)
 
 
+def all_episodes(splits):
+    return [*splits.train, *splits.validation, *splits.test]
+
+
 def assert_same_episodes(a, b):
     assert len(a) == len(b)
     for x, y in zip(a, b):
@@ -206,7 +210,7 @@ class TestPreprocess:
                 ratings.append(f"{u}::{j + 1}::4::{978300000 + u * 50 + j}")
         raw = load_movielens(*corpus_paths(tmp_path, users, movies, ratings))
         splits = preprocess(raw, PreprocessConfig(seed=0))
-        kept = {ep.user.user_id for ep in splits.all_episodes()}
+        kept = {ep.user.user_id for ep in all_episodes(splits)}
         assert kept == set(range(1, 9))
 
     def test_young_users_removed(self, tmp_path):
@@ -217,7 +221,7 @@ class TestPreprocess:
                    for u in range(1, 6) for m in (1, 2)]
         raw = load_movielens(*corpus_paths(tmp_path, users, movies, ratings))
         splits = preprocess(raw, PreprocessConfig(seed=0, cold_start_fraction=1.0))
-        kept = {ep.user.user_id for ep in splits.all_episodes()}
+        kept = {ep.user.user_id for ep in all_episodes(splits)}
         assert 1 not in kept
         assert kept == {2, 3, 4, 5}
 
@@ -229,7 +233,7 @@ class TestPreprocess:
                    for u in range(1, 6) for m in (1, 2)]
         raw = load_movielens(*corpus_paths(tmp_path, users, movies, ratings))
         splits = preprocess(raw, PreprocessConfig(seed=0, cold_start_fraction=1.0))
-        kept = {ep.user.user_id for ep in splits.all_episodes()}
+        kept = {ep.user.user_id for ep in all_episodes(splits)}
         assert kept == {3, 5}
 
     def test_users_with_too_few_items_removed(self, tmp_path):
@@ -240,7 +244,7 @@ class TestPreprocess:
                    "3::1::5::978300004", "3::2::2::978300005"]
         raw = load_movielens(*corpus_paths(tmp_path, users, movies, ratings))
         splits = preprocess(raw, PreprocessConfig(seed=0, cold_start_fraction=1.0))
-        kept = {ep.user.user_id for ep in splits.all_episodes()}
+        kept = {ep.user.user_id for ep in all_episodes(splits)}
         assert kept == {2, 3}
 
     def test_ten_users_split_seven_one_two(self, tmp_path):
@@ -259,21 +263,21 @@ class TestPreprocess:
     def test_support_query_split_sizes(self, tmp_path):
         raw = load_movielens(*simple_corpus(tmp_path, n_users=10, items_per_user=5))
         splits = preprocess(raw, PreprocessConfig(seed=0, cold_start_fraction=1.0))
-        for ep in splits.all_episodes():
+        for ep in all_episodes(splits):
             assert len(ep.support) == 4
             assert len(ep.query) == 1
 
     def test_two_item_users_keep_one_query_item(self, tmp_path):
         raw = load_movielens(*simple_corpus(tmp_path, n_users=8, items_per_user=2))
         splits = preprocess(raw, PreprocessConfig(seed=0, cold_start_fraction=1.0))
-        for ep in splits.all_episodes():
+        for ep in all_episodes(splits):
             assert len(ep.support) == 1
             assert len(ep.query) == 1
 
     def test_support_and_query_disjoint(self, tmp_path):
         raw = load_movielens(*simple_corpus(tmp_path))
         splits = preprocess(raw, PreprocessConfig(seed=2, cold_start_fraction=1.0))
-        for ep in splits.all_episodes():
+        for ep in all_episodes(splits):
             support_keys = set(zip(ep.support.item_ids.tolist(), ep.support.timestamps.tolist()))
             query_keys = set(zip(ep.query.item_ids.tolist(), ep.query.timestamps.tolist()))
             assert not (support_keys & query_keys)
@@ -382,7 +386,7 @@ class TestMajorMinor:
     def test_partition_covers_every_user(self, tmp_path):
         raw = load_movielens(*simple_corpus(tmp_path))
         splits = preprocess(raw, PreprocessConfig(seed=0, cold_start_fraction=1.0))
-        users = {ep.user.user_id for ep in splits.all_episodes()}
+        users = {ep.user.user_id for ep in all_episodes(splits)}
         assert set(splits.is_major) == users
 
 
