@@ -45,7 +45,8 @@ Hessian-vector product run as one stack (see `model`), which gives every
 episode the bits of a pass of its own.  A failing episode stays in its
 stack and gets the first error a one-episode pass would raise.  Drops,
 warnings, logs and sums stay in batch order.  Evaluation stacks its users
-the same way, at most ``batch_size`` to a stack.  Transfer instead trains on
+the same way, as many to a stack as `EVAL_STACK_BYTES` of adapted parameter
+rows hold, and never fewer than ``batch_size``.  Transfer instead trains on
 pooled episodes, each user's support and query rows as one row range: its
 theta gradient is their pooled supervised gradient, with no inner step.
 
@@ -122,6 +123,11 @@ LR_HEAD_SCALE = 1e-3
 OUTER_LR_DEFAULT = 5e-5
 OUTER_LR_PAML = 5e-6
 CHECKPOINT_VERSION = 1
+# Bytes of adapted parameter rows, one per user, that one evaluation stack may
+# hold: a small model scores a whole split in one or a few stacks, and a
+# stack's rows add at most this much memory.  A stack still holds at least
+# ``batch_size`` users, so a large model's stacks are cut as in training.
+EVAL_STACK_BYTES = 512 * 1024
 # integer TrainerConfig fields and the least value each accepts
 _INT_FLOORS = (("epochs", 0), ("warmup_epochs", 0), ("seed", 0), ("batch_size", 1),
                ("embedding_dim", 1), ("tree_capacity", 1), ("tree_neighbors_train", 1),
@@ -299,9 +305,9 @@ class TrainerConfig:
         return self.algorithm in ("paml", "at-paml", "reg-paml")
 
 
-@dataclasses.dataclass(frozen=True)
-class EpisodeLog:
-    """Per-episode quantities from one outer step, at the pre-step state."""
+class EpisodeLog(NamedTuple):
+    """Per-episode quantities from one outer step, at the pre-step state, as
+    a named tuple."""
 
     user_key: object
     alpha: float  # scalar inner rate; mean of the vector for meta-sgd
@@ -355,8 +361,10 @@ class TrainedModel:
     best_epoch: Optional[int]
 
 
-@dataclasses.dataclass(frozen=True)
-class EvalRecord:
+class EvalRecord(NamedTuple):
+    """One user's evaluation, as a named tuple: its logged rate, row views of
+    its query predictions and targets, and its query MSE."""
+
     user_key: object
     alpha: float
     predictions: np.ndarray
@@ -400,8 +408,8 @@ class _EncodedSplit(Sequence):
     def take(self, positions) -> "_EncodedSplit":
         """The episodes at ``positions``, in that order."""
         index = np.asarray(positions)
-        return _EncodedSplit([self.keys[i] for i in index.tolist()], self.support.take(index),
-                             self.query.take(index))
+        return _EncodedSplit(list(map(self.keys.__getitem__, index.tolist())),
+                             self.support.take(index), self.query.take(index))
 
     def pooled(self) -> CheckedSplit:
         """Each episode's support and query rows as one episode, as transfer trains on."""
@@ -444,29 +452,30 @@ def inner_adapt(theta: ParamSet, spec: ModelSpec, alpha_i, support) -> ParamSet:
     return adapt_with_gradient(theta, spec, alpha_i, support)[0]
 
 
-def _resolve_rates(config: TrainerConfig, head: Optional[LrHead], msgd_alpha, tree, h,
-                   train: bool = False, warmup: bool = False) -> list:
+def _distinct_rates(config: TrainerConfig, head: Optional[LrHead], msgd_alpha, tree, h,
+                    train: bool = False, warmup: bool = False) -> Tuple[list, List[int]]:
     """Each user's inner rate, chosen by algorithm here and nowhere else.
 
-    ``h`` holds one user embedding per row.  Returns one (alpha,
-    dalpha_dpsi, neighbors) per row: a scalar rate or the meta-sgd rate
-    vector, the head gradient (a flat row) or None, and the blended tree
+    ``h`` holds one user embedding per row.  Returns ``(rates, index)``:
+    one (alpha, dalpha_dpsi, neighbors) per distinct rate, and the position
+    in ``rates`` of each row's.  A rate is a scalar or the meta-sgd rate
+    vector, the head gradient a flat row or None, and the blended tree
     ``Neighbors`` or None.  A rate depends on the embedding only, so the
     head runs once over the distinct rows and at-paml searches the tree
-    once per distinct row; rows with equal bytes share one rate object.
-    Training (``train``) differentiates the head, blends
-    ``tree_neighbors_train`` stored rates and then touches each row's hits
-    in row order, and gives at-paml its fixed rate during warm-up.
-    Evaluation blends ``tree_neighbors_infer`` rates and writes no state.
+    once per distinct row; rows with equal bytes share one rate.  Training
+    (``train``) differentiates the head, blends ``tree_neighbors_train``
+    stored rates and then touches each row's hits in row order, and gives
+    at-paml its fixed rate during warm-up.  Evaluation blends
+    ``tree_neighbors_infer`` rates and writes no state.
     """
     algorithm = config.algorithm
-    n_users = len(h)
+    shared = [0] * len(h)
     if algorithm == "meta-sgd":
-        return [(msgd_alpha, None, None)] * n_users
+        return [(msgd_alpha, None, None)], shared
     if algorithm in ("maml-fixed", "transfer"):
-        return [(config.fixed_inner_lr, None, None)] * n_users
+        return [(config.fixed_inner_lr, None, None)], shared
     if algorithm == "at-paml" and warmup:
-        return [(config.warmup_inner_lr, None, None)] * n_users
+        return [(config.warmup_inner_lr, None, None)], shared
     h = np.ascontiguousarray(h, dtype=np.float64)
     # rows keyed by their bytes, so -0.0 and 0.0, or two NaN payloads, stay apart
     keys = h.view(np.dtype((np.void, h.itemsize * h.shape[1]))).ravel()
@@ -485,17 +494,15 @@ def _resolve_rates(config: TrainerConfig, head: Optional[LrHead], msgd_alpha, tr
         if train:
             for j in inverse:
                 tree.touch(found[j].ids)
-    return [(alphas[j], dalphas[j], found[j]) for j in inverse]
+    return list(zip(alphas, dalphas, found)), inverse
 
 
-def _resolve_rate(config: TrainerConfig, head: Optional[LrHead], msgd_alpha, tree, h,
-                  train: bool = False, warmup: bool = False):
-    """`_resolve_rates` for one user embedding, with the head gradient as a ParamSet."""
-    alpha, dalpha_dpsi, neighbors = _resolve_rates(config, head, msgd_alpha, tree,
-                                                   np.asarray(h)[None], train, warmup)[0]
-    if dalpha_dpsi is not None:
-        dalpha_dpsi = ParamSet.wrap(head.psi.layout, dalpha_dpsi)
-    return alpha, dalpha_dpsi, neighbors
+def _resolve_rates(config: TrainerConfig, head: Optional[LrHead], msgd_alpha, tree, h,
+                   train: bool = False, warmup: bool = False) -> list:
+    """`_distinct_rates` as one (alpha, dalpha_dpsi, neighbors) per row of
+    ``h``; rows that share a rate share its objects."""
+    rates, index = _distinct_rates(config, head, msgd_alpha, tree, h, train, warmup)
+    return list(map(rates.__getitem__, index))
 
 
 def logged_rate(alpha) -> float:
@@ -505,18 +512,11 @@ def logged_rate(alpha) -> float:
     return float(alpha)
 
 
-def _per_distinct(fn, values) -> list:
-    """``fn(value)`` for each value, called once per distinct object."""
-    results = {}
-    for value in values:
-        if id(value) not in results:
-            results[id(value)] = fn(value)
-    return [results[id(value)] for value in values]
-
-
 def logged_rates(alphas) -> List[float]:
     """`logged_rate` of each rate, computed once per distinct rate object."""
-    return _per_distinct(logged_rate, alphas)
+    distinct = dict(zip(map(id, alphas), alphas))
+    logged = {key: logged_rate(alpha) for key, alpha in distinct.items()}
+    return list(map(logged.__getitem__, map(id, alphas)))
 
 
 def _clip_to_norm(g: ParamSet, max_norm: float) -> Tuple[ParamSet, float]:
@@ -657,24 +657,28 @@ def _rate_error(alpha) -> Optional[Exception]:
     return None
 
 
-def _shape_groups(episodes: _EncodedSplit, alphas, errors: dict,
+def _shape_groups(episodes: _EncodedSplit, rates: list, index: List[int], errors: dict,
                   limit: Optional[int] = None) -> List[List[int]]:
     """Positions of the episodes in shape groups: equal support and query
-    row counts, first-appearance order, at most ``limit`` to a group.  An
-    episode whose rate fails `_check_inner_rate` gets the error a
-    one-episode pass would raise in ``errors`` and stays in its group.
-    Each distinct rate object (one per user profile, meta-sgd's vector, a
-    fixed rate) is checked once."""
-    for i, exc in enumerate(_per_distinct(_rate_error, alphas)):
-        if exc is not None:
-            errors[i] = exc
+    row counts, first-appearance order, at most ``limit`` to a group.  Each
+    distinct rate of `_distinct_rates` is checked once; an episode whose
+    rate fails `_check_inner_rate` gets the error a one-episode pass would
+    raise in ``errors`` and stays in its group."""
+    failed = {j: exc for j, (alpha, _, _) in enumerate(rates)
+              if (exc := _rate_error(alpha)) is not None}
+    if failed:
+        errors.update((i, failed[j]) for i, j in enumerate(index) if j in failed)
     return shape_groups(zip(episodes.support.lengths.tolist(), episodes.query.lengths.tolist()),
                         limit)
 
 
-def _steps(alphas) -> np.ndarray:
-    """A shape group's rates: a (B, 1) column of scalars, or meta-sgd's shared vector."""
-    return alphas[0].flat if isinstance(alphas[0], ParamSet) else np.array(alphas)[:, None]
+def _steps(rates: list, positions: List[int]) -> np.ndarray:
+    """A shape group's rates, the distinct ``rates`` at ``positions``: a (B,
+    1) column of scalars, or meta-sgd's shared vector."""
+    alpha = rates[0][0]
+    if isinstance(alpha, ParamSet):
+        return alpha.flat
+    return np.array([rate[0] for rate in rates])[positions][:, None]
 
 
 def _inner_step(flat: np.ndarray, rows: np.ndarray, step: np.ndarray, out=None) -> np.ndarray:
@@ -739,14 +743,16 @@ class MetaTrainer:
 
     # -- gradients -----------------------------------------------------------
 
-    def _group_pass(self, batch: _EncodedSplit, group, rates, logged, h, gamma,
+    def _group_pass(self, batch: _EncodedSplit, group, rates, index, logged, h, gamma,
                     results: dict) -> None:
         """One shape group's stages over every episode in it, failing ones
         included, with numpy's overflow and invalid warnings off; then the
-        terms of each episode that no stage failed."""
+        terms of each episode that no stage failed.  ``rates`` and ``index``
+        are `_distinct_rates`' and ``logged`` the logged distinct rates."""
         cfg, spec, theta = self.config, self.spec, self.theta
         episodes = batch.take(group)
-        a = _steps([rates[i][0] for i in group])
+        positions = list(map(index.__getitem__, group))
+        a = _steps(rates, positions)
         with np.errstate(invalid="ignore", over="ignore"):
             s = _adapt_stage(theta.flat, spec, theta.layout, episodes.support, group, results,
                              "support")
@@ -772,7 +778,7 @@ class MetaTrainer:
         for k, i in enumerate(group):
             if i in results:
                 continue
-            alpha, dalpha_dpsi, neighbors = rates[i]
+            alpha, dalpha_dpsi, neighbors = rates[positions[k]]
             sq = grad_sq[k]
             reg_value = 0.0 if msgd_rows is not None else sq * abs(alpha)
             upstream = gamma * sq - s_dot_q[k]  # d(objective)/d(alpha)
@@ -782,8 +788,8 @@ class MetaTrainer:
                 ep_tree = (neighbors.ids,) + blend_gradients(
                     h[i], neighbors, upstream, cfg.tree_delta, cfg.tree_sigma)
             store = (h[i], alpha) if self.tree is not None else None
-            log = EpisodeLog(episodes.keys[k], logged[i], s_losses[k], q_losses[k], reg_value,
-                             sq, norms[k])
+            log = EpisodeLog(episodes.keys[k], logged[positions[k]], s_losses[k], q_losses[k],
+                             reg_value, sq, norms[k])
             results[i] = (theta_rows[k], ep_psi, None if msgd_rows is None else msgd_rows[k],
                           ep_tree, store, log)
 
@@ -814,12 +820,11 @@ class MetaTrainer:
         batch = _as_encoded(self.spec, batch)
         if batch:
             h = user_embedding(self.theta, self.spec, batch.support.users)
-            rates = _resolve_rates(self.config, self.head, self.msgd_alpha, self.tree, h,
-                                   train=True, warmup=warmup)
-            alphas = [rate[0] for rate in rates]
-            logged = logged_rates(alphas)
-            for group in _shape_groups(batch, alphas, results):
-                self._group_pass(batch, group, rates, logged, h, gamma, results)
+            rates, index = _distinct_rates(self.config, self.head, self.msgd_alpha, self.tree,
+                                           h, train=True, warmup=warmup)
+            logged = [logged_rate(rate[0]) for rate in rates]
+            for group in _shape_groups(batch, rates, index, results):
+                self._group_pass(batch, group, rates, index, logged, h, gamma, results)
         for i, user_key in enumerate(batch.keys):
             parts = results[i]
             if isinstance(parts, Exception):
@@ -968,50 +973,48 @@ def inference_alphas(model: TrainedModel, h) -> list:
                                                model.meta_sgd_alpha, model.tree, h)]
 
 
-def inference_alpha(model: TrainedModel, h):
-    """`inference_alphas` for one user embedding."""
-    return inference_alphas(model, np.asarray(h)[None])[0]
-
-
 def _evaluate_encoded(theta, spec, config, head, msgd_alpha, tree,
                       episodes: Sequence[_Encoded]) -> List[EvalRecord]:
     """Adapt each user on its support set and score its query set, in order.
 
     ``episodes`` is an encoded split or a list of ``_Encoded`` records.
-    Users with equal support and query row counts run as stacks of at most
-    ``batch_size``; the call raises the error that scoring the users one at
-    a time would have raised first.  Each stack's query MSEs come from one
-    row-wise mean, with the bits of `loss` on each row, and each record
-    holds row views of its stack's predictions and targets.
+    Users with equal support and query row counts run as stacks whose
+    adapted parameter rows fill at most `EVAL_STACK_BYTES`, and hold at least
+    ``batch_size`` users; each slice still makes its own BLAS calls, so the
+    stack size changes no bit.  The call raises the error that scoring the
+    users one at a time would have raised first.  Each stack's query MSEs
+    come from one row-wise mean, with the bits of `loss` on each row, and
+    each record holds row views of its stack's predictions and targets.
     """
     if not episodes:
         return []
     episodes = _as_encoded(spec, episodes)
     h = user_embedding(theta, spec, episodes.support.users)
-    alphas = [rate[0] for rate in _resolve_rates(config, head, msgd_alpha, tree, h)]
+    rates, index = _distinct_rates(config, head, msgd_alpha, tree, h)
+    limit = max(config.batch_size, EVAL_STACK_BYTES // theta.flat.nbytes)
     errors = {}
     stacks = []
-    for group in _shape_groups(episodes, alphas, errors, config.batch_size):
+    for group in _shape_groups(episodes, rates, index, errors, limit):
+        positions = list(map(index.__getitem__, group))
         part = episodes.take(group)
         query = stack_episodes(spec, part.query)
         with np.errstate(invalid="ignore", over="ignore"):
             g_s = _adapt_stage(theta.flat, spec, theta.layout, part.support, group, errors,
                                "support").rows
-            thetas = _inner_step(theta.flat, g_s, _steps([alphas[i] for i in group]), out=g_s)
+            thetas = _inner_step(theta.flat, g_s, _steps(rates, positions), out=g_s)
             rows, failed = predict_stack(thetas, spec, query)
-        for index, exc in failed.items():
-            errors.setdefault(group[index], exc)
-        stacks.append((group, rows, query.targets))
+        for k, exc in failed.items():
+            errors.setdefault(group[k], exc)
+        stacks.append((group, positions, rows, query.targets))
     if errors:
         raise errors[min(errors)]
-    logged = logged_rates(alphas)
-    records = [None] * len(episodes)
-    for group, rows, targets in stacks:
-        mses = _row_mses(rows, targets)
-        for index, i in enumerate(group):
-            records[i] = EvalRecord(episodes.keys[i], logged[i], rows[index], targets[index],
-                                    mses[index])
-    return records
+    keys, logged = episodes.keys, [logged_rate(rate[0]) for rate in rates]
+    order, records = [], []
+    for group, positions, rows, targets in stacks:
+        order += group
+        records += map(EvalRecord, map(keys.__getitem__, group),
+                       map(logged.__getitem__, positions), rows, targets, _row_mses(rows, targets))
+    return list(map(records.__getitem__, np.argsort(order).tolist()))
 
 
 def evaluate(model: TrainedModel, episodes: Sequence[TaskEpisode],

@@ -430,14 +430,20 @@ def shape_groups(keys, limit: Optional[int] = None) -> List[List[int]]:
 
     Groups come in the order their keys first appear, positions in order
     within each; with ``limit`` a group is cut into runs of at most that
-    many.
+    many.  Keys that are all equal, the usual case in evaluation, take no
+    step per position.
     """
-    groups = {}
-    for position, key in enumerate(keys):
-        groups.setdefault(key, []).append(position)
+    keys = list(keys)
+    if keys and keys.count(keys[0]) == len(keys):
+        groups = [list(range(len(keys)))]
+    else:
+        found = {}
+        for position, key in enumerate(keys):
+            found.setdefault(key, []).append(position)
+        groups = list(found.values())
     if limit is None:
-        return list(groups.values())
-    return [group[start:start + limit] for group in groups.values()
+        return groups
+    return [group[start:start + limit] for group in groups
             for start in range(0, len(group), limit)]
 
 

@@ -29,10 +29,10 @@ from metarec.meta_learners import (
     _clamp_nonnegative,
     _evaluate_encoded,
     _pooled_loss,
-    _resolve_rate,
+    _resolve_rates,
     adapt_with_gradient,
     evaluate,
-    inference_alpha,
+    inference_alphas,
     inner_adapt,
     load_checkpoint,
     save_checkpoint,
@@ -296,7 +296,7 @@ class TestComputeAlphaAndRegTerm:
         head = LrHead(2, hidden_dims=(2,), scale=1e-3)
         head.psi = head.psi.zeros_like()
         cfg = TrainerConfig(algorithm="paml", lr_scale=1e-3)
-        assert _resolve_rate(cfg, head, None, None, np.zeros(2))[0] == 5e-4
+        assert _resolve_rates(cfg, head, None, None, np.zeros((1, 2)))[0][0] == 5e-4
         trainer = MetaTrainer(tiny_splits(), tiny_config(lr_scale=1e-3))
         trainer.head.psi = trainer.head.psi.zeros_like()
         logs = trainer.outer_gradients(trainer.train_episodes[:4]).episode_logs
@@ -314,10 +314,10 @@ class TestComputeAlphaAndRegTerm:
         s_k = math.exp(-cfg.tree_delta * 0.01)
         assert blended == pytest.approx(2e-3 * s_k / (s_k + cfg.tree_sigma), rel=1e-12)
         recency = tree.node(0).recency
-        value = _resolve_rate(cfg, head, None, tree, h)[0]
+        value = _resolve_rates(cfg, head, None, tree, h[None])[0][0]
         assert value == 5e-4 + blended
         assert tree.node(0).recency == recency  # evaluation leaves the tree as it was
-        value, _, neighbors = _resolve_rate(cfg, head, None, tree, h, train=True)
+        value, _, neighbors = _resolve_rates(cfg, head, None, tree, h[None], train=True)[0]
         assert value == 5e-4 + blended
         assert neighbors.ids.tolist() == [0]
         assert tree.node(0).recency > recency  # training touches what it blends
@@ -327,12 +327,13 @@ class TestComputeAlphaAndRegTerm:
         h = np.array([0.3, -0.2])
         for algorithm in ("paml", "reg-paml", "at-paml"):
             cfg = TrainerConfig(algorithm=algorithm)
-            assert _resolve_rate(cfg, head, None, None, h)[0] == head.alpha(h)
-            alpha, dalpha_dpsi, neighbors = _resolve_rate(cfg, head, None, None, h, train=True)
+            assert _resolve_rates(cfg, head, None, None, h[None])[0][0] == head.alpha(h)
+            alpha, dalpha_dpsi, neighbors = _resolve_rates(cfg, head, None, None, h[None],
+                                                           train=True)[0]
             assert neighbors is None
             expected, expected_grad = head.alpha_and_grad(h)
             assert alpha == expected
-            assert np.array_equal(dalpha_dpsi.flat, expected_grad.flat)
+            assert np.array_equal(dalpha_dpsi, expected_grad.flat)
 
     def test_reg_term_pinned_values(self):
         trainer = MetaTrainer(tiny_splits(), tiny_config(algorithm="reg-paml", gamma=1e-3))
@@ -369,7 +370,7 @@ def test_training_rate_matches_inference_rate(algorithm):
                          trainer.msgd_alpha, trainer.tree, [], [], None)
     for ep, log in zip(batch, logs):
         h = user_embedding(trainer.theta, trainer.spec, ep.user_ids)
-        rate = inference_alpha(model, h)
+        rate = inference_alphas(model, h[None])[0]
         expected = float(np.mean(rate.to_flat())) if isinstance(rate, ParamSet) else rate
         assert log.alpha == expected
 
@@ -697,7 +698,7 @@ class TestTransfer:
         episode = splits.test[0]
         user_ids, items, _ = splits.encode(episode.user, episode.support)
         predictions, h = forward(model.theta, model.spec, user_ids, items)
-        adapted = inner_adapt(model.theta, model.spec, inference_alpha(model, h),
+        adapted = inner_adapt(model.theta, model.spec, inference_alphas(model, h[None])[0],
                               (user_ids, items, predictions))
         for name in model.theta:
             assert np.array_equal(adapted[name], model.theta[name])
@@ -709,7 +710,8 @@ class TestTransfer:
         episode = splits.test[0]
         support = splits.encode(episode.user, episode.support)
         h = user_embedding(model.theta, model.spec, support[0])
-        adapted = inner_adapt(model.theta, model.spec, inference_alpha(model, h), support)
+        adapted = inner_adapt(model.theta, model.spec, inference_alphas(model, h[None])[0],
+                              support)
         g = grad(model.theta, model.spec, support)
         expected = axpy_update(model.theta, g, 1e-3)
         for name in expected:

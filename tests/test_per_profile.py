@@ -3,8 +3,8 @@
 A user's rate depends on its embedding only, so `_resolve_rates` runs the
 rate head once over the distinct embedding rows and at-paml searches the
 tree once per distinct row, then touches each user's hits in batch order.
-The references here resolve one user at a time, with `_resolve_rate`, the
-way every user was resolved before, and the batched path must match them
+The references here resolve one user at a time, with `_resolve_rates` on a
+one-row stack, the way every user was resolved before, and the batched path must match them
 bit for bit: rates, head gradients, hits, and the tree's recency and
 frequency columns.
 """
@@ -18,7 +18,7 @@ import pytest
 
 from metarec.memory_tree import TreeMemory
 from metarec.meta_learners import (LrHead, MetaTrainer, TrainerConfig, _evaluate_encoded,
-                                   _resolve_rate, _resolve_rates)
+                                   _resolve_rates)
 from metarec.model import loss, user_embedding
 from metarec.tasks import synthetic_splits
 
@@ -122,11 +122,11 @@ def test_batched_rates_match_one_user_at_a_time(trainer, train):
     tree, ref_tree = copy.deepcopy(trainer.tree), copy.deepcopy(trainer.tree)
     got = _resolve_rates(cfg, trainer.head, None, tree, h, train=train)
     for (alpha, dalpha, neighbors), h_i in zip(got, h):
-        ref_alpha, ref_dalpha, ref_neighbors = _resolve_rate(cfg, trainer.head, None, ref_tree,
-                                                             h_i, train=train)
+        ref_alpha, ref_dalpha, ref_neighbors = _resolve_rates(cfg, trainer.head, None, ref_tree,
+                                                              h_i[None], train=train)[0]
         assert alpha == ref_alpha
         if train:
-            assert np.array_equal(dalpha, ref_dalpha.flat)
+            assert np.array_equal(dalpha, ref_dalpha)
         else:
             assert dalpha is None and ref_dalpha is None
         for field, ref_field in zip(neighbors, ref_neighbors):

@@ -10,15 +10,17 @@ digests these checks hold on any host.
 """
 
 import copy
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
 
+from metarec import meta_learners
 from metarec.errors import NumericError
 from metarec.memory_tree import blend_gradients
-from metarec.meta_learners import (MetaTrainer, TrainerConfig, _evaluate_encoded, _resolve_rate,
+from metarec.meta_learners import (MetaTrainer, TrainerConfig, _evaluate_encoded, _resolve_rates,
                                    _sum_tree_gradients, adapt_with_gradient, logged_rate)
 from metarec.model import (check_episode, grad, grad_stack, hvp, loss, predict, stack_episodes,
                            user_embedding)
@@ -125,8 +127,8 @@ def reference_outer_gradients(trainer, batch, tree):
     total_loss = 0.0
     for ep in batch:
         h = user_embedding(theta, spec, ep.user_ids)
-        alpha, dalpha_dpsi, neighbors = _resolve_rate(cfg, trainer.head, trainer.msgd_alpha,
-                                                      tree, h, train=True)
+        alpha, dalpha_dpsi, neighbors = _resolve_rates(cfg, trainer.head, trainer.msgd_alpha,
+                                                       tree, h[None], train=True)[0]
         try:
             theta_i, g_s = adapt_with_gradient(theta, spec, alpha, ep.support)
             g_q = grad(theta_i, spec, ep.query)
@@ -147,7 +149,7 @@ def reference_outer_gradients(trainer, batch, tree):
             ep_theta = g_q.add(hvp(theta, spec, ep.support, v, at=g_s))
         upstream = gamma * grad_sq - g_s.dot(g_q)
         if dalpha_dpsi is not None:
-            psi_grad = psi_grad.add(dalpha_dpsi.scale(upstream))
+            psi_grad = psi_grad.add(ParamSet.wrap(psi_grad.layout, dalpha_dpsi).scale(upstream))
         if neighbors is not None:
             tree_parts.append((neighbors.ids,) + blend_gradients(
                 h, neighbors, upstream, cfg.tree_delta, cfg.tree_sigma))
@@ -207,7 +209,7 @@ def reference_records(trainer, episodes):
     records = []
     for ep in episodes:
         h = user_embedding(theta, spec, ep.user_ids)
-        alpha = _resolve_rate(cfg, trainer.head, trainer.msgd_alpha, trainer.tree, h)[0]
+        alpha = _resolve_rates(cfg, trainer.head, trainer.msgd_alpha, trainer.tree, h[None])[0][0]
         theta_u, _ = adapt_with_gradient(theta, spec, alpha, ep.support)
         predictions = predict(theta_u, spec, ep.query)
         records.append((ep.user_key, repr(logged_rate(alpha)), predictions.tobytes(),
@@ -238,6 +240,53 @@ def test_evaluation_matches_one_episode_reference(kind, algorithm):
             repr(r.query_loss)) for r in _evaluate_encoded(*args)]
     assert got == reference_records(trainer, episodes)
     assert tree_state(trainer.tree) == before
+
+
+@pytest.mark.parametrize("poisoned", [False, True])
+@pytest.mark.parametrize("budget", ["byte-cap", "one-user"])
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_evaluation_stacks_cut_by_bytes_match_one_episode_reference(monkeypatch, algorithm,
+                                                                    budget, poisoned):
+    """More equal-shape users than ``batch_size`` and than the byte budget
+    holds: the budget, not ``batch_size``, cuts the stacks, or, shrunk to
+    nothing with ``batch_size`` 1, puts one user in each.  Either way every
+    record, or the first error, is the one-user reference's.  Poisoned, an
+    early user's query pass overflows and a later one's support loss is NaN,
+    in different stacks."""
+    trainer = trained(algorithm)
+    episodes = (list(trainer.train_episodes) + list(trainer.val_episodes)) * 2
+    config = trainer.config
+    cap = meta_learners.EVAL_STACK_BYTES // trainer.theta.flat.nbytes
+    assert config.batch_size < cap
+    if budget == "one-user":
+        monkeypatch.setattr(meta_learners, "EVAL_STACK_BYTES", 1)
+        config, cap = dataclasses.replace(config, batch_size=1), 1
+    assert config.batch_size <= cap < len(episodes)
+    if poisoned:
+        episodes[12] = reshaped(trainer, episodes[12], support_target=1e150)
+        episodes[-5] = reshaped(trainer, episodes[-5], support_target=np.nan)
+    sizes = []
+    predict_stack = meta_learners.predict_stack
+
+    def spy(flat, spec, stack):
+        sizes.append(len(stack.targets))
+        return predict_stack(flat, spec, stack)
+
+    monkeypatch.setattr(meta_learners, "predict_stack", spy)
+    args = (trainer.theta, trainer.spec, config, trainer.head, trainer.msgd_alpha, trainer.tree,
+            episodes)
+    if poisoned:
+        with pytest.raises(NumericError) as expected:
+            reference_records(trainer, episodes)
+        with pytest.raises(NumericError) as got:
+            _evaluate_encoded(*args)
+        assert str(got.value) == str(expected.value) == "non-finite values in decision layer 1"
+    else:
+        got = [(r.user_key, repr(r.alpha), r.predictions.tobytes(), r.targets.tobytes(),
+                repr(r.query_loss)) for r in _evaluate_encoded(*args)]
+        assert got == reference_records(trainer, episodes)
+    n_full, rest = divmod(len(episodes), cap)
+    assert sizes == [cap] * n_full + [rest] * (rest > 0)
 
 
 def test_a_non_finite_slice_fails_alone_and_silently():
