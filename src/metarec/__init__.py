@@ -35,7 +35,6 @@ from .meta_learners import (
     TrainedModel,
     TrainerConfig,
     evaluate,
-    inner_adapt,
     load_checkpoint,
     save_checkpoint,
     train,
@@ -109,7 +108,6 @@ __all__ = [
     "grad",
     "hvp",
     "init_params",
-    "inner_adapt",
     "load_checkpoint",
     "load_experiment_config",
     "load_movielens",

@@ -33,22 +33,25 @@ checkable by finite differences.
 Each split is encoded once (`_encode_split`), with one feature-id lookup
 per distinct user profile: a `SplitView`'s own columns are checked and
 wrapped, no row copied, and any other episodes are copied into new columns,
-each episode's support rows right before its query rows.  An ``_Encoded``
-record is built only when the split is indexed, and a training batch is a
-`take` of the split.
+each episode's support rows right before its query rows.  An encoded split
+is the only form in which the trainer and evaluation take episodes: a
+training batch is a `take` of the split, as a slice of it is, and an
+``_Encoded`` record is built only when the split is indexed.
 
 A batch runs in shape groups, the episodes with equal support and query row
 counts in first-appearance order.  The rate head runs once over the batch's
 distinct embeddings, and the tree is searched once per distinct embedding;
-then each group's support gradient, inner step, query gradient and
-Hessian-vector product run as one stack (see `model`), which gives every
-episode the bits of a pass of its own.  A failing episode stays in its
-stack and gets the first error a one-episode pass would raise.  Drops,
-warnings, logs and sums stay in batch order.  Evaluation stacks its users
-the same way, as many to a stack as `EVAL_STACK_BYTES` of adapted parameter
-rows hold, and never fewer than ``batch_size``.  Transfer instead trains on
-pooled episodes, each user's support and query rows as one row range: its
-theta gradient is their pooled supervised gradient, with no inner step.
+rates are passed on as `_distinct_rates`' ``(rates, index)``, one entry per
+distinct embedding and each episode's position among them.  Then each
+group's support gradient, inner step, query gradient and Hessian-vector
+product run as one stack (see `model`), which gives every episode the bits
+of a pass of its own.  A failing episode stays in its stack and gets the
+first error a one-episode pass would raise.  Drops, warnings, logs and sums
+stay in batch order.  Evaluation stacks its users the same way, as many to
+a stack as `EVAL_STACK_BYTES` of adapted parameter rows hold, and never
+fewer than ``batch_size``.  Transfer instead trains on pooled episodes, each
+user's support and query rows as one row range: its theta gradient is their
+pooled supervised gradient, with no inner step.
 
 Updates are plain gradient descent with per-group 2-norm clipping.  All
 computation is float64 and deterministic given the config seed.
@@ -87,10 +90,8 @@ from .model import (
     predict_stack,
     predict_stacks,
     shape_groups,
-    stack_episodes,
     user_embedding,
     _check_ids,
-    _split_of,
     _well_formed,
 )
 from .params import ParamSet, axpy_update, dense_views, nonfinite_rows, row_dots
@@ -106,10 +107,8 @@ __all__ = [
     "GradientPass",
     "EvalRecord",
     "MetaTrainer",
-    "inner_adapt",
     "adapt_with_gradient",
     "logged_rate",
-    "logged_rates",
     "train",
     "evaluate",
     "config_digest",
@@ -386,7 +385,7 @@ class _EncodedSplit(Sequence):
     keys, ``support`` and ``query`` `CheckedSplit`s with one entry per
     episode, each support right before its query, so `pooled` is one row
     range per episode.  Indexing builds an `_Encoded` record on demand, and
-    `take` selects episodes without copying rows."""
+    `take`, or a slice, selects episodes without copying rows."""
 
     __slots__ = ("keys", "support", "query")
 
@@ -398,16 +397,13 @@ class _EncodedSplit(Sequence):
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return [self[i] for i in range(len(self))[index]]
+            return self.take(range(len(self))[index])
         support = self.support[index]
         return _Encoded(self.keys[index], support[0], support, self.query[index])
 
-    def __add__(self, other) -> list:
-        return list(self) + list(other)
-
     def take(self, positions) -> "_EncodedSplit":
         """The episodes at ``positions``, in that order."""
-        index = np.asarray(positions)
+        index = np.asarray(positions, dtype=np.int64)
         return _EncodedSplit(list(map(self.keys.__getitem__, index.tolist())),
                              self.support.take(index), self.query.take(index))
 
@@ -445,11 +441,6 @@ def adapt_with_gradient(theta: ParamSet, spec: ModelSpec, alpha_i, support):
         raise NumericError("support loss is not finite")
     g_s.check_finite("support gradient")
     return axpy_update(theta, g_s, alpha_i), g_s
-
-
-def inner_adapt(theta: ParamSet, spec: ModelSpec, alpha_i, support) -> ParamSet:
-    """theta_i = theta - alpha_i * support gradient, exactly one step."""
-    return adapt_with_gradient(theta, spec, alpha_i, support)[0]
 
 
 def _distinct_rates(config: TrainerConfig, head: Optional[LrHead], msgd_alpha, tree, h,
@@ -497,26 +488,11 @@ def _distinct_rates(config: TrainerConfig, head: Optional[LrHead], msgd_alpha, t
     return list(zip(alphas, dalphas, found)), inverse
 
 
-def _resolve_rates(config: TrainerConfig, head: Optional[LrHead], msgd_alpha, tree, h,
-                   train: bool = False, warmup: bool = False) -> list:
-    """`_distinct_rates` as one (alpha, dalpha_dpsi, neighbors) per row of
-    ``h``; rows that share a rate share its objects."""
-    rates, index = _distinct_rates(config, head, msgd_alpha, tree, h, train, warmup)
-    return list(map(rates.__getitem__, index))
-
-
 def logged_rate(alpha) -> float:
     """The scalar a rate is logged as: itself, or the mean of a rate vector."""
     if isinstance(alpha, ParamSet):
         return float(np.mean(alpha.flat))
     return float(alpha)
-
-
-def logged_rates(alphas) -> List[float]:
-    """`logged_rate` of each rate, computed once per distinct rate object."""
-    distinct = dict(zip(map(id, alphas), alphas))
-    logged = {key: logged_rate(alpha) for key, alpha in distinct.items()}
-    return list(map(logged.__getitem__, map(id, alphas)))
 
 
 def _clip_to_norm(g: ParamSet, max_norm: float) -> Tuple[ParamSet, float]:
@@ -597,16 +573,10 @@ def _encode_split(splits: DatasetSplits, episodes: Sequence[TaskEpisode],
     return _paired([episode.user.user_id for episode in episodes], check_episodes(spec, parts))
 
 
-def _as_encoded(spec: ModelSpec, episodes) -> _EncodedSplit:
-    """``episodes`` itself if it is a split checked against ``spec``'s
-    vocabulary sizes, else a split of its ``_Encoded`` records."""
-    if (isinstance(episodes, _EncodedSplit)
-            and episodes.support.vocab_sizes == spec.plan.vocab_sizes):
-        return episodes
-    episodes = list(episodes)
-    return _paired([episode.user_key for episode in episodes],
-                   check_episodes(spec, [part for episode in episodes
-                                         for part in (episode.support, episode.query)]))
+def _check_encoded_for(spec: ModelSpec, episodes: _EncodedSplit) -> None:
+    """Reject a split whose ids were checked against other vocabulary sizes."""
+    if episodes.support.vocab_sizes != spec.plan.vocab_sizes:
+        raise DataError("episodes were encoded for another model spec")
 
 
 def _row_mses(rows: np.ndarray, targets: np.ndarray) -> List[float]:
@@ -615,18 +585,15 @@ def _row_mses(rows: np.ndarray, targets: np.ndarray) -> List[float]:
     return np.mean(r * r, axis=1).tolist()
 
 
-def _pooled_loss(theta: ParamSet, spec: ModelSpec, pooled, batch_size: int) -> float:
+def _pooled_loss(theta: ParamSet, spec: ModelSpec, pooled: CheckedSplit,
+                 batch_size: int) -> float:
     """Item-weighted mean loss over ``pooled``, summed episode by episode in
-    order; the predictions come from stacks of at most ``batch_size``."""
-    split = _split_of(spec, pooled)
-    mses = {}
-    for group, rows, targets in predict_stacks(theta, spec, split, batch_size):
-        mses.update(zip(group, _row_mses(rows, targets)))
-    lengths = split.lengths.tolist()
-    total = 0.0
-    for i, n_items in enumerate(lengths):
-        total += mses[i] * n_items
-    return total / sum(lengths)
+    order (`np.add.accumulate` adds one term at a time); the predictions
+    come from stacks of at most ``batch_size``."""
+    mses = np.empty(len(pooled))
+    for group, rows, targets in predict_stacks(theta, spec, pooled, batch_size):
+        mses[group] = _row_mses(rows, targets)
+    return float(np.add.accumulate(mses * pooled.lengths)[-1] / pooled.lengths.sum())
 
 
 def _adapt_stage(flat, spec: ModelSpec, layout, episodes, positions, errors: dict, name: str):
@@ -637,7 +604,7 @@ def _adapt_stage(flat, spec: ModelSpec, layout, episodes, positions, errors: dic
     would raise, in ``errors``, keyed by its position, unless an earlier
     stage put one there.  Returns the StackGradient of every episode.
     """
-    g = grad_stack(flat, spec, stack_episodes(spec, episodes))
+    g = grad_stack(flat, spec, episodes.stack(spec.plan))
     # each update overrides the last: the gradient, the loss, the forward pass
     stage_errors = nonfinite_rows(layout, g.rows, f"{name} gradient")
     stage_errors.update((index, NumericError(f"{name} loss is not finite"))
@@ -793,15 +760,15 @@ class MetaTrainer:
             results[i] = (theta_rows[k], ep_psi, None if msgd_rows is None else msgd_rows[k],
                           ep_tree, store, log)
 
-    def outer_gradients(self, batch: Sequence[_Encoded], warmup: bool = False) -> GradientPass:
+    def outer_gradients(self, batch: _EncodedSplit, warmup: bool = False) -> GradientPass:
         """Exact outer gradients of the batch objective at the current state.
 
-        ``batch`` is a split of the trainer's episodes (a `take` of them) or
-        any list of ``_Encoded`` records, which is encoded into a split
-        first; transfer's is pooled episodes.  Episodes whose losses or
-        gradients go non-finite are dropped with a warning; the pass fails
-        only when nothing in the batch survives.  Transfer's pass is the
-        pooled gradient of its batch and drops nothing.
+        ``batch`` is a split encoded for the trainer's spec, such as a `take`
+        or a slice of its episodes; transfer's is a `CheckedSplit` of pooled
+        episodes.  Episodes whose losses or gradients go non-finite are
+        dropped with a warning; the pass fails only when nothing in the batch
+        survives.  Transfer's pass is the pooled gradient of its batch and
+        drops nothing.
         """
         gamma = self.config.effective_gamma()
         if self.config.algorithm == "transfer":
@@ -817,7 +784,7 @@ class MetaTrainer:
         total_loss = 0.0
         skipped = 0
         results = {}
-        batch = _as_encoded(self.spec, batch)
+        _check_encoded_for(self.spec, batch)
         if batch:
             h = user_embedding(self.theta, self.spec, batch.support.users)
             rates, index = _distinct_rates(self.config, self.head, self.msgd_alpha, self.tree,
@@ -855,7 +822,7 @@ class MetaTrainer:
 
     # -- updates ---------------------------------------------------------------
 
-    def outer_step(self, batch: Sequence[_Encoded], warmup: bool = False,
+    def outer_step(self, batch: _EncodedSplit, warmup: bool = False,
                    epoch: int = 0, step: int = 0) -> StepLog:
         """One outer update of theta, the rate head or vector, and the tree."""
         cfg = self.config
@@ -962,22 +929,12 @@ def train(splits: DatasetSplits, config: TrainerConfig) -> TrainedModel:
 # evaluation
 
 
-def inference_alphas(model: TrainedModel, h) -> list:
-    """Inner rate the model would use for each row of a stack of user
-    embeddings at inference time.
-
-    Each is a scalar, or the per-parameter rate vector for meta-sgd; never
-    touches tree recency state.
-    """
-    return [rate[0] for rate in _resolve_rates(model.config, model.lr_head,
-                                               model.meta_sgd_alpha, model.tree, h)]
-
-
 def _evaluate_encoded(theta, spec, config, head, msgd_alpha, tree,
-                      episodes: Sequence[_Encoded]) -> List[EvalRecord]:
+                      episodes: _EncodedSplit) -> List[EvalRecord]:
     """Adapt each user on its support set and score its query set, in order.
 
-    ``episodes`` is an encoded split or a list of ``_Encoded`` records.
+    ``episodes`` is a split encoded for ``spec`` by `_encode_split`.  Each
+    distinct embedding gets one rate from `_distinct_rates`, logged once.
     Users with equal support and query row counts run as stacks whose
     adapted parameter rows fill at most `EVAL_STACK_BYTES`, and hold at least
     ``batch_size`` users; each slice still makes its own BLAS calls, so the
@@ -988,7 +945,7 @@ def _evaluate_encoded(theta, spec, config, head, msgd_alpha, tree,
     """
     if not episodes:
         return []
-    episodes = _as_encoded(spec, episodes)
+    _check_encoded_for(spec, episodes)
     h = user_embedding(theta, spec, episodes.support.users)
     rates, index = _distinct_rates(config, head, msgd_alpha, tree, h)
     limit = max(config.batch_size, EVAL_STACK_BYTES // theta.flat.nbytes)
@@ -997,7 +954,7 @@ def _evaluate_encoded(theta, spec, config, head, msgd_alpha, tree,
     for group in _shape_groups(episodes, rates, index, errors, limit):
         positions = list(map(index.__getitem__, group))
         part = episodes.take(group)
-        query = stack_episodes(spec, part.query)
+        query = part.query.stack(spec.plan)
         with np.errstate(invalid="ignore", over="ignore"):
             g_s = _adapt_stage(theta.flat, spec, theta.layout, part.support, group, errors,
                                "support").rows

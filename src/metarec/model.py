@@ -19,17 +19,16 @@ their ids on every call.
 Every pass runs on a stack.  Episodes with equal item counts form a shape
 group (`shape_groups`, in first-appearance order), and `CheckedSplit.stack`
 gathers a group's ids and targets from the columns by index, with a leading
-axis, one slice per episode (`stack_episodes` does so for any episodes).
-Each dense layer is then one ``(B, n, in) @ (in, out)`` matmul, or ``(B, n,
-in) @ (B, in, out)`` when every slice has its own parameters (the adapted
-theta_i of an inner step).  numpy's matmul loops over the leading axis and
-makes, for each slice, the same BLAS call a lone episode's 2-D matmul makes,
-and reductions run over the row axis of each slice in the same order; so
-every slice gets the bits of a one-episode pass, and a lone episode is a
-stack of one.  Ragged episodes are never padded to share a stack: zero rows
-change the BLAS call's shape and, with it, how the sums round.  One stack
-of 2-D rows would too (a single ``(B n, in)`` matmul blocks its sums
-differently).
+axis, one slice per episode.  Each dense layer is then one ``(B, n, in) @
+(in, out)`` matmul, or ``(B, n, in) @ (B, in, out)`` when every slice has its
+own parameters (the adapted theta_i of an inner step).  numpy's matmul
+loops over the leading axis and makes, for each slice, the same BLAS call a
+lone episode's 2-D matmul makes, and reductions run over the row axis of
+each slice in the same order; so every slice gets the bits of a one-episode
+pass, and a lone episode is a stack of one.  Ragged episodes are never
+padded to share a stack: zero rows change the BLAS call's shape and, with
+it, how the sums round.  One stack of 2-D rows would too (a single ``(B n,
+in)`` matmul blocks its sums differently).
 
 `grad_stack` runs a forward and a backward pass over a stack and returns one
 gradient row per episode, each normalized by its own item count; the input
@@ -71,10 +70,8 @@ __all__ = [
     "CheckedSplit",
     "EpisodeStack",
     "StackGradient",
-    "check_episode",
     "check_episodes",
     "shape_groups",
-    "stack_episodes",
     "init_params",
     "init_dense_stack",
     "forward",
@@ -302,8 +299,9 @@ class CheckedSplit(Sequence):
     ``targets`` every episode's rows, and episode ``i`` is rows
     ``starts[i]:starts[i] + lengths[i]``.  Several splits may share the
     columns and differ in their row ranges.  Indexing builds the episode's
-    `CheckedEpisode` on demand; `take` selects episodes without copying rows,
-    and `stack` gathers an equal-length split's rows into an `EpisodeStack`.
+    `CheckedEpisode` on demand; `take`, or a slice, selects episodes without
+    copying rows, and `stack` gathers an equal-length split's rows into an
+    `EpisodeStack`.
     """
 
     __slots__ = ("vocab_sizes", "users", "items", "targets", "starts", "lengths")
@@ -318,7 +316,7 @@ class CheckedSplit(Sequence):
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return [self[i] for i in range(len(self))[index]]
+            return self.take(index)
         index = range(len(self))[index]
         start = int(self.starts[index])
         stop = start + int(self.lengths[index])
@@ -327,7 +325,8 @@ class CheckedSplit(Sequence):
         return CheckedEpisode((user_ids, self.items[start:stop], self.targets[start:stop]))
 
     def take(self, positions) -> "CheckedSplit":
-        """The episodes at ``positions``, in that order, on the same columns."""
+        """The episodes at ``positions`` (an index array or a slice), in that
+        order, on the same columns."""
         return CheckedSplit(self.vocab_sizes, self.users[positions], self.items, self.targets,
                             self.starts[positions], self.lengths[positions])
 
@@ -406,11 +405,6 @@ def check_episodes(spec: ModelSpec, episodes) -> CheckedSplit:
     return split
 
 
-def check_episode(spec: ModelSpec, user_ids, items, targets) -> CheckedEpisode:
-    """Check one episode against ``spec``: `check_episodes` on a one-episode split."""
-    return check_episodes(spec, [(user_ids, items, targets)])[0]
-
-
 def _split_of(spec: ModelSpec, episodes) -> CheckedSplit:
     """``episodes`` itself if it is a split checked against ``spec``'s
     vocabulary sizes, else the split `check_episodes` makes of them."""
@@ -458,11 +452,6 @@ class EpisodeStack(NamedTuple):
     user_index: np.ndarray
     item_index: np.ndarray
     targets: np.ndarray
-
-
-def stack_episodes(spec: ModelSpec, episodes) -> EpisodeStack:
-    """Stack episodes with equal item counts, checking any not checked for ``spec``."""
-    return _split_of(spec, episodes).stack(spec.plan)
 
 
 def _gather(flat: np.ndarray, index: np.ndarray) -> np.ndarray:

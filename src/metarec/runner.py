@@ -34,8 +34,8 @@ from .config import ExperimentConfig, experiment_digest, flatten_config
 from .errors import DataError, MetarecError
 from .evaluation import build_report
 from .memory_tree import TreeMemory
-from .meta_learners import (TrainedModel, evaluate, inference_alphas, logged_rates,
-                            save_checkpoint, train, tree_sidecar, _encode_split)
+from .meta_learners import (TrainedModel, evaluate, logged_rate, save_checkpoint, train,
+                            tree_sidecar, _distinct_rates, _encode_split)
 from .model import user_embedding
 from .tasks import DatasetSplits, load_movielens, preprocess, synthetic_splits
 
@@ -160,7 +160,9 @@ def embedding_rows(model: TrainedModel, splits: DatasetSplits,
     """Per-user embedding vectors with the inference-time inner rate.
 
     Returns (header, rows); one row per episode in the chosen subsets, in
-    split order.  Meta-sgd rates are logged as the mean of the vector.
+    split order.  Each distinct embedding gets one rate from
+    `_distinct_rates`, logged once; meta-sgd rates are logged as the mean of
+    the vector.
     """
     by_name = {"train": splits.train, "validation": splits.validation,
                "test": splits.test}
@@ -176,9 +178,12 @@ def embedding_rows(model: TrainedModel, splits: DatasetSplits,
         encoded = _encode_split(splits, episodes, model.spec)
         h = user_embedding(model.theta, model.spec, encoded.support.users)
         width = h.shape[1]
-        alphas = logged_rates(inference_alphas(model, h))
-        for key, alpha, h_i in zip(encoded.keys, alphas, h.tolist()):
-            rows.append((key, name, _group_name(bool(splits.is_major[key])), alpha) + tuple(h_i))
+        rates, index = _distinct_rates(model.config, model.lr_head, model.meta_sgd_alpha,
+                                       model.tree, h)
+        logged = [logged_rate(rate[0]) for rate in rates]
+        for key, j, h_i in zip(encoded.keys, index, h.tolist()):
+            rows.append((key, name, _group_name(bool(splits.is_major[key])), logged[j])
+                        + tuple(h_i))
     if width is None:
         raise DataError("no episodes in the requested splits")
     header = ["user_key", "subset", "group", "alpha"] + [f"h{i}" for i in range(width)]

@@ -12,6 +12,7 @@ storage accounting, and checkpoint round trips.
 """
 
 import copy
+import dataclasses
 import hashlib
 import json
 import math
@@ -27,13 +28,12 @@ from metarec.meta_learners import (
     TrainedModel,
     TrainerConfig,
     _clamp_nonnegative,
+    _distinct_rates,
+    _encode_split,
     _evaluate_encoded,
     _pooled_loss,
-    _resolve_rates,
     adapt_with_gradient,
     evaluate,
-    inference_alphas,
-    inner_adapt,
     load_checkpoint,
     save_checkpoint,
     train,
@@ -44,7 +44,7 @@ from metarec import model as model_module
 from metarec.model import (ModelSpec, forward, grad, init_params, loss, predict,
                            user_embedding)
 from metarec.params import Layout, ParamSet, axpy_update
-from metarec.tasks import synthetic_splits
+from metarec.tasks import InteractionColumns, synthetic_splits
 
 
 def tiny_config(**overrides):
@@ -142,10 +142,25 @@ class TestLrHead:
             LrHead(3, scale=0.0)
 
 
+def inference_rate(model, h):
+    """The rate `_distinct_rates` gives one user embedding at inference."""
+    [(alpha, _, _)], _ = _distinct_rates(model.config, model.lr_head, model.meta_sgd_alpha,
+                                         model.tree, h[None])
+    return alpha
+
+
+def with_feedback(episode, feedback):
+    """The `TaskEpisode` ``episode`` with new support columns whose targets
+    are ``feedback``."""
+    part = episode.support
+    return dataclasses.replace(episode, support=InteractionColumns(
+        part.item_ids, part.items, np.asarray(feedback, dtype=np.float64), part.timestamps))
+
+
 class TestInnerAdapt:
     def test_zero_rate_returns_theta(self):
         spec, theta, episode = scalar_model()
-        theta_i = inner_adapt(theta, spec, 0.0, episode)
+        theta_i = adapt_with_gradient(theta, spec, 0.0, episode)[0]
         for name in theta:
             assert np.array_equal(theta_i[name], theta[name])
 
@@ -156,41 +171,41 @@ class TestInnerAdapt:
         ep = trainer.train_episodes[0]
         predictions, _ = forward(trainer.theta, trainer.spec, ep.support[0], ep.support[1])
         flat_episode = (ep.support[0], ep.support[1], predictions)
-        theta_i = inner_adapt(trainer.theta, trainer.spec, 0.5, flat_episode)
+        theta_i = adapt_with_gradient(trainer.theta, trainer.spec, 0.5, flat_episode)[0]
         for name in trainer.theta:
             assert np.array_equal(theta_i[name], trainer.theta[name])
 
     def test_single_coordinate_quadratic_step(self):
         # L(b0) = (b0 - 1)^2 at b0 = 0: gradient -2, so a 0.1 step lands at 0.2
         spec, theta, episode = scalar_model()
-        theta_i = inner_adapt(theta, spec, 0.1, episode)
+        theta_i = adapt_with_gradient(theta, spec, 0.1, episode)[0]
         assert theta_i["dec_b0"][0] == pytest.approx(0.2, rel=1e-15)
         assert np.array_equal(theta_i["dec_W0"], theta["dec_W0"])
 
     def test_negative_rate_rejected(self):
         spec, theta, episode = scalar_model()
         with pytest.raises(ConfigError):
-            inner_adapt(theta, spec, -1e-3, episode)
+            adapt_with_gradient(theta, spec, -1e-3, episode)[0]
 
     @pytest.mark.parametrize("rate", [np.nan, np.inf])
     def test_non_finite_rate_is_a_numeric_error(self, rate):
         # a diverging run, not a bad setting: the trainer drops the episode
         spec, theta, episode = scalar_model()
         with pytest.raises(NumericError, match="inner rate must be finite"):
-            inner_adapt(theta, spec, rate, episode)
+            adapt_with_gradient(theta, spec, rate, episode)[0]
 
     def test_non_finite_gradient_aborts(self):
         spec, theta, episode = scalar_model()
         poisoned = (episode[0], episode[1], np.array([np.nan]))
         with pytest.raises(NumericError):
-            inner_adapt(theta, spec, 1e-3, poisoned)
+            adapt_with_gradient(theta, spec, 1e-3, poisoned)[0]
 
     def test_negative_rate_vector_names_its_entry(self):
         spec, theta, episode = scalar_model()
         rates = theta.fill(1e-3)
         rates["dec_b0"][0] = -1e-3
         with pytest.raises(ConfigError, match="entry 'dec_b0' has negative values"):
-            inner_adapt(theta, spec, rates, episode)
+            adapt_with_gradient(theta, spec, rates, episode)[0]
 
 
 class TestSharedRateChecks:
@@ -235,7 +250,7 @@ class TestSharedRateChecks:
 class TestEncodedEpisodes:
     def test_trainer_episodes_are_read_only(self):
         trainer = MetaTrainer(tiny_splits(), tiny_config())
-        for ep in trainer.train_episodes + trainer.val_episodes:
+        for ep in [*trainer.train_episodes, *trainer.val_episodes]:
             for part in (ep.support, ep.query):
                 for arr in part:
                     assert not arr.flags.writeable
@@ -268,9 +283,20 @@ class TestEncodedEpisodes:
             expected, _ = forward(trainer.theta, trainer.spec, ep.query[0], ep.query[1])
             assert np.array_equal(predict(trainer.theta, trainer.spec, ep.query), expected)
 
+    def test_episodes_encoded_for_another_spec_are_rejected(self):
+        trainer = MetaTrainer(tiny_splits(), tiny_config())
+        spec = trainer.spec
+        wide = dataclasses.replace(spec, item_vocab_sizes=(spec.item_vocab_sizes[0] + 1,))
+        episodes = _encode_split(trainer.splits, trainer.splits.train, wide)
+        with pytest.raises(DataError, match="encoded for another model spec"):
+            trainer.outer_gradients(episodes)
+        with pytest.raises(DataError, match="encoded for another model spec"):
+            _evaluate_encoded(trainer.theta, spec, trainer.config, trainer.head, None, None,
+                              episodes)
+
     def test_pooled_loss_does_not_check_encoded_episodes_again(self, monkeypatch):
         trainer = MetaTrainer(tiny_splits(), tiny_config())
-        pooled = [ep.support for ep in trainer.train_episodes]
+        pooled = trainer.train_episodes.support
         expected = sum(loss(forward(trainer.theta, trainer.spec, ids, items)[0], targets)
                        * items.shape[0] for ids, items, targets in pooled)
         expected /= sum(items.shape[0] for _, items, _ in pooled)
@@ -296,7 +322,8 @@ class TestComputeAlphaAndRegTerm:
         head = LrHead(2, hidden_dims=(2,), scale=1e-3)
         head.psi = head.psi.zeros_like()
         cfg = TrainerConfig(algorithm="paml", lr_scale=1e-3)
-        assert _resolve_rates(cfg, head, None, None, np.zeros((1, 2)))[0][0] == 5e-4
+        [(alpha, _, _)], _ = _distinct_rates(cfg, head, None, None, np.zeros((1, 2)))
+        assert alpha == 5e-4
         trainer = MetaTrainer(tiny_splits(), tiny_config(lr_scale=1e-3))
         trainer.head.psi = trainer.head.psi.zeros_like()
         logs = trainer.outer_gradients(trainer.train_episodes[:4]).episode_logs
@@ -314,10 +341,10 @@ class TestComputeAlphaAndRegTerm:
         s_k = math.exp(-cfg.tree_delta * 0.01)
         assert blended == pytest.approx(2e-3 * s_k / (s_k + cfg.tree_sigma), rel=1e-12)
         recency = tree.node(0).recency
-        value = _resolve_rates(cfg, head, None, tree, h[None])[0][0]
+        [(value, _, _)], _ = _distinct_rates(cfg, head, None, tree, h[None])
         assert value == 5e-4 + blended
         assert tree.node(0).recency == recency  # evaluation leaves the tree as it was
-        value, _, neighbors = _resolve_rates(cfg, head, None, tree, h[None], train=True)[0]
+        [(value, _, neighbors)], _ = _distinct_rates(cfg, head, None, tree, h[None], train=True)
         assert value == 5e-4 + blended
         assert neighbors.ids.tolist() == [0]
         assert tree.node(0).recency > recency  # training touches what it blends
@@ -327,9 +354,10 @@ class TestComputeAlphaAndRegTerm:
         h = np.array([0.3, -0.2])
         for algorithm in ("paml", "reg-paml", "at-paml"):
             cfg = TrainerConfig(algorithm=algorithm)
-            assert _resolve_rates(cfg, head, None, None, h[None])[0][0] == head.alpha(h)
-            alpha, dalpha_dpsi, neighbors = _resolve_rates(cfg, head, None, None, h[None],
-                                                           train=True)[0]
+            [(alpha, _, _)], _ = _distinct_rates(cfg, head, None, None, h[None])
+            assert alpha == head.alpha(h)
+            [(alpha, dalpha_dpsi, neighbors)], _ = _distinct_rates(cfg, head, None, None, h[None],
+                                                                   train=True)
             assert neighbors is None
             expected, expected_grad = head.alpha_and_grad(h)
             assert alpha == expected
@@ -349,8 +377,9 @@ class TestComputeAlphaAndRegTerm:
         trainer = MetaTrainer(tiny_splits(), tiny_config(algorithm="reg-paml", gamma=1e-3))
         ep = trainer.train_episodes[0]
         predictions, _ = forward(trainer.theta, trainer.spec, ep.support[0], ep.support[1])
-        exact = ep._replace(support=(ep.support[0], ep.support[1], predictions))
-        log = trainer.outer_gradients([exact]).episode_logs[0]
+        exact = with_feedback(trainer.splits.train[0], predictions)
+        batch = _encode_split(trainer.splits, [exact], trainer.spec)
+        log = trainer.outer_gradients(batch).episode_logs[0]
         assert log.support_grad_sq == 0.0
         assert log.reg_value == 0.0
 
@@ -370,7 +399,7 @@ def test_training_rate_matches_inference_rate(algorithm):
                          trainer.msgd_alpha, trainer.tree, [], [], None)
     for ep, log in zip(batch, logs):
         h = user_embedding(trainer.theta, trainer.spec, ep.user_ids)
-        rate = inference_alphas(model, h[None])[0]
+        rate = inference_rate(model, h)
         expected = float(np.mean(rate.to_flat())) if isinstance(rate, ParamSet) else rate
         assert log.alpha == expected
 
@@ -541,19 +570,19 @@ class TestOuterGradients:
     def test_poisoned_episode_is_skipped_with_warning(self):
         cfg = tiny_config()
         trainer = MetaTrainer(tiny_splits(), cfg)
-        good = trainer.train_episodes[0]
-        # encoded episodes are read-only, so poison a plain-tuple replacement
-        ep = trainer.train_episodes[1]
-        bad = ep._replace(support=(ep.support[0], ep.support[1],
-                                   np.full_like(ep.support[2], np.nan)))
+        good = trainer.splits.train[0]
+        # split columns are read-only, so poison an episode on new columns
+        ep = trainer.splits.train[1]
+        bad = with_feedback(ep, np.full(len(ep.support), np.nan))
         with pytest.warns(UserWarning, match="dropping episode"):
-            gradients = trainer.outer_gradients([bad, good])
+            gradients = trainer.outer_gradients(
+                _encode_split(trainer.splits, [bad, good], trainer.spec))
         assert gradients.n_skipped == 1
         assert len(gradients.episode_logs) == 1
-        assert gradients.episode_logs[0].user_key == good.user_key
+        assert gradients.episode_logs[0].user_key == good.user.user_id
         with pytest.warns(UserWarning):
             with pytest.raises(NumericError):
-                trainer.outer_gradients([bad])
+                trainer.outer_gradients(_encode_split(trainer.splits, [bad], trainer.spec))
 
 
 class TestOuterStep:
@@ -698,8 +727,8 @@ class TestTransfer:
         episode = splits.test[0]
         user_ids, items, _ = splits.encode(episode.user, episode.support)
         predictions, h = forward(model.theta, model.spec, user_ids, items)
-        adapted = inner_adapt(model.theta, model.spec, inference_alphas(model, h[None])[0],
-                              (user_ids, items, predictions))
+        adapted = adapt_with_gradient(model.theta, model.spec, inference_rate(model, h),
+                                      (user_ids, items, predictions))[0]
         for name in model.theta:
             assert np.array_equal(adapted[name], model.theta[name])
 
@@ -710,8 +739,8 @@ class TestTransfer:
         episode = splits.test[0]
         support = splits.encode(episode.user, episode.support)
         h = user_embedding(model.theta, model.spec, support[0])
-        adapted = inner_adapt(model.theta, model.spec, inference_alphas(model, h[None])[0],
-                              support)
+        adapted = adapt_with_gradient(model.theta, model.spec, inference_rate(model, h),
+                                      support)[0]
         g = grad(model.theta, model.spec, support)
         expected = axpy_update(model.theta, g, 1e-3)
         for name in expected:

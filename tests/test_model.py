@@ -7,7 +7,7 @@ from metarec.errors import ConfigError, DataError, NumericError
 from metarec.params import ParamSet
 from metarec.model import (
     ModelSpec,
-    check_episode,
+    check_episodes,
     forward,
     grad,
     hvp,
@@ -361,7 +361,7 @@ class TestEpisodeValidation:
         spec = tiny_spec()
         theta = init_params(spec, seed=2)
         user, items, targets = random_episode(spec, np.random.default_rng(2))
-        checked = check_episode(spec, user, items, targets)
+        checked = check_episodes(spec, [(user, items, targets)])[0]
         for arr in checked:
             assert not arr.flags.writeable
         items[0, 0] = 99  # the checked copy does not see later caller writes
@@ -373,12 +373,12 @@ class TestEpisodeValidation:
     def test_check_episode_rejects_out_of_vocabulary(self):
         spec = tiny_spec()
         with pytest.raises(DataError):
-            check_episode(spec, np.array([0, 0]), np.array([[4]]), np.array([1.0]))
+            check_episodes(spec, [(np.array([0, 0]), np.array([[4]]), np.array([1.0]))])
 
     def test_mark_only_holds_for_the_same_vocabulary_sizes(self):
         wide = ModelSpec((3, 2), (9,), 2, (5, 3, 1))
         spec = tiny_spec()
-        checked = check_episode(wide, np.array([0, 0]), np.array([[8]]), np.array([1.0]))
+        checked = check_episodes(wide, [(np.array([0, 0]), np.array([[8]]), np.array([1.0]))])[0]
         theta = init_params(spec, seed=0)
         with pytest.raises(DataError):
             grad(theta, spec, checked)
@@ -431,5 +431,5 @@ class TestKernelDigests:
     def test_digests(self, checked):
         spec, theta, v, episodes = self.case()
         if checked:
-            episodes = [check_episode(spec, *episode) for episode in episodes]
+            episodes = [check_episodes(spec, [episode])[0] for episode in episodes]
         assert self.outputs(spec, theta, v, episodes) == self.DIGEST

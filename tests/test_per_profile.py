@@ -1,12 +1,13 @@
 """Inner rates resolved once per distinct user profile.
 
-A user's rate depends on its embedding only, so `_resolve_rates` runs the
+A user's rate depends on its embedding only, so `_distinct_rates` runs the
 rate head once over the distinct embedding rows and at-paml searches the
-tree once per distinct row, then touches each user's hits in batch order.
-The references here resolve one user at a time, with `_resolve_rates` on a
-one-row stack, the way every user was resolved before, and the batched path must match them
-bit for bit: rates, head gradients, hits, and the tree's recency and
-frequency columns.
+tree once per distinct row, then touches each user's hits in batch order;
+it returns one rate per distinct row and each user's position among them.
+The references here resolve one user at a time, with `_distinct_rates` on
+a one-row stack, the way every user was resolved before, and the batched
+path must match them bit for bit: rates, head gradients, hits, and the
+tree's recency and frequency columns.
 """
 
 import copy
@@ -17,8 +18,8 @@ import numpy as np
 import pytest
 
 from metarec.memory_tree import TreeMemory
-from metarec.meta_learners import (LrHead, MetaTrainer, TrainerConfig, _evaluate_encoded,
-                                   _resolve_rates)
+from metarec.meta_learners import (LrHead, MetaTrainer, TrainerConfig, _distinct_rates,
+                                   _encode_split, _evaluate_encoded)
 from metarec.model import loss, user_embedding
 from metarec.tasks import synthetic_splits
 
@@ -52,14 +53,15 @@ def trainer():
 
 
 def profile_batch(trainer, order="ABACB"):
-    """Train episodes whose profiles follow ``order``, each a different user."""
+    """A take of the train episodes whose profiles follow ``order``, each a
+    different user."""
     by_profile = {}
-    for ep in trainer.train_episodes:
-        by_profile.setdefault(int(ep.user_ids[0]), []).append(ep)
+    for i, ep in enumerate(trainer.train_episodes):
+        by_profile.setdefault(int(ep.user_ids[0]), []).append(i)
     letters = sorted(set(order))
     assert len(by_profile) == len(letters)
     pools = {letter: list(eps) for letter, eps in zip(letters, by_profile.values())}
-    return [pools[letter].pop() for letter in order]
+    return trainer.train_episodes.take([pools[letter].pop() for letter in order])
 
 
 def embeddings(trainer, batch):
@@ -120,10 +122,11 @@ def test_batched_rates_match_one_user_at_a_time(trainer, train):
     batch = profile_batch(trainer)
     h = embeddings(trainer, batch)
     tree, ref_tree = copy.deepcopy(trainer.tree), copy.deepcopy(trainer.tree)
-    got = _resolve_rates(cfg, trainer.head, None, tree, h, train=train)
-    for (alpha, dalpha, neighbors), h_i in zip(got, h):
-        ref_alpha, ref_dalpha, ref_neighbors = _resolve_rates(cfg, trainer.head, None, ref_tree,
-                                                              h_i[None], train=train)[0]
+    rates, index = _distinct_rates(cfg, trainer.head, None, tree, h, train=train)
+    for j, h_i in zip(index, h):
+        alpha, dalpha, neighbors = rates[j]
+        [(ref_alpha, ref_dalpha, ref_neighbors)], _ = _distinct_rates(
+            cfg, trainer.head, None, ref_tree, h_i[None], train=train)
         assert alpha == ref_alpha
         if train:
             assert np.array_equal(dalpha, ref_dalpha)
@@ -133,9 +136,9 @@ def test_batched_rates_match_one_user_at_a_time(trainer, train):
             assert np.array_equal(field, ref_field)
     assert tree_state(tree) == tree_state(ref_tree)
     assert tree._counter == ref_tree._counter
-    # users who share a profile share one rate object, and only they do
-    assert got[0][0] is got[2][0] and got[1][0] is got[4][0]
-    assert len({id(rate[0]) for rate in got}) == 3
+    # users who share a profile share one rate, and only they do
+    assert index[0] == index[2] and index[1] == index[4]
+    assert len(rates) == len(set(index)) == 3
 
 
 def test_rows_that_differ_only_in_their_bytes_stay_apart(trainer):
@@ -143,14 +146,16 @@ def test_rows_that_differ_only_in_their_bytes_stay_apart(trainer):
     cfg = trainer.config
     h = np.zeros((3, trainer.spec.user_width))
     h[1, 0] = -0.0
-    rates = _resolve_rates(cfg, trainer.head, None, trainer.tree, h)
-    assert rates[0][0] is rates[2][0]
-    assert rates[1][0] is not rates[0][0]
+    rates, index = _distinct_rates(cfg, trainer.head, None, trainer.tree, h)
+    assert index[0] == index[2] != index[1]
+    assert len(rates) == 2
 
 
 def test_stacked_query_mse_is_the_loss_of_each_record(trainer):
+    splits = trainer.splits
+    episodes = _encode_split(splits, [*splits.validation, *splits.train], trainer.spec)
     records = _evaluate_encoded(trainer.theta, trainer.spec, trainer.config, trainer.head, None,
-                                trainer.tree, trainer.val_episodes + trainer.train_episodes)
+                                trainer.tree, episodes)
     for record in records:
         assert record.query_loss == loss(record.predictions, record.targets)
     # records keep views of their stack's rows, not copies

@@ -12,7 +12,7 @@ from metarec.datagen import generate_corpus
 from metarec.errors import DataError
 from metarec.meta_learners import load_checkpoint
 from metarec.model import user_embedding
-from metarec.meta_learners import inference_alphas, logged_rate
+from metarec.meta_learners import _distinct_rates, logged_rate
 from metarec.runner import (
     build_splits,
     load_tree,
@@ -207,7 +207,9 @@ class TestEmittedArtifacts:
         episode = splits.test[0]
         user_ids, _, _ = splits.encode(episode.user, episode.support)
         h = user_embedding(model.theta, model.spec, user_ids)
-        expected = float(inference_alphas(model, h[None])[0])
+        [(alpha, _, _)], _ = _distinct_rates(model.config, model.lr_head, model.meta_sgd_alpha,
+                                             model.tree, h[None])
+        expected = float(alpha)
         assert by_key[(str(episode.user.user_id), "test")] == pytest.approx(expected,
                                                                             rel=1e-12)
 
@@ -232,8 +234,9 @@ class TestEmittedArtifacts:
                 user_ids, _, _ = splits.encode(episode.user, episode.support)
                 h = user_embedding(model.theta, model.spec, user_ids)
                 group = "major" if splits.is_major[episode.user.user_id] else "minor"
-                rows.append((episode.user.user_id, name, group,
-                             logged_rate(inference_alphas(model, h[None])[0]))
+                [(alpha, _, _)], _ = _distinct_rates(model.config, model.lr_head,
+                                                     model.meta_sgd_alpha, model.tree, h[None])
+                rows.append((episode.user.user_id, name, group, logged_rate(alpha))
                             + tuple(float(v) for v in h))
         assert len({row[4:] for row in rows}) < len(rows)  # profiles repeat
         reference = str(tmp_path / "reference.tsv")

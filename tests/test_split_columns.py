@@ -18,9 +18,9 @@ import pytest
 
 from metarec import model as model_module
 from metarec.datagen import generate_corpus
-from metarec.meta_learners import (MetaTrainer, TrainerConfig, _encode_split, _model_spec,
-                                   evaluate)
-from metarec.model import shape_groups
+from metarec.meta_learners import (MetaTrainer, TrainerConfig, _EncodedSplit, _encode_split,
+                                   _model_spec, evaluate)
+from metarec.model import CheckedSplit, shape_groups
 from metarec.runner import embedding_rows
 from metarec.tasks import (DatasetSplits, InteractionColumns, PreprocessConfig, SplitView,
                            TaskEpisode, load_movielens, preprocess, synthetic_splits)
@@ -119,7 +119,7 @@ def test_encoder_raises_the_first_bad_episodes_error(faults):
 
 
 def array_stack(spec, episodes):
-    """The stack `stack_episodes` built from the episodes' own arrays."""
+    """The stack of equal-length episodes laid out with ``np.array`` over their own arrays."""
     plan = spec.plan
     users = np.array([episode[0] for episode in episodes])
     items = np.array([episode[1] for episode in episodes])
@@ -251,16 +251,54 @@ def test_view_encodes_as_its_episodes_do(source, corpus_splits):
                 assert not column.flags.writeable
 
 
-def test_view_slices_and_takes_select_its_episodes():
-    view = synthetic().train
-    episodes = list(view)
-    for got, expected in ((view[2:9:3], episodes[2:9:3]),
-                          (view.take([4, 0, 4]), [episodes[4], episodes[0], episodes[4]])):
-        assert isinstance(got, SplitView)
-        assert [episode.user for episode in got] == [episode.user for episode in expected]
-        for a, b in zip(got, expected):
-            assert np.array_equal(a.support.feedback, b.support.feedback)
-            assert np.array_equal(a.query.feedback, b.query.feedback)
+def split_of_kind(kind):
+    """The synthetic train split as a ``kind``, and the columns it reads."""
+    splits = synthetic()
+    view = splits.train
+    if kind is SplitView:
+        return view, lambda split: (split.columns.items, split.columns.feedback)
+    encoded = _encode_split(splits, view, spec_of(splits))
+    if kind is _EncodedSplit:
+        return encoded, lambda split: (split.support.items, split.support.targets,
+                                       split.query.items, split.query.targets)
+    return encoded.support, lambda split: (split.items, split.targets)
+
+
+def leaves(episode):
+    """The keys and arrays an episode of any split kind is built from, in order."""
+    if isinstance(episode, TaskEpisode):
+        episode = (episode.user, episode.support, episode.query)
+    elif isinstance(episode, InteractionColumns):
+        episode = (episode.items, episode.feedback)
+    if isinstance(episode, tuple):  # `_Encoded` and `CheckedEpisode` are tuples
+        return [leaf for part in episode for leaf in leaves(part)]
+    return [episode]
+
+
+def same_episodes(got, expected) -> bool:
+    got, expected = [leaves(ep) for ep in got], [leaves(ep) for ep in expected]
+    return len(got) == len(expected) and all(
+        len(a) == len(b) and all(np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+                                 for x, y in zip(a, b))
+        for a, b in zip(got, expected))
+
+
+@pytest.mark.parametrize("kind", [SplitView, _EncodedSplit, CheckedSplit],
+                         ids=lambda kind: kind.__name__)
+def test_view_slices_and_takes_select_its_episodes(kind):
+    """A slice is a `take` of the same positions: the same type, the same
+    episodes, on the same columns."""
+    split, columns = split_of_kind(kind)
+    episodes = list(split)
+    for got, expected in ((split[2:9:3], episodes[2:9:3]),
+                          (split.take([4, 0, 4]), [episodes[4], episodes[0], episodes[4]])):
+        assert type(got) is kind
+        assert same_episodes(got, expected)
+        for got_column, column in zip(columns(got), columns(split)):
+            assert np.shares_memory(got_column, column)
+    assert same_episodes(split[2:9:3], split.take([2, 5, 8]))
+    assert same_episodes(split[::-1], reversed(episodes))
+    assert len(split[len(split):]) == len(split.take([])) == 0
 
 
 @pytest.mark.parametrize("fault", ["unknown-profile", "negative-start"])

@@ -20,12 +20,12 @@ import pytest
 from metarec import meta_learners
 from metarec.errors import NumericError
 from metarec.memory_tree import blend_gradients
-from metarec.meta_learners import (MetaTrainer, TrainerConfig, _evaluate_encoded, _resolve_rates,
-                                   _sum_tree_gradients, adapt_with_gradient, logged_rate)
-from metarec.model import (check_episode, grad, grad_stack, hvp, loss, predict, stack_episodes,
-                           user_embedding)
+from metarec.meta_learners import (MetaTrainer, TrainerConfig, _distinct_rates, _encode_split,
+                                   _evaluate_encoded, _sum_tree_gradients, adapt_with_gradient,
+                                   logged_rate)
+from metarec.model import grad, grad_stack, hvp, loss, predict, user_embedding
 from metarec.params import ParamSet
-from metarec.tasks import synthetic_splits
+from metarec.tasks import InteractionColumns, synthetic_splits
 
 ALGORITHMS = ("paml", "at-paml", "reg-paml", "maml-fixed", "meta-sgd")
 HEAD_ALGORITHMS = ("paml", "at-paml", "reg-paml")
@@ -55,19 +55,18 @@ def trained(algorithm):
     return trainer
 
 
-def reshaped(trainer, ep, n_support=None, n_query=None, support_target=None,
-             query_target=None):
-    """``ep`` with its support and query sets cut to the given row counts, and
-    the first target of either set replaced."""
-    def part(episode, n_rows, target):
-        user_ids, items, targets = episode
-        n_rows = len(targets) if n_rows is None else n_rows
-        targets = np.array(targets[:n_rows])
+def reshaped(ep, n_support=None, n_query=None, support_target=None, query_target=None):
+    """The `TaskEpisode` ``ep`` on new columns: its support and query sets
+    cut to the given row counts, and the first target of either set replaced."""
+    def part(columns, n_rows, target):
+        n_rows = len(columns) if n_rows is None else n_rows
+        feedback = np.array(columns.feedback[:n_rows])
         if target is not None:
-            targets[0] = target
-        return check_episode(trainer.spec, user_ids, items[:n_rows], targets)
-    return ep._replace(support=part(ep.support, n_support, support_target),
-                       query=part(ep.query, n_query, query_target))
+            feedback[0] = target
+        return InteractionColumns(columns.item_ids[:n_rows], columns.items[:n_rows], feedback,
+                                  columns.timestamps[:n_rows])
+    return dataclasses.replace(ep, support=part(ep.support, n_support, support_target),
+                               query=part(ep.query, n_query, query_target))
 
 
 def batches(trainer):
@@ -75,17 +74,22 @@ def batches(trainer):
     group; a support target so large that the support pass stays finite and
     the query forward pass overflows; a group of two where one episode fails
     at the support stage and the other at the query stage; and the mixed
-    batch again, for `zero_rates`."""
-    eps = trainer.train_episodes
-    equal = list(eps[:6])
-    mixed = [eps[0], reshaped(trainer, eps[1], n_support=3), eps[2],
-             reshaped(trainer, eps[3], n_query=2), eps[4], reshaped(trainer, eps[5], 2, 4)]
-    poisoned = [eps[0], reshaped(trainer, eps[1], support_target=np.nan), eps[2],
-                reshaped(trainer, eps[3], query_target=np.nan), eps[4],
-                reshaped(trainer, eps[5], n_support=3)]
-    query_overflow = [eps[0], reshaped(trainer, eps[1], support_target=1e150), eps[2], eps[3]]
-    all_failed = [eps[0], reshaped(trainer, eps[1], n_support=3, support_target=np.nan), eps[2],
-                  reshaped(trainer, eps[3], n_support=3, query_target=np.nan)]
+    batch again, for `zero_rates`.  Each batch with an edited episode is
+    encoded from its `TaskEpisode`s, as the trainer encodes a split."""
+    eps = list(trainer.splits.train)
+
+    def encoded(episodes):
+        return _encode_split(trainer.splits, episodes, trainer.spec)
+
+    equal = trainer.train_episodes[:6]
+    mixed = encoded([eps[0], reshaped(eps[1], n_support=3), eps[2], reshaped(eps[3], n_query=2),
+                     eps[4], reshaped(eps[5], 2, 4)])
+    poisoned = encoded([eps[0], reshaped(eps[1], support_target=np.nan), eps[2],
+                        reshaped(eps[3], query_target=np.nan), eps[4],
+                        reshaped(eps[5], n_support=3)])
+    query_overflow = encoded([eps[0], reshaped(eps[1], support_target=1e150), eps[2], eps[3]])
+    all_failed = encoded([eps[0], reshaped(eps[1], n_support=3, support_target=np.nan), eps[2],
+                          reshaped(eps[3], n_support=3, query_target=np.nan)])
     return {"equal": equal, "mixed": mixed, "poisoned": poisoned,
             "query-overflow": query_overflow, "all-failed": all_failed, "zero-rate": mixed}
 
@@ -127,8 +131,8 @@ def reference_outer_gradients(trainer, batch, tree):
     total_loss = 0.0
     for ep in batch:
         h = user_embedding(theta, spec, ep.user_ids)
-        alpha, dalpha_dpsi, neighbors = _resolve_rates(cfg, trainer.head, trainer.msgd_alpha,
-                                                       tree, h[None], train=True)[0]
+        [(alpha, dalpha_dpsi, neighbors)], _ = _distinct_rates(
+            cfg, trainer.head, trainer.msgd_alpha, tree, h[None], train=True)
         try:
             theta_i, g_s = adapt_with_gradient(theta, spec, alpha, ep.support)
             g_q = grad(theta_i, spec, ep.query)
@@ -209,7 +213,8 @@ def reference_records(trainer, episodes):
     records = []
     for ep in episodes:
         h = user_embedding(theta, spec, ep.user_ids)
-        alpha = _resolve_rates(cfg, trainer.head, trainer.msgd_alpha, trainer.tree, h[None])[0][0]
+        [(alpha, _, _)], _ = _distinct_rates(cfg, trainer.head, trainer.msgd_alpha, trainer.tree,
+                                             h[None])
         theta_u, _ = adapt_with_gradient(theta, spec, alpha, ep.support)
         predictions = predict(theta_u, spec, ep.query)
         records.append((ep.user_key, repr(logged_rate(alpha)), predictions.tobytes(),
@@ -254,7 +259,7 @@ def test_evaluation_stacks_cut_by_bytes_match_one_episode_reference(monkeypatch,
     early user's query pass overflows and a later one's support loss is NaN,
     in different stacks."""
     trainer = trained(algorithm)
-    episodes = (list(trainer.train_episodes) + list(trainer.val_episodes)) * 2
+    episodes = [*trainer.splits.train, *trainer.splits.validation] * 2
     config = trainer.config
     cap = meta_learners.EVAL_STACK_BYTES // trainer.theta.flat.nbytes
     assert config.batch_size < cap
@@ -263,8 +268,9 @@ def test_evaluation_stacks_cut_by_bytes_match_one_episode_reference(monkeypatch,
         config, cap = dataclasses.replace(config, batch_size=1), 1
     assert config.batch_size <= cap < len(episodes)
     if poisoned:
-        episodes[12] = reshaped(trainer, episodes[12], support_target=1e150)
-        episodes[-5] = reshaped(trainer, episodes[-5], support_target=np.nan)
+        episodes[12] = reshaped(episodes[12], support_target=1e150)
+        episodes[-5] = reshaped(episodes[-5], support_target=np.nan)
+    episodes = _encode_split(trainer.splits, episodes, trainer.spec)
     sizes = []
     predict_stack = meta_learners.predict_stack
 
@@ -295,12 +301,12 @@ def test_a_non_finite_slice_fails_alone_and_silently():
     and no numpy warning, and the others keep the bits of their own passes."""
     trainer = trained("paml")
     spec, theta = trainer.spec, trainer.theta
-    episodes = [ep.query for ep in trainer.train_episodes[:4]]
+    episodes = trainer.train_episodes[:4].query
     flats = np.stack([theta.flat + 1e-3 * k for k in range(4)])
     flats[2, spec.plan.layers[0][2]] = np.inf
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        got = grad_stack(flats, spec, stack_episodes(spec, episodes))
+        got = grad_stack(flats, spec, episodes.stack(spec.plan))
     assert caught == []
     assert len(got.rows) == len(got.losses) == 4 and list(got.failed) == [2]
     with pytest.raises(NumericError) as expected:
