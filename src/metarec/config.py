@@ -21,13 +21,12 @@ run manifest records, and ``experiment_digest`` hashes that mapping.
 import dataclasses
 import hashlib
 import json
-import math
 import typing
 from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from .errors import ConfigError
 from .meta_learners import TrainerConfig
-from .tasks import PreprocessConfig, check_split
+from .tasks import PreprocessConfig, check_split, check_synthetic
 
 DATASET_KINDS = ("synthetic", "movielens")
 
@@ -47,16 +46,8 @@ class SyntheticConfig:
     split: Tuple[int, int, int] = (7, 1, 2)
 
     def __post_init__(self):
-        if not (self.p1 > 0.0 and self.p2 >= 0.0 and abs(self.p1 + self.p2 - 1.0) < 1e-12):
-            raise ConfigError("group probabilities must be non-negative and sum to 1")
-        if self.p1 < self.p2:
-            raise ConfigError("group 1 must be the major group (p1 >= p2)")
-        if self.n_tasks < 1 or self.support_size < 1 or self.query_size < 1:
-            raise ConfigError("n_tasks, support_size, query_size must be >= 1")
-        if not (math.isfinite(self.x1) and math.isfinite(self.x2)):
-            raise ConfigError(f"x1 and x2 must be finite, got {self.x1} and {self.x2}")
-        if not (math.isfinite(self.noise_sd) and self.noise_sd >= 0.0):
-            raise ConfigError(f"noise_sd must be finite and non-negative, got {self.noise_sd}")
+        check_synthetic(self.p1, self.p2, self.x1, self.x2, self.n_tasks, self.noise_sd,
+                        self.support_size, self.query_size)
         check_split(self.split, self.n_tasks)
 
 

@@ -17,8 +17,7 @@ read, but cheaply: one matrix-vector product gives each row's norm expansion
 ||e||^2 - 2 e.q, and only the rows within a proven rounding margin,
 16 (dim + 4) 2^-53 (max ||e||^2 + q.q), of the k-th smallest expansion get
 their exact distance ((e - q)^2).sum(), so the hits are bit-identical to a
-full scan.  Non-finite or near-overflow values, k >= n, and trees of fewer
-than 80 nodes, where the prefilter costs more than it saves, make every row a
+full scan.  Non-finite or near-overflow values and k >= n make every row a
 candidate.  A search with ``touch`` marks its hits used, closest first: each
 gets the next recency tick and one more use in its frequency, which the lru
 and lfu evictions read.  ``touch(node_ids)`` does the same for hits found
@@ -49,12 +48,6 @@ _COLUMNS = (("_ids", "ids", np.int64), ("_emb", "embeddings", np.float64),
 _SCALE_LIMIT = 2.0 ** 1020
 # added to the scale so the margin also covers products that underflow
 _UNDERFLOW_FLOOR = 2.0 ** -1021
-# below this many rows search scans every row: the prefilter's norm pass,
-# partition and cut are fixed costs that a full scan of so few rows undercuts
-# (timeit on a 2-vCPU Xeon, 50 queries per tree: at width 64 and k = 5 or 20
-# the two cross between 80 and 100 rows, at width 16 near 128; at n = 60, k =
-# 20, width 64 the scan took 38 us and the prefilter 46 us)
-_SCAN_BELOW = 80
 
 
 class Neighbors(NamedTuple):
@@ -313,13 +306,11 @@ class TreeMemory:
         error, at most 2^-1075 per product, of products that underflow.
 
         Below a scale of 2^1020 no step overflows.  A larger, infinite or NaN
-        scale (a non-finite embedding or query), k >= n, or fewer than
-        `_SCAN_BELOW` rows returns all rows.
+        scale (a non-finite embedding or query), or k >= n, returns all rows.
         """
         n = self._n
         sq = self._sq[:n]
-        if (k < n and n >= _SCAN_BELOW
-                and (scale := sq.max() + np.dot(q, q) + _UNDERFLOW_FLOOR) <= _SCALE_LIMIT):
+        if k < n and (scale := sq.max() + np.dot(q, q) + _UNDERFLOW_FLOOR) <= _SCALE_LIMIT:
             a = self._emb[:n] @ (-2.0 * q)
             a += sq
             return (a <= np.partition(a, k - 1)[k - 1] + self._margin * scale).nonzero()[0]

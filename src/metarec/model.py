@@ -10,11 +10,14 @@ row of ``embedding_dim`` values per id, then each dense layer's weight and
 bias.  `ModelSpec.plan` derives where each of them sits once per spec.
 
 Episodes are checked once per split, into a `CheckedSplit` of read-only
-columns: `check_episodes` copies any episodes into new columns, and a
-caller whose rows already sit in read-only columns wraps them as they are.
-`grad`, `hvp` and `predict` take a split as it is and check any other
-episodes into a small split first; `forward` and `user_embedding` check
-their ids on every call.
+columns: `check_episodes` checks each episode's shapes as it reads it,
+copies the episodes into new columns and range-checks every id there, and
+a caller whose rows already sit in read-only columns wraps them as they
+are.  `_split_of` alone decides what an episode input is: a tuple is one
+``(user_ids, items, targets)`` episode, a split checked for the spec is
+used as it is, and anything else is a sequence of episodes, checked into a
+small split first.  `grad`, `hvp` and `predict_stacks` take their episodes
+through it; `forward` and `user_embedding` check their ids on every call.
 
 Every pass runs on a stack.  Episodes with equal item counts form a shape
 group (`shape_groups`, in first-appearance order), and `CheckedSplit.stack`
@@ -248,11 +251,11 @@ def _check_theta(theta: ParamSet, spec: ModelSpec) -> None:
 # checking episodes, one split at a time
 
 
-def _check_episode(spec: ModelSpec, user_ids, items, targets=None):
+def _check_episode(spec: ModelSpec, user_ids, items, targets):
     """Int64 ids and float64 targets of one episode, their shapes checked.
 
     Id ranges are left to `check_episodes`, which checks a whole split at
-    once.  Without ``targets`` (a `forward` input) the targets read as zeros.
+    once.  Targets of None (a `forward` input) read as zeros.
     """
     user_ids = np.asarray(user_ids, dtype=np.int64)
     if user_ids.shape != (len(spec.user_vocab_sizes),):
@@ -351,53 +354,31 @@ def _well_formed(spec: ModelSpec, users, items, targets) -> bool:
             and targets.dtype == np.float64 and targets.ndim == 1)
 
 
-def _columns(spec: ModelSpec, parts) -> Optional[CheckedSplit]:
-    """The split of ``(user_ids, items, targets)`` parts, no id range-checked
-    yet; or None when a part's shapes or dtypes are not those
-    `_check_episode` returns.  Shapes are checked over all parts at once."""
-    user_list, item_blocks, target_blocks = zip(*parts)
-    users, items, targets = (np.array(user_list), np.concatenate(item_blocks),
-                             np.concatenate(target_blocks))
-    lengths = list(map(len, item_blocks))
-    if (not _well_formed(spec, users, items, targets) or not all(lengths)
-            or list(map(len, target_blocks)) != lengths):
-        return None
-    lengths = np.array(lengths, dtype=np.int64)
-    return CheckedSplit(spec.plan.vocab_sizes, users, items, targets,
-                        np.cumsum(lengths) - lengths, lengths)
-
-
 def check_episodes(spec: ModelSpec, episodes) -> CheckedSplit:
-    """Check a split's ``(user_ids, items, targets)`` episodes once, together.
+    """Check a split's ``(user_ids, items, targets)`` episodes once, in one pass.
 
-    The ids and targets are copied into one set of read-only columns, their
-    shapes are checked there, and every id is range-checked.  Only a split
-    whose shapes are off (or whose dtypes need converting) is checked
-    episode by episode with `_check_episode`, so the error is the first bad
-    episode's; a `DataError` raised while ``episodes`` is iterated comes
-    after the errors of the episodes before it.
+    Each episode's shapes are checked with `_check_episode` as it is read,
+    so the error is the first bad episode's, and an error raised while
+    ``episodes`` is iterated comes after the errors of the episodes before
+    it.  The ids and targets are then copied into one set of read-only
+    columns, and every id is range-checked there.
     """
     plan = spec.plan
-    parts = []
-    try:
-        for episode in episodes:
-            parts.append(episode)
-    except DataError:
-        for part in parts:
-            _check_episode(spec, *part)
-        raise
-    if not parts:
-        return CheckedSplit(plan.vocab_sizes,
-                            np.empty((0, len(spec.user_vocab_sizes)), dtype=np.int64),
-                            np.empty((0, len(spec.item_vocab_sizes)), dtype=np.int64),
-                            np.empty(0), np.empty(0, dtype=np.int64),
-                            np.empty(0, dtype=np.int64))
-    try:
-        split = _columns(spec, parts)
-    except (TypeError, ValueError):
-        split = None
-    if split is None:
-        split = _columns(spec, [_check_episode(spec, *part) for part in parts])
+    # every column starts as an empty block of its dtype and width, so an
+    # empty split concatenates like any other
+    users = [np.empty((0, len(spec.user_vocab_sizes)), dtype=np.int64)]
+    items = [np.empty((0, len(spec.item_vocab_sizes)), dtype=np.int64)]
+    targets = [np.empty(0)]
+    lengths = []
+    for episode in episodes:
+        episode_users, episode_items, episode_targets = _check_episode(spec, *episode)
+        users.append(episode_users[None])
+        items.append(episode_items)
+        targets.append(episode_targets)
+        lengths.append(len(episode_targets))
+    lengths = np.array(lengths, dtype=np.int64)
+    split = CheckedSplit(plan.vocab_sizes, np.concatenate(users), np.concatenate(items),
+                         np.concatenate(targets), np.cumsum(lengths) - lengths, lengths)
     _check_ids(split.users, plan.user_vocab, "user")
     _check_ids(split.items, plan.item_vocab, "item")
     for column in (split.users, split.items, split.targets):
@@ -406,9 +387,15 @@ def check_episodes(spec: ModelSpec, episodes) -> CheckedSplit:
 
 
 def _split_of(spec: ModelSpec, episodes) -> CheckedSplit:
-    """``episodes`` itself if it is a split checked against ``spec``'s
-    vocabulary sizes, else the split `check_episodes` makes of them."""
-    if isinstance(episodes, CheckedSplit) and episodes.vocab_sizes == spec.plan.vocab_sizes:
+    """The checked split of an episode input, the one place its form is decided.
+
+    A tuple is one ``(user_ids, items, targets)`` episode; a `CheckedSplit`
+    checked against ``spec``'s vocabulary sizes is used as it is; anything
+    else is a sequence of episodes, which `check_episodes` checks.
+    """
+    if isinstance(episodes, tuple):
+        episodes = [episodes]
+    elif isinstance(episodes, CheckedSplit) and episodes.vocab_sizes == spec.plan.vocab_sizes:
         return episodes
     return check_episodes(spec, episodes)
 
@@ -527,9 +514,9 @@ def predict_stacks(theta: ParamSet, spec: ModelSpec, episodes, limit: int) -> li
     episodes with equal item counts: one ``(positions, predictions,
     targets)`` per stack, its rows in the order of ``positions``.
 
-    ``episodes`` is a `CheckedSplit` checked for ``spec`` or any episodes,
-    encoded into a split first.  A non-finite forward pass raises the error
-    of the first such episode.
+    ``episodes`` is one episode tuple, a `CheckedSplit` checked for
+    ``spec``, or any episodes, checked into a split first (`_split_of`).  A
+    non-finite forward pass raises the error of the first such episode.
     """
     _check_theta(theta, spec)
     split = _split_of(spec, episodes)
@@ -752,17 +739,6 @@ def grad_stack(flat: np.ndarray, spec: ModelSpec, stack: EpisodeStack) -> StackG
     return StackGradient(failed, rows, losses, tape)
 
 
-def _normalize_batch(batch):
-    """A batch as a sequence of episodes: a lone episode becomes a list of one."""
-    if isinstance(batch, tuple) and len(batch) == 3 and not isinstance(batch[0], tuple):
-        batch = [batch]
-    elif not isinstance(batch, CheckedSplit):
-        batch = list(batch)
-    if not len(batch):
-        raise DataError("empty episode batch")
-    return batch
-
-
 class _Tape(NamedTuple):
     """What `grad` computed at ``(theta, batch)``, kept for `hvp`: one
     ``(positions, _StackTape)`` pair per shape group of the batch."""
@@ -776,12 +752,16 @@ class _Tape(NamedTuple):
 def grad(theta: ParamSet, spec: ModelSpec, batch) -> Gradient:
     """Exact reverse-mode gradient of the pooled mean squared error over the batch.
 
-    Episodes with equal item counts run as one stack; every value is then
+    ``batch`` is one episode tuple, a sequence of episodes or a
+    `CheckedSplit`, read by `_split_of`.  Episodes with equal item counts
+    run as one stack; every value is then
     added in episode order.  The returned Gradient carries the passes as
     its ``tape``, for `hvp` at the same point.
     """
     _check_theta(theta, spec)
-    split = _split_of(spec, _normalize_batch(batch))
+    split = _split_of(spec, batch)
+    if not split:
+        raise DataError("empty episode batch")
     lengths = split.lengths.tolist()
     total_items = sum(lengths)
     plan = spec.plan
@@ -833,7 +813,7 @@ def hvp(theta: ParamSet, spec: ModelSpec, batch, v,
     """
     plan = spec.plan
     if isinstance(at, StackGradient):
-        if (at.tape.flat is not theta.flat or len(_normalize_batch(batch)) != len(at.rows)
+        if (at.tape.flat is not theta.flat or len(_split_of(spec, batch)) != len(at.rows)
                 or np.shape(v) != at.rows.shape):
             raise ConfigError("a stacked hvp needs the StackGradient of grad_stack at this "
                               "theta, one episode and one row of v per slice")

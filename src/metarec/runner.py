@@ -35,7 +35,8 @@ from .errors import DataError, MetarecError
 from .evaluation import build_report
 from .memory_tree import TreeMemory
 from .meta_learners import (TrainedModel, evaluate, logged_rate, save_checkpoint, train,
-                            tree_sidecar, _distinct_rates, _encode_split)
+                            tree_sidecar, _distinct_rates, _encode_split,
+                            _normalize_checkpoint_path)
 from .model import user_embedding
 from .tasks import DatasetSplits, load_movielens, preprocess, synthetic_splits
 
@@ -399,9 +400,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
 
 def load_tree(path) -> TreeMemory:
     """Load a tree dump; accepts a checkpoint path and finds its sidecar."""
-    path = str(path)
-    if not path.endswith(".npz"):
-        path = path + ".npz"
+    path = _normalize_checkpoint_path(path)
     if not path.endswith(".tree.npz") and os.path.exists(tree_sidecar(path)):
         path = tree_sidecar(path)
     if not os.path.exists(path):

@@ -16,6 +16,7 @@ order; major/minor labels follow the top-populous-value rule with counts
 taken from the training split only.
 """
 
+import math
 import numbers
 import re
 import warnings
@@ -628,6 +629,22 @@ def preprocess(raw: RawDataset, config: PreprocessConfig) -> DatasetSplits:
 SYNTH_ITEM_FEATURE_VALUE = "scalar"
 
 
+def check_synthetic(p1: float, p2: float, x1: float, x2: float, n_tasks: int,
+                    noise_sd: float, support_size: int, query_size: int) -> None:
+    """Reject a two-group population that `synth_two_group` cannot draw,
+    naming the first fault found."""
+    if not (p1 > 0.0 and p2 >= 0.0 and abs(p1 + p2 - 1.0) < 1e-12):
+        raise ConfigError("group probabilities must be non-negative and sum to 1")
+    if p1 < p2:
+        raise ConfigError("group 1 must be the major group (p1 >= p2)")
+    if n_tasks < 1 or support_size < 1 or query_size < 1:
+        raise ConfigError("n_tasks, support_size, query_size must be >= 1")
+    if not (math.isfinite(x1) and math.isfinite(x2)):
+        raise ConfigError(f"x1 and x2 must be finite, got {x1} and {x2}")
+    if not (math.isfinite(noise_sd) and noise_sd >= 0.0):
+        raise ConfigError(f"noise_sd must be finite and non-negative, got {noise_sd}")
+
+
 def synth_two_group(p1: float, p2: float, x1: float, x2: float, n_tasks: int,
                     noise_sd: float, seed: int, support_size: int = 5,
                     query_size: int = 5) -> SplitView:
@@ -640,12 +657,7 @@ def synth_two_group(p1: float, p2: float, x1: float, x2: float, n_tasks: int,
     of shared columns: item ids count from 0 within a task, the one item
     feature value has id 0, and timestamps are 0.
     """
-    if not (p1 > 0.0 and p2 >= 0.0 and abs(p1 + p2 - 1.0) < 1e-12):
-        raise ConfigError("group probabilities must be non-negative and sum to 1")
-    if p1 < p2:
-        raise ConfigError("group 1 must be the major group (p1 >= p2)")
-    if n_tasks < 1 or support_size < 1 or query_size < 1:
-        raise ConfigError("n_tasks, support_size, query_size must be >= 1")
+    check_synthetic(p1, p2, x1, x2, n_tasks, noise_sd, support_size, query_size)
     rng = np.random.default_rng(seed)
     size = support_size + query_size
     major = np.empty(n_tasks, dtype=bool)

@@ -10,7 +10,6 @@ import pytest
 
 from metarec.errors import ConfigError, DataError
 from metarec.memory_tree import (
-    _SCAN_BELOW,
     EVICTION_POLICIES,
     TreeMemory,
     blend_gradients,
@@ -762,25 +761,15 @@ class TestDifferentialAgainstReference:
         assert not np.all(np.isfinite(tree.node(inf_node).embedding))
         assert np.isnan(tree.node(nan_node).embedding[7])
 
-    @pytest.mark.parametrize("n", [_SCAN_BELOW - 1, _SCAN_BELOW])
-    def test_small_trees_scan_every_row(self, monkeypatch, n):
-        """Just below the scan cut a search reads every row, and at the cut
-        the prefilter prunes; both match the full scan bit for bit."""
+    @pytest.mark.parametrize("n", [79, 80])
+    def test_small_trees_match_the_full_scan(self, n):
+        """Trees of a few dozen nodes, which go through the prefilter like any
+        other, match the full scan bit for bit."""
         rng = np.random.default_rng(n)
         dim, k = 64, 20
-        calls = []
-        candidates = TreeMemory._candidates
-
-        def spy(tree, q, k):
-            calls.append(candidates(tree, q, k))
-            return calls[-1]
-
-        monkeypatch.setattr(TreeMemory, "_candidates", spy)
         tree = TreeMemory(dim=dim, capacity=n)
         ref = ReferenceMemory(n, "lru", tree.delta)
         for h in rng.normal(size=(n, dim)):
             assert tree.store_node(h, 0.1) == ref.store(h, 0.1)
         for q in rng.normal(size=(10, dim)):
             assert_same_hits(tree.search(q, k, touch=False), ref.search(q, k, False))
-        scanned = [np.array_equal(rows, np.arange(n)) for rows in calls]
-        assert scanned == [n < _SCAN_BELOW] * 10

@@ -14,6 +14,7 @@ from metarec.model import (
     init_params,
     loss,
     predict,
+    predict_stacks,
     shape_groups,
     user_embedding,
 )
@@ -369,6 +370,27 @@ class TestEpisodeValidation:
         plain = (checked[0].copy(), checked[1].copy(), checked[2].copy())
         np.testing.assert_array_equal(grad(theta, spec, checked).to_flat(),
                                       grad(theta, spec, plain).to_flat())
+
+    @pytest.mark.parametrize("form", [tuple, list, np.array], ids=["tuple", "list", "array"])
+    def test_a_tuple_is_one_episode_whatever_its_user_ids(self, form):
+        """A lone episode whose user ids are a tuple, a list or an array, and a
+        list of that one episode, give the bits of the array-id episode."""
+        spec = tiny_spec()
+        theta = init_params(spec, seed=3)
+        rng = np.random.default_rng(3)
+        user, items, targets = random_episode(spec, rng)
+        v = theta.from_flat(rng.normal(size=theta.size()))
+
+        def outputs(batch):
+            g = grad(theta, spec, batch)  # hvp's tape is bound to this batch object
+            return [g.flat, np.float64(g.loss), hvp(theta, spec, batch, v, at=g).flat,
+                    hvp(theta, spec, batch, v).flat, predict_stacks(theta, spec, batch, 1)[0][1]]
+
+        expected = outputs([(user, items, targets)])
+        episode = (form(user.tolist()), items, targets)
+        for batch in (episode, [episode]):
+            got = outputs(batch)
+            assert [part.tobytes() for part in got] == [part.tobytes() for part in expected]
 
     def test_check_episode_rejects_out_of_vocabulary(self):
         spec = tiny_spec()

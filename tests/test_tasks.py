@@ -420,6 +420,16 @@ class TestSynthTwoGroup:
         with pytest.raises(ConfigError):
             synth_two_group(0.3, 0.7, 0.0, 1.0, n_tasks=5, noise_sd=0.1, seed=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("x1", np.inf), ("x1", np.nan), ("x2", -np.inf), ("x2", np.nan),
+        ("noise_sd", np.inf), ("noise_sd", np.nan), ("noise_sd", -0.1),
+    ])
+    def test_splits_reject_a_population_the_config_rejects(self, field, value):
+        params = dict(p1=0.7, p2=0.3, x1=0.0, x2=1.0, n_tasks=20, noise_sd=0.1)
+        params[field] = value
+        with pytest.raises(ConfigError, match=field.split("_")[0]):
+            synthetic_splits(**params, seed=0)
+
     def test_splits_package(self):
         splits = synthetic_splits(0.8, 0.2, 0.0, 1.0, n_tasks=100, noise_sd=0.1, seed=3)
         assert isinstance(splits, DatasetSplits)
