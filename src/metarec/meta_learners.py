@@ -38,19 +38,22 @@ is the only form in which the trainer and evaluation take episodes: a
 training batch is a `take` of the split, as a slice of it is, and an
 ``_Encoded`` record is built only when the split is indexed.
 
-A batch runs in shape groups, the episodes with equal support and query row
-counts in first-appearance order.  The rate head runs once over the batch's
-distinct embeddings, and the tree is searched once per distinct embedding;
-rates are passed on as `_distinct_rates`' ``(rates, index)``, one entry per
-distinct embedding and each episode's position among them.  Then each
-group's support gradient, inner step, query gradient and Hessian-vector
-product run as one stack (see `model`), which gives every episode the bits
-of a pass of its own.  A failing episode stays in its stack and gets the
-first error a one-episode pass would raise.  Drops, warnings, logs and sums
-stay in batch order.  Evaluation stacks its users the same way, as many to
-a stack as `EVAL_STACK_BYTES` of adapted parameter rows hold, and never
-fewer than ``batch_size``.  Transfer instead trains on pooled episodes, each
-user's support and query rows as one row range: its theta gradient is their
+The rate head runs once over a batch's distinct embeddings, and the tree
+is searched once per distinct embedding; rates are passed on as
+`_distinct_rates`' ``(rates, index)``, one entry per distinct embedding
+and each episode's position among them.  Then the batch, ordered by
+(query rows, support rows), is cut into passes of at most
+`EVAL_STACK_BYTES` of parameter rows, and each pass runs its support
+gradient, inner step, query gradient and Hessian-vector product once, as
+ragged stacks (see `model`) whose blocks are its runs of equal shapes;
+every episode keeps the bits of a pass of its own.  The passes' row stacks
+are views of buffers the trainer reuses from step to step.  A failing
+episode stays in its pass and gets the first error a one-episode pass
+would raise.  Drops, warnings, logs and sums stay in batch order.
+Evaluation runs each shape group as one-block stacks of as many users as
+`EVAL_STACK_BYTES` of adapted parameter rows hold, and never fewer than
+``batch_size``.  Transfer instead trains on pooled episodes, each user's
+support and query rows as one row range: its theta gradient is their
 pooled supervised gradient, with no inner step.
 
 Updates are plain gradient descent with per-group 2-norm clipping.  All
@@ -122,10 +125,11 @@ LR_HEAD_SCALE = 1e-3
 OUTER_LR_DEFAULT = 5e-5
 OUTER_LR_PAML = 5e-6
 CHECKPOINT_VERSION = 1
-# Bytes of adapted parameter rows, one per user, that one evaluation stack may
-# hold: a small model scores a whole split in one or a few stacks, and a
-# stack's rows add at most this much memory.  A stack still holds at least
-# ``batch_size`` users, so a large model's stacks are cut as in training.
+# Bytes of parameter rows, one per episode, that one training pass or one
+# evaluation stack may hold: a small model runs a whole batch in one pass and
+# scores a whole split in one or a few stacks, and a large model's rows stay
+# within this much memory (6 episodes a pass on the criterion-6 model).  An
+# evaluation stack still holds at least ``batch_size`` users.
 EVAL_STACK_BYTES = 512 * 1024
 # integer TrainerConfig fields and the least value each accepts
 _INT_FLOORS = (("epochs", 0), ("warmup_epochs", 0), ("seed", 0), ("batch_size", 1),
@@ -596,15 +600,17 @@ def _pooled_loss(theta: ParamSet, spec: ModelSpec, pooled: CheckedSplit,
     return float(np.add.accumulate(mses * pooled.lengths)[-1] / pooled.lengths.sum())
 
 
-def _adapt_stage(flat, spec: ModelSpec, layout, episodes, positions, errors: dict, name: str):
-    """`grad_stack` over equal-shape ``episodes``, which sit at ``positions``.
+def _adapt_stage(flat, spec: ModelSpec, layout, episodes, positions, errors: dict, name: str,
+                 out=None):
+    """`grad_stack` over ``episodes``, which sit at ``positions``, its rows
+    written into ``out`` when given.
 
     An episode whose forward pass, ``name`` loss or ``name`` gradient goes
     non-finite gets the first of those errors, the one a one-episode pass
     would raise, in ``errors``, keyed by its position, unless an earlier
     stage put one there.  Returns the StackGradient of every episode.
     """
-    g = grad_stack(flat, spec, episodes.stack(spec.plan))
+    g = grad_stack(flat, spec, episodes.stack(spec.plan), out)
     # each update overrides the last: the gradient, the loss, the forward pass
     stage_errors = nonfinite_rows(layout, g.rows, f"{name} gradient")
     stage_errors.update((index, NumericError(f"{name} loss is not finite"))
@@ -624,28 +630,28 @@ def _rate_error(alpha) -> Optional[Exception]:
     return None
 
 
-def _shape_groups(episodes: _EncodedSplit, rates: list, index: List[int], errors: dict,
-                  limit: Optional[int] = None) -> List[List[int]]:
-    """Positions of the episodes in shape groups: equal support and query
-    row counts, first-appearance order, at most ``limit`` to a group.  Each
-    distinct rate of `_distinct_rates` is checked once; an episode whose
+def _check_rates(rates: list, index: List[int], errors: dict) -> None:
+    """Check each distinct rate of `_distinct_rates` once; an episode whose
     rate fails `_check_inner_rate` gets the error a one-episode pass would
-    raise in ``errors`` and stays in its group."""
+    raise in ``errors`` and still runs with the others."""
     failed = {j: exc for j, (alpha, _, _) in enumerate(rates)
               if (exc := _rate_error(alpha)) is not None}
     if failed:
         errors.update((i, failed[j]) for i, j in enumerate(index) if j in failed)
-    return shape_groups(zip(episodes.support.lengths.tolist(), episodes.query.lengths.tolist()),
-                        limit)
 
 
-def _steps(rates: list, positions: List[int]) -> np.ndarray:
-    """A shape group's rates, the distinct ``rates`` at ``positions``: a (B,
-    1) column of scalars, or meta-sgd's shared vector."""
+def _steps(rates: list) -> np.ndarray:
+    """The step of each distinct rate of `_distinct_rates`: a (D, 1) column
+    of scalars, or meta-sgd's shared rate vector."""
     alpha = rates[0][0]
     if isinstance(alpha, ParamSet):
         return alpha.flat
-    return np.array([rate[0] for rate in rates])[positions][:, None]
+    return np.array([rate[0] for rate in rates])[:, None]
+
+
+def _steps_at(steps: np.ndarray, positions) -> np.ndarray:
+    """The rows of `_steps` at ``positions``, or the shared rate vector."""
+    return steps if steps.ndim == 1 else steps[positions]
 
 
 def _inner_step(flat: np.ndarray, rows: np.ndarray, step: np.ndarray, out=None) -> np.ndarray:
@@ -707,58 +713,73 @@ class MetaTrainer:
             )
         self.step_logs: List[StepLog] = []
         self.history: List[dict] = []
+        self._workspace = {}  # name -> reused (rows, size) buffer of `_batch_pass`
 
     # -- gradients -----------------------------------------------------------
 
-    def _group_pass(self, batch: _EncodedSplit, group, rates, index, logged, h, gamma,
-                    results: dict) -> None:
-        """One shape group's stages over every episode in it, failing ones
-        included, with numpy's overflow and invalid warnings off; then the
-        terms of each episode that no stage failed.  ``rates`` and ``index``
-        are `_distinct_rates`' and ``logged`` the logged distinct rates."""
-        cfg, spec, theta = self.config, self.spec, self.theta
-        episodes = batch.take(group)
-        positions = list(map(index.__getitem__, group))
-        a = _steps(rates, positions)
+    def _rows(self, name: str, n_rows: int) -> np.ndarray:
+        """``n_rows`` rows of the trainer's reused (rows, size) buffer ``name``,
+        which grows when a batch needs more."""
+        buffer = self._workspace.get(name)
+        if buffer is None or len(buffer) < n_rows:
+            buffer = self._workspace[name] = np.empty((n_rows, self.theta.layout.size))
+        return buffer[:n_rows]
+
+    def _batch_pass(self, batch: _EncodedSplit, rates, index, gamma, errors: dict):
+        """The support pass, inner step, query pass and Hessian-vector
+        product of every episode, failing ones included, with numpy's
+        overflow and invalid warnings off.
+
+        Episodes run ordered by (query rows, support rows), in passes of at
+        most `EVAL_STACK_BYTES` of parameter rows, so each pass's episodes
+        of one shape form one block of its ragged stacks.  Every row stack
+        is a view of a buffer the trainer reuses from step to step: the
+        theta rows of the whole batch (and meta-sgd's rate rows), which
+        take each pass's query gradients, and two pass buffers, one for the
+        support gradients and then the Hessian-vector products, one for the
+        adapted parameters and then v.  Returns ``(slots, theta_rows,
+        msgd_rows, stats)``: episode i's rows are ``slots[i]``, and
+        ``stats`` holds its support loss, query loss, ``g_s . g_s`` and
+        ``g_s . g_q`` in batch order.
+        """
+        spec, theta = self.spec, self.theta
+        layout = theta.layout
+        n = len(batch)
+        order = np.lexsort((batch.support.lengths, batch.query.lengths))
+        limit = max(1, EVAL_STACK_BYTES // theta.flat.nbytes)
+        theta_rows = self._rows("theta", n)
+        msgd_rows = None if self.msgd_alpha is None else self._rows("msgd", n)
+        support, adapted = (self._rows(name, min(limit, n)) for name in ("support", "adapted"))
+        stats = np.empty((4, n))
+        steps = _steps(rates)
         with np.errstate(invalid="ignore", over="ignore"):
-            s = _adapt_stage(theta.flat, spec, theta.layout, episodes.support, group, results,
-                             "support")
-            q = _adapt_stage(_inner_step(theta.flat, s.rows, a), spec, theta.layout,
-                             episodes.query, group, results, "query")
-            g_s, g_q, q_losses = s.rows, q.rows, q.losses.tolist()
-            del q  # its tape holds the inner-step stack
-            grad_sq = row_dots(theta.layout, g_s, g_s).tolist()
-            s_dot_q = row_dots(theta.layout, g_s, g_q).tolist()
-            # v = 2 gamma a g_s - a g_q, added as (-a g_q) + ..., rounds alike,
-            # and H(-x) = -H(x) exactly.  At gamma = 0 only zeros in v and H v
-            # can change sign, which theta_grad, a sum from +0, does not keep.
-            v = g_q * -a
-            if gamma != 0.0:
-                v += g_s * (2.0 * gamma * a)
-            theta_rows = hvp(theta, spec, episodes.support, v, at=s)
-            theta_rows += g_q
-            msgd_rows = None if self.msgd_alpha is None else (g_s * g_q) * -1.0
-            h_group = h[group]
-            # each row's norm as np.linalg.norm takes it: the root of one BLAS dot
-            norms = np.sqrt((h_group[:, None, :] @ h_group[:, :, None])[:, 0, 0]).tolist()
-        s_losses = s.losses.tolist()
-        for k, i in enumerate(group):
-            if i in results:
-                continue
-            alpha, dalpha_dpsi, neighbors = rates[positions[k]]
-            sq = grad_sq[k]
-            reg_value = 0.0 if msgd_rows is not None else sq * abs(alpha)
-            upstream = gamma * sq - s_dot_q[k]  # d(objective)/d(alpha)
-            ep_psi = None if dalpha_dpsi is None else dalpha_dpsi * upstream
-            ep_tree = None
-            if neighbors is not None:
-                ep_tree = (neighbors.ids,) + blend_gradients(
-                    h[i], neighbors, upstream, cfg.tree_delta, cfg.tree_sigma)
-            store = (h[i], alpha) if self.tree is not None else None
-            log = EpisodeLog(episodes.keys[k], logged[positions[k]], s_losses[k], q_losses[k],
-                             reg_value, sq, norms[k])
-            results[i] = (theta_rows[k], ep_psi, None if msgd_rows is None else msgd_rows[k],
-                          ep_tree, store, log)
+            for start in range(0, n, limit):
+                positions = order[start:start + limit].tolist()
+                k, rows = len(positions), slice(start, start + len(positions))
+                episodes = batch.take(positions)
+                a = _steps_at(steps, list(map(index.__getitem__, positions)))
+                s = _adapt_stage(theta.flat, spec, layout, episodes.support, positions, errors,
+                                 "support", support[:k])
+                q = _adapt_stage(_inner_step(theta.flat, s.rows, a, out=adapted[:k]), spec,
+                                 layout, episodes.query, positions, errors, "query",
+                                 theta_rows[rows])
+                g_s, g_q = s.rows, q.rows
+                stats[:, positions] = (s.losses, q.losses, row_dots(layout, g_s, g_s),
+                                       row_dots(layout, g_s, g_q))
+                del q  # its tape holds the adapted parameters, which v overwrites
+                if msgd_rows is not None:
+                    np.multiply(np.multiply(g_s, g_q, out=msgd_rows[rows]), -1.0,
+                                out=msgd_rows[rows])
+                # v = 2 gamma a g_s - a g_q, added as (-a g_q) + ..., rounds alike,
+                # and H(-x) = -H(x) exactly.  At gamma = 0 only zeros in v and H v
+                # can change sign, which theta_grad, a sum from +0, does not keep.
+                v = np.multiply(g_q, -a, out=adapted[:k])
+                if gamma != 0.0:
+                    v += np.multiply(g_s, 2.0 * gamma * a, out=g_s)
+                # g_q + H v; a kept episode's g_q is finite, so the sum's bits
+                # do not depend on the order of its terms
+                g_q += hvp(theta, spec, episodes.support, v, at=s, out=g_s)
+        return order.argsort().tolist(), theta_rows, msgd_rows, stats.tolist()
 
     def outer_gradients(self, batch: _EncodedSplit, warmup: bool = False) -> GradientPass:
         """Exact outer gradients of the batch objective at the current state.
@@ -768,10 +789,11 @@ class MetaTrainer:
         episodes.  Episodes whose losses or gradients go non-finite are
         dropped with a warning; the pass fails only when nothing in the batch
         survives.  Transfer's pass is the pooled gradient of its batch and
-        drops nothing.
+        drops nothing.  Every sum runs in batch order, from zeros.
         """
-        gamma = self.config.effective_gamma()
-        if self.config.algorithm == "transfer":
+        cfg = self.config
+        gamma = cfg.effective_gamma()
+        if cfg.algorithm == "transfer":
             g = grad(self.theta, self.spec, batch)
             g.check_finite("pooled gradient")
             return GradientPass(g, None, None, *_sum_tree_gradients([]), [], (), g.loss, 0)
@@ -783,35 +805,43 @@ class MetaTrainer:
         logs: List[EpisodeLog] = []
         total_loss = 0.0
         skipped = 0
-        results = {}
+        errors = {}
         _check_encoded_for(self.spec, batch)
         if batch:
             h = user_embedding(self.theta, self.spec, batch.support.users)
-            rates, index = _distinct_rates(self.config, self.head, self.msgd_alpha, self.tree,
-                                           h, train=True, warmup=warmup)
+            rates, index = _distinct_rates(cfg, self.head, self.msgd_alpha, self.tree, h,
+                                           train=True, warmup=warmup)
             logged = [logged_rate(rate[0]) for rate in rates]
-            for group in _shape_groups(batch, rates, index, results):
-                self._group_pass(batch, group, rates, index, logged, h, gamma, results)
+            _check_rates(rates, index, errors)
+            slots, theta_rows, msgd_rows, (s_losses, q_losses, grad_sq, s_dot_q) = \
+                self._batch_pass(batch, rates, index, gamma, errors)
+            with np.errstate(invalid="ignore", over="ignore"):
+                # each row's norm as np.linalg.norm takes it: the root of one BLAS dot
+                norms = np.sqrt((h[:, None, :] @ h[:, :, None])[:, 0, 0]).tolist()
         for i, user_key in enumerate(batch.keys):
-            parts = results[i]
-            if isinstance(parts, Exception):
-                if not isinstance(parts, NumericError):
-                    raise parts
-                warnings.warn(f"dropping episode for user {user_key!r}: {parts}")
+            if i in errors:
+                if not isinstance(errors[i], NumericError):
+                    raise errors[i]
+                warnings.warn(f"dropping episode for user {user_key!r}: {errors[i]}")
                 skipped += 1
                 continue
-            ep_theta, ep_psi, ep_msgd, ep_tree, store, log = parts
-            theta_grad += ep_theta
-            if ep_psi is not None:
-                psi_grad += ep_psi
-            if ep_msgd is not None:
-                msgd_grad += ep_msgd
-            if ep_tree is not None:
-                tree_parts.append(ep_tree)
-            if store is not None:
-                pending.append(store)
-            logs.append(log)
-            total_loss += log.query_loss + gamma * log.reg_value
+            alpha, dalpha_dpsi, neighbors = rates[index[i]]
+            sq = grad_sq[i]
+            reg_value = 0.0 if msgd_rows is not None else sq * abs(alpha)
+            upstream = gamma * sq - s_dot_q[i]  # d(objective)/d(alpha)
+            theta_grad += theta_rows[slots[i]]
+            if dalpha_dpsi is not None:
+                psi_grad += dalpha_dpsi * upstream
+            if msgd_rows is not None:
+                msgd_grad += msgd_rows[slots[i]]
+            if neighbors is not None:
+                tree_parts.append((neighbors.ids,) + blend_gradients(
+                    h[i], neighbors, upstream, cfg.tree_delta, cfg.tree_sigma))
+            if self.tree is not None:
+                pending.append((h[i], alpha))
+            logs.append(EpisodeLog(user_key, logged[index[i]], s_losses[i], q_losses[i],
+                                   reg_value, sq, norms[i]))
+            total_loss += q_losses[i] + gamma * reg_value
         if not logs:
             raise NumericError("every episode in the batch failed with a numeric error")
         return GradientPass(
@@ -935,10 +965,10 @@ def _evaluate_encoded(theta, spec, config, head, msgd_alpha, tree,
 
     ``episodes`` is a split encoded for ``spec`` by `_encode_split`.  Each
     distinct embedding gets one rate from `_distinct_rates`, logged once.
-    Users with equal support and query row counts run as stacks whose
-    adapted parameter rows fill at most `EVAL_STACK_BYTES`, and hold at least
-    ``batch_size`` users; each slice still makes its own BLAS calls, so the
-    stack size changes no bit.  The call raises the error that scoring the
+    Users with equal support and query row counts run as one-block ragged
+    stacks whose adapted parameter rows fill at most `EVAL_STACK_BYTES`, and
+    hold at least ``batch_size`` users; each slice still makes its own BLAS
+    calls, so the stack size changes no bit.  The call raises the error that scoring the
     users one at a time would have raised first.  Each stack's query MSEs
     come from one row-wise mean, with the bits of `loss` on each row, and
     each record holds row views of its stack's predictions and targets.
@@ -950,15 +980,17 @@ def _evaluate_encoded(theta, spec, config, head, msgd_alpha, tree,
     rates, index = _distinct_rates(config, head, msgd_alpha, tree, h)
     limit = max(config.batch_size, EVAL_STACK_BYTES // theta.flat.nbytes)
     errors = {}
+    _check_rates(rates, index, errors)
+    steps = _steps(rates)
     stacks = []
-    for group in _shape_groups(episodes, rates, index, errors, limit):
+    for group in shape_groups(zip(episodes.support.lengths.tolist(),
+                                  episodes.query.lengths.tolist()), limit):
         positions = list(map(index.__getitem__, group))
-        part = episodes.take(group)
-        query = part.query.stack(spec.plan)
+        query = episodes.query.take(group).stack(spec.plan)
         with np.errstate(invalid="ignore", over="ignore"):
-            g_s = _adapt_stage(theta.flat, spec, theta.layout, part.support, group, errors,
-                               "support").rows
-            thetas = _inner_step(theta.flat, g_s, _steps(rates, positions), out=g_s)
+            g_s = _adapt_stage(theta.flat, spec, theta.layout, episodes.support.take(group), group,
+                               errors, "support").rows
+            thetas = _inner_step(theta.flat, g_s, _steps_at(steps, positions), out=g_s)
             rows, failed = predict_stack(thetas, spec, query)
         for k, exc in failed.items():
             errors.setdefault(group[k], exc)

@@ -19,32 +19,38 @@ used as it is, and anything else is a sequence of episodes, checked into a
 small split first.  `grad`, `hvp` and `predict_stacks` take their episodes
 through it; `forward` and `user_embedding` check their ids on every call.
 
-Every pass runs on a stack.  Episodes with equal item counts form a shape
-group (`shape_groups`, in first-appearance order), and `CheckedSplit.stack`
-gathers a group's ids and targets from the columns by index, with a leading
-axis, one slice per episode.  Each dense layer is then one ``(B, n, in) @
-(in, out)`` matmul, or ``(B, n, in) @ (B, in, out)`` when every slice has its
-own parameters (the adapted theta_i of an inner step).  numpy's matmul
-loops over the leading axis and makes, for each slice, the same BLAS call a
-lone episode's 2-D matmul makes, and reductions run over the row axis of
-each slice in the same order; so every slice gets the bits of a one-episode
-pass, and a lone episode is a stack of one.  Ragged episodes are never
-padded to share a stack: zero rows change the BLAS call's shape and, with
-it, how the sums round.  One stack of 2-D rows would too (a single ``(B n,
-in)`` matmul blocks its sums differently).
+Every pass runs on a ragged stack.  `CheckedSplit.stack` gathers every
+episode's ids and targets from the columns by index, one run of rows per
+episode in split order, and each run of episodes with equal item counts is
+a block.  Within a block each dense layer is one ``(B, n, in) @ (in, out)``
+matmul, or ``(B, n, in) @ (B, in, out)`` when every episode has its own
+parameters (the adapted theta_i of an inner step).  numpy's matmul loops
+over the leading axis and makes, for each slice, the same BLAS call a lone
+episode's 2-D matmul makes, and the row sums whose order fixes bits (the
+loss, the bias gradient, the user-embedding sum) run per block over each
+slice's rows in the same order.  Every other step (gathers, ReLU masks,
+finiteness checks, loss scales, scatters) runs once over all rows and
+touches each row on its own.  So every episode gets the bits of a
+one-episode pass, and a lone episode is a stack of one.  Ragged episodes
+are never padded to share a block: zero rows change the BLAS call's shape
+and, with it, how the sums round.  One 2-D matmul over several episodes'
+rows would too (a single ``(B n, in)`` matmul blocks its sums differently).
+How episodes are ordered and cut into stacks therefore moves no bit.
 
 `grad_stack` runs a forward and a backward pass over a stack and returns one
-gradient row per episode, each normalized by its own item count; the input
-gradient goes back to the embedding values as one add at the user positions
-and one ``np.add.at`` at the item positions, which adds repeated items in
-row order.  A slice whose forward pass goes non-finite stays in its stack,
-without a numpy warning, and is reported with the error a one-episode pass
-would raise.  `grad` pools a batch: it runs each shape group as a stack and
-adds every episode's terms onto one vector in episode order, as a pass over
-the episodes one at a time would.  The passes are kept as a tape, and `hvp`
-pushes a tangent v through them without recomputing them (the R-op of
-Pearlmutter, 1994), which gives an exact Hessian-vector product; given
-`grad_stack`'s StackGradient it pushes one tangent row per slice.
+gradient row per episode, each normalized by its own item count, written
+into a caller's buffer when given; the input gradient goes back to the
+embedding values as one add at the user positions and one ``np.add.at`` at
+the item positions, which adds repeated items in row order.  An episode
+whose forward pass goes non-finite stays in its stack, without a numpy
+warning, and is reported with the error a one-episode pass would raise.
+`grad` pools a batch: it runs its episodes as one ragged stack ordered by
+item count and adds every episode's terms onto one vector in episode
+order, as a pass over the episodes one at a time would.  The pass is kept
+as a tape, and `hvp` pushes a tangent v through it without recomputing it
+(the R-op of Pearlmutter, 1994), which gives an exact Hessian-vector
+product; given `grad_stack`'s StackGradient it pushes one tangent row per
+episode.
 
 Every call that takes a ParamSet checks its layout against the spec (one
 comparison of layout keys); `hvp` given a tape relies on the check its
@@ -56,6 +62,7 @@ Everything is float64 and deterministic given the seed.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -334,17 +341,22 @@ class CheckedSplit(Sequence):
                             self.starts[positions], self.lengths[positions])
 
     def stack(self, plan: FlatPlan) -> "EpisodeStack":
-        """Every episode, all of one item count, stacked along a leading axis."""
-        lengths = self.lengths.tolist()
-        n_items = lengths[0]
-        if lengths.count(n_items) != len(lengths):
-            raise DataError("a stack needs episodes with equal item counts")
-        rows = self.starts[:, None] + np.arange(n_items)
-        items = self.items[rows]
-        return EpisodeStack(
-            _user_index(self.users, plan),
-            plan.positions[items + plan.item_rows].reshape(items.shape[:-1] + (-1,)),
-            self.targets[rows])
+        """Every episode's rows, concatenated in episode order, as an
+        `EpisodeStack` whose blocks are the runs of equal item counts."""
+        lengths = self.lengths
+        blocks, n_episodes, n_rows = [], 0, 0
+        for n, run in itertools.groupby(lengths.tolist()):
+            size = len(list(run))
+            blocks.append((n_episodes, n_episodes + size, n_rows, n_rows + size * n, n))
+            n_episodes, n_rows = n_episodes + size, n_rows + size * n
+        row_episodes = np.arange(n_episodes).repeat(lengths)
+        rows = (self.starts - (lengths.cumsum() - lengths)).repeat(lengths) + np.arange(n_rows)
+        user_index = _user_index(self.users, plan)
+        index = np.concatenate(
+            (user_index[row_episodes],
+             plan.positions[self.items[rows] + plan.item_rows].reshape(n_rows, -1)), axis=1)
+        return EpisodeStack(user_index, index, self.targets[rows], lengths, row_episodes,
+                            tuple(blocks))
 
 
 def _well_formed(spec: ModelSpec, users, items, targets) -> bool:
@@ -429,25 +441,40 @@ def shape_groups(keys, limit: Optional[int] = None) -> List[List[int]]:
 
 
 class EpisodeStack(NamedTuple):
-    """Episodes of one shape stacked along a leading axis, one slice each.
+    """Episodes' rows concatenated in episode order, in ragged blocks.
 
-    ``user_index`` (B, user_width) and ``item_index`` (B, n_items,
-    n_item_features * embedding_dim) hold the flat positions of each slice's
-    embedding values, ``targets`` (B, n_items) its targets.
+    ``user_index`` (E, user_width) holds the flat positions of each
+    episode's user embedding values; ``index`` (R, user_width +
+    n_item_features * embedding_dim) those of every row's fused input, the
+    user's values first, and ``row_targets`` (R,) its target.  ``lengths``
+    (E,) counts each episode's rows and ``row_episodes`` (R,) names the
+    episode of each row.  ``blocks`` holds one ``(first episode, stop
+    episode, first row, stop row, n_items)`` per run of episodes with equal
+    item counts; a block's rows reshape into a (B, n_items, ...) stack with
+    one slice per episode, as one shape group was stacked on its own.
     """
 
     user_index: np.ndarray
-    item_index: np.ndarray
-    targets: np.ndarray
+    index: np.ndarray
+    row_targets: np.ndarray
+    lengths: np.ndarray
+    row_episodes: np.ndarray
+    blocks: tuple
+
+    @property
+    def targets(self) -> np.ndarray:
+        """The targets of a one-block stack, (B, n_items), one row per episode."""
+        if len(self.blocks) != 1:
+            raise DataError("per-episode target rows need episodes with equal item counts")
+        return self.row_targets.reshape(len(self.lengths), -1)
 
 
-def _gather(flat: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """``flat[index]`` from one shared vector, or row by row from a (B, size)
-    stack of them, where ``index`` has one leading slice per row."""
+def _gather(flat: np.ndarray, stack: EpisodeStack) -> np.ndarray:
+    """Every row's fused input values, (R, width), from one shared vector or
+    from the (E, size) row of each row's episode."""
     if flat.ndim == 1:
-        return flat[index]
-    rows = np.arange(flat.shape[0]).reshape((-1,) + (1,) * (index.ndim - 1))
-    return flat[rows, index]
+        return flat[stack.index]
+    return flat[stack.row_episodes[:, None], stack.index]
 
 
 # ---------------------------------------------------------------------------
@@ -455,33 +482,38 @@ def _gather(flat: np.ndarray, index: np.ndarray) -> np.ndarray:
 
 
 def _forward_stack(flat, weights, plan: FlatPlan, stack: EpisodeStack):
-    """Forward pass of every slice of ``stack`` at once.
+    """Forward pass of every episode of ``stack`` at once.
 
-    ``flat`` is one parameter vector shared by every slice or a (B, size)
-    stack with one row per slice, and ``weights`` its `dense_views`.
-    Returns (output, acts, preacts, failed): ``acts`` holds the input of
-    every decision layer, the fused embedding rows first, ``preacts`` every
-    layer's pre-activation, and ``failed`` maps the position of each slice
-    whose pre-activations went non-finite to the error naming the first
-    layer where they did.
+    ``flat`` is one parameter vector shared by every episode or an (E,
+    size) stack with one row per episode, and ``weights`` its `dense_views`.
+    Each block's layer is one ``(B, n, in) @ (in, out)`` matmul, or ``(B, n,
+    in) @ (B, in, out)`` with per-episode rows, plus the bias; the
+    finiteness check and the ReLU then run once over every row.  Returns
+    (output, acts, preacts, failed): ``acts`` holds the input of every
+    decision layer, the fused embedding rows first, ``preacts`` every
+    layer's pre-activation, all (R, width), and ``failed`` maps the
+    position of each episode whose pre-activations went non-finite to the
+    error naming the first layer where they did.
     """
-    uw = plan.user_width
-    n_stack, n_items, item_width = stack.item_index.shape
-    x = np.empty((n_stack, n_items, uw + item_width))
-    x[:, :, :uw] = _gather(flat, stack.user_index)[:, None, :]
-    x[:, :, uw:] = _gather(flat, stack.item_index)
-
-    acts = [x]
+    a = _gather(flat, stack)
+    acts = [a]
     preacts = []
     failed = {}
-    a = x
     last = len(weights) - 1
+    shared = flat.ndim == 1
     with np.errstate(invalid="ignore", over="ignore"):
         for layer, (w, b) in enumerate(weights):
-            z = a @ w.swapaxes(-1, -2) + b
+            w_t = w.swapaxes(-1, -2)
+            parts = []
+            for e0, e1, r0, r1, n in stack.blocks:
+                z_k = a[r0:r1].reshape(e1 - e0, n, -1) @ (w_t if shared else w_t[e0:e1])
+                z_k += b if shared else b[e0:e1]
+                parts.append(z_k.reshape(r1 - r0, -1))
+            z = _join(parts)
             finite = np.isfinite(z)
             if not np.logical_and.reduce(finite, None):
-                for position in np.flatnonzero(~finite.all(axis=(1, 2))).tolist():
+                bad = np.unique(stack.row_episodes[~finite.all(axis=1)])
+                for position in bad.tolist():
                     failed.setdefault(position, NumericError(
                         f"non-finite values in decision layer {layer}"))
             preacts.append(z)
@@ -501,12 +533,13 @@ def forward(theta: ParamSet, spec: ModelSpec, user_ids, items):
 
 
 def predict_stack(flat: np.ndarray, spec: ModelSpec, stack: EpisodeStack):
-    """Predictions (B, n_items) for every slice of ``stack``, at one shared
-    parameter vector or at one row of a (B, size) stack per slice, plus the
-    ``failed`` map of `_forward_stack` (those slices' rows are not finite)."""
+    """Predictions (B, n_items) for every episode of a one-block ``stack``,
+    at one shared parameter vector or at one row of a (B, size) stack per
+    episode, plus the ``failed`` map of `_forward_stack` (those episodes'
+    rows are not finite)."""
     z_out, _, _, failed = _forward_stack(flat, dense_views(flat, spec.plan.layers), spec.plan,
                                          stack)
-    return z_out[:, :, 0], failed
+    return z_out[:, 0].reshape(stack.targets.shape), failed
 
 
 def predict_stacks(theta: ParamSet, spec: ModelSpec, episodes, limit: int) -> list:
@@ -577,12 +610,13 @@ class _StackTape(NamedTuple):
     """What one stacked forward and backward pass computed, kept for the R-op.
 
     ``flat`` and ``weights`` are the parameters the pass ran at (shared, or
-    one row per slice) and their `dense_views`; ``acts`` holds the input of
-    every decision layer, ``masks`` the ReLU masks ``z > 0`` of the hidden
-    layers, and ``gas`` the upstream gradient of every layer after its mask,
-    each with one leading slice per episode of ``stack``.  ``total_items``
-    is the item count the loss is averaged over.  Everything is held by
-    reference; nothing is copied.
+    one row per episode) and their `dense_views`; ``acts`` holds the input
+    of every decision layer, ``masks`` the ReLU masks ``z > 0`` of the
+    hidden layers, and ``gas`` the upstream gradient of every layer after
+    its mask, all (R, width) over the rows of ``stack``.  ``total_items``
+    is the item count every loss is averaged over, or None when each
+    episode's is its own.  Everything is held by reference; nothing is
+    copied.
     """
 
     flat: np.ndarray
@@ -591,16 +625,16 @@ class _StackTape(NamedTuple):
     acts: list
     masks: list
     gas: list
-    total_items: int
+    total_items: Optional[int]
 
 
 class StackGradient(NamedTuple):
-    """Per-slice gradients of an `EpisodeStack`, each the `grad` of its episode alone.
+    """Per-episode gradients of an `EpisodeStack`, each the `grad` of its episode alone.
 
-    ``rows`` (one gradient per slice), ``losses`` and ``tape`` cover every
-    slice.  ``failed`` maps the position of each slice whose forward pass
-    went non-finite to its error; such a slice stays in the stack, and its
-    row and loss are whatever the pass computed.
+    ``rows`` (one gradient per episode), ``losses`` and ``tape`` cover every
+    episode.  ``failed`` maps the position of each episode whose forward
+    pass went non-finite to its error; such an episode stays in the stack,
+    and its row and loss are whatever the pass computed.
     """
 
     failed: dict
@@ -609,193 +643,247 @@ class StackGradient(NamedTuple):
     tape: _StackTape
 
 
-def _grad_pass(flat, plan: FlatPlan, stack: EpisodeStack, total_items: int):
-    """Forward and backward pass of every slice of ``stack`` at once.
+def _join(parts: list) -> np.ndarray:
+    """Per-block results joined into one array of rows, in block order."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-    A slice whose forward pass goes non-finite stays in the stack: the
-    backward pass runs with numpy's overflow and invalid warnings off, and
-    since every slice is its own BLAS call, its values touch no other
-    slice.  Returns (failed, out, losses, user_values, item_values, tape):
-    one row of ``out`` per slice holds the gradient of its decision layers
-    and zeros at the embedding values, whose gradient terms come back
-    unscattered, as each slice's per-feature user sum (B, user_width) and
-    its per-item rows (B, n_items, item_width).
+
+def _user_sums(values: np.ndarray, stack: EpisodeStack, width: int) -> np.ndarray:
+    """Each episode's sum over its rows of the first ``width`` columns of
+    ``values``, block by block, (E, width)."""
+    return _join([np.add.reduce(values[r0:r1, :width].reshape(e1 - e0, n, width), 1)
+                  for e0, e1, r0, r1, n in stack.blocks])
+
+
+def _grad_pass(flat, plan: FlatPlan, stack: EpisodeStack, total_items: Optional[int],
+               out: np.ndarray):
+    """Forward and backward pass of every episode of ``stack`` at once.
+
+    Each loss is averaged over ``total_items``, or over the episode's own
+    item count when that is None.  Each block's matmuls and row sums (the
+    loss, the bias gradient and the user embedding sum) run per block, with
+    the strides a stack of that one shape has; every other step runs once
+    over all rows.  An episode whose forward pass goes non-finite stays in
+    the stack: the backward pass runs with numpy's overflow and invalid
+    warnings off, and since every episode is its own BLAS call, its values
+    touch no other episode.  ``out`` (E, size) receives one row per
+    episode: the gradient of its decision layers and zeros at the embedding
+    values, whose gradient terms come back unscattered, as each episode's
+    per-feature user sum (E, user_width) and its per-row item terms (R,
+    item_width).  Returns (failed, losses, user_values, item_values, tape).
     """
     weights = dense_views(flat, plan.layers)
     _, acts, preacts, failed = _forward_stack(flat, weights, plan, stack)
     uw = plan.user_width
     n_layers = len(weights)
+    shared = flat.ndim == 1
     gas = [None] * n_layers
-    out = np.zeros((len(stack.targets), flat.shape[-1]))
+    out[:, :plan.layers[0][0].start] = 0.0
     grads = dense_views(out, plan.layers)
     masks = [z > 0.0 for z in preacts[:-1]]
     with np.errstate(invalid="ignore", over="ignore"):
-        r = preacts[-1][:, :, 0] - stack.targets
-        losses = np.add.reduce(r * r, 1) / total_items
-        ga = (r * (2.0 / total_items))[:, :, None]
+        r = preacts[-1][:, 0] - stack.row_targets
+        losses, seeds = [], []
+        for e0, e1, r0, r1, n in stack.blocks:
+            count = n if total_items is None else total_items
+            r_k = r[r0:r1]
+            losses.append(np.add.reduce((r_k * r_k).reshape(e1 - e0, n), 1) / count)
+            seeds.append(r_k * (2.0 / count))
+        losses = _join(losses)
+        ga = _join(seeds)[:, None]
         for layer in range(n_layers - 1, -1, -1):
             if layer < n_layers - 1:
                 ga = ga * masks[layer]
             gas[layer] = ga
+            w, a = weights[layer][0], acts[layer]
             g_w, g_b = grads[layer]
-            g_w += ga.swapaxes(-1, -2) @ acts[layer]
-            g_b += np.add.reduce(ga, 1, keepdims=True)
-            ga = ga @ weights[layer][0]
-        user_values = np.add.reduce(ga[:, :, :uw], 1)
+            parts = []
+            for e0, e1, r0, r1, n in stack.blocks:
+                ga_k = ga[r0:r1].reshape(e1 - e0, n, -1)
+                # a BLAS product sums from +0.0, so it is never -0.0, and
+                # writing it into the zeroed row has the bits of adding it
+                np.matmul(ga_k.swapaxes(-1, -2), a[r0:r1].reshape(e1 - e0, n, -1),
+                          out=g_w[e0:e1])
+                np.add.reduce(ga_k, 1, keepdims=True, out=g_b[e0:e1])
+                parts.append((ga_k @ (w if shared else w[e0:e1])).reshape(r1 - r0, -1))
+            g_b += 0.0  # as zeros plus the sum, so a -0.0 sum gives +0.0
+            ga = _join(parts)
+        user_values = _user_sums(ga, stack, uw)
     tape = _StackTape(flat, weights, stack, acts, masks, gas, total_items)
-    return failed, out, losses, user_values, ga[:, :, uw:], tape
+    return failed, losses, user_values, ga[:, uw:], tape
 
 
-def _hvp_pass(tape: _StackTape, v: np.ndarray, plan: FlatPlan):
-    """The R-op of ``tape``'s passes along ``v`` (shared, or one row per slice).
+def _hvp_pass(tape: _StackTape, v: np.ndarray, plan: FlatPlan, out: np.ndarray):
+    """The R-op of ``tape``'s passes along ``v`` (shared, or one row per episode).
 
-    Returns (out, user_values, item_values) laid out as `_grad_pass`
-    returns the gradient; the equations are in `hvp`.
+    Writes one row per episode into ``out`` and returns (user_values,
+    item_values), laid out as `_grad_pass` returns the gradient; the
+    equations are in `hvp`.
     """
     uw = plan.user_width
     weights, stack, acts, masks, gas = tape.weights, tape.stack, tape.acts, tape.masks, tape.gas
     v_weights = dense_views(v, plan.layers)
-    x_t = np.empty(acts[0].shape)
-    x_t[:, :, :uw] = _gather(v, stack.user_index)[:, None, :]
-    x_t[:, :, uw:] = _gather(v, stack.item_index)
-    acts_t = [x_t]
+    a_t = _gather(v, stack)
+    acts_t = [a_t]
     n_layers = len(weights)
+    shared, v_shared = tape.flat.ndim == 1, v.ndim == 1
     for layer in range(n_layers):
+        w_t = weights[layer][0].swapaxes(-1, -2)
         v_w, v_b = v_weights[layer]
-        z_t = (acts_t[layer] @ weights[layer][0].swapaxes(-1, -2)
-               + acts[layer] @ v_w.swapaxes(-1, -2)) + v_b
+        v_w_t = v_w.swapaxes(-1, -2)
+        a = acts[layer]
+        parts = []
+        for e0, e1, r0, r1, n in stack.blocks:
+            shape = (e1 - e0, n, -1)
+            z_k = a_t[r0:r1].reshape(shape) @ (w_t if shared else w_t[e0:e1])
+            z_k += a[r0:r1].reshape(shape) @ (v_w_t if v_shared else v_w_t[e0:e1])
+            z_k += v_b if v_shared else v_b[e0:e1]
+            parts.append(z_k.reshape(r1 - r0, -1))
+        z_t = _join(parts)
         if layer < n_layers - 1:
-            acts_t.append(np.where(masks[layer], z_t, 0.0))
+            a_t = np.where(masks[layer], z_t, 0.0)
+            acts_t.append(a_t)
 
-    ga_t = (z_t[:, :, 0] * (2.0 / tape.total_items))[:, :, None]
-    out = np.zeros((len(stack.targets), v.shape[-1]))
+    total_items = tape.total_items
+    ga_t = _join([z_t[r0:r1, 0] * (2.0 / (n if total_items is None else total_items))
+                  for e0, e1, r0, r1, n in stack.blocks])[:, None]
+    out[:, :plan.layers[0][0].start] = 0.0
     grads = dense_views(out, plan.layers)
     for layer in range(n_layers - 1, -1, -1):
         if layer < n_layers - 1:
             ga_t = ga_t * masks[layer]
-        ga = gas[layer]
+        ga, w, v_w = gas[layer], weights[layer][0], v_weights[layer][0]
+        a, a_t = acts[layer], acts_t[layer]
         g_w, g_b = grads[layer]
-        g_w += ga_t.swapaxes(-1, -2) @ acts[layer] + ga.swapaxes(-1, -2) @ acts_t[layer]
-        g_b += np.add.reduce(ga_t, 1, keepdims=True)
-        ga_t = ga_t @ weights[layer][0] + ga @ v_weights[layer][0]
-    return out, np.add.reduce(ga_t[:, :, :uw], 1), ga_t[:, :, uw:]
+        parts = []
+        for e0, e1, r0, r1, n in stack.blocks:
+            shape = (e1 - e0, n, -1)
+            ga_t_k, ga_k = ga_t[r0:r1].reshape(shape), ga[r0:r1].reshape(shape)
+            np.add(ga_t_k.swapaxes(-1, -2) @ a[r0:r1].reshape(shape),
+                   ga_k.swapaxes(-1, -2) @ a_t[r0:r1].reshape(shape), out=g_w[e0:e1])
+            np.add.reduce(ga_t_k, 1, keepdims=True, out=g_b[e0:e1])
+            parts.append((ga_t_k @ (w if shared else w[e0:e1])
+                          + ga_k @ (v_w if v_shared else v_w[e0:e1])).reshape(r1 - r0, -1))
+        g_b += 0.0
+        ga_t = _join(parts)
+    return _user_sums(ga_t, stack, uw), ga_t[:, uw:]
 
 
 def _scatter_rows(out, stack: EpisodeStack, user_values, item_values) -> np.ndarray:
-    """Add each slice's embedding terms into its own row of ``out``.
+    """Add each episode's embedding terms into its own row of ``out``.
 
-    The user positions are distinct within a slice, and ``np.add.at`` adds
-    item rows in order; raveled, it takes numpy's one-dimensional fast path
-    in that order, so every row gets the bits of a one-episode pass.
+    The user positions are distinct within an episode, and ``np.add.at``
+    adds item rows in order; raveled, it takes numpy's one-dimensional fast
+    path in that order, so every row gets the bits of a one-episode pass.
     """
     n_rows, size = out.shape
-    rows = np.arange(n_rows)
-    out[rows[:, None], stack.user_index] += user_values
-    np.add.at(out.reshape(-1), (stack.item_index + (rows * size)[:, None, None]).ravel(),
-              item_values.ravel())
+    uw = stack.user_index.shape[1]
+    out[np.arange(n_rows)[:, None], stack.user_index] += user_values
+    item_positions = stack.index[:, uw:] + (stack.row_episodes * size)[:, None]
+    np.add.at(out.reshape(-1), item_positions.ravel(), item_values.ravel())
     return out
 
 
-def _pool(plan: FlatPlan, size: int, groups) -> np.ndarray:
-    """One vector from the unscattered terms of shape groups, added in episode order.
+def _pool(plan: FlatPlan, order: np.ndarray, stack: EpisodeStack, out, user_values,
+          item_values) -> np.ndarray:
+    """One vector from a pass's unscattered terms, added in batch order.
 
-    ``groups`` holds one ``(positions, stack, out, user_values, item_values)``
-    per group, ``positions`` saying where each slice's episode sits in the
-    batch.  The dense rows, laid out in episode order, are summed down the
-    rows, and one ``np.add.at`` adds each episode's user then item terms in
-    episode order, as a one-at-a-time pass would, so pooling keeps its bits.
+    ``order[p]`` is the batch position of the stack's episode ``p``.  The
+    dense rows, laid out in batch order, are summed down the rows, and one
+    ``np.add.at`` adds each episode's user then item terms in batch order,
+    as a one-at-a-time pass would, so pooling keeps its bits.
     """
-    widths = np.zeros(sum(len(group[0]) for group in groups), dtype=np.int64)
-    for positions, stack, *_ in groups:
-        widths[positions] = stack.user_index.shape[1] + stack.item_index[0].size
+    uw = plan.user_width
+    widths = np.empty(len(order), dtype=np.int64)
+    widths[order] = uw + stack.lengths * (stack.index.shape[1] - uw)
     offsets = np.cumsum(widths) - widths
     start = plan.layers[0][0].start
-    dense = np.empty((len(widths), size - start))
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(len(order))
     index, values = np.empty(widths.sum(), dtype=np.int64), np.empty(widths.sum())
-    for positions, stack, out, user_values, item_values in groups:
-        n = len(positions)
-        dense[positions] = out[:, start:]
-        at = offsets[positions][:, None] + np.arange(widths[positions[0]])
-        index[at] = np.concatenate((stack.user_index, stack.item_index.reshape(n, -1)), axis=1)
-        values[at] = np.concatenate((user_values, item_values.reshape(n, -1)), axis=1)
-    flat = np.zeros(size)
-    flat[start:] += np.add.accumulate(dense)[-1]
+    for e0, e1, r0, r1, n in stack.blocks:
+        at = offsets[order[e0:e1]][:, None] + np.arange(widths[order[e0]])
+        index[at] = np.concatenate(
+            (stack.user_index[e0:e1], stack.index[r0:r1, uw:].reshape(e1 - e0, -1)), axis=1)
+        values[at] = np.concatenate(
+            (user_values[e0:e1], item_values[r0:r1].reshape(e1 - e0, -1)), axis=1)
+    flat = np.zeros(out.shape[1])
+    flat[start:] += np.add.accumulate(out[inverse, start:])[-1]
     np.add.at(flat, index, values)
     return flat
 
 
-def grad_stack(flat: np.ndarray, spec: ModelSpec, stack: EpisodeStack) -> StackGradient:
-    """`grad` of each slice's episode alone, every slice at once.
+def grad_stack(flat: np.ndarray, spec: ModelSpec, stack: EpisodeStack,
+               out: Optional[np.ndarray] = None) -> StackGradient:
+    """`grad` of each episode of ``stack`` alone, every episode at once.
 
-    ``flat`` is one parameter vector for every slice or a (B, size) stack
-    with one row per slice; the caller has checked its layout.  Every slice
-    keeps its row, loss and tape, a failed one included, and none raises a
-    numpy warning.
+    ``flat`` is one parameter vector for every episode or an (E, size)
+    stack with one row per episode; the caller has checked its layout.  The
+    rows are written into ``out`` (E, size) when given, else into a new
+    stack.  Every episode keeps its row, loss and tape, a failed one
+    included, and none raises a numpy warning.
     """
-    failed, out, losses, user_values, item_values, tape = _grad_pass(
-        flat, spec.plan, stack, stack.targets.shape[1])
+    if out is None:
+        out = np.empty((len(stack.lengths), flat.shape[-1]))
+    failed, losses, user_values, item_values, tape = _grad_pass(flat, spec.plan, stack, None,
+                                                                out)
     with np.errstate(invalid="ignore", over="ignore"):
         rows = _scatter_rows(out, stack, user_values, item_values)
     return StackGradient(failed, rows, losses, tape)
 
 
 class _Tape(NamedTuple):
-    """What `grad` computed at ``(theta, batch)``, kept for `hvp`: one
-    ``(positions, _StackTape)`` pair per shape group of the batch."""
+    """What `grad` computed at ``(theta, batch)``, kept for `hvp`: its one
+    pass's tape and ``order``, the batch position of each of its episodes."""
 
     theta: ParamSet
     spec: ModelSpec
     batch: object
-    groups: list
+    order: np.ndarray
+    stack_tape: _StackTape
 
 
 def grad(theta: ParamSet, spec: ModelSpec, batch) -> Gradient:
     """Exact reverse-mode gradient of the pooled mean squared error over the batch.
 
     ``batch`` is one episode tuple, a sequence of episodes or a
-    `CheckedSplit`, read by `_split_of`.  Episodes with equal item counts
-    run as one stack; every value is then
-    added in episode order.  The returned Gradient carries the passes as
-    its ``tape``, for `hvp` at the same point.
+    `CheckedSplit`, read by `_split_of`.  Its episodes run as one ragged
+    pass, ordered by item count; every value is then added in episode
+    order.  The returned Gradient carries the pass as its ``tape``, for
+    `hvp` at the same point.
     """
     _check_theta(theta, spec)
     split = _split_of(spec, batch)
     if not split:
         raise DataError("empty episode batch")
-    lengths = split.lengths.tolist()
-    total_items = sum(lengths)
     plan = spec.plan
-    losses = [None] * len(split)
-    groups, tapes = [], []
-    errors = {}
-    for group in shape_groups(lengths):
-        failed, out, group_losses, user_values, item_values, tape = _grad_pass(
-            theta.flat, plan, split.take(group).stack(plan), total_items)
-        for position, exc in failed.items():
-            errors[group[position]] = exc
-        groups.append((group, tape.stack, out, user_values, item_values))
-        tapes.append((group, tape))
-        for position, i in enumerate(group):
-            losses[i] = group_losses[position]
-    if errors:
-        raise errors[min(errors)]
+    order = np.argsort(split.lengths, kind="stable")
+    stack = split.take(order).stack(plan)
+    out = np.empty((len(order), theta.layout.size))
+    failed, stack_losses, user_values, item_values, tape = _grad_pass(
+        theta.flat, plan, stack, int(split.lengths.sum()), out)
+    if failed:
+        raise failed[min(failed, key=order.__getitem__)]
+    losses = np.empty(len(order))
+    losses[order] = stack_losses
     loss_value = 0.0
     for value in losses:
         loss_value = loss_value + value
-    return Gradient.wrap(theta.layout, _pool(plan, theta.layout.size, groups), float(loss_value),
-                         tape=_Tape(theta, spec, batch, tapes))
+    return Gradient.wrap(theta.layout, _pool(plan, order, stack, out, user_values, item_values),
+                         float(loss_value), tape=_Tape(theta, spec, batch, order, tape))
 
 
 def hvp(theta: ParamSet, spec: ModelSpec, batch, v,
-        at: Union[Gradient, StackGradient, None] = None):
+        at: Union[Gradient, StackGradient, None] = None, out: Optional[np.ndarray] = None):
     """Exact Hessian-vector product H(theta) @ v for the pooled mean squared error.
 
     ``at`` is the Gradient that ``grad(theta, spec, batch)`` returned,
     for these same ``theta`` and ``batch`` objects; without it, `hvp` runs
     that `grad` first.  Or ``at`` is a StackGradient that `grad_stack`
     returned at ``theta.flat`` for the episodes in ``batch``, one per
-    slice; then ``v`` is a (B, size) array with one row per slice, and the
-    result is too, each row the product for its episode alone.
+    stacked episode; then ``v`` is an (E, size) array with one row per
+    episode, and the result is too, each row the product for its episode
+    alone, written into ``out`` when given.
 
     The R-op (Pearlmutter, 1994) differentiates the recorded passes along
     v and computes tangents only.  With rows z = a W^T + b and
@@ -817,7 +905,9 @@ def hvp(theta: ParamSet, spec: ModelSpec, batch, v,
                 or np.shape(v) != at.rows.shape):
             raise ConfigError("a stacked hvp needs the StackGradient of grad_stack at this "
                               "theta, one episode and one row of v per slice")
-        out, user_values, item_values = _hvp_pass(at.tape, v, plan)
+        if out is None:
+            out = np.empty(at.rows.shape)
+        user_values, item_values = _hvp_pass(at.tape, v, plan, out)
         return _scatter_rows(out, at.tape.stack, user_values, item_values)
     theta._check_same_layout(v)
     if at is None:
@@ -827,6 +917,7 @@ def hvp(theta: ParamSet, spec: ModelSpec, batch, v,
             or tape.spec != spec):
         raise ConfigError("hvp needs the Gradient that grad returned for this same theta "
                           "object, batch object and spec")
-    groups = [(group, stack_tape.stack) + _hvp_pass(stack_tape, v.flat, plan)
-              for group, stack_tape in tape.groups]
-    return ParamSet.wrap(theta.layout, _pool(plan, theta.layout.size, groups))
+    rows = np.empty((len(tape.order), theta.layout.size))
+    user_values, item_values = _hvp_pass(tape.stack_tape, v.flat, plan, rows)
+    return ParamSet.wrap(theta.layout, _pool(plan, tape.order, tape.stack_tape.stack, rows,
+                                             user_values, item_values))

@@ -18,6 +18,7 @@ import pytest
 
 from metarec import model as model_module
 from metarec.datagen import generate_corpus
+from metarec.errors import DataError
 from metarec.meta_learners import (MetaTrainer, TrainerConfig, _EncodedSplit, _encode_split,
                                    _model_spec, evaluate)
 from metarec.model import CheckedSplit, shape_groups
@@ -149,12 +150,41 @@ def test_index_stacks_equal_array_stacks(source, corpus_splits):
     for group in shape_groups(shapes, 5):
         part = encoded.take(group)
         for k, split in enumerate((part.support, part.query, pooled.take(group))):
-            got = split.stack(spec.plan)
+            stack = split.stack(spec.plan)
             expected = array_stack(spec, [reference[i][k] for i in group])
+            user_width = expected[0].shape[1]
+            assert np.array_equal(stack.index[:, :user_width],
+                                  np.repeat(expected[0], split.lengths, axis=0))
+            got = (stack.user_index, stack.index[:, user_width:].reshape(expected[1].shape),
+                   stack.targets)
             for got_field, expected_field in zip(got, expected):
                 assert got_field.dtype == expected_field.dtype
                 assert got_field.shape == expected_field.shape
                 assert np.array_equal(got_field, expected_field)
+
+
+def test_a_ragged_stack_concatenates_each_episodes_rows(corpus_splits):
+    """Episodes of several lengths stack as one run of rows per episode, in
+    order, with one block per run of equal lengths."""
+    spec = spec_of(corpus_splits)
+    split = _encode_split(corpus_splits, corpus_splits.train, spec).support
+    split = split.take(np.argsort(split.lengths, kind="stable")[::3])
+    stack = split.stack(spec.plan)
+    lengths = split.lengths.tolist()
+    assert 1 < len(stack.blocks) < len(lengths)
+    assert [n for *_, n in stack.blocks] == sorted(set(lengths))
+    assert [(e0, e1, r0, r1) for e0, e1, r0, r1, _ in stack.blocks] == [
+        (e0, e1, sum(lengths[:e0]), sum(lengths[:e1])) for e0, e1, *_ in stack.blocks]
+    assert stack.row_episodes.tolist() == [e for e, n in enumerate(lengths) for _ in range(n)]
+    for e, episode in enumerate(split):
+        user_index, item_index, targets = array_stack(spec, [episode])
+        rows = stack.row_episodes == e
+        assert np.array_equal(stack.user_index[e], user_index[0])
+        assert np.array_equal(stack.index[rows], np.concatenate(
+            (np.repeat(user_index, len(targets[0]), axis=0), item_index[0]), axis=1))
+        assert np.array_equal(stack.row_targets[rows], targets[0])
+    with pytest.raises(DataError, match="equal item counts"):
+        stack.targets
 
 
 # ---------------------------------------------------------------------------

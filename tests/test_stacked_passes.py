@@ -1,23 +1,30 @@
 """The stacked trainer and evaluation passes against a one-episode reference.
 
-`MetaTrainer.outer_gradients` and `_evaluate_encoded` run every shape group
-of a batch (episodes with equal support and query row counts) as one 3-D
-stack.  The reference here rebuilds both one episode at a time from the
-single-episode `grad`, `hvp` and `predict` calls, the way the trainer ran
-before it stacked anything, and every output must match it bit for bit.
-Both sides run in one process on one BLAS kernel, so unlike the pinned
-digests these checks hold on any host.
+`MetaTrainer.outer_gradients` orders a batch by shape, cuts it into passes
+of at most `EVAL_STACK_BYTES` of parameter rows, and runs each pass as
+ragged stacks: one block per run of equal support or query row counts,
+each block's dense layers as 3-D matmuls, everything else once over all
+rows.  `_evaluate_encoded` runs each shape group as one-block stacks.  The
+reference here rebuilds both one episode at a time from the single-episode
+`grad`, `hvp` and `predict` calls, the way the trainer ran before it
+stacked anything, and every output must match it bit for bit, at a small
+model and at the criterion-6 model shape.  Both sides run in one process on
+one BLAS kernel, so unlike the pinned digests these checks hold on any
+host.
 """
 
 import copy
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from metarec import meta_learners
+from metarec import model as model_module
+from metarec.datagen import generate_corpus
 from metarec.errors import NumericError
 from metarec.memory_tree import blend_gradients
 from metarec.meta_learners import (MetaTrainer, TrainerConfig, _distinct_rates, _encode_split,
@@ -25,7 +32,8 @@ from metarec.meta_learners import (MetaTrainer, TrainerConfig, _distinct_rates, 
                                    logged_rate)
 from metarec.model import grad, grad_stack, hvp, loss, predict, user_embedding
 from metarec.params import ParamSet
-from metarec.tasks import InteractionColumns, synthetic_splits
+from metarec.tasks import (InteractionColumns, PreprocessConfig, load_movielens, preprocess,
+                           synthetic_splits)
 
 ALGORITHMS = ("paml", "at-paml", "reg-paml", "maml-fixed", "meta-sgd")
 HEAD_ALGORITHMS = ("paml", "at-paml", "reg-paml")
@@ -316,3 +324,210 @@ def test_a_non_finite_slice_fails_alone_and_silently():
         alone = grad(theta.from_flat(flats[k]), spec, episodes[k])
         assert got.rows[k].tobytes() == alone.flat.tobytes()
         assert repr(float(got.losses[k])) == repr(alone.loss)
+
+
+# ---------------------------------------------------------------------------
+# the paper's model shape: ragged blocks cut into passes by bytes
+
+
+PAPER_SHAPE = dict(batch_size=16, embedding_dim=16, decision_dims=(64, 32, 1),
+                   lr_hidden_dims=(32, 16), outer_lr=0.05, lr_scale=0.1, fixed_inner_lr=1e-5,
+                   gamma=1e-2, tree_neighbors_train=4, tree_neighbors_infer=2, seed=2)
+
+
+@pytest.fixture(scope="module")
+def paper_splits(tmp_path_factory):
+    """A small generated corpus: 4 user features and many episode lengths."""
+    root = tmp_path_factory.mktemp("paper-corpus")
+    paths = generate_corpus(str(root), n_users=60, n_movies=60, seed=1, minor_taste_scale=2.5,
+                            min_items=15, max_items=40)
+    return preprocess(load_movielens(paths["ratings"], paths["users"], paths["movies"]),
+                      PreprocessConfig(seed=0))
+
+
+def paper_trainer(splits, algorithm):
+    """A trainer two epochs in at the criterion-6 model shape."""
+    trainer = MetaTrainer(splits, TrainerConfig(algorithm=algorithm, epochs=2, **PAPER_SHAPE))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        trainer.train()
+    assert len(trainer.spec.user_vocab_sizes) == 4
+    return trainer
+
+
+def paper_batch(trainer):
+    """16 episodes, most of one length each, and one length twice: one of
+    that pair has a NaN support target, the other stays finite, and both sit
+    in one block of one pass.  A third episode's support target is so large
+    that its query pass overflows."""
+    eps = list(trainer.splits.train)
+    shapes = [(len(ep.support), len(ep.query)) for ep in eps]
+    pair = next((i, j) for i in range(len(eps)) for j in range(i + 1, len(eps))
+                if shapes[i] == shapes[j])
+    chosen, seen = list(pair), {shapes[pair[0]]}
+    for i, shape in enumerate(shapes):
+        if len(chosen) < 16 and shape not in seen:
+            chosen.append(i)
+            seen.add(shape)
+    chosen = chosen[2:9] + [chosen[0]] + chosen[9:] + [chosen[1]]
+    episodes = [eps[i] for i in chosen]
+    episodes[7] = reshaped(episodes[7], support_target=np.nan)
+    episodes[3] = reshaped(episodes[3], support_target=1e150)
+    return _encode_split(trainer.splits, episodes, trainer.spec)
+
+
+def passes(trainer, batch):
+    """The batch positions of each pass's episodes, as the trainer cuts them."""
+    order = np.lexsort((batch.support.lengths, batch.query.lengths)).tolist()
+    limit = meta_learners.EVAL_STACK_BYTES // trainer.theta.flat.nbytes
+    return [order[start:start + limit] for start in range(0, len(order), limit)]
+
+
+def test_paper_batch_is_ragged_and_cut_into_passes(paper_splits):
+    trainer = paper_trainer(paper_splits, "paml")
+    batch = paper_batch(trainer)
+    shapes = list(zip(batch.support.lengths.tolist(), batch.query.lengths.tolist()))
+    assert len(shapes) == 16 and len(set(shapes)) == 15 and shapes[7] == shapes[15]
+    cut = passes(trainer, batch)
+    assert len(cut) > 1
+    assert any(7 in positions and 15 in positions for positions in cut)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_paper_shape_outer_gradients_match_one_episode_reference(paper_splits, algorithm):
+    trainer = paper_trainer(paper_splits, algorithm)
+    batch = paper_batch(trainer)
+    tree = copy.deepcopy(trainer.tree)
+    expected = reference_outer_gradients(trainer, batch, tree)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = trainer.outer_gradients(batch)
+    assert [w.category for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert [str(w.message) for w in caught] == expected["messages"]
+    assert [message.split(": ", 1)[1] for message in expected["messages"]] == \
+        ["non-finite values in decision layer 1", "support loss is not finite"]
+    assert got.n_skipped == 2
+    assert bits(got.theta_grad) == bits(expected["theta"])
+    assert bits(got.psi_grad) == bits(expected["psi"])
+    assert bits(got.msgd_grad) == bits(expected["msgd"])
+    for got_part, expected_part in zip((got.tree_node_ids, got.tree_emb_grads,
+                                        got.tree_lr_grads), expected["tree"]):
+        assert got_part.tobytes() == expected_part.tobytes()
+    assert repr([tuple(log)[:7] for log in got.episode_logs]) == repr(expected["logs"])
+    assert [(h.tobytes(), repr(lr)) for h, lr in got.pending_stores] \
+        == [(h.tobytes(), repr(lr)) for h, lr in expected["pending"]]
+    assert repr(got.total_loss) == repr(expected["total_loss"])
+    assert tree_state(trainer.tree) == tree_state(tree)
+
+
+def pooled_reference(theta, spec, split, v):
+    """The pooled grad, loss and hvp of ``split``, each episode through a pass
+    of its own, every term added onto zeros in episode order."""
+    plan = spec.plan
+    total = int(split.lengths.sum())
+    start = plan.layers[0][0].start
+    g, hv, loss_value = np.zeros(theta.layout.size), np.zeros(theta.layout.size), 0.0
+    for i in range(len(split)):
+        stack = split.take([i]).stack(plan)
+        rows = np.empty((1, theta.layout.size))
+        failed, losses, user_values, item_values, tape = model_module._grad_pass(
+            theta.flat, plan, stack, total, rows)
+        assert not failed
+        loss_value = loss_value + losses[0]
+        hv_rows = np.empty_like(rows)
+        hv_terms = model_module._hvp_pass(tape, v.flat, plan, hv_rows)
+        for out, (pass_rows, users, items) in ((g, (rows, user_values, item_values)),
+                                               (hv, (hv_rows,) + hv_terms)):
+            out[start:] += pass_rows[0, start:]
+            np.add.at(out, stack.user_index[0], users[0])
+            np.add.at(out, stack.index[:, plan.user_width:].ravel(), items.ravel())
+    return g, float(loss_value), hv
+
+
+def test_paper_shape_pooled_grad_and_hvp_match_one_episode_reference(paper_splits):
+    trainer = paper_trainer(paper_splits, "transfer")
+    spec, theta = trainer.spec, trainer.theta
+    pooled = _encode_split(trainer.splits, list(trainer.splits.train)[:16], spec).pooled()
+    lengths = pooled.lengths.tolist()
+    assert len(set(lengths)) > 8 and len(set(lengths)) < len(lengths)
+    v = theta.from_flat(np.random.default_rng(5).normal(size=theta.size()))
+    g = grad(theta, spec, pooled)
+    expected_g, expected_loss, expected_hv = pooled_reference(theta, spec, pooled, v)
+    assert g.flat.tobytes() == expected_g.tobytes()
+    assert repr(g.loss) == repr(expected_loss)
+    assert hvp(theta, spec, pooled, v, at=g).flat.tobytes() == expected_hv.tobytes()
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_paper_shape_evaluation_matches_one_episode_reference(paper_splits, algorithm):
+    """Unpoisoned, every record is the one-user reference's; poisoned, the
+    first error in batch order is raised."""
+    trainer = paper_trainer(paper_splits, algorithm)
+    args = (trainer.theta, trainer.spec, trainer.config, trainer.head, trainer.msgd_alpha,
+            trainer.tree)
+    batch = paper_batch(trainer)
+    with pytest.raises(NumericError) as expected:
+        reference_records(trainer, batch)
+    with pytest.raises(NumericError) as got:
+        _evaluate_encoded(*args, batch)
+    assert str(got.value) == str(expected.value) == "non-finite values in decision layer 1"
+    clean = trainer.train_episodes[:16]
+    got = [(r.user_key, repr(r.alpha), r.predictions.tobytes(), r.targets.tobytes(),
+            repr(r.query_loss)) for r in _evaluate_encoded(*args, clean)]
+    assert got == reference_records(trainer, clean)
+
+
+# ---------------------------------------------------------------------------
+# the trainer's reused row buffers
+
+
+def test_a_repeated_step_allocates_no_row_stack(paper_splits, monkeypatch):
+    """After one step has sized the trainer's buffers, another step at the
+    same batch keeps them, and no block it allocates reaches the bytes of
+    one pass buffer: every (episodes, parameters) stack is a reused view."""
+    trainer = paper_trainer(paper_splits, "at-paml")
+    batch = trainer.train_episodes[:16]
+    trainer.outer_gradients(batch)
+    buffers = dict(trainer._workspace)
+    pass_bytes = buffers["support"].nbytes
+    assert len(buffers["support"]) < len(batch)
+    largest = []
+
+    def watched(name):
+        call = getattr(meta_learners, name)
+
+        def wrapped(*args, **kwargs):
+            result = call(*args, **kwargs)
+            largest.append(max(trace.size for trace in tracemalloc.take_snapshot().traces))
+            return result
+        monkeypatch.setattr(meta_learners, name, wrapped)
+
+    for name in ("grad_stack", "hvp", "row_dots"):
+        watched(name)
+    tracemalloc.start()
+    try:
+        trainer.outer_gradients(batch)
+    finally:
+        tracemalloc.stop()
+    assert len(largest) == 5 * len(passes(trainer, batch))  # 2 grad_stack, 2 row_dots, 1 hvp
+    assert trainer._workspace.keys() == buffers.keys()
+    assert all(trainer._workspace[name] is buffer for name, buffer in buffers.items())
+    assert max(largest) < pass_bytes
+
+
+@pytest.mark.parametrize("algorithm", ("at-paml", "meta-sgd", "reg-paml"))
+def test_a_returned_gradient_pass_outlives_the_next_step(paper_splits, algorithm):
+    trainer = paper_trainer(paper_splits, algorithm)
+    first, second = trainer.train_episodes[:16], trainer.train_episodes[16:32]
+
+    def snapshot(g):
+        arrays = [g.theta_grad.flat, g.tree_node_ids, g.tree_emb_grads, g.tree_lr_grads]
+        arrays += [part.flat for part in (g.psi_grad, g.msgd_grad) if part is not None]
+        arrays += [h for h, _ in g.pending_stores]
+        return [a.tobytes() for a in arrays], repr((g.episode_logs, g.total_loss))
+
+    got = trainer.outer_gradients(first)
+    before = snapshot(got)
+    trainer.outer_step(second)
+    trainer.outer_gradients(first)
+    assert snapshot(got) == before
