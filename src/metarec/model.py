@@ -819,8 +819,8 @@ def grad_stack(flat: np.ndarray, spec: ModelSpec, stack: EpisodeStack,
 
     ``flat`` is one parameter vector for every episode or an (E, size)
     stack with one row per episode; the caller has checked its layout.  The
-    rows are written into ``out`` (E, size) when given, else into a new
-    stack.  Every episode keeps its row, loss and tape, a failed one
+    rows are written into ``out``, a C-contiguous (E, size) array, when
+    given, else into a new stack.  Every episode keeps its row, loss and tape, a failed one
     included, and none raises a numpy warning.
     """
     if out is None:
@@ -883,7 +883,7 @@ def hvp(theta: ParamSet, spec: ModelSpec, batch, v,
     returned at ``theta.flat`` for the episodes in ``batch``, one per
     stacked episode; then ``v`` is an (E, size) array with one row per
     episode, and the result is too, each row the product for its episode
-    alone, written into ``out`` when given.
+    alone, written into ``out`` (C-contiguous, like ``v``) when given.
 
     The R-op (Pearlmutter, 1994) differentiates the recorded passes along
     v and computes tangents only.  With rows z = a W^T + b and
