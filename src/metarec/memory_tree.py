@@ -10,19 +10,24 @@ norms that is kept in step with the embeddings but never dumped.  A store
 writes one row (an evicting store reuses the victim's), an update rewrites
 rows in place, and the columns grow geometrically up to capacity.
 
-A search returns the k nearest nodes ordered by (squared distance, node id),
-exactly.  At the tens of dimensions of user embeddings a kd-tree would visit
-nearly every point anyway (Weber, Schek & Blott, VLDB 1998), so every row is
-read, but cheaply: one matrix-vector product gives each row's norm expansion
-||e||^2 - 2 e.q, and only the rows within a proven rounding margin,
-16 (dim + 4) 2^-53 (max ||e||^2 + q.q), of the k-th smallest expansion get
-their exact distance ((e - q)^2).sum(), so the hits are bit-identical to a
-full scan.  Non-finite or near-overflow values and k >= n make every row a
-candidate.  A search with ``touch`` marks its hits used, closest first: each
-gets the next recency tick and one more use in its frequency, which the lru
-and lfu evictions read.  ``touch(node_ids)`` does the same for hits found
-earlier, so a caller can search once for users who share an embedding and
-still touch once per user; hits never depend on recency or frequency.
+A search takes one query embedding or a (D, dim) stack of them, and returns
+each query's k nearest nodes ordered by (squared distance, node id),
+exactly; a lone query is a stack of one.  At the tens of dimensions of user
+embeddings a kd-tree would visit nearly every point anyway (Weber, Schek &
+Blott, VLDB 1998), so every row is read, but cheaply: one matrix product
+over the stack gives each (query, row) pair's norm expansion
+||e||^2 - 2 e.q, one row-wise partition finds each query's k-th smallest,
+and only the rows within a proven rounding margin,
+16 (dim + 4) 2^-53 (max ||e||^2 + q.q), of it get their exact distance
+((e - q)^2).sum(), so the hits are bit-identical to a full scan.  A query
+whose scale is non-finite or near overflow, or k >= n, makes every row a
+candidate.  The (distance, id) order, the kernel and the blend then run as
+array operations over every query's hits.  A search with ``touch`` marks
+each query's hits used in turn, closest first: each gets the next recency
+tick and one more use in its frequency, which the lru and lfu evictions
+read.  ``touch(node_ids)`` does the same for hits found earlier, so a
+caller can search once for users who share an embedding and still touch
+once per user; hits never depend on recency or frequency.
 
 No index is ever rebuilt, so ``_dirty`` stays False; it remains because the
 benchmark's tracer counts each search that finds it set as a rebuild.
@@ -94,19 +99,20 @@ def kernel_similarity(h_i, h_k, delta: float = DEFAULT_DELTA) -> float:
     return float(np.exp(-delta * np.dot(diff, diff)))
 
 
-def blend_lr(sims, lrs, sigma: float = DEFAULT_SIGMA) -> float:
+def blend_lr(sims, lrs, sigma: float = DEFAULT_SIGMA):
     """Kernel-weighted average of neighbor learning rates.
 
-    ``sims`` and ``lrs`` align, one entry per neighbor.  Weights are
-    s_k / (sum_j s_j + sigma), so they sum to strictly less than one and the
-    blend shrinks toward zero.
+    ``sims`` and ``lrs`` align, one entry per neighbor, and give one rate; or
+    they hold one row of neighbors per query, and give a list of rates, one
+    per row.  Weights are s_k / (sum_j s_j + sigma), so they sum to strictly
+    less than one and the blend shrinks toward zero.
     """
-    sims = np.asarray(sims, dtype=np.float64)
-    lrs = np.asarray(lrs, dtype=np.float64)
-    if len(sims) == 0 or sims.shape != lrs.shape:
+    sims, lrs = (np.asarray(values, dtype=np.float64) for values in (sims, lrs))
+    if sims.ndim == 0 or sims.shape[-1] == 0 or sims.shape != lrs.shape:
         raise ConfigError(f"blend_lr needs aligned non-empty arrays, got {sims.shape} and {lrs.shape}")
-    denom = sims.sum() + sigma
-    return float(np.dot(sims, lrs) / denom)
+    denom = sims.sum(axis=-1) + sigma
+    # each (1 x m) @ (m x 1) product is the BLAS dot np.dot runs on one row
+    return ((sims[..., None, :] @ lrs[..., :, None])[..., 0, 0] / denom).tolist()
 
 
 def blend_gradients(h, neighbors: Neighbors, upstream: float,
@@ -237,9 +243,11 @@ class TreeMemory:
         return node_id
 
     def search(self, h, k: int, touch: bool = True) -> Neighbors:
-        """Return up to ``k`` nearest stored nodes, closest first.
+        """Return up to ``k`` nearest stored nodes for each query, closest first.
 
-        ``touch`` controls whether returned nodes have their recency bumped;
+        ``h`` is one query embedding, or a (D, dim) stack with one query per
+        row; then every field of the result has a leading axis of D, one row
+        of hits per query.  ``touch`` marks each query's hits used in turn;
         evaluation passes False so that scoring a model leaves the memory
         byte-identical.
         """
@@ -249,93 +257,113 @@ class TreeMemory:
         if n == 0:
             raise DataError("search on an empty memory tree (warm-up must store nodes first)")
         q = np.asarray(h, dtype=np.float64)
-        if q.shape != (self.dim,):
+        if q.ndim not in (1, 2) or q.shape[-1] != self.dim:
             raise ConfigError(f"query shape {q.shape} does not match tree dim ({self.dim},)")
-        rows = self._candidates(q, k)
+        queries = q.reshape(-1, self.dim)
+        which, rows = np.divmod(self._candidates(queries, k), n)
         self.last_search_visited = n
         diff = self._emb.take(rows, axis=0)
-        diff -= q
+        diff -= queries[which]
         d2 = np.square(diff).sum(axis=1)  # the bits of ((emb - q) ** 2).sum(axis=1)
-        # the first k candidates by (d2, id), a total order that puts NaN last;
-        # there are rarely more than k + 2 candidates, so no partition first
-        order = np.lexsort((self._ids[rows], d2))[:k]
+        # each query's first min(k, n) candidates by (d2, id), a total order
+        # that puts NaN last; every query has at least that many
+        m = min(k, n)
+        firsts = np.searchsorted(which, np.arange(len(queries)))  # ``which`` ascends
+        order = np.lexsort((self._ids[rows], d2, which))[(firsts[:, None] + np.arange(m)).ravel()]
         rows, d2, diff = rows[order], d2[order], diff[order]
-        m = len(rows)
         ids = self._ids[rows]
         if touch:
-            self.touch(ids)
+            for hits in ids.reshape(-1, m):
+                self.touch(hits)
         # each (1 x dim) @ (dim x 1) product is the BLAS dot np.dot runs, and
         # e - q is exactly -(q - e), so the kernel matches kernel_similarity(q, e)
         # bit for bit; a row sum would not
-        dots = diff.reshape(m, 1, self.dim) @ diff.reshape(m, self.dim, 1)
+        dots = diff.reshape(-1, 1, self.dim) @ diff.reshape(-1, self.dim, 1)
         sims = np.exp(-self.delta * dots.ravel())
-        return Neighbors(ids, np.sqrt(d2), self._emb.take(rows, axis=0), self._lr[rows], sims)
+        hits = Neighbors(ids, np.sqrt(d2), self._emb.take(rows, axis=0), self._lr[rows], sims)
+        return Neighbors._make(field.reshape(q.shape[:-1] + (m,) + field.shape[1:])
+                               for field in hits)
 
     def touch(self, node_ids) -> None:
         """Mark distinct nodes used, in order: each gets the next recency tick
         and one more use in its frequency, as a search with touch does for
         its hits, closest first."""
-        try:
-            rows = [self._rows[i] for i in np.asarray(node_ids, dtype=np.int64).tolist()]
-        except KeyError as exc:
-            raise ConfigError(f"touch of unknown memory node id {exc.args[0]}") from None
-        if len(set(rows)) != len(rows):
-            raise ConfigError("touch names one memory node twice")
+        rows = self._distinct_rows(node_ids, "touch of", "touch names one memory node twice")
         m = len(rows)
         self._recency[rows] = np.arange(self._counter + 1, self._counter + m + 1)
         self._counter += m
         self._freq[rows] += 1
 
-    def _candidates(self, q: np.ndarray, k: int) -> np.ndarray:
-        """Ascending rows that include every row whose exact squared distance
-        r = ((e - q)^2).sum() is at most the k-th smallest, ties included.
+    def _distinct_rows(self, node_ids, unknown: str, twice: str) -> np.ndarray:
+        """The int64 rows of ``node_ids``, in order; an unknown id, or one
+        named twice, is a ConfigError."""
+        try:
+            rows = [self._rows[i] for i in np.asarray(node_ids, dtype=np.int64).tolist()]
+        except KeyError as exc:
+            raise ConfigError(f"{unknown} unknown memory node id {exc.args[0]}") from None
+        if len(set(rows)) != len(rows):
+            raise ConfigError(twice)
+        return np.array(rows, dtype=np.int64)
 
-        With a = ||e||^2 - 2 e.q from the norm column and one matrix-vector
-        product, A the k-th smallest a, s = max ||e||^2 + q.q and u = 2^-53,
-        the cut is a <= A + 2B with B = c u s and c = 8 (dim + 4).  Proof: let
-        D = ||e - q||^2 be the true distance and d = dim.  In any summation
-        order, r and a + ||q||^2 each lie within E = gamma_{d+2} (||e|| +
-        ||q||)^2 <= 2 gamma_{d+2} s of D, where gamma_m = m u / (1 - m u)
-        (Higham, Accuracy and Stability of Numerical Algorithms, 2002, 3.1).
-        The k rows with a <= A have r <= A + ||q||^2 + 2E, so the k-th smallest
-        r, R, is at most that too; a row with r <= R then has a + ||q||^2 <=
-        r + 2E <= A + ||q||^2 + 4E.  So the cut needs 4E <= 8 (d + 2) u s (1 +
-        O(d u)), and 2B = 16 (d + 4) u s leaves more than the few u s that
-        rounding s, B and the cut itself can lose.  The scale carries a floor
-        of 2^-1021, so 2B >= 16 (d + 4) 2^-1074 also covers the absolute
-        error, at most 2^-1075 per product, of products that underflow.
+    def _candidates(self, queries: np.ndarray, k: int) -> np.ndarray:
+        """Ascending positions j n + row of (query, row) pairs, for the
+        queries j of the (D, dim) stack ``queries`` and the n rows, that
+        include for each query every row whose exact squared distance
+        r = ((e - q)^2).sum() is at most its k-th smallest, ties included;
+        for a lone query they are rows.
 
-        Below a scale of 2^1020 no step overflows.  A larger, infinite or NaN
-        scale (a non-finite embedding or query), or k >= n, returns all rows.
+        With a = ||e||^2 - 2 e.q from the norm column and one matrix product
+        over the stack, A a query's k-th smallest a, s = max ||e||^2 + q.q
+        and u = 2^-53, the cut is a <= A + 2B with B = c u s and c = 8 (dim +
+        4).  Proof: let D = ||e - q||^2 be the true distance and d = dim.  In
+        any summation order, r and a + ||q||^2 each lie within E = gamma_{d+2}
+        (||e|| + ||q||)^2 <= 2 gamma_{d+2} s of D, where gamma_m = m u / (1 -
+        m u) (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+        3.1).  The k rows with a <= A have r <= A + ||q||^2 + 2E, so the k-th
+        smallest r, R, is at most that too; a row with r <= R then has a +
+        ||q||^2 <= r + 2E <= A + ||q||^2 + 4E.  So the cut needs 4E <= 8 (d +
+        2) u s (1 + O(d u)), and 2B = 16 (d + 4) u s leaves more than the few
+        u s that rounding s, B and the cut itself can lose.  The scale carries
+        a floor of 2^-1021, so 2B >= 16 (d + 4) 2^-1074 also covers the
+        absolute error, at most 2^-1075 per product, of products that
+        underflow.  The order of any sum is free, so the stack's matrix
+        product finds each query's hits as a lone query's would.
+
+        Below a scale of 2^1020 no step overflows.  A query whose scale is
+        larger, infinite or NaN (a non-finite embedding or query), or k >= n,
+        gets every row.
         """
         n = self._n
         sq = self._sq[:n]
-        if k < n and (scale := sq.max() + np.dot(q, q) + _UNDERFLOW_FLOOR) <= _SCALE_LIMIT:
-            a = self._emb[:n] @ (-2.0 * q)
+        keep = np.ones((len(queries), n), dtype=bool)
+        if k < n:
+            with np.errstate(over="ignore", invalid="ignore"):
+                scale = sq.max() + _squared_norms(queries) + _UNDERFLOW_FLOOR
+            pruned = np.flatnonzero(scale <= _SCALE_LIMIT)
+            a = (-2.0 * queries[pruned]) @ self._emb[:n].T
             a += sq
-            return (a <= np.partition(a, k - 1)[k - 1] + self._margin * scale).nonzero()[0]
-        return np.arange(n)
+            cut = np.partition(a, k - 1, axis=1)[:, k - 1] + self._margin * scale[pruned]
+            keep[pruned] = a <= cut[:, None]
+        return np.flatnonzero(keep)
 
     def update_nodes(self, node_ids, emb_grads, lr_grads, beta: float) -> None:
         """One descent step on distinct nodes: row j of ``emb_grads`` and entry
         j of ``lr_grads`` belong to ``node_ids[j]``; rates stay in [0, 1]."""
-        unknown = [i for i in node_ids if i not in self._rows]
-        if unknown:
-            raise ConfigError(f"gradient supplied for unknown memory node id {unknown[0]}")
-        rows = [self._rows[i] for i in node_ids]
-        if len(set(rows)) != len(rows):
-            raise ConfigError("gradient supplied twice for one memory node")
+        rows = self._distinct_rows(node_ids, "gradient supplied for",
+                                   "gradient supplied twice for one memory node")
         emb_grads = np.asarray(emb_grads, dtype=np.float64)
         lr_grads = np.asarray(lr_grads, dtype=np.float64)
         if emb_grads.shape != (len(rows), self.dim) or lr_grads.shape != (len(rows),):
             raise ConfigError(f"gradient shapes {emb_grads.shape} and {lr_grads.shape} do not "
                               f"match {len(rows)} nodes of dim {self.dim}")
-        self._emb[rows] = self._emb[rows] - beta * emb_grads
-        self._sq[rows] = _squared_norms(self._emb[rows])
+        emb = self._emb[rows] - beta * emb_grads
+        self._emb[rows] = emb
+        self._sq[rows] = _squared_norms(emb)
         self._lr[rows] = np.clip(self._lr[rows] - beta * lr_grads, 0.0, 1.0)
 
-    def blended_lr(self, h, k: int, touch: bool = True) -> Tuple[float, Neighbors]:
-        """Search then blend: returns (alpha_tilde, neighbors)."""
+    def blended_lr(self, h, k: int, touch: bool = True):
+        """Search then blend: returns (alpha_tilde, neighbors), with one rate
+        in a list per query of a stack."""
         neighbors = self.search(h, k, touch=touch)
         return blend_lr(neighbors.similarities, neighbors.lrs, self.sigma), neighbors
 

@@ -39,22 +39,23 @@ training batch is a `take` of the split, as a slice of it is, and an
 ``_Encoded`` record is built only when the split is indexed.
 
 The rate head runs once over a batch's distinct embeddings, and the tree
-is searched once per distinct embedding; rates are passed on as
-`_distinct_rates`' ``(rates, index)``, one entry per distinct embedding
-and each episode's position among them.  Then the batch, ordered by
-(query rows, support rows), is cut into passes of at most
-`EVAL_STACK_BYTES` of parameter rows, and each pass runs its support
-gradient, inner step, query gradient and Hessian-vector product once, as
-ragged stacks (see `model`) whose blocks are its runs of equal shapes;
-every episode keeps the bits of a pass of its own.  The passes' row stacks
-are views of buffers the trainer reuses from step to step.  A failing
-episode stays in its pass and gets the first error a one-episode pass
-would raise.  Drops, warnings, logs and sums stay in batch order.
-Evaluation runs each shape group as one-block stacks of as many users as
-`EVAL_STACK_BYTES` of adapted parameter rows hold, and never fewer than
-``batch_size``.  Transfer instead trains on pooled episodes, each user's
-support and query rows as one row range: its theta gradient is their
-pooled supervised gradient, with no inner step.
+is searched once for them, one stacked search per chunk of them; rates are
+passed on as `_distinct_rates`' ``(rates, index)``, one entry per distinct
+embedding and each episode's position among them.  Then the batch,
+ordered by (query rows, support rows), is cut by `ordered_passes` into
+passes of at most `EVAL_STACK_BYTES` of parameter rows, and each pass runs
+its support gradient, inner step, query gradient and Hessian-vector
+product once, as ragged stacks (see `model`) whose blocks are its runs of
+equal shapes; every episode keeps the bits of a pass of its own.  The
+passes' row stacks are views of buffers the trainer reuses from step to
+step.  A failing episode stays in its pass and gets the first error a
+one-episode pass would raise.  Drops, warnings, logs and sums stay in
+batch order.  Evaluation cuts a split the same way, into passes of as
+many users as `EVAL_STACK_BYTES` of adapted parameter rows hold, and never
+fewer than ``batch_size``; each pass runs its support gradient, inner step
+and query forward pass once.  Transfer instead trains on pooled episodes,
+each user's support and query rows as one row range: its theta gradient
+is their pooled supervised gradient, with no inner step.
 
 Updates are plain gradient descent with per-group 2-norm clipping.  All
 computation is float64 and deterministic given the config seed.
@@ -77,7 +78,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
 from .memory_tree import (DEFAULT_CAPACITY, DEFAULT_DELTA, DEFAULT_SIGMA, EVICTION_POLICIES,
-                          TreeMemory, blend_gradients, check_kernel_params)
+                          Neighbors, TreeMemory, blend_gradients, check_kernel_params)
 from .model import (
     CheckedSplit,
     ModelSpec,
@@ -90,9 +91,9 @@ from .model import (
     hvp,
     init_dense_stack,
     init_params,
+    ordered_passes,
     predict_stack,
     predict_stacks,
-    shape_groups,
     user_embedding,
     _check_ids,
     _well_formed,
@@ -125,11 +126,12 @@ LR_HEAD_SCALE = 1e-3
 OUTER_LR_DEFAULT = 5e-5
 OUTER_LR_PAML = 5e-6
 CHECKPOINT_VERSION = 1
-# Bytes of parameter rows, one per episode, that one training pass or one
-# evaluation stack may hold: a small model runs a whole batch in one pass and
-# scores a whole split in one or a few stacks, and a large model's rows stay
-# within this much memory (6 episodes a pass on the criterion-6 model).  An
-# evaluation stack still holds at least ``batch_size`` users.
+# Bytes of parameter rows, one per episode, that one training or evaluation
+# pass may hold: a small model runs a whole batch in one pass and scores a
+# whole split in one or a few passes, and a large model's rows stay within
+# this much memory (6 episodes a training pass on the criterion-6 model).  An
+# evaluation pass still holds at least ``batch_size`` users.  A stacked tree
+# search's (queries x nodes) prefilter stays within it too.
 EVAL_STACK_BYTES = 512 * 1024
 # integer TrainerConfig fields and the least value each accepts
 _INT_FLOORS = (("epochs", 0), ("warmup_epochs", 0), ("seed", 0), ("batch_size", 1),
@@ -457,11 +459,12 @@ def _distinct_rates(config: TrainerConfig, head: Optional[LrHead], msgd_alpha, t
     vector, the head gradient a flat row or None, and the blended tree
     ``Neighbors`` or None.  A rate depends on the embedding only, so the
     head runs once over the distinct rows and at-paml searches the tree
-    once per distinct row; rows with equal bytes share one rate.  Training
-    (``train``) differentiates the head, blends ``tree_neighbors_train``
-    stored rates and then touches each row's hits in row order, and gives
-    at-paml its fixed rate during warm-up.  Evaluation blends
-    ``tree_neighbors_infer`` rates and writes no state.
+    once per chunk of them, a stacked search whose (rows x nodes) float64
+    prefilter stays within `EVAL_STACK_BYTES`; rows with equal bytes share
+    one rate.  Training (``train``) differentiates the head, blends
+    ``tree_neighbors_train`` stored rates and then touches each row's hits
+    in row order, and gives at-paml its fixed rate during warm-up.
+    Evaluation blends ``tree_neighbors_infer`` rates and writes no state.
     """
     algorithm = config.algorithm
     shared = [0] * len(h)
@@ -483,9 +486,12 @@ def _distinct_rates(config: TrainerConfig, head: Optional[LrHead], msgd_alpha, t
     found = [None] * len(first)
     if algorithm == "at-paml" and tree is not None and len(tree) > 0:
         k = config.tree_neighbors_train if train else config.tree_neighbors_infer
-        for j, h_j in enumerate(distinct):
-            alpha_tilde, found[j] = tree.blended_lr(h_j, k, touch=False)
-            alphas[j] = alphas[j] + alpha_tilde
+        chunk = max(1, EVAL_STACK_BYTES // (8 * len(tree)))
+        for start in range(0, len(first), chunk):
+            blended, hits = tree.blended_lr(distinct[start:start + chunk], k, touch=False)
+            for j, alpha_tilde, neighbors in zip(range(start, len(first)), blended, zip(*hits)):
+                alphas[j] = alphas[j] + alpha_tilde
+                found[j] = Neighbors._make(neighbors)
         if train:
             for j in inverse:
                 tree.touch(found[j].ids)
@@ -621,21 +627,16 @@ def _adapt_stage(flat, spec: ModelSpec, layout, episodes, positions, errors: dic
     return g
 
 
-def _rate_error(alpha) -> Optional[Exception]:
-    """The error `_check_inner_rate` raises for ``alpha``, or None."""
-    try:
-        _check_inner_rate(alpha)
-    except (NumericError, ConfigError) as exc:
-        return exc
-    return None
-
-
 def _check_rates(rates: list, index: List[int], errors: dict) -> None:
     """Check each distinct rate of `_distinct_rates` once; an episode whose
     rate fails `_check_inner_rate` gets the error a one-episode pass would
     raise in ``errors`` and still runs with the others."""
-    failed = {j: exc for j, (alpha, _, _) in enumerate(rates)
-              if (exc := _rate_error(alpha)) is not None}
+    failed = {}
+    for j, (alpha, _, _) in enumerate(rates):
+        try:
+            _check_inner_rate(alpha)
+        except (NumericError, ConfigError) as exc:
+            failed[j] = exc
     if failed:
         errors.update((i, failed[j]) for i, j in enumerate(index) if j in failed)
 
@@ -649,9 +650,10 @@ def _steps(rates: list) -> np.ndarray:
     return np.array([rate[0] for rate in rates])[:, None]
 
 
-def _steps_at(steps: np.ndarray, positions) -> np.ndarray:
-    """The rows of `_steps` at ``positions``, or the shared rate vector."""
-    return steps if steps.ndim == 1 else steps[positions]
+def _steps_at(steps: np.ndarray, index: List[int], positions: List[int]) -> np.ndarray:
+    """The rows of `_steps` of the episodes at ``positions``, whose rates sit
+    at ``index`` of their positions, or the shared rate vector."""
+    return steps if steps.ndim == 1 else steps[[index[i] for i in positions]]
 
 
 def _inner_step(flat: np.ndarray, rows: np.ndarray, step: np.ndarray, out=None) -> np.ndarray:
@@ -745,19 +747,19 @@ class MetaTrainer:
         spec, theta = self.spec, self.theta
         layout = theta.layout
         n = len(batch)
-        order = np.lexsort((batch.support.lengths, batch.query.lengths))
-        limit = max(1, EVAL_STACK_BYTES // theta.flat.nbytes)
+        cuts = ordered_passes(max(1, EVAL_STACK_BYTES // theta.flat.nbytes),
+                              batch.support.lengths, batch.query.lengths)
         theta_rows = self._rows("theta", n)
         msgd_rows = None if self.msgd_alpha is None else self._rows("msgd", n)
-        support, adapted = (self._rows(name, min(limit, n)) for name in ("support", "adapted"))
+        support, adapted = (self._rows(name, len(cuts[0])) for name in ("support", "adapted"))
         stats = np.empty((4, n))
         steps = _steps(rates)
         with np.errstate(invalid="ignore", over="ignore"):
-            for start in range(0, n, limit):
-                positions = order[start:start + limit].tolist()
-                k, rows = len(positions), slice(start, start + len(positions))
+            for p, positions in enumerate(cuts):
+                k = len(positions)
+                rows = slice(p * len(support), p * len(support) + k)
                 episodes = batch.take(positions)
-                a = _steps_at(steps, list(map(index.__getitem__, positions)))
+                a = _steps_at(steps, index, positions)
                 s = _adapt_stage(theta.flat, spec, layout, episodes.support, positions, errors,
                                  "support", support[:k])
                 q = _adapt_stage(_inner_step(theta.flat, s.rows, a, out=adapted[:k]), spec,
@@ -779,7 +781,7 @@ class MetaTrainer:
                 # g_q + H v; a kept episode's g_q is finite, so the sum's bits
                 # do not depend on the order of its terms
                 g_q += hvp(theta, spec, episodes.support, v, at=s, out=g_s)
-        return order.argsort().tolist(), theta_rows, msgd_rows, stats.tolist()
+        return np.argsort(np.concatenate(cuts)).tolist(), theta_rows, msgd_rows, stats.tolist()
 
     def outer_gradients(self, batch: _EncodedSplit, warmup: bool = False) -> GradientPass:
         """Exact outer gradients of the batch objective at the current state.
@@ -908,7 +910,8 @@ class MetaTrainer:
         if not self.val_episodes:
             return None
         records = _evaluate_encoded(self.theta, self.spec, self.config, self.head,
-                                    self.msgd_alpha, self.tree, self.val_episodes)
+                                    self.msgd_alpha, self.tree, self.val_episodes,
+                                    functools.partial(self._rows, "theta"))
         return float(np.mean([r.query_loss for r in records]))
 
     def train(self) -> TrainedModel:
@@ -959,51 +962,55 @@ def train(splits: DatasetSplits, config: TrainerConfig) -> TrainedModel:
 # evaluation
 
 
-def _evaluate_encoded(theta, spec, config, head, msgd_alpha, tree,
-                      episodes: _EncodedSplit) -> List[EvalRecord]:
+def _evaluate_encoded(theta, spec, config, head, msgd_alpha, tree, episodes: _EncodedSplit,
+                      rows=None) -> List[EvalRecord]:
     """Adapt each user on its support set and score its query set, in order.
 
     ``episodes`` is a split encoded for ``spec`` by `_encode_split`.  Each
     distinct embedding gets one rate from `_distinct_rates`, logged once.
-    Users with equal support and query row counts run as one-block ragged
-    stacks whose adapted parameter rows fill at most `EVAL_STACK_BYTES`, and
-    hold at least ``batch_size`` users; each slice still makes its own BLAS
-    calls, so the stack size changes no bit.  The call raises the error that scoring the
-    users one at a time would have raised first.  Each stack's query MSEs
-    come from one row-wise mean, with the bits of `loss` on each row, and
-    each record holds row views of its stack's predictions and targets.
+    Users run ordered by (query rows, support rows), in ragged passes of as
+    many users as `EVAL_STACK_BYTES` of adapted parameter rows hold, and
+    never fewer than ``batch_size`` (`ordered_passes`).  Each pass runs one
+    support `grad_stack` into a row buffer, one inner step in place and one
+    forward pass over its ragged query stack.  The buffer is ``rows(n)``,
+    n rows of a caller's reused buffer, or else one this call allocates.
+    Each slice still makes its own BLAS calls, so neither the order nor the
+    cut moves a bit.  The call raises the error that scoring the users one
+    at a time would have raised first, before it squares any residual.
+    Each block's query MSEs come from one row-wise mean, with the bits of
+    `loss` on each row, and each record holds row views of its block's
+    predictions and targets.
     """
     if not episodes:
         return []
     _check_encoded_for(spec, episodes)
     h = user_embedding(theta, spec, episodes.support.users)
     rates, index = _distinct_rates(config, head, msgd_alpha, tree, h)
-    limit = max(config.batch_size, EVAL_STACK_BYTES // theta.flat.nbytes)
     errors = {}
     _check_rates(rates, index, errors)
     steps = _steps(rates)
-    stacks = []
-    for group in shape_groups(zip(episodes.support.lengths.tolist(),
-                                  episodes.query.lengths.tolist()), limit):
-        positions = list(map(index.__getitem__, group))
-        query = episodes.query.take(group).stack(spec.plan)
+    cuts = ordered_passes(max(config.batch_size, EVAL_STACK_BYTES // theta.flat.nbytes),
+                          episodes.support.lengths, episodes.query.lengths)
+    buffer = np.empty((len(cuts[0]), theta.layout.size)) if rows is None else rows(len(cuts[0]))
+    blocks = []
+    for positions in cuts:
+        part = episodes.take(positions)
         with np.errstate(invalid="ignore", over="ignore"):
-            g_s = _adapt_stage(theta.flat, spec, theta.layout, episodes.support.take(group), group,
-                               errors, "support").rows
-            thetas = _inner_step(theta.flat, g_s, _steps_at(steps, positions), out=g_s)
-            rows, failed = predict_stack(thetas, spec, query)
+            g_s = _adapt_stage(theta.flat, spec, theta.layout, part.support, positions, errors,
+                               "support", buffer[:len(positions)]).rows
+            thetas = _inner_step(theta.flat, g_s, _steps_at(steps, index, positions), out=g_s)
+            predicted, failed = predict_stack(thetas, spec, part.query.stack(spec.plan))
         for k, exc in failed.items():
-            errors.setdefault(group[k], exc)
-        stacks.append((group, positions, rows, query.targets))
+            errors.setdefault(positions[k], exc)
+        blocks += [(positions[block], *arrays) for block, *arrays in predicted]
     if errors:
         raise errors[min(errors)]
-    keys, logged = episodes.keys, [logged_rate(rate[0]) for rate in rates]
-    order, records = [], []
-    for group, positions, rows, targets in stacks:
-        order += group
-        records += map(EvalRecord, map(keys.__getitem__, group),
-                       map(logged.__getitem__, positions), rows, targets, _row_mses(rows, targets))
-    return list(map(records.__getitem__, np.argsort(order).tolist()))
+    logged = [logged_rate(rate[0]) for rate in rates]
+    records = [None] * len(episodes)
+    for group, predictions, targets in blocks:
+        for i, *parts in zip(group, predictions, targets, _row_mses(predictions, targets)):
+            records[i] = EvalRecord(episodes.keys[i], logged[index[i]], *parts)
+    return records
 
 
 def evaluate(model: TrainedModel, episodes: Sequence[TaskEpisode],

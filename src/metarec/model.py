@@ -36,6 +36,12 @@ are never padded to share a block: zero rows change the BLAS call's shape
 and, with it, how the sums round.  One 2-D matmul over several episodes'
 rows would too (a single ``(B n, in)`` matmul blocks its sums differently).
 How episodes are ordered and cut into stacks therefore moves no bit.
+`ordered_passes` is the one cutter: it orders episodes by their row counts
+and cuts them into passes of at most a given number, so a pass's episodes
+of one shape form one block.  The trainer's and evaluation's passes and
+`predict_stacks`, which `predict`, `forward` and transfer's per-epoch loss
+run through, all use it; `predict_stack` returns one (B, n_items) array of
+predictions and one of targets per block.
 
 `grad_stack` runs a forward and a backward pass over a stack and returns one
 gradient row per episode, each normalized by its own item count, written
@@ -81,7 +87,7 @@ __all__ = [
     "EpisodeStack",
     "StackGradient",
     "check_episodes",
-    "shape_groups",
+    "ordered_passes",
     "init_params",
     "init_dense_stack",
     "forward",
@@ -418,26 +424,15 @@ def _user_index(user_ids: np.ndarray, plan: FlatPlan) -> np.ndarray:
     return plan.positions[user_ids + plan.user_rows].reshape(user_ids.shape[:-1] + (-1,))
 
 
-def shape_groups(keys, limit: Optional[int] = None) -> List[List[int]]:
-    """Positions of equal ``keys``, one list per distinct key.
+def ordered_passes(limit: int, *lengths) -> List[List[int]]:
+    """Positions ordered by ``lengths`` and cut into passes of at most ``limit``.
 
-    Groups come in the order their keys first appear, positions in order
-    within each; with ``limit`` a group is cut into runs of at most that
-    many.  Keys that are all equal, the usual case in evaluation, take no
-    step per position.
+    The last array of ``lengths`` is the primary key, as in `np.lexsort`,
+    and equal keys keep their order, so each pass's episodes of one shape
+    sit next to each other and form one block of its ragged stacks.
     """
-    keys = list(keys)
-    if keys and keys.count(keys[0]) == len(keys):
-        groups = [list(range(len(keys)))]
-    else:
-        found = {}
-        for position, key in enumerate(keys):
-            found.setdefault(key, []).append(position)
-        groups = list(found.values())
-    if limit is None:
-        return groups
-    return [group[start:start + limit] for group in groups
-            for start in range(0, len(group), limit)]
+    order = np.lexsort(lengths).tolist()
+    return [order[start:start + limit] for start in range(0, len(order), limit)]
 
 
 class EpisodeStack(NamedTuple):
@@ -451,7 +446,7 @@ class EpisodeStack(NamedTuple):
     episode of each row.  ``blocks`` holds one ``(first episode, stop
     episode, first row, stop row, n_items)`` per run of episodes with equal
     item counts; a block's rows reshape into a (B, n_items, ...) stack with
-    one slice per episode, as one shape group was stacked on its own.
+    one slice per episode, as a stack of that one shape would hold them.
     """
 
     user_index: np.ndarray
@@ -533,19 +528,23 @@ def forward(theta: ParamSet, spec: ModelSpec, user_ids, items):
 
 
 def predict_stack(flat: np.ndarray, spec: ModelSpec, stack: EpisodeStack):
-    """Predictions (B, n_items) for every episode of a one-block ``stack``,
-    at one shared parameter vector or at one row of a (B, size) stack per
-    episode, plus the ``failed`` map of `_forward_stack` (those episodes'
-    rows are not finite)."""
+    """Predictions for every episode of a ragged ``stack``, at one shared
+    parameter vector or at one row of an (E, size) stack per episode: one
+    ``(episodes, predictions, targets)`` per block, the slice of its
+    episodes and (B, n_items) views of their rows, plus the ``failed`` map
+    of `_forward_stack` (those episodes' rows are not finite)."""
     z_out, _, _, failed = _forward_stack(flat, dense_views(flat, spec.plan.layers), spec.plan,
                                          stack)
-    return z_out[:, 0].reshape(stack.targets.shape), failed
+    z, t = z_out[:, 0], stack.row_targets
+    return [(slice(e0, e1), z[r0:r1].reshape(e1 - e0, n), t[r0:r1].reshape(e1 - e0, n))
+            for e0, e1, r0, r1, n in stack.blocks], failed
 
 
 def predict_stacks(theta: ParamSet, spec: ModelSpec, episodes, limit: int) -> list:
-    """`predict` for every episode through stacks of at most ``limit``
-    episodes with equal item counts: one ``(positions, predictions,
-    targets)`` per stack, its rows in the order of ``positions``.
+    """`predict` for every episode, through ragged passes of at most
+    ``limit`` episodes ordered by item count (`ordered_passes`): one
+    ``(positions, predictions, targets)`` per block of each pass, its
+    (B, n_items) rows in the order of ``positions``.
 
     ``episodes`` is one episode tuple, a `CheckedSplit` checked for
     ``spec``, or any episodes, checked into a split first (`_split_of`).  A
@@ -553,17 +552,15 @@ def predict_stacks(theta: ParamSet, spec: ModelSpec, episodes, limit: int) -> li
     """
     _check_theta(theta, spec)
     split = _split_of(spec, episodes)
-    stacks = []
-    errors = {}
-    for group in shape_groups(split.lengths.tolist(), limit):
-        stack = split.take(group).stack(spec.plan)
-        rows, failed = predict_stack(theta.flat, spec, stack)
-        for position, exc in failed.items():
-            errors[group[position]] = exc
-        stacks.append((group, rows, stack.targets))
+    blocks, errors = [], {}
+    for positions in ordered_passes(limit, split.lengths):
+        predicted, failed = predict_stack(theta.flat, spec, split.take(positions).stack(spec.plan))
+        for k, exc in failed.items():
+            errors[positions[k]] = exc
+        blocks += [(positions[block], *arrays) for block, *arrays in predicted]
     if errors:
         raise errors[min(errors)]
-    return stacks
+    return blocks
 
 
 def predict(theta: ParamSet, spec: ModelSpec, episode) -> np.ndarray:

@@ -399,6 +399,165 @@ class TestBlendedLrHelper:
         assert alpha == pytest.approx(blend_lr(sims, neighbors.lrs, tree.sigma), rel=1e-12)
 
 
+def memory_state(tree):
+    """Every node's id, rate, recency and frequency, and the tick counter."""
+    return [(i, tree.node(i).lr, tree.node(i).recency, tree.node(i).freq)
+            for i in tree.node_ids()], tree._counter
+
+
+class TestStackedSearch:
+    """A (D, dim) stack of queries searched at once against each query
+    searched alone, in order, on a twin tree: every `Neighbors` field, every
+    blended rate and, with ``touch``, the recency and frequency columns must
+    match bit for bit."""
+
+    def assert_stack_matches_loop(self, points, queries, ks, touch=False, lrs=None):
+        points, queries = np.asarray(points, dtype=np.float64), np.asarray(queries)
+        lrs = np.linspace(0.1, 0.9, len(points)) if lrs is None else lrs
+        for k in ks:
+            stacked, looped = (TreeMemory(dim=points.shape[1], capacity=len(points))
+                               for _ in range(2))
+            for point, lr in zip(points, lrs):
+                stacked.store_node(point, lr)
+                looped.store_node(point, lr)
+            got = stacked.search(queries, k, touch=touch)
+            expected = [looped.search(q, k, touch=touch) for q in queries]
+            assert got.ids.shape == (len(queries), min(k, len(points)))
+            for j, hits in enumerate(expected):
+                for field, expected_field in zip(got, hits):
+                    assert field[j].shape == expected_field.shape
+                    assert field[j].tobytes() == expected_field.tobytes()
+            assert memory_state(stacked) == memory_state(looped)
+            rates, neighbors = stacked.blended_lr(queries, k, touch=False)
+            assert [repr(rate) for rate in rates] == [
+                repr(looped.blended_lr(q, k, touch=False)[0]) for q in queries]
+            assert all(isinstance(rate, float) for rate in rates)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(neighbors, got))
+
+    def test_random_queries_in_a_wide_cluster(self):
+        rng = np.random.default_rng(5)
+        center = 1e3 + rng.normal(size=16)
+        points = center + rng.normal(size=(300, 16)) * rng.choice([1e-6, 1e-3, 1.0],
+                                                                  size=(300, 1))
+        queries = center + rng.normal(size=(40, 16)) * 1e-3
+        self.assert_stack_matches_loop(points, queries, ks=(1, 5, 20))
+
+    def test_ties_in_distance(self):
+        """Duplicate embeddings and grid points: many hits tie in distance
+        and are ordered by id; exact copies of a node are queries too."""
+        rng = np.random.default_rng(6)
+        grid = rng.integers(0, 3, size=(40, 3)).astype(np.float64)
+        points = np.concatenate([grid, grid[:10], grid[:5]])
+        queries = np.concatenate([grid[:6], rng.integers(0, 3, size=(6, 3)) + 0.5])
+        self.assert_stack_matches_loop(points, queries, ks=(1, 3, 8, 30))
+        tree, ids = fill_tree(points)
+        for q, hits in zip(queries, tree.search(queries, k=8, touch=False).distances):
+            assert hits.tolist() == [d for _, d in brute_force_ids(points, ids, q, 8)]
+
+    def test_k_at_least_n_and_k_one_below_n(self):
+        rng = np.random.default_rng(7)
+        points = rng.normal(size=(12, 4))
+        queries = rng.normal(size=(9, 4))
+        self.assert_stack_matches_loop(points, queries, ks=(11, 12, 13, 40))
+
+    def test_nan_and_infinite_queries_among_finite_ones(self):
+        """A NaN or infinite query reads every row, whatever the others do;
+        letting it through the prefilter would leave it no candidates."""
+        rng = np.random.default_rng(8)
+        points = rng.normal(size=(50, 4))
+        queries = rng.normal(size=(8, 4))
+        queries[2, 1] = np.nan
+        queries[5, 0] = np.inf
+        queries[6] = -np.inf
+        self.assert_stack_matches_loop(points, queries, ks=(1, 4, 49))
+        tree, ids = fill_tree(points)
+        hits = tree.search(queries, k=4, touch=False)
+        assert hits.ids[2].tolist() == ids[:4]  # every distance NaN, so by id
+        for j in (0, 1, 3, 4, 7):
+            assert pairs(tree.search(queries[j], k=4, touch=False)) == \
+                brute_force_ids(points, ids, queries[j], 4)
+
+    def test_a_huge_norm_node(self):
+        """One node's squared norm is past 2^1020, so every query reads every
+        row, and the hits are still the exact ones."""
+        rng = np.random.default_rng(9)
+        points = rng.normal(size=(30, 3))
+        points[4] = 2.0 ** 510
+        queries = rng.normal(size=(7, 3))
+        queries[3] = points[4]
+        self.assert_stack_matches_loop(points, queries, ks=(1, 5, 29))
+        tree, ids = fill_tree(points)
+        for q, hits in zip(queries, tree.search(queries, k=5, touch=False).ids):
+            assert hits.tolist() == [i for i, _ in brute_force_ids(points, ids, q, 5)]
+
+    def test_touching_a_stack_touches_each_querys_hits_in_order(self):
+        """Queries that share hits: each query's hits get the next ticks,
+        closest first, after the previous query's, as searching them one by
+        one would give."""
+        rng = np.random.default_rng(10)
+        points = rng.normal(size=(25, 3))
+        queries = np.concatenate([rng.normal(size=(6, 3)), points[:2], points[:2]])
+        self.assert_stack_matches_loop(points, queries, ks=(1, 4, 25), touch=True)
+        tree, _ = fill_tree(points)
+        hits = tree.search(queries[:2], k=3)
+        ticks = [[tree.node(i).recency for i in row] for row in hits.ids.tolist()]
+        assert ticks == [[26, 27, 28], [29, 30, 31]]
+
+    def test_a_lone_query_is_a_stack_of_one(self):
+        rng = np.random.default_rng(11)
+        tree, _ = fill_tree(rng.normal(size=(20, 3)))
+        query = rng.normal(size=3)
+        alone, stacked = tree.search(query, 4, touch=False), tree.search(query[None], 4,
+                                                                          touch=False)
+        for field, stacked_field in zip(alone, stacked):
+            assert stacked_field.shape == (1,) + field.shape
+            assert stacked_field[0].tobytes() == field.tobytes()
+        rate, _ = tree.blended_lr(query, 4, touch=False)
+        assert isinstance(rate, float)
+        assert [rate] == tree.blended_lr(query[None], 4, touch=False)[0]
+
+    @pytest.mark.parametrize("train", [False, True])
+    def test_distinct_rates_in_one_row_chunks_are_unchanged(self, monkeypatch, train):
+        """`_distinct_rates` cuts its stacked searches so that their
+        prefilter fits `EVAL_STACK_BYTES`; shrunk to one byte, every chunk is
+        one row, and every rate, head gradient, hit and touch is unchanged."""
+        from metarec import meta_learners
+        from metarec.meta_learners import LrHead, TrainerConfig, _distinct_rates
+
+        rng = np.random.default_rng(12)
+        dim = 6
+        config = TrainerConfig(algorithm="at-paml", tree_neighbors_train=5,
+                               tree_neighbors_infer=3, lr_scale=0.1)
+        head = LrHead(dim, (4, 3), 0.1, seed=1)
+        h = rng.normal(size=(9, dim))
+        h[7] = h[2]
+
+        def rates_and_state():
+            tree = TreeMemory(dim=dim, capacity=60)
+            for point in np.random.default_rng(13).normal(size=(60, dim)):
+                tree.store_node(point, 0.5)
+            searched = []
+            search = TreeMemory.search
+
+            def spy(tree_, queries, *args, **kwargs):
+                searched.append(len(np.atleast_2d(queries)))
+                return search(tree_, queries, *args, **kwargs)
+
+            monkeypatch.setattr(TreeMemory, "search", spy)
+            rates, index = _distinct_rates(config, head, None, tree, h, train=train)
+            monkeypatch.setattr(TreeMemory, "search", search)
+            flat = [(repr(alpha), None if dalpha is None else dalpha.tobytes(),
+                     [field.tobytes() for field in neighbors])
+                    for alpha, dalpha, neighbors in rates]
+            return flat, index, memory_state(tree), searched
+
+        whole = rates_and_state()
+        monkeypatch.setattr(meta_learners, "EVAL_STACK_BYTES", 1)
+        chunked = rates_and_state()
+        assert whole[3] == [8] and chunked[3] == [1] * 8
+        assert whole[:3] == chunked[:3]
+
+
 class TestDumpLoad:
     def test_round_trip_preserves_everything(self, tmp_path):
         rng = np.random.default_rng(14)

@@ -15,7 +15,6 @@ from metarec.model import (
     loss,
     predict,
     predict_stacks,
-    shape_groups,
     user_embedding,
 )
 
@@ -314,31 +313,6 @@ class TestHvp:
         assert v.names() == theta.names()
         with pytest.raises(ConfigError, match="dec_b0"):
             hvp(theta, spec, (np.array([0, 0]), np.array([[0]]), np.array([1.0])), v)
-
-
-def dict_shape_groups(keys, limit=None):
-    """Positions of equal keys by one dict pass, cut into runs of ``limit``."""
-    groups = {}
-    for position, key in enumerate(keys):
-        groups.setdefault(key, []).append(position)
-    step = limit or max(len(keys), 1)
-    return [group[start:start + step] for group in groups.values()
-            for start in range(0, len(group), step)]
-
-
-class TestShapeGroups:
-    @pytest.mark.parametrize("kind", ["empty", "all-equal", "mixed", "pairs"])
-    def test_matches_a_dict_reference(self, kind):
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            n = 0 if kind == "empty" else int(rng.integers(1, 40))
-            n_keys = 1 if kind == "all-equal" else int(rng.integers(1, 6))
-            keys = rng.integers(0, n_keys, size=n).tolist()
-            if kind == "pairs":
-                keys = list(zip(keys, rng.integers(0, 2, size=n).tolist()))
-            for limit in (None, 1, 2, 3, 7, 64):
-                assert shape_groups(keys, limit) == dict_shape_groups(keys, limit)
-                assert shape_groups(iter(keys), limit) == dict_shape_groups(keys, limit)
 
 
 class TestEpisodeValidation:

@@ -2,7 +2,8 @@
 
 A user's rate depends on its embedding only, so `_distinct_rates` runs the
 rate head once over the distinct embedding rows and at-paml searches the
-tree once per distinct row, then touches each user's hits in batch order;
+tree once for them, each distinct row in one stacked search, then touches
+each user's hits in batch order;
 it returns one rate per distinct row and each user's position among them.
 The references here resolve one user at a time, with `_distinct_rates` on
 a one-row stack, the way every user was resolved before, and the batched
@@ -74,19 +75,20 @@ def tree_state(tree):
 
 
 class Counts:
-    """How often the head runs, over how many rows, and the tree searches."""
+    """How often the head runs, over how many rows, and the query rows the
+    tree searches, each row's bytes once per time it is searched."""
 
     def __init__(self, monkeypatch):
         self.head_rows = []
-        self.searches = 0
+        self.searched = []
         for name in ("alphas", "alphas_and_grads"):
             original = getattr(LrHead, name)
             monkeypatch.setattr(LrHead, name, self._counted_head(original))
         search = TreeMemory.search
 
-        def counted_search(tree, *args, **kwargs):
-            self.searches += 1
-            return search(tree, *args, **kwargs)
+        def counted_search(tree, h, *args, **kwargs):
+            self.searched += [row.tobytes() for row in np.reshape(h, (-1, tree.dim))]
+            return search(tree, h, *args, **kwargs)
 
         monkeypatch.setattr(TreeMemory, "search", counted_search)
 
@@ -102,7 +104,7 @@ def test_training_resolves_once_per_profile(trainer, monkeypatch):
     counts = Counts(monkeypatch)
     copy.deepcopy(trainer).outer_gradients(batch)
     assert counts.head_rows == [3]
-    assert counts.searches == 3
+    assert len(counts.searched) == len(set(counts.searched)) == 3
 
 
 def test_evaluation_resolves_once_per_profile(trainer, monkeypatch):
@@ -112,7 +114,7 @@ def test_evaluation_resolves_once_per_profile(trainer, monkeypatch):
     _evaluate_encoded(trainer.theta, trainer.spec, trainer.config, trainer.head, None,
                       trainer.tree, batch)
     assert counts.head_rows == [3]
-    assert counts.searches == 3
+    assert len(counts.searched) == len(set(counts.searched)) == 3
     assert tree_state(trainer.tree) == before
 
 

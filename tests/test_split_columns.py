@@ -1,4 +1,4 @@
-"""Splits encoded once into columns, and shape groups gathered by index.
+"""Splits encoded once into columns, and stacks gathered by index.
 
 `_encode_split` looks each user profile up once.  A `SplitView` is checked
 and wrapped on its own columns; any other episodes have every support set,
@@ -21,7 +21,7 @@ from metarec.datagen import generate_corpus
 from metarec.errors import DataError
 from metarec.meta_learners import (MetaTrainer, TrainerConfig, _EncodedSplit, _encode_split,
                                    _model_spec, evaluate)
-from metarec.model import CheckedSplit, shape_groups
+from metarec.model import CheckedSplit
 from metarec.runner import embedding_rows
 from metarec.tasks import (DatasetSplits, InteractionColumns, PreprocessConfig, SplitView,
                            TaskEpisode, load_movielens, preprocess, synthetic_splits)
@@ -147,7 +147,10 @@ def test_index_stacks_equal_array_stacks(source, corpus_splits):
     reference = [encoded_parts(splits, episode) for episode in splits.train]
     shapes = list(zip(encoded.support.lengths.tolist(), encoded.query.lengths.tolist()))
     assert (len(set(shapes)) > 1) == (source == "corpus")  # only the corpus is ragged
-    for group in shape_groups(shapes, 5):
+    groups = {}
+    for position, shape in enumerate(shapes):
+        groups.setdefault(shape, []).append(position)
+    for group in groups.values():
         part = encoded.take(group)
         for k, split in enumerate((part.support, part.query, pooled.take(group))):
             stack = split.stack(spec.plan)

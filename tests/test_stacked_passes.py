@@ -4,7 +4,9 @@
 of at most `EVAL_STACK_BYTES` of parameter rows, and runs each pass as
 ragged stacks: one block per run of equal support or query row counts,
 each block's dense layers as 3-D matmuls, everything else once over all
-rows.  `_evaluate_encoded` runs each shape group as one-block stacks.  The
+rows.  `_evaluate_encoded` orders and cuts a split the same way, into
+passes of at least ``batch_size`` users, each one support `grad_stack`, one
+inner step and one forward pass over its ragged query stack.  The
 reference here rebuilds both one episode at a time from the single-episode
 `grad`, `hvp` and `predict` calls, the way the trainer ran before it
 stacked anything, and every output must match it bit for bit, at a small
@@ -283,7 +285,7 @@ def test_evaluation_stacks_cut_by_bytes_match_one_episode_reference(monkeypatch,
     predict_stack = meta_learners.predict_stack
 
     def spy(flat, spec, stack):
-        sizes.append(len(stack.targets))
+        sizes.append(len(stack.lengths))
         return predict_stack(flat, spec, stack)
 
     monkeypatch.setattr(meta_learners, "predict_stack", spy)
@@ -458,23 +460,76 @@ def test_paper_shape_pooled_grad_and_hvp_match_one_episode_reference(paper_split
     assert hvp(theta, spec, pooled, v, at=g).flat.tobytes() == expected_hv.tobytes()
 
 
+@pytest.mark.parametrize("batch_size", [16, 1])
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_paper_shape_evaluation_matches_one_episode_reference(paper_splits, algorithm):
+def test_paper_shape_evaluation_matches_one_episode_reference(paper_splits, algorithm,
+                                                              batch_size):
     """Unpoisoned, every record is the one-user reference's; poisoned, the
-    first error in batch order is raised."""
+    first error in batch order is raised, and no numpy warning escapes.  At
+    ``batch_size`` 16 the 16 users run as one pass; at 1 the byte budget
+    cuts them into several, and the NaN-poisoned user still shares a block
+    with a finite user of its shape."""
     trainer = paper_trainer(paper_splits, algorithm)
-    args = (trainer.theta, trainer.spec, trainer.config, trainer.head, trainer.msgd_alpha,
+    config = dataclasses.replace(trainer.config, batch_size=batch_size)
+    args = (trainer.theta, trainer.spec, config, trainer.head, trainer.msgd_alpha,
             trainer.tree)
-    batch = paper_batch(trainer)
+    batch, clean = paper_batch(trainer), trainer.train_episodes[:16]
+    if batch_size == 1:  # evaluation's limit is then the trainer's
+        assert len(passes(trainer, batch)) > 1 and len(passes(trainer, clean)) > 1
+        assert any(7 in positions and 15 in positions for positions in passes(trainer, batch))
     with pytest.raises(NumericError) as expected:
         reference_records(trainer, batch)
-    with pytest.raises(NumericError) as got:
-        _evaluate_encoded(*args, batch)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericError) as got:
+            _evaluate_encoded(*args, batch)
+    assert [w.category for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert str(got.value) == str(expected.value) == "non-finite values in decision layer 1"
-    clean = trainer.train_episodes[:16]
     got = [(r.user_key, repr(r.alpha), r.predictions.tobytes(), r.targets.tobytes(),
             repr(r.query_loss)) for r in _evaluate_encoded(*args, clean)]
     assert got == reference_records(trainer, clean)
+
+
+@pytest.mark.parametrize("rate", [1e200, 1e100])
+def test_evaluation_raises_before_it_squares_a_residual(paper_splits, rate):
+    """A huge fixed rate: some users' forward passes go non-finite, and others'
+    predictions stay finite but square past the float range.  Evaluation
+    across several passes raises the reference's first error without
+    squaring any residual, so no overflow warning escapes."""
+    trainer = paper_trainer(paper_splits, "maml-fixed")
+    config = dataclasses.replace(trainer.config, batch_size=1, fixed_inner_lr=rate)
+    trainer.config = config
+    episodes = trainer.train_episodes
+    assert len(passes(trainer, episodes)) > 1
+    with pytest.raises(NumericError) as expected:
+        reference_records(trainer, episodes)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericError) as got:
+            _evaluate_encoded(trainer.theta, trainer.spec, config, None, None, None, episodes)
+    assert [str(w.message) for w in caught] == []
+    assert str(got.value) == str(expected.value)
+
+
+def test_validation_runs_one_support_pass_per_budget_not_per_shape(paper_splits, monkeypatch):
+    """The validation split makes ceil(n / limit) support passes, fewer than
+    its shapes, and writes them into the trainer's reused theta rows."""
+    trainer = paper_trainer(paper_splits, "at-paml")
+    episodes = trainer.val_episodes
+    limit = max(trainer.config.batch_size,
+                meta_learners.EVAL_STACK_BYTES // trainer.theta.flat.nbytes)
+    shapes = set(zip(episodes.support.lengths.tolist(), episodes.query.lengths.tolist()))
+    outs = []
+    grad_stack_ = meta_learners.grad_stack
+
+    def spy(flat, spec, stack, out=None):
+        outs.append(out)
+        return grad_stack_(flat, spec, stack, out)
+
+    monkeypatch.setattr(meta_learners, "grad_stack", spy)
+    trainer._validation_loss()
+    assert len(outs) == math.ceil(len(episodes) / limit) < len(shapes)
+    assert all(out.base is trainer._workspace["theta"] for out in outs)
 
 
 # ---------------------------------------------------------------------------
