@@ -1,13 +1,15 @@
 """Tests for the embedding memory: storage, eviction, search, blending.
 
 A linear scan ordered by (squared distance, node id) is the oracle for every
-search assertion.  Gradient flows through the kernel blend are checked
-against central finite differences.
+search assertion, and a stacked search must equal its queries searched one
+at a time, bit for bit.  Gradient flows through the kernel blend are
+checked against central finite differences.
 """
 
 import numpy as np
 import pytest
 
+from metarec import meta_learners
 from metarec.errors import ConfigError, DataError
 from metarec.memory_tree import (
     EVICTION_POLICIES,
@@ -16,6 +18,7 @@ from metarec.memory_tree import (
     blend_lr,
     kernel_similarity,
 )
+from metarec.meta_learners import LrHead, TrainerConfig, _distinct_rates
 
 
 def brute_force_ids(points, ids, query, k):
@@ -521,41 +524,35 @@ class TestStackedSearch:
         """`_distinct_rates` cuts its stacked searches so that their
         prefilter fits `EVAL_STACK_BYTES`; shrunk to one byte, every chunk is
         one row, and every rate, head gradient, hit and touch is unchanged."""
-        from metarec import meta_learners
-        from metarec.meta_learners import LrHead, TrainerConfig, _distinct_rates
-
         rng = np.random.default_rng(12)
         dim = 6
         config = TrainerConfig(algorithm="at-paml", tree_neighbors_train=5,
                                tree_neighbors_infer=3, lr_scale=0.1)
         head = LrHead(dim, (4, 3), 0.1, seed=1)
         h = rng.normal(size=(9, dim))
-        h[7] = h[2]
+        h[7] = h[2]  # 8 distinct rows
+        searched = []
+        search = TreeMemory.search
+
+        def spy(tree, queries, *args, **kwargs):
+            searched.append(len(np.atleast_2d(queries)))
+            return search(tree, queries, *args, **kwargs)
+
+        monkeypatch.setattr(TreeMemory, "search", spy)
 
         def rates_and_state():
-            tree = TreeMemory(dim=dim, capacity=60)
-            for point in np.random.default_rng(13).normal(size=(60, dim)):
-                tree.store_node(point, 0.5)
-            searched = []
-            search = TreeMemory.search
-
-            def spy(tree_, queries, *args, **kwargs):
-                searched.append(len(np.atleast_2d(queries)))
-                return search(tree_, queries, *args, **kwargs)
-
-            monkeypatch.setattr(TreeMemory, "search", spy)
+            tree, _ = fill_tree(np.random.default_rng(13).normal(size=(60, dim)))
             rates, index = _distinct_rates(config, head, None, tree, h, train=train)
-            monkeypatch.setattr(TreeMemory, "search", search)
-            flat = [(repr(alpha), None if dalpha is None else dalpha.tobytes(),
+            return [(repr(alpha), None if dalpha is None else dalpha.tobytes(),
                      [field.tobytes() for field in neighbors])
-                    for alpha, dalpha, neighbors in rates]
-            return flat, index, memory_state(tree), searched
+                    for alpha, dalpha, neighbors in rates], index, memory_state(tree)
 
         whole = rates_and_state()
+        assert searched == [8]
         monkeypatch.setattr(meta_learners, "EVAL_STACK_BYTES", 1)
-        chunked = rates_and_state()
-        assert whole[3] == [8] and chunked[3] == [1] * 8
-        assert whole[:3] == chunked[:3]
+        del searched[:]
+        assert rates_and_state() == whole
+        assert searched == [1] * 8
 
 
 class TestDumpLoad:
