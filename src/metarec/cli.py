@@ -1,11 +1,15 @@
 """Command-line interface: run experiments, verify lemmas, inspect artifacts.
 
+``inspect-tree`` and ``dump-embeddings`` read one trial directory of a
+finished run, through the run's manifest (`runner.load_run`).
+
 Exit codes: 0 success, 1 usage or configuration problem, 2 missing or
 malformed input data, 3 numeric failure.  Anything unexpected escaping a
 pipeline stage prints a traceback and exits 3.
 """
 
 import argparse
+import os
 import sys
 import traceback
 
@@ -13,12 +17,11 @@ import numpy as np
 
 from .config import load_experiment_config
 from .datagen import generate_corpus
-from .errors import ConfigError, DataError, MetarecError, NumericError
+from .errors import ConfigError, DataError, MetarecError, NumericError, data_errors
 from .lemma_oracle import (CONVENTIONS, TwoGroupSpec, alpha2_equalizing,
                            bound_check, lemma2_condition, verify_lemmas)
-from .meta_learners import load_checkpoint
-from .runner import (SUBSET_NAMES, build_splits, load_tree, run_experiment,
-                     version_string, write_embeddings)
+from .runner import (SUBSET_NAMES, FinishedTrial, embedding_rows, load_run,
+                     run_experiment, version_string, write_tsv)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -103,8 +106,20 @@ def _cmd_lemmas(args) -> None:
     print(_kv("bound_holds_full", bound.holds_full))
 
 
+def _trial(trial_dir) -> FinishedTrial:
+    """The trial of a finished run that lives in ``trial_dir``."""
+    path = os.path.abspath(trial_dir)
+    for trial in load_run(os.path.dirname(path)):
+        if os.path.abspath(trial.directory) == path:
+            return trial
+    raise DataError(f"{trial_dir} is not a trial directory of the run that holds it")
+
+
 def _cmd_inspect_tree(args) -> None:
-    tree = load_tree(args.artifact)
+    trial = _trial(args.trial_dir)
+    tree = trial.model.tree
+    if tree is None:
+        raise DataError(f"checkpoint {trial.checkpoint} holds no tree memory (at-paml only)")
     print(_kv("nodes", len(tree)))
     print(_kv("capacity", tree.capacity))
     print(_kv("dim", tree.dim))
@@ -128,21 +143,12 @@ def _cmd_inspect_tree(args) -> None:
 
 
 def _cmd_dump_embeddings(args) -> None:
-    model = load_checkpoint(args.checkpoint)
-    # the output directory is never used here, so the config may omit it
-    overrides = list(args.overrides)
-    if not any(o.split("=", 1)[0].strip() == "run.output_dir" for o in overrides):
-        overrides.append("run.output_dir=.")
-    config = load_experiment_config(args.config, overrides)
-    seed = model.config.seed if args.seed is None else args.seed
-    splits = build_splits(config, seed)
-    if (splits.user_vocab_sizes() != model.spec.user_vocab_sizes
-            or splits.item_vocab_sizes() != model.spec.item_vocab_sizes):
-        raise DataError("checkpoint was trained on a dataset with different "
-                        "vocabularies; pass the config and seed of its run")
+    trial = _trial(args.trial_dir)
     subsets = SUBSET_NAMES if args.split == "all" else (args.split,)
-    count = write_embeddings(args.output, model, splits, subsets)
-    print(_kv("rows", count))
+    header, rows = embedding_rows(trial.model, trial.splits, subsets)
+    with data_errors("write", args.output):
+        write_tsv(args.output, header, rows)
+    print(_kv("rows", len(rows)))
     print(_kv("output", args.output))
 
 
@@ -195,22 +201,17 @@ def build_parser() -> _Parser:
     lem.add_argument("--tol", type=float, default=1e-10)
     lem.set_defaults(handler=_cmd_lemmas)
 
-    tree_p = sub.add_parser("inspect-tree", help="summarize a stored tree memory")
-    tree_p.add_argument("artifact", help="checkpoint .npz (sidecar is found) or .tree.npz")
+    tree_p = sub.add_parser("inspect-tree", help="summarize the tree memory of a trial")
+    tree_p.add_argument("trial_dir", help="trial directory of a finished at-paml run")
     tree_p.add_argument("--top", type=int, default=5,
                         help="how many most-visited nodes to list")
     tree_p.set_defaults(handler=_cmd_inspect_tree)
 
     emb = sub.add_parser("dump-embeddings",
                          help="write per-user embeddings and inner rates as TSV")
-    emb.add_argument("checkpoint", help="checkpoint .npz written by a run")
-    emb.add_argument("config", help="experiment config that rebuilds the dataset")
+    emb.add_argument("trial_dir", help="trial directory of a finished run")
     emb.add_argument("--output", required=True, help="destination TSV path")
     emb.add_argument("--split", choices=SUBSET_NAMES + ("all",), default="all")
-    emb.add_argument("--seed", type=int, default=None,
-                     help="dataset seed; defaults to the checkpoint's trainer seed")
-    emb.add_argument("--set", dest="overrides", action="append", default=[],
-                     metavar="KEY=VALUE")
     emb.set_defaults(handler=_cmd_dump_embeddings)
 
     gen = sub.add_parser("make-data",
@@ -233,7 +234,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "seed", None) is not None and args.seed < 0:
+        if getattr(args, "seed", 0) < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         if getattr(args, "top", 0) < 0:
             raise ConfigError(f"--top must be >= 0, got {args.top}")

@@ -11,7 +11,8 @@ Key groups:
               two-group synthetic generator) and how they are split
   trainer.*   every TrainerConfig field, same names
   run.*       trial count, seeds, output directory, parallelism
-  emit.*      optional artifact dumps (embeddings, rate histogram, tree)
+  emit.*      optional artifact dumps (rate histogram, tree); per-user
+              embeddings come from ``metarec dump-embeddings`` after the run
 
 ``flatten_config`` inverts parsing: it renders a configuration back to the
 canonical flat mapping (defaults resolved, seeds expanded), which is what the
@@ -73,7 +74,6 @@ class ExperimentConfig:
     trials: int = 3
     seeds: Tuple[int, ...] = (0, 1, 2)
     parallel: bool = False
-    emit_embeddings: bool = False
     emit_lr_distribution: bool = False
     emit_tree: bool = False
 
@@ -171,7 +171,7 @@ _RUN_PARSERS: Dict[str, Callable[[str], object]] = {
     "parallel": _parse_bool,
 }
 
-_EMIT_KEYS = ("embeddings", "lr_distribution", "tree")
+_EMIT_KEYS = ("lr_distribution", "tree")
 _MOVIELENS_PATH_KEYS = ("ratings", "users", "movies")
 
 
@@ -302,7 +302,6 @@ def build_experiment_config(raw: Mapping[str, str]) -> ExperimentConfig:
         trials=int(trials),
         seeds=tuple(int(s) for s in seeds),
         parallel=bool(typed.get("run.parallel", False)),
-        emit_embeddings=bool(typed.get("emit.embeddings", False)),
         emit_lr_distribution=bool(typed.get("emit.lr_distribution", False)),
         emit_tree=bool(typed.get("emit.tree", False)),
     )
@@ -353,7 +352,6 @@ def flatten_config(config: ExperimentConfig) -> Dict[str, str]:
     flat["run.trials"] = _format_value(config.trials)
     flat["run.seeds"] = _format_value(config.seeds)
     flat["run.parallel"] = _format_value(config.parallel)
-    flat["emit.embeddings"] = _format_value(config.emit_embeddings)
     flat["emit.lr_distribution"] = _format_value(config.emit_lr_distribution)
     flat["emit.tree"] = _format_value(config.emit_tree)
     return flat

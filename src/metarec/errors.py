@@ -5,6 +5,9 @@ NumericError -> 3.  Anything else escaping a pipeline stage is reported as a
 stage failure with exit code 3.
 """
 
+import contextlib
+import zipfile
+
 
 class MetarecError(Exception):
     """Base class for all errors raised by this package."""
@@ -20,3 +23,17 @@ class DataError(MetarecError):
 
 class NumericError(MetarecError):
     """A numeric invariant broke (non-finite values, undefined statistics)."""
+
+
+@contextlib.contextmanager
+def data_errors(doing: str, path):
+    """Re-raise a failure to read or write the file at ``path`` as a DataError
+    that names it; ``doing`` says what failed ("read checkpoint", "write").
+
+    Caught are a file that is missing, empty, truncated, not an archive or
+    short of an entry, and a path that cannot be written.
+    """
+    try:
+        yield
+    except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile) as exc:
+        raise DataError(f"cannot {doing} {path}: {exc}") from None

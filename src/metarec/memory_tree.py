@@ -38,7 +38,7 @@ from typing import Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, data_errors
 
 DEFAULT_CAPACITY = 10000
 DEFAULT_DELTA = 2.0
@@ -380,11 +380,12 @@ class TreeMemory:
 
     @classmethod
     def load(cls, path) -> "TreeMemory":
-        """Rebuild a dumped memory; a malformed node table is a DataError.
+        """Rebuild a dumped memory; an unreadable dump or a malformed node table
+        is a DataError.
 
         Older dumps also hold a search ``mode`` code, which is ignored.
         """
-        with np.load(path) as data:
+        with data_errors("read tree dump", path), np.load(path) as data:
             meta, params, codes = data["meta"], data["params"], data["eviction"]
             if len(meta) < 5 or len(params) < 2:
                 raise DataError(f"tree dump {path}: meta holds {len(meta)} entries and "

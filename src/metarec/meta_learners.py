@@ -76,7 +76,7 @@ from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, data_errors
 from .memory_tree import (DEFAULT_CAPACITY, DEFAULT_DELTA, DEFAULT_SIGMA, EVICTION_POLICIES,
                           Neighbors, TreeMemory, blend_gradients, check_kernel_params)
 from .model import (
@@ -1097,11 +1097,12 @@ def _stored_params(data, prefix: str, shapes: dict) -> ParamSet:
 
 
 def load_checkpoint(path) -> TrainedModel:
-    """Rebuild a TrainedModel from save_checkpoint output (step logs excluded)."""
+    """Rebuild a TrainedModel from save_checkpoint output (step logs excluded).
+
+    A checkpoint or tree sidecar that cannot be read is a DataError naming it.
+    """
     path = _normalize_checkpoint_path(path)
-    if not os.path.exists(path):
-        raise DataError(f"checkpoint file not found: {path}")
-    with np.load(path, allow_pickle=False) as data:
+    with data_errors("read checkpoint", path), np.load(path, allow_pickle=False) as data:
         version = int(data["version"][0])
         if version != CHECKPOINT_VERSION:
             raise ConfigError(f"checkpoint version {version} is not supported "

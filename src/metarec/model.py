@@ -456,13 +456,6 @@ class EpisodeStack(NamedTuple):
     row_episodes: np.ndarray
     blocks: tuple
 
-    @property
-    def targets(self) -> np.ndarray:
-        """The targets of a one-block stack, (B, n_items), one row per episode."""
-        if len(self.blocks) != 1:
-            raise DataError("per-episode target rows need episodes with equal item counts")
-        return self.row_targets.reshape(len(self.lengths), -1)
-
 
 def _gather(flat: np.ndarray, stack: EpisodeStack) -> np.ndarray:
     """Every row's fused input values, (R, width), from one shared vector or

@@ -16,10 +16,15 @@ A ``STALE`` marker file exists in the run directory for exactly as long as
 outputs there cannot be trusted: it is written before the first trial and
 removed after the manifest lands, so any crash leaves it behind with the
 failing stage recorded inside.
+
+``load_run`` reads a finished run back from its manifest alone: the config
+is rebuilt from the recorded mapping and checked against its digest, and
+each trial's model and splits are loaded when first used.
 """
 
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -30,13 +35,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .config import ExperimentConfig, experiment_digest, flatten_config
-from .errors import DataError, MetarecError
+from .config import (ExperimentConfig, build_experiment_config, experiment_digest,
+                     flatten_config)
+from .errors import DataError, MetarecError, data_errors
 from .evaluation import build_report
 from .memory_tree import TreeMemory
-from .meta_learners import (TrainedModel, evaluate, logged_rate, save_checkpoint, train,
-                            tree_sidecar, _distinct_rates, _encode_split,
-                            _normalize_checkpoint_path)
+from .meta_learners import (TrainedModel, evaluate, load_checkpoint, logged_rate,
+                            save_checkpoint, train, _distinct_rates, _encode_split)
 from .model import user_embedding
 from .tasks import DatasetSplits, load_movielens, preprocess, synthetic_splits
 
@@ -160,43 +165,28 @@ def embedding_rows(model: TrainedModel, splits: DatasetSplits,
                    subsets: Sequence[str]) -> Tuple[List[str], List[Tuple]]:
     """Per-user embedding vectors with the inference-time inner rate.
 
-    Returns (header, rows); one row per episode in the chosen subsets, in
-    split order.  Each distinct embedding gets one rate from
-    `_distinct_rates`, logged once; meta-sgd rates are logged as the mean of
-    the vector.
+    Returns (header, rows); one row per episode in the chosen subsets (names
+    from `SUBSET_NAMES`), in split order.  Each distinct embedding gets one
+    rate from `_distinct_rates`, logged once; meta-sgd rates are logged as the
+    mean of the vector.
     """
-    by_name = {"train": splits.train, "validation": splits.validation,
-               "test": splits.test}
-    unknown = [s for s in subsets if s not in by_name]
-    if unknown:
-        raise DataError(f"unknown split name {unknown[0]!r} (use one of {SUBSET_NAMES})")
     rows: List[Tuple] = []
-    width = None
     for name in subsets:
-        episodes = by_name[name]
+        episodes = getattr(splits, name)
         if not episodes:
             continue
         encoded = _encode_split(splits, episodes, model.spec)
         h = user_embedding(model.theta, model.spec, encoded.support.users)
-        width = h.shape[1]
         rates, index = _distinct_rates(model.config, model.lr_head, model.meta_sgd_alpha,
                                        model.tree, h)
         logged = [logged_rate(rate[0]) for rate in rates]
         for key, j, h_i in zip(encoded.keys, index, h.tolist()):
             rows.append((key, name, _group_name(bool(splits.is_major[key])), logged[j])
                         + tuple(h_i))
-    if width is None:
+    if not rows:
         raise DataError("no episodes in the requested splits")
-    header = ["user_key", "subset", "group", "alpha"] + [f"h{i}" for i in range(width)]
+    header = ["user_key", "subset", "group", "alpha"] + [f"h{i}" for i in range(model.spec.user_width)]
     return header, rows
-
-
-def write_embeddings(path, model: TrainedModel, splits: DatasetSplits,
-                     subsets: Sequence[str]) -> int:
-    """Write the embedding dump; returns the number of rows."""
-    header, rows = embedding_rows(model, splits, subsets)
-    write_tsv(path, header, rows)
-    return len(rows)
 
 
 def _write_lr_distribution(path, alphas: Sequence[float]) -> None:
@@ -268,9 +258,6 @@ def run_trial(config: ExperimentConfig, index: int, seed: int) -> TrialResult:
         _write_report(os.path.join(trial_dir, "report.tsv"), [per_user_mse],
                       [per_user_alpha], splits.is_major)
 
-        if config.emit_embeddings:
-            write_embeddings(os.path.join(trial_dir, "embeddings.tsv"),
-                             model, splits, SUBSET_NAMES)
         if config.emit_lr_distribution:
             _write_lr_distribution(os.path.join(trial_dir, "lr_distribution.tsv"),
                                    list(per_user_alpha.values()))
@@ -395,17 +382,50 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
 
 
 # ---------------------------------------------------------------------------
-# artifact loading helpers for the command-line tools
+# reading a finished run back
 
 
-def load_tree(path) -> TreeMemory:
-    """Load a tree dump; accepts a checkpoint path and finds its sidecar."""
-    path = _normalize_checkpoint_path(path)
-    if not path.endswith(".tree.npz") and os.path.exists(tree_sidecar(path)):
-        path = tree_sidecar(path)
-    if not os.path.exists(path):
-        raise DataError(f"no tree dump at {path}")
-    try:
-        return TreeMemory.load(path)
-    except (KeyError, ValueError, OSError) as exc:
-        raise DataError(f"cannot read tree dump {path}: {exc}") from None
+@dataclasses.dataclass(frozen=True)
+class FinishedTrial:
+    """One trial of a finished run as its manifest records it, paths resolved
+    against the run directory; the model and splits load on first use."""
+
+    config: ExperimentConfig
+    index: int
+    seed: int
+    directory: str
+    checkpoint: str
+
+    @functools.cached_property
+    def model(self) -> TrainedModel:
+        return load_checkpoint(self.checkpoint)
+
+    @functools.cached_property
+    def splits(self) -> DatasetSplits:
+        """The trial's dataset, checked to have the vocabularies of its model."""
+        splits = build_splits(self.config, self.seed)
+        if (splits.user_vocab_sizes() != self.model.spec.user_vocab_sizes
+                or splits.item_vocab_sizes() != self.model.spec.item_vocab_sizes):
+            raise DataError(f"checkpoint {self.checkpoint} was trained on other vocabularies")
+        return splits
+
+
+def load_run(run_dir) -> Tuple[FinishedTrial, ...]:
+    """The trials of a finished run, read back from its ``manifest.json``.
+
+    A run directory that holds the ``STALE`` marker, a manifest that is
+    missing or cannot be read, and a config that no longer hashes to the
+    recorded digest are each a DataError.
+    """
+    if os.path.exists(os.path.join(run_dir, STALE_MARKER)):
+        raise DataError(f"run directory {run_dir} holds a {STALE_MARKER} marker")
+    path = os.path.join(run_dir, "manifest.json")
+    with data_errors("read run manifest", path), open(path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+        config = build_experiment_config(manifest["config"])
+        if experiment_digest(config) != manifest["config_digest"]:
+            raise DataError(f"run manifest {path}: config does not match its config_digest")
+        return tuple(FinishedTrial(config, t["index"], t["seed"],
+                                   os.path.join(run_dir, t["directory"]),
+                                   os.path.join(run_dir, t["checkpoint"]))
+                     for t in manifest["trials"])

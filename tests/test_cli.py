@@ -1,6 +1,7 @@
 """Tests for the command-line interface: subcommands and exit codes."""
 
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -294,8 +295,14 @@ run.trials = 1
         assert "inner rate must be finite, got nan" in capsys.readouterr().err
 
 
+def npz_arrays(path):
+    with np.load(path) as data:
+        return {key: data[key] for key in data.files}
+
+
 class TestArtifactCommands:
     def run_tiny(self, tmp_path, capsys, algorithm="at-paml", epochs="2"):
+        """A finished one-trial run; returns its trial directory."""
         config = write_config(tmp_path)
         out_dir = str(tmp_path / f"out-{algorithm}")
         code = main(["run", config, "--output-dir", out_dir,
@@ -303,49 +310,62 @@ class TestArtifactCommands:
                      "--set", f"trainer.epochs={epochs}"])
         assert code == 0
         capsys.readouterr()
-        return config, os.path.join(out_dir, "trial-00-seed-0", "checkpoint.npz")
+        return os.path.join(out_dir, "trial-00-seed-0")
+
+    def plant_sidecar(self, tmp_path, capsys, edit):
+        """An at-paml trial whose tree sidecar is replaced by a 2-wide tree
+        dump with ``edit`` applied to its entries; returns the trial directory."""
+        trial_dir = self.run_tiny(tmp_path, capsys)
+        tree = TreeMemory(dim=2)
+        for i in range(5):
+            tree.store_node([float(i), 0.0], 1e-3)
+        sidecar = os.path.join(trial_dir, "checkpoint.tree.npz")
+        tree.dump(sidecar)
+        arrays = npz_arrays(sidecar)
+        edit(arrays)
+        np.savez(sidecar, **arrays)
+        return trial_dir
+
+    def assert_refused(self, capsys, argv, path, out=None):
+        """Exit 2 naming ``path``, with no traceback and no output written."""
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert str(path) in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        if out is not None:
+            assert not os.path.exists(out)
 
     def test_inspect_tree_summarizes_nodes(self, tmp_path, capsys):
-        _, checkpoint = self.run_tiny(tmp_path, capsys)
-        assert main(["inspect-tree", checkpoint, "--top", "2"]) == 0
+        trial_dir = self.run_tiny(tmp_path, capsys)
+        assert main(["inspect-tree", trial_dir, "--top", "2"]) == 0
         values = parse_kv(capsys.readouterr().out)
         assert int(values["nodes"]) > 0
         assert "mode" not in values  # the exact scan is the only search
 
     def test_inspect_tree_negative_top_is_usage_error(self, tmp_path, capsys):
-        _, checkpoint = self.run_tiny(tmp_path, capsys)
-        assert main(["inspect-tree", checkpoint, "--top", "-1"]) == 1
+        trial_dir = self.run_tiny(tmp_path, capsys)
+        assert main(["inspect-tree", trial_dir, "--top", "-1"]) == 1
         captured = capsys.readouterr()
         assert "--top must be >= 0" in captured.err
         assert captured.out == ""
 
-    def test_inspect_tree_missing_artifact_is_data_error(self, tmp_path, capsys):
-        assert main(["inspect-tree", str(tmp_path / "none.npz")]) == 2
+    def test_inspect_tree_missing_run_is_data_error(self, tmp_path, capsys):
+        self.assert_refused(capsys, ["inspect-tree", str(tmp_path / "trial-00-seed-0")],
+                            tmp_path / "manifest.json")
 
     def test_inspect_tree_malformed_dump_is_data_error(self, tmp_path, capsys):
-        tree = TreeMemory(dim=2)
-        for i in range(5):
-            tree.store_node([float(i), 0.0], 1e-3)
-        path = str(tmp_path / "memory.tree.npz")
-        tree.dump(path)
-        with np.load(path) as data:
-            arrays = {key: data[key] for key in data.files}
-        arrays["lrs"] = arrays["lrs"][:4]
-        np.savez(path, **arrays)
-        assert main(["inspect-tree", path]) == 2
+        def drop_a_rate(arrays):
+            arrays["lrs"] = arrays["lrs"][:4]
+        trial_dir = self.plant_sidecar(tmp_path, capsys, drop_a_rate)
+        assert main(["inspect-tree", trial_dir]) == 2
         assert "lengths disagree" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["eviction"])
     def test_inspect_tree_unknown_stored_code_is_data_error(self, tmp_path, capsys, key):
-        tree = TreeMemory(dim=2)
-        tree.store_node([0.0, 0.0], 1e-3)
-        path = str(tmp_path / "memory.tree.npz")
-        tree.dump(path)
-        with np.load(path) as data:
-            arrays = {k: data[k] for k in data.files}
-        arrays[key] = np.array([7], dtype=np.int64)
-        np.savez(path, **arrays)
-        assert main(["inspect-tree", path]) == 2
+        trial_dir = self.plant_sidecar(tmp_path, capsys,
+                                       lambda arrays: arrays.update({key: np.array([7], dtype=np.int64)}))
+        assert main(["inspect-tree", trial_dir]) == 2
         assert f"{key} code [7]" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value, message", [
@@ -353,27 +373,29 @@ class TestArtifactCommands:
         ("params", np.array([np.nan, 1e-5]), "delta must be finite")])
     def test_inspect_tree_stored_settings_out_of_range_are_data_errors(
             self, tmp_path, capsys, key, value, message):
-        tree = TreeMemory(dim=2)
-        tree.store_node([0.0, 0.0], 1e-3)
-        path = str(tmp_path / "memory.tree.npz")
-        tree.dump(path)
-        with np.load(path) as data:
-            arrays = {k: data[k] for k in data.files}
-        arrays[key] = value
-        np.savez(path, **arrays)
-        assert main(["inspect-tree", path]) == 2
+        trial_dir = self.plant_sidecar(tmp_path, capsys,
+                                       lambda arrays: arrays.update({key: value}))
+        assert main(["inspect-tree", trial_dir]) == 2
         assert message in capsys.readouterr().err
 
-    def test_inspect_tree_without_sidecar_is_data_error(self, tmp_path, capsys):
-        _, checkpoint = self.run_tiny(tmp_path, capsys, algorithm="paml", epochs="1")
-        assert main(["inspect-tree", checkpoint]) == 2
+    def test_inspect_tree_of_a_paml_trial_is_data_error(self, tmp_path, capsys):
+        trial_dir = self.run_tiny(tmp_path, capsys, algorithm="paml", epochs="1")
+        self.assert_refused(capsys, ["inspect-tree", trial_dir],
+                            os.path.join(trial_dir, "checkpoint.npz"))
+
+    def test_inspect_tree_truncated_dump_is_data_error(self, tmp_path, capsys):
+        trial_dir = self.run_tiny(tmp_path, capsys)
+        sidecar = os.path.join(trial_dir, "checkpoint.tree.npz")
+        with open(sidecar, "rb") as fh:
+            head = fh.read(200)
+        with open(sidecar, "wb") as fh:
+            fh.write(head)
+        self.assert_refused(capsys, ["inspect-tree", trial_dir], sidecar)
 
     def test_dump_embeddings_writes_rows(self, tmp_path, capsys):
-        config, checkpoint = self.run_tiny(tmp_path, capsys, algorithm="paml",
-                                           epochs="1")
+        trial_dir = self.run_tiny(tmp_path, capsys, algorithm="paml", epochs="1")
         out = str(tmp_path / "emb.tsv")
-        code = main(["dump-embeddings", checkpoint, config,
-                     "--output", out, "--split", "test"])
+        code = main(["dump-embeddings", trial_dir, "--output", out, "--split", "test"])
         assert code == 0
         values = parse_kv(capsys.readouterr().out)
         assert int(values["rows"]) > 0
@@ -382,33 +404,84 @@ class TestArtifactCommands:
         assert len(lines) == int(values["rows"]) + 1
         assert lines[0].startswith("user_key\tsubset\tgroup\talpha")
 
+    def test_dump_embeddings_of_a_copied_run_writes_the_same_bytes(self, tmp_path, capsys):
+        trial_dir = self.run_tiny(tmp_path, capsys)
+        copy = str(tmp_path / "copy")
+        shutil.copytree(os.path.dirname(trial_dir), copy)
+        outs = [str(tmp_path / "here.tsv"), str(tmp_path / "there.tsv")]
+        for directory, out in zip((trial_dir, os.path.join(copy, "trial-00-seed-0")), outs):
+            assert main(["dump-embeddings", directory, "--output", out]) == 0
+        with open(outs[0], "rb") as here, open(outs[1], "rb") as there:
+            assert here.read() == there.read()
+
+    def test_dump_embeddings_of_a_directory_outside_the_run_is_data_error(
+            self, tmp_path, capsys):
+        trial_dir = self.run_tiny(tmp_path, capsys, algorithm="paml", epochs="1")
+        stray = os.path.join(os.path.dirname(trial_dir), "trial-01-seed-1")
+        out = tmp_path / "emb.tsv"
+        self.assert_refused(capsys, ["dump-embeddings", stray, "--output", str(out)],
+                            stray, out)
+
+    def test_dump_embeddings_unwritable_output_is_data_error(self, tmp_path, capsys):
+        trial_dir = self.run_tiny(tmp_path, capsys, algorithm="paml", epochs="1")
+        out = tmp_path / "nodir" / "emb.tsv"
+        self.assert_refused(capsys, ["dump-embeddings", trial_dir, "--output", str(out)],
+                            out, out)
+
     def test_dump_embeddings_mis_shaped_rate_entry_is_data_error(self, tmp_path, capsys):
-        config, checkpoint = self.run_tiny(tmp_path, capsys, algorithm="paml", epochs="1")
-        with np.load(checkpoint) as data:
-            arrays = {k: data[k] for k in data.files}
+        trial_dir = self.run_tiny(tmp_path, capsys, algorithm="paml", epochs="1")
+        checkpoint = os.path.join(trial_dir, "checkpoint.npz")
+        arrays = npz_arrays(checkpoint)
         arrays["psi.lr_W0"] = arrays["psi.lr_W0"].T
         np.savez(checkpoint, **arrays)
         out = tmp_path / "emb.tsv"
-        assert main(["dump-embeddings", checkpoint, config, "--output", str(out)]) == 2
+        assert main(["dump-embeddings", trial_dir, "--output", str(out)]) == 2
         assert "checkpoint entry 'psi.lr_W0' has shape" in capsys.readouterr().err
         assert not out.exists()
 
     def test_dump_embeddings_sidecar_of_another_width_is_data_error(self, tmp_path, capsys):
-        config, checkpoint = self.run_tiny(tmp_path, capsys)
-        sidecar = checkpoint[: -len(".npz")] + ".tree.npz"
+        trial_dir = self.run_tiny(tmp_path, capsys)
+        sidecar = os.path.join(trial_dir, "checkpoint.tree.npz")
         wide = TreeMemory(dim=3)  # the tiny run's users are 2 wide
         wide.store_node([0.0, 0.0, 0.0], 1e-3)
         wide.dump(sidecar)
         out = tmp_path / "emb.tsv"
-        assert main(["dump-embeddings", checkpoint, config, "--output", str(out)]) == 2
+        assert main(["dump-embeddings", trial_dir, "--output", str(out)]) == 2
         assert f"tree sidecar {sidecar} holds 3-wide" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_dump_embeddings_sidecar_without_meta_is_data_error(self, tmp_path, capsys):
+        trial_dir = self.plant_sidecar(tmp_path, capsys, lambda arrays: arrays.pop("meta"))
+        out = tmp_path / "emb.tsv"
+        self.assert_refused(capsys, ["dump-embeddings", trial_dir, "--output", str(out)],
+                            os.path.join(trial_dir, "checkpoint.tree.npz"), out)
+
+    @pytest.mark.parametrize("damage", ["no-version", "not-an-archive", "truncated", "empty"])
+    def test_dump_embeddings_unreadable_checkpoint_is_data_error(self, tmp_path, capsys,
+                                                                 damage):
+        trial_dir = self.run_tiny(tmp_path, capsys, algorithm="paml", epochs="1")
+        checkpoint = os.path.join(trial_dir, "checkpoint.npz")
+        if damage == "no-version":
+            arrays = npz_arrays(checkpoint)
+            del arrays["version"]
+            np.savez(checkpoint, **arrays)
+        else:
+            with open(checkpoint, "rb") as fh:
+                head = fh.read(300)
+            with open(checkpoint, "wb") as fh:
+                fh.write({"not-an-archive": b"not an archive\n", "truncated": head,
+                          "empty": b""}[damage])
+        out = tmp_path / "emb.tsv"
+        self.assert_refused(capsys, ["dump-embeddings", trial_dir, "--output", str(out)],
+                            checkpoint, out)
+
     def test_dump_embeddings_missing_checkpoint_is_data_error(self, tmp_path, capsys):
-        config = write_config(tmp_path)
-        code = main(["dump-embeddings", str(tmp_path / "none.npz"), config,
-                     "--output", str(tmp_path / "emb.tsv")])
-        assert code == 2
+        trial_dir = self.run_tiny(tmp_path, capsys, algorithm="paml", epochs="1")
+        checkpoint = os.path.join(trial_dir, "checkpoint.npz")
+        os.remove(checkpoint)
+        out = tmp_path / "emb.tsv"
+        self.assert_refused(capsys, ["dump-embeddings", trial_dir, "--output", str(out)],
+                            checkpoint, out)
 
     def test_make_data_then_full_pipeline(self, tmp_path, capsys):
         corpus = str(tmp_path / "corpus")
@@ -424,8 +497,8 @@ dataset.ratings = {paths["ratings"]}
 dataset.users = {paths["users"]}
 dataset.movies = {paths["movies"]}
 dataset.min_items = 3
-trainer.algorithm = reg-paml
-trainer.epochs = 1
+trainer.algorithm = at-paml
+trainer.epochs = 2
 trainer.batch_size = 8
 trainer.embedding_dim = 3
 trainer.decision_dims = 6,1
@@ -437,6 +510,14 @@ run.trials = 1
         assert code == 0
         values = parse_kv(capsys.readouterr().out)
         assert os.path.exists(values["report"])
+        trial_dir = values["trial_00"]
+        out = str(tmp_path / "embeddings.tsv")
+        assert main(["dump-embeddings", trial_dir, "--output", out]) == 0
+        dumped = parse_kv(capsys.readouterr().out)
+        with open(out, encoding="utf-8") as fh:
+            assert len(fh.read().splitlines()) == int(dumped["rows"]) + 1 > 1
+        assert main(["inspect-tree", trial_dir]) == 0
+        assert int(parse_kv(capsys.readouterr().out)["nodes"]) > 0
 
     @pytest.mark.parametrize("noise_sd", ["nan", "inf", "-1"])
     def test_make_data_bad_noise_sd_is_config_error(self, tmp_path, capsys, noise_sd):
@@ -454,13 +535,3 @@ run.trials = 1
         assert captured.out == ""
         assert not corpus.exists()
 
-    def test_dump_embeddings_negative_seed_is_config_error(self, tmp_path, capsys):
-        # rejected while parsing, ahead of the missing checkpoint's exit 2
-        config = write_config(tmp_path)
-        out = tmp_path / "emb.tsv"
-        assert main(["dump-embeddings", str(tmp_path / "none.npz"), config,
-                     "--output", str(out), "--seed", "-1"]) == 1
-        captured = capsys.readouterr()
-        assert "seed must be >= 0" in captured.err
-        assert captured.out == ""
-        assert not out.exists()

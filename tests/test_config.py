@@ -228,7 +228,7 @@ class TestValidation:
 
 class TestCanonicalRendering:
     def test_flatten_round_trips_synthetic(self):
-        config = synth_config(**{"emit.embeddings": "true"})
+        config = synth_config(**{"emit.tree": "true"})
         assert build_experiment_config(flatten_config(config)) == config
 
     def test_flatten_round_trips_movielens(self):

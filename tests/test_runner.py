@@ -3,19 +3,22 @@
 import hashlib
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
+from metarec.cli import main
 from metarec.config import build_experiment_config
 from metarec.datagen import generate_corpus
 from metarec.errors import DataError
+from metarec.memory_tree import TreeMemory
 from metarec.meta_learners import load_checkpoint
 from metarec.model import user_embedding
 from metarec.meta_learners import _distinct_rates, logged_rate
 from metarec.runner import (
     build_splits,
-    load_tree,
+    load_run,
     run_experiment,
     run_trial,
     version_string,
@@ -186,11 +189,20 @@ class TestRunExperiment:
         assert means["reg-paml"] < means["maml-fixed"]
 
 
+def dump_embeddings(tmp_path, config):
+    """Run ``config`` and dump its one trial's embeddings with the CLI;
+    returns the trial's result and the dump's path."""
+    [result] = run_experiment(config).trials
+    path = str(tmp_path / "embeddings.tsv")
+    assert main(["dump-embeddings", result.directory, "--output", path]) == 0
+    return result, path
+
+
 class TestEmittedArtifacts:
     def test_embedding_dump_covers_every_episode(self, tmp_path):
-        config = make_config(tmp_path, **{"emit.embeddings": "true"})
-        result = run_trial(config, 0, 0)
-        header, rows = read_tsv(os.path.join(result.directory, "embeddings.tsv"))
+        config = make_config(tmp_path)
+        _, path = dump_embeddings(tmp_path, config)
+        header, rows = read_tsv(path)
         splits = build_splits(config, 0)
         total = len(splits.train) + len(splits.validation) + len(splits.test)
         assert len(rows) == total
@@ -198,11 +210,11 @@ class TestEmittedArtifacts:
         assert header[4:] == ["h0", "h1"]
 
     def test_embedding_alphas_match_inference_rule(self, tmp_path):
-        config = make_config(tmp_path, **{"emit.embeddings": "true"})
-        result = run_trial(config, 0, 0)
+        config = make_config(tmp_path)
+        result, path = dump_embeddings(tmp_path, config)
         model = load_checkpoint(result.checkpoint_path)
         splits = build_splits(config, 0)
-        _, rows = read_tsv(os.path.join(result.directory, "embeddings.tsv"))
+        _, rows = read_tsv(path)
         by_key = {(r[0], r[1]): float(r[3]) for r in rows}
         episode = splits.test[0]
         user_ids, _, _ = splits.encode(episode.user, episode.support)
@@ -222,10 +234,10 @@ class TestEmittedArtifacts:
         config = make_config(tmp_path, **{
             "dataset.kind": "movielens", "dataset.ratings": paths["ratings"],
             "dataset.users": paths["users"], "dataset.movies": paths["movies"],
-            "dataset.min_items": "3", "emit.embeddings": "true",
+            "dataset.min_items": "3",
             "trainer.algorithm": algorithm, "trainer.epochs": "2",
             "trainer.tree_neighbors_train": "3", "trainer.tree_neighbors_infer": "2"})
-        result = run_trial(config, 0, 0)
+        result, path = dump_embeddings(tmp_path, config)
         model = load_checkpoint(result.checkpoint_path)
         splits = build_splits(config, 0)
         rows = []
@@ -242,8 +254,7 @@ class TestEmittedArtifacts:
         reference = str(tmp_path / "reference.tsv")
         write_tsv(reference, ["user_key", "subset", "group", "alpha"]
                   + [f"h{i}" for i in range(model.spec.user_width)], rows)
-        with open(reference, "rb") as ref, \
-                open(os.path.join(result.directory, "embeddings.tsv"), "rb") as got:
+        with open(reference, "rb") as ref, open(path, "rb") as got:
             assert got.read() == ref.read()
 
     def test_lr_distribution_counts_every_test_user(self, tmp_path):
@@ -266,7 +277,7 @@ class TestEmittedArtifacts:
                                           "trainer.algorithm": "at-paml",
                                           "trainer.epochs": "2"})
         result = run_trial(config, 0, 0)
-        tree = load_tree(result.checkpoint_path)
+        tree = load_checkpoint(result.checkpoint_path).tree
         _, rows = read_tsv(os.path.join(result.directory, "tree_nodes.tsv"))
         assert len(rows) == len(tree)
 
@@ -277,24 +288,94 @@ class TestEmittedArtifacts:
         assert rows == []
 
 
-class TestLoadTree:
-    def test_checkpoint_path_finds_sidecar(self, tmp_path):
-        config = make_config(tmp_path, **{"trainer.algorithm": "at-paml",
-                                          "trainer.epochs": "2"})
-        result = run_trial(config, 0, 0)
-        via_checkpoint = load_tree(result.checkpoint_path)
-        direct = load_tree(result.checkpoint_path[: -len(".npz")] + ".tree.npz")
-        assert len(via_checkpoint) == len(direct) > 0
+class TestLoadRun:
+    def finished(self, tmp_path, **extra):
+        config = make_config(tmp_path, **{"run.seeds": "3,5", "run.trials": "2", **extra})
+        run_experiment(config)
+        return config
 
-    def test_missing_dump_is_a_data_error(self, tmp_path):
-        with pytest.raises(DataError, match="no tree dump"):
-            load_tree(tmp_path / "nothing.npz")
+    def test_trials_are_read_back_from_the_manifest(self, tmp_path):
+        config = self.finished(tmp_path)
+        trials = load_run(config.output_dir)
+        assert [(t.index, t.seed) for t in trials] == [(0, 3), (1, 5)]
+        assert all(t.config == config for t in trials)
+        assert trials[1].directory == os.path.join(config.output_dir, "trial-01-seed-5")
+        assert trials[1].checkpoint == os.path.join(trials[1].directory, "checkpoint.npz")
+        expected = build_splits(config, 5)
+        assert ([e.user.user_id for e in trials[1].splits.test]
+                == [e.user.user_id for e in expected.test])
 
-    def test_wrong_format_is_a_data_error(self, tmp_path):
-        config = make_config(tmp_path)
-        result = run_trial(config, 0, 0)  # paml checkpoint has no sidecar
-        with pytest.raises(DataError, match="cannot read tree dump"):
-            load_tree(result.checkpoint_path)
+    def test_a_moved_run_resolves_against_its_new_directory(self, tmp_path):
+        config = self.finished(tmp_path)
+        moved = str(tmp_path / "moved")
+        shutil.move(config.output_dir, moved)
+        trials = load_run(moved)
+        assert [t.directory for t in trials] == [os.path.join(moved, "trial-00-seed-3"),
+                                                 os.path.join(moved, "trial-01-seed-5")]
+        assert trials[0].model.spec.user_width == 2
+
+    def test_at_paml_trial_model_holds_the_sidecar_tree(self, tmp_path):
+        config = self.finished(tmp_path, **{"trainer.algorithm": "at-paml",
+                                            "trainer.epochs": "2"})
+        trial = load_run(config.output_dir)[0]
+        sidecar = TreeMemory.load(trial.checkpoint[: -len(".npz")] + ".tree.npz")
+        assert len(trial.model.tree) == len(sidecar) > 0
+
+    def test_paml_trial_model_has_no_tree(self, tmp_path):
+        config = self.finished(tmp_path)
+        assert load_run(config.output_dir)[0].model.tree is None
+
+    def test_splits_of_a_corpus_rewritten_after_the_run_are_refused(self, tmp_path):
+        corpus = str(tmp_path / "corpus")
+        paths = generate_corpus(corpus, n_users=40, n_movies=25, seed=2, min_items=4,
+                                max_items=8)
+        config = self.finished(tmp_path, **{
+            "dataset.kind": "movielens", "dataset.ratings": paths["ratings"],
+            "dataset.users": paths["users"], "dataset.movies": paths["movies"],
+            "dataset.min_items": "3"})
+        generate_corpus(corpus, n_users=40, n_movies=30, seed=2, min_items=4, max_items=8)
+        trial = load_run(config.output_dir)[0]
+        with pytest.raises(DataError, match="trained on other vocabularies"):
+            trial.splits
+
+    def test_stale_run_is_refused(self, tmp_path):
+        config = self.finished(tmp_path)
+        with open(os.path.join(config.output_dir, "STALE"), "w", encoding="utf-8") as fh:
+            fh.write("stale: interrupted\n")
+        with pytest.raises(DataError, match="holds a STALE marker"):
+            load_run(config.output_dir)
+
+    def test_missing_manifest_is_refused(self, tmp_path):
+        with pytest.raises(DataError, match="cannot read run manifest .*manifest.json"):
+            load_run(str(tmp_path))
+
+    def test_manifest_that_is_not_json_is_refused(self, tmp_path):
+        config = self.finished(tmp_path)
+        with open(os.path.join(config.output_dir, "manifest.json"), "w",
+                  encoding="utf-8") as fh:
+            fh.write("{ not json")
+        with pytest.raises(DataError, match="cannot read run manifest"):
+            load_run(config.output_dir)
+
+    def edit_manifest(self, config, edit):
+        path = os.path.join(config.output_dir, "manifest.json")
+        with open(path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        edit(manifest)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh)
+
+    def test_edited_config_value_is_a_digest_mismatch(self, tmp_path):
+        config = self.finished(tmp_path)
+        self.edit_manifest(config, lambda m: m["config"].update({"trainer.epochs": "2"}))
+        with pytest.raises(DataError, match="does not match its config_digest"):
+            load_run(config.output_dir)
+
+    def test_manifest_with_the_retired_embeddings_switch_is_refused(self, tmp_path):
+        config = self.finished(tmp_path)
+        self.edit_manifest(config, lambda m: m["config"].update({"emit.embeddings": "true"}))
+        with pytest.raises(DataError, match="cannot read run manifest .*'emit.embeddings'"):
+            load_run(config.output_dir)
 
 
 class TestPinnedAtPamlOutputs:
@@ -337,7 +418,7 @@ class TestPinnedAtPamlOutputs:
             "trainer.tree_eviction": eviction,
         })
         result = run_trial(config, 0, 0)
-        tree = load_tree(result.checkpoint_path)
+        tree = load_checkpoint(result.checkpoint_path).tree
         assert len(tree) == 20 and tree.evictions > 0
         assert sha256_files(result.directory, self.FILES) == self.DIGESTS[eviction]
 
@@ -391,7 +472,7 @@ class TestPinnedWideAtPamlOutputs:
             "run.output_dir": str(tmp_path / "out"),
         })
         result = run_trial(config, 0, 0)
-        tree = load_tree(result.checkpoint_path)
+        tree = load_checkpoint(result.checkpoint_path).tree
         assert (tree.dim, len(tree)) == (64, 60) and tree.evictions > 0
         assert sha256_files(result.directory, TestPinnedAtPamlOutputs.FILES) == self.DIGESTS
 
