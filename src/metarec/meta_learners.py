@@ -45,11 +45,11 @@ embedding and each episode's position among them.  Then the batch,
 ordered by (query rows, support rows), is cut by `ordered_passes` into
 passes of at most `EVAL_STACK_BYTES` of parameter rows, and each pass runs
 its support gradient, inner step, query gradient and Hessian-vector
-product once, as ragged stacks (see `model`) whose blocks are its runs of
-equal shapes; every episode keeps the bits of a pass of its own.  The
-passes' row stacks are views of buffers the trainer reuses from step to
-step.  A failing episode stays in its pass and gets the first error a
-one-episode pass would raise.  Drops, warnings, logs and sums stay in
+product once, each as one padded block (see `model`): an episode's bits
+depend only on its own rows and its pass's longest support and query
+sets.  The passes' row stacks are views of buffers the trainer reuses from
+step to step.  A failing episode stays in its pass and gets the first
+error a one-episode pass would raise.  Drops, warnings, logs and sums stay in
 batch order.  Evaluation cuts a split the same way, into passes of as
 many users as `EVAL_STACK_BYTES` of adapted parameter rows hold, and never
 fewer than ``batch_size``; each pass runs its support gradient, inner step
@@ -589,20 +589,27 @@ def _check_encoded_for(spec: ModelSpec, episodes: _EncodedSplit) -> None:
         raise DataError("episodes were encoded for another model spec")
 
 
-def _row_mses(rows: np.ndarray, targets: np.ndarray) -> List[float]:
-    """The mean squared error of each row, with the bits of `loss` on it."""
+def _row_mses(rows: np.ndarray, targets: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The mean squared error of each padded row's first ``lengths[e]``
+    entries, with the bits of `loss` on them: one row-wise mean per
+    distinct length."""
     r = rows - targets
-    return np.mean(r * r, axis=1).tolist()
+    squares = r * r
+    mses = np.empty(len(lengths))
+    for n in np.unique(lengths).tolist():
+        chosen = lengths == n
+        mses[chosen] = np.mean(squares[chosen, :n], axis=1)
+    return mses
 
 
 def _pooled_loss(theta: ParamSet, spec: ModelSpec, pooled: CheckedSplit,
                  batch_size: int) -> float:
     """Item-weighted mean loss over ``pooled``, summed episode by episode in
     order (`np.add.accumulate` adds one term at a time); the predictions
-    come from stacks of at most ``batch_size``."""
+    come from passes of at most ``batch_size``."""
     mses = np.empty(len(pooled))
-    for group, rows, targets in predict_stacks(theta, spec, pooled, batch_size):
-        mses[group] = _row_mses(rows, targets)
+    for positions, rows, targets, lengths in predict_stacks(theta, spec, pooled, batch_size):
+        mses[positions] = _row_mses(rows, targets, lengths)
     return float(np.add.accumulate(mses * pooled.lengths)[-1] / pooled.lengths.sum())
 
 
@@ -734,7 +741,7 @@ class MetaTrainer:
 
         Episodes run ordered by (query rows, support rows), in passes of at
         most `EVAL_STACK_BYTES` of parameter rows, so each pass's episodes
-        of one shape form one block of its ragged stacks.  Every row stack
+        have similar lengths and its padded stacks few slots.  Every row stack
         is a view of a buffer the trainer reuses from step to step: the
         theta rows of the whole batch (and meta-sgd's rate rows), which
         take each pass's query gradients, and two pass buffers, one for the
@@ -968,18 +975,19 @@ def _evaluate_encoded(theta, spec, config, head, msgd_alpha, tree, episodes: _En
 
     ``episodes`` is a split encoded for ``spec`` by `_encode_split`.  Each
     distinct embedding gets one rate from `_distinct_rates`, logged once.
-    Users run ordered by (query rows, support rows), in ragged passes of as
-    many users as `EVAL_STACK_BYTES` of adapted parameter rows hold, and
-    never fewer than ``batch_size`` (`ordered_passes`).  Each pass runs one
+    Users run ordered by (query rows, support rows), in passes of as many
+    users as `EVAL_STACK_BYTES` of adapted parameter rows hold, and never
+    fewer than ``batch_size`` (`ordered_passes`).  Each pass runs one
     support `grad_stack` into a row buffer, one inner step in place and one
-    forward pass over its ragged query stack.  The buffer is ``rows(n)``,
+    forward pass over its padded query stack.  The buffer is ``rows(n)``,
     n rows of a caller's reused buffer, or else one this call allocates.
-    Each slice still makes its own BLAS calls, so neither the order nor the
-    cut moves a bit.  The call raises the error that scoring the users one
-    at a time would have raised first, before it squares any residual.
-    Each block's query MSEs come from one row-wise mean, with the bits of
-    `loss` on each row, and each record holds row views of its block's
-    predictions and targets.
+    Each user still makes its own BLAS calls, so the order within a pass
+    moves no bit; the cut sets each pass's padded lengths.  The call raises
+    the error that scoring the users one at a time would have raised first,
+    before it squares any residual.  Each pass's query MSEs come from one
+    row-wise mean per distinct length, with the bits of `loss` on each
+    user's rows, and each record holds views of its user's real rows of
+    the pass's predictions and targets.
     """
     if not episodes:
         return []
@@ -992,24 +1000,27 @@ def _evaluate_encoded(theta, spec, config, head, msgd_alpha, tree, episodes: _En
     cuts = ordered_passes(max(config.batch_size, EVAL_STACK_BYTES // theta.flat.nbytes),
                           episodes.support.lengths, episodes.query.lengths)
     buffer = np.empty((len(cuts[0]), theta.layout.size)) if rows is None else rows(len(cuts[0]))
-    blocks = []
+    passes = []
     for positions in cuts:
         part = episodes.take(positions)
         with np.errstate(invalid="ignore", over="ignore"):
             g_s = _adapt_stage(theta.flat, spec, theta.layout, part.support, positions, errors,
                                "support", buffer[:len(positions)]).rows
             thetas = _inner_step(theta.flat, g_s, _steps_at(steps, index, positions), out=g_s)
-            predicted, failed = predict_stack(thetas, spec, part.query.stack(spec.plan))
+            stack = part.query.stack(spec.plan)
+            predictions, failed = predict_stack(thetas, spec, stack)
         for k, exc in failed.items():
             errors.setdefault(positions[k], exc)
-        blocks += [(positions[block], *arrays) for block, *arrays in predicted]
+        passes.append((positions, predictions, stack.targets, stack.lengths))
     if errors:
         raise errors[min(errors)]
     logged = [logged_rate(rate[0]) for rate in rates]
     records = [None] * len(episodes)
-    for group, predictions, targets in blocks:
-        for i, *parts in zip(group, predictions, targets, _row_mses(predictions, targets)):
-            records[i] = EvalRecord(episodes.keys[i], logged[index[i]], *parts)
+    for positions, predictions, targets, lengths in passes:
+        mses = _row_mses(predictions, targets, lengths).tolist()
+        for i, row, target, n, mse in zip(positions, predictions, targets, lengths.tolist(),
+                                          mses):
+            records[i] = EvalRecord(episodes.keys[i], logged[index[i]], row[:n], target[:n], mse)
     return records
 
 

@@ -19,42 +19,45 @@ used as it is, and anything else is a sequence of episodes, checked into a
 small split first.  `grad`, `hvp` and `predict_stacks` take their episodes
 through it; `forward` and `user_embedding` check their ids on every call.
 
-Every pass runs on a ragged stack.  `CheckedSplit.stack` gathers every
-episode's ids and targets from the columns by index, one run of rows per
-episode in split order, and each run of episodes with equal item counts is
-a block.  Within a block each dense layer is one ``(B, n, in) @ (in, out)``
-matmul, or ``(B, n, in) @ (B, in, out)`` when every episode has its own
-parameters (the adapted theta_i of an inner step).  numpy's matmul loops
-over the leading axis and makes, for each slice, the same BLAS call a lone
-episode's 2-D matmul makes, and the row sums whose order fixes bits (the
-loss, the bias gradient, the user-embedding sum) run per block over each
-slice's rows in the same order.  Every other step (gathers, ReLU masks,
-finiteness checks, loss scales, scatters) runs once over all rows and
-touches each row on its own.  So every episode gets the bits of a
-one-episode pass, and a lone episode is a stack of one.  Ragged episodes
-are never padded to share a block: zero rows change the BLAS call's shape
-and, with it, how the sums round.  One 2-D matmul over several episodes'
-rows would too (a single ``(B n, in)`` matmul blocks its sums differently).
-How episodes are ordered and cut into stacks therefore moves no bit.
+Every pass runs on one padded block.  `CheckedSplit.stack` gathers every
+episode's ids and targets from the columns by index into an (E, n) grid of
+slots, n the longest episode's item count: an episode's rows fill its first
+slots, and every slot after them repeats its last row, so gathers stay in
+range and a padded slot is finite exactly when its episode is.  Each dense
+layer is one ``(E, n, in) @ (in, out)`` matmul, or ``(E, n, in) @ (E, in,
+out)`` when every episode has its own parameters (the adapted theta_i of an
+inner step).  numpy's matmul loops over the leading axis and makes one BLAS
+call per episode, all of one shape, and the row sums that fix bits (the
+loss, the bias gradient) run over each episode's slots.  The first layer's
+input is the user's embedding values followed by the item's, as in MeLU, so
+it splits W into user and item columns and computes the user part once per
+episode: ``z_r = i_r W_i^T + (u W_u^T + b)``.  Backward, the user columns'
+weight gradient is the rank-one ``g_b^T u`` of the bias gradient g_b, and
+the user's input gradient is ``g_b W_u``.  A padded slot's residual is
+zero, so it seeds no gradient, and only real slots' item terms are
+scattered.  So an episode's outputs depend only on its own rows and its
+pass's padded row count: how a pass's episodes are ordered, and which
+others share it, moves no bit, and a lone episode is a pass of one.  A
+padded pass still rounds differently from an unpadded one: padding changes
+the shape of every BLAS call, and with it how the sums round.
 `ordered_passes` is the one cutter: it orders episodes by their row counts
 and cuts them into passes of at most a given number, so a pass's episodes
-of one shape form one block.  The trainer's and evaluation's passes and
-`predict_stacks`, which `predict`, `forward` and transfer's per-epoch loss
-run through, all use it; `predict_stack` returns one (B, n_items) array of
-predictions and one of targets per block.
+have similar lengths and little padding.  The trainer's and evaluation's
+passes and `predict_stacks`, which `predict`, `forward` and transfer's
+per-epoch loss run through, all use it; `predict_stack` returns one (E, n)
+array of padded predictions.
 
 `grad_stack` runs a forward and a backward pass over a stack and returns one
 gradient row per episode, each normalized by its own item count, written
 into a caller's buffer when given; the input gradient goes back to the
 embedding values as one add at the user positions and one ``np.add.at`` at
-the item positions, which adds repeated items in row order.  An episode
-whose forward pass goes non-finite stays in its stack, without a numpy
-warning, and is reported with the error a one-episode pass would raise.
-`grad` pools a batch: it runs its episodes as one ragged stack ordered by
-item count and adds every episode's terms onto one vector in episode
-order, as a pass over the episodes one at a time would.  The pass is kept
-as a tape, and `hvp` pushes a tangent v through it without recomputing it
-(the R-op of Pearlmutter, 1994), which gives an exact Hessian-vector
+the real item positions, which adds repeated items in row order.  An
+episode whose forward pass goes non-finite stays in its stack, without a
+numpy warning, and is reported with the error a one-episode pass would
+raise.  `grad` pools a batch: it runs its episodes as one padded pass and
+adds every episode's terms onto one vector in episode order.  The pass is
+kept as a tape, and `hvp` pushes a tangent v through it without recomputing
+it (the R-op of Pearlmutter, 1994), which gives an exact Hessian-vector
 product; given `grad_stack`'s StackGradient it pushes one tangent row per
 episode.
 
@@ -68,7 +71,6 @@ Everything is float64 and deterministic given the seed.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -316,7 +318,7 @@ class CheckedSplit(Sequence):
     ``starts[i]:starts[i] + lengths[i]``.  Several splits may share the
     columns and differ in their row ranges.  Indexing builds the episode's
     `CheckedEpisode` on demand; `take`, or a slice, selects episodes without
-    copying rows, and `stack` gathers an equal-length split's rows into an
+    copying rows, and `stack` gathers the split's rows into a padded
     `EpisodeStack`.
     """
 
@@ -347,22 +349,15 @@ class CheckedSplit(Sequence):
                             self.starts[positions], self.lengths[positions])
 
     def stack(self, plan: FlatPlan) -> "EpisodeStack":
-        """Every episode's rows, concatenated in episode order, as an
-        `EpisodeStack` whose blocks are the runs of equal item counts."""
+        """Every episode's rows as one `EpisodeStack`, padded to the longest
+        episode, one slice per episode in split order."""
         lengths = self.lengths
-        blocks, n_episodes, n_rows = [], 0, 0
-        for n, run in itertools.groupby(lengths.tolist()):
-            size = len(list(run))
-            blocks.append((n_episodes, n_episodes + size, n_rows, n_rows + size * n, n))
-            n_episodes, n_rows = n_episodes + size, n_rows + size * n
-        row_episodes = np.arange(n_episodes).repeat(lengths)
-        rows = (self.starts - (lengths.cumsum() - lengths)).repeat(lengths) + np.arange(n_rows)
-        user_index = _user_index(self.users, plan)
-        index = np.concatenate(
-            (user_index[row_episodes],
-             plan.positions[self.items[rows] + plan.item_rows].reshape(n_rows, -1)), axis=1)
-        return EpisodeStack(user_index, index, self.targets[rows], lengths, row_episodes,
-                            tuple(blocks))
+        slots = np.arange(lengths.max(initial=0))
+        rows = self.starts[:, None] + np.minimum(slots, lengths[:, None] - 1)
+        item_index = plan.positions[self.items[rows] + plan.item_rows]
+        return EpisodeStack(_user_index(self.users, plan),
+                            item_index.reshape(rows.shape + (-1,)), self.targets[rows],
+                            slots < lengths[:, None], lengths)
 
 
 def _well_formed(spec: ModelSpec, users, items, targets) -> bool:
@@ -428,41 +423,50 @@ def ordered_passes(limit: int, *lengths) -> List[List[int]]:
     """Positions ordered by ``lengths`` and cut into passes of at most ``limit``.
 
     The last array of ``lengths`` is the primary key, as in `np.lexsort`,
-    and equal keys keep their order, so each pass's episodes of one shape
-    sit next to each other and form one block of its ragged stacks.
+    and equal keys keep their order, so each pass holds episodes of similar
+    lengths and its padded stacks add few slots.
     """
     order = np.lexsort(lengths).tolist()
     return [order[start:start + limit] for start in range(0, len(order), limit)]
 
 
 class EpisodeStack(NamedTuple):
-    """Episodes' rows concatenated in episode order, in ragged blocks.
+    """Episodes' rows in one block, each episode padded to the longest.
 
     ``user_index`` (E, user_width) holds the flat positions of each
-    episode's user embedding values; ``index`` (R, user_width +
-    n_item_features * embedding_dim) those of every row's fused input, the
-    user's values first, and ``row_targets`` (R,) its target.  ``lengths``
-    (E,) counts each episode's rows and ``row_episodes`` (R,) names the
-    episode of each row.  ``blocks`` holds one ``(first episode, stop
-    episode, first row, stop row, n_items)`` per run of episodes with equal
-    item counts; a block's rows reshape into a (B, n_items, ...) stack with
-    one slice per episode, as a stack of that one shape would hold them.
+    episode's user embedding values, ``item_index`` (E, n, n_item_features
+    * embedding_dim) those of each slot's item values, and ``targets``
+    (E, n) each slot's target, where n is the longest episode's item count.
+    ``lengths`` (E,) counts each episode's rows: they fill its first slots,
+    marked True in ``real`` (E, n), and every slot after them repeats its
+    last row's ids and target, so a padded slot's values are finite
+    exactly when the episode's are.
     """
 
     user_index: np.ndarray
-    index: np.ndarray
-    row_targets: np.ndarray
+    item_index: np.ndarray
+    targets: np.ndarray
+    real: np.ndarray
     lengths: np.ndarray
-    row_episodes: np.ndarray
-    blocks: tuple
 
 
-def _gather(flat: np.ndarray, stack: EpisodeStack) -> np.ndarray:
-    """Every row's fused input values, (R, width), from one shared vector or
-    from the (E, size) row of each row's episode."""
+def _gather(flat: np.ndarray, stack: EpisodeStack):
+    """Each episode's user values (E, 1, user_width) and each slot's item
+    values (E, n, item_width), from one shared vector or from each
+    episode's own (E, size) row."""
     if flat.ndim == 1:
-        return flat[stack.index]
-    return flat[stack.row_episodes[:, None], stack.index]
+        return flat[stack.user_index][:, None], flat[stack.item_index]
+    episodes = np.arange(len(flat))[:, None]
+    return (flat[episodes, stack.user_index][:, None],
+            flat[episodes[:, None], stack.item_index])
+
+
+def _counts(stack: EpisodeStack, total_items: Optional[int]) -> np.ndarray:
+    """The item count each episode's loss is averaged over, (E,): its own,
+    or ``total_items`` for every episode of a pooled pass."""
+    if total_items is None:
+        return stack.lengths
+    return np.full(len(stack.lengths), total_items)
 
 
 # ---------------------------------------------------------------------------
@@ -474,41 +478,43 @@ def _forward_stack(flat, weights, plan: FlatPlan, stack: EpisodeStack):
 
     ``flat`` is one parameter vector shared by every episode or an (E,
     size) stack with one row per episode, and ``weights`` its `dense_views`.
-    Each block's layer is one ``(B, n, in) @ (in, out)`` matmul, or ``(B, n,
-    in) @ (B, in, out)`` with per-episode rows, plus the bias; the
-    finiteness check and the ReLU then run once over every row.  Returns
-    (output, acts, preacts, failed): ``acts`` holds the input of every
-    decision layer, the fused embedding rows first, ``preacts`` every
-    layer's pre-activation, all (R, width), and ``failed`` maps the
-    position of each episode whose pre-activations went non-finite to the
-    error naming the first layer where they did.
+    Every layer is one ``(E, n, in) @ (in, out)`` matmul, or ``(E, n, in) @
+    (E, in, out)`` with per-episode rows, plus the bias, and the first
+    layer adds each episode's user part, ``u W_u^T + b`` computed once per
+    episode, to its items' ``i W_i^T``.  Returns (output, user, acts,
+    preacts, failed): ``user`` holds the (E, 1, user_width) user values,
+    ``acts`` the input of every decision layer, the item values first,
+    ``preacts`` every layer's pre-activation, all (E, n, width), and
+    ``failed`` maps the position of each episode whose pre-activations went
+    non-finite to the error naming the first layer where they did.
     """
-    a = _gather(flat, stack)
+    uw = plan.user_width
+    user, a = _gather(flat, stack)
     acts = [a]
     preacts = []
     failed = {}
     last = len(weights) - 1
-    shared = flat.ndim == 1
     with np.errstate(invalid="ignore", over="ignore"):
         for layer, (w, b) in enumerate(weights):
             w_t = w.swapaxes(-1, -2)
-            parts = []
-            for e0, e1, r0, r1, n in stack.blocks:
-                z_k = a[r0:r1].reshape(e1 - e0, n, -1) @ (w_t if shared else w_t[e0:e1])
-                z_k += b if shared else b[e0:e1]
-                parts.append(z_k.reshape(r1 - r0, -1))
-            z = _join(parts)
+            if layer:
+                z = a @ w_t
+                z += b
+            else:
+                z_user = user @ w_t[..., :uw, :]
+                z_user += b
+                z = a @ w_t[..., uw:, :]
+                z += z_user
             finite = np.isfinite(z)
             if not np.logical_and.reduce(finite, None):
-                bad = np.unique(stack.row_episodes[~finite.all(axis=1)])
-                for position in bad.tolist():
+                for position in np.flatnonzero(~finite.all(axis=(1, 2))).tolist():
                     failed.setdefault(position, NumericError(
                         f"non-finite values in decision layer {layer}"))
             preacts.append(z)
             if layer < last:
                 a = np.maximum(z, 0.0)
                 acts.append(a)
-    return preacts[-1], acts, preacts, failed
+    return preacts[-1], user, acts, preacts, failed
 
 
 def forward(theta: ParamSet, spec: ModelSpec, user_ids, items):
@@ -521,23 +527,21 @@ def forward(theta: ParamSet, spec: ModelSpec, user_ids, items):
 
 
 def predict_stack(flat: np.ndarray, spec: ModelSpec, stack: EpisodeStack):
-    """Predictions for every episode of a ragged ``stack``, at one shared
-    parameter vector or at one row of an (E, size) stack per episode: one
-    ``(episodes, predictions, targets)`` per block, the slice of its
-    episodes and (B, n_items) views of their rows, plus the ``failed`` map
-    of `_forward_stack` (those episodes' rows are not finite)."""
-    z_out, _, _, failed = _forward_stack(flat, dense_views(flat, spec.plan.layers), spec.plan,
-                                         stack)
-    z, t = z_out[:, 0], stack.row_targets
-    return [(slice(e0, e1), z[r0:r1].reshape(e1 - e0, n), t[r0:r1].reshape(e1 - e0, n))
-            for e0, e1, r0, r1, n in stack.blocks], failed
+    """Predictions for every slot of ``stack``, at one shared parameter
+    vector or at one row of an (E, size) stack per episode: an (E, n) array
+    whose row e begins with episode e's ``lengths[e]`` predictions, plus
+    the ``failed`` map of `_forward_stack` (those episodes' rows are not
+    finite)."""
+    z_out, *_, failed = _forward_stack(flat, dense_views(flat, spec.plan.layers), spec.plan,
+                                       stack)
+    return z_out[..., 0], failed
 
 
 def predict_stacks(theta: ParamSet, spec: ModelSpec, episodes, limit: int) -> list:
-    """`predict` for every episode, through ragged passes of at most
-    ``limit`` episodes ordered by item count (`ordered_passes`): one
-    ``(positions, predictions, targets)`` per block of each pass, its
-    (B, n_items) rows in the order of ``positions``.
+    """`predict` for every episode, through passes of at most ``limit``
+    episodes ordered by item count (`ordered_passes`): one ``(positions,
+    predictions, targets, lengths)`` per pass, its (E, n) padded rows in
+    the order of ``positions``.
 
     ``episodes`` is one episode tuple, a `CheckedSplit` checked for
     ``spec``, or any episodes, checked into a split first (`_split_of`).  A
@@ -545,15 +549,16 @@ def predict_stacks(theta: ParamSet, spec: ModelSpec, episodes, limit: int) -> li
     """
     _check_theta(theta, spec)
     split = _split_of(spec, episodes)
-    blocks, errors = [], {}
+    passes, errors = [], {}
     for positions in ordered_passes(limit, split.lengths):
-        predicted, failed = predict_stack(theta.flat, spec, split.take(positions).stack(spec.plan))
+        stack = split.take(positions).stack(spec.plan)
+        predictions, failed = predict_stack(theta.flat, spec, stack)
         for k, exc in failed.items():
             errors[positions[k]] = exc
-        blocks += [(positions[block], *arrays) for block, *arrays in predicted]
+        passes.append((positions, predictions, stack.targets, stack.lengths))
     if errors:
         raise errors[min(errors)]
-    return blocks
+    return passes
 
 
 def predict(theta: ParamSet, spec: ModelSpec, episode) -> np.ndarray:
@@ -600,26 +605,31 @@ class _StackTape(NamedTuple):
     """What one stacked forward and backward pass computed, kept for the R-op.
 
     ``flat`` and ``weights`` are the parameters the pass ran at (shared, or
-    one row per episode) and their `dense_views`; ``acts`` holds the input
-    of every decision layer, ``masks`` the ReLU masks ``z > 0`` of the
-    hidden layers, and ``gas`` the upstream gradient of every layer after
-    its mask, all (R, width) over the rows of ``stack``.  ``total_items``
-    is the item count every loss is averaged over, or None when each
-    episode's is its own.  Everything is held by reference; nothing is
-    copied.
+    one row per episode) and their `dense_views`; ``user`` holds each
+    episode's (E, 1, user_width) user values, ``acts`` the input of every
+    decision layer, ``masks`` the ReLU masks ``z > 0`` of the hidden layers,
+    and ``gas`` the upstream gradient of every layer after its mask, all
+    (E, n, width) over the slots of ``stack``.  ``user_grad`` is a copy of
+    the first layer's (E, 1, width) bias gradient, each episode's sum of
+    that layer's upstream gradient over its slots.  ``total_items`` is the
+    item count every loss is averaged over, or None when each episode's is
+    its own.  Everything else is held by reference; nothing is copied.
     """
 
     flat: np.ndarray
     weights: list
     stack: EpisodeStack
+    user: np.ndarray
     acts: list
     masks: list
     gas: list
+    user_grad: np.ndarray
     total_items: Optional[int]
 
 
 class StackGradient(NamedTuple):
-    """Per-episode gradients of an `EpisodeStack`, each the `grad` of its episode alone.
+    """Per-episode gradients of an `EpisodeStack`, each the gradient of its
+    episode alone at the stack's padded length.
 
     ``rows`` (one gradient per episode), ``losses`` and ``tape`` cover every
     episode.  ``failed`` maps the position of each episode whose forward
@@ -633,16 +643,14 @@ class StackGradient(NamedTuple):
     tape: _StackTape
 
 
-def _join(parts: list) -> np.ndarray:
-    """Per-block results joined into one array of rows, in block order."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
-def _user_sums(values: np.ndarray, stack: EpisodeStack, width: int) -> np.ndarray:
-    """Each episode's sum over its rows of the first ``width`` columns of
-    ``values``, block by block, (E, width)."""
-    return _join([np.add.reduce(values[r0:r1, :width].reshape(e1 - e0, n, width), 1)
-                  for e0, e1, r0, r1, n in stack.blocks])
+def _outer_sums(lefts, rights, out: np.ndarray) -> np.ndarray:
+    """``sum_k lefts[k]^T rights[k]`` per episode, of (E, 1, width) rows,
+    into ``out``: one (out, 2) @ (2, in) BLAS product per episode.  numpy
+    hands a one-term (out, 1) @ (1, in) product to a slower loop of its own,
+    so a rank-one product takes a zero second term.  A BLAS product sums
+    from +0.0, so no entry is -0.0."""
+    return np.matmul(np.concatenate(lefts, axis=1).swapaxes(-1, -2),
+                     np.concatenate(rights, axis=1), out=out)
 
 
 def _grad_pass(flat, plan: FlatPlan, stack: EpisodeStack, total_items: Optional[int],
@@ -650,57 +658,52 @@ def _grad_pass(flat, plan: FlatPlan, stack: EpisodeStack, total_items: Optional[
     """Forward and backward pass of every episode of ``stack`` at once.
 
     Each loss is averaged over ``total_items``, or over the episode's own
-    item count when that is None.  Each block's matmuls and row sums (the
-    loss, the bias gradient and the user embedding sum) run per block, with
-    the strides a stack of that one shape has; every other step runs once
-    over all rows.  An episode whose forward pass goes non-finite stays in
-    the stack: the backward pass runs with numpy's overflow and invalid
-    warnings off, and since every episode is its own BLAS call, its values
-    touch no other episode.  ``out`` (E, size) receives one row per
-    episode: the gradient of its decision layers and zeros at the embedding
-    values, whose gradient terms come back unscattered, as each episode's
-    per-feature user sum (E, user_width) and its per-row item terms (R,
-    item_width).  Returns (failed, losses, user_values, item_values, tape).
+    item count when that is None; the residual of a padded slot is zero, so
+    it seeds no gradient.  Every layer's weight gradient is one ``(E, out,
+    n) @ (E, n, in)`` matmul and its bias gradient one sum over each
+    episode's slots; the first layer's user columns get the rank-one
+    product of that sum and the episode's user values.  An episode whose
+    forward pass goes non-finite stays in the stack: the backward pass runs
+    with numpy's overflow and invalid warnings off, and since every episode
+    is its own BLAS call, its values touch no other episode.  ``out`` (E,
+    size) receives one row per episode: the gradient of its decision layers
+    and zeros at the embedding values, whose gradient terms come back
+    unscattered, as each episode's user term (E, user_width) and its
+    per-slot item terms (E, n, item_width).  Returns (failed, losses,
+    user_values, item_values, tape).
     """
     weights = dense_views(flat, plan.layers)
-    _, acts, preacts, failed = _forward_stack(flat, weights, plan, stack)
+    z_out, user, acts, preacts, failed = _forward_stack(flat, weights, plan, stack)
     uw = plan.user_width
-    n_layers = len(weights)
-    shared = flat.ndim == 1
-    gas = [None] * n_layers
+    last = len(weights) - 1
+    gas = [None] * len(weights)
     out[:, :plan.layers[0][0].start] = 0.0
     grads = dense_views(out, plan.layers)
     masks = [z > 0.0 for z in preacts[:-1]]
+    counts = _counts(stack, total_items)
     with np.errstate(invalid="ignore", over="ignore"):
-        r = preacts[-1][:, 0] - stack.row_targets
-        losses, seeds = [], []
-        for e0, e1, r0, r1, n in stack.blocks:
-            count = n if total_items is None else total_items
-            r_k = r[r0:r1]
-            losses.append(np.add.reduce((r_k * r_k).reshape(e1 - e0, n), 1) / count)
-            seeds.append(r_k * (2.0 / count))
-        losses = _join(losses)
-        ga = _join(seeds)[:, None]
-        for layer in range(n_layers - 1, -1, -1):
-            if layer < n_layers - 1:
+        r = np.where(stack.real, z_out[..., 0] - stack.targets, 0.0)
+        losses = np.add.reduce(r * r, 1) / counts
+        ga = (r * (2.0 / counts)[:, None])[..., None]
+        for layer in range(last, -1, -1):  # ends at layer 0, its names still bound
+            if layer < last:
                 ga = ga * masks[layer]
             gas[layer] = ga
-            w, a = weights[layer][0], acts[layer]
             g_w, g_b = grads[layer]
-            parts = []
-            for e0, e1, r0, r1, n in stack.blocks:
-                ga_k = ga[r0:r1].reshape(e1 - e0, n, -1)
+            np.add.reduce(ga, 1, keepdims=True, out=g_b)
+            g_b += 0.0  # as zeros plus the sum, so a -0.0 sum gives +0.0
+            if layer:
                 # a BLAS product sums from +0.0, so it is never -0.0, and
                 # writing it into the zeroed row has the bits of adding it
-                np.matmul(ga_k.swapaxes(-1, -2), a[r0:r1].reshape(e1 - e0, n, -1),
-                          out=g_w[e0:e1])
-                np.add.reduce(ga_k, 1, keepdims=True, out=g_b[e0:e1])
-                parts.append((ga_k @ (w if shared else w[e0:e1])).reshape(r1 - r0, -1))
-            g_b += 0.0  # as zeros plus the sum, so a -0.0 sum gives +0.0
-            ga = _join(parts)
-        user_values = _user_sums(ga, stack, uw)
-    tape = _StackTape(flat, weights, stack, acts, masks, gas, total_items)
-    return failed, losses, user_values, ga[:, uw:], tape
+                np.matmul(ga.swapaxes(-1, -2), acts[layer], out=g_w)
+                ga = ga @ weights[layer][0]
+        w = weights[0][0]
+        np.matmul(ga.swapaxes(-1, -2), acts[0], out=g_w[..., uw:])
+        _outer_sums((g_b, np.zeros_like(g_b)), (user, np.zeros_like(user)), g_w[..., :uw])
+        user_values = (g_b @ w[..., :uw])[:, 0]
+        item_values = ga @ w[..., uw:]
+    tape = _StackTape(flat, weights, stack, user, acts, masks, gas, g_b.copy(), total_items)
+    return failed, losses, user_values, item_values, tape
 
 
 def _hvp_pass(tape: _StackTape, v: np.ndarray, plan: FlatPlan, out: np.ndarray):
@@ -713,105 +716,95 @@ def _hvp_pass(tape: _StackTape, v: np.ndarray, plan: FlatPlan, out: np.ndarray):
     uw = plan.user_width
     weights, stack, acts, masks, gas = tape.weights, tape.stack, tape.acts, tape.masks, tape.gas
     v_weights = dense_views(v, plan.layers)
-    a_t = _gather(v, stack)
+    user_t, a_t = _gather(v, stack)
     acts_t = [a_t]
-    n_layers = len(weights)
-    shared, v_shared = tape.flat.ndim == 1, v.ndim == 1
-    for layer in range(n_layers):
-        w_t = weights[layer][0].swapaxes(-1, -2)
-        v_w, v_b = v_weights[layer]
-        v_w_t = v_w.swapaxes(-1, -2)
-        a = acts[layer]
-        parts = []
-        for e0, e1, r0, r1, n in stack.blocks:
-            shape = (e1 - e0, n, -1)
-            z_k = a_t[r0:r1].reshape(shape) @ (w_t if shared else w_t[e0:e1])
-            z_k += a[r0:r1].reshape(shape) @ (v_w_t if v_shared else v_w_t[e0:e1])
-            z_k += v_b if v_shared else v_b[e0:e1]
-            parts.append(z_k.reshape(r1 - r0, -1))
-        z_t = _join(parts)
-        if layer < n_layers - 1:
+    last = len(weights) - 1
+    for layer, ((w, _), (v_w, v_b)) in enumerate(zip(weights, v_weights)):
+        w_t, v_w_t = w.swapaxes(-1, -2), v_w.swapaxes(-1, -2)
+        if layer:
+            z_t = a_t @ w_t
+            z_t += acts[layer] @ v_w_t
+            z_t += v_b
+        else:
+            z_user = user_t @ w_t[..., :uw, :]
+            z_user += tape.user @ v_w_t[..., :uw, :]
+            z_user += v_b
+            z_t = a_t @ w_t[..., uw:, :]
+            z_t += acts[0] @ v_w_t[..., uw:, :]
+            z_t += z_user
+        if layer < last:
             a_t = np.where(masks[layer], z_t, 0.0)
             acts_t.append(a_t)
 
-    total_items = tape.total_items
-    ga_t = _join([z_t[r0:r1, 0] * (2.0 / (n if total_items is None else total_items))
-                  for e0, e1, r0, r1, n in stack.blocks])[:, None]
+    counts = _counts(stack, tape.total_items)
+    ga_t = (np.where(stack.real, z_t[..., 0], 0.0) * (2.0 / counts)[:, None])[..., None]
     out[:, :plan.layers[0][0].start] = 0.0
     grads = dense_views(out, plan.layers)
-    for layer in range(n_layers - 1, -1, -1):
-        if layer < n_layers - 1:
+    for layer in range(last, -1, -1):  # ends at layer 0, its names still bound
+        if layer < last:
             ga_t = ga_t * masks[layer]
-        ga, w, v_w = gas[layer], weights[layer][0], v_weights[layer][0]
-        a, a_t = acts[layer], acts_t[layer]
+        ga = gas[layer]
         g_w, g_b = grads[layer]
-        parts = []
-        for e0, e1, r0, r1, n in stack.blocks:
-            shape = (e1 - e0, n, -1)
-            ga_t_k, ga_k = ga_t[r0:r1].reshape(shape), ga[r0:r1].reshape(shape)
-            np.add(ga_t_k.swapaxes(-1, -2) @ a[r0:r1].reshape(shape),
-                   ga_k.swapaxes(-1, -2) @ a_t[r0:r1].reshape(shape), out=g_w[e0:e1])
-            np.add.reduce(ga_t_k, 1, keepdims=True, out=g_b[e0:e1])
-            parts.append((ga_t_k @ (w if shared else w[e0:e1])
-                          + ga_k @ (v_w if v_shared else v_w[e0:e1])).reshape(r1 - r0, -1))
+        np.add.reduce(ga_t, 1, keepdims=True, out=g_b)
         g_b += 0.0
-        ga_t = _join(parts)
-    return _user_sums(ga_t, stack, uw), ga_t[:, uw:]
+        if layer:
+            np.add(ga_t.swapaxes(-1, -2) @ acts[layer], ga.swapaxes(-1, -2) @ acts_t[layer],
+                   out=g_w)
+            ga_t = ga_t @ weights[layer][0] + ga @ v_weights[layer][0]
+    w, v_w, g_user = weights[0][0], v_weights[0][0], tape.user_grad
+    np.add(ga_t.swapaxes(-1, -2) @ acts[0], ga.swapaxes(-1, -2) @ acts_t[0], out=g_w[..., uw:])
+    _outer_sums((g_b, g_user), (tape.user, user_t), g_w[..., :uw])
+    return ((g_b @ w[..., :uw] + g_user @ v_w[..., :uw])[:, 0],
+            ga_t @ w[..., uw:] + ga @ v_w[..., uw:])
 
 
 def _scatter_rows(out, stack: EpisodeStack, user_values, item_values) -> np.ndarray:
     """Add each episode's embedding terms into its own row of ``out``.
 
     The user positions are distinct within an episode, and ``np.add.at``
-    adds item rows in order; raveled, it takes numpy's one-dimensional fast
-    path in that order, so every row gets the bits of a one-episode pass.
+    adds the item terms of real slots only, in row order; raveled, it takes
+    numpy's one-dimensional fast path in that order.
     """
     n_rows, size = out.shape
-    uw = stack.user_index.shape[1]
-    out[np.arange(n_rows)[:, None], stack.user_index] += user_values
-    item_positions = stack.index[:, uw:] + (stack.row_episodes * size)[:, None]
-    np.add.at(out.reshape(-1), item_positions.ravel(), item_values.ravel())
+    episodes = np.arange(n_rows)
+    out[episodes[:, None], stack.user_index] += user_values
+    item_positions = (stack.item_index[stack.real]
+                      + (episodes * size).repeat(stack.lengths)[:, None])
+    np.add.at(out.reshape(-1), item_positions.ravel(), item_values[stack.real].ravel())
     return out
 
 
-def _pool(plan: FlatPlan, order: np.ndarray, stack: EpisodeStack, out, user_values,
-          item_values) -> np.ndarray:
-    """One vector from a pass's unscattered terms, added in batch order.
+def _pool(plan: FlatPlan, stack: EpisodeStack, out, user_values, item_values) -> np.ndarray:
+    """One vector from a pass's unscattered terms, added in episode order.
 
-    ``order[p]`` is the batch position of the stack's episode ``p``.  The
-    dense rows, laid out in batch order, are summed down the rows, and one
-    ``np.add.at`` adds each episode's user then item terms in batch order,
-    as a one-at-a-time pass would, so pooling keeps its bits.
+    The dense rows are summed down the rows, and one ``np.add.at`` adds
+    each episode's user then real item terms, as a one-at-a-time pass
+    would.
     """
-    uw = plan.user_width
-    widths = np.empty(len(order), dtype=np.int64)
-    widths[order] = uw + stack.lengths * (stack.index.shape[1] - uw)
-    offsets = np.cumsum(widths) - widths
+    n_episodes = len(stack.lengths)
+    real = np.concatenate((np.ones(stack.user_index.shape, dtype=bool),
+                           stack.real.repeat(item_values.shape[-1], axis=1)), axis=1)
+    index = np.concatenate((stack.user_index, stack.item_index.reshape(n_episodes, -1)), axis=1)
+    values = np.concatenate((user_values, item_values.reshape(n_episodes, -1)), axis=1)
     start = plan.layers[0][0].start
-    inverse = np.empty_like(order)
-    inverse[order] = np.arange(len(order))
-    index, values = np.empty(widths.sum(), dtype=np.int64), np.empty(widths.sum())
-    for e0, e1, r0, r1, n in stack.blocks:
-        at = offsets[order[e0:e1]][:, None] + np.arange(widths[order[e0]])
-        index[at] = np.concatenate(
-            (stack.user_index[e0:e1], stack.index[r0:r1, uw:].reshape(e1 - e0, -1)), axis=1)
-        values[at] = np.concatenate(
-            (user_values[e0:e1], item_values[r0:r1].reshape(e1 - e0, -1)), axis=1)
     flat = np.zeros(out.shape[1])
-    flat[start:] += np.add.accumulate(out[inverse, start:])[-1]
-    np.add.at(flat, index, values)
+    flat[start:] += np.add.accumulate(out[:, start:])[-1]
+    np.add.at(flat, index[real], values[real])
     return flat
 
 
 def grad_stack(flat: np.ndarray, spec: ModelSpec, stack: EpisodeStack,
                out: Optional[np.ndarray] = None) -> StackGradient:
-    """`grad` of each episode of ``stack`` alone, every episode at once.
+    """The gradient of each episode of ``stack`` alone, every episode at once.
 
     ``flat`` is one parameter vector for every episode or an (E, size)
     stack with one row per episode; the caller has checked its layout.  The
     rows are written into ``out``, a C-contiguous (E, size) array, when
-    given, else into a new stack.  Every episode keeps its row, loss and tape, a failed one
-    included, and none raises a numpy warning.
+    given, else into a new stack.  An episode's row and loss depend only on
+    its own rows and the stack's padded length: the order of the stack's
+    episodes, and which other episodes share it, move no bit.  Every
+    episode keeps its row, loss and tape, a failed one included, and none
+    raises a numpy warning.
     """
     if out is None:
         out = np.empty((len(stack.lengths), flat.shape[-1]))
@@ -824,12 +817,11 @@ def grad_stack(flat: np.ndarray, spec: ModelSpec, stack: EpisodeStack,
 
 class _Tape(NamedTuple):
     """What `grad` computed at ``(theta, batch)``, kept for `hvp`: its one
-    pass's tape and ``order``, the batch position of each of its episodes."""
+    pass's tape."""
 
     theta: ParamSet
     spec: ModelSpec
     batch: object
-    order: np.ndarray
     stack_tape: _StackTape
 
 
@@ -837,30 +829,26 @@ def grad(theta: ParamSet, spec: ModelSpec, batch) -> Gradient:
     """Exact reverse-mode gradient of the pooled mean squared error over the batch.
 
     ``batch`` is one episode tuple, a sequence of episodes or a
-    `CheckedSplit`, read by `_split_of`.  Its episodes run as one ragged
-    pass, ordered by item count; every value is then added in episode
-    order.  The returned Gradient carries the pass as its ``tape``, for
-    `hvp` at the same point.
+    `CheckedSplit`, read by `_split_of`.  Its episodes run as one padded
+    pass; every value is then added in episode order.  The returned
+    Gradient carries the pass as its ``tape``, for `hvp` at the same point.
     """
     _check_theta(theta, spec)
     split = _split_of(spec, batch)
     if not split:
         raise DataError("empty episode batch")
     plan = spec.plan
-    order = np.argsort(split.lengths, kind="stable")
-    stack = split.take(order).stack(plan)
-    out = np.empty((len(order), theta.layout.size))
-    failed, stack_losses, user_values, item_values, tape = _grad_pass(
+    stack = split.stack(plan)
+    out = np.empty((len(split), theta.layout.size))
+    failed, losses, user_values, item_values, tape = _grad_pass(
         theta.flat, plan, stack, int(split.lengths.sum()), out)
     if failed:
-        raise failed[min(failed, key=order.__getitem__)]
-    losses = np.empty(len(order))
-    losses[order] = stack_losses
+        raise failed[min(failed)]
     loss_value = 0.0
     for value in losses:
         loss_value = loss_value + value
-    return Gradient.wrap(theta.layout, _pool(plan, order, stack, out, user_values, item_values),
-                         float(loss_value), tape=_Tape(theta, spec, batch, order, tape))
+    return Gradient.wrap(theta.layout, _pool(plan, stack, out, user_values, item_values),
+                         float(loss_value), tape=_Tape(theta, spec, batch, tape))
 
 
 def hvp(theta: ParamSet, spec: ModelSpec, batch, v,
@@ -873,7 +861,8 @@ def hvp(theta: ParamSet, spec: ModelSpec, batch, v,
     returned at ``theta.flat`` for the episodes in ``batch``, one per
     stacked episode; then ``v`` is an (E, size) array with one row per
     episode, and the result is too, each row the product for its episode
-    alone, written into ``out`` (C-contiguous, like ``v``) when given.
+    alone at the stack's padded length, written into ``out`` (C-contiguous,
+    like ``v``) when given.
 
     The R-op (Pearlmutter, 1994) differentiates the recorded passes along
     v and computes tangents only.  With rows z = a W^T + b and
@@ -884,10 +873,14 @@ def hvp(theta: ParamSet, spec: ModelSpec, batch, v,
         dz = da W^T + a dW^T + db,        da' = dz where z > 0,
         dgW = dg^T a + g^T da,  dgb = sum(dg),  dg_in = dg W + g dW,
 
-    seeded with dz_out * 2 / n_items, the tangent of the mse gradient at the
-    output.  The tangent of the gradient is exactly Hv; the Hessian is never
-    formed.  Each tangent keeps the operand order of forward-over-reverse
-    dual arithmetic, so its bits equal that formulation's.
+    seeded with dz_out * 2 / n_items on real slots and zero on padded ones,
+    the tangent of the mse gradient at the output.  The first layer splits
+    W into its user and item columns, W_u and W_i, as the forward pass
+    does: with u an episode's user values and g_b its bias gradient,
+    dz_u = du W_u^T + u dW_u^T + db once per episode,
+    dgW_u = dg_b^T u + g_b^T du, and the user term's tangent is
+    dg_b W_u + g_b dW_u.  The tangent of the gradient is exactly Hv; the
+    Hessian is never formed.
     """
     plan = spec.plan
     if isinstance(at, StackGradient):
@@ -907,7 +900,7 @@ def hvp(theta: ParamSet, spec: ModelSpec, batch, v,
             or tape.spec != spec):
         raise ConfigError("hvp needs the Gradient that grad returned for this same theta "
                           "object, batch object and spec")
-    rows = np.empty((len(tape.order), theta.layout.size))
+    stack = tape.stack_tape.stack
+    rows = np.empty((len(stack.lengths), theta.layout.size))
     user_values, item_values = _hvp_pass(tape.stack_tape, v.flat, plan, rows)
-    return ParamSet.wrap(theta.layout, _pool(plan, tape.order, tape.stack_tape.stack, rows,
-                                             user_values, item_values))
+    return ParamSet.wrap(theta.layout, _pool(plan, stack, rows, user_values, item_values))

@@ -383,23 +383,26 @@ class TestPinnedAtPamlOutputs:
 
     The tree holds fewer nodes than training stores, so eviction, touched
     search, node updates and the checkpointed tree all reach the digests.
-    The digests were recorded before the memory moved to numpy columns and
-    must not change with how the memory is stored.
+    The digests were first recorded before the memory moved to numpy
+    columns and must not change with how the memory is stored.  They were
+    re-pinned once when passes became padded blocks with the user
+    embedding factored out of the first layer, which moves the model's
+    last bits.
     """
 
     FILES = ("report.tsv", "per_user.tsv", "history.tsv", "tree_nodes.tsv")
     DIGESTS = {
         "lru": {
-            "report.tsv": "3676ee25bec6e94eb6d6c674c20158f96d8f3a74192240edf2c31a12caf20569",
-            "per_user.tsv": "b022149c2ab11f8b00f65494c5db1b7c5b034c4840cff2293c474b225289b07b",
-            "history.tsv": "0457ebfdbbb07d399033f26027e62f80af4dbee1ab15818278e20d92c1edea9a",
-            "tree_nodes.tsv": "746f5f60e7d0edfe511ef2af431464b81a1301138b85f0bede06329c73e0b074",
+            "report.tsv": "eeae4ea15e8909c93a2eff14cd030d86489347f1e7cef6e0eac2aa0b9046c203",
+            "per_user.tsv": "1497ebe33d9da30c2a5ff144afcf738f390c68d41e99036558083523481cbb84",
+            "history.tsv": "9f9d6d6e55ce0563fafba5de4e15d39fb05c077e5140c0926956f59637a42581",
+            "tree_nodes.tsv": "420c6726d1b3f753e8a040d4e1dd5ab3051f19364f2dcd6285540aad4b6f1567",
         },
         "lfu": {
             "report.tsv": "8f0fb91eab84502f984da94629df93f91e49a161c44a3c33f100ed70824923dd",
-            "per_user.tsv": "d250270190566b30286443e075ec4a80e2252dbf8f6e90ec246313f9ce2f6bc7",
-            "history.tsv": "8795870f5087a28a9ceee0e52e9f0f433b0a22c6e5f1c664118ffe93dff9b54c",
-            "tree_nodes.tsv": "6167695fcb026e15b5d05eb41eba589bf921e14b1aeb1c3d6f31316125f89b23",
+            "per_user.tsv": "22e490761e3bf37e4688dd85911846e62be9affb5129e9584a636d90bc935b2d",
+            "history.tsv": "de025d4e67daac5fd97a08df5d47454eeac9891b635fcede896684076e16d6de",
+            "tree_nodes.tsv": "77e463972befb8277c359d3a4cbb91de7b0b49acb725c68e7899ec190bdaa6b9",
         },
     }
 
@@ -437,15 +440,17 @@ class TestPinnedWideAtPamlOutputs:
 
     The tree holds fewer nodes than training stores, so eviction and
     20-neighbor touched searches over a full 64-wide tree reach the digests.
-    The digests were recorded before tree search gained its norm-expansion
-    prefilter and must not change with how the search finds its neighbors.
+    The digests were first recorded before tree search gained its
+    norm-expansion prefilter and must not change with how the search finds
+    its neighbors.  They were re-pinned once when passes became padded
+    blocks with the user embedding factored out of the first layer.
     """
 
     DIGESTS = {
-        "report.tsv": "5c3ed89a9d404f49bb51ce47108410b8c22f64a1a8a92418c0638560dbecb4d2",
-        "per_user.tsv": "447575476fdb6750791677c4b8cdb1c10c3b447e755dfa7ea180d7cbfc859bea",
-        "history.tsv": "3965a53457922cf0ba1f27d117d49c1ad5f3d9664dc1b55e5682f96a15df0d13",
-        "tree_nodes.tsv": "25495f374bd77fd26803f257f50aab9e7c972cefa8482ba8d6678822be15cbfa",
+        "report.tsv": "826be59fb2a9d583c34bbace495deb2d104652c55159e005812787151cd5fa46",
+        "per_user.tsv": "8908cc3cd086c71e57a589f30cf8c341e96137dbfba1dcb465e8af00c9722616",
+        "history.tsv": "e684d40c781504adbb1e5ec7d6a0d0a0a5554ae63b7da386fa999ce8cc7124a0",
+        "tree_nodes.tsv": "b2f4b126b1f4aeb09e83c9430e875caf2695af7b1caeb1857ed7fd23da08d94a",
     }
 
     def test_digests(self, tmp_path):
@@ -485,30 +490,31 @@ class TestPinnedSyntheticOutputs:
     and every episode has 5 support and 5 query rows.  These are literal
     digests of float64 outputs that pass through matmul and dot: they hold
     on the BLAS kernel that recorded them (OpenBLAS on an AVX-512 host) and
-    may differ under another kernel (ROADMAP item 13).  They were recorded
-    while every episode still ran through the model one at a time, and must
-    not change with how episodes are stacked.
+    may differ under another kernel (ROADMAP item 13).  Every episode has
+    the same row counts, so no pass pads; they were re-pinned once when the
+    user embedding was factored out of the first layer, and must not change
+    with how episodes are ordered or cut into passes.
     """
 
     FILES = ("report.tsv", "per_user.tsv", "history.tsv")
     DIGESTS = {
-        "paml": ("01ab381de5718f1d09949239a447802a6d07c406eb3439521a1633543fadec29",
-                 "81bd1dfe18534569988786d1158816e602f911b7bbf575d4376548b5d13dbdd4",
-                 "08aae9a0ebc62c67cb69c499de539b0aa11811f7dc1f8ba06f30751196130177"),
-        "at-paml": ("f025d3fc64e2196ad79c4b00fccbb5d4febdf9633d7fe919d133a0146d9f62f9",
-                    "6a30437d8c4b78b4203e4d553c97db3500019d43147e961debb560df63e643a3",
-                    "efbb67a6ce9f0e5b3ce83aace1432b3d56dc045d6833fee3d778a2984cf8a269"),
-        "reg-paml": ("3405b6dd1eb49ca939c9287313f73c7688103f68e8811c9c8ea1f69789b5fc3b",
-                     "753928de1a8841cf44ceec371d193af99d9a0c55ea4f11bd7bd4974cf7dd2a95",
-                     "8bd258032d69d3acdc896ed9094b58c7ce54375a336444f3c40e3090154c61cf"),
-        "maml-fixed": ("67c74be7adc57f1d2f556cb77a0885e94af99859837af2a9b1fa9b73b87e3a4f",
-                       "c2ad201d8b18ec0b64c42820333ffca9c2360f767cdd9a2380cd4eeb6497fb4d",
-                       "1f1818b775c3bdad93a672fb2e8045d8865034918bf25bf4dad9acb5e6b33053"),
-        "meta-sgd": ("e6b6cf3a181749621c4dcf69e1c0aa6fd856b7d435bcc2afcfc763a59bb7eee4",
-                     "d947c00553c18f2ee2e06cb37d516087bdb4a51860e40550a4d85ec33a994e64",
-                     "41a7e1d0bd7664921486dba1f030d42d5669e23b844bb0c18610fcf3c550d7e3"),
-        "transfer": ("2490d8f0c8ef2712fb4c1c03aa4b7e343ce3b6cd2a29ab890c636c7dd85c01e7",
-                     "1490dfea2507d65157233f79a3a8b622cf4e3c1a15847fedd4d07bc4922b70dc",
+        "paml": ("13d67380788ed1aef5ea97d106d33140f4dd307bf9c961a0ab44159f97fb7a11",
+                 "026193fe404c2fb22631e84730319f82f28431dd348d8f3dd9be5a08e126fa2b",
+                 "fc45c6a5c85321c3ae50a1a770394356af17c7cbe0c769ab530ce54a18a9e006"),
+        "at-paml": ("e937589cd3cde50a727777d8d9b99421a1668cfaed845694825d5b6ddb770d8e",
+                    "fc6580f8919e05f09e8e0827a048b86a94c6609380068478130ccac73a96f7a3",
+                    "80f7292ff13bbcb515b60156c280eb64255c350a42b8c030001cd10686c7c57d"),
+        "reg-paml": ("0d58beddf912b934a21aa06d4cc87e66745e0d56c810bdc3e36109980542a299",
+                     "43f71b2f00b6797df209ec5e8178f0cd3b612489e570e717a94000ae187f8352",
+                     "ab73020c19d45ed232e2f040e10f3b1a4f0eca2b56e2d82bc0462f3c92433432"),
+        "maml-fixed": ("0be7b3c7d3159ccac92b41ce415d569b7115d3cd5f258c26fd69ab2e815ab9ec",
+                       "14234f366dfc781d881d86e7e2d2e450f9d3d89c3244cf714e897b687b73a976",
+                       "698f13be5c3577cb77a7835156355b6418173dd7dbc4a31fcc74ec34f95af483"),
+        "meta-sgd": ("0bb860cbf65a64efea009664e2b9e769e1aef6c967a5954cd13b8a9ca109cbe0",
+                     "c8a7d8784a29c80f21e4c2ca3c7b77d7148ae3408371dd9ab984cc3f676d31e1",
+                     "e5bc8c86cdc5be5d893f0e735e8985506a8279f4559bc20c81f98d3eb3fd0928"),
+        "transfer": ("32a3ba166c36a208ea53bcb2d8afe9cd9156f580a50be94a1fd17d4809670692",
+                     "f583ace1ac83cba46127803fb3258eaf60a01f276b3c73d5301dbef574bb6cda",
                      "9a96788b0fdb15c1b1f89254384692b639079fe4018250e79f0286609413eb3a"),
     }
 

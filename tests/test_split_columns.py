@@ -154,37 +154,35 @@ def test_index_stacks_equal_array_stacks(source, corpus_splits):
         for k, split in enumerate((part.support, part.query, pooled.take(group))):
             stack = split.stack(spec.plan)
             expected = array_stack(spec, [reference[i][k] for i in group])
-            user_width = expected[0].shape[1]
-            assert np.array_equal(stack.index[:, :user_width],
-                                  np.repeat(expected[0], split.lengths, axis=0))
-            got = (stack.user_index, stack.index[:, user_width:].reshape(expected[1].shape),
-                   stack.row_targets.reshape(len(stack.lengths), -1))
+            assert stack.real.all()
+            got = (stack.user_index, stack.item_index, stack.targets)
             for got_field, expected_field in zip(got, expected):
                 assert got_field.dtype == expected_field.dtype
                 assert got_field.shape == expected_field.shape
                 assert np.array_equal(got_field, expected_field)
 
 
-def test_a_ragged_stack_concatenates_each_episodes_rows(corpus_splits):
-    """Episodes of several lengths stack as one run of rows per episode, in
-    order, with one block per run of equal lengths."""
+def test_a_ragged_stack_pads_each_episode_to_the_longest(corpus_splits):
+    """Episodes of several lengths stack as one block, one slice per episode
+    in order: its own rows first, then its last row repeated up to the
+    longest episode's length, marked padded in ``real``."""
     spec = spec_of(corpus_splits)
     split = _encode_split(corpus_splits, corpus_splits.train, spec).support
     split = split.take(np.argsort(split.lengths, kind="stable")[::3])
     stack = split.stack(spec.plan)
     lengths = split.lengths.tolist()
-    assert 1 < len(stack.blocks) < len(lengths)
-    assert [n for *_, n in stack.blocks] == sorted(set(lengths))
-    assert [(e0, e1, r0, r1) for e0, e1, r0, r1, _ in stack.blocks] == [
-        (e0, e1, sum(lengths[:e0]), sum(lengths[:e1])) for e0, e1, *_ in stack.blocks]
-    assert stack.row_episodes.tolist() == [e for e, n in enumerate(lengths) for _ in range(n)]
+    n = max(lengths)
+    assert 1 < len(set(lengths)) < len(lengths)
+    assert stack.item_index.shape[:2] == stack.targets.shape == stack.real.shape == \
+        (len(lengths), n)
+    assert stack.real.sum(axis=1).tolist() == lengths
     for e, episode in enumerate(split):
         user_index, item_index, targets = array_stack(spec, [episode])
-        rows = stack.row_episodes == e
+        rows = np.minimum(np.arange(n), lengths[e] - 1)
+        assert stack.real[e].tolist() == [j < lengths[e] for j in range(n)]
         assert np.array_equal(stack.user_index[e], user_index[0])
-        assert np.array_equal(stack.index[rows], np.concatenate(
-            (np.repeat(user_index, len(targets[0]), axis=0), item_index[0]), axis=1))
-        assert np.array_equal(stack.row_targets[rows], targets[0])
+        assert np.array_equal(stack.item_index[e], item_index[0][rows])
+        assert np.array_equal(stack.targets[e], targets[0][rows])
 
 
 # ---------------------------------------------------------------------------

@@ -29,11 +29,12 @@ from metarec import model as model_module
 from metarec.datagen import generate_corpus
 from metarec.errors import NumericError
 from metarec.memory_tree import blend_gradients
-from metarec.meta_learners import (MetaTrainer, TrainerConfig, _distinct_rates, _encode_split,
-                                   _evaluate_encoded, _sum_tree_gradients, adapt_with_gradient,
-                                   logged_rate)
-from metarec.model import grad, grad_stack, hvp, loss, predict, user_embedding
-from metarec.params import ParamSet
+from metarec.meta_learners import (MetaTrainer, TrainerConfig, _check_inner_rate,
+                                   _distinct_rates, _encode_split, _evaluate_encoded,
+                                   _sum_tree_gradients, logged_rate)
+from metarec.model import (check_episodes, grad, grad_stack, hvp, loss, predict_stack,
+                           user_embedding)
+from metarec.params import ParamSet, axpy_update
 from metarec.tasks import (InteractionColumns, PreprocessConfig, load_movielens, preprocess,
                            synthetic_splits)
 
@@ -130,8 +131,71 @@ def case(kind, algorithm):
     return trainer, batches(trainer)[kind]
 
 
+def cut(batch, limit):
+    """The batch positions of each pass's episodes, ordered by (query rows,
+    support rows) and cut every ``limit`` episodes, as the trainer and
+    evaluation cut them."""
+    order = np.lexsort((batch.support.lengths, batch.query.lengths)).tolist()
+    return [order[start:start + limit] for start in range(0, len(order), limit)]
+
+
+def train_limit(trainer):
+    """Episodes per training pass."""
+    return meta_learners.EVAL_STACK_BYTES // trainer.theta.flat.nbytes
+
+
+def eval_limit(trainer, config):
+    """Users per evaluation pass at ``config``."""
+    return max(config.batch_size, train_limit(trainer))
+
+
+def passes(trainer, batch):
+    """The batch positions of each pass's episodes, as the trainer cuts them."""
+    return cut(batch, train_limit(trainer))
+
+
+def longest(batch, limit):
+    """Each episode's pass partners: the pass's episode with the most
+    support rows and the one with the most query rows."""
+    partners = {}
+    for positions in cut(batch, limit):
+        support = max(positions, key=lambda i: batch.support.lengths[i])
+        query = max(positions, key=lambda i: batch.query.lengths[i])
+        partners.update((i, (support, query)) for i in positions)
+    return partners
+
+
+def beside(spec, part, partner):
+    """The episode ``part`` and its pass's longest ``partner`` as one stack:
+    ``part`` is slice 0, padded to the pass's length."""
+    return check_episodes(spec, [part, partner])
+
+
+def slice_zero(theta, g, name):
+    """Slice 0's row of a two-episode `grad_stack` as a ParamSet like
+    ``theta``, or the first error a lone pass raises: the forward pass's,
+    then the ``name`` loss's, then the ``name`` gradient's."""
+    if 0 in g.failed:
+        raise g.failed[0]
+    if not math.isfinite(g.losses[0]):
+        raise NumericError(f"{name} loss is not finite")
+    row = theta.from_flat(g.rows[0])
+    row.check_finite(f"{name} gradient")
+    return row
+
+
+def adapt_beside(theta, spec, alpha, support):
+    """One inner step on slice 0 of ``support``: (theta_i, g_s, the support
+    StackGradient)."""
+    _check_inner_rate(alpha)
+    s = grad_stack(theta.flat, spec, support.stack(spec.plan))
+    g_s = slice_zero(theta, s, "support")
+    return axpy_update(theta, g_s, alpha), g_s, s
+
+
 def reference_outer_gradients(trainer, batch, tree):
-    """The outer gradients of ``batch``, one episode at a time."""
+    """The outer gradients of ``batch``, one episode at a time, each beside
+    its pass's longest episodes."""
     cfg, spec, theta = trainer.config, trainer.spec, trainer.theta
     gamma = cfg.effective_gamma()
     theta_grad = theta.zeros_like()
@@ -139,28 +203,34 @@ def reference_outer_gradients(trainer, batch, tree):
     msgd_grad = theta.zeros_like() if trainer.msgd_alpha is not None else None
     tree_parts, pending, logs, messages = [], [], [], []
     total_loss = 0.0
-    for ep in batch:
+    partners = longest(batch, train_limit(trainer))
+    for i, ep in enumerate(batch):
         h = user_embedding(theta, spec, ep.user_ids)
         [(alpha, dalpha_dpsi, neighbors)], _ = _distinct_rates(
             cfg, trainer.head, trainer.msgd_alpha, tree, h[None], train=True)
+        support_partner, query_partner = (batch[k] for k in partners[i])
+        support = beside(spec, ep.support, support_partner.support)
         try:
-            theta_i, g_s = adapt_with_gradient(theta, spec, alpha, ep.support)
-            g_q = grad(theta_i, spec, ep.query)
-            if not math.isfinite(g_q.loss):
-                raise NumericError("query loss is not finite")
-            g_q.check_finite("query gradient")
+            theta_i, g_s, s = adapt_beside(theta, spec, alpha, support)
+            q = grad_stack(np.stack([theta_i.flat] * 2), spec,
+                           beside(spec, ep.query, query_partner.query).stack(spec.plan))
+            g_q = slice_zero(theta, q, "query")
         except NumericError as exc:
             messages.append(f"dropping episode for user {ep.user_key!r}: {exc}")
             continue
+
+        def hvp_beside(x):
+            return theta.from_flat(hvp(theta, spec, support, np.stack([x.flat] * 2), at=s)[0])
+
         grad_sq = g_s.dot(g_s)
         reg_value = 0.0
         if isinstance(alpha, ParamSet):
-            ep_theta = g_q.sub(hvp(theta, spec, ep.support, alpha.mul(g_q), at=g_s))
+            ep_theta = g_q.sub(hvp_beside(alpha.mul(g_q)))
             msgd_grad = msgd_grad.add(g_s.mul(g_q).scale(-1.0))
         else:
             reg_value = grad_sq * abs(alpha)
             v = g_s.scale(2.0 * gamma * alpha).sub(g_q.scale(alpha))
-            ep_theta = g_q.add(hvp(theta, spec, ep.support, v, at=g_s))
+            ep_theta = g_q.add(hvp_beside(v))
         upstream = gamma * grad_sq - g_s.dot(g_q)
         if dalpha_dpsi is not None:
             psi_grad = psi_grad.add(ParamSet.wrap(psi_grad.layout, dalpha_dpsi).scale(upstream))
@@ -170,9 +240,10 @@ def reference_outer_gradients(trainer, batch, tree):
         if tree is not None:
             pending.append((h, alpha))
         theta_grad = theta_grad.add(ep_theta)
-        logs.append((ep.user_key, logged_rate(alpha), g_s.loss, g_q.loss, reg_value, grad_sq,
+        s_loss, q_loss = float(s.losses[0]), float(q.losses[0])
+        logs.append((ep.user_key, logged_rate(alpha), s_loss, q_loss, reg_value, grad_sq,
                      float(np.linalg.norm(h))))
-        total_loss += g_q.loss + gamma * reg_value
+        total_loss += q_loss + gamma * reg_value
     return dict(theta=theta_grad, psi=psi_grad, msgd=msgd_grad,
                 tree=_sum_tree_gradients(tree_parts), pending=pending, logs=logs,
                 total_loss=total_loss, messages=messages)
@@ -217,16 +288,26 @@ def test_outer_gradients_match_one_episode_reference(kind, algorithm):
     assert tree_state(trainer.tree) == tree_state(tree)
 
 
-def reference_records(trainer, episodes):
-    """Evaluation records of ``episodes``, one user at a time."""
-    cfg, spec, theta = trainer.config, trainer.spec, trainer.theta
+def reference_records(trainer, episodes, config=None):
+    """Evaluation records of ``episodes``, one user at a time, each beside
+    its pass's longest users, in the passes evaluation cuts at ``config``
+    (the trainer's by default)."""
+    cfg = trainer.config if config is None else config
+    spec, theta = trainer.spec, trainer.theta
+    partners = longest(episodes, eval_limit(trainer, cfg))
     records = []
-    for ep in episodes:
+    for i, ep in enumerate(episodes):
         h = user_embedding(theta, spec, ep.user_ids)
         [(alpha, _, _)], _ = _distinct_rates(cfg, trainer.head, trainer.msgd_alpha, trainer.tree,
                                              h[None])
-        theta_u, _ = adapt_with_gradient(theta, spec, alpha, ep.support)
-        predictions = predict(theta_u, spec, ep.query)
+        support_partner, query_partner = (episodes[k] for k in partners[i])
+        theta_u, _, _ = adapt_beside(theta, spec, alpha,
+                                     beside(spec, ep.support, support_partner.support))
+        rows, failed = predict_stack(np.stack([theta_u.flat] * 2), spec,
+                                     beside(spec, ep.query, query_partner.query).stack(spec.plan))
+        if 0 in failed:
+            raise failed[0]
+        predictions = rows[0, :len(ep.query[2])]
         records.append((ep.user_key, repr(logged_rate(alpha)), predictions.tobytes(),
                         ep.query[2].tobytes(), repr(loss(predictions, ep.query[2]))))
     return records
@@ -293,14 +374,14 @@ def test_evaluation_stacks_cut_by_bytes_match_one_episode_reference(monkeypatch,
             episodes)
     if poisoned:
         with pytest.raises(NumericError) as expected:
-            reference_records(trainer, episodes)
+            reference_records(trainer, episodes, config)
         with pytest.raises(NumericError) as got:
             _evaluate_encoded(*args)
         assert str(got.value) == str(expected.value) == "non-finite values in decision layer 1"
     else:
         got = [(r.user_key, repr(r.alpha), r.predictions.tobytes(), r.targets.tobytes(),
                 repr(r.query_loss)) for r in _evaluate_encoded(*args)]
-        assert got == reference_records(trainer, episodes)
+        assert got == reference_records(trainer, episodes, config)
     n_full, rest = divmod(len(episodes), cap)
     assert sizes == [cap] * n_full + [rest] * (rest > 0)
 
@@ -378,13 +459,6 @@ def paper_batch(trainer):
     return _encode_split(trainer.splits, episodes, trainer.spec)
 
 
-def passes(trainer, batch):
-    """The batch positions of each pass's episodes, as the trainer cuts them."""
-    order = np.lexsort((batch.support.lengths, batch.query.lengths)).tolist()
-    limit = meta_learners.EVAL_STACK_BYTES // trainer.theta.flat.nbytes
-    return [order[start:start + limit] for start in range(0, len(order), limit)]
-
-
 def test_paper_batch_is_ragged_and_cut_into_passes(paper_splits):
     trainer = paper_trainer(paper_splits, "paml")
     batch = paper_batch(trainer)
@@ -424,14 +498,17 @@ def test_paper_shape_outer_gradients_match_one_episode_reference(paper_splits, a
 
 def pooled_reference(theta, spec, split, v):
     """The pooled grad, loss and hvp of ``split``, each episode through a pass
-    of its own, every term added onto zeros in episode order."""
+    of its own beside the split's longest episode, every term of its real
+    rows added onto zeros in episode order."""
     plan = spec.plan
     total = int(split.lengths.sum())
     start = plan.layers[0][0].start
+    partner = int(np.argmax(split.lengths))
     g, hv, loss_value = np.zeros(theta.layout.size), np.zeros(theta.layout.size), 0.0
     for i in range(len(split)):
-        stack = split.take([i]).stack(plan)
-        rows = np.empty((1, theta.layout.size))
+        stack = split.take([i, partner]).stack(plan)
+        n = stack.lengths[0]
+        rows = np.empty((2, theta.layout.size))
         failed, losses, user_values, item_values, tape = model_module._grad_pass(
             theta.flat, plan, stack, total, rows)
         assert not failed
@@ -442,7 +519,7 @@ def pooled_reference(theta, spec, split, v):
                                                (hv, (hv_rows,) + hv_terms)):
             out[start:] += pass_rows[0, start:]
             np.add.at(out, stack.user_index[0], users[0])
-            np.add.at(out, stack.index[:, plan.user_width:].ravel(), items.ravel())
+            np.add.at(out, stack.item_index[0, :n].ravel(), items[0, :n].ravel())
     return g, float(loss_value), hv
 
 
@@ -478,7 +555,7 @@ def test_paper_shape_evaluation_matches_one_episode_reference(paper_splits, algo
         assert len(passes(trainer, batch)) > 1 and len(passes(trainer, clean)) > 1
         assert any(7 in positions and 15 in positions for positions in passes(trainer, batch))
     with pytest.raises(NumericError) as expected:
-        reference_records(trainer, batch)
+        reference_records(trainer, batch, config)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(NumericError) as got:
@@ -487,7 +564,7 @@ def test_paper_shape_evaluation_matches_one_episode_reference(paper_splits, algo
     assert str(got.value) == str(expected.value) == "non-finite values in decision layer 1"
     got = [(r.user_key, repr(r.alpha), r.predictions.tobytes(), r.targets.tobytes(),
             repr(r.query_loss)) for r in _evaluate_encoded(*args, clean)]
-    assert got == reference_records(trainer, clean)
+    assert got == reference_records(trainer, clean, config)
 
 
 @pytest.mark.parametrize("rate", [1e200, 1e100])
@@ -530,6 +607,91 @@ def test_validation_runs_one_support_pass_per_budget_not_per_shape(paper_splits,
     trainer._validation_loss()
     assert len(outs) == math.ceil(len(episodes) / limit) < len(shapes)
     assert all(out.base is trainer._workspace["theta"] for out in outs)
+
+
+# ---------------------------------------------------------------------------
+# the padded pass itself: what an episode's bits depend on
+
+
+def pass_outputs(theta, spec, split, flats, v):
+    """Each episode's gradient row, loss, Hessian-vector row (at the shared
+    theta only) and padded predictions, from one stack of ``split``."""
+    stack = split.stack(spec.plan)
+    g = grad_stack(flats, spec, stack)
+    hv = hvp(theta, spec, split, v, at=g) if flats.ndim == 1 else None
+    predictions, failed = predict_stack(flats, spec, stack)
+    assert not g.failed and not failed
+    return [[g.rows[e], g.losses[e:e + 1], predictions[e]] + ([] if hv is None else [hv[e]])
+            for e in range(len(split))]
+
+
+def ragged_support(trainer):
+    """The support sets of six training episodes of five lengths, the
+    longest of which two other episodes share: (pass, those two)."""
+    split = trainer.train_episodes.support
+    lengths = split.lengths
+    values, counts = np.unique(lengths, return_counts=True)
+    top = int(values[counts >= 3].max())
+    with_top = np.flatnonzero(lengths == top)
+    shorter = [int(np.flatnonzero(lengths == n)[0]) for n in values[values < top][-4:]]
+    chosen = shorter[:2] + [int(with_top[0])] + shorter[2:] + [shorter[0]]
+    return split.take(np.array(chosen)), split.take(with_top[1:3])
+
+
+@pytest.mark.parametrize("per_episode", [False, True])
+def test_permuting_a_pass_permutes_its_rows_bit_for_bit(paper_splits, per_episode):
+    """Reordered, a ragged pass gives each episode the same bytes: gradient
+    row, loss, Hessian-vector row and padded predictions."""
+    trainer = paper_trainer(paper_splits, "paml")
+    spec, theta = trainer.spec, trainer.theta
+    split, _ = ragged_support(trainer)
+    assert len(set(split.lengths.tolist())) == 5
+    rng = np.random.default_rng(11)
+    flats = np.stack([theta.flat + 1e-3 * k for k in range(len(split))]) if per_episode \
+        else theta.flat
+    v = rng.normal(size=(len(split), theta.size()))
+    expected = pass_outputs(theta, spec, split, flats, v)
+    for order in (np.arange(len(split))[::-1], rng.permutation(len(split))):
+        got = pass_outputs(theta, spec, split.take(order),
+                           flats[order] if per_episode else flats, v[order])
+        for k, e in enumerate(order.tolist()):
+            assert [a.tobytes() for a in got[k]] == [a.tobytes() for a in expected[e]]
+
+
+def test_an_episode_keeps_its_bits_beside_any_partner_of_its_pass_length(paper_splits):
+    """Each episode's row in a ragged pass equals its row in a two-episode
+    pass beside the pass's longest, or beside either of two other episodes
+    of that length, through `grad_stack`, `hvp` and `predict_stack`."""
+    trainer = paper_trainer(paper_splits, "paml")
+    spec, theta = trainer.spec, trainer.theta
+    split, others = ragged_support(trainer)
+    longest_position = int(np.argmax(split.lengths))
+    assert (others.lengths == split.lengths[longest_position]).all()
+    v = np.random.default_rng(12).normal(size=(len(split), theta.size()))
+    expected = pass_outputs(theta, spec, split, theta.flat, v)
+    for e in range(len(split)):
+        for pair in (split.take([e, longest_position]), check_episodes(spec, [split[e], others[0]]),
+                     check_episodes(spec, [split[e], others[1]])):
+            got = pass_outputs(theta, spec, pair, theta.flat, v[[e, e]])[0]
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in expected[e]]
+
+
+def test_padding_adds_nothing_to_a_short_episode(paper_splits):
+    """The shortest episode of a ragged pass matches its lone, unpadded pass
+    to 1e-14 relative: padding changes how its sums round, not what they
+    sum."""
+    trainer = paper_trainer(paper_splits, "paml")
+    spec, theta = trainer.spec, trainer.theta
+    split, _ = ragged_support(trainer)
+    short = int(np.argmin(split.lengths))
+    n = int(split.lengths[short])
+    assert n < split.lengths.max()
+    v = np.random.default_rng(13).normal(size=(len(split), theta.size()))
+    padded = pass_outputs(theta, spec, split, theta.flat, v)[short]
+    alone = pass_outputs(theta, spec, split.take([short]), theta.flat, v[[short]])[0]
+    padded[2], alone[2] = padded[2][:n], alone[2][:n]
+    for got, expected in zip(padded, alone):
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
 # ---------------------------------------------------------------------------
