@@ -30,10 +30,11 @@ def data_errors(doing: str, path):
     """Re-raise a failure to read or write the file at ``path`` as a DataError
     that names it; ``doing`` says what failed ("read checkpoint", "write").
 
-    Caught are a file that is missing, empty, truncated, not an archive or
-    short of an entry, and a path that cannot be written.
+    Caught are a file that is missing, empty, truncated, not an archive,
+    short of an entry or holding an entry of the wrong type, and a path
+    that cannot be written.
     """
     try:
         yield
-    except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile) as exc:
+    except (OSError, EOFError, ValueError, KeyError, TypeError, zipfile.BadZipFile) as exc:
         raise DataError(f"cannot {doing} {path}: {exc}") from None

@@ -37,7 +37,7 @@ import numpy as np
 
 from .config import (ExperimentConfig, build_experiment_config, experiment_digest,
                      flatten_config)
-from .errors import DataError, MetarecError, data_errors
+from .errors import ConfigError, DataError, MetarecError, data_errors
 from .evaluation import build_report
 from .memory_tree import TreeMemory
 from .meta_learners import (TrainedModel, evaluate, load_checkpoint, logged_rate,
@@ -414,15 +414,19 @@ def load_run(run_dir) -> Tuple[FinishedTrial, ...]:
     """The trials of a finished run, read back from its ``manifest.json``.
 
     A run directory that holds the ``STALE`` marker, a manifest that is
-    missing or cannot be read, and a config that no longer hashes to the
-    recorded digest are each a DataError.
+    missing, cannot be read or holds an entry of the wrong type, a config
+    that the config parser rejects, and a config that no longer hashes to
+    the recorded digest are each a DataError that names the manifest.
     """
     if os.path.exists(os.path.join(run_dir, STALE_MARKER)):
         raise DataError(f"run directory {run_dir} holds a {STALE_MARKER} marker")
     path = os.path.join(run_dir, "manifest.json")
     with data_errors("read run manifest", path), open(path, encoding="utf-8") as fh:
         manifest = json.load(fh)
-        config = build_experiment_config(manifest["config"])
+        try:
+            config = build_experiment_config(manifest["config"])
+        except ConfigError as exc:
+            raise DataError(f"run manifest {path}: config rejected: {exc}") from None
         if experiment_digest(config) != manifest["config_digest"]:
             raise DataError(f"run manifest {path}: config does not match its config_digest")
         return tuple(FinishedTrial(config, t["index"], t["seed"],

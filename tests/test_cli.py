@@ -1,5 +1,6 @@
 """Tests for the command-line interface: subcommands and exit codes."""
 
+import json
 import os
 import shutil
 
@@ -421,6 +422,35 @@ class TestArtifactCommands:
         out = tmp_path / "emb.tsv"
         self.assert_refused(capsys, ["dump-embeddings", stray, "--output", str(out)],
                             stray, out)
+
+    def copied_run_with_manifest(self, tmp_path, capsys, edit):
+        """A copy of a finished run whose manifest has ``edit`` applied;
+        returns (trial directory, manifest path)."""
+        trial_dir = self.run_tiny(tmp_path, capsys, algorithm="paml", epochs="1")
+        copy = str(tmp_path / "copy")
+        shutil.copytree(os.path.dirname(trial_dir), copy)
+        manifest_path = os.path.join(copy, "manifest.json")
+        with open(manifest_path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        edit(manifest)
+        with open(manifest_path, "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh)
+        return os.path.join(copy, "trial-00-seed-0"), manifest_path
+
+    def test_dump_embeddings_rejected_manifest_config_is_data_error(self, tmp_path, capsys):
+        trial_dir, manifest = self.copied_run_with_manifest(
+            tmp_path, capsys, lambda manifest: manifest["config"].update(
+                {"trainer.epochs": "-1"}))
+        out = tmp_path / "emb.tsv"
+        self.assert_refused(capsys, ["dump-embeddings", trial_dir, "--output", str(out)],
+                            manifest, out)
+
+    def test_dump_embeddings_malformed_trials_entry_is_data_error(self, tmp_path, capsys):
+        trial_dir, manifest = self.copied_run_with_manifest(
+            tmp_path, capsys, lambda manifest: manifest.update({"trials": ["x"]}))
+        out = tmp_path / "emb.tsv"
+        self.assert_refused(capsys, ["dump-embeddings", trial_dir, "--output", str(out)],
+                            manifest, out)
 
     def test_dump_embeddings_unwritable_output_is_data_error(self, tmp_path, capsys):
         trial_dir = self.run_tiny(tmp_path, capsys, algorithm="paml", epochs="1")
