@@ -741,7 +741,7 @@ class MetaTrainer:
 
         Episodes run ordered by (query rows, support rows), in passes of at
         most `EVAL_STACK_BYTES` of parameter rows, so each pass's episodes
-        have similar lengths and its padded stacks few slots.  Every row stack
+        have similar lengths and its padded stacks add few slots.  Every row stack
         is a view of a buffer the trainer reuses from step to step: the
         theta rows of the whole batch (and meta-sgd's rate rows), which
         take each pass's query gradients, and two pass buffers, one for the
