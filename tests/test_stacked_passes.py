@@ -1,18 +1,20 @@
-"""The stacked trainer and evaluation passes against a one-episode reference.
+"""The padded trainer and evaluation passes against a per-episode reference.
 
 `MetaTrainer.outer_gradients` orders a batch by shape, cuts it into passes
-of at most `EVAL_STACK_BYTES` of parameter rows, and runs each pass as
-ragged stacks: one block per run of equal support or query row counts,
-each block's dense layers as 3-D matmuls, everything else once over all
-rows.  `_evaluate_encoded` orders and cuts a split the same way, into
+of at most `EVAL_STACK_BYTES` of parameter rows, and runs each pass's
+support and query sets as padded blocks: every episode padded to the
+pass's longest, each dense layer one 3-D matmul with one BLAS call per
+episode.  `_evaluate_encoded` orders and cuts a split the same way, into
 passes of at least ``batch_size`` users, each one support `grad_stack`, one
-inner step and one forward pass over its ragged query stack.  The
-reference here rebuilds both one episode at a time from the single-episode
-`grad`, `hvp` and `predict` calls, the way the trainer ran before it
-stacked anything, and every output must match it bit for bit, at a small
-model and at the criterion-6 model shape.  Both sides run in one process on
-one BLAS kernel, so unlike the pinned digests these checks hold on any
-host.
+inner step and one forward pass over its padded query stack.  An
+episode's bits depend only on its own rows and its pass's padded length,
+so the reference here rebuilds both one episode at a time, each in a
+two-episode stack beside its pass's longest support and query episodes,
+through `grad_stack`, the stacked `hvp` and `predict_stack`; every output
+must match it bit for bit, at a small model and at the criterion-6 model
+shape.  A lone, unpadded pass differs from a padded one only in rounding,
+which one test bounds.  Both sides run in one process on one BLAS kernel,
+so unlike the pinned digests these checks hold on any host.
 """
 
 import copy
