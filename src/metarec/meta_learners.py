@@ -69,7 +69,6 @@ import functools
 import hashlib
 import json
 import math
-import os
 import warnings
 from collections.abc import Sequence
 from typing import List, NamedTuple, Optional, Tuple
@@ -173,9 +172,10 @@ class LrHead:
         if psi is None:
             rng = np.random.default_rng(seed)
             psi = ParamSet(init_dense_stack(rng, self.input_dim, dims, "lr"))
-        expected = tuple(_head_entry_shapes(self.input_dim, hidden_dims))
-        if psi.names() != expected:
-            raise ConfigError(f"rate-head layout {psi.names()} does not match {expected}")
+        shapes = _head_entry_shapes(self.input_dim, hidden_dims)
+        expected = (tuple(shapes), tuple(shapes.values()))
+        if psi.layout.key != expected:
+            raise ConfigError(f"rate-head layout {psi.layout.key} does not match {expected}")
         self.psi = psi
         self._layers = psi.layout.dense_layers()
 
@@ -710,7 +710,8 @@ class MetaTrainer:
                                config.lr_scale, seed=(config.seed, 1))
         self.msgd_alpha = None
         if config.algorithm == "meta-sgd":
-            self.msgd_alpha = self.theta.fill(config.meta_sgd_init)
+            self.msgd_alpha = ParamSet.wrap(
+                self.theta.layout, np.full(self.theta.layout.size, float(config.meta_sgd_init)))
         self.tree = None
         if config.algorithm == "at-paml":
             self.tree = TreeMemory(
@@ -1079,14 +1080,12 @@ def save_checkpoint(model: TrainedModel, path) -> str:
         "spec_embedding_dim": np.array([model.spec.embedding_dim], dtype=np.int64),
         "spec_decision_dims": np.array(model.spec.decision_dims, dtype=np.int64),
     }
-    for name, arr in model.theta.items():
-        arrays["theta." + name] = arr
-    if model.lr_head is not None:
-        for name, arr in model.lr_head.psi.items():
-            arrays["psi." + name] = arr
-    if model.meta_sgd_alpha is not None:
-        for name, arr in model.meta_sgd_alpha.items():
-            arrays["msgd." + name] = arr
+    psi = None if model.lr_head is None else model.lr_head.psi
+    for prefix, params in (("theta.", model.theta), ("psi.", psi),
+                           ("msgd.", model.meta_sgd_alpha)):
+        if params is not None:
+            for name, arr in params.layout.views(params.flat).items():
+                arrays[prefix + name] = arr
     np.savez(path, **arrays)
     if model.tree is not None:
         model.tree.dump(tree_sidecar(path))
@@ -1110,7 +1109,9 @@ def _stored_params(data, prefix: str, shapes: dict) -> ParamSet:
 def load_checkpoint(path) -> TrainedModel:
     """Rebuild a TrainedModel from save_checkpoint output (step logs excluded).
 
-    A checkpoint or tree sidecar that cannot be read is a DataError naming it.
+    A checkpoint or tree sidecar that cannot be read is a DataError naming it,
+    and so is a missing entry of the algorithm's parameters or a missing
+    sidecar of an at-paml checkpoint.
     """
     path = _normalize_checkpoint_path(path)
     with data_errors("read checkpoint", path), np.load(path, allow_pickle=False) as data:
@@ -1146,18 +1147,18 @@ def load_checkpoint(path) -> TrainedModel:
         shapes = expected_entry_shapes(spec)
         theta = _stored_params(data, "theta.", shapes)
         head = None
-        if any(key.startswith("psi.") for key in data.files):
+        if config.uses_lr_head():
             psi = _stored_params(data, "psi.",
                                  _head_entry_shapes(spec.user_width, config.lr_hidden_dims))
             head = LrHead(spec.user_width, config.lr_hidden_dims, config.lr_scale, psi=psi)
         msgd = None
-        if any(key.startswith("msgd.") for key in data.files):
+        if config.algorithm == "meta-sgd":
             msgd = _stored_params(data, "msgd.", shapes)
         history = json.loads(str(data["history_json"][()]))
         best_epoch = int(data["best_epoch"][0])
     tree = None
-    sidecar = tree_sidecar(path)
-    if os.path.exists(sidecar):
+    if config.algorithm == "at-paml":
+        sidecar = tree_sidecar(path)
         tree = TreeMemory.load(sidecar)
         if tree.dim != spec.user_width:
             raise DataError(f"tree sidecar {sidecar} holds {tree.dim}-wide embeddings; "

@@ -232,10 +232,6 @@ def init_params(spec: ModelSpec, seed: int) -> ParamSet:
     return ParamSet(entries)
 
 
-def expected_entry_names(spec: ModelSpec) -> Tuple[str, ...]:
-    return tuple(expected_entry_shapes(spec))
-
-
 def expected_entry_shapes(spec: ModelSpec):
     shapes = {}
     for i, vocab in enumerate(spec.user_vocab_sizes):
@@ -247,19 +243,16 @@ def expected_entry_shapes(spec: ModelSpec):
 
 
 def _check_theta(theta: ParamSet, spec: ModelSpec) -> None:
-    if theta.layout.key == spec.layout_key:
+    layout = theta.layout
+    if layout.key == spec.layout_key:
         return
-    if theta.names() != expected_entry_names(spec):
+    names, shapes = spec.layout_key
+    if layout.names != names:
         raise ConfigError(
-            f"parameter layout {theta.names()} does not match the model spec "
-            f"(expected {expected_entry_names(spec)})"
-        )
-    expected = expected_entry_shapes(spec)
-    for name, shape in expected.items():
-        if theta[name].shape != shape:
-            raise ConfigError(
-                f"parameter '{name}' has shape {theta[name].shape}, model spec needs {shape}"
-            )
+            f"parameter layout {layout.names} does not match the model spec (expected {names})")
+    for name, shape, needed in zip(names, layout.shapes, shapes):
+        if shape != needed:
+            raise ConfigError(f"parameter '{name}' has shape {shape}, model spec needs {needed}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,22 +1,20 @@
-"""Named float64 parameter collections and the descent update primitive.
+"""Parameter sets as a layout plus one flat float64 vector, and the descent update.
 
-A ``ParamSet`` stores all of its values in one contiguous float64 vector,
-laid out entry by entry in insertion order by an immutable ``Layout``
-(names, shapes, slices, size).  Arithmetic runs as one numpy call on the
+A ``ParamSet`` is an immutable ``Layout`` (entry names, shapes, slices,
+size) and the one contiguous float64 vector it lays out, entry by entry in
+the order the entries were given.  Arithmetic runs as one numpy call on the
 whole vector, and every result shares the layout object of its left
 operand, so building it copies nothing beyond the new vector.  Results own
 fresh vectors: they never alias their operands.
 
-The training path reads values by flat offset: the model and the rate head
-slice ``flat`` at the offsets their layout fixes (see ``ModelSpec.plan``).
-Reading an entry by name builds the ParamSet's name -> reshaped view dict
-(`Layout.views`) on first use and keeps it; that is for callers outside
-the hot path, such as checkpoints and tests.
+Every reader works on ``flat`` at the offsets the layout fixes: the model
+and the rate head through their plans (see ``ModelSpec.plan``), and
+checkpoints and tests by name through `Layout.views`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
@@ -67,12 +65,12 @@ class Layout:
 
 
 class ParamSet:
-    """Ordered, named collection of float64 arrays backed by one flat vector.
+    """A `Layout` and the one float64 vector it lays out.
 
-    Insertion order of names is the canonical order used by flattening and by
-    every elementwise operation.  The constructor copies caller arrays into a
-    new vector, so a ParamSet never aliases caller storage; ``ps[name]`` is a
-    view, and writing through it changes the ParamSet.
+    The constructor copies named caller arrays into a new vector, entry by
+    entry in insertion order, so a ParamSet never aliases caller storage;
+    `wrap` adopts a vector as it is.  Entries are read by name through
+    ``layout.views(flat)``.
     """
 
     def __init__(self, entries: Dict[str, np.ndarray]):
@@ -82,7 +80,6 @@ class ParamSet:
             self._flat = np.concatenate([a.ravel() for a in arrays])
         else:
             self._flat = np.zeros(0, dtype=np.float64)
-        self._views = None
 
     @classmethod
     def wrap(cls, layout: Layout, flat: np.ndarray) -> "ParamSet":
@@ -93,7 +90,6 @@ class ParamSet:
         ps = cls.__new__(cls)
         ps._layout = layout
         ps._flat = flat
-        ps._views = None
         return ps
 
     @property
@@ -102,53 +98,8 @@ class ParamSet:
 
     @property
     def flat(self) -> np.ndarray:
-        """The backing vector itself (not a copy); ``to_flat`` returns a copy."""
+        """The backing vector itself, not a copy: writes change the ParamSet."""
         return self._flat
-
-    def __getstate__(self):
-        # a copy or an unpickled ParamSet rebuilds its views over its own
-        # vector; copied views would be detached from it
-        state = self.__dict__.copy()
-        state["_views"] = None
-        return state
-
-    def _entries(self) -> Dict[str, np.ndarray]:
-        views = self._views
-        if views is None:
-            views = self._views = self._layout.views(self._flat)
-        return views
-
-    # -- container protocol -------------------------------------------------
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        views = self._views
-        if views is None:
-            views = self._entries()
-        return views[name]
-
-    def __setitem__(self, name: str, value: np.ndarray) -> None:
-        view = self._entries().get(name)
-        if view is None:
-            raise ConfigError(f"no entry '{name}' in layout {self.names()}")
-        value = np.asarray(value, dtype=np.float64)
-        if value.shape != view.shape:
-            raise ConfigError(f"shape mismatch for '{name}': {value.shape} vs {view.shape}")
-        view[...] = value
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._entries()
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._layout.names)
-
-    def __len__(self) -> int:
-        return len(self._layout.names)
-
-    def names(self) -> Tuple[str, ...]:
-        return self._layout.names
-
-    def items(self):
-        return self._entries().items()
 
     def __repr__(self) -> str:
         dims = ", ".join(f"{k}{list(s)}" for k, s in zip(self._layout.names, self._layout.shapes))
@@ -195,25 +146,6 @@ class ParamSet:
     def zeros_like(self) -> "ParamSet":
         return ParamSet.wrap(self._layout, np.zeros(self._layout.size))
 
-    def fill(self, value: float) -> "ParamSet":
-        return ParamSet.wrap(self._layout, np.full(self._layout.size, float(value)))
-
-    # -- flat vector round trip ----------------------------------------------
-
-    def size(self) -> int:
-        return self._layout.size
-
-    def to_flat(self) -> np.ndarray:
-        return self._flat.copy()
-
-    def from_flat(self, flat: np.ndarray) -> "ParamSet":
-        """New ParamSet with this layout and values copied from ``flat``."""
-        flat = np.array(flat, dtype=np.float64).ravel()
-        if flat.size != self._layout.size:
-            raise ConfigError(
-                f"flat vector has {flat.size} values, layout needs {self._layout.size}")
-        return ParamSet.wrap(self._layout, flat)
-
     def check_finite(self, context: str = "ParamSet") -> None:
         errors = nonfinite_rows(self._layout, self._flat[None], context)
         if errors:
@@ -226,11 +158,6 @@ class Gradient(ParamSet):
     ``tape`` is what the pass kept for a Hessian-vector product at the same
     point (see `model.hvp`), or None.
     """
-
-    def __init__(self, entries: Dict[str, np.ndarray], loss: float):
-        super().__init__(entries)
-        self.loss = float(loss)
-        self.tape = None
 
     @classmethod
     def wrap(cls, layout: Layout, flat: np.ndarray, loss: float, tape=None) -> "Gradient":

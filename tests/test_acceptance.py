@@ -47,7 +47,7 @@ from metarec.lemma_oracle import (
 from metarec.memory_tree import TreeMemory
 from metarec.meta_learners import LrHead, MetaTrainer, TrainerConfig, train
 from metarec.model import forward, grad, loss, user_embedding
-from metarec.params import axpy_update
+from metarec.params import ParamSet, axpy_update
 from metarec.runner import run_experiment
 from metarec.tasks import PreprocessConfig, synthetic_splits
 
@@ -118,16 +118,16 @@ def joint_fd(objective, paramsets, eps=1e-6):
     """Central finite differences of a scalar function of several ParamSets."""
     out = []
     for which, ps in enumerate(paramsets):
-        flat = ps.to_flat()
+        flat = ps.flat
         fd = np.zeros_like(flat)
         for i in range(flat.size):
             up, down = flat.copy(), flat.copy()
             up[i] += eps
             down[i] -= eps
             args_up = list(paramsets)
-            args_up[which] = ps.from_flat(up)
+            args_up[which] = ParamSet.wrap(ps.layout, up)
             args_down = list(paramsets)
-            args_down[which] = ps.from_flat(down)
+            args_down[which] = ParamSet.wrap(ps.layout, down)
             fd[i] = (objective(*args_up) - objective(*args_down)) / (2.0 * eps)
         out.append(fd)
     return out
@@ -164,11 +164,10 @@ def test_criterion_2_meta_gradient_exactness():
                     value += gamma * g_s.dot(g_s) * abs(alpha)
             return value
 
-        n_params = trainer.theta.to_flat().size + trainer.head.psi.to_flat().size
+        n_params = trainer.theta.flat.size + trainer.head.psi.flat.size
         gradients = trainer.outer_gradients(batch)
         fds = joint_fd(objective, [trainer.theta, trainer.head.psi])
-        implemented = np.concatenate([gradients.theta_grad.to_flat(),
-                                      gradients.psi_grad.to_flat()])
+        implemented = np.concatenate([gradients.theta_grad.flat, gradients.psi_grad.flat])
         fd = np.concatenate(fds)
         rel = float(np.linalg.norm(implemented - fd)
                     / max(np.linalg.norm(fd), 1e-12))

@@ -16,6 +16,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -73,20 +74,31 @@ def scalar_model():
     return spec, theta, episode
 
 
+def views(ps):
+    """Entry name -> view of a ParamSet's flat vector; writes go through."""
+    return ps.layout.views(ps.flat)
+
+
+def assert_same_params(a, b):
+    """``a`` and ``b`` have one layout and equal values."""
+    assert a.layout.key == b.layout.key
+    assert np.array_equal(a.flat, b.flat)
+
+
 def joint_fd(objective, paramsets, eps=1e-6):
     """Central finite differences of a scalar function of several ParamSets."""
     out = []
     for which, ps in enumerate(paramsets):
-        flat = ps.to_flat()
+        flat = ps.flat
         fd = np.zeros_like(flat)
         for i in range(flat.size):
             up, down = flat.copy(), flat.copy()
             up[i] += eps
             down[i] -= eps
             args_up = list(paramsets)
-            args_up[which] = ps.from_flat(up)
+            args_up[which] = ParamSet.wrap(ps.layout, up)
             args_down = list(paramsets)
-            args_down[which] = ps.from_flat(down)
+            args_down[which] = ParamSet.wrap(ps.layout, down)
             fd[i] = (objective(*args_up) - objective(*args_down)) / (2.0 * eps)
         out.append(fd)
     return out
@@ -124,12 +136,12 @@ class TestLrHead:
                 return LrHead(3, (3, 2), 1e-3, psi=psi).alpha(h)
 
             (fd,) = joint_fd(objective, [head.psi], eps=1e-7)
-            assert relative_error(g.to_flat(), fd) < 1e-6
+            assert relative_error(g.flat, fd) < 1e-6
 
     def test_copy_is_independent(self):
         head = LrHead(3, hidden_dims=(2,), seed=0)
         clone = head.copy()
-        clone.psi["lr_b1"] = clone.psi["lr_b1"] + 1.0
+        views(clone.psi)["lr_b1"][...] += 1.0
         assert head.alpha(np.zeros(3)) != clone.alpha(np.zeros(3))
 
     def test_bad_shapes_are_rejected(self):
@@ -140,6 +152,11 @@ class TestLrHead:
             LrHead(0)
         with pytest.raises(ConfigError):
             LrHead(3, scale=0.0)
+        # the entry names of LrHead(3, (2,)), with a (2, 2) first weight
+        psi = ParamSet({"lr_W0": np.zeros((2, 2)), "lr_b0": np.zeros(2),
+                        "lr_W1": np.zeros((1, 2)), "lr_b1": np.zeros(1)})
+        with pytest.raises(ConfigError, match="rate-head layout"):
+            LrHead(3, hidden_dims=(2,), psi=psi)
 
 
 def inference_rate(model, h):
@@ -161,8 +178,7 @@ class TestInnerAdapt:
     def test_zero_rate_returns_theta(self):
         spec, theta, episode = scalar_model()
         theta_i = adapt_with_gradient(theta, spec, 0.0, episode)[0]
-        for name in theta:
-            assert np.array_equal(theta_i[name], theta[name])
+        assert_same_params(theta_i, theta)
 
     def test_zero_support_gradient_returns_theta(self):
         cfg = tiny_config()
@@ -172,15 +188,14 @@ class TestInnerAdapt:
         predictions, _ = forward(trainer.theta, trainer.spec, ep.support[0], ep.support[1])
         flat_episode = (ep.support[0], ep.support[1], predictions)
         theta_i = adapt_with_gradient(trainer.theta, trainer.spec, 0.5, flat_episode)[0]
-        for name in trainer.theta:
-            assert np.array_equal(theta_i[name], trainer.theta[name])
+        assert_same_params(theta_i, trainer.theta)
 
     def test_single_coordinate_quadratic_step(self):
         # L(b0) = (b0 - 1)^2 at b0 = 0: gradient -2, so a 0.1 step lands at 0.2
         spec, theta, episode = scalar_model()
         theta_i = adapt_with_gradient(theta, spec, 0.1, episode)[0]
-        assert theta_i["dec_b0"][0] == pytest.approx(0.2, rel=1e-15)
-        assert np.array_equal(theta_i["dec_W0"], theta["dec_W0"])
+        assert views(theta_i)["dec_b0"][0] == pytest.approx(0.2, rel=1e-15)
+        assert np.array_equal(views(theta_i)["dec_W0"], views(theta)["dec_W0"])
 
     def test_negative_rate_rejected(self):
         spec, theta, episode = scalar_model()
@@ -202,8 +217,8 @@ class TestInnerAdapt:
 
     def test_negative_rate_vector_names_its_entry(self):
         spec, theta, episode = scalar_model()
-        rates = theta.fill(1e-3)
-        rates["dec_b0"][0] = -1e-3
+        rates = ParamSet.wrap(theta.layout, np.full(theta.layout.size, 1e-3))
+        views(rates)["dec_b0"][0] = -1e-3
         with pytest.raises(ConfigError, match="entry 'dec_b0' has negative values"):
             adapt_with_gradient(theta, spec, rates, episode)[0]
 
@@ -237,12 +252,12 @@ class TestSharedRateChecks:
     def test_a_failing_shared_rate_fails_every_episode(self):
         trainer = MetaTrainer(tiny_splits(), tiny_config(algorithm="meta-sgd"))
         batch = trainer.train_episodes[:4]
-        trainer.msgd_alpha["dec_b0"][0] = np.nan
+        views(trainer.msgd_alpha)["dec_b0"][0] = np.nan
         with pytest.warns(UserWarning, match="dropping episode") as caught:
             with pytest.raises(NumericError, match="every episode in the batch failed"):
                 trainer.outer_gradients(batch)
         assert len([w for w in caught if "dropping episode" in str(w.message)]) == len(batch)
-        trainer.msgd_alpha["dec_b0"][0] = -1e-3
+        views(trainer.msgd_alpha)["dec_b0"][0] = -1e-3
         with pytest.raises(ConfigError, match="entry 'dec_b0' has negative values"):
             trainer.outer_gradients(batch)
 
@@ -311,8 +326,8 @@ class TestEncodedEpisodes:
         ps = ParamSet({"a": np.array([[-1.0, 2.0]]), "b": np.array([0.5, 0.0, -3.0])})
         out = _clamp_nonnegative(ps)
         assert out.layout is ps.layout
-        np.testing.assert_array_equal(out.to_flat(), [0.0, 2.0, 0.5, 0.0, 0.0])
-        np.testing.assert_array_equal(ps.to_flat(), [-1.0, 2.0, 0.5, 0.0, -3.0])
+        np.testing.assert_array_equal(out.flat, [0.0, 2.0, 0.5, 0.0, 0.0])
+        np.testing.assert_array_equal(ps.flat, [-1.0, 2.0, 0.5, 0.0, -3.0])
 
 
 class TestComputeAlphaAndRegTerm:
@@ -400,13 +415,13 @@ def test_training_rate_matches_inference_rate(algorithm):
     for ep, log in zip(batch, logs):
         h = user_embedding(trainer.theta, trainer.spec, ep.user_ids)
         rate = inference_rate(model, h)
-        expected = float(np.mean(rate.to_flat())) if isinstance(rate, ParamSet) else rate
+        expected = float(np.mean(rate.flat)) if isinstance(rate, ParamSet) else rate
         assert log.alpha == expected
 
 
 def fd_check_trainer(trainer, batch, objective, paramsets, implemented, eps=1e-6):
     fds = joint_fd(objective, paramsets, eps=eps)
-    impl = np.concatenate([g.to_flat() for g in implemented])
+    impl = np.concatenate([g.flat for g in implemented])
     fd = np.concatenate(fds)
     return relative_error(impl, fd)
 
@@ -548,7 +563,7 @@ class TestOuterGradients:
         trainer = MetaTrainer(tiny_splits(), cfg)
         # a -1e4 output bias underflows the sigmoid: the head gives exactly 0.0
         last = trainer.head.n_layers() - 1
-        trainer.head.psi[f"lr_b{last}"][...] = -1e4
+        views(trainer.head.psi)[f"lr_b{last}"][...] = -1e4
         batch = trainer.train_episodes[:4]
         gradients = trainer.outer_gradients(batch)
         assert [log.alpha for log in gradients.episode_logs] == [0.0] * 4
@@ -556,8 +571,7 @@ class TestOuterGradients:
         expected = trainer.theta.zeros_like()
         for ep in batch:
             expected = expected.add(grad(trainer.theta, trainer.spec, ep.query))
-        for name in expected:
-            assert np.array_equal(gradients.theta_grad[name], expected[name])
+        assert_same_params(gradients.theta_grad, expected)
 
     def test_total_loss_matches_episode_logs(self):
         cfg = tiny_config(algorithm="reg-paml", gamma=1e-3)
@@ -592,10 +606,8 @@ class TestOuterStep:
         theta_before = trainer.theta.copy()
         psi_before = trainer.head.psi.copy()
         trainer.outer_step(trainer.train_episodes[:2])
-        for name in theta_before:
-            assert np.array_equal(trainer.theta[name], theta_before[name])
-        for name in psi_before:
-            assert np.array_equal(trainer.head.psi[name], psi_before[name])
+        assert_same_params(trainer.theta, theta_before)
+        assert_same_params(trainer.head.psi, psi_before)
 
     def test_gradient_clipping_bounds_the_step(self):
         cfg = tiny_config(grad_clip=1e-6, outer_lr=1.0)
@@ -608,7 +620,7 @@ class TestOuterStep:
     def test_non_finite_update_raises_with_diagnostics(self):
         cfg = tiny_config()
         trainer = MetaTrainer(tiny_splits(), cfg)
-        trainer.theta["dec_b0"] = np.full_like(trainer.theta["dec_b0"], np.nan)
+        views(trainer.theta)["dec_b0"][...] = np.nan
         with pytest.warns(UserWarning):
             with pytest.raises(NumericError):
                 trainer.outer_step(trainer.train_episodes[:2])
@@ -621,8 +633,7 @@ class TestTrain:
         model = train(splits, cfg)
         fresh = MetaTrainer(splits, cfg)
         assert model.history == []
-        for name in fresh.theta:
-            assert np.array_equal(model.theta[name], fresh.theta[name])
+        assert_same_params(model.theta, fresh.theta)
 
     def test_history_has_one_record_per_epoch(self):
         model = train(tiny_splits(), tiny_config(epochs=3))
@@ -633,15 +644,14 @@ class TestTrain:
         a = train(tiny_splits(), cfg)
         b = train(tiny_splits(), cfg)
         assert a.history == b.history
-        for name in a.theta:
-            assert np.array_equal(a.theta[name], b.theta[name])
-        for name in a.lr_head.psi:
-            assert np.array_equal(a.lr_head.psi[name], b.lr_head.psi[name])
+        assert_same_params(a.theta, b.theta)
+        assert_same_params(a.lr_head.psi, b.lr_head.psi)
 
     def test_different_seed_changes_the_model(self):
         a = train(tiny_splits(), tiny_config(epochs=1, seed=5))
         b = train(tiny_splits(), tiny_config(epochs=1, seed=6))
-        assert any(not np.array_equal(a.theta[name], b.theta[name]) for name in a.theta)
+        assert a.theta.layout.key == b.theta.layout.key
+        assert not np.array_equal(a.theta.flat, b.theta.flat)
 
     def test_best_validation_epoch_is_retained(self):
         splits = tiny_splits(n_tasks=30)
@@ -709,8 +719,7 @@ class TestTransfer:
         for _ in range(3):
             g = grad(theta, spec, pooled)
             theta = axpy_update(theta, g, 1e-2)
-        for name in theta:
-            assert np.array_equal(model.theta[name], theta[name])
+        assert_same_params(model.theta, theta)
 
     def test_pooled_loss_decreases(self):
         splits = tiny_splits(n_tasks=30)
@@ -729,8 +738,7 @@ class TestTransfer:
         predictions, h = forward(model.theta, model.spec, user_ids, items)
         adapted = adapt_with_gradient(model.theta, model.spec, inference_rate(model, h),
                                       (user_ids, items, predictions))[0]
-        for name in model.theta:
-            assert np.array_equal(adapted[name], model.theta[name])
+        assert_same_params(adapted, model.theta)
 
     def test_finetune_takes_one_fixed_rate_step(self):
         splits = tiny_splits(n_tasks=10)
@@ -743,8 +751,7 @@ class TestTransfer:
                                       support)[0]
         g = grad(model.theta, model.spec, support)
         expected = axpy_update(model.theta, g, 1e-3)
-        for name in expected:
-            assert np.array_equal(adapted[name], expected[name])
+        assert_same_params(adapted, expected)
 
 
     def test_steps_are_pooled_batches_without_episode_logs(self):
@@ -844,18 +851,15 @@ class TestCheckpoint:
         assert loaded.config == model.config
         assert loaded.history == model.history
         assert loaded.best_epoch == model.best_epoch
-        for name in model.theta:
-            assert np.array_equal(loaded.theta[name], model.theta[name])
-        for name in model.lr_head.psi:
-            assert np.array_equal(loaded.lr_head.psi[name], model.lr_head.psi[name])
+        assert_same_params(loaded.theta, model.theta)
+        assert_same_params(loaded.lr_head.psi, model.lr_head.psi)
 
     def test_meta_sgd_rates_round_trip(self, tmp_path):
         splits = tiny_splits(n_tasks=10)
         model = train(splits, tiny_config(algorithm="meta-sgd", epochs=1))
         path = save_checkpoint(model, tmp_path / "model.npz")
         loaded = load_checkpoint(path)
-        for name in model.meta_sgd_alpha:
-            assert np.array_equal(loaded.meta_sgd_alpha[name], model.meta_sgd_alpha[name])
+        assert_same_params(loaded.meta_sgd_alpha, model.meta_sgd_alpha)
 
     def test_tree_round_trips_through_the_sidecar(self, tmp_path):
         splits = tiny_splits(n_tasks=20)
@@ -884,6 +888,14 @@ class TestCheckpoint:
                                             f"{model.spec.user_width + 1}-wide"):
             load_checkpoint(path)
 
+    def test_missing_sidecar_is_a_data_error(self, tmp_path):
+        model = train(tiny_splits(n_tasks=20), tiny_config(algorithm="at-paml", epochs=2))
+        path = save_checkpoint(model, tmp_path / "model")
+        sidecar = tree_sidecar(path)
+        os.remove(sidecar)
+        with pytest.raises(DataError, match=f"cannot read tree dump {sidecar}"):
+            load_checkpoint(path)
+
     def test_tampered_config_is_rejected(self, tmp_path):
         splits = tiny_splits(n_tasks=10)
         model = train(splits, tiny_config(epochs=1))
@@ -898,13 +910,17 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("algorithm, key", [
         ("paml", "psi.lr_W0"), ("meta-sgd", "msgd.dec_W0"), ("paml", "theta.dec_b0"),
-        ("paml", "psi.lr_b1")])
+        ("paml", "psi.lr_b1"), ("paml", "psi.*"), ("meta-sgd", "msgd.*")])
     def test_mis_shaped_or_missing_entry_is_a_data_error(self, tmp_path, algorithm, key):
         model = train(tiny_splits(n_tasks=10), tiny_config(algorithm=algorithm, epochs=1))
         path = save_checkpoint(model, tmp_path / "model")
         with np.load(path, allow_pickle=False) as data:
             arrays = {name: data[name] for name in data.files}
-        if key == "psi.lr_b1":
+        if key.endswith("*"):  # every entry of one parameter set
+            prefix = key[:-1]
+            arrays = {name: arr for name, arr in arrays.items() if not name.startswith(prefix)}
+            message = f"checkpoint has no entry '{prefix}"
+        elif key == "psi.lr_b1":
             del arrays[key]
             message = f"checkpoint has no entry '{key}'"
         else:

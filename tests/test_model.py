@@ -36,13 +36,14 @@ def random_episode(spec, rng, n_items=4):
 
 def fd_gradient(fn, theta, eps=1e-6):
     """Central finite differences of a scalar function over a ParamSet."""
-    flat = theta.to_flat()
+    flat = theta.flat
     out = np.zeros_like(flat)
     for i in range(flat.size):
         up, down = flat.copy(), flat.copy()
         up[i] += eps
         down[i] -= eps
-        out[i] = (fn(theta.from_flat(up)) - fn(theta.from_flat(down))) / (2 * eps)
+        out[i] = (fn(ParamSet.wrap(theta.layout, up))
+                  - fn(ParamSet.wrap(theta.layout, down))) / (2 * eps)
     return out
 
 
@@ -65,23 +66,24 @@ class TestForward:
         rng = np.random.default_rng(0)
         user, items, _ = random_episode(spec, rng, n_items=3)
         preds, h = forward(theta, spec, user, items)
+        entries = theta.layout.views(theta.flat)
 
         for row in range(3):
-            x = list(theta["emb_user_0"][user[0]]) + list(theta["emb_user_1"][user[1]])
-            x += list(theta["emb_item_0"][items[row, 0]])
+            x = list(entries["emb_user_0"][user[0]]) + list(entries["emb_user_1"][user[1]])
+            x += list(entries["emb_item_0"][items[row, 0]])
             for layer in range(3):
-                w = theta[f"dec_W{layer}"]
-                b = theta[f"dec_b{layer}"]
+                w = entries[f"dec_W{layer}"]
+                b = entries[f"dec_b{layer}"]
                 z = [sum(w[o][k] * x[k] for k in range(len(x))) + b[o] for o in range(w.shape[0])]
                 x = [max(v, 0.0) for v in z] if layer < 2 else z
             assert preds[row] == pytest.approx(x[0], rel=1e-12)
         np.testing.assert_array_equal(
-            h, np.concatenate([theta["emb_user_0"][user[0]], theta["emb_user_1"][user[1]]])
+            h, np.concatenate([entries["emb_user_0"][user[0]], entries["emb_user_1"][user[1]]])
         )
 
     def test_zero_theta_gives_zero_predictions(self):
         spec = tiny_spec()
-        theta = init_params(spec, seed=0).fill(0.0)
+        theta = init_params(spec, seed=0).zeros_like()
         preds, _ = forward(theta, spec, np.array([0, 0]), np.array([[0], [1]]))
         np.testing.assert_array_equal(preds, np.zeros(2))
 
@@ -92,8 +94,8 @@ class TestForward:
         b, _ = forward(theta, spec, np.array([2, 1]), np.array([[0], [3]]))
         np.testing.assert_array_equal(a, b)
         t1 = init_params(spec, seed=3)
-        for name in theta:
-            np.testing.assert_array_equal(theta[name], t1[name])
+        assert t1.layout.key == theta.layout.key
+        np.testing.assert_array_equal(theta.flat, t1.flat)
 
     def test_out_of_vocabulary_rejected(self):
         spec = tiny_spec()
@@ -107,13 +109,22 @@ class TestForward:
         spec = tiny_spec()
         other = ModelSpec((3, 2), (4,), 2, (6, 3, 1))
         theta = init_params(other, seed=0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError,
+                           match=r"^parameter 'dec_W0' has shape \(6, 6\), model spec needs \(5, 6\)$"):
             forward(theta, spec, np.array([0, 0]), np.array([[0]]))
+        one_user_feature = init_params(ModelSpec((3,), (4,), 2, (5, 3, 1)), seed=0)
+        expected = ("parameter layout ('emb_user_0', 'emb_item_0', 'dec_W0', 'dec_b0', 'dec_W1', "
+                    "'dec_b1', 'dec_W2', 'dec_b2') does not match the model spec (expected "
+                    "('emb_user_0', 'emb_user_1', 'emb_item_0', 'dec_W0', 'dec_b0', 'dec_W1', "
+                    "'dec_b1', 'dec_W2', 'dec_b2'))")
+        with pytest.raises(ConfigError) as info:
+            forward(one_user_feature, spec, np.array([0, 0]), np.array([[0]]))
+        assert str(info.value) == expected
 
     def test_non_finite_layer_reported(self):
         spec = tiny_spec()
         theta = init_params(spec, seed=0)
-        theta["dec_W1"] = theta["dec_W1"] * np.inf
+        theta.layout.views(theta.flat)["dec_W1"][...] *= np.inf
         with pytest.raises(NumericError, match="layer 1"):
             forward(theta, spec, np.array([0, 0]), np.array([[0]]))
 
@@ -156,7 +167,7 @@ class TestGrad:
             return grad(t, spec, batch).loss
 
         fd = fd_gradient(objective, theta)
-        np.testing.assert_allclose(g.to_flat(), fd, rtol=1e-4, atol=1e-8)
+        np.testing.assert_allclose(g.flat, fd, rtol=1e-4, atol=1e-8)
 
     def test_loss_value_attached(self):
         spec = tiny_spec()
@@ -184,21 +195,21 @@ class TestGrad:
         # all-zero parameters leave every pre-activation at exactly 0, so the
         # only surviving gradient path is the output bias
         spec = tiny_spec()
-        theta = init_params(spec, seed=0).fill(0.0)
+        theta = init_params(spec, seed=0).zeros_like()
         g = grad(theta, spec, (np.array([0, 0]), np.array([[0]]), np.array([3.0])))
-        for name in g:
+        for name, entry in g.layout.views(g.flat).items():
             if name == "dec_b2":
-                np.testing.assert_allclose(g[name], np.array([-6.0]))
+                np.testing.assert_allclose(entry, np.array([-6.0]))
             else:
-                np.testing.assert_array_equal(g[name], np.zeros_like(g[name]))
+                np.testing.assert_array_equal(entry, np.zeros_like(entry))
 
     def test_gradient_deterministic(self):
         spec = tiny_spec()
         rng = np.random.default_rng(9)
         theta = init_params(spec, seed=9)
         ep = random_episode(spec, rng)
-        a = grad(theta, spec, ep).to_flat()
-        b = grad(theta, spec, ep).to_flat()
+        a = grad(theta, spec, ep).flat
+        b = grad(theta, spec, ep).flat
         np.testing.assert_array_equal(a, b)
 
 
@@ -209,15 +220,15 @@ class TestHvp:
         rng = np.random.default_rng(21)
         theta = init_params(spec, seed=21)
         batch = [random_episode(spec, rng, n_items=n_items)]
-        v = theta.from_flat(rng.normal(size=theta.size()))
+        v = ParamSet.wrap(theta.layout, rng.normal(size=theta.layout.size))
 
         exact = hvp(theta, spec, batch, v)
 
         eps = 1e-6
-        up = grad(theta.from_flat(theta.to_flat() + eps * v.to_flat()), spec, batch)
-        down = grad(theta.from_flat(theta.to_flat() - eps * v.to_flat()), spec, batch)
-        approx = (up.to_flat() - down.to_flat()) / (2 * eps)
-        np.testing.assert_allclose(exact.to_flat(), approx, rtol=1e-3, atol=1e-6)
+        up = grad(ParamSet.wrap(theta.layout, theta.flat + eps * v.flat), spec, batch)
+        down = grad(ParamSet.wrap(theta.layout, theta.flat - eps * v.flat), spec, batch)
+        approx = (up.flat - down.flat) / (2 * eps)
+        np.testing.assert_allclose(exact.flat, approx, rtol=1e-3, atol=1e-6)
 
     # sha256 of hvp's output bits, re-pinned when the first layer computed
     # each episode's user part once (its R-op sums the rank-one user terms
@@ -237,7 +248,7 @@ class TestHvp:
         batch = [random_episode(spec, rng, n_items=4 + k) for k in range(n_episodes)]
         if n_episodes == 1:
             batch = batch[0]
-        v = theta.from_flat(rng.normal(size=theta.size()))
+        v = ParamSet.wrap(theta.layout, rng.normal(size=theta.layout.size))
         return spec, theta, batch, v
 
     PINNED_IDS = ["mse-1", "mse-3"]
@@ -274,10 +285,8 @@ class TestHvp:
         g = grad(theta, spec, batch)
         out = hvp(theta, spec, batch, v, at=g)
         for result in (g, out):
-            for name in theta:
-                assert np.shares_memory(result[name], result.flat)
-                for operand in (theta, v):
-                    assert not np.shares_memory(result[name], operand[name])
+            for operand in (theta, v):
+                assert not np.shares_memory(result.flat, operand.flat)
 
     def test_symmetry_of_quadratic_form(self):
         # u . (H v) == v . (H u) for an exact Hessian
@@ -285,8 +294,8 @@ class TestHvp:
         rng = np.random.default_rng(33)
         theta = init_params(spec, seed=33)
         batch = [random_episode(spec, rng, n_items=3)]
-        u = theta.from_flat(rng.normal(size=theta.size()))
-        v = theta.from_flat(rng.normal(size=theta.size()))
+        u = ParamSet.wrap(theta.layout, rng.normal(size=theta.layout.size))
+        v = ParamSet.wrap(theta.layout, rng.normal(size=theta.layout.size))
         left = u.dot(hvp(theta, spec, batch, v))
         right = v.dot(hvp(theta, spec, batch, u))
         assert left == pytest.approx(right, rel=1e-10)
@@ -309,10 +318,10 @@ class TestHvp:
         # same names, but dec_b0 would broadcast from (1,) to (5,)
         spec = tiny_spec()
         theta = init_params(spec, seed=0)
-        entries = {name: np.ones(theta[name].shape) for name in theta}
+        entries = {name: np.ones(shape) for name, shape in zip(*theta.layout.key)}
         entries["dec_b0"] = np.ones(1)
         v = ParamSet(entries)
-        assert v.names() == theta.names()
+        assert v.layout.names == theta.layout.names
         with pytest.raises(ConfigError, match="dec_b0"):
             hvp(theta, spec, (np.array([0, 0]), np.array([[0]]), np.array([1.0])), v)
 
@@ -344,8 +353,8 @@ class TestEpisodeValidation:
         items[0, 0] = 99  # the checked copy does not see later caller writes
         assert checked[1][0, 0] != 99
         plain = (checked[0].copy(), checked[1].copy(), checked[2].copy())
-        np.testing.assert_array_equal(grad(theta, spec, checked).to_flat(),
-                                      grad(theta, spec, plain).to_flat())
+        np.testing.assert_array_equal(grad(theta, spec, checked).flat,
+                                      grad(theta, spec, plain).flat)
 
     @pytest.mark.parametrize("form", [tuple, list, np.array], ids=["tuple", "list", "array"])
     def test_a_tuple_is_one_episode_whatever_its_user_ids(self, form):
@@ -355,7 +364,7 @@ class TestEpisodeValidation:
         theta = init_params(spec, seed=3)
         rng = np.random.default_rng(3)
         user, items, targets = random_episode(spec, rng)
-        v = theta.from_flat(rng.normal(size=theta.size()))
+        v = ParamSet.wrap(theta.layout, rng.normal(size=theta.layout.size))
 
         def outputs(batch):
             g = grad(theta, spec, batch)  # hvp's tape is bound to this batch object
@@ -403,7 +412,7 @@ class TestKernelDigests:
         spec = ModelSpec((3, 4), (5, 3), embedding_dim=3, decision_dims=(6, 4, 1))
         rng = np.random.default_rng(17)
         theta = init_params(spec, seed=17)
-        v = theta.from_flat(rng.normal(size=theta.size()))
+        v = ParamSet.wrap(theta.layout, rng.normal(size=theta.layout.size))
         users_items = (
             ((1, 2), [[2, 1], [2, 1], [0, 2], [2, 0], [4, 1]]),
             ((2, 0), [[3, 2]]),

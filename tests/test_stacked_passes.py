@@ -114,12 +114,12 @@ def zero_rates(trainer):
     if trainer.msgd_alpha is not None:
         flat = trainer.msgd_alpha.flat.copy()
         flat[::2] = 0.0
-        trainer.msgd_alpha = trainer.msgd_alpha.from_flat(flat)
+        trainer.msgd_alpha = ParamSet.wrap(trainer.msgd_alpha.layout, flat)
         return
     psi = trainer.head.psi
     flat = psi.flat.copy()
     flat[psi.layout.slices[-1]] = -1e4
-    trainer.head.psi = psi.from_flat(flat)
+    trainer.head.psi = ParamSet.wrap(psi.layout, flat)
     if trainer.tree is not None:
         for node_id in trainer.tree.node_ids():
             trainer.tree.node(node_id).lr = 0.0
@@ -181,7 +181,7 @@ def slice_zero(theta, g, name):
         raise g.failed[0]
     if not math.isfinite(g.losses[0]):
         raise NumericError(f"{name} loss is not finite")
-    row = theta.from_flat(g.rows[0])
+    row = ParamSet.wrap(theta.layout, g.rows[0].copy())
     row.check_finite(f"{name} gradient")
     return row
 
@@ -222,7 +222,8 @@ def reference_outer_gradients(trainer, batch, tree):
             continue
 
         def hvp_beside(x):
-            return theta.from_flat(hvp(theta, spec, support, np.stack([x.flat] * 2), at=s)[0])
+            return ParamSet.wrap(theta.layout,
+                                 hvp(theta, spec, support, np.stack([x.flat] * 2), at=s)[0])
 
         grad_sq = g_s.dot(g_s)
         reg_value = 0.0
@@ -403,10 +404,10 @@ def test_a_non_finite_slice_fails_alone_and_silently():
     assert caught == []
     assert len(got.rows) == len(got.losses) == 4 and list(got.failed) == [2]
     with pytest.raises(NumericError) as expected:
-        grad(theta.from_flat(flats[2]), spec, episodes[2])
+        grad(ParamSet.wrap(theta.layout, flats[2].copy()), spec, episodes[2])
     assert str(got.failed[2]) == str(expected.value) == "non-finite values in decision layer 0"
     for k in (0, 1, 3):
-        alone = grad(theta.from_flat(flats[k]), spec, episodes[k])
+        alone = grad(ParamSet.wrap(theta.layout, flats[k].copy()), spec, episodes[k])
         assert got.rows[k].tobytes() == alone.flat.tobytes()
         assert repr(float(got.losses[k])) == repr(alone.loss)
 
@@ -531,7 +532,7 @@ def test_paper_shape_pooled_grad_and_hvp_match_one_episode_reference(paper_split
     pooled = _encode_split(trainer.splits, list(trainer.splits.train)[:16], spec).pooled()
     lengths = pooled.lengths.tolist()
     assert len(set(lengths)) > 8 and len(set(lengths)) < len(lengths)
-    v = theta.from_flat(np.random.default_rng(5).normal(size=theta.size()))
+    v = ParamSet.wrap(theta.layout, np.random.default_rng(5).normal(size=theta.layout.size))
     g = grad(theta, spec, pooled)
     expected_g, expected_loss, expected_hv = pooled_reference(theta, spec, pooled, v)
     assert g.flat.tobytes() == expected_g.tobytes()
@@ -651,7 +652,7 @@ def test_permuting_a_pass_permutes_its_rows_bit_for_bit(paper_splits, per_episod
     rng = np.random.default_rng(11)
     flats = np.stack([theta.flat + 1e-3 * k for k in range(len(split))]) if per_episode \
         else theta.flat
-    v = rng.normal(size=(len(split), theta.size()))
+    v = rng.normal(size=(len(split), theta.layout.size))
     expected = pass_outputs(theta, spec, split, flats, v)
     for order in (np.arange(len(split))[::-1], rng.permutation(len(split))):
         got = pass_outputs(theta, spec, split.take(order),
@@ -669,7 +670,7 @@ def test_an_episode_keeps_its_bits_beside_any_partner_of_its_pass_length(paper_s
     split, others = ragged_support(trainer)
     longest_position = int(np.argmax(split.lengths))
     assert (others.lengths == split.lengths[longest_position]).all()
-    v = np.random.default_rng(12).normal(size=(len(split), theta.size()))
+    v = np.random.default_rng(12).normal(size=(len(split), theta.layout.size))
     expected = pass_outputs(theta, spec, split, theta.flat, v)
     for e in range(len(split)):
         for pair in (split.take([e, longest_position]), check_episodes(spec, [split[e], others[0]]),
@@ -688,7 +689,7 @@ def test_padding_adds_nothing_to_a_short_episode(paper_splits):
     short = int(np.argmin(split.lengths))
     n = int(split.lengths[short])
     assert n < split.lengths.max()
-    v = np.random.default_rng(13).normal(size=(len(split), theta.size()))
+    v = np.random.default_rng(13).normal(size=(len(split), theta.layout.size))
     padded = pass_outputs(theta, spec, split, theta.flat, v)[short]
     alone = pass_outputs(theta, spec, split.take([short]), theta.flat, v[[short]])[0]
     padded[2], alone[2] = padded[2][:n], alone[2][:n]
